@@ -32,7 +32,7 @@ func main() {
 	fmt.Println("\n-- zoomed into Salt Lake City --")
 	ch1, err := session.KDEOnline(context.Background(), slc,
 		storm.KDEOptions{Nx: 48, Ny: 16},
-		storm.AnalyticOptions{ReportEvery: 200, MaxSamples: 100_000})
+		storm.Options{ReportEvery: 200, MaxSamples: 100_000})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func main() {
 	fmt.Println("\n-- zoomed out to the USA (previous query cancelled) --")
 	ch2, err := session.KDEOnline(context.Background(), usa,
 		storm.KDEOptions{Nx: 60, Ny: 24},
-		storm.AnalyticOptions{ReportEvery: 500, MaxSamples: 4000})
+		storm.Options{ReportEvery: 500, MaxSamples: 4000})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func main() {
 	fmt.Printf("sampled %d records from the window; all %d are fresh inserts\n", len(samples), fresh)
 
 	ctx := context.Background()
-	ch, err := h.TermsOnline(ctx, recent, "text", 5, storm.AnalyticOptions{MaxSamples: 300})
+	ch, err := h.TermsOnline(ctx, recent, "text", 5, storm.Options{MaxSamples: 300})
 	if err != nil {
 		log.Fatal(err)
 	}

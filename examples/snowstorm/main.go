@@ -41,7 +41,7 @@ func main() {
 	// 1. What are people talking about? Online term analysis.
 	fmt.Println("\n-- online short-text understanding, downtown Atlanta, days 10-13 --")
 	ch, err := ht.TermsOnline(context.Background(), atlanta, "text", 10,
-		storm.AnalyticOptions{MaxSamples: 500})
+		storm.Options{MaxSamples: 500})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 
 	q := storm.Range{MinX: -130, MinY: 20, MaxX: -60, MaxY: 55, MinT: 0, MaxT: 30 * 86400}
 	ch, err := h.TrajectoryOnline(context.Background(), q, "user", user, 0,
-		storm.AnalyticOptions{ReportEvery: 50, MaxSamples: 800})
+		storm.Options{ReportEvery: 50, MaxSamples: 800})
 	if err != nil {
 		log.Fatal(err)
 	}

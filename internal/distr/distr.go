@@ -1384,6 +1384,44 @@ func (s *Sampler) Degradation() (shardsLost, lostPopulation int) {
 // Degraded reports whether the query lost at least one shard mid-stream.
 func (s *Sampler) Degraded() bool { return s.lostShards > 0 }
 
+// StreamStatus is the health of one query's merged shard stream at a
+// point in time: the one value the engine's query driver reads to stamp
+// snapshots degraded / recovered / failed-over and to shrink the
+// effective population. The zero value is a healthy stream.
+type StreamStatus struct {
+	// ShardsLost and LostPopulation are Degradation's pair: shards the
+	// query has written off and the matching records stranded on them.
+	ShardsLost, LostPopulation int
+	// Readmits counts lost shards re-admitted after recovering; a stream
+	// with Readmits > 0 and ShardsLost == 0 is back on its full population.
+	Readmits int
+	// Failovers counts shard streams moved onto a surviving replica; the
+	// population stays intact across a failover.
+	Failovers int
+	// LostLo and LostHi bound every lost record's value of the attribute
+	// Status was asked about (see LostMassBounds); LostBounded is false
+	// when the stream is healthy, no attribute was named, or the lost
+	// shards carry no sound summary for it.
+	LostLo, LostHi float64
+	LostBounded    bool
+}
+
+// Status reports the stream's current health. attr, when non-empty, names
+// the aggregated attribute whose lost-mass value bounds the status should
+// carry; the summaries behind them are only consulted while degraded.
+func (s *Sampler) Status(attr string) StreamStatus {
+	st := StreamStatus{
+		ShardsLost:     s.lostShards,
+		LostPopulation: s.lostPop,
+		Readmits:       s.readmits,
+		Failovers:      s.failovers,
+	}
+	if attr != "" && s.lostShards > 0 {
+		st.LostLo, st.LostHi, _, st.LostBounded = s.LostMassBounds(attr)
+	}
+	return st
+}
+
 // EstimateAvg runs a distributed online AVG: each sample is drawn through
 // the cluster sampler and folded into a single estimator, exactly as a
 // coordinator would. It stops after maxSamples samples or exhaustion and

@@ -6,7 +6,7 @@ import (
 	"storm/internal/data"
 )
 
-// Adaptive batch-growth policy for the evaluator loops: the first pull is
+// Adaptive batch-growth policy for the query driver (driver.go): the first pull is
 // small so the first confidence interval reaches the user as fast as a
 // per-sample loop would, then the pull size doubles per round up to a cap,
 // amortizing sampler and device overheads once the query is clearly going

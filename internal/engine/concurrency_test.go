@@ -43,7 +43,7 @@ func TestConcurrentQueriesWithUpdates(t *testing.T) {
 				if (g+i)%3 == 2 {
 					// KDE query.
 					ch, err := h.KDEOnline(ctx, testRange, KDEOptions{Nx: 8, Ny: 8},
-						AnalyticOptions{MaxSamples: 400, ReportEvery: 100})
+						Options{MaxSamples: 400, ReportEvery: 100})
 					if err != nil {
 						errs <- err
 						return

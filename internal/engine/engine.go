@@ -2,13 +2,15 @@
 // sampler, ST-indexing, feature (estimator) and update-manager modules of
 // the paper's Figure 2 architecture into online query execution.
 //
-// A query runs as a loop that pulls one spatial online sample at a time,
-// feeds it to an online estimator, and periodically emits Snapshots whose
-// confidence intervals tighten over time. The loop terminates when the
-// caller's accuracy target is met, the time budget expires, the context is
-// cancelled (the user moved on to a different region — the paper's
-// interactive-exploration scenario), or the sample is exhausted (the
-// estimate is then exact).
+// Every query shape — single and joint estimates, GROUP BY, KDE, terms,
+// trajectory, clustering — runs through one driver loop (driver.go) that
+// pulls spatial online samples in batches, hands them to the shape's
+// consumer (an online estimator or analytic), and periodically emits
+// snapshots whose confidence intervals tighten over time. The loop
+// terminates when the caller's accuracy target is met, the time budget
+// expires, the context is cancelled (the user moved on to a different
+// region — the paper's interactive-exploration scenario), or the sample is
+// exhausted (the estimate is then exact).
 //
 // # Concurrency
 //
@@ -27,6 +29,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -376,6 +379,18 @@ func (h *Handle) Name() string { return h.name }
 
 // Data returns the underlying dataset for read access.
 func (h *Handle) Data() *data.Dataset { return h.ds }
+
+// Columns returns the dataset's numeric and string column names, each
+// sorted. Appends add columns under the write lock, so listings must come
+// through here rather than iterate Data()'s column maps directly.
+func (h *Handle) Columns() (numeric, str []string) {
+	h.mu.RLock()
+	numeric, str = h.ds.NumericColumns(), h.ds.StringColumns()
+	h.mu.RUnlock()
+	sort.Strings(numeric)
+	sort.Strings(str)
+	return numeric, str
+}
 
 // Len returns the number of live (indexed) records.
 func (h *Handle) Len() int {

@@ -355,7 +355,7 @@ func TestKDEOnline(t *testing.T) {
 	}
 	q := geo.Range{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50, MinT: 0, MaxT: 30 * 86400}
 	ch, err := h.KDEOnline(context.Background(), q, KDEOptions{Nx: 16, Ny: 16},
-		AnalyticOptions{MaxSamples: 1000, ReportEvery: 200})
+		Options{MaxSamples: 1000, ReportEvery: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestTermsOnline(t *testing.T) {
 	atlanta := geo.Range{MinX: -85.4, MinY: 32.7, MaxX: -83.4, MaxY: 34.7,
 		MinT: 10 * 86400, MaxT: 13 * 86400}
 	ch, err := h.TermsOnline(context.Background(), atlanta, "text", 10,
-		AnalyticOptions{MaxSamples: 500})
+		Options{MaxSamples: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestTermsOnline(t *testing.T) {
 	if last.Terms.Sentiment >= 0 {
 		t.Errorf("sentiment %v should be negative during the storm", last.Terms.Sentiment)
 	}
-	if _, err := h.TermsOnline(context.Background(), atlanta, "nope", 10, AnalyticOptions{}); err == nil {
+	if _, err := h.TermsOnline(context.Background(), atlanta, "nope", 10, Options{}); err == nil {
 		t.Error("unknown text column should error")
 	}
 }
@@ -436,7 +436,7 @@ func TestTrajectoryOnline(t *testing.T) {
 	}
 	q := geo.Range{MinX: -130, MinY: 20, MaxX: -60, MaxY: 55, MinT: 0, MaxT: 30 * 86400}
 	ch, err := h.TrajectoryOnline(context.Background(), q, "user", user, 0,
-		AnalyticOptions{MaxSamples: best / 2, ReportEvery: 50})
+		Options{MaxSamples: best / 2, ReportEvery: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestTrajectoryOnline(t *testing.T) {
 func TestClusterOnline(t *testing.T) {
 	_, h := buildHandle(t, 10000, false)
 	ch, err := h.ClusterOnline(context.Background(), testRange, 3,
-		AnalyticOptions{MaxSamples: 600})
+		Options{MaxSamples: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,7 @@ func TestClusterOnline(t *testing.T) {
 	if !last.Done || len(last.Clustering.Clusters) != 3 {
 		t.Fatalf("clustering = %+v", last.Clustering)
 	}
-	if _, err := h.ClusterOnline(context.Background(), testRange, 0, AnalyticOptions{}); err == nil {
+	if _, err := h.ClusterOnline(context.Background(), testRange, 0, Options{}); err == nil {
 		t.Error("k=0 should error")
 	}
 }
@@ -690,7 +690,7 @@ func TestSessionAnalytics(t *testing.T) {
 	usa := geo.Range{MinX: -125, MinY: 24, MaxX: -66, MaxY: 50, MinT: 0, MaxT: 30 * 86400}
 
 	kdeCh, err := s.KDEOnline(context.Background(), usa, KDEOptions{Nx: 8, Ny: 8},
-		AnalyticOptions{MaxSamples: 20000, ReportEvery: 100})
+		Options{MaxSamples: 20000, ReportEvery: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +698,7 @@ func TestSessionAnalytics(t *testing.T) {
 
 	// Starting terms analysis cancels the KDE.
 	termsCh, err := s.TermsOnline(context.Background(), usa, "text", 5,
-		AnalyticOptions{MaxSamples: 300})
+		Options{MaxSamples: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,80 @@ func TestQueryMetricsPopulated(t *testing.T) {
 	}
 }
 
+// TestQueryCountersPerShape: every query shape is one driver run, so each
+// moves queries.started and queries.done by exactly 1 and leaves
+// queries.active at 0 — MEDIAN included, which used to begin twice.
+func TestQueryCountersPerShape(t *testing.T) {
+	h, all := stationsHandle(t)
+	reg := h.eng.Obs()
+	ctx := context.Background()
+	opts := Options{MaxSamples: 300}
+	count := func(name string, start func() (int, error)) {
+		t.Helper()
+		started := reg.Counter("storm.engine.queries.started").Value()
+		done := reg.Counter("storm.engine.queries.done").Value()
+		if n, err := start(); err != nil || n == 0 {
+			t.Fatalf("%s: %d snapshots, err %v", name, n, err)
+		}
+		if got := reg.Counter("storm.engine.queries.started").Value() - started; got != 1 {
+			t.Errorf("%s: queries.started moved by %d, want 1", name, got)
+		}
+		if got := reg.Counter("storm.engine.queries.done").Value() - done; got != 1 {
+			t.Errorf("%s: queries.done moved by %d, want 1", name, got)
+		}
+		if got := reg.Gauge("storm.engine.queries.active").Value(); got != 0 {
+			t.Errorf("%s: queries.active = %d after completion, want 0", name, got)
+		}
+	}
+	estimate := func(kind estimator.Kind) func() (int, error) {
+		return func() (int, error) {
+			o := opts
+			o.Kind, o.Attr = kind, "temp"
+			ch, err := h.EstimateOnline(ctx, all, o)
+			return drainCount(ch), err
+		}
+	}
+	count("AVG", estimate(estimator.Avg))
+	count("MEDIAN", estimate(estimator.Median))
+	count("COUNT", estimate(estimator.Count))
+	count("multi", func() (int, error) {
+		ch, err := h.EstimateMultiOnline(ctx, all, []AggSpec{{Kind: estimator.Avg, Attr: "temp"}, {Kind: estimator.Median, Attr: "temp"}}, opts)
+		return drainCount(ch), err
+	})
+	count("GROUP BY", func() (int, error) {
+		ch, err := h.GroupByOnline(ctx, all, "temp", "station", opts)
+		return drainCount(ch), err
+	})
+	count("KDE", func() (int, error) {
+		ch, err := h.KDEOnline(ctx, all, KDEOptions{Nx: 4, Ny: 4}, opts)
+		return drainCount(ch), err
+	})
+	count("TERMS", func() (int, error) {
+		ch, err := h.TermsOnline(ctx, all, "station", 5, opts)
+		return drainCount(ch), err
+	})
+	count("TRAJECTORY", func() (int, error) {
+		ch, err := h.TrajectoryOnline(ctx, all, "station", "st-00003", 0, opts)
+		return drainCount(ch), err
+	})
+	count("CLUSTER", func() (int, error) {
+		ch, err := h.ClusterOnline(ctx, all, 3, opts)
+		return drainCount(ch), err
+	})
+}
+
+// drainCount drains a snapshot stream and returns how many snapshots it
+// carried (a nil channel, from a failed start, carries none).
+func drainCount[T any](ch <-chan T) int {
+	n := 0
+	if ch != nil {
+		for range ch {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTTCIMilestones runs a without-replacement AVG to exhaustion: the
 // final estimate is exact (relative CI width zero), so every
 // time-to-CI-width milestone must have been stamped.

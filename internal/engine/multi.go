@@ -3,12 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
+	"math"
 
+	"storm/internal/data"
 	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/sampling"
-	"storm/internal/stats"
 )
 
 // AggSpec names one aggregate of a multi-aggregate query.
@@ -24,51 +24,105 @@ type AggSpec struct {
 // consistent (the paper's introduction reports "973 kWh with a standard
 // deviation of 25 kWh" — one sample, two statistics).
 type MultiSnapshot struct {
+	Progress
 	Estimates []estimator.Estimate
-	Elapsed   time.Duration
 	Samples   int
-	Method    string
-	Done      bool
 }
 
-// multiAgg adapts the two estimator families behind one interface.
-type multiAgg interface {
-	add(x float64)
-	snapshot(population, samples int, withoutRep bool) estimator.Estimate
+// aggregate adapts the two estimator families — CLT mean-family and
+// order-statistic quantiles — behind one interface, shared by the single
+// and joint estimate shapes.
+type aggregate interface {
+	// fold adds col's values at a run of sampled entries.
+	fold(col []float64, batch []data.Entry)
+	// estimate renders the current estimate against the report's
+	// effective population.
+	estimate(r report, mode sampling.Mode) estimator.Estimate
+	// converged reports whether the query's accuracy target is met.
+	converged(opts Options) bool
+}
+
+// newAggregate builds the estimator behind one aggregate. Populations are
+// installed per report (see aggregate.estimate), so none is needed here.
+func newAggregate(spec AggSpec, opts Options) (aggregate, error) {
+	switch spec.Kind {
+	case estimator.Median, estimator.Quant:
+		p := spec.QuantileP
+		if spec.Kind == estimator.Median {
+			p = 0.5
+		}
+		qe, err := estimator.NewQuantile(p, opts.Confidence)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		return quantAgg{kind: spec.Kind, qe: qe}, nil
+	default:
+		est, err := estimator.New(spec.Kind, opts.Confidence, 0, opts.Mode == sampling.WithoutReplacement)
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		return meanAgg{est: est}, nil
+	}
 }
 
 type meanAgg struct{ est *estimator.Estimator }
 
-func (a meanAgg) add(x float64) { a.est.Add(x) }
-func (a meanAgg) snapshot(_, _ int, _ bool) estimator.Estimate {
+func (a meanAgg) fold(col []float64, batch []data.Entry) {
+	for _, e := range batch {
+		a.est.Add(col[e.ID])
+	}
+}
+
+func (a meanAgg) estimate(r report, _ sampling.Mode) estimator.Estimate {
+	a.est.SetPopulation(r.population)
 	return a.est.Snapshot()
 }
 
+func (a meanAgg) converged(opts Options) bool {
+	snap := a.est.Snapshot()
+	return snap.Exact ||
+		(opts.TargetHalfWidth > 0 && snap.HalfWidth <= opts.TargetHalfWidth) ||
+		(opts.TargetRelError > 0 && snap.RelativeErrorBound() <= opts.TargetRelError)
+}
+
+// quantAgg serves MEDIAN/QUANTILE through the quantile estimator, which
+// keeps its sample and reports distribution-free order-statistic bounds;
+// the Estimate's HalfWidth is the wider side of those bounds.
 type quantAgg struct {
 	kind estimator.Kind
 	qe   *estimator.Quantile
 }
 
-func (a quantAgg) add(x float64) { a.qe.Add(x) }
-func (a quantAgg) snapshot(population, samples int, withoutRep bool) estimator.Estimate {
+func (a quantAgg) fold(col []float64, batch []data.Entry) {
+	for _, e := range batch {
+		a.qe.Add(col[e.ID])
+	}
+}
+
+func (a quantAgg) estimate(r report, mode sampling.Mode) estimator.Estimate {
 	snap := a.qe.Snapshot()
-	hw := snap.Hi - snap.Value
-	if lo := snap.Value - snap.Lo; lo > hw {
-		hw = lo
+	out := estimator.Estimate{Kind: a.kind, Confidence: snap.Confidence, Samples: snap.Samples, Population: r.population}
+	if snap.Samples == 0 {
+		// No order statistic yet (empty population, or stopped before the
+		// first batch): an unbounded interval, not a NaN value.
+		if r.population > 0 {
+			out.HalfWidth = math.Inf(1)
+		}
+		return out
 	}
-	exhausted := withoutRep && samples >= population
-	if exhausted {
-		hw = 0
+	out.Value = snap.Value
+	out.HalfWidth = math.Max(snap.Hi-snap.Value, snap.Value-snap.Lo)
+	// Exhaustion tracks what the stream can still deliver: shard loss
+	// shrinks r.population the same way it re-targets the mean family.
+	if mode == sampling.WithoutReplacement && r.samples >= r.population {
+		out.HalfWidth, out.Exact = 0, true
 	}
-	return estimator.Estimate{
-		Kind:       a.kind,
-		Value:      snap.Value,
-		HalfWidth:  hw,
-		Confidence: snap.Confidence,
-		Samples:    snap.Samples,
-		Population: population,
-		Exact:      exhausted,
-	}
+	return out
+}
+
+func (a quantAgg) converged(opts Options) bool {
+	snap := a.qe.Snapshot()
+	return opts.TargetHalfWidth > 0 && snap.Hi-snap.Lo <= 2*opts.TargetHalfWidth
 }
 
 // EstimateMultiOnline runs several aggregates over one shared sample
@@ -76,135 +130,42 @@ func (a quantAgg) snapshot(population, samples int, withoutRep bool) estimator.E
 // columns; COUNT is excluded (it is exact and free — use Count).
 func (h *Handle) EstimateMultiOnline(ctx context.Context, q geo.Range, specs []AggSpec, opts Options) (<-chan MultiSnapshot, error) {
 	opts = opts.withDefaults()
-	if !q.Valid() {
-		return nil, fmt.Errorf("engine: invalid query range %+v", q)
-	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("engine: no aggregates requested")
 	}
+	aggs := make([]aggregate, len(specs))
 	for i, spec := range specs {
 		if spec.Kind == estimator.Count {
 			return nil, fmt.Errorf("engine: COUNT is exact; use Handle.Count")
 		}
-		if spec.Attr == "" {
-			return nil, fmt.Errorf("engine: aggregate %d (%v) missing an attribute", i, spec.Kind)
+		if err := h.checkSpec(spec); err != nil {
+			return nil, err
 		}
-		h.mu.RLock()
-		_, err := h.ds.NumericColumn(spec.Attr)
-		h.mu.RUnlock()
-		if err != nil {
+		var err error
+		if aggs[i], err = newAggregate(spec, opts); err != nil {
 			return nil, err
 		}
 	}
-
-	out := make(chan MultiSnapshot, 8)
-	start := time.Now()
-	go func() {
-		defer close(out)
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-
-		// Re-fetched under the query's lock (see EstimateOnline).
+	return stream(ctx, h, q, opts, func(send func(MultiSnapshot) bool) consumer {
 		cols := make([][]float64, len(specs))
 		for i, spec := range specs {
 			cols[i], _ = h.ds.NumericColumn(spec.Attr)
 		}
-		population := h.rs.Count(q.Rect())
-		withoutRep := opts.Mode == sampling.WithoutReplacement
-		aggs := make([]multiAgg, len(specs))
-		for i, spec := range specs {
-			switch spec.Kind {
-			case estimator.Median, estimator.Quant:
-				p := spec.QuantileP
-				if spec.Kind == estimator.Median {
-					p = 0.5
+		return consumer{
+			fold: func(batch []data.Entry) {
+				for i, a := range aggs {
+					a.fold(cols[i], batch)
 				}
-				qe, err := estimator.NewQuantile(p, opts.Confidence)
-				if err != nil {
-					out <- MultiSnapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-					return
+			},
+			report: func(r report) bool {
+				snap := MultiSnapshot{Progress: r.Progress, Estimates: make([]estimator.Estimate, len(aggs)), Samples: r.samples}
+				for i, a := range aggs {
+					snap.Estimates[i] = a.estimate(r, opts.Mode)
 				}
-				aggs[i] = quantAgg{kind: spec.Kind, qe: qe}
-			default:
-				est, err := estimator.New(spec.Kind, opts.Confidence, population, withoutRep)
-				if err != nil {
-					out <- MultiSnapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-					return
-				}
-				aggs[i] = meanAgg{est: est}
-			}
+				return send(snap)
+			},
 		}
-
-		emit := func(samples int, method string, done bool) bool {
-			snap := MultiSnapshot{
-				Estimates: make([]estimator.Estimate, len(aggs)),
-				Elapsed:   time.Since(start),
-				Samples:   samples,
-				Method:    method,
-				Done:      done,
-			}
-			for i, a := range aggs {
-				snap.Estimates[i] = a.snapshot(population, samples, withoutRep)
-			}
-			select {
-			case out <- snap:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-
-		if population == 0 {
-			emit(0, "empty", true)
-			return
-		}
-		seed := opts.Seed
-		if seed == 0 {
-			seed = h.eng.nextSeed()
-		}
-		sampler, _, err := h.newSampler(opts.Method, q.Rect(), opts.Mode, stats.NewRNG(seed), nil)
-		if err != nil {
-			out <- MultiSnapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-			return
-		}
-		defer closeSampler(sampler)
-		var deadline time.Time
-		if opts.TimeBudget > 0 {
-			deadline = start.Add(opts.TimeBudget)
-		}
-		k := 0
-		for {
-			select {
-			case <-ctx.Done():
-				emit(k, sampler.Name(), true)
-				return
-			default:
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				emit(k, sampler.Name(), true)
-				return
-			}
-			e, ok := sampler.Next()
-			if !ok {
-				emit(k, sampler.Name(), true)
-				return
-			}
-			for i, a := range aggs {
-				a.add(cols[i][e.ID])
-			}
-			k++
-			if k%opts.ReportEvery == 0 {
-				if !emit(k, sampler.Name(), false) {
-					return
-				}
-			}
-			if opts.MaxSamples > 0 && k >= opts.MaxSamples {
-				emit(k, sampler.Name(), true)
-				return
-			}
-		}
-	}()
-	return out, nil
+	})
 }
 
 // EstimateMulti runs EstimateMultiOnline to completion and returns the

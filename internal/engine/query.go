@@ -8,11 +8,9 @@ import (
 	"storm/internal/data"
 	"storm/internal/estimator"
 	"storm/internal/geo"
-	"storm/internal/iosim"
 	"storm/internal/pred"
 	"storm/internal/sampling"
 	"storm/internal/stats"
-	"storm/internal/wire"
 )
 
 // Options controls one online aggregation query.
@@ -81,56 +79,7 @@ func (o Options) withDefaults() Options {
 // Snapshot is one progress report of an online query.
 type Snapshot struct {
 	estimator.Estimate
-	// Elapsed is the time since query start.
-	Elapsed time.Duration
-	// Method is the sampler that served the query.
-	Method string
-	// IO is the simulated I/O attributed to this query so far. It is
-	// counted through a per-query iosim.Counter, so it stays exact even
-	// when many queries run concurrently; zero when I/O simulation is
-	// disabled. CostUnits is not attributed per query (hit/miss costs are
-	// charged on the shared device).
-	IO iosim.Stats
-	// Done marks the final snapshot: target met, budget spent, sample
-	// exhausted, or context cancelled.
-	Done bool
-	// Degraded marks a distributed query that lost shards mid-stream
-	// (crash or retry exhaustion). The estimate then covers the surviving
-	// population only: Population has been shrunk by the lost shards'
-	// matching counts so the CI stays honest over what can still be
-	// sampled (see DESIGN.md §4.3).
-	Degraded bool
-	// ShardsLost is how many shards the query lost mid-stream; 0 unless
-	// Degraded.
-	ShardsLost int
-	// Recovered marks a distributed query that lost shards mid-stream and
-	// re-admitted every one of them after they recovered: the estimate is
-	// back over the full population (Population restored, no lost mass).
-	// Mutually exclusive with Degraded.
-	Recovered bool
-	// FailedOver marks a distributed query that lost a shard replica
-	// mid-stream and moved its remainder onto a surviving copy. Unlike
-	// Degraded, the population is intact — the stream stays exactly
-	// uniform over the full matching set, the CI needs no lost-mass
-	// widening, and the final answer matches a healthy run's guarantees.
-	// A query can be both FailedOver and Degraded when some shard lost
-	// every copy while another only lost one (see DESIGN.md §4.8).
-	FailedOver bool
-	// RejectRatio is the fraction of the sampler's draws that rejection
-	// steps discarded (SamplerStats Rejects/Draws): out-of-range or
-	// predicate-failing candidates for SampleFirst and the rejection
-	// WHERE strategy, weight-consumed non-qualifying draws for pruned
-	// RS-tree streams. Zero for exact answers and clean pushdown streams
-	// — the headline number the A10 ablation compares across strategies.
-	RejectRatio float64
-	// Windowed marks a `LAST <dur>` query. WindowLo and WindowHi are the
-	// resolved event-time bounds (seconds, anchored at the dataset
-	// watermark) the query actually covered; an inverted pair
-	// (WindowLo > WindowHi) reports a window resolved against a dataset
-	// that has never held a record — an empty population, not an error.
-	Windowed bool
-	// WindowLo and WindowHi bound the window (see Windowed).
-	WindowLo, WindowHi float64
+	Progress
 	// LostMassLow and LostMassHigh, set only on degraded AVG/SUM
 	// snapshots, are worst-case bounds on the aggregate over the full
 	// pre-crash population: the surviving-population CI widened by the
@@ -151,35 +100,40 @@ type Snapshot struct {
 // waiting for this one).
 func (h *Handle) EstimateOnline(ctx context.Context, q geo.Range, opts Options) (<-chan Snapshot, error) {
 	opts = opts.withDefaults()
-	if !q.Valid() {
-		return nil, fmt.Errorf("engine: invalid query range %+v", q)
-	}
+	spec := AggSpec{Kind: opts.Kind, Attr: opts.Attr, QuantileP: opts.QuantileP}
 	if opts.Kind != estimator.Count {
-		if opts.Attr == "" {
-			return nil, fmt.Errorf("engine: %v requires an attribute", opts.Kind)
-		}
-		// Column metadata is mutated by Insert; read it under the lock.
-		h.mu.RLock()
-		ok := h.ds.HasNumeric(opts.Attr)
-		h.mu.RUnlock()
-		if !ok {
-			return nil, fmt.Errorf("engine: dataset %q has no numeric column %q", h.name, opts.Attr)
+		if err := h.checkSpec(spec); err != nil {
+			return nil, err
 		}
 	}
-	if opts.Kind == estimator.Quant && (opts.QuantileP <= 0 || opts.QuantileP >= 1) {
-		return nil, fmt.Errorf("engine: QUANTILE requires 0 < p < 1, got %v", opts.QuantileP)
+	agg, err := newAggregate(spec, opts)
+	if err != nil {
+		return nil, err
 	}
-
-	out := make(chan Snapshot, 16)
-	go func() {
-		defer close(out)
-		// Read lock: queries share the handle; only updates take the
-		// write side.
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		h.runEstimate(ctx, q.Rect(), opts, out)
-	}()
-	return out, nil
+	return stream(ctx, h, q, opts, func(send func(Snapshot) bool) consumer {
+		col, _ := h.ds.NumericColumn(opts.Attr)
+		_, clt := agg.(meanAgg)
+		return consumer{
+			attr:      opts.Attr,
+			exact:     opts.Kind == estimator.Count,
+			fold:      func(batch []data.Entry) { agg.fold(col, batch) },
+			converged: func() bool { return agg.converged(opts) },
+			report: func(r report) bool {
+				s := Snapshot{Estimate: agg.estimate(r, opts.Mode), Progress: r.Progress}
+				if r.stream.LostBounded {
+					s.LostMassLow, s.LostMassHigh, _ = estimator.LostMassBounds(s.Estimate, r.stream.LostLo, r.stream.LostHi, r.stream.LostPopulation)
+				}
+				if r.Done && clt {
+					// Feed the dataset's contract profile with this query's
+					// outcome; the contract planner's rate/CV predictions
+					// come from these EWMAs.
+					h.prof.observe(opts.Attr, opts.Confidence, s.Estimate, r.Elapsed)
+				}
+				r.ci(s.RelativeErrorBound())
+				return send(s)
+			},
+		}
+	})
 }
 
 // Estimate runs EstimateOnline to completion and returns the final
@@ -196,498 +150,28 @@ func (h *Handle) Estimate(ctx context.Context, q geo.Range, opts Options) (Snaps
 	return last, nil
 }
 
-// runEstimate is the evaluator loop. Caller holds h.mu.
-func (h *Handle) runEstimate(ctx context.Context, q geo.Rect, opts Options, out chan<- Snapshot) {
-	start := time.Now()
-	qo := h.beginQuery(start)
-	defer qo.end()
-	seed := opts.Seed
-	if seed == 0 {
-		seed = h.eng.nextSeed()
+// checkSpec validates one aggregate's attribute against the dataset.
+func (h *Handle) checkSpec(spec AggSpec) error {
+	if spec.Attr == "" {
+		return fmt.Errorf("engine: %v requires an attribute", spec.Kind)
 	}
-	rng := stats.NewRNG(seed)
-
-	// Resolve the predicate plan and method up front: the population is
-	// the qualifying count — for distributed queries the cluster's, which
-	// excludes shards that are already down — the honest effective N for
-	// the stream the coordinator can deliver.
-	plan, emptyPred, err := h.planWhere(opts.Where, opts.Pushdown)
-	if err != nil {
-		out <- Snapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-		return
+	// Column metadata is mutated by Insert; read it under the lock.
+	h.mu.RLock()
+	ok := h.ds.HasNumeric(spec.Attr)
+	h.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("engine: dataset %q has no numeric column %q", h.name, spec.Attr)
 	}
-	// Resolve the LAST window against the watermark before sizing the
-	// population, so estimator CIs, finite-population corrections and
-	// exactness all use the windowed count. Local methods narrow the query
-	// rectangle's time axis here; the distributed method keeps the rect
-	// intact and ships the resolved window as a wire term so every shard
-	// narrows its own time axis — identically in-process and over TCP.
-	win := h.window(opts.Last)
-	windowed, winLo, winHi := win.Set, win.Lo, win.Hi
-	if h.cluster == nil {
-		// No cluster: narrow before method resolution so the optimizer
-		// costs the rectangle the query actually covers.
-		q = win.Apply(q)
-		win = wire.Window{}
-	}
-	opts.Method = h.resolveMethod(opts.Method, q)
-	if win.Set {
-		if opts.Method == MethodDistributed {
-			if plan == nil {
-				plan = &wherePlan{}
-			}
-			plan.win = win
-		} else {
-			q = win.Apply(q)
-		}
-	}
-	population := 0
-	if !emptyPred {
-		population = h.qualifying(q, opts.Method, plan)
-	}
-
-	// Order statistics go through the quantile estimator, which keeps
-	// its sample and reports distribution-free order-statistic bounds.
-	if opts.Kind == estimator.Median || opts.Kind == estimator.Quant {
-		h.runQuantile(ctx, q, opts, population, plan, rng, start, out)
-		return
-	}
-
-	est, err := estimator.New(opts.Kind, opts.Confidence, population, opts.Mode == sampling.WithoutReplacement)
-	if err != nil {
-		// Options were validated above; population is always known here,
-		// so this is unreachable, but fail loudly rather than silently.
-		out <- Snapshot{Done: true}
-		return
-	}
-
-	var ctr *iosim.Counter
-	var deg degrader
-	var fo failoverer
-	var lmb lostMassBounder
-	var srep sampling.StatsReporter
-	wasDegraded, wasRecovered, wasFailedOver := false, false, false
-	emit := func(done bool, method string) bool {
-		var shardsLost int
-		recovered := false
-		failedOver := fo != nil && fo.Failovers() > 0
-		if failedOver && !wasFailedOver {
-			wasFailedOver = true
-			h.eng.met.queriesFailedOver.Inc()
-		}
-		if deg != nil {
-			lost, lostPop := deg.Degradation()
-			// Re-target the estimator at the stream's current effective
-			// population before snapshotting: shards that died mid-query
-			// shrink it so the point estimate, SUM/COUNT scaling and
-			// finite-population correction stay honest over what the
-			// stream can still cover, and shards re-admitted after
-			// recovering restore it (see DESIGN.md §4.3).
-			shardsLost = lost
-			est.SetPopulation(population - lostPop)
-			if lost > 0 && !wasDegraded {
-				wasDegraded = true
-				h.eng.met.queriesDegraded.Inc()
-			}
-			if rm, ok := deg.(readmitter); ok && rm.Readmits() > 0 && lost == 0 {
-				// Every lost shard came back: the query has recovered
-				// onto the full population.
-				recovered = true
-				if !wasRecovered {
-					wasRecovered = true
-					h.eng.met.queriesRecovered.Inc()
-				}
-			}
-		}
-		s := Snapshot{
-			Estimate:   est.Snapshot(),
-			Elapsed:    time.Since(start),
-			Method:     method,
-			Done:       done,
-			Degraded:   shardsLost > 0,
-			ShardsLost: shardsLost,
-			Recovered:  recovered,
-			FailedOver: failedOver,
-			Windowed:   windowed,
-			WindowLo:   winLo,
-			WindowHi:   winHi,
-		}
-		if shardsLost > 0 && lmb != nil {
-			if lo, hi, lostN, ok := lmb.LostMassBounds(opts.Attr); ok {
-				if low, high, ok := estimator.LostMassBounds(s.Estimate, lo, hi, lostN); ok {
-					s.LostMassLow, s.LostMassHigh = low, high
-				}
-			}
-		}
-		if ctr != nil {
-			s.IO = ctr.Snapshot()
-		}
-		if srep != nil {
-			if st := srep.SamplerStats(); st.Draws > 0 {
-				s.RejectRatio = float64(st.Rejects) / float64(st.Draws)
-			}
-		}
-		qo.ci(s.RelativeErrorBound())
-		select {
-		case out <- s:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-
-	// COUNT is exact via canonical range counting (predicates included:
-	// the qualifying population is counted through the pruned traversal):
-	// answer immediately.
-	if opts.Kind == estimator.Count {
-		emit(true, "range-count")
-		return
-	}
-	if population == 0 {
-		emit(true, "empty")
-		return
-	}
-
-	sampler, c, err := h.newSampler(opts.Method, q, opts.Mode, rng, plan)
-	if err != nil {
-		// Surface the configuration error as a terminal zero snapshot;
-		// EstimateOnline validated what it could synchronously.
-		emit(true, fmt.Sprintf("error: %v", err))
-		return
-	}
-	defer closeSampler(sampler)
-	ctr = c
-	deg, _ = sampler.(degrader)
-	fo, _ = sampler.(failoverer)
-	lmb, _ = sampler.(lostMassBounder)
-	srep, _ = sampler.(sampling.StatsReporter)
-	col, err := h.ds.NumericColumn(opts.Attr)
-	if err != nil {
-		emit(true, fmt.Sprintf("error: %v", err))
-		return
-	}
-	// Feed the dataset's contract profile with this query's outcome; the
-	// contract planner's rate/CV predictions come from these EWMAs.
-	defer func() {
-		h.prof.observe(opts.Attr, opts.Confidence, est.Snapshot(), time.Since(start))
-	}()
-
-	var deadline time.Time
-	if opts.TimeBudget > 0 {
-		deadline = start.Add(opts.TimeBudget)
-		if d, ok := sampler.(deadliner); ok {
-			// Push the budget down to the shard fetch boundary: a
-			// distributed sampler then caps per-fetch RPC timeouts and
-			// stops retry/backoff at the deadline instead of letting one
-			// slow shard run the query past it.
-			d.SetDeadline(deadline)
-		}
-	}
-
-	targetMet := func() bool {
-		snap := est.Snapshot()
-		if snap.Exact {
-			return true
-		}
-		if opts.TargetHalfWidth > 0 && snap.HalfWidth <= opts.TargetHalfWidth {
-			return true
-		}
-		if opts.TargetRelError > 0 && snap.RelativeErrorBound() <= opts.TargetRelError {
-			return true
-		}
-		return false
-	}
-
-	// Samples are pulled in adaptive batches (see batch.go) but folded into
-	// the estimator with exactly the serial loop's per-sample report and
-	// termination checks, so emitted snapshots and stopping points are
-	// unchanged — batching only amortizes sampler and device overheads.
-	bufp := getEntryBuf()
-	defer putEntryBuf(bufp)
-	buf := *bufp
-	k := 0
-	size := minPullBatch
-	for {
-		select {
-		case <-ctx.Done():
-			emit(true, sampler.Name())
-			return
-		default:
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			emit(true, sampler.Name())
-			return
-		}
-		want := size
-		if opts.MaxSamples > 0 && want > opts.MaxSamples-k {
-			want = opts.MaxSamples - k
-		}
-		n := sampling.NextBatch(sampler, buf, want)
-		qo.batch(sampler, n)
-		for _, e := range buf[:n] {
-			est.Add(col[e.ID])
-			k++
-			if k%opts.ReportEvery == 0 {
-				if !emit(false, sampler.Name()) {
-					return
-				}
-				if targetMet() {
-					emit(true, sampler.Name())
-					return
-				}
-			}
-			if opts.MaxSamples > 0 && k >= opts.MaxSamples {
-				emit(true, sampler.Name())
-				return
-			}
-		}
-		if n < want {
-			emit(true, sampler.Name())
-			return
-		}
-		size = nextPullSize(size)
-	}
-}
-
-// degrader is implemented by samplers whose stream can lose part of its
-// population mid-query (the distributed coordinator): Degradation reports
-// how many shards were lost and the matching population lost with them.
-type degrader interface {
-	Degradation() (shardsLost, lostPopulation int)
-}
-
-// readmitter is implemented by degradable samplers that can re-admit a
-// lost shard after it recovers: Readmits reports how many re-admissions
-// the query has made. A query with Readmits > 0 and no currently lost
-// shards has recovered onto the full population.
-type readmitter interface {
-	Readmits() int
-}
-
-// deadliner is implemented by samplers that can enforce a wall-clock
-// deadline inside their own draw machinery (the distributed coordinator
-// caps per-fetch RPC timeouts and abandons retry/backoff at the
-// deadline). The evaluator loop installs Options.TimeBudget through it so
-// contract deadlines hold at the shard fetch boundary, not just between
-// batches.
-type deadliner interface {
-	SetDeadline(time.Time)
-}
-
-// failoverer is implemented by samplers that can move a shard's stream
-// remainder onto a surviving replica when the serving copy dies (the
-// distributed coordinator at Replicas >= 2): Failovers reports how many
-// such moves the query has made. Unlike degradation, a failover keeps
-// the population intact — the snapshot surfaces it as FailedOver, not
-// Degraded.
-type failoverer interface {
-	Failovers() int
-}
-
-// lostMassBounder is implemented by degradable samplers that can bound
-// the attribute values of their lost population from coordinator-side
-// per-shard summaries (count/sum/min/max per numeric attribute): every
-// lost record's value of attr provably lies in [lo, hi]. The engine
-// combines these with the surviving-population CI via
-// estimator.LostMassBounds into Snapshot.LostMassLow/High.
-type lostMassBounder interface {
-	LostMassBounds(attr string) (lo, hi float64, lostPop int, ok bool)
-}
-
-// resolveMethod applies the optimizer to Auto and returns any other method
-// unchanged. Caller holds h.mu (read side suffices).
-func (h *Handle) resolveMethod(m Method, q geo.Rect) Method {
-	if m == Auto {
-		return h.choose(q)
-	}
-	return m
-}
-
-// runQuantile is the evaluator loop for MEDIAN/QUANTILE queries. Caller
-// holds h.mu. The Snapshot's HalfWidth is the wider side of the
-// order-statistic confidence bounds.
-func (h *Handle) runQuantile(ctx context.Context, q geo.Rect, opts Options, population int, plan *wherePlan, rng *stats.RNG, start time.Time, out chan<- Snapshot) {
-	qo := h.beginQuery(start)
-	defer qo.end()
-	p := opts.QuantileP
-	if opts.Kind == estimator.Median {
-		p = 0.5
-	}
-	qe, err := estimator.NewQuantile(p, opts.Confidence)
-	if err != nil {
-		out <- Snapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-		return
-	}
-	// The caller already narrowed q (or attached the window to the plan);
-	// re-resolving here only feeds the display fields, and is stable under
-	// h.mu — the watermark advances only with the write lock held.
-	win := h.window(opts.Last)
-	if population == 0 {
-		out <- Snapshot{
-			Estimate: estimator.Estimate{Kind: opts.Kind, Confidence: opts.Confidence},
-			Done:     true, Method: "empty",
-			Windowed: win.Set, WindowLo: win.Lo, WindowHi: win.Hi,
-		}
-		return
-	}
-	sampler, ctr, err := h.newSampler(opts.Method, q, opts.Mode, rng, plan)
-	if err != nil {
-		out <- Snapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-		return
-	}
-	defer closeSampler(sampler)
-	deg, _ := sampler.(degrader)
-	fo, _ := sampler.(failoverer)
-	srep, _ := sampler.(sampling.StatsReporter)
-	col, err := h.ds.NumericColumn(opts.Attr)
-	if err != nil {
-		out <- Snapshot{Done: true, Method: fmt.Sprintf("error: %v", err)}
-		return
-	}
-	var deadline time.Time
-	if opts.TimeBudget > 0 {
-		deadline = start.Add(opts.TimeBudget)
-		if d, ok := sampler.(deadliner); ok {
-			d.SetDeadline(deadline)
-		}
-	}
-
-	wasDegraded, wasRecovered, wasFailedOver := false, false, false
-	emit := func(done bool) bool {
-		// Shard loss shrinks the quantile's effective population the same
-		// way runEstimate's does: exhaustion and the reported Population
-		// track what the stream can still deliver. Re-admitted shards
-		// restore it (lostPop drops back to zero), and the down→up
-		// transition is surfaced as Recovered.
-		effPop := population
-		shardsLost := 0
-		recovered := false
-		failedOver := fo != nil && fo.Failovers() > 0
-		if failedOver && !wasFailedOver {
-			wasFailedOver = true
-			h.eng.met.queriesFailedOver.Inc()
-		}
-		if deg != nil {
-			lost, lostPop := deg.Degradation()
-			shardsLost = lost
-			effPop = population - lostPop
-			if lost > 0 && !wasDegraded {
-				wasDegraded = true
-				h.eng.met.queriesDegraded.Inc()
-			}
-			if rm, ok := deg.(readmitter); ok && rm.Readmits() > 0 && lost == 0 {
-				recovered = true
-				if !wasRecovered {
-					wasRecovered = true
-					h.eng.met.queriesRecovered.Inc()
-				}
-			}
-		}
-		snap := qe.Snapshot()
-		hw := snap.Hi - snap.Value
-		if lo := snap.Value - snap.Lo; lo > hw {
-			hw = lo
-		}
-		exhausted := opts.Mode == sampling.WithoutReplacement && snap.Samples >= effPop
-		if exhausted {
-			hw = 0
-		}
-		s := Snapshot{
-			Estimate: estimator.Estimate{
-				Kind:       opts.Kind,
-				Value:      snap.Value,
-				HalfWidth:  hw,
-				Confidence: opts.Confidence,
-				Samples:    snap.Samples,
-				Population: effPop,
-				Exact:      exhausted,
-			},
-			Elapsed:    time.Since(start),
-			Method:     sampler.Name(),
-			Done:       done,
-			Degraded:   shardsLost > 0,
-			ShardsLost: shardsLost,
-			Recovered:  recovered,
-			FailedOver: failedOver,
-			Windowed:   win.Set,
-			WindowLo:   win.Lo,
-			WindowHi:   win.Hi,
-		}
-		if ctr != nil {
-			s.IO = ctr.Snapshot()
-		}
-		if srep != nil {
-			if st := srep.SamplerStats(); st.Draws > 0 {
-				s.RejectRatio = float64(st.Rejects) / float64(st.Draws)
-			}
-		}
-		qo.ci(s.RelativeErrorBound())
-		select {
-		case out <- s:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-
-	// Adaptive batch pulls with the serial loop's per-sample checks (see
-	// runEstimate).
-	bufp := getEntryBuf()
-	defer putEntryBuf(bufp)
-	buf := *bufp
-	k := 0
-	size := minPullBatch
-	for {
-		select {
-		case <-ctx.Done():
-			emit(true)
-			return
-		default:
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			emit(true)
-			return
-		}
-		want := size
-		if opts.MaxSamples > 0 && want > opts.MaxSamples-k {
-			want = opts.MaxSamples - k
-		}
-		n := sampling.NextBatch(sampler, buf, want)
-		qo.batch(sampler, n)
-		for _, e := range buf[:n] {
-			qe.Add(col[e.ID])
-			k++
-			if k%opts.ReportEvery == 0 {
-				if !emit(false) {
-					return
-				}
-				if opts.TargetHalfWidth > 0 {
-					snap := qe.Snapshot()
-					if snap.Hi-snap.Lo <= 2*opts.TargetHalfWidth {
-						emit(true)
-						return
-					}
-				}
-			}
-			if opts.MaxSamples > 0 && k >= opts.MaxSamples {
-				emit(true)
-				return
-			}
-		}
-		if n < want {
-			emit(true)
-			return
-		}
-		size = nextPullSize(size)
-	}
+	return nil
 }
 
 // GroupsSnapshot is one progress report of an online group-by query.
 type GroupsSnapshot struct {
-	Groups  []estimator.GroupEstimate
-	Elapsed time.Duration
-	Samples int
-	Done    bool
+	Progress
+	Groups []estimator.GroupEstimate
+	// Samples is how many records the groups were estimated from, and
+	// Population how many qualify for the query (range, WHERE and LAST).
+	Samples, Population int
 }
 
 // GroupByOnline estimates a per-group aggregate (AVG only, the standard
@@ -696,9 +180,6 @@ type GroupsSnapshot struct {
 // lands in them.
 func (h *Handle) GroupByOnline(ctx context.Context, q geo.Range, attr, groupCol string, opts Options) (<-chan GroupsSnapshot, error) {
 	opts = opts.withDefaults()
-	if !q.Valid() {
-		return nil, fmt.Errorf("engine: invalid query range %+v", q)
-	}
 	if opts.Kind != estimator.Avg {
 		return nil, fmt.Errorf("engine: GROUP BY supports AVG only (per-group population sizes are unknown)")
 	}
@@ -712,44 +193,21 @@ func (h *Handle) GroupByOnline(ctx context.Context, q geo.Range, attr, groupCol 
 	if errStr != nil {
 		return nil, errStr
 	}
-	out := make(chan GroupsSnapshot, 8)
-	start := time.Now()
-	go func() {
-		defer close(out)
-		h.mu.RLock()
-		defer h.mu.RUnlock()
-		// Re-fetch the columns under the query's lock: inserts between
-		// validation and here may have grown them, and the sampler can
-		// return those new records.
+	gb := estimator.NewGroupBy(estimator.Avg, opts.Confidence)
+	return stream(ctx, h, q, opts, func(send func(GroupsSnapshot) bool) consumer {
 		col, _ := h.ds.NumericColumn(attr)
 		keys, _ := h.ds.StringColumn(groupCol)
-		gb := estimator.NewGroupBy(estimator.Avg, opts.Confidence)
-		samples := 0
-		err := h.sampleLoop(ctx, q.Rect(), AnalyticOptions{
-			TimeBudget:  opts.TimeBudget,
-			MaxSamples:  opts.MaxSamples,
-			ReportEvery: opts.ReportEvery,
-			Method:      opts.Method,
-			Mode:        opts.Mode,
-			Seed:        opts.Seed,
-		},
-			func(e data.Entry) {
-				gb.Add(keys[e.ID], col[e.ID])
-				samples++
-			},
-			func(done bool) bool {
-				select {
-				case out <- GroupsSnapshot{Groups: gb.Snapshot(), Elapsed: time.Since(start), Samples: samples, Done: done}:
-					return true
-				case <-ctx.Done():
-					return false
+		return consumer{
+			fold: func(batch []data.Entry) {
+				for _, e := range batch {
+					gb.Add(keys[e.ID], col[e.ID])
 				}
-			})
-		if err != nil {
-			out <- GroupsSnapshot{Done: true}
+			},
+			report: func(r report) bool {
+				return send(GroupsSnapshot{Progress: r.Progress, Groups: gb.Snapshot(), Samples: r.samples, Population: r.population})
+			},
 		}
-	}()
-	return out, nil
+	})
 }
 
 // Sample exposes raw online samples from a range: it returns up to k

@@ -55,12 +55,12 @@ func (s *Session) EstimateOnline(parent context.Context, q geo.Range, opts Optio
 }
 
 // KDEOnline starts an online KDE, cancelling the previous query first.
-func (s *Session) KDEOnline(parent context.Context, q geo.Range, kopts KDEOptions, opts AnalyticOptions) (<-chan KDESnapshot, error) {
+func (s *Session) KDEOnline(parent context.Context, q geo.Range, kopts KDEOptions, opts Options) (<-chan KDESnapshot, error) {
 	return s.handle.KDEOnline(s.begin(parent), q, kopts, opts)
 }
 
 // TermsOnline starts online short-text understanding, cancelling the
 // previous query first.
-func (s *Session) TermsOnline(parent context.Context, q geo.Range, textCol string, topN int, opts AnalyticOptions) (<-chan TermsSnapshot, error) {
+func (s *Session) TermsOnline(parent context.Context, q geo.Range, textCol string, topN int, opts Options) (<-chan TermsSnapshot, error) {
 	return s.handle.TermsOnline(s.begin(parent), q, textCol, topN, opts)
 }

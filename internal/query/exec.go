@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -35,10 +36,9 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 			if err != nil {
 				continue
 			}
+			num, str := h.Columns()
 			fmt.Fprintf(w, "%s\t%d records\tnumeric: %s\tstring: %s\n",
-				n, h.Len(),
-				strings.Join(sortedStrings(h.Data().NumericColumns()), ","),
-				strings.Join(sortedStrings(h.Data().StringColumns()), ","))
+				n, h.Len(), strings.Join(num, ","), strings.Join(str, ","))
 		}
 		return nil
 	}
@@ -57,17 +57,29 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 	}
 	r := q.Range()
 
-	// Analytics scope to `LAST <dur>` by narrowing the range's time axis
-	// up front; single-aggregate estimates and contracts hand Options.Last
-	// to the engine instead (so distributed queries ship the window to
-	// shards rather than baking it into the rectangle).
-	switch q.Op {
-	case OpKDE, OpTerms, OpTrajectory, OpHotspots, OpCluster:
-		wr, ok := windowRange(h, q, r)
-		if !ok {
-			return emptyWindow(w, q)
+	// One options value for every sampled shape: the engine's driver
+	// applies WHERE, LAST, the budget and the method the same way to single
+	// and joint estimates, GROUP BY and the analytics.
+	opts := engine.Options{
+		Kind:           q.Agg,
+		Attr:           q.Attr,
+		QuantileP:      q.QuantileP,
+		Confidence:     q.Confidence,
+		TargetRelError: q.RelError,
+		TimeBudget:     q.Within,
+		MaxSamples:     q.Samples,
+		Method:         q.Method,
+		Where:          q.Where,
+		Last:           q.Last,
+	}
+	// capped bounds an unbounded statement at n samples: shapes that render
+	// once would otherwise run to exhaustion.
+	capped := func(n int) engine.Options {
+		o := opts
+		if o.MaxSamples == 0 && o.TimeBudget == 0 {
+			o.MaxSamples = n
 		}
-		r = wr
+		return o
 	}
 
 	switch q.Op {
@@ -88,9 +100,17 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 
 	case OpEstimate:
 		if q.Explain {
-			er, ok := windowRange(h, q, r)
-			if !ok {
-				return emptyWindow(w, q)
+			er := r
+			if q.Last > 0 {
+				// EXPLAIN plans a range without running it, so the window
+				// narrows the range here. One that misses the queried time
+				// span entirely (empty dataset, or it slid past the TIME
+				// clause) is empty by construction, and would not pass the
+				// engine's Range.Valid check.
+				if er = h.WindowRange(r, q.Last); !er.Valid() {
+					fmt.Fprintf(w, "empty result: LAST %s window covers no records in the queried range\n", q.Last)
+					return nil
+				}
 			}
 			plan, err := h.ExplainWhere(er, q.Where, engine.PushdownAuto)
 			if err != nil {
@@ -148,35 +168,14 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 			fmt.Fprintf(w, "%s  t=%s sampler=%s\n", res, res.Elapsed.Round(100_000), res.Method)
 			return nil
 		}
-		opts := engine.Options{
-			Kind:           q.Agg,
-			Attr:           q.Attr,
-			QuantileP:      q.QuantileP,
-			Confidence:     q.Confidence,
-			TargetRelError: q.RelError,
-			TimeBudget:     q.Within,
-			MaxSamples:     q.Samples,
-			Method:         q.Method,
-			Where:          q.Where,
-			Last:           q.Last,
-		}
 		if len(q.MultiAggs) > 1 {
-			if opts.MaxSamples == 0 && opts.TimeBudget == 0 {
-				opts.MaxSamples = 2000
-			}
-			// Multi-aggregate streams share one sampler built from the
-			// range alone; the window narrows the range here.
-			mr, ok := windowRange(h, q, r)
-			if !ok {
-				return emptyWindow(w, q)
-			}
-			ch, err := h.EstimateMultiOnline(ctx, mr, q.MultiAggs, opts)
+			ch, err := h.EstimateMultiOnline(ctx, r, q.MultiAggs, capped(2000))
 			if err != nil {
 				return err
 			}
-			var last engine.MultiSnapshot
-			for s := range ch {
-				last = s
+			last, err := final(ctx, ch, nil)
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(w, "joint estimates over %d samples (sampler %s):\n", last.Samples, last.Method)
 			for _, est := range last.Estimates {
@@ -185,20 +184,13 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 			return nil
 		}
 		if q.GroupBy != "" {
-			if opts.MaxSamples == 0 && opts.TimeBudget == 0 {
-				opts.MaxSamples = 2000
-			}
-			gr, ok := windowRange(h, q, r)
-			if !ok {
-				return emptyWindow(w, q)
-			}
-			ch, err := h.GroupByOnline(ctx, gr, q.Attr, q.GroupBy, opts)
+			ch, err := h.GroupByOnline(ctx, r, q.Attr, q.GroupBy, capped(2000))
 			if err != nil {
 				return err
 			}
-			var last engine.GroupsSnapshot
-			for s := range ch {
-				last = s
+			last, err := final(ctx, ch, nil)
+			if err != nil {
+				return err
 			}
 			fmt.Fprintf(w, "%d groups over %d samples:\n", len(last.Groups), last.Samples)
 			for _, g := range last.Groups {
@@ -219,115 +211,78 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 		}
 		return nil
 
-	case OpKDE:
-		kopts := engine.KDEOptions{Nx: q.GridX, Ny: q.GridY}
-		aopts := engine.AnalyticOptions{TimeBudget: q.Within, MaxSamples: q.Samples, Method: q.Method}
-		if aopts.MaxSamples == 0 && aopts.TimeBudget == 0 {
-			aopts.MaxSamples = 2000
-		}
-		ch, err := h.KDEOnline(ctx, r, kopts, aopts)
+	case OpKDE, OpHotspots:
+		ch, err := h.KDEOnline(ctx, r, engine.KDEOptions{Nx: q.GridX, Ny: q.GridY}, capped(2000))
 		if err != nil {
 			return err
 		}
-		var last engine.KDESnapshot
-		for s := range ch {
-			last = s
-			fmt.Fprintf(w, "kde: %d samples, t=%s\n", s.Map.Samples, s.Elapsed.Round(100_000))
+		last, err := final(ctx, ch, func(s engine.KDESnapshot) {
+			if q.Op == OpKDE && s.Err() == nil {
+				fmt.Fprintf(w, "kde: %d samples, t=%s\n", s.Map.Samples, s.Elapsed.Round(100_000))
+			}
+		})
+		if err != nil {
+			return err
 		}
-		if last.Map != nil {
+		if q.Op == OpKDE {
 			fmt.Fprintln(w, viz.Heatmap(last.Map, 0))
+			return nil
+		}
+		spots := last.Map.Hotspots(q.K)
+		fmt.Fprintf(w, "top %d density hotspots over %d samples:\n", len(spots), last.Map.Samples)
+		for i, sp := range spots {
+			sep := ""
+			if sp.Separated {
+				sep = "  [separated]"
+			}
+			fmt.Fprintf(w, "  #%d (%.4f, %.4f) density %.4g ± %.2g%s\n",
+				i+1, sp.X, sp.Y, sp.Density, sp.HalfWidth, sep)
 		}
 		return nil
 
 	case OpTerms:
-		aopts := engine.AnalyticOptions{TimeBudget: q.Within, MaxSamples: q.Samples, Method: q.Method}
-		if aopts.MaxSamples == 0 && aopts.TimeBudget == 0 {
-			aopts.MaxSamples = 1000
-		}
 		topN := q.TopN
 		if topN == 0 {
 			topN = 10
 		}
-		ch, err := h.TermsOnline(ctx, r, q.Attr, topN, aopts)
+		ch, err := h.TermsOnline(ctx, r, q.Attr, topN, capped(1000))
 		if err != nil {
 			return err
 		}
-		var last engine.TermsSnapshot
-		for s := range ch {
-			last = s
+		last, err := final(ctx, ch, nil)
+		if err != nil {
+			return err
 		}
-		if last.Terms != nil {
-			fmt.Fprint(w, viz.TermTable(last.Terms))
-		}
+		fmt.Fprint(w, viz.TermTable(last.Terms))
 		return nil
 
 	case OpTrajectory:
-		aopts := engine.AnalyticOptions{TimeBudget: q.Within, MaxSamples: q.Samples, Method: q.Method}
-		if aopts.MaxSamples == 0 && aopts.TimeBudget == 0 {
-			aopts.MaxSamples = 500
-		}
-		ch, err := h.TrajectoryOnline(ctx, r, q.UserCol, q.User, 0, aopts)
+		ch, err := h.TrajectoryOnline(ctx, r, q.UserCol, q.User, 0, capped(500))
 		if err != nil {
 			return err
 		}
-		var last engine.TrajectorySnapshot
-		for s := range ch {
-			last = s
-		}
-		if last.Path != nil {
-			fmt.Fprintf(w, "trajectory of %s: %d sampled points, %d segment(s)\n",
-				q.User, last.Path.Samples, len(last.Path.Segments))
-			fmt.Fprintln(w, viz.TrajectoryPlot(last.Path, 60, 20))
-		}
-		return nil
-
-	case OpHotspots:
-		kopts := engine.KDEOptions{Nx: q.GridX, Ny: q.GridY}
-		aopts := engine.AnalyticOptions{TimeBudget: q.Within, MaxSamples: q.Samples, Method: q.Method}
-		if aopts.MaxSamples == 0 && aopts.TimeBudget == 0 {
-			aopts.MaxSamples = 2000
-		}
-		ch, err := h.KDEOnline(ctx, r, kopts, aopts)
+		last, err := final(ctx, ch, nil)
 		if err != nil {
 			return err
 		}
-		var last engine.KDESnapshot
-		for s := range ch {
-			last = s
-		}
-		if last.Map != nil {
-			spots := last.Map.Hotspots(q.K)
-			fmt.Fprintf(w, "top %d density hotspots over %d samples:\n", len(spots), last.Map.Samples)
-			for i, sp := range spots {
-				sep := ""
-				if sp.Separated {
-					sep = "  [separated]"
-				}
-				fmt.Fprintf(w, "  #%d (%.4f, %.4f) density %.4g ± %.2g%s\n",
-					i+1, sp.X, sp.Y, sp.Density, sp.HalfWidth, sep)
-			}
-		}
+		fmt.Fprintf(w, "trajectory of %s: %d sampled points, %d segment(s)\n",
+			q.User, last.Path.Samples, len(last.Path.Segments))
+		fmt.Fprintln(w, viz.TrajectoryPlot(last.Path, 60, 20))
 		return nil
 
 	case OpCluster:
-		aopts := engine.AnalyticOptions{TimeBudget: q.Within, MaxSamples: q.Samples, Method: q.Method}
-		if aopts.MaxSamples == 0 && aopts.TimeBudget == 0 {
-			aopts.MaxSamples = 1000
-		}
-		ch, err := h.ClusterOnline(ctx, r, q.K, aopts)
+		ch, err := h.ClusterOnline(ctx, r, q.K, capped(1000))
 		if err != nil {
 			return err
 		}
-		var last engine.ClusterSnapshot
-		for s := range ch {
-			last = s
+		last, err := final(ctx, ch, nil)
+		if err != nil {
+			return err
 		}
-		if last.Clustering != nil {
-			fmt.Fprintf(w, "clusters over %d samples (inertia %.4g):\n",
-				last.Clustering.Samples, last.Clustering.Inertia)
-			for i, c := range last.Clustering.Clusters {
-				fmt.Fprintf(w, "  #%d center=(%.4f, %.4f) size=%d\n", i, c.Center.X(), c.Center.Y(), c.Size)
-			}
+		fmt.Fprintf(w, "clusters over %d samples (inertia %.4g):\n",
+			last.Clustering.Samples, last.Clustering.Inertia)
+		for i, c := range last.Clustering.Clusters {
+			fmt.Fprintf(w, "  #%d center=(%.4f, %.4f) size=%d\n", i, c.Center.X(), c.Center.Y(), c.Size)
 		}
 		return nil
 
@@ -350,33 +305,31 @@ func contractOptions(q *Query) engine.Options {
 	}
 }
 
-// windowRange narrows r to the statement's `LAST <dur>` window for paths
-// that scope by range narrowing (analytics, multi-aggregate, GROUP BY,
-// EXPLAIN). ok is false when the window misses the queried time span
-// entirely — the result is then empty by construction, and the narrowed
-// range would not pass the engine's Range.Valid checks.
-func windowRange(h *engine.Handle, q *Query, r geo.Range) (geo.Range, bool) {
-	if q.Last <= 0 {
-		return r, true
+// final drains a render-once shape's snapshot stream, handing each report to
+// each (when non-nil), and returns the last one. It fails with the set-up
+// error that report carries (see engine.Progress.Err), or with ctx's error
+// when the stream closed without delivering any: a query cancelled before
+// its first report has no answer to render.
+func final[T interface{ Err() error }](ctx context.Context, ch <-chan T, each func(T)) (last T, err error) {
+	got := false
+	for s := range ch {
+		last, got = s, true
+		if each != nil {
+			each(s)
+		}
 	}
-	wr := h.WindowRange(r, q.Last)
-	return wr, wr.Valid()
-}
-
-// emptyWindow reports a window that covers no part of the queried time
-// span (empty dataset, or the window slid past the TIME clause).
-func emptyWindow(w io.Writer, q *Query) error {
-	fmt.Fprintf(w, "empty result: LAST %s window covers no records in the queried range\n", q.Last)
-	return nil
+	if !got {
+		// The driver always ends on a terminal report; only a cancelled ctx
+		// keeps it from being delivered.
+		if err := ctx.Err(); err != nil {
+			return last, err
+		}
+		return last, errors.New("query: stream closed without a result")
+	}
+	return last, last.Err()
 }
 
 // queryContract extracts the statement's contract clauses.
 func queryContract(q *Query) engine.Contract {
 	return engine.Contract{RelError: q.RelError, Confidence: q.Confidence, Deadline: q.Within}
-}
-
-func sortedStrings(s []string) []string {
-	out := append([]string(nil), s...)
-	sort.Strings(out)
-	return out
 }

@@ -3,6 +3,8 @@ package query
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -559,6 +561,90 @@ func TestExecuteErrors(t *testing.T) {
 	}
 	if err := Execute(context.Background(), eng, "garbage", &buf); err == nil {
 		t.Error("parse error should surface")
+	}
+}
+
+// renderOnceShapes is every statement shape that drains its stream and
+// renders the final snapshot once, over the mesowest demo dataset; %s takes
+// the WHERE terms.
+var renderOnceShapes = []string{
+	"ESTIMATE AVG(temp), STDDEV(temp) FROM mesowest WHERE %s",
+	"ESTIMATE AVG(temp) FROM mesowest WHERE %s GROUP BY station",
+	"KDE FROM mesowest WHERE %s GRID 4x4",
+	"HOTSPOTS(2) FROM mesowest WHERE %s GRID 4x4",
+	"TERMS(station) FROM mesowest WHERE %s",
+	"TRAJECTORY(station, 'st-00003') FROM mesowest WHERE %s",
+	"CLUSTER(2) FROM mesowest WHERE %s",
+}
+
+// TestExecuteRenderOnceShapesCancelled: a context cancelled before the
+// query starts races the driver's terminal report against ctx.Done, so the
+// stream may close with nothing delivered. Either outcome must return
+// cleanly — the context's error with nothing rendered, or a rendered
+// zero-sample answer — never a nil snapshot dereference.
+func TestExecuteRenderOnceShapesCancelled(t *testing.T) {
+	eng := engine.New(engine.Config{Seed: 9})
+	if _, err := eng.Register(gen.Stations(gen.StationsConfig{Stations: 20, ReadingsPerStation: 50, Seed: 9}), engine.IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, shape := range renderOnceShapes {
+		var undelivered int
+		// Enough tries that both sides of the race are all but surely seen.
+		for i := 0; i < 40; i++ {
+			var buf bytes.Buffer
+			err := Execute(ctx, eng, fmt.Sprintf(shape, "temp > -1000"), &buf)
+			switch {
+			case errors.Is(err, context.Canceled):
+				undelivered++
+				if buf.Len() != 0 {
+					t.Fatalf("%s: cancelled without a snapshot yet rendered:\n%s", shape, buf.String())
+				}
+			case err != nil:
+				t.Fatalf("%s: %v", shape, err)
+			case buf.Len() == 0:
+				t.Fatalf("%s: nil error but nothing rendered", shape)
+			}
+		}
+		if undelivered == 0 {
+			t.Errorf("%s: the undelivered-terminal-report path was never exercised in 40 tries", shape)
+		}
+	}
+}
+
+// TestExecuteRenderOnceShapesHonorWhere: every render-once shape runs
+// under the statement's WHERE — a predicate on a column the dataset lacks
+// fails them all, and a satisfiable one narrows what they fold.
+func TestExecuteRenderOnceShapesHonorWhere(t *testing.T) {
+	eng := engine.New(engine.Config{Seed: 9})
+	if _, err := eng.Register(gen.Stations(gen.StationsConfig{Stations: 20, ReadingsPerStation: 50, Seed: 9}), engine.IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, shape := range renderOnceShapes {
+		var buf bytes.Buffer
+		if err := Execute(context.Background(), eng, fmt.Sprintf(shape, "nope > 3"), &buf); err == nil {
+			t.Errorf("%s: predicate on an unknown column should error, got:\n%s", shape, buf.String())
+		} else if buf.Len() != 0 {
+			t.Errorf("%s: a set-up failure should print nothing ahead of the error, got:\n%s", shape, buf.String())
+		}
+		buf.Reset()
+		if err := Execute(context.Background(), eng, fmt.Sprintf(shape, "temp > -1000 LAST 20h"), &buf); err != nil {
+			t.Errorf("%s: %v", shape, err)
+		}
+	}
+	var all, warm bytes.Buffer
+	if err := Execute(context.Background(), eng, "CLUSTER(2) FROM mesowest SAMPLES 100000", &all); err != nil {
+		t.Fatal(err)
+	}
+	if err := Execute(context.Background(), eng, "CLUSTER(2) FROM mesowest WHERE temp > 15 SAMPLES 100000", &warm); err != nil {
+		t.Fatal(err)
+	}
+	var nAll, nWarm int
+	fmt.Sscanf(all.String(), "clusters over %d samples", &nAll)
+	fmt.Sscanf(warm.String(), "clusters over %d samples", &nWarm)
+	if nAll != 1000 || nWarm == 0 || nWarm >= nAll {
+		t.Errorf("CLUSTER folded %d records unfiltered and %d under temp > 15", nAll, nWarm)
 	}
 }
 

@@ -221,3 +221,45 @@ func TestContractInfeasible422(t *testing.T) {
 			out.PredictedRelError, out.TargetError)
 	}
 }
+
+// TestDatasetInfoDuringIngest: listing a dataset's columns while ingest
+// drains append to them must go through the handle lock — iterating the
+// column maps beside Append's writes is a process-fatal "concurrent map
+// iteration and map write" (and a -race report, which is how this test
+// fails without the lock).
+func TestDatasetInfoDuringIngest(t *testing.T) {
+	ts, _ := newIngestServer(t, ingest.Config{FlushInterval: time.Millisecond})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			resp, err := http.Post(ts.URL+"/ingest/uniform", "application/x-ndjson", strings.NewReader(ndjson(200, float64(1000+200*i))))
+			if err != nil {
+				done <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		resp, err := http.Get(ts.URL + "/datasets/uniform")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info DatasetInfo
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil || len(info.Numeric) != 1 || info.Numeric[0] != "value" {
+			t.Fatalf("dataset info during ingest = %+v, err %v", info, err)
+		}
+	}
+}

@@ -229,10 +229,7 @@ func (s *Server) datasetInfo(name string) (DatasetInfo, error) {
 	if err != nil {
 		return DatasetInfo{}, err
 	}
-	num := h.Data().NumericColumns()
-	str := h.Data().StringColumns()
-	sort.Strings(num)
-	sort.Strings(str)
+	num, str := h.Columns()
 	return DatasetInfo{Name: name, Records: h.Len(), Numeric: num, String: str}, nil
 }
 
@@ -514,14 +511,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.queries.Inc()
 
-	// Contract estimates answer once with their guarantee; other
-	// estimates stream; everything else renders once.
-	if q.Op == query.OpEstimate && !q.Explain && q.GroupBy == "" && q.Contract {
-		s.contractQuery(w, r, q)
-		return
-	}
-	if q.Op == query.OpEstimate && !q.Explain && q.GroupBy == "" {
-		s.streamEstimate(w, r, q)
+	// Single-aggregate estimates answer once with their guarantee
+	// (contracts) or stream; everything else — aggregate lists and GROUP BY
+	// included, whose joint answers have no NDJSON form — renders once.
+	if q.Op == query.OpEstimate && !q.Explain && q.GroupBy == "" && len(q.MultiAggs) <= 1 {
+		if q.Contract {
+			s.contractQuery(w, r, q)
+		} else {
+			s.streamEstimate(w, r, q)
+		}
 		return
 	}
 	var buf textBuffer
@@ -723,10 +721,6 @@ type ContractRefusedJSON struct {
 // dashboard traffic degrades per-query error bounds rather than taking
 // 429s (see engine.Contract.Scale).
 func (s *Server) contractQuery(w http.ResponseWriter, r *http.Request, q *query.Query) {
-	if len(q.MultiAggs) > 1 {
-		httpError(w, http.StatusBadRequest, "contracts apply to single-aggregate estimates")
-		return
-	}
 	h, err := s.eng.Dataset(q.Dataset)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)

@@ -139,6 +139,36 @@ func TestQueryNonEstimateRendersOnce(t *testing.T) {
 	}
 }
 
+// TestQueryAggregateListRendersOnce: an aggregate list has no NDJSON form,
+// so it renders once with EVERY requested aggregate in the answer (the
+// stream path only knows the first) — under the statement's predicate.
+func TestQueryAggregateListRendersOnce(t *testing.T) {
+	ts := newTestServer(t)
+	body := `{"statement": "ESTIMATE AVG(value), STDDEV(value), MEDIAN(value) FROM uniform WHERE REGION(20,20,60,60) AND value > 90 SAMPLES 400"}`
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != 200 || ct != "application/json" {
+		t.Fatalf("status %d, content type %q", resp.StatusCode, ct)
+	}
+	var out map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"joint estimates over 400 samples", "AVG", "STDDEV", "MEDIAN"} {
+		if !strings.Contains(out["output"], want) {
+			t.Errorf("aggregate-list answer lacks %q:\n%s", want, out["output"])
+		}
+	}
+	// value ~ N(100, 20): only the filtered mean clears 105.
+	var avg float64
+	if _, err := fmt.Sscanf(out["output"][strings.Index(out["output"], "AVG"):], "AVG ≈ %g", &avg); err != nil || avg < 105 {
+		t.Errorf("AVG = %v (err %v): the list ignored WHERE value > 90:\n%s", avg, err, out["output"])
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	ts := newTestServer(t)
 	cases := []struct {

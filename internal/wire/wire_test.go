@@ -225,7 +225,12 @@ func TestTCPTransport(t *testing.T) {
 	if c.BytesSent == 0 || c.BytesRecv == 0 {
 		t.Fatalf("client byte counts empty: %+v", c)
 	}
+	// The server accounts a send after its Write returns, and the client's
+	// read of that response can beat it: wait for the last send to land.
 	sc := srv.Counts()
+	for deadline := time.Now().Add(2 * time.Second); sc.MsgsSent < 11 && time.Now().Before(deadline); sc = srv.Counts() {
+		time.Sleep(time.Millisecond)
+	}
 	if sc.MsgsRecv != 11 || sc.MsgsSent != 11 {
 		t.Fatalf("server counts = %+v", sc)
 	}

@@ -78,12 +78,14 @@ type (
 	Session = engine.Session
 	// IndexOptions selects which sampling indexes Register builds.
 	IndexOptions = engine.IndexOptions
-	// Options controls one online aggregation query.
+	// Options controls one online query: estimates, GROUP BY and the
+	// analytic tasks all take it.
 	Options = engine.Options
 	// Snapshot is one progress report of an online query.
 	Snapshot = engine.Snapshot
-	// AnalyticOptions controls online analytic tasks.
-	AnalyticOptions = engine.AnalyticOptions
+	// Progress is the driver-stamped header every snapshot type embeds:
+	// timing, serving sampler, termination, window and stream health.
+	Progress = engine.Progress
 	// KDEOptions configures online kernel density estimation.
 	KDEOptions = engine.KDEOptions
 	// KDESnapshot is a KDE progress report.

@@ -9,7 +9,7 @@ RACE_PKGS := ./internal/rstree/ ./internal/lstree/ ./internal/sampling/ \
 	./internal/engine/ ./internal/iosim/ ./internal/server/ ./internal/distr/ \
 	./internal/obs/ ./internal/wire/ ./internal/ingest/
 
-.PHONY: verify fmt vet build test test-benchmark race bench bench-batch docs-lint docs-check bench-obs bench-faults test-stats test-stats-failover fuzz-smoke test-cluster bench-cluster bench-pushdown bench-contracts bench-ingest bench-replication
+.PHONY: verify fmt vet build test test-benchmark race bench bench-batch docs-lint docs-check bench-obs fig test-stats fuzz-smoke test-cluster
 
 verify: fmt vet build test test-benchmark race docs-lint
 
@@ -60,28 +60,23 @@ docs-check: docs-lint
 bench-obs:
 	$(GO) test -run NONE -bench 'BenchmarkObsOverhead' -benchtime 200x -benchmem ./internal/engine/
 
-# Fault ablation smoke: kill k of 8 shards mid-query and print the
-# CI-width / latency impact table (see EXPERIMENTS.md A7).
-bench-faults:
-	$(GO) run ./cmd/stormbench -fig a7
+# One figure or ablation table of cmd/stormbench: `make fig FIG=a10`
+# (3a 3b 5 6a 6b a1..a13, or all; EXPERIMENTS.md describes each).
+FIG ?= all
+fig:
+	$(GO) run ./cmd/stormbench -fig $(FIG)
 
 # Statistical correctness harness: uniformity chi-square, CI coverage
 # rate, and lost-mass-bound coverage over hundreds of seeded
 # kill/degrade/recover runs (internal/stats/statcheck). Seeds are fixed
 # in the tests, so a failure is a real regression, not sampling noise
 # (false-positive budget ~1e-3 per check, see the statcheck package doc).
+# -run TestStat takes in the failover slice (TestStatFailover*) too.
 test-stats:
 	$(GO) test -race -run 'TestStat' -v ./internal/distr/
 	$(GO) test -race -run 'TestStat' -v ./internal/engine/
 	$(GO) test -race -run 'TestStat' -v ./internal/ingest/
 	$(GO) test -race ./internal/stats/statcheck/
-
-# Failover slice of the statistical harness on its own: first-sample
-# uniformity, CI coverage, mean unbiasedness and windowed-churn uniformity
-# of post-failover streams (hundreds of seeded kill-one-replica runs; the
-# full test-stats target includes these too).
-test-stats-failover:
-	$(GO) test -race -run 'TestStatFailover' -v ./internal/distr/
 
 # Short fuzz passes over the operator/network-facing input surfaces: the
 # fault-plan grammar (no panic, canonical round-trip), the wire codec (no
@@ -102,33 +97,3 @@ fuzz-smoke:
 # cluster re-admits its shards (see cmd/stormd/cluster_test.go).
 test-cluster:
 	STORM_CLUSTER_TEST=1 $(GO) test -run TestClusterSmoke -v -timeout 300s ./cmd/stormd/
-
-# Transport ablation: the identical seeded drain through the loopback
-# cluster vs real TCP shard hosts (EXPERIMENTS.md A9).
-bench-cluster:
-	$(GO) run ./cmd/stormbench -fig a9
-
-# Predicate-pushdown ablation: node-summary pruning vs the rejection
-# baseline across predicate selectivities, plus the loopback-vs-TCP
-# byte-identity check of the distributed pushdown stream
-# (EXPERIMENTS.md A10).
-bench-pushdown:
-	$(GO) run ./cmd/stormbench -fig a10
-
-# Contract ablation: ERROR/WITHIN accuracy-latency contracts across error
-# targets and deadlines — met/degraded/missed split and latency
-# percentiles — vs the uncapped snapshot-stream baseline
-# (EXPERIMENTS.md A11).
-bench-contracts:
-	$(GO) run ./cmd/stormbench -fig a11
-
-# Streaming-ingest ablation: sustained insert throughput through the
-# sharded ingest buffer vs concurrent LAST-windowed query latency, across
-# buffer-shard counts (EXPERIMENTS.md A12).
-bench-ingest:
-	$(GO) run ./cmd/stormbench -fig a12
-
-# Replication ablation: R=1 degradation vs R=2 failover when the query's
-# hottest shard loses a copy mid-stream (EXPERIMENTS.md A13).
-bench-replication:
-	$(GO) run ./cmd/stormbench -fig a13

@@ -68,9 +68,10 @@ func drawN(b *testing.B, mk func(seed int64) sampling.Sampler) {
 	b.Helper()
 	seed := int64(1)
 	s := mk(seed)
+	one := make([]data.Entry, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.Next(); !ok {
+		if s.NextBatch(one, 1) == 0 {
 			seed++
 			s = mk(seed)
 			i--
@@ -159,13 +160,13 @@ func batchedFix(b *testing.B) {
 	})
 }
 
-// BenchmarkBatchedSampling is the headline comparison for the batched
-// read path: k=2000 RS-tree samples per iteration, drawn one Next at a
-// time versus one NextBatch call. Both produce the identical stream; the
-// batch path amortizes device-lock rounds and scratch allocations.
-// WithReplacement is the charge-dominated regime (every draw descends the
-// tree, charging each level); WithoutReplacement mixes draw charges with
-// materialization scans that both paths share.
+// BenchmarkBatchedSampling is the headline comparison for pull size on the
+// read path: 2000 RS-tree samples per iteration, drawn as 2000 pulls of one
+// (k=1) versus one pull of 2000 (NextBatch). Both produce the identical
+// stream; the wide pull amortizes device-lock rounds and scratch
+// allocations. WithReplacement is the charge-dominated regime (every draw
+// descends the tree, charging each level); WithoutReplacement mixes draw
+// charges with materialization scans that both pull sizes share.
 func BenchmarkBatchedSampling(b *testing.B) {
 	const k = 2000
 	batchedFix(b)
@@ -173,13 +174,13 @@ func BenchmarkBatchedSampling(b *testing.B) {
 
 	run := func(mode sampling.Mode) func(b *testing.B) {
 		return func(b *testing.B) {
-			b.Run("Next", func(b *testing.B) {
+			b.Run("k=1", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					s := batchedRS.Sampler(fixQuery, mode, stats.NewRNG(int64(i)+1))
 					s.AttributeIO(iosim.NewCounter(batchedDev))
 					for j := 0; j < k; j++ {
-						if _, ok := s.Next(); !ok {
+						if s.NextBatch(buf, 1) == 0 {
 							b.Fatal("exhausted")
 						}
 					}
@@ -332,7 +333,7 @@ func BenchmarkUpdates(b *testing.B) {
 func BenchmarkDistributed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pts, err := bench.A4(bench.A4Config{N: 150_000, K: 2000, Seed: 1,
-			Shards: []int{1, 4}})
+			Shards: []int{1, 4}, Pulls: []int{0}})
 		if err != nil {
 			b.Fatal(err)
 		}

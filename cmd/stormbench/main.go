@@ -365,19 +365,19 @@ func a3(seed int64) error {
 }
 
 func a4(seed int64) error {
-	fmt.Println("Ablation A4: distributed sampling across 1-8 shards (500k points, k=5000)")
+	fmt.Println("Ablation A4: distributed sampling across 1-8 shards and pull sizes (500k points, k=5000)")
 	pts, err := bench.A4(bench.A4Config{Seed: seed})
 	if err != nil {
 		return err
 	}
-	rows := [][]string{{"shards", "serial ms", "batch ms", "serial msgs", "batch msgs", "max shard share"}}
+	rows := [][]string{{"shards", "pull", "wall ms", "messages", "samples moved", "max shard share"}}
 	for _, p := range pts {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Shards),
+			fmt.Sprintf("%d", p.Pull),
 			fmt.Sprintf("%.2f", p.WallMS),
-			fmt.Sprintf("%.2f", p.WallBatchMS),
 			fmt.Sprintf("%d", p.Messages),
-			fmt.Sprintf("%d", p.BatchMessages),
+			fmt.Sprintf("%d", p.SamplesMoved),
 			fmt.Sprintf("%.2f", p.MaxShardShare),
 		})
 	}

@@ -79,11 +79,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 		devRS.DropCache()
 		devRS.ResetStats()
 		s := rsIdx.Sampler(q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
-		for i := 0; i < cfg.K; i++ {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-		}
+		drawOnline(s, cfg.K)
 		record("a1", "RS-tree", s, devRS)
 		st := devRS.Stats()
 		out = append(out, A1Point{Method: "RS-tree", PoolFrac: frac, Reads: st.Reads,
@@ -94,11 +90,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 		devRP.DropCache()
 		devRP.ResetStats()
 		rp := sampling.NewRandomPath(plain, q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
-		for i := 0; i < cfg.K; i++ {
-			if _, ok := rp.Next(); !ok {
-				break
-			}
-		}
+		drawOnline(rp, cfg.K)
 		record("a1", "RandomPath", rp, devRP)
 		st = devRP.Stats()
 		out = append(out, A1Point{Method: "RandomPath", PoolFrac: frac, Reads: st.Reads,
@@ -184,13 +176,7 @@ func A2(cfg A2Config) ([]A2Point, error) {
 		dev.ResetStats()
 		s := idx.Sampler(q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
 		start := time.Now()
-		got := 0
-		for got < cfg.K {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-			got++
-		}
+		got := drawOnline(s, cfg.K)
 		elapsed := time.Since(start)
 		record("a2", "RS-tree", s, dev)
 		st := dev.Stats()
@@ -293,11 +279,9 @@ func A3(cfg A3Config) ([]A3Result, error) {
 		s := sample()
 		sawFresh := false
 		ok := true
-		for i := 0; i < 20_000; i++ {
-			e, more := s.Next()
-			if !more {
-				break
-			}
+		one := make([]data.Entry, 1)
+		for i := 0; i < 20_000 && s.NextBatch(one, 1) == 1; i++ {
+			e := one[0]
 			if e.ID >= data.ID(cfg.N) {
 				sawFresh = true
 			}
@@ -537,7 +521,9 @@ type A4Config struct {
 	N      int
 	K      int
 	Shards []int
-	Seed   int64
+	// Pulls are the NextBatch sizes to sweep; 0 stands for one pull of K.
+	Pulls []int
+	Seed  int64
 }
 
 func (c A4Config) withDefaults() A4Config {
@@ -550,84 +536,91 @@ func (c A4Config) withDefaults() A4Config {
 	if len(c.Shards) == 0 {
 		c.Shards = []int{1, 2, 4, 8}
 	}
+	if len(c.Pulls) == 0 {
+		// The engine's driver grows its pulls 16 → 1024; whole-K is what a
+		// one-shot Handle.Sample issues.
+		c.Pulls = []int{16, 64, 256, 1024, 0}
+	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	return c
 }
 
-// A4Point is one shard-count measurement.
+// A4Point is one (shard count, pull size) measurement of drawing K samples
+// through the coordinator.
 type A4Point struct {
 	Shards int
-	// WallMS is the serial coordinator (Next per sample, per-refill shard
-	// fetches); WallBatchMS pulls the same K through NextBatch's one
-	// demand-sized request per shard per round.
-	WallMS      float64
-	WallBatchMS float64
-	// Messages/BatchMessages are the network messages each protocol sent.
-	Messages      uint64
-	BatchMessages uint64
-	// MaxShardShare is the largest fraction of samples served by one
-	// shard — balance for a query spanning the whole space.
+	// Pull is the NextBatch size the K samples were drawn with (K itself
+	// for the whole-K row).
+	Pull   int
+	WallMS float64
+	// Messages and SamplesMoved are the network traffic of the draw: every
+	// round costs one request and one response per participating shard.
+	Messages     uint64
+	SamplesMoved uint64
+	// MaxShardShare is the largest fraction of records held by one shard —
+	// balance for a query spanning the whole space.
 	MaxShardShare float64
 }
 
-// A4 measures coordinator sampling across 1..8 simulated shards: message
-// counts grow with shard count while per-shard load stays proportional to
-// per-shard matching counts.
+// A4 measures coordinator sampling across 1..8 simulated shards and across
+// the pull sizes its callers issue: messages grow with shard count and
+// shrink with pull size (a round costs one round trip per participating
+// shard however many samples it carries), while per-shard load stays
+// proportional to per-shard matching counts. The drawn stream is the same
+// in every row of a shard count — only the chunking differs.
 func A4(cfg A4Config) ([]A4Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
 	q := queryFor(ds, 0.2).Rect()
 
 	var out []A4Point
+	buf := make([]data.Entry, cfg.K)
 	for _, shards := range cfg.Shards {
-		c, err := distr.Build(ds, distr.Config{Shards: shards, Seed: cfg.Seed, Obs: Obs})
-		if err != nil {
-			return nil, err
-		}
-		c.ResetNet()
-		s := c.Sampler(q)
-		start := time.Now()
-		for i := 0; i < cfg.K; i++ {
-			if _, ok := s.Next(); !ok {
-				break
+		for _, pull := range cfg.Pulls {
+			if pull <= 0 || pull > cfg.K {
+				pull = cfg.K
 			}
-		}
-		elapsed := time.Since(start)
-
-		// Same pull through the batched protocol on an identical cluster.
-		cb, err := distr.Build(ds, distr.Config{Shards: shards, Seed: cfg.Seed, Obs: Obs})
-		if err != nil {
-			return nil, err
-		}
-		cb.ResetNet()
-		sb := cb.Sampler(q)
-		batchBuf := make([]data.Entry, cfg.K)
-		startB := time.Now()
-		sb.NextBatch(batchBuf, cfg.K)
-		elapsedB := time.Since(startB)
-		// Partition balance: the Hilbert split should keep shard record
-		// shares near 1/shards.
-		total := 0
-		maxShare := 0.0
-		for _, sh := range c.Shards() {
-			total += sh.Len()
-		}
-		for _, sh := range c.Shards() {
-			share := float64(sh.Len()) / float64(total)
-			if share > maxShare {
-				maxShare = share
+			c, err := distr.Build(ds, distr.Config{Shards: shards, Seed: cfg.Seed, Obs: Obs})
+			if err != nil {
+				return nil, err
 			}
+			c.ResetNet()
+			s := c.Sampler(q)
+			start := time.Now()
+			for drawn := 0; drawn < cfg.K; {
+				want := min(pull, cfg.K-drawn)
+				n := s.NextBatch(buf, want)
+				drawn += n
+				if n < want {
+					break
+				}
+			}
+			elapsed := time.Since(start)
+			// Partition balance: the Hilbert split should keep shard record
+			// shares near 1/shards.
+			total := 0
+			maxShare := 0.0
+			for _, sh := range c.Shards() {
+				total += sh.Len()
+			}
+			for _, sh := range c.Shards() {
+				share := float64(sh.Len()) / float64(total)
+				if share > maxShare {
+					maxShare = share
+				}
+			}
+			net := c.Net()
+			out = append(out, A4Point{
+				Shards:        shards,
+				Pull:          pull,
+				WallMS:        float64(elapsed.Microseconds()) / 1000,
+				Messages:      net.Messages,
+				SamplesMoved:  net.SamplesMoved,
+				MaxShardShare: maxShare,
+			})
 		}
-		out = append(out, A4Point{
-			Shards:        shards,
-			WallMS:        float64(elapsed.Microseconds()) / 1000,
-			WallBatchMS:   float64(elapsedB.Microseconds()) / 1000,
-			Messages:      c.Net().Messages,
-			BatchMessages: cb.Net().Messages,
-			MaxShardShare: maxShare,
-		})
 	}
 	return out, nil
 }

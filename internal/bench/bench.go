@@ -16,6 +16,7 @@ import (
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/rtree"
+	"storm/internal/sampling"
 )
 
 // slcRegion is the Salt Lake City zoom-in used by several experiments.
@@ -122,4 +123,16 @@ func tweetData(n int, seed int64, snowstorm bool) (*data.Dataset, map[string][]g
 	tweetCache[key] = ds
 	tweetTruthCache[key] = truth
 	return ds, truth
+}
+
+// drawOnline draws up to k samples one pull at a time — the paper's online
+// access pattern, which the figure rows time — into a reused one-element
+// buffer, and returns how many the stream delivered.
+func drawOnline(s sampling.Sampler, k int) int {
+	one := make([]data.Entry, 1)
+	got := 0
+	for got < k && s.NextBatch(one, 1) == 1 {
+		got++
+	}
+	return got
 }

@@ -265,18 +265,31 @@ func TestA6Shape(t *testing.T) {
 }
 
 func TestA4Shape(t *testing.T) {
-	pts, err := A4(A4Config{N: 100_000, K: 2000, Shards: []int{1, 4}, Seed: 1})
+	pts, err := A4(A4Config{N: 100_000, K: 2000, Shards: []int{1, 4}, Pulls: []int{16, 0}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
+	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
-	if pts[1].Messages <= pts[0].Messages {
-		t.Errorf("more shards should cost more messages: %d -> %d", pts[0].Messages, pts[1].Messages)
+	one16, oneK, four16, fourK := pts[0], pts[1], pts[2], pts[3]
+	if oneK.Pull != 2000 {
+		t.Errorf("pull 0 should mean one pull of K: got %d", oneK.Pull)
 	}
-	if math.Abs(pts[1].MaxShardShare-0.25) > 0.05 {
-		t.Errorf("4-shard balance: max share %v, want ~0.25", pts[1].MaxShardShare)
+	if fourK.Messages <= oneK.Messages || four16.Messages <= one16.Messages {
+		t.Errorf("more shards should cost more messages: %d -> %d (K), %d -> %d (16)",
+			oneK.Messages, fourK.Messages, one16.Messages, four16.Messages)
+	}
+	if four16.Messages <= fourK.Messages {
+		t.Errorf("smaller pulls should cost more messages: pull 16 sent %d, one pull of K %d", four16.Messages, fourK.Messages)
+	}
+	for _, p := range pts {
+		if p.SamplesMoved != 2000 {
+			t.Errorf("shards=%d pull=%d moved %d samples, want exactly the 2000 drawn", p.Shards, p.Pull, p.SamplesMoved)
+		}
+	}
+	if math.Abs(fourK.MaxShardShare-0.25) > 0.05 {
+		t.Errorf("4-shard balance: max share %v, want ~0.25", fourK.MaxShardShare)
 	}
 }
 

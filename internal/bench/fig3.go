@@ -151,13 +151,7 @@ func Fig3a(cfg Fig3aConfig) ([]Fig3aPoint, error) {
 			m.dev.ResetStats()
 			s := m.mk(cfg.Seed + int64(k))
 			start := time.Now()
-			got := 0
-			for got < k {
-				if _, ok := s.Next(); !ok {
-					break
-				}
-				got++
-			}
+			got := drawOnline(s, k)
 			elapsed := time.Since(start)
 			record("fig3a", m.name, s, m.dev)
 			st := m.dev.Stats()
@@ -262,6 +256,7 @@ func Fig3b(cfg Fig3bConfig) ([]Fig3bPoint, error) {
 	}
 
 	out := make([]Fig3bPoint, 0, len(methods)*len(cfg.Checkpoints))
+	one := make([]data.Entry, 1)
 	for _, m := range methods {
 		sumErr := make([]float64, len(cfg.Checkpoints))
 		sumMS := make([]float64, len(cfg.Checkpoints))
@@ -271,12 +266,8 @@ func Fig3b(cfg Fig3bConfig) ([]Fig3bPoint, error) {
 			k := 0
 			ci := 0
 			start := time.Now()
-			for ci < len(cfg.Checkpoints) {
-				e, ok := s.Next()
-				if !ok {
-					break
-				}
-				acc += col[e.ID]
+			for ci < len(cfg.Checkpoints) && s.NextBatch(one, 1) == 1 {
+				acc += col[one[0].ID]
 				k++
 				if k == cfg.Checkpoints[ci] {
 					est := acc / float64(k)

@@ -96,12 +96,9 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 		s := idx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+99))
 		k := 0
 		ci := 0
-		for ci < len(cfg.Checkpoints) {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
-			online.Add(e.Pos)
+		one := make([]data.Entry, 1)
+		for ci < len(cfg.Checkpoints) && s.NextBatch(one, 1) == 1 {
+			online.Add(one[0].Pos)
 			k++
 			if k == cfg.Checkpoints[ci] {
 				out = append(out, Fig5Point{
@@ -185,11 +182,9 @@ func Fig6a(cfg Fig6aConfig) ([]Fig6aPoint, string, error) {
 	var out []Fig6aPoint
 	accepted := 0
 	ci := 0
-	for ci < len(cfg.Checkpoints) && cfg.Checkpoints[ci] <= best {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
+	one := make([]data.Entry, 1)
+	for ci < len(cfg.Checkpoints) && cfg.Checkpoints[ci] <= best && s.NextBatch(one, 1) == 1 {
+		e := one[0]
 		if users[e.ID] != user {
 			continue
 		}
@@ -298,12 +293,9 @@ func Fig6b(cfg Fig6bConfig) (*Fig6bResult, error) {
 	res := &Fig6bResult{}
 	k := 0
 	ci := 0
-	for ci < len(cfg.Checkpoints) {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		online.Add(texts[e.ID])
+	one := make([]data.Entry, 1)
+	for ci < len(cfg.Checkpoints) && s.NextBatch(one, 1) == 1 {
+		online.Add(texts[one[0].ID])
 		k++
 		if k == cfg.Checkpoints[ci] {
 			snap := online.Snapshot(cfg.TopK)

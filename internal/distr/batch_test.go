@@ -8,73 +8,56 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 )
 
-// TestNextBatchMatchesNext checks the coordinator's batched protocol emits
-// the byte-identical sample stream as repeated Next for the same seeds,
-// across shard counts and batch-size patterns.
+// TestNextBatchMatchesNext checks the coordinator's protocol emits the
+// identical sample stream for the same seeds however the pulls are sized —
+// a one-sample pull is a round of one draw — across shard counts.
 func TestNextBatchMatchesNext(t *testing.T) {
 	ds := distrtest.Dataset(6000)
 	q := distrtest.Query()
 	for _, shards := range []int{1, 3, 8} {
-		for _, sizes := range [][]int{{1}, {17}, {500}, {2, 99, 5}} {
-			a := distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5})
-			b := distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5})
-			serial := distrtest.DrainSerial(a.Sampler(q))
-			batched := distrtest.DrainBatched(b.Sampler(q), sizes)
-			distrtest.SameEntries(t, serial, batched, "drain")
-		}
+		samplingtest.ChunkingInvariant(t, "distributed", func() samplingtest.Drawer {
+			return distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5}).Sampler(q)
+		}, -1, []int{17}, []int{500}, []int{2, 99, 5})
 	}
 }
 
-// TestNextBatchInterleavedWithNext alternates the two pull styles on one
-// sampler against a fully serial twin.
+// TestNextBatchInterleavedWithNext alternates one-sample pulls with rounds
+// of 64 on one sampler against a twin pulled one sample at a time.
 func TestNextBatchInterleavedWithNext(t *testing.T) {
 	ds := gen.Uniform(5000, 7, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
 	q := distrtest.Query()
-	a := distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9})
-	b := distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9})
-	serial := distrtest.DrainSerial(a.Sampler(q))
-	s := b.Sampler(q)
-	var mixed []data.Entry
-	buf := make([]data.Entry, 64)
-	for {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		mixed = append(mixed, e)
-		n := s.NextBatch(buf, 64)
-		mixed = append(mixed, buf[:n]...)
-		if n < 64 {
-			break
-		}
-	}
-	distrtest.SameEntries(t, serial, mixed, "interleaved")
+	samplingtest.ChunkingInvariant(t, "interleaved", func() samplingtest.Drawer {
+		return distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9}).Sampler(q)
+	}, -1, []int{1, 64})
 }
 
-// TestNextBatchFewerMessages checks the point of the batched protocol: one
-// demand-sized request per shard per round instead of per-refill trips.
+// TestNextBatchFewerMessages checks the point of demand-sized rounds: one
+// request per participating shard per pull, so the same 4000 samples cost
+// far fewer messages pulled at once than pulled one at a time.
 func TestNextBatchFewerMessages(t *testing.T) {
 	ds := gen.Uniform(20000, 3, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
 	q := distrtest.Query()
-	serialC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1, BatchSize: 32})
-	batchC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1, BatchSize: 32})
+	singleC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1})
+	batchC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1})
 
-	s := serialC.Sampler(q)
+	s := singleC.Sampler(q)
 	for i := 0; i < 4000; i++ {
-		if _, ok := s.Next(); !ok {
+		if _, ok := sampling.Next(s); !ok {
 			break
 		}
 	}
-	serialMsgs := serialC.Net().Messages
+	singleMsgs := singleC.Net().Messages
 
 	b := batchC.Sampler(q)
 	buf := make([]data.Entry, 4000)
 	b.NextBatch(buf, 4000)
 	batchMsgs := batchC.Net().Messages
 
-	if batchMsgs >= serialMsgs {
-		t.Fatalf("batched protocol sent %d messages, serial %d — expected fewer", batchMsgs, serialMsgs)
+	if batchMsgs*10 > singleMsgs {
+		t.Fatalf("one pull of 4000 sent %d messages, 4000 pulls of one %d — expected at least 10x fewer", batchMsgs, singleMsgs)
 	}
 }

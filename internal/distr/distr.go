@@ -68,9 +68,6 @@ type Config struct {
 	Replicas int
 	// Fanout is each shard's RS-tree fanout; 0 means the default.
 	Fanout int
-	// BatchSize is how many samples a shard ships per network message;
-	// 0 means 32.
-	BatchSize int
 	// Seed drives partitioning and sampling randomness.
 	Seed int64
 	// BufferPoolPages gives each shard a simulated buffer pool of this
@@ -109,12 +106,6 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.Replicas < 1 {
 		return fmt.Errorf("distr: replica count %d invalid", cfg.Replicas)
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.BatchSize < 1 {
-		return fmt.Errorf("distr: batch size %d invalid", cfg.BatchSize)
 	}
 	if cfg.FetchTimeout == 0 {
 		cfg.FetchTimeout = 50 * time.Millisecond
@@ -727,7 +718,7 @@ type Sampler struct {
 	lostPop    int
 	lost       map[int]lostShard
 	readmits   int
-	// batch-round scratch (see NextBatch), reused across rounds.
+	// round scratch (see batchRound), reused across rounds.
 	simRem  []int
 	choices []int
 	demand  []int
@@ -867,55 +858,13 @@ func (s *Sampler) pop(shard int) data.Entry {
 	return e
 }
 
-// Next implements sampling.Sampler: it draws the owning shard with
-// probability proportional to its remaining matching count, then consumes
-// the next sample from that shard's stream (fetched in batches to amortize
-// network messages).
-func (s *Sampler) Next() (data.Entry, bool) {
-	if !s.init {
-		s.initialize()
-	}
-	s.maybeReadmit()
-	if s.total <= 0 {
-		return data.Entry{}, false
-	}
-	r := s.rng.Intn(s.total)
-	shard := 0
-	for i, rem := range s.remaining {
-		if r < rem {
-			shard = i
-			break
-		}
-		r -= rem
-	}
-	if s.buffered(shard) == 0 {
-		s.fetchInto(shard, s.cluster.cfg.BatchSize)
-		if s.buffered(shard) == 0 {
-			if s.deadlineHit {
-				// The fetch was abandoned at the deadline, not refused by
-				// the shard: stop the stream without writing the (likely
-				// healthy, still-reachable) shard off.
-				return data.Entry{}, false
-			}
-			// Shard believed to have samples but returned none:
-			// defensive consistency repair.
-			s.total -= s.remaining[shard]
-			s.remaining[shard] = 0
-			return s.Next()
-		}
-	}
-	return s.pop(shard), true
-}
-
-// NextBatch implements sampling.BatchSampler with the coordinator's
-// batched protocol: the round's shard choices are simulated up front with
-// the query RNG (consuming it exactly as repeated Next would, so the
-// emitted stream is byte-identical), the resulting per-shard allocations
-// are fetched with ONE request per shard — sized by the round's demand
-// rather than the fixed BatchSize — and the round is assembled from the
-// buffered shard streams in choice order. k samples therefore cost at most
-// one message round trip per participating shard instead of the serial
-// path's per-refill trips.
+// NextBatch implements sampling.Sampler with the coordinator's one
+// protocol, run in rounds (see batchRound): each sample's owning shard is
+// drawn with probability proportional to its remaining matching count, the
+// round's per-shard demand is fetched with ONE request per shard — sized by
+// that demand — and the round is assembled from the buffered shard streams
+// in draw order. k samples therefore cost at most one message round trip
+// per participating shard, and a one-sample pull is a round of one draw.
 func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
@@ -974,7 +923,9 @@ func (s *Sampler) batchRound(dst []data.Entry, k int) int {
 	}
 	choices := s.choices[:m]
 
-	// Phase 1: replay the serial draw sequence against scratch counts.
+	// Phase 1: draw the round's shard sequence against scratch counts,
+	// one RNG step per sample whatever the round size — which is what
+	// keeps the stream chunking-invariant.
 	total := s.total
 	for j := 0; j < m; j++ {
 		r := s.rng.Intn(total)
@@ -999,11 +950,13 @@ func (s *Sampler) batchRound(dst []data.Entry, k int) int {
 		}
 	}
 
-	// Phase 3: assemble in choice order. A shard that under-delivered
-	// (bookkeeping said it had samples but it returned none — the serial
-	// path's defensive repair case) is zeroed out and its remaining
-	// choices skipped; only in that never-expected state can the stream
-	// diverge from the serial one.
+	// Phase 3: assemble in choice order. A shard that under-delivered — it
+	// was lost in phase 2, or (never expected) bookkeeping said it had
+	// samples and it returned none — has its count zeroed and its choices
+	// skipped. The survivors' choices stay proportional to their counts, so
+	// the stream stays uniform, but the rest of a round wider than one draw
+	// is not the sequence redrawing would have produced: losing a shard
+	// mid-round is the one state in which the stream depends on pull size.
 	got := 0
 	for _, shard := range choices {
 		if s.remaining[shard] <= 0 {
@@ -1438,9 +1391,8 @@ func (c *Cluster) EstimateAvg(q geo.Rect, attr string, maxSamples int, confidenc
 	}
 	s := c.Sampler(q)
 	defer s.Close()
-	// Pull through the batched coordinator protocol: one demand-sized
-	// request per shard per round instead of per-refill round trips. The
-	// chunk bounds the coordinator's working memory, not the batching win.
+	// Large pulls keep the coordinator at one demand-sized request per
+	// shard per round; the chunk only bounds its working memory.
 	const chunk = 1024
 	buf := make([]data.Entry, chunk)
 	for drawn := 0; drawn < maxSamples; {

@@ -7,6 +7,7 @@ import (
 	"storm/internal/data"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/sampling"
 	"storm/internal/stats"
 )
 
@@ -69,7 +70,7 @@ func TestSamplerCompleteAndUnique(t *testing.T) {
 	s := c.Sampler(testQuery)
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -109,7 +110,7 @@ func TestSamplerUniformAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Sampler(testQuery)
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("no sample")
 		}
@@ -179,31 +180,11 @@ func TestParallelPartialAvg(t *testing.T) {
 	}
 }
 
-func TestBatchingReducesMessages(t *testing.T) {
-	ds := gen.Uniform(20000, 17, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
-	small, _ := Build(ds, Config{Shards: 4, Seed: 1, BatchSize: 1})
-	big, _ := Build(ds, Config{Shards: 4, Seed: 1, BatchSize: 64})
-	run := func(c *Cluster) uint64 {
-		c.ResetNet()
-		s := c.Sampler(testQuery)
-		for i := 0; i < 1000; i++ {
-			if _, ok := s.Next(); !ok {
-				break
-			}
-		}
-		return c.Net().Messages
-	}
-	mSmall, mBig := run(small), run(big)
-	if mBig*10 > mSmall {
-		t.Errorf("batching should cut messages: batch=1 %d vs batch=64 %d", mSmall, mBig)
-	}
-}
-
 func TestEmptyQueryAcrossShards(t *testing.T) {
 	c, _ := buildCluster(t, 1000, 3)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := c.Sampler(empty)
-	if _, ok := s.Next(); ok {
+	if _, ok := sampling.Next(s); ok {
 		t.Error("empty query should yield nothing")
 	}
 	w, err := c.ParallelPartialAvg(empty, "value", 100)
@@ -231,7 +212,7 @@ func TestDistributedInsertDelete(t *testing.T) {
 	s := c.Sampler(geo.NewRect(geo.Vec{39.9, 39.9, 49}, geo.Vec{40.1, 40.1, 51}))
 	found := 0
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -261,9 +242,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Build(ds, Config{Shards: 0}); err == nil {
 		t.Error("zero shards should be rejected")
 	}
-	if _, err := Build(ds, Config{Shards: 1, BatchSize: -1}); err == nil {
-		t.Error("negative batch should be rejected")
-	}
 }
 
 func TestMoreShardsThanRecords(t *testing.T) {
@@ -276,7 +254,7 @@ func TestMoreShardsThanRecords(t *testing.T) {
 	s := c.Sampler(all)
 	n := 0
 	for {
-		if _, ok := s.Next(); !ok {
+		if _, ok := sampling.Next(s); !ok {
 			break
 		}
 		n++

@@ -85,18 +85,6 @@ func BuildTCP(t testing.TB, ds *data.Dataset, cfg distr.Config, hosts int) *dist
 	return c
 }
 
-// DrainSerial pulls every sample one at a time until the stream ends.
-func DrainSerial(s *distr.Sampler) []data.Entry {
-	var out []data.Entry
-	for {
-		e, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, e)
-	}
-}
-
 // DrainBatched pulls with NextBatch using the cyclic size pattern,
 // stopping at the first short round.
 func DrainBatched(s *distr.Sampler, sizes []int) []data.Entry {

@@ -8,8 +8,7 @@ package distr_test
 // statistical acceptance: post-failover streams stay exactly uniform
 // WOR over the FULL population, so CIs keep nominal coverage with zero
 // lost-mass widening and the estimator stays unbiased across the kill.
-// They run under `make test-stats` (and the dedicated
-// `make test-stats-failover`) with -race.
+// They run under `make test-stats` with -race.
 
 import (
 	"testing"
@@ -20,6 +19,7 @@ import (
 	"storm/internal/estimator"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/sampling"
 	"storm/internal/stats/statcheck"
 	"storm/internal/wire"
 )
@@ -227,7 +227,7 @@ func TestStatFailoverFirstSampleUniform(t *testing.T) {
 		cfg := distrtest.FastConfig(4, int64(i), killReplica(1, 0, 0), 2)
 		cfg.MaxRetries = -1
 		c := distrtest.Build(t, ds, cfg)
-		e, ok := c.Sampler(q).Next()
+		e, ok := sampling.Next(c.Sampler(q))
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}
@@ -388,7 +388,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 		c := distrtest.Build(t, ds, cfg)
 
 		s := c.SamplerWindow(q, nil, win)
-		first, ok := s.Next()
+		first, ok := sampling.Next(s)
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}

@@ -8,6 +8,7 @@ import (
 	"storm/internal/distr"
 	"storm/internal/distr/distrtest"
 	"storm/internal/obs"
+	"storm/internal/sampling"
 	"storm/internal/stats/statcheck"
 )
 
@@ -272,7 +273,7 @@ func TestStatDegradedFirstSampleUniform(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		c := distrtest.Build(t, ds, distrtest.FastConfig(4, int64(i), plan))
 		s := c.Sampler(q)
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("no sample")
 		}

@@ -1,9 +1,8 @@
 // Host is the shard-server request handler: it owns the shard backends
-// of one stormd -role=shard process and implements wire.Handler, so the
-// same struct serves a wire.Server over TCP and a wire.Loopback in
-// transport tests. Shard state is built on demand — the coordinator's
-// Build request names a (dataset, shard, of) triple, and the host
-// partitions its local copy of the dataset exactly as the coordinator
+// of one stormd -role=shard process and implements wire.Handler, which is
+// what a wire.Server serves over TCP. Shard state is built on demand — the
+// coordinator's Build request names a (dataset, shard, of) triple, and the
+// host partitions its local copy of the dataset exactly as the coordinator
 // would (partition is deterministic), so only sample batches ever cross
 // the wire, never shard contents.
 package distr

@@ -10,6 +10,7 @@ import (
 	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/obs"
+	"storm/internal/sampling"
 	"storm/internal/stats/statcheck"
 )
 
@@ -394,7 +395,7 @@ func TestStatPostRejoinFirstSampleUniform(t *testing.T) {
 			t.Fatalf("trial %d: shard never rejoined", i)
 		}
 		// Second query: first sample over the recovered full population.
-		e, ok := c.Sampler(q).Next()
+		e, ok := sampling.Next(c.Sampler(q))
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}

@@ -332,7 +332,7 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 			// the pull avoids drawing past the cap.
 			want = opts.MaxSamples - r.samples
 		}
-		n := sampling.NextBatch(sampler, buf, want)
+		n := sampler.NextBatch(buf, want)
 		qo.batch(sampler, n)
 		batch := buf[:n]
 		if c.accept != nil {

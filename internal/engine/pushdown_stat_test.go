@@ -111,7 +111,7 @@ func TestStatPushdownUniform(t *testing.T) {
 					if want > len(buf) {
 						want = len(buf)
 					}
-					n := sampling.NextBatch(s, buf, want)
+					n := s.NextBatch(buf, want)
 					if n == 0 {
 						t.Fatalf("sampler dried up at %d/%d draws", got, draws)
 					}

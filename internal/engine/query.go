@@ -230,7 +230,7 @@ func (h *Handle) Sample(q geo.Range, k int, method Method, mode sampling.Mode, s
 	qo := h.beginQuery(time.Now())
 	defer qo.end()
 	out := make([]data.Entry, k)
-	got := sampling.NextBatch(sampler, out, k)
+	got := sampler.NextBatch(out, k)
 	qo.batch(sampler, got)
 	return out[:got], nil
 }

@@ -3,60 +3,19 @@ package lstree
 import (
 	"testing"
 
-	"storm/internal/data"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
-// TestNextBatchMatchesNext: for a fixed seed the NextBatch stream must be
-// byte-identical to the Next stream, including across level fall-throughs.
+// TestNextBatchMatchesNext: for a fixed seed the stream must be identical
+// however it is pulled, including across level fall-throughs.
 func TestNextBatchMatchesNext(t *testing.T) {
 	entries := genEntries(20000, 51)
 	idx, err := Build(entries, Config{Fanout: 16, TopLevelMax: 128, Seed: 53})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	serial := func(seed int64) []data.ID {
-		s := idx.Sampler(testQuery, stats.NewRNG(seed))
-		var out []data.ID
-		for {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
-			out = append(out, e.ID)
-		}
-		return out
-	}
-	batched := func(seed int64, sizes []int) []data.ID {
-		s := idx.Sampler(testQuery, stats.NewRNG(seed))
-		buf := make([]data.Entry, 512)
-		var out []data.ID
-		for i := 0; ; i++ {
-			got := s.NextBatch(buf, sizes[i%len(sizes)])
-			for _, e := range buf[:got] {
-				out = append(out, e.ID)
-			}
-			if got < sizes[i%len(sizes)] {
-				break
-			}
-		}
-		return out
-	}
-
-	want := serial(7)
-	if len(want) == 0 {
-		t.Fatal("empty reference stream")
-	}
-	for _, sizes := range [][]int{{1}, {13}, {512}, {3, 200, 1}} {
-		got := batched(7, sizes)
-		if len(got) != len(want) {
-			t.Fatalf("sizes %v: lengths differ: %d vs %d", sizes, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("sizes %v: streams diverge at %d: %d vs %d", sizes, i, got[i], want[i])
-			}
-		}
-	}
+	samplingtest.ChunkingInvariant(t, "ls-tree", func() samplingtest.Drawer {
+		return idx.Sampler(testQuery, stats.NewRNG(7))
+	}, -1, []int{13}, []int{512}, []int{3, 200, 1})
 }

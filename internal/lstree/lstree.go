@@ -257,8 +257,8 @@ func (x *Index) SamplerWhere(q geo.Rect, rng *stats.RNG, c *pred.Compiled) *Samp
 }
 
 // Sampler is the LS-tree's online sample stream for one query. It
-// implements sampling.Sampler and sampling.BatchSampler. All mutable query
-// state is local to the Sampler; the level trees are only read.
+// implements sampling.Sampler. All mutable query state is local to the
+// Sampler; the level trees are only read.
 type Sampler struct {
 	index *Index
 	query geo.Rect
@@ -292,15 +292,43 @@ func (s *Sampler) AttributeIO(a iosim.Accountant) {
 }
 
 var _ sampling.Sampler = (*Sampler)(nil)
-var _ sampling.BatchSampler = (*Sampler)(nil)
 
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "LS-tree" }
 
-// Next implements sampling.Sampler. The i-th call returns the i-th element
-// of an online without-replacement sample of P ∩ Q; ok is false once all
+// NextBatch implements sampling.Sampler. The range-report page charges of
+// any level scans the pull triggers are coalesced through a run-length
+// batcher (one device lock per flush).
+func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	if k <= 0 {
+		return 0
+	}
+	prev := s.acct
+	if s.batch == nil || s.batch.Target() != prev {
+		s.batch = iosim.NewBatcher(prev)
+	}
+	s.acct = s.batch
+	got := 0
+	for got < k {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
+		dst[got] = e
+		got++
+	}
+	s.acct = prev
+	s.batch.Flush()
+	return got
+}
+
+// next is the per-draw body. The i-th call returns the i-th element of an
+// online without-replacement sample of P ∩ Q; ok is false once all
 // matching records have been reported.
-func (s *Sampler) Next() (data.Entry, bool) {
+func (s *Sampler) next() (data.Entry, bool) {
 	for {
 		if s.cursor < len(s.pending) {
 			// Incremental Fisher–Yates within the level.
@@ -339,34 +367,4 @@ func (s *Sampler) SamplerStats() sampling.SamplerStats {
 		st.Pruned += f.Pruned
 	}
 	return st
-}
-
-// NextBatch implements sampling.BatchSampler. Per-draw logic and RNG
-// consumption are exactly Next's, so the stream is byte-identical; the
-// range-report page charges of any level scans the batch triggers are
-// coalesced through a run-length batcher (one device lock per flush).
-func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
-	if k > len(dst) {
-		k = len(dst)
-	}
-	if k <= 0 {
-		return 0
-	}
-	prev := s.acct
-	if s.batch == nil || s.batch.Target() != prev {
-		s.batch = iosim.NewBatcher(prev)
-	}
-	s.acct = s.batch
-	got := 0
-	for got < k {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		dst[got] = e
-		got++
-	}
-	s.acct = prev
-	s.batch.Flush()
-	return got
 }

@@ -6,6 +6,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/sampling"
 	"storm/internal/stats"
 )
 
@@ -100,7 +101,7 @@ func TestSamplerWithoutReplacementComplete(t *testing.T) {
 	s := idx.Sampler(testQuery, stats.NewRNG(9))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -136,7 +137,7 @@ func TestSamplerUniformFirstSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := idx.Sampler(testQuery, stats.NewRNG(int64(1000+i)))
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("no first sample")
 		}
@@ -176,7 +177,7 @@ func TestSamplerUniformPrefix(t *testing.T) {
 		}
 		s := idx.Sampler(testQuery, stats.NewRNG(int64(7000+i)))
 		for j := 0; j < k; j++ {
-			e, ok := s.Next()
+			e, ok := sampling.Next(s)
 			if !ok {
 				t.Fatal("exhausted early")
 			}
@@ -204,7 +205,7 @@ func TestSamplerEmptyRange(t *testing.T) {
 	}
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := idx.Sampler(empty, stats.NewRNG(1))
-	if _, ok := s.Next(); ok {
+	if _, ok := sampling.Next(s); ok {
 		t.Fatal("empty range should yield nothing")
 	}
 }
@@ -218,7 +219,7 @@ func TestEmptyIndex(t *testing.T) {
 		t.Errorf("empty index should have 1 level, got %d", idx.Levels())
 	}
 	s := idx.Sampler(testQuery, stats.NewRNG(1))
-	if _, ok := s.Next(); ok {
+	if _, ok := sampling.Next(s); ok {
 		t.Fatal("empty index should yield nothing")
 	}
 }
@@ -313,7 +314,7 @@ func TestLevelGrowth(t *testing.T) {
 	s := idx.Sampler(testQuery, stats.NewRNG(5))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -379,7 +380,7 @@ func TestSampleAfterUpdates(t *testing.T) {
 	s := idx.Sampler(testQuery, stats.NewRNG(23))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -415,7 +416,7 @@ func TestSampleMeanUnbiased(t *testing.T) {
 	var sum float64
 	k := 400
 	for i := 0; i < k; i++ {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("exhausted early")
 		}

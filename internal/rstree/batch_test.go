@@ -7,75 +7,37 @@ import (
 	"storm/internal/data"
 	"storm/internal/geo"
 	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
-// drawSerial reads n samples (or the whole stream if n < 0) via Next.
-func drawSerial(idx *Index, mode sampling.Mode, seed int64, n int) []data.ID {
-	s := idx.Sampler(testQuery, mode, stats.NewRNG(seed))
-	var out []data.ID
-	for n < 0 || len(out) < n {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e.ID)
-	}
-	return out
-}
-
-// drawBatched reads the same stream via NextBatch with a cycling pattern of
-// batch sizes, exercising batch boundaries at many offsets.
+// drawBatched reads n samples (or the whole stream if n < 0) with a cycling
+// pattern of pull sizes, exercising pull boundaries at many offsets.
 func drawBatched(idx *Index, mode sampling.Mode, seed int64, n int, sizes []int) []data.ID {
-	s := idx.Sampler(testQuery, mode, stats.NewRNG(seed))
-	var out []data.ID
-	buf := make([]data.Entry, 512)
-	for i := 0; n < 0 || len(out) < n; i++ {
-		k := sizes[i%len(sizes)]
-		if n >= 0 && k > n-len(out) {
-			k = n - len(out)
-		}
-		got := s.NextBatch(buf, k)
-		for _, e := range buf[:got] {
-			out = append(out, e.ID)
-		}
-		if got < k {
-			break
-		}
-	}
-	return out
+	return samplingtest.Drain(idx.Sampler(testQuery, mode, stats.NewRNG(seed)), sizes, n)
 }
 
-func assertSameStream(t *testing.T, label string, want, got []data.ID) {
+// checkChunkingInvariant holds idx's seeded stream to the Sampler contract:
+// the one-sample-per-pull stream must come out of every other pull pattern.
+func checkChunkingInvariant(t *testing.T, idx *Index, mode sampling.Mode, seed int64, n int, patterns ...[]int) {
 	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: stream lengths differ: serial %d, batched %d", label, len(want), len(got))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: streams diverge at %d: serial %d, batched %d", label, i, want[i], got[i])
-		}
-	}
+	samplingtest.ChunkingInvariant(t, "rs-tree", func() samplingtest.Drawer {
+		return idx.Sampler(testQuery, mode, stats.NewRNG(seed))
+	}, n, patterns...)
 }
 
 // TestNextBatchMatchesNextWithoutReplacement is the determinism contract:
-// for a fixed seed, the NextBatch stream must be byte-identical to the Next
-// stream — including across buffer exhaustion and materialization
-// boundaries, which the tiny BufferSize forces constantly.
+// for a fixed seed, the stream must be identical however it is pulled —
+// including across buffer exhaustion and materialization boundaries, which
+// the tiny BufferSize forces constantly.
 func TestNextBatchMatchesNextWithoutReplacement(t *testing.T) {
 	entries := genEntries(9000, 23)
 	idx, err := Build(entries, Config{Fanout: 16, BufferSize: 4, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := drawSerial(idx, sampling.WithoutReplacement, 77, -1)
-	if len(serial) == 0 {
-		t.Fatal("empty reference stream")
-	}
-	for _, sizes := range [][]int{{1}, {7}, {64}, {512}, {1, 3, 17, 256}} {
-		batched := drawBatched(idx, sampling.WithoutReplacement, 77, -1, sizes)
-		assertSameStream(t, "without-replacement", serial, batched)
-	}
+	checkChunkingInvariant(t, idx, sampling.WithoutReplacement, 77, -1,
+		[]int{7}, []int{64}, []int{512}, []int{1, 3, 17, 256})
 }
 
 // TestNextBatchMatchesNextWithReplacement covers the weighted-descent mode.
@@ -85,43 +47,24 @@ func TestNextBatchMatchesNextWithReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := drawSerial(idx, sampling.WithReplacement, 99, 3000)
-	batched := drawBatched(idx, sampling.WithReplacement, 99, 3000, []int{5, 250, 11})
-	assertSameStream(t, "with-replacement", serial, batched)
+	checkChunkingInvariant(t, idx, sampling.WithReplacement, 99, 3000, []int{5, 250, 11})
 }
 
-// TestNextBatchInterleavedWithNext mixes the two APIs on one sampler: the
-// combined stream must equal the pure-serial stream, because NextBatch may
-// not consume RNG or sampler state any differently than Next.
+// TestNextBatchInterleavedWithNext alternates one-sample pulls with wider
+// ones of every size up to 17 on one sampler: a pull may not consume RNG or
+// sampler state any differently for being preceded by a pull of another
+// size.
 func TestNextBatchInterleavedWithNext(t *testing.T) {
 	entries := genEntries(6000, 41)
 	idx, err := Build(entries, Config{Fanout: 16, BufferSize: 4, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := drawSerial(idx, sampling.WithoutReplacement, 5, -1)
-
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(5))
-	var mixed []data.ID
-	buf := make([]data.Entry, 64)
-	for turn := 0; ; turn++ {
-		if turn%2 == 0 {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
-			mixed = append(mixed, e.ID)
-			continue
-		}
-		got := s.NextBatch(buf, 1+turn%17)
-		for _, e := range buf[:got] {
-			mixed = append(mixed, e.ID)
-		}
-		if got == 0 {
-			break
-		}
+	var interleaved []int
+	for turn := 1; turn < 34; turn += 2 {
+		interleaved = append(interleaved, 1, 1+turn%17)
 	}
-	assertSameStream(t, "interleaved", serial, mixed)
+	checkChunkingInvariant(t, idx, sampling.WithoutReplacement, 5, -1, interleaved)
 }
 
 // TestNextBatchConcurrentIdentical runs batched same-seed streams

@@ -31,7 +31,7 @@ func TestConcurrentSamplers(t *testing.T) {
 			s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(100+i)))
 			var got []data.Entry
 			for {
-				e, ok := s.Next()
+				e, ok := sampling.Next(s)
 				if !ok {
 					break
 				}
@@ -79,7 +79,7 @@ func TestConcurrentSamplersSameSeedIdentical(t *testing.T) {
 		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(seed))
 		out := make([]data.ID, 0, k)
 		for len(out) < k {
-			e, ok := s.Next()
+			e, ok := sampling.Next(s)
 			if !ok {
 				break
 			}

@@ -62,7 +62,7 @@ func TestWithoutReplacementComplete(t *testing.T) {
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(9))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -92,7 +92,7 @@ func TestWithoutReplacementCompleteSmallBuffers(t *testing.T) {
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(11))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			break
 		}
@@ -125,7 +125,7 @@ func TestUniformFirstSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(1000+i)))
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("no first sample")
 		}
@@ -165,7 +165,7 @@ func TestUniformPrefix(t *testing.T) {
 		}
 		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(5000+i)))
 		for j := 0; j < k; j++ {
-			e, ok := s.Next()
+			e, ok := sampling.Next(s)
 			if !ok {
 				t.Fatal("exhausted early")
 			}
@@ -197,7 +197,7 @@ func TestWithReplacement(t *testing.T) {
 	seen := make(map[data.ID]int)
 	n := 3 * len(want)
 	for i := 0; i < n; i++ {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("with-replacement stream ended")
 		}
@@ -230,7 +230,7 @@ func TestWithReplacementUniform(t *testing.T) {
 	const trials = 30000
 	s := idx.Sampler(testQuery, sampling.WithReplacement, stats.NewRNG(29))
 	for i := 0; i < trials; i++ {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("stream ended")
 		}
@@ -259,7 +259,7 @@ func TestEmptyRange(t *testing.T) {
 	for _, mode := range []sampling.Mode{sampling.WithoutReplacement, sampling.WithReplacement} {
 		s := idx.Sampler(empty, mode, stats.NewRNG(1))
 		s.MaxAttempts = 1000
-		if _, ok := s.Next(); ok {
+		if _, ok := sampling.Next(s); ok {
 			t.Fatalf("mode %v: empty range should yield nothing", mode)
 		}
 	}
@@ -271,7 +271,7 @@ func TestEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(1))
-	if _, ok := s.Next(); ok {
+	if _, ok := sampling.Next(s); ok {
 		t.Fatal("empty index should yield nothing")
 	}
 }
@@ -287,7 +287,7 @@ func TestInsertThenSample(t *testing.T) {
 	// regeneration is exercised by the post-insert query.
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(33))
 	for i := 0; i < 50; i++ {
-		s.Next()
+		sampling.Next(s)
 	}
 
 	for j := 0; j < 200; j++ {
@@ -302,7 +302,7 @@ func TestInsertThenSample(t *testing.T) {
 	s2 := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(37))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s2.Next()
+		e, ok := sampling.Next(s2)
 		if !ok {
 			break
 		}
@@ -326,7 +326,7 @@ func TestDeleteThenSample(t *testing.T) {
 	// Warm buffers.
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(43))
 	for i := 0; i < 50; i++ {
-		s.Next()
+		sampling.Next(s)
 	}
 	// Delete a third of the matching records.
 	i := 0
@@ -342,7 +342,7 @@ func TestDeleteThenSample(t *testing.T) {
 	s2 := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(47))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := s2.Next()
+		e, ok := sampling.Next(s2)
 		if !ok {
 			break
 		}
@@ -377,7 +377,7 @@ func TestSampleMeanUnbiased(t *testing.T) {
 	var sum float64
 	k := 400
 	for i := 0; i < k; i++ {
-		e, ok := s.Next()
+		e, ok := sampling.Next(s)
 		if !ok {
 			t.Fatal("exhausted early")
 		}
@@ -402,7 +402,7 @@ func TestBufferReuseAcrossDraws(t *testing.T) {
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(67))
 	k := 500
 	for i := 0; i < k; i++ {
-		if _, ok := s.Next(); !ok {
+		if _, ok := sampling.Next(s); !ok {
 			t.Fatal("exhausted early")
 		}
 	}

@@ -37,10 +37,9 @@ type part struct {
 }
 
 // Sampler is the RS-tree's online sample stream for one query. It
-// implements sampling.Sampler and sampling.BatchSampler. Without-
-// replacement mode emits every record of P ∩ Q exactly once in uniformly
-// random prefix order; with-replacement mode emits independent uniform
-// samples via weighted random descent.
+// implements sampling.Sampler. Without-replacement mode emits every record
+// of P ∩ Q exactly once in uniformly random prefix order; with-replacement
+// mode emits independent uniform samples via weighted random descent.
 //
 // A Sampler owns all of its query's mutable state, so any number of
 // Samplers may run concurrently against the same Index; each individual
@@ -56,8 +55,9 @@ type Sampler struct {
 	acct iosim.Accountant
 	// chg is the active charge target: acct normally, the run-length
 	// batcher while a NextBatch call is in flight. Swapping the target —
-	// never the charge sequence — is what lets a batch take the device
-	// lock once per flush while keeping stats identical to serial draws.
+	// never the charge sequence — is what lets a pull take the device
+	// lock once per flush while keeping stats identical to per-access
+	// charging.
 	chg   iosim.Accountant
 	batch *iosim.Batcher
 	// filter is the query's predicate pushdown state; nil means no
@@ -154,29 +154,16 @@ func (s *Sampler) AttributeIO(a iosim.Accountant) {
 func (s *Sampler) charge(n *rtree.Node) { s.chg.Access(n.PageID()) }
 
 var _ sampling.Sampler = (*Sampler)(nil)
-var _ sampling.BatchSampler = (*Sampler)(nil)
 
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "RS-tree" }
 
-// Next implements sampling.Sampler.
-func (s *Sampler) Next() (data.Entry, bool) {
-	if !s.init {
-		s.initialize()
-	}
-	if s.mode == sampling.WithReplacement {
-		return s.nextWithReplacement()
-	}
-	return s.nextWithoutReplacement()
-}
-
-// NextBatch implements sampling.BatchSampler: it draws up to min(k,
-// len(dst)) samples using exactly the per-draw logic (and RNG consumption)
-// of Next, so the stream is byte-identical, while amortizing the per-draw
-// overheads across the batch: page charges are coalesced into run-length
-// batches (one device lock per flush instead of per draw), node buffers
-// regenerated during the batch are visited at most once, and steady-state
-// draws allocate nothing (scratch comes from pools).
+// NextBatch implements sampling.Sampler: it draws up to min(k, len(dst))
+// samples, amortizing the per-draw overheads across the pull: page charges
+// are coalesced into run-length batches (one device lock per flush instead
+// of per draw), node buffers regenerated during the pull are visited at
+// most once, and steady-state draws allocate nothing (scratch comes from
+// pools).
 func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
@@ -190,19 +177,14 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 		s.initialize()
 	}
 	got := 0
-	if s.mode == sampling.WithReplacement {
-		for got < k {
-			e, ok := s.nextWithReplacement()
-			if !ok {
-				break
-			}
-			dst[got] = e
-			got++
-		}
-		return got
-	}
 	for got < k {
-		e, ok := s.nextWithoutReplacement()
+		var e data.Entry
+		var ok bool
+		if s.mode == sampling.WithReplacement {
+			e, ok = s.nextWithReplacement()
+		} else {
+			e, ok = s.nextWithoutReplacement()
+		}
 		if !ok {
 			break
 		}

@@ -7,6 +7,7 @@ import (
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/rtree"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
@@ -25,52 +26,12 @@ func batchTestEntries(n int, seed int64) []data.Entry {
 
 var batchQuery = geo.NewRect(geo.Vec{25, 25, 0}, geo.Vec{70, 70, 100})
 
-// checkBatchEquivalence draws one stream serially and one via NextBatch
-// with varying batch sizes; the two must be byte-identical.
+// checkBatchEquivalence holds one sampler to the chunking-invariance
+// contract across uniform, large and ragged pull patterns.
 func checkBatchEquivalence(t *testing.T, label string, mk func(seed int64) Sampler, limit int) {
 	t.Helper()
-	serial := func(seed int64) []data.ID {
-		s := mk(seed)
-		var out []data.ID
-		for len(out) < limit {
-			e, ok := s.Next()
-			if !ok {
-				break
-			}
-			out = append(out, e.ID)
-		}
-		return out
-	}
-	want := serial(9)
-	if len(want) == 0 {
-		t.Fatalf("%s: empty reference stream", label)
-	}
-	for _, sizes := range [][]int{{1}, {17}, {256}, {2, 99, 5}} {
-		s := mk(9)
-		buf := make([]data.Entry, 256)
-		var got []data.ID
-		for i := 0; len(got) < limit; i++ {
-			k := sizes[i%len(sizes)]
-			if k > limit-len(got) {
-				k = limit - len(got)
-			}
-			n := NextBatch(s, buf, k)
-			for _, e := range buf[:n] {
-				got = append(got, e.ID)
-			}
-			if n < k {
-				break
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s sizes %v: lengths differ: %d vs %d", label, sizes, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s sizes %v: diverge at %d: %d vs %d", label, sizes, i, got[i], want[i])
-			}
-		}
-	}
+	samplingtest.ChunkingInvariant(t, label, func() samplingtest.Drawer { return mk(9) }, limit,
+		[]int{17}, []int{256}, []int{2, 99, 5})
 }
 
 func TestQueryFirstBatchEquivalence(t *testing.T) {
@@ -109,43 +70,36 @@ func TestRandomPathBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchedChargesMatchSerial verifies that the batched fast path charges
-// exactly the I/O the serial path does — the device totals after a batched
-// stream must equal the totals after the same serial stream.
+// TestBatchedChargesMatchSerial verifies that coalescing a pull's page
+// charges never changes the I/O charged — the device totals after a stream
+// pulled 128 at a time must equal the totals after the same stream pulled
+// one sample at a time.
 func TestBatchedChargesMatchSerial(t *testing.T) {
 	entries := batchTestEntries(8000, 11)
 
-	run := func(batched bool) iosim.Stats {
+	run := func(pull int) iosim.Stats {
 		dev := iosim.NewDevice(32, iosim.DefaultCostModel())
 		tr := rtree.MustNew(rtree.Config{Fanout: 16, Device: dev})
 		tr.BulkLoad(entries)
 		dev.DropCache()
 		dev.ResetStats()
 		s := NewRandomPath(tr, batchQuery, WithoutReplacement, stats.NewRNG(13))
-		if batched {
-			buf := make([]data.Entry, 128)
-			for drawn := 0; drawn < 1000; {
-				k := 128
-				if k > 1000-drawn {
-					k = 1000 - drawn
-				}
-				n := s.NextBatch(buf, k)
-				if n == 0 {
-					break
-				}
-				drawn += n
+		buf := make([]data.Entry, pull)
+		for drawn := 0; drawn < 1000; {
+			k := pull
+			if k > 1000-drawn {
+				k = 1000 - drawn
 			}
-		} else {
-			for drawn := 0; drawn < 1000; drawn++ {
-				if _, ok := s.Next(); !ok {
-					break
-				}
+			n := s.NextBatch(buf, k)
+			if n == 0 {
+				break
 			}
+			drawn += n
 		}
 		return dev.Stats()
 	}
 
-	serial, batch := run(false), run(true)
+	serial, batch := run(1), run(128)
 	if serial != batch {
 		t.Errorf("I/O accounting diverges:\n  serial  %v\n  batched %v", serial, batch)
 	}

@@ -21,13 +21,13 @@ import (
 type Filtered struct {
 	inner Sampler
 	pred  *pred.Compiled
-	// MaxAttempts bounds consecutive rejected inner draws per Next call so
-	// a with-replacement inner stream (infinite by contract) cannot spin
+	// MaxAttempts bounds the inner draws one NextBatch call spends so a
+	// with-replacement inner stream (infinite by contract) cannot spin
 	// forever on a predicate with no qualifying records. Defaults to 2²².
 	MaxAttempts int
 	draws       uint64
 	rejects     uint64
-	buf         []data.Entry // scratch for NextBatch
+	buf         []data.Entry // inner pulls land here before filtering
 }
 
 // NewFiltered wraps inner so only records matching c are emitted. c must be
@@ -54,28 +54,9 @@ func (s *Filtered) Close() error {
 	return nil
 }
 
-// Next implements Sampler.
-func (s *Filtered) Next() (data.Entry, bool) {
-	for tries := 0; s.MaxAttempts <= 0 || tries < s.MaxAttempts; tries++ {
-		e, ok := s.inner.Next()
-		if !ok {
-			return data.Entry{}, false
-		}
-		if s.pred.Match(e.ID) {
-			s.draws++
-			return e, true
-		}
-		s.rejects++
-	}
-	return data.Entry{}, false
-}
-
-var _ BatchSampler = (*Filtered)(nil)
-
-// NextBatch implements BatchSampler: inner batches are pulled through the
-// inner sampler's own fast path and filtered into dst. The inner stream's
-// byte-identity contract plus deterministic filtering keeps the emitted
-// sequence identical to repeated Next calls.
+// NextBatch implements Sampler: inner pulls sized by what is still missing
+// are filtered into dst. The inner stream's chunking invariance plus
+// deterministic filtering makes the accepted stream chunking-invariant too.
 func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
@@ -89,7 +70,7 @@ func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 	got, attempts := 0, 0
 	for got < k {
 		want := k - got
-		n := NextBatch(s.inner, s.buf[:want], want)
+		n := s.inner.NextBatch(s.buf[:want], want)
 		for _, e := range s.buf[:n] {
 			if s.pred.Match(e.ID) {
 				dst[got] = e

@@ -1,0 +1,235 @@
+package sampling_test
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"storm/internal/data"
+	"storm/internal/distr"
+	"storm/internal/distr/distrtest"
+	"storm/internal/lstree"
+	"storm/internal/pred"
+	"storm/internal/rstree"
+	"storm/internal/rtree"
+	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
+	"storm/internal/stats"
+)
+
+// goldenSerialFile pins the seeded one-at-a-time ID stream of every
+// sampler: one line per case, "<name> <samples> <sha256 of the IDs>". It
+// was recorded with each sampler's own Next method at the commit BEFORE
+// NextBatch became the whole Sampler contract and must never be
+// regenerated to make a refactor pass — a changed line means a seeded
+// stream changed. STORM_UPDATE_GOLDEN=1 rewrites it (for a deliberate,
+// reviewed behaviour change only).
+const goldenSerialFile = "testdata/golden_serial_streams.txt"
+
+// goldenPulls are the pull patterns every case must reproduce its golden
+// line under: one sample at a time through sampling.Next, and a cyclic mix
+// of the sizes the engine's driver issues (it grows 16 → 1024) with
+// one-sample pulls in between.
+var goldenPulls = [][]int{nil, {1, 7, 64, 1, 1024}}
+
+// goldenCase is one seeded stream: mk builds a fresh sampler (and, for
+// the distributed cases, a fresh cluster — the coordinator draws shard
+// seeds from the cluster's own sequence), limit caps the infinite
+// with-replacement streams (negative drains to exhaustion).
+type goldenCase struct {
+	name  string
+	limit int
+	mk    func() sampling.Sampler
+}
+
+// goldenDrain pulls s with the cyclic size pattern — nil means
+// sampling.Next — and renders the stream as "<samples> <sha256>".
+func goldenDrain(s sampling.Sampler, sizes []int, limit int) string {
+	var ids []data.ID
+	if sizes != nil {
+		ids = samplingtest.Drain(s, sizes, limit)
+	} else {
+		for limit < 0 || len(ids) < limit {
+			e, ok := sampling.Next(s)
+			if !ok {
+				break
+			}
+			ids = append(ids, e.ID)
+		}
+	}
+	h := sha256.New()
+	for _, id := range ids {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(id))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%d %x", len(ids), h.Sum(nil))
+}
+
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
+	ds := distrtest.Dataset(30000)
+	q := distrtest.Query()
+	entries := ds.Entries()
+	terms := []pred.Term{{Attr: "value", Lo: 110, Hi: math.Inf(1), LoOpen: true}}
+	where, err := pred.Normalize(terms).Compile(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A tiny per-node buffer forces part materialization constantly, a
+	// small top level forces LS-tree level fall-throughs.
+	rs, err := rstree.Build(entries, rstree.Config{Fanout: 16, BufferSize: 4, Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := rtree.NewSummaries(rs.Tree(), ds)
+	sums.Precompute()
+	ls, err := lstree.Build(entries, lstree.Config{Fanout: 16, TopLevelMax: 128, Seed: 53, Attrs: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := func() *rtree.TreeFilter { return rtree.NewTreeFilter(where, sums) }
+
+	const wrLimit = 3000
+	var cases []goldenCase
+	// add registers the three predicate shapes of one sampler: none, the
+	// sampler's own pushdown, and the Filtered rejection wrapper.
+	add := func(name string, limit int, plain, pushdown func() sampling.Sampler) {
+		cases = append(cases,
+			goldenCase{name + "/plain", limit, plain},
+			goldenCase{name + "/pushdown", limit, pushdown},
+			goldenCase{name + "/reject", limit, func() sampling.Sampler { return sampling.NewFiltered(plain(), where) }},
+		)
+	}
+	modes := []struct {
+		name  string
+		mode  sampling.Mode
+		limit int
+	}{{"wor", sampling.WithoutReplacement, -1}, {"wr", sampling.WithReplacement, wrLimit}}
+	for _, m := range modes {
+		mode := m.mode
+		add("rs-tree/"+m.name, m.limit,
+			func() sampling.Sampler { return rs.Sampler(q, mode, stats.NewRNG(101)) },
+			func() sampling.Sampler { return rs.SamplerWhere(q, mode, stats.NewRNG(101), filter()) })
+		add("queryfirst/"+m.name, m.limit,
+			func() sampling.Sampler { return sampling.NewQueryFirst(rs.Tree(), q, mode, stats.NewRNG(102)) },
+			func() sampling.Sampler {
+				return sampling.NewQueryFirstWhere(rs.Tree(), q, mode, stats.NewRNG(102), filter())
+			})
+		add("randompath/"+m.name, m.limit,
+			func() sampling.Sampler { return sampling.NewRandomPath(rs.Tree(), q, mode, stats.NewRNG(103)) },
+			func() sampling.Sampler {
+				return sampling.NewRandomPathWhere(rs.Tree(), q, mode, stats.NewRNG(103), filter())
+			})
+		// Draining a without-replacement SampleFirst runs it into its
+		// degraded filtered scan, so that path is pinned too.
+		add("samplefirst/"+m.name, m.limit,
+			func() sampling.Sampler { return sampling.NewSampleFirst(ds, q, mode, stats.NewRNG(104), nil, 64) },
+			func() sampling.Sampler {
+				sf := sampling.NewSampleFirst(ds, q, mode, stats.NewRNG(104), nil, 64)
+				sf.Pred = where
+				return sf
+			})
+	}
+	add("ls-tree/wor", -1,
+		func() sampling.Sampler { return ls.Sampler(q, stats.NewRNG(105)) },
+		func() sampling.Sampler { return ls.SamplerWhere(q, stats.NewRNG(105), where) })
+
+	cluster := func(cfg distr.Config) *distr.Cluster {
+		c, err := distr.Build(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, shards := range []int{1, 4, 8} {
+		cfg := distr.Config{Shards: shards, Seed: 5}
+		add(fmt.Sprintf("distributed/%d-shards", shards), -1,
+			func() sampling.Sampler { return cluster(cfg).Sampler(q) },
+			func() sampling.Sampler { return cluster(cfg).SamplerWhere(q, terms) })
+	}
+	// Fault plans. A stream stays chunking-invariant across a fault as long
+	// as the fault lands at the same stream position under every pull
+	// pattern, which these three arrange:
+	//   - crash-recover: the shard crashes after two fetches and is back
+	//     within the fetch's own retry budget, so the stream is untouched
+	//     wherever the crash falls;
+	//   - crash: shard 0 owns the stream's first draw and dies on its first
+	//     fetch, so the loss lands in a one-sample round under every pattern
+	//     (a loss inside a wider round re-weights the rest of that round
+	//     instead of redrawing it — uniform, but a different stream);
+	//   - failover: at R=2 the primary copy of shard 1 dies on its first
+	//     fetch, before the shard has emitted anything, and the stream moves
+	//     to the surviving clone.
+	faulted := func(name string, replicas int, plan *distr.FaultPlan) {
+		cases = append(cases, goldenCase{"distributed/4-shards/" + name, -1, func() sampling.Sampler {
+			return cluster(distrtest.FastConfig(4, 5, plan, replicas)).Sampler(q)
+		}})
+	}
+	faulted("crash-recover", 1, &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{
+		1: {Crash: true, CrashAfterFetches: 2, RecoverAfter: 2}}})
+	faulted("crash", 1, &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{
+		goldenCrashShard: {Crash: true}}})
+	faulted("failover", 2, &distr.FaultPlan{Replicas: map[distr.ReplicaTarget]distr.ShardFaultPlan{
+		{Shard: 1, Replica: 0}: {Crash: true}}})
+	return cases
+}
+
+// goldenCrashShard is the shard of the 4-shard, seed-5 fixture that the
+// healthy stream's first draw lands on (see the fault-plan cases).
+const goldenCrashShard = 0
+
+// TestGoldenSerialStreams is the safety net under the one-draw-primitive
+// refactor: every sampler × mode × predicate shape × cluster layout must
+// reproduce the ID stream its own serial Next method produced at the
+// parent commit, both one sample at a time and under a mixed pull pattern.
+func TestGoldenSerialStreams(t *testing.T) {
+	cases := goldenCases(t)
+
+	if os.Getenv("STORM_UPDATE_GOLDEN") == "1" {
+		var b strings.Builder
+		for _, c := range cases {
+			fmt.Fprintf(&b, "%s %s\n", c.name, goldenDrain(c.mk(), nil, c.limit))
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenSerialFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d cases)", goldenSerialFile, len(cases))
+		return
+	}
+
+	file, err := os.Open(goldenSerialFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(file)
+	for sc.Scan() {
+		if name, rest, ok := strings.Cut(sc.Text(), " "); ok {
+			want[name] = rest
+		}
+	}
+	if len(want) != len(cases) {
+		t.Errorf("golden file has %d cases, the test ran %d", len(want), len(cases))
+	}
+	for _, c := range cases {
+		if strings.HasPrefix(want[c.name], "0 ") {
+			t.Errorf("%s: golden stream is empty", c.name)
+		}
+		for _, sizes := range goldenPulls {
+			if got := goldenDrain(c.mk(), sizes, c.limit); got != want[c.name] {
+				t.Errorf("%s pulls %v: stream changed\n  golden: %s\n  got:    %s", c.name, sizes, want[c.name], got)
+			}
+		}
+	}
+}

@@ -101,8 +101,35 @@ func (s *RandomPath) SamplerStats() SamplerStats {
 	return st
 }
 
-// Next implements Sampler.
-func (s *RandomPath) Next() (data.Entry, bool) {
+// NextBatch implements Sampler: repeated root-to-leaf walks with the
+// pull's node charges coalesced (one device lock per flush rather than per
+// visited node).
+func (s *RandomPath) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	if k <= 0 {
+		return 0
+	}
+	prev := s.acct
+	s.batch = reuseBatcher(s.batch, prev)
+	s.acct = s.batch
+	got := 0
+	for got < k {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
+		dst[got] = e
+		got++
+	}
+	s.acct = prev
+	s.batch.Flush()
+	return got
+}
+
+// next is the per-draw body: walks restart until one is accepted.
+func (s *RandomPath) next() (data.Entry, bool) {
 	if s.mode == WithoutReplacement {
 		if s.remaining < 0 {
 			s.remaining = s.tree.CountWhere(s.query, s.filter)

@@ -3,10 +3,11 @@
 // paper compares against: QueryFirst, SampleFirst and Olken's RandomPath.
 //
 // A Sampler is a per-query object that returns uniform random samples from
-// P ∩ Q one at a time, for an a-priori unknown sample count k: the consumer
-// keeps calling Next until it is satisfied (accuracy target met, time
-// budget exhausted, or the user cancels). The STORM indexes (packages
-// lstree and rstree) implement the same interface.
+// P ∩ Q for an a-priori unknown sample count: the consumer keeps pulling
+// with NextBatch — any number of samples at a time, one included — until
+// it is satisfied (accuracy target met, time budget exhausted, or the user
+// cancels). The STORM indexes (packages lstree and rstree) and the cluster
+// coordinator (package distr) implement the same interface.
 //
 // # Concurrency
 //
@@ -40,15 +41,42 @@ const (
 	WithReplacement
 )
 
-// Sampler returns uniform random samples from a query range one at a time.
+// Sampler is one query's stream of uniform random samples from its range.
 //
-// Next returns ok = false when the stream is exhausted: a without-
+// NextBatch fills dst[:n] with the next min(k, len(dst)) samples of the
+// stream and returns n; n < k means the stream is exhausted: a without-
 // replacement sampler over a range with q matching records is exhausted
 // after q samples; a with-replacement sampler is exhausted only when the
 // range is empty.
+//
+// The stream is chunking-invariant: for a fixed seed, the concatenation of
+// the NextBatch results is the same sequence however the pulls are sized —
+// a pull of k is k pulls of 1. Pulling more at a time only amortizes
+// per-sample overheads (lock acquisitions, I/O charge bookkeeping, network
+// round trips), never the draw distribution.
 type Sampler interface {
-	Next() (e data.Entry, ok bool)
+	NextBatch(dst []data.Entry, k int) int
 	Name() string
+}
+
+// Next draws one sample — the k = 1 pull — for callers that consume a
+// stream record by record; ok is false once the stream is exhausted. Each
+// call allocates its one-element destination, so a loop drawing many
+// samples should pull into a reused buffer with NextBatch instead.
+func Next(s Sampler) (e data.Entry, ok bool) {
+	var one [1]data.Entry
+	n := s.NextBatch(one[:], 1)
+	return one[0], n == 1
+}
+
+// reuseBatcher returns batch if it already forwards to acct, otherwise a
+// fresh Batcher targeting acct. Samplers keep their Batcher across
+// NextBatch calls so its run buffers are allocated once per query.
+func reuseBatcher(batch *iosim.Batcher, acct iosim.Accountant) *iosim.Batcher {
+	if batch != nil && batch.Target() == acct {
+		return batch
+	}
+	return iosim.NewBatcher(acct)
 }
 
 // QueryFirst is the paper's first strawman: compute P ∩ Q in full, then
@@ -93,31 +121,40 @@ func (s *QueryFirst) AttributeIO(a iosim.Accountant) {
 // Name implements Sampler.
 func (s *QueryFirst) Name() string { return "RangeReport" }
 
-// Next implements Sampler.
-func (s *QueryFirst) Next() (data.Entry, bool) {
+// NextBatch implements Sampler. All of QueryFirst's I/O happens in the one
+// up-front range report; after it a draw is one step over the result.
+func (s *QueryFirst) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	if k <= 0 {
+		return 0
+	}
 	if !s.fetched {
 		s.matched = s.tree.ReportAllWhereTo(s.acct, s.query, s.filter)
 		s.fetched = true
 	}
 	n := len(s.matched)
 	if n == 0 {
-		return data.Entry{}, false
+		return 0
 	}
+	got := 0
 	if s.mode == WithReplacement {
-		s.draws++
-		return s.matched[s.rng.Intn(n)], true
+		for ; got < k; got++ {
+			dst[got] = s.matched[s.rng.Intn(n)]
+		}
+	} else {
+		// Incremental Fisher–Yates: each emitted prefix is a uniform
+		// without-replacement sample.
+		for ; got < k && s.cursor < n; got++ {
+			j := s.cursor + s.rng.Intn(n-s.cursor)
+			s.matched[s.cursor], s.matched[j] = s.matched[j], s.matched[s.cursor]
+			dst[got] = s.matched[s.cursor]
+			s.cursor++
+		}
 	}
-	if s.cursor >= n {
-		return data.Entry{}, false
-	}
-	// Incremental Fisher–Yates: each emitted prefix is a uniform
-	// without-replacement sample.
-	j := s.cursor + s.rng.Intn(n-s.cursor)
-	s.matched[s.cursor], s.matched[j] = s.matched[j], s.matched[s.cursor]
-	e := s.matched[s.cursor]
-	s.cursor++
-	s.draws++
-	return e, true
+	s.draws += uint64(got)
+	return got
 }
 
 // SamplerStats implements StatsReporter: Scans records the up-front full
@@ -225,8 +262,35 @@ func (s *SampleFirst) SamplerStats() SamplerStats {
 	return st
 }
 
-// Next implements Sampler.
-func (s *SampleFirst) Next() (data.Entry, bool) {
+// NextBatch implements Sampler. Page charges for the whole pull are
+// coalesced into run-length batches, taking the device lock once per flush
+// instead of once per inspected record.
+func (s *SampleFirst) NextBatch(dst []data.Entry, k int) int {
+	if k > len(dst) {
+		k = len(dst)
+	}
+	if k <= 0 {
+		return 0
+	}
+	prev := s.dev
+	s.batch = reuseBatcher(s.batch, prev)
+	s.dev = s.batch
+	got := 0
+	for got < k {
+		e, ok := s.next()
+		if !ok {
+			break
+		}
+		dst[got] = e
+		got++
+	}
+	s.dev = prev
+	s.batch.Flush()
+	return got
+}
+
+// next is the per-draw body: the rejection loop for one accepted sample.
+func (s *SampleFirst) next() (data.Entry, bool) {
 	n := s.ds.Len()
 	if n == 0 {
 		return data.Entry{}, false

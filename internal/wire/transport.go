@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -14,9 +13,9 @@ type Handler interface {
 	Handle(req Msg) Msg
 }
 
-// Counts is a transport's traffic tally. The loopback transport always
-// reports zeros — it moves no bytes — which is how package distr knows to
-// keep its simulated NetStats charges for ablation comparability.
+// Counts is a transport's measured traffic tally. Package distr reports
+// it as a remote cluster's NetStats; in-process clusters never go through
+// a Transport and charge simulated messages instead.
 type Counts struct {
 	// MsgsSent/MsgsRecv count frames written and read by this endpoint.
 	MsgsSent, MsgsRecv uint64
@@ -36,32 +35,6 @@ type Transport interface {
 	// Close releases the transport's connections.
 	Close() error
 }
-
-// Loopback is the in-process transport: RoundTrip dispatches straight to
-// the handler with no serialization, no deadline and no traffic counts —
-// byte-identical in behavior and cost to the pre-wire direct calls.
-type Loopback struct {
-	h Handler
-}
-
-// NewLoopback returns a loopback transport over h.
-func NewLoopback(h Handler) *Loopback { return &Loopback{h: h} }
-
-// RoundTrip implements Transport by direct dispatch. The timeout is
-// ignored: in-process calls cannot hang on a network.
-func (l *Loopback) RoundTrip(req Msg, _ time.Duration) (Msg, error) {
-	resp := l.h.Handle(req)
-	if resp == nil {
-		return nil, fmt.Errorf("wire: loopback handler returned no response for %v", req.WireKind())
-	}
-	return resp, nil
-}
-
-// Counts implements Transport; a loopback moves no bytes.
-func (l *Loopback) Counts() Counts { return Counts{} }
-
-// Close implements Transport.
-func (l *Loopback) Close() error { return nil }
 
 // counters is the shared atomic tally embedded by counting transports.
 type counters struct {

@@ -2,9 +2,10 @@
 // distributed STORM deployment: a compact length-prefixed binary codec for
 // the shard round shapes (count rounds, the batched simulate→fetch sample
 // protocol, insert/delete mirroring, attribute summaries for lost-mass
-// bounds) plus the transports that carry it — an in-process loopback that
-// dispatches messages without serialization and a TCP transport with
-// per-request deadlines (see transport.go and tcp.go).
+// bounds) plus the transport that carries it — TCP with per-request
+// deadlines (see transport.go and tcp.go). In-process clusters call their
+// shard backends directly (package distr's loopback client) and never
+// touch this package's codec.
 //
 // # Frame format
 //

@@ -163,21 +163,6 @@ func (h *echoHandler) Handle(req Msg) Msg {
 	}
 }
 
-func TestLoopbackTransport(t *testing.T) {
-	h := &echoHandler{}
-	lb := NewLoopback(h)
-	resp, err := lb.RoundTrip(&Count{Query: geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{2, 3, 4})}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resp.(*CountOK).N; got != 24 {
-		t.Fatalf("N = %d, want 24", got)
-	}
-	if c := lb.Counts(); c != (Counts{}) {
-		t.Fatalf("loopback reported traffic: %+v", c)
-	}
-}
-
 func TestTCPTransport(t *testing.T) {
 	h := &echoHandler{}
 	srv, err := NewServer("127.0.0.1:0", h)

@@ -16,6 +16,7 @@ import (
 
 	"storm/internal/bench"
 	"storm/internal/data"
+	"storm/internal/engine"
 	"storm/internal/estimator"
 	"storm/internal/gen"
 	"storm/internal/geo"
@@ -375,6 +376,41 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkRegister times what stands between a start (or a shard-host
+// restart) and the first answer: engine.Register of the benchmark-of-record
+// dataset with both indexes. sort-ms and pack-ms split one further build
+// into the same two halves Register runs — the concurrent, pure STR sorts
+// (level 0 shared by both indexes) and the serial packing against the
+// device, RS-tree buffers included.
+func BenchmarkRegister(b *testing.B) {
+	ds := gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := engine.New(engine.Config{Seed: 1, NoMetrics: true})
+		if _, err := e.Register(ds, engine.IndexOptions{LSTree: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+
+	start := time.Now()
+	sorted, err := lstree.Sort(ds.Entries(), lstree.Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sortMS := float64(time.Since(start).Microseconds()) / 1000
+	start = time.Now()
+	if _, err := rstree.BuildSorted(sorted.Level0(), rstree.Config{Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sorted.Pack(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(sortMS, "sort-ms")
+	b.ReportMetric(float64(time.Since(start).Microseconds())/1000, "pack-ms")
 }
 
 // ---- substrate micro-benchmarks ----

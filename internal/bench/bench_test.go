@@ -213,7 +213,7 @@ func TestA5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
+	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	byIndex := map[string]A5Point{}

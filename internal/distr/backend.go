@@ -7,7 +7,7 @@ package distr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"storm/internal/data"
@@ -25,7 +25,7 @@ import (
 // partition splits the dataset into contiguous Hilbert ranges — one per
 // shard, spatially coherent so selective queries touch few shards. The
 // result is fully deterministic in the dataset contents and shard count
-// (the sort is over totally-ordered keys with index tie-breaks), so a
+// (a comparison sort's permutation depends only on its comparisons), so a
 // coordinator and a remote shard host partitioning the same dataset agree
 // on every shard's contents without shipping them.
 func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect, err error) {
@@ -39,15 +39,26 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 	if err != nil {
 		return nil, geo.Rect{}, fmt.Errorf("distr: %w", err)
 	}
-	keys := make([]uint64, len(entries))
+	// Sorting (key, position) pairs by key alone moves 16 bytes per swap
+	// and reads no other memory; equal keys compare equal whatever their
+	// position, so the order is the one a sort over the entries would give.
+	type keyed struct {
+		key uint64
+		idx int
+	}
+	order := make([]keyed, len(entries))
 	for i, e := range entries {
-		keys[i] = quant.Value(e.Pos[0], e.Pos[1], e.Pos[2])
+		order[i] = keyed{key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), idx: i}
 	}
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	slices.SortFunc(order, func(a, b keyed) int {
+		switch {
+		case a.key < b.key:
+			return -1
+		case a.key > b.key:
+			return 1
+		}
+		return 0
+	})
 
 	parts = make([][]data.Entry, shards)
 	per := (len(entries) + shards - 1) / shards
@@ -61,8 +72,8 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 			hi = len(entries)
 		}
 		part := make([]data.Entry, 0, hi-lo)
-		for _, idx := range order[lo:hi] {
-			part = append(part, entries[idx])
+		for _, k := range order[lo:hi] {
+			part = append(part, entries[k.idx])
 		}
 		parts[s] = part
 	}
@@ -71,16 +82,18 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 
 // buildShard materializes one shard from its partition: a local RS-tree
 // (seeded cfg.Seed + id*7919, the derivation both the in-process cluster
-// and remote shard hosts use), an optional simulated device, and the
-// per-attribute summaries behind lost-mass bounds.
-func buildShard(ds *data.Dataset, part []data.Entry, id int, bounds geo.Rect, cfg Config) (*Shard, error) {
+// and remote shard hosts use) packed from sorted — the partition in STR
+// order at cfg.Fanout, which replicas of one shard share — an optional
+// simulated device, and the per-attribute summaries behind lost-mass
+// bounds (digested in partition order: float sums are order-sensitive).
+func buildShard(ds *data.Dataset, part, sorted []data.Entry, id int, bounds geo.Rect, cfg Config) (*Shard, error) {
 	var dev *iosim.Device
 	var acct iosim.Accountant = iosim.Discard
 	if cfg.BufferPoolPages > 0 {
 		dev = iosim.NewDevice(cfg.BufferPoolPages, iosim.DefaultCostModel())
 		acct = dev
 	}
-	idx, err := rstree.Build(part, rstree.Config{
+	idx, err := rstree.BuildSorted(sorted, rstree.Config{
 		Fanout: cfg.Fanout,
 		Device: acct,
 		Bounds: bounds,

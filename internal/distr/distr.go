@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -387,19 +388,41 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each replica is an exact clone: same partition, same build seed, so
+	// the copies hold identical trees and any of them can serve any stream.
+	// The partitions are therefore sorted once each (concurrently), and the
+	// S×R copies — every one on a device of its own, so nothing orders them
+	// — are packed side by side on up to GOMAXPROCS goroutines.
+	sorted := rtree.STROrder(cfg.Fanout, parts...)
+	built := make([]*Shard, cfg.Shards*cfg.Replicas)
+	errs := make([]error, len(built))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range built {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			s := i / cfg.Replicas
+			built[i], errs[i] = buildShard(ds, parts[s], sorted[s], s, bounds, cfg)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
 	c := &Cluster{cfg: cfg, ds: ds}
 	c.faults = newFaultStates(cfg.Faults, cfg.Shards, cfg.Replicas)
-	for s, part := range parts {
-		// Each replica is an exact clone: same partition, same build seed,
-		// so the copies hold identical trees and any of them can serve any
-		// stream. Shards() and the scatter/gather raw path see only the
-		// primaries; updates mirror to every copy (Insert/Delete).
+	for s := range parts {
+		// Shards() and the scatter/gather raw path see only the primaries;
+		// updates mirror to every copy (Insert/Delete).
 		reps := make([]ShardClient, 0, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
-			sh, err := buildShard(ds, part, s, bounds, cfg)
-			if err != nil {
-				return nil, err
-			}
+			sh := built[s*cfg.Replicas+r]
 			b := newShardBackend(sh, ds)
 			var cl ShardClient = &loopbackClient{b: b}
 			if r == 0 {

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"storm/internal/data"
+	"storm/internal/rtree"
 	"storm/internal/wire"
 )
 
@@ -194,7 +195,8 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}
-	sh, err := buildShard(ds, parts[req.Shard], int(req.Shard), bounds, cfg)
+	part := parts[req.Shard]
+	sh, err := buildShard(ds, part, rtree.STROrder(cfg.Fanout, part)[0], int(req.Shard), bounds, cfg)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -212,5 +213,109 @@ func TestPerQueryIOAttribution(t *testing.T) {
 	}
 	if dev := e.Device().Stats().Logical; sumLogical > dev {
 		t.Errorf("attributed logical I/O %d exceeds device total %d", sumLogical, dev)
+	}
+}
+
+// namedUniform is gen.Uniform under a caller-chosen dataset name.
+func namedUniform(name string, n int, seed int64) *data.Dataset {
+	src := gen.Uniform(n, seed, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
+	col, _ := src.NumericColumn("value")
+	ds := data.NewDataset(name)
+	ds.AddNumericColumn("value")
+	for i := 0; i < src.Len(); i++ {
+		ds.Append(data.Row{Pos: src.Pos(uint64(i)), Num: map[string]float64{"value": col[i]}})
+	}
+	return ds
+}
+
+// TestRegisterDoesNotBlockOtherDatasets pins that Register builds outside
+// the engine lock: while dataset b is being indexed, lookups of — and exact
+// counts on — the already-registered dataset a keep completing. A round
+// counts only if b is still unpublished once it has finished; with the
+// build under the lock every round but (at most) the first would block
+// until b was visible.
+func TestRegisterDoesNotBlockOtherDatasets(t *testing.T) {
+	e := New(Config{Seed: 42, Fanout: 32})
+	if _, err := e.Register(namedUniform("a", 5_000, 7), IndexOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	b := namedUniform("b", 150_000, 8)
+
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		close(started)
+		_, err := e.Register(b, IndexOptions{LSTree: true, Shards: 2})
+		done <- err
+	}()
+	<-started
+
+	during := 0
+	for registered := false; !registered; {
+		h, err := e.Dataset("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Count(testRange); got == 0 {
+			t.Fatal("COUNT on a returned 0")
+		}
+		names := e.Datasets()
+		if _, err := e.Dataset("b"); err != nil {
+			during++
+			if len(names) != 1 {
+				t.Fatalf("half-registered dataset listed: %v", names)
+			}
+		} else {
+			registered = true
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if during < 3 {
+		t.Errorf("%d lookup rounds on a completed while b was registering, want several", during)
+	}
+}
+
+// TestRegisterSameNameConcurrently races registrations of one name: exactly
+// one wins, the rest fail without publishing anything, and a failed build
+// releases its reservation.
+func TestRegisterSameNameConcurrently(t *testing.T) {
+	e := New(Config{Seed: 42, Fanout: 32})
+	const racers = 6
+	errs := make([]error, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = e.Register(namedUniform("dup", 20_000, int64(i)), IndexOptions{LSTree: true, Shards: 2, Replicas: 2})
+		}(i)
+	}
+	wg.Wait()
+	won := 0
+	for _, err := range errs {
+		if err == nil {
+			won++
+		}
+	}
+	if won != 1 {
+		t.Fatalf("%d of %d concurrent registrations of one name succeeded, want exactly 1: %v", won, racers, errs)
+	}
+	if names := e.Datasets(); len(names) != 1 || names[0] != "dup" {
+		t.Fatalf("datasets after the race = %v", names)
+	}
+
+	// Every index rejects fanout 2, so the build fails with the cluster
+	// goroutine in flight; the name must come free again, not stay reserved.
+	bad := New(Config{Seed: 1, Fanout: 2})
+	for attempt := 0; attempt < 2; attempt++ {
+		_, err := bad.Register(namedUniform("x", 500, 1), IndexOptions{LSTree: true, Shards: 2})
+		if err == nil || strings.Contains(err.Error(), "already registered") {
+			t.Fatalf("attempt %d: err = %v, want the fanout error", attempt, err)
+		}
+	}
+	if names := bad.Datasets(); len(names) != 0 {
+		t.Fatalf("failed registration left %v behind", names)
 	}
 }

@@ -111,15 +111,18 @@ type Engine struct {
 	mu       sync.RWMutex
 	cfg      Config
 	datasets map[string]*Handle
-	device   *iosim.Device
-	seedSeq  int64
-	obs      *obs.Registry
-	met      *metrics
+	// registering holds the names Register has reserved and is still
+	// building, so the build itself can run outside mu.
+	registering map[string]struct{}
+	device      *iosim.Device
+	seedSeq     int64
+	obs         *obs.Registry
+	met         *metrics
 }
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, datasets: make(map[string]*Handle)}
+	e := &Engine{cfg: cfg, datasets: make(map[string]*Handle), registering: make(map[string]struct{})}
 	if cfg.BufferPoolPages > 0 {
 		e.device = iosim.NewDevice(cfg.BufferPoolPages, iosim.DefaultCostModel())
 	}
@@ -240,22 +243,125 @@ func (h *Handle) beginQuery(start time.Time) *queryObs {
 
 // Register indexes a dataset and makes it queryable. The dataset must not
 // be mutated directly afterwards; use Insert/Delete on the handle.
+//
+// The engine lock is held only to reserve the name and to publish the
+// finished handle, never across the build: lookups of, and queries on, the
+// datasets already registered proceed while this one is indexed. Of several
+// concurrent registrations of one name exactly one succeeds.
 func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
+	name := ds.Name()
+	e.mu.Lock()
+	_, dup := e.datasets[name]
+	if _, busy := e.registering[name]; dup || busy {
+		e.mu.Unlock()
+		return nil, fmt.Errorf("engine: dataset %q already registered", name)
+	}
+	e.registering[name] = struct{}{}
+	e.mu.Unlock()
+
+	h, err := e.build(ds, opts)
+
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.datasets[ds.Name()]; dup {
-		return nil, fmt.Errorf("engine: dataset %q already registered", ds.Name())
+	delete(e.registering, name)
+	if err != nil {
+		return nil, err
 	}
+	e.datasets[name] = h
+	e.publishDataset(h)
+	return h, nil
+}
+
+// build constructs a dataset's handle and indexes without touching the
+// engine's registry. One STR sort of the dataset serves both the RS-tree
+// and LS-tree level 0, the LS-tree's upper levels are sorted beside it, and
+// the shard cluster — its own devices, usually other processes — is built
+// concurrently with all of that. What is order-sensitive stays in the order
+// it always had: the per-index seeds are drawn RS, LS, cluster before any
+// work starts, and the trees are packed against the shared device serially,
+// RS-tree then LS-tree levels bottom-up, so page writes, buffer-pool state
+// and every seeded stream are those of a one-index-at-a-time build.
+func (e *Engine) build(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
+	rsSeed := e.nextSeed()
+	var lsSeed int64
+	if opts.LSTree {
+		lsSeed = e.nextSeed()
+	}
+	joinCluster := e.startCluster(ds, opts)
+
+	h, err := e.buildLocal(ds, opts.LSTree, rsSeed, lsSeed)
+	cluster, clusterErr := joinCluster()
+	if err == nil && clusterErr != nil {
+		err = fmt.Errorf("engine: building cluster for %q: %w", ds.Name(), clusterErr)
+	}
+	if err != nil {
+		if cluster != nil {
+			cluster.Close()
+		}
+		return nil, err
+	}
+	h.cluster = cluster
+	return h, nil
+}
+
+// startCluster begins building the dataset's shard cluster on its own
+// goroutine, if opts asks for one, and returns the function that waits for
+// it. Every path through build calls that function, so the goroutine never
+// outlives Register.
+func (e *Engine) startCluster(ds *data.Dataset, opts IndexOptions) (join func() (*distr.Cluster, error)) {
+	if opts.Shards == 0 && len(opts.ShardAddrs) == 0 {
+		return func() (*distr.Cluster, error) { return nil, nil }
+	}
+	cfg := distr.Config{
+		Shards:   opts.Shards,
+		Replicas: opts.Replicas,
+		Fanout:   e.cfg.Fanout,
+		Seed:     e.nextSeed(),
+		Obs:      e.obs,
+		Faults:   opts.Faults,
+	}
+	var (
+		cluster *distr.Cluster
+		err     error
+		done    = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		if len(opts.ShardAddrs) > 0 {
+			cluster, err = distr.BuildRemote(ds, cfg, opts.ShardAddrs)
+		} else {
+			cluster, err = distr.Build(ds, cfg)
+		}
+	}()
+	return func() (*distr.Cluster, error) {
+		<-done
+		return cluster, err
+	}
+}
+
+// buildLocal builds the handle's in-process indexes: the RS-tree, its
+// attribute summaries, and the LS-tree when asked for.
+func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64) (*Handle, error) {
 	var dev iosim.Accountant = iosim.Discard
 	if e.device != nil {
 		dev = e.device
 	}
+	rsCfg := rstree.Config{Fanout: e.cfg.Fanout, Device: dev, Seed: rsSeed}
 	entries := ds.Entries()
-	rs, err := rstree.Build(entries, rstree.Config{
-		Fanout: e.cfg.Fanout,
-		Device: dev,
-		Seed:   e.nextSeed(),
-	})
+	var (
+		rs       *rstree.Index
+		lsSorted *lstree.Sorted
+		err      error
+	)
+	if withLS {
+		lsCfg := lstree.Config{Fanout: e.cfg.Fanout, Device: dev, Seed: lsSeed, Attrs: ds}
+		if lsSorted, err = lstree.Sort(entries, lsCfg); err != nil {
+			return nil, fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), err)
+		}
+		rs, err = rstree.BuildSorted(lsSorted.Level0(), rsCfg)
+	} else {
+		rs, err = rstree.Build(entries, rsCfg)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: building RS-tree for %q: %w", ds.Name(), err)
 	}
@@ -268,46 +374,23 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 	// recomputation.
 	h.sums = rtree.NewSummaries(rs.Tree(), ds)
 	h.sums.Precompute()
-	if opts.LSTree {
-		ls, err := lstree.Build(entries, lstree.Config{
-			Fanout: e.cfg.Fanout,
-			Device: dev,
-			Seed:   e.nextSeed(),
-			Attrs:  ds,
-		})
-		if err != nil {
+	if withLS {
+		if h.ls, err = lsSorted.Pack(); err != nil {
 			return nil, fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), err)
 		}
-		h.ls = ls
 	}
-	if opts.Shards > 0 || len(opts.ShardAddrs) > 0 {
-		cfg := distr.Config{
-			Shards:   opts.Shards,
-			Replicas: opts.Replicas,
-			Fanout:   e.cfg.Fanout,
-			Seed:     e.nextSeed(),
-			Obs:      e.obs,
-			Faults:   opts.Faults,
-		}
-		var cl *distr.Cluster
-		var err error
-		if len(opts.ShardAddrs) > 0 {
-			cl, err = distr.BuildRemote(ds, cfg, opts.ShardAddrs)
-		} else {
-			cl, err = distr.Build(ds, cfg)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("engine: building cluster for %q: %w", ds.Name(), err)
-		}
-		h.cluster = cl
-	}
-	e.datasets[ds.Name()] = h
+	return h, nil
+}
+
+// publishDataset registers a freshly published handle's per-dataset metrics.
+// Caller holds e.mu, which orders it against Unregister's teardown.
+func (e *Engine) publishDataset(h *Handle) {
 	// Per-dataset live gauges; torn down by Unregister via the shared
 	// name prefix. Publish replaces, so re-registering after Unregister
 	// rebinds the Funcs to the new handle.
-	prefix := "storm.dataset." + ds.Name() + "."
+	prefix := "storm.dataset." + h.name + "."
 	e.obs.PublishFunc(prefix+"records", func() any { return h.Len() })
-	e.obs.PublishFunc(prefix+"buffer_regens", func() any { return rs.BufferRegens() })
+	e.obs.PublishFunc(prefix+"buffer_regens", func() any { return h.rs.BufferRegens() })
 	// Per-dataset convergence telemetry and contract-profile scrape
 	// views: the contract planner predicts from these, and operators can
 	// watch a dataset warm up. Same prefix, so Unregister tears them
@@ -325,7 +408,6 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 		_, _, n := h.prof.snapshot("")
 		return n
 	})
-	return h, nil
 }
 
 // nextSeed derives a fresh deterministic seed; safe for concurrent use.

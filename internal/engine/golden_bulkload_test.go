@@ -1,0 +1,182 @@
+package engine
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"storm/internal/data"
+	"storm/internal/gen"
+	"storm/internal/geo"
+	"storm/internal/rtree"
+	"storm/internal/sampling"
+)
+
+// bulkloadGoldenFile pins the structure Register builds: one line per tree,
+// "<case>/<tree> <nodes> <sha256 of the pre-order walk>", where the walk
+// renders every node's page ID, leaf flag, subtree count and (for leaves)
+// entry IDs in stored order. Page IDs seed the RS-tree's per-node sample
+// buffers and leaf order is what every sampler enumerates, so an unchanged
+// file means every seeded stream over these trees is unchanged too. It was
+// recorded at the commit BEFORE bulk loading was split into sort and pack
+// and must never be regenerated to make a build-path change pass.
+// STORM_UPDATE_GOLDEN=1 rewrites it (deliberate, reviewed changes only).
+const bulkloadGoldenFile = "testdata/golden_bulkload.txt"
+
+// treeDigest renders t's pre-order walk into a digest line.
+func treeDigest(t *rtree.Tree) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	nodes := 0
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		nodes++
+		put(uint64(n.PageID()))
+		leaf := uint64(0)
+		if n.IsLeaf() {
+			leaf = 1
+		}
+		put(leaf)
+		put(uint64(n.Count()))
+		for _, e := range n.Entries() {
+			put(e.ID)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(t.Root())
+	return fmt.Sprintf("%d %x", nodes, h.Sum(nil))
+}
+
+// idDigest digests a sample stream's record IDs in emission order.
+func idDigest(es []data.Entry) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, e := range es {
+		binary.LittleEndian.PutUint64(buf[:], e.ID)
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%d %x", len(es), h.Sum(nil))
+}
+
+// tieHeavy generates a point set built to collide on every STR sort key:
+// integer grid coordinates, whole-second timestamps, and every fifth record
+// an exact duplicate of an earlier one. Equal keys are where a different
+// sort routine would first reorder entries.
+func tieHeavy(n int) *data.Dataset {
+	ds := data.NewDataset("ties")
+	ds.AddNumericColumn("value")
+	state := uint64(0x9E3779B97F4A7C15)
+	next := func(mod uint64) uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return (state >> 33) % mod
+	}
+	for i := 0; i < n; i++ {
+		var pos geo.Vec
+		if i%5 == 4 {
+			pos = ds.Pos(next(uint64(i)))
+		} else {
+			pos = geo.Vec{float64(next(40)), float64(next(40)), float64(next(100))}
+		}
+		ds.Append(data.Row{Pos: pos, Num: map[string]float64{"value": float64(next(1000))}})
+	}
+	return ds
+}
+
+// TestGoldenBulkLoadStructure is the build-path safety net: every tree
+// Register builds — the RS-tree, each LS-tree level, each primary shard tree
+// — keeps its exact pre-order structure, seeded sample streams over them
+// keep their IDs, and the shared device ends a Register with the same
+// counters.
+func TestGoldenBulkLoadStructure(t *testing.T) {
+	got := map[string]string{}
+	var order []string
+	record := func(name, line string) {
+		if _, dup := got[name]; dup {
+			t.Fatalf("duplicate golden case %q", name)
+		}
+		got[name] = line
+		order = append(order, name)
+	}
+
+	sets := []struct {
+		name  string
+		build func() *data.Dataset
+		q     geo.Range
+	}{
+		{"osm50k", func() *data.Dataset { return gen.OSM(gen.OSMConfig{N: 50_000, Seed: 1}) },
+			geo.Range{MinX: -100, MinY: 30, MaxX: -80, MaxY: 45, MinT: 0, MaxT: 86400 * 365}},
+		{"ties20k", func() *data.Dataset { return tieHeavy(20_000) },
+			geo.Range{MinX: 5, MinY: 5, MaxX: 30, MaxY: 30, MinT: 0, MaxT: 100}},
+	}
+	for _, set := range sets {
+		for _, fanout := range []int{8, 64} {
+			name := fmt.Sprintf("%s/f%d", set.name, fanout)
+			e := New(Config{Seed: 7, Fanout: fanout, BufferPoolPages: 2048})
+			h, err := e.Register(set.build(), IndexOptions{LSTree: true, Shards: 3, Replicas: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			st := e.Device().Stats()
+			record(name+"/device", fmt.Sprintf("reads=%d writes=%d hits=%d logical=%d evictions=%d cost=%s",
+				st.Reads, st.Writes, st.Hits, st.Logical, st.Evictions, f(st.CostUnits)))
+			record(name+"/rs", treeDigest(h.rs.Tree()))
+			for i := 0; i < h.ls.Levels(); i++ {
+				record(fmt.Sprintf("%s/ls%d", name, i), treeDigest(h.ls.Level(i)))
+			}
+			for _, sh := range h.cluster.Shards() {
+				record(fmt.Sprintf("%s/shard%d", name, sh.ID), treeDigest(sh.Index().Tree()))
+			}
+			for _, m := range []Method{MethodRSTree, MethodLSTree, MethodDistributed} {
+				es, err := h.Sample(set.q, 400, m, sampling.WithoutReplacement, 99)
+				if err != nil {
+					t.Fatalf("%s: sampling %v: %v", name, m, err)
+				}
+				record(fmt.Sprintf("%s/sample-%v", name, m), idDigest(es))
+			}
+		}
+	}
+
+	if os.Getenv("STORM_UPDATE_GOLDEN") == "1" {
+		var b strings.Builder
+		for _, name := range order {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.WriteFile(bulkloadGoldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d cases)", bulkloadGoldenFile, len(order))
+		return
+	}
+
+	file, err := os.Open(bulkloadGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(file)
+	for sc.Scan() {
+		name, rest, ok := strings.Cut(sc.Text(), " ")
+		if ok {
+			want[name] = rest
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("golden file has %d cases, the test ran %d", len(want), len(got))
+	}
+	for _, name := range order {
+		if want[name] != got[name] {
+			t.Errorf("%s: structure changed\n  golden: %s\n  got:    %s", name, want[name], got[name])
+		}
+	}
+}

@@ -119,6 +119,25 @@ func (x *Index) BufferRegens() uint64 { return x.regens.Load() }
 
 // Build constructs an RS-tree over the given entries.
 func Build(entries []data.Entry, cfg Config) (*Index, error) {
+	return build(entries, cfg, (*rtree.Tree).BulkLoad)
+}
+
+// BuildSorted is Build over entries already in STR order at cfg.Fanout
+// (rtree.STROrder), for callers that sort once and pack several trees from
+// the one order — the engine's RS-tree and LS-tree level 0, a shard's
+// replicas. It skips Build's sort and is otherwise identical: the same
+// input order yields the same pages, buffers and device charges. sorted is
+// not retained. cfg.Packing must be the default (STR).
+func BuildSorted(sorted []data.Entry, cfg Config) (*Index, error) {
+	if cfg.Packing != rtree.PackSTR {
+		return nil, fmt.Errorf("rstree: BuildSorted packs STR order only")
+	}
+	return build(sorted, cfg, (*rtree.Tree).Pack)
+}
+
+// build is the shared body of Build and BuildSorted; load fills the fresh
+// tree from entries.
+func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry)) (*Index, error) {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = rtree.DefaultFanout
 	}
@@ -153,7 +172,7 @@ func Build(entries []data.Entry, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rstree: %w", err)
 	}
-	t.BulkLoad(entries)
+	load(t, entries)
 	idx := &Index{cfg: cfg, tree: t}
 	if !cfg.LazyBuffers {
 		idx.precomputeBuffers(t.Root())

@@ -17,8 +17,7 @@ import (
 // keep up with producer-side append rates (see package ingest).
 //
 // The entries slice is reordered in place. Classic (non-Hilbert) trees
-// fall back to per-entry insertion; callers there should pre-sort with
-// SortSTR to keep inserts spatially clustered.
+// fall back to per-entry insertion in the order given.
 func (t *Tree) InsertBatch(entries []data.Entry) {
 	if len(entries) == 0 {
 		return

@@ -2,42 +2,58 @@ package rtree
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"storm/internal/data"
 	"storm/internal/geo"
 )
 
 // BulkLoad builds the tree from scratch over the given entries, replacing
-// any existing contents. The sort order follows Config.Packing:
-// Sort-Tile-Recursive (the default) or Hilbert order (the Hilbert R-tree
-// construction the paper's RS-tree is built on). Both produce leaves
-// filled to the fanout, giving the compact trees the paper assumes.
+// any existing contents. It is sort-then-pack: a pure sort of a copy of the
+// entries into the order Config.Packing names — Sort-Tile-Recursive (the
+// default, see STROrder) or Hilbert order (the Hilbert R-tree construction
+// the paper's RS-tree is built on) — followed by Pack. Both orders produce
+// leaves filled to the fanout, giving the compact trees the paper assumes.
 // Hilbert-mode trees remain insertable after an STR load: inserts still
 // place by Hilbert value and leaf LHVs are exact maxima either way.
 func (t *Tree) BulkLoad(entries []data.Entry) {
+	if t.cfg.Packing == PackHilbert {
+		sorted := make([]data.Entry, len(entries))
+		copy(sorted, entries)
+		t.sortHilbert(sorted)
+		t.Pack(sorted)
+		return
+	}
+	t.Pack(STROrder(t.cfg.Fanout, entries)[0])
+}
+
+// Pack is the second half of a bulk load: it replaces the tree's contents
+// with the given entries, which must already be in the tree's packing order
+// (STROrder at the tree's fanout for the default packing). Everything that
+// has an order of its own happens here and nowhere else — page IDs are
+// assigned, node writes are charged to the device and the Hilbert key cache
+// is filled, leaf by leaf and then level by level — so trees packed one
+// after another charge a shared device exactly as if each had been bulk
+// loaded in turn, however their sorts were scheduled. Leaves copy their
+// entries: sorted is not retained and may back several trees.
+func (t *Tree) Pack(sorted []data.Entry) {
 	t.version++
-	t.size = len(entries)
-	if len(entries) == 0 {
+	t.size = len(sorted)
+	if len(sorted) == 0 {
 		t.root = t.newNode(true)
 		t.height = 1
 		return
 	}
-	sorted := make([]data.Entry, len(entries))
-	copy(sorted, entries)
-	if t.cfg.Packing == PackHilbert {
-		t.sortHilbert(sorted)
-	} else {
-		sortSTR(sorted, t.cfg.Fanout)
-	}
-
-	leaves := t.packLeaves(sorted)
+	nodes := t.packLeaves(sorted)
 	t.height = 1
-	for len(leaves) > 1 {
-		leaves = t.packInternal(leaves)
+	for len(nodes) > 1 {
+		nodes = t.packInternal(nodes)
 		t.height++
 	}
-	t.root = leaves[0]
+	t.root = nodes[0]
 }
 
 // sortHilbert orders entries by Hilbert value of their position.
@@ -61,51 +77,147 @@ func (s *hilbertSorter) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// SortSTR arranges entries in Sort-Tile-Recursive order (see sortSTR) —
-// the packing order bulk loads use. The streaming ingest drain sorts each
-// insert batch with it so consecutive one-at-a-time inserts stay spatially
-// clustered and leaf splits remain coherent.
-func SortSTR(entries []data.Entry, fanout int) { sortSTR(entries, fanout) }
+// STROrder returns a copy of each list arranged in Sort-Tile-Recursive
+// order for 3 dimensions: sort by x, cut into vertical slabs, sort each slab
+// by y, cut into runs, sort each run by t. Consecutive groups of fanout
+// entries then form spatially coherent leaves; a fanout below 1 (0 is
+// "unset" throughout, and New rejects the rest) tiles for DefaultFanout. It
+// is the pure first half of a bulk load — no tree, no device, no randomness
+// — so the lists, and the independent slabs within each, are sorted
+// concurrently on up to GOMAXPROCS goroutines.
+//
+// The result is nevertheless a pure function of each list: every sort is
+// the standard library's pdqsort over (coordinate, position) pairs compared
+// by coordinate alone, a comparison sort whose permutation — including the
+// order it leaves equal coordinates in — depends only on the outcomes of
+// its comparisons, never on what is being moved or on scheduling. Page
+// contents, and with them every seeded sample stream, rest on that.
+func STROrder(fanout int, lists ...[]data.Entry) [][]data.Entry {
+	if fanout < 1 {
+		fanout = DefaultFanout
+	}
+	sorts := make([]*strSort, len(lists))
+	total := 0
+	for i, src := range lists {
+		sorts[i] = newSTRSort(src, fanout)
+		total += 1 + sorts[i].slabs()
+	}
+	// Sized to the number of sends (one x-sort per list, which then queues
+	// its slabs), so a worker never blocks handing out more work.
+	tasks := make(chan func(scratch *[]data.Entry), total)
+	var pending sync.WaitGroup
+	pending.Add(total)
+	for _, s := range sorts {
+		tasks <- func(*[]data.Entry) {
+			s.sortX()
+			for lo := 0; lo < len(s.out); lo += s.slabSize {
+				tasks <- func(scratch *[]data.Entry) { s.sortSlab(lo, scratch) }
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), total)
+	var exited sync.WaitGroup
+	exited.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer exited.Done()
+			var scratch []data.Entry // this worker's slab-sized gather buffer
+			for task := range tasks {
+				task(&scratch)
+				pending.Done()
+			}
+		}()
+	}
+	pending.Wait()
+	close(tasks)
+	exited.Wait()
 
-// sortSTR arranges entries in Sort-Tile-Recursive order for 3 dimensions:
-// sort by x, cut into vertical slabs, sort each slab by y, cut into runs,
-// sort each run by t. Consecutive groups of fanout entries then form
-// spatially coherent leaves.
-func sortSTR(entries []data.Entry, fanout int) {
-	n := len(entries)
-	leaves := (n + fanout - 1) / fanout
-	// Number of slabs along each of the first two axes.
+	out := make([][]data.Entry, len(lists))
+	for i, s := range sorts {
+		out[i] = s.out
+	}
+	return out
+}
+
+// strKey is what the STR sorts move: one coordinate and the position of the
+// entry it belongs to — half the bytes of a data.Entry, and the entries
+// themselves are gathered once per pass.
+type strKey struct {
+	key float64
+	idx int
+}
+
+// cmpSTRKey orders keys by coordinate only; equal coordinates compare equal
+// whatever their positions, which is what keeps the permutation that of a
+// sort over the entries themselves.
+func cmpSTRKey(a, b strKey) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
+}
+
+// strSort is the STR sort of one list: sortX, then sortSlab for every slab
+// (each touches only its own range of keys and out, so slabs run in
+// parallel).
+type strSort struct {
+	src, out          []data.Entry
+	keys              []strKey
+	slabSize, runSize int
+}
+
+func newSTRSort(src []data.Entry, fanout int) *strSort {
+	leaves := (len(src) + fanout - 1) / fanout
+	// Number of slabs along each of the first two axes; each x-slab holds
+	// about s*s leaves' worth of entries, each y-run within it s leaves'.
 	s := int(math.Ceil(math.Cbrt(float64(leaves))))
 	if s < 1 {
 		s = 1
 	}
-
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Pos[0] < entries[j].Pos[0] })
-	slabSize := (n + s - 1) / s * 1 // entries per x-slab before y-split
-	// Each x-slab should contain about s*s leaves worth of entries.
-	slabSize = s * s * fanout
-	if slabSize < 1 {
-		slabSize = 1
+	return &strSort{
+		src:      src,
+		out:      make([]data.Entry, len(src)),
+		keys:     make([]strKey, len(src)),
+		slabSize: s * s * fanout,
+		runSize:  s * fanout,
 	}
-	for lo := 0; lo < n; lo += slabSize {
-		hi := lo + slabSize
-		if hi > n {
-			hi = n
+}
+
+func (s *strSort) slabs() int { return (len(s.out) + s.slabSize - 1) / s.slabSize }
+
+// sortX orders out by x.
+func (s *strSort) sortX() {
+	for i, e := range s.src {
+		s.keys[i] = strKey{key: e.Pos[0], idx: i}
+	}
+	slices.SortFunc(s.keys, cmpSTRKey)
+	for i, k := range s.keys {
+		s.out[i] = s.src[k.idx]
+	}
+}
+
+// sortSlab orders the x-slab starting at lo by y and each of its runs by t.
+func (s *strSort) sortSlab(lo int, scratch *[]data.Entry) {
+	hi := min(lo+s.slabSize, len(s.out))
+	slab, keys := s.out[lo:hi], s.keys[lo:hi]
+	for i, e := range slab {
+		keys[i] = strKey{key: e.Pos[1], idx: i}
+	}
+	slices.SortFunc(keys, cmpSTRKey)
+	for rlo := 0; rlo < len(keys); rlo += s.runSize {
+		run := keys[rlo:min(rlo+s.runSize, len(keys))]
+		for i, k := range run {
+			run[i].key = slab[k.idx].Pos[2]
 		}
-		slab := entries[lo:hi]
-		sort.Slice(slab, func(i, j int) bool { return slab[i].Pos[1] < slab[j].Pos[1] })
-		runSize := s * fanout
-		if runSize < 1 {
-			runSize = 1
-		}
-		for rlo := 0; rlo < len(slab); rlo += runSize {
-			rhi := rlo + runSize
-			if rhi > len(slab) {
-				rhi = len(slab)
-			}
-			run := slab[rlo:rhi]
-			sort.Slice(run, func(i, j int) bool { return run[i].Pos[2] < run[j].Pos[2] })
-		}
+		slices.SortFunc(run, cmpSTRKey)
+	}
+	unsorted := append((*scratch)[:0], slab...)
+	*scratch = unsorted
+	for i, k := range keys {
+		slab[i] = unsorted[k.idx]
 	}
 }
 

@@ -1,0 +1,115 @@
+package rtree
+
+import (
+	"math"
+	"slices"
+	"sort"
+	"testing"
+
+	"storm/internal/data"
+	"storm/internal/geo"
+)
+
+// referenceSTR is the in-place, one-list-at-a-time STR sort bulk loads used
+// before the sort/pack split (sort.Slice over the entries themselves), kept
+// as the oracle STROrder must reproduce exactly — ties included.
+func referenceSTR(entries []data.Entry, fanout int) {
+	n := len(entries)
+	leaves := (n + fanout - 1) / fanout
+	s := int(math.Ceil(math.Cbrt(float64(leaves))))
+	if s < 1 {
+		s = 1
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Pos[0] < entries[j].Pos[0] })
+	slabSize := s * s * fanout
+	for lo := 0; lo < n; lo += slabSize {
+		slab := entries[lo:min(lo+slabSize, n)]
+		sort.Slice(slab, func(i, j int) bool { return slab[i].Pos[1] < slab[j].Pos[1] })
+		runSize := s * fanout
+		for rlo := 0; rlo < len(slab); rlo += runSize {
+			run := slab[rlo:min(rlo+runSize, len(slab))]
+			sort.Slice(run, func(i, j int) bool { return run[i].Pos[2] < run[j].Pos[2] })
+		}
+	}
+}
+
+// tiedEntries collide on every axis: a coarse integer grid with each fourth
+// entry an exact duplicate of an earlier position.
+func tiedEntries(n int) []data.Entry {
+	out := make([]data.Entry, n)
+	state := uint64(12345)
+	next := func(mod uint64) uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return (state >> 33) % mod
+	}
+	for i := range out {
+		pos := geo.Vec{float64(next(12)), float64(next(12)), float64(next(30))}
+		if i%4 == 3 {
+			pos = out[next(uint64(i))].Pos
+		}
+		out[i] = data.Entry{ID: data.ID(i), Pos: pos}
+	}
+	return out
+}
+
+// TestSTROrderMatchesReference sorts several lists in one concurrent call
+// and checks each against the serial oracle, that inputs are left alone, and
+// that trees packed from one result share nothing.
+func TestSTROrderMatchesReference(t *testing.T) {
+	lists := [][]data.Entry{
+		genEntries(20_000, 1), tiedEntries(20_000), genEntries(1_000, 2),
+		tiedEntries(777), genEntries(7, 3), genEntries(1, 4), nil,
+	}
+	for _, fanout := range []int{4, 8, 64} {
+		before := make([][]data.Entry, len(lists))
+		for i, l := range lists {
+			before[i] = slices.Clone(l)
+		}
+		got := STROrder(fanout, lists...)
+		for i, l := range lists {
+			if !slices.Equal(l, before[i]) {
+				t.Fatalf("fanout %d list %d: STROrder modified its input", fanout, i)
+			}
+			want := slices.Clone(l)
+			referenceSTR(want, fanout)
+			if !slices.Equal(got[i], want) {
+				t.Errorf("fanout %d list %d (n=%d): order differs from the reference sort", fanout, i, len(l))
+			}
+		}
+
+		// Two trees packed from one sorted slice own their leaves: updates
+		// to one reach neither the other nor the slice (the engine packs its
+		// RS-tree and LS-tree level 0 from a single sort).
+		sorted := got[1]
+		kept := slices.Clone(sorted)
+		a, b := MustNew(Config{Fanout: fanout}), MustNew(Config{Fanout: fanout})
+		a.Pack(sorted)
+		b.Pack(sorted)
+		want := leafIDs(b)
+		for i, e := range lists[1][:500] {
+			if !a.Delete(e) {
+				t.Fatalf("fanout %d: delete %d failed", fanout, i)
+			}
+			a.Insert(data.Entry{ID: data.ID(1_000_000 + i), Pos: e.Pos})
+		}
+		if !slices.Equal(leafIDs(b), want) || !slices.Equal(sorted, kept) {
+			t.Errorf("fanout %d: updating one tree disturbed its sibling or the shared sorted slice", fanout)
+		}
+	}
+}
+
+// leafIDs lists a tree's entry IDs in leaf order.
+func leafIDs(t *Tree) []uint64 {
+	var ids []uint64
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for _, e := range n.entries {
+			ids = append(ids, e.ID)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return ids
+}

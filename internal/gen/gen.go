@@ -75,6 +75,7 @@ func OSM(cfg OSMConfig) *data.Dataset {
 
 	ds := data.NewDataset("osm")
 	ds.AddNumericColumn("altitude")
+	ds.Grow(cfg.N)
 
 	for i := 0; i < cfg.N; i++ {
 		var lon, lat float64
@@ -146,6 +147,7 @@ func Stations(cfg StationsConfig) *data.Dataset {
 	ds := data.NewDataset("mesowest")
 	ds.AddNumericColumn("temp")
 	ds.AddStringColumn("station")
+	ds.Grow(cfg.Stations * cfg.ReadingsPerStation)
 
 	for s := 0; s < cfg.Stations; s++ {
 		var lon, lat float64
@@ -238,6 +240,7 @@ func Tweets(cfg TweetsConfig) (*data.Dataset, map[string][]geo.Vec) {
 	ds := data.NewDataset("tweets")
 	ds.AddStringColumn("user")
 	ds.AddStringColumn("text")
+	ds.Grow(cfg.N)
 
 	type userState struct {
 		name     string
@@ -297,6 +300,7 @@ func Uniform(n int, seed int64, r geo.Range) *data.Dataset {
 	rng := stats.NewRNG(seed)
 	ds := data.NewDataset("uniform")
 	ds.AddNumericColumn("value")
+	ds.Grow(n)
 	minT, maxT := r.MinT, r.MaxT
 	if math.IsInf(minT, -1) {
 		minT = 0

@@ -100,10 +100,11 @@ type Sorted struct {
 }
 
 // Sort draws the level hierarchy over entries and sorts every level for
-// packing, all levels concurrently (rtree.STROrder). The coin flips read
-// the lists in the order given, never the sorted copies, so the structural
-// RNG advances exactly as it would if each level were built before the next
-// was drawn.
+// packing, all levels concurrently (rtree.STROrder). Level 0 is the input
+// itself, so its sort — the longest — starts at once and the coin flips are
+// drawn beside it; they read the lists in the order given, never the sorted
+// copies, and on one goroutine, so the structural RNG advances exactly as it
+// would if each level were built before the next was drawn.
 func Sort(entries []data.Entry, cfg Config) (*Sorted, error) {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = rtree.DefaultFanout
@@ -118,7 +119,9 @@ func Sort(entries []data.Entry, cfg Config) (*Sorted, error) {
 		return nil, fmt.Errorf("lstree: TopLevelMax must be positive")
 	}
 	s := &Sorted{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
-	lists := [][]data.Entry{entries}
+	level0 := make(chan []data.Entry, 1)
+	go func() { level0 <- rtree.STROrder(cfg.Fanout, entries)[0] }()
+	var upper [][]data.Entry
 	for level := entries; len(level) > cfg.TopLevelMax; {
 		next := make([]data.Entry, 0, len(level)/2+16)
 		for _, e := range level {
@@ -126,10 +129,13 @@ func Sort(entries []data.Entry, cfg Config) (*Sorted, error) {
 				next = append(next, e)
 			}
 		}
-		lists = append(lists, next)
+		upper = append(upper, next)
 		level = next
 	}
-	s.levels = rtree.STROrder(cfg.Fanout, lists...)
+	// Sorted before level 0 is waited for, not inside the append below:
+	// operands evaluate left to right and the receive would block first.
+	sortedUpper := rtree.STROrder(cfg.Fanout, upper...)
+	s.levels = append([][]data.Entry{<-level0}, sortedUpper...)
 	return s, nil
 }
 

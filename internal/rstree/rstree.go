@@ -112,9 +112,10 @@ type Index struct {
 	regens atomic.Uint64
 }
 
-// BufferRegens returns how many per-node sample buffers have been
-// (re)generated lazily by queries since the index was built — update
-// invalidation pressure plus, under LazyBuffers, first-touch generation.
+// BufferRegens returns how many per-node sample buffers queries have had to
+// (re)generate since the index was built — update invalidation pressure
+// plus, under LazyBuffers, first-touch generation. Buffers precomputed by
+// the build itself do not count, so a freshly built index reports 0.
 func (x *Index) BufferRegens() uint64 { return x.regens.Load() }
 
 // Build constructs an RS-tree over the given entries.
@@ -175,21 +176,62 @@ func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry
 	load(t, entries)
 	idx := &Index{cfg: cfg, tree: t}
 	if !cfg.LazyBuffers {
-		idx.precomputeBuffers(t.Root())
+		idx.precomputeBuffers()
 	}
 	return idx, nil
 }
 
+// bufferGrain is the fewest nodes worth a goroutine of their own when
+// buffers are precomputed; smaller trees generate inline.
+const bufferGrain = 32
+
 // precomputeBuffers materializes every node's sample buffer at build time,
 // as the on-disk layout would: S(u) is written next to u once, so queries
-// only ever *read* buffers. Leaf buffers double as the shuffled entry
-// list, so only internal nodes need generation work here.
-func (x *Index) precomputeBuffers(n *rtree.Node) {
-	x.bufferFor(n, x.tree.Device())
-	for _, c := range n.Children() {
-		x.precomputeBuffers(c)
+// only ever *read* buffers. A buffer is a pure function of (index seed, node
+// page, node version), so the nodes are generated in parallel chunks of the
+// pre-order walk; what has an order is the page reads a generation charges,
+// and a shared device still sees those node by node in pre-order: each
+// worker records the pages it read and the records are replayed in chunk
+// order. With nothing to share the order with — one chunk, or no accounting
+// — generation charges the tree's device directly and nothing is recorded.
+func (x *Index) precomputeBuffers() {
+	var nodes []*rtree.Node
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		nodes = append(nodes, n)
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(x.tree.Root())
+
+	dev := x.tree.Device()
+	logs := rtree.MapChunks(len(nodes), bufferGrain, func(lo, hi int) pageLog {
+		var log pageLog
+		acct := dev
+		// A chunk short of the whole list has siblings running beside it.
+		if hi-lo < len(nodes) && dev != iosim.Discard {
+			acct = &log
+		}
+		for _, n := range nodes[lo:hi] {
+			x.generate(n, acct)
+		}
+		return log
+	})
+	for _, log := range logs {
+		for _, p := range log {
+			dev.Access(p)
+		}
 	}
 }
+
+// pageLog is the accountant one precompute worker generates against: it
+// records the pages read, in order, for replay to the shared device.
+type pageLog []iosim.PageID
+
+func (l *pageLog) Access(p iosim.PageID) bool { *l = append(*l, p); return true }
+func (l *pageLog) Write(iosim.PageID)         {}
+func (l *pageLog) Invalidate(iosim.PageID)    {}
 
 // Tree exposes the underlying Hilbert R-tree (for counting, reporting and
 // structural tests).
@@ -222,6 +264,25 @@ type buffer struct {
 	entries []data.Entry // uniform without-replacement sample, random order
 }
 
+// StoredBuffer returns the sample buffer currently stored with n, in stored
+// order, or nil when n has none or its buffer is stale. Unlike a query's
+// read it charges nothing and generates nothing.
+func (x *Index) StoredBuffer(n *rtree.Node) []data.Entry {
+	if b := current(n); b != nil {
+		return b.entries
+	}
+	return nil
+}
+
+// current returns n's published buffer if it was built for n's current
+// version, else nil.
+func current(n *rtree.Node) *buffer {
+	if b, ok := n.Aux().(*buffer); ok && b.version == n.Version() {
+		return b
+	}
+	return nil
+}
+
 // bufferSeed derives the RNG seed for generating node n's buffer at its
 // current version. Making the seed — and therefore the buffer contents — a
 // pure function of (index seed, node page, node version) gives two
@@ -248,10 +309,16 @@ func (x *Index) bufferSeed(n *rtree.Node) int64 {
 // buffer is built off to the side and swapped in atomically, never mutating
 // the previously published one.
 func (x *Index) bufferFor(n *rtree.Node, acct iosim.Accountant) []data.Entry {
-	if b, ok := n.Aux().(*buffer); ok && b.version == n.Version() {
+	if b := current(n); b != nil {
 		return b.entries
 	}
 	x.regens.Add(1)
+	return x.generate(n, acct)
+}
+
+// generate builds and publishes node n's buffer for its current version,
+// charging acct for the pages the generating descent reads.
+func (x *Index) generate(n *rtree.Node, acct iosim.Accountant) []data.Entry {
 	s := x.cfg.BufferSize
 	if n.IsLeaf() {
 		// Leaf buffers hold every entry (in random order): the leaf is

@@ -7,6 +7,7 @@ import (
 	"storm/internal/data"
 	"storm/internal/geo"
 	"storm/internal/iosim"
+	"storm/internal/rtree"
 	"storm/internal/sampling"
 	"storm/internal/stats"
 )
@@ -409,6 +410,70 @@ func TestBufferReuseAcrossDraws(t *testing.T) {
 	st := dev.Stats()
 	if st.Reads >= uint64(k) {
 		t.Errorf("RS-tree did %d physical reads for %d samples; expected locality", st.Reads, k)
+	}
+}
+
+// TestBufferRegensCountsOnlyQueryWork pins what BufferRegens means: buffers
+// a query had to (re)generate. The build's own precompute is not one.
+func TestBufferRegensCountsOnlyQueryWork(t *testing.T) {
+	entries := genEntries(6000, 13)
+	drain := func(x *Index, k int) {
+		s := x.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(71))
+		for i := 0; i < k; i++ {
+			sampling.Next(s)
+		}
+	}
+	stored := func(x *Index) (nodes uint64) {
+		var walk func(n *rtree.Node)
+		walk = func(n *rtree.Node) {
+			if x.StoredBuffer(n) != nil {
+				nodes++
+			}
+			for _, c := range n.Children() {
+				walk(c)
+			}
+		}
+		walk(x.Tree().Root())
+		return nodes
+	}
+
+	built, err := Build(entries, Config{Fanout: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], Config{Fanout: 16, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Index{"Build": built, "BuildSorted": sorted} {
+		if got := x.BufferRegens(); got != 0 {
+			t.Errorf("%s: BufferRegens = %d on a fresh index, want 0", name, got)
+		}
+		if got, want := stored(x), uint64(x.Tree().NodeCount()); got != want {
+			t.Errorf("%s: %d of %d nodes carry a precomputed buffer", name, got, want)
+		}
+		drain(x, 300)
+		if got := x.BufferRegens(); got != 0 {
+			t.Errorf("%s: BufferRegens = %d after a query over precomputed buffers, want 0", name, got)
+		}
+	}
+
+	built.Insert(data.Entry{ID: 90000, Pos: geo.Vec{40, 40, 50}})
+	drain(built, 300)
+	if built.BufferRegens() == 0 {
+		t.Error("BufferRegens stayed 0 after an insert and a query over the touched path")
+	}
+
+	lazy, err := Build(entries, Config{Fanout: 16, Seed: 5, LazyBuffers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lazy.BufferRegens() + stored(lazy); got != 0 {
+		t.Errorf("LazyBuffers: fresh index has %d regens + stored buffers, want none", got)
+	}
+	drain(lazy, 300)
+	if got, want := lazy.BufferRegens(), stored(lazy); got == 0 || got != want {
+		t.Errorf("LazyBuffers: BufferRegens = %d, %d nodes were first-touched", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/iosim"
 )
 
 // BulkLoad builds the tree from scratch over the given entries, replacing
@@ -221,38 +222,56 @@ func (s *strSort) sortSlab(lo int, scratch *[]data.Entry) {
 	}
 }
 
-// packLeaves groups consecutive sorted entries into full leaves.
+// packGrain is the fewest leaves worth a goroutine of their own; smaller
+// packs (shard-sized test trees, LS-tree growth, the upper LS levels) build
+// inline.
+const packGrain = 256
+
+// packLeaves groups consecutive sorted entries into full leaves. Leaf i is
+// entries[i*fan:(i+1)*fan] on the i-th page after the current counter, so
+// the leaves themselves — entry copy, MBR, Hilbert key cache, LHV — are
+// built in parallel chunks; only the write charges have an order, and they
+// are applied afterwards in page order, which is all the device ever saw.
 func (t *Tree) packLeaves(entries []data.Entry) []*Node {
 	fan := t.cfg.Fanout
-	nodes := make([]*Node, 0, (len(entries)+fan-1)/fan)
-	for lo := 0; lo < len(entries); lo += fan {
-		hi := lo + fan
-		if hi > len(entries) {
-			hi = len(entries)
+	nodes := make([]*Node, (len(entries)+fan-1)/fan)
+	base := t.nextPage + 1
+	MapChunks(len(nodes), packGrain, func(lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:min((i+1)*fan, len(entries))])
 		}
-		n := t.newNode(true)
-		n.entries = append(n.entries, entries[lo:hi]...)
-		n.count = len(n.entries)
-		for _, e := range n.entries {
-			n.mbr = n.mbr.ExtendPoint(e.Pos)
-		}
-		if t.quant != nil {
-			// Populate the key cache and take the max for the LHV — not the
-			// last key: only Hilbert-sorted input guarantees the last entry
-			// carries the largest value, and STR packing is the default.
-			n.keys = make([]uint64, len(n.entries))
-			for i, e := range n.entries {
-				v := t.hilbertValue(e.Pos)
-				n.keys[i] = v
-				if v > n.lhv {
-					n.lhv = v
-				}
-			}
-		}
+		return struct{}{}
+	})
+	t.nextPage += iosim.PageID(len(nodes))
+	for _, n := range nodes {
 		t.chargeWrite(n)
-		nodes = append(nodes, n)
 	}
 	return nodes
+}
+
+// buildLeaf returns an uncharged leaf on the given page holding a copy of
+// entries.
+func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry) *Node {
+	n := &Node{page: page, leaf: true, mbr: geo.EmptyRect()}
+	n.entries = append(n.entries, entries...)
+	n.count = len(n.entries)
+	for _, e := range n.entries {
+		n.mbr = n.mbr.ExtendPoint(e.Pos)
+	}
+	if t.quant != nil {
+		// Populate the key cache and take the max for the LHV — not the
+		// last key: only Hilbert-sorted input guarantees the last entry
+		// carries the largest value, and STR packing is the default.
+		n.keys = make([]uint64, len(n.entries))
+		for i, e := range n.entries {
+			v := t.hilbertValue(e.Pos)
+			n.keys[i] = v
+			if v > n.lhv {
+				n.lhv = v
+			}
+		}
+	}
+	return n
 }
 
 // packInternal groups consecutive child nodes into parents.
@@ -279,15 +298,45 @@ func (t *Tree) packInternal(children []*Node) []*Node {
 	return nodes
 }
 
-// bulkBounds computes the MBR of a set of entries; used by callers that
-// need bounds before constructing a Hilbert tree.
-func bulkBounds(entries []data.Entry) geo.Rect {
+// boundsGrain is the fewest entries worth a goroutine of their own in
+// EntryBounds.
+const boundsGrain = 1 << 15
+
+// EntryBounds returns the MBR covering all given entries.
+func EntryBounds(entries []data.Entry) geo.Rect {
+	parts := MapChunks(len(entries), boundsGrain, func(lo, hi int) geo.Rect {
+		r := geo.EmptyRect()
+		for _, e := range entries[lo:hi] {
+			r = r.ExtendPoint(e.Pos)
+		}
+		return r
+	})
 	r := geo.EmptyRect()
-	for _, e := range entries {
-		r = r.ExtendPoint(e.Pos)
+	for _, part := range parts {
+		r = r.Extend(part)
 	}
 	return r
 }
 
-// EntryBounds returns the MBR covering all given entries.
-func EntryBounds(entries []data.Entry) geo.Rect { return bulkBounds(entries) }
+// MapChunks cuts [0, n) into contiguous chunks — as many as there are Ps,
+// but none shorter than grain — calls fn(lo, hi) on each concurrently and
+// returns the results in chunk order. It is for the parts of a build that
+// are pure functions of data already in place; whatever has an order (page
+// charges, RNG draws) is applied by the caller from the results. A single
+// chunk (n below 2*grain, or GOMAXPROCS = 1) runs fn(0, n) on the calling
+// goroutine and starts none, so small builds cost what a plain loop costs.
+func MapChunks[T any](n, grain int, fn func(lo, hi int) T) []T {
+	chunks := max(1, min(runtime.GOMAXPROCS(0), n/max(grain, 1)))
+	out := make([]T, chunks)
+	var wg sync.WaitGroup
+	wg.Add(chunks - 1)
+	for c := 1; c < chunks; c++ {
+		go func() {
+			defer wg.Done()
+			out[c] = fn(c*n/chunks, (c+1)*n/chunks)
+		}()
+	}
+	out[0] = fn(0, n/chunks)
+	wg.Wait()
+	return out
+}

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -112,4 +113,36 @@ func leafIDs(t *Tree) []uint64 {
 	}
 	walk(t.root)
 	return ids
+}
+
+// TestMapChunks checks the chunking contract: the chunks tile [0, n) in
+// order, there are at most GOMAXPROCS of them, and none is shorter than
+// grain unless it is the only one.
+func TestMapChunks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type span struct{ lo, hi int }
+	for _, procs := range []int{1, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 255, 511, 512, 1000, 10_000} {
+			for _, grain := range []int{1, 256} {
+				spans := MapChunks(n, grain, func(lo, hi int) span { return span{lo, hi} })
+				if len(spans) < 1 || len(spans) > procs {
+					t.Fatalf("procs=%d n=%d grain=%d: %d chunks", procs, n, grain, len(spans))
+				}
+				if (procs == 1 || n < 2*grain) && len(spans) != 1 {
+					t.Errorf("procs=%d n=%d grain=%d: want a single chunk, got %v", procs, n, grain, spans)
+				}
+				next := 0
+				for _, s := range spans {
+					if s.lo != next || s.hi < s.lo || (len(spans) > 1 && s.hi-s.lo < grain) {
+						t.Fatalf("procs=%d n=%d grain=%d: bad chunks %v", procs, n, grain, spans)
+					}
+					next = s.hi
+				}
+				if next != n {
+					t.Fatalf("procs=%d n=%d grain=%d: chunks end at %d", procs, n, grain, next)
+				}
+			}
+		}
+	}
 }

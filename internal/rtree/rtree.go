@@ -131,6 +131,14 @@ func (n *Node) Children() []*Node { return n.children }
 // Entries returns the data entries of a leaf node (nil for internal nodes).
 func (n *Node) Entries() []data.Entry { return n.entries }
 
+// LHV returns the largest Hilbert value of any entry below n (0 in classic
+// mode).
+func (n *Node) LHV() uint64 { return n.lhv }
+
+// HilbertKeys returns a leaf's cached Hilbert values, index-parallel to
+// Entries (nil in classic mode and for internal nodes). Read-only.
+func (n *Node) HilbertKeys() []uint64 { return n.keys }
+
 // Version returns a counter that changes whenever the subtree's contents
 // change; the RS-tree uses it to detect stale sample buffers.
 func (n *Node) Version() uint64 { return n.version }

@@ -67,9 +67,12 @@ FIG ?= all
 fig:
 	$(GO) run ./cmd/stormbench -fig $(FIG)
 
-# Statistical correctness harness: uniformity chi-square, CI coverage
-# rate, and lost-mass-bound coverage over hundreds of seeded
-# kill/degrade/recover runs (internal/stats/statcheck). Seeds are fixed
+# Statistical correctness harness over hundreds of seeded
+# kill/degrade/recover/failover runs (internal/stats/statcheck), each
+# property at the layer that owns it: stream uniformity (first-sample
+# chi-square) in internal/distr, which moves the samples; CI coverage,
+# unbiasedness and lost-mass-bound coverage in internal/engine, through
+# Handle.Estimate — the one place samples become an answer. Seeds are fixed
 # in the tests, so a failure is a real regression, not sampling noise
 # (false-positive budget ~1e-3 per check, see the statcheck package doc).
 # -run TestStat takes in the failover slice (TestStatFailover*) too.

@@ -1,51 +1,51 @@
 // Distributed: STORM on a (simulated) cluster of commodity machines. The
 // dataset is Hilbert-partitioned across shards, each with a local RS-tree;
 // a coordinator draws uniform samples across shards weighted by per-shard
-// matching counts and merges per-shard partial estimates — the deployment
-// the paper describes over a DFS.
+// matching counts and the engine folds that one stream into the estimate —
+// the deployment the paper describes over a DFS.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"storm"
-	"storm/internal/distr"
 )
 
 func main() {
 	fmt.Println("generating 1M OSM-like points...")
 	ds := storm.GenerateOSM(storm.OSMConfig{N: 1_000_000, Seed: 17})
+	db := storm.Open(storm.Config{Seed: 17})
+
+	q := storm.Range{MinX: -76, MinY: 38.7, MaxX: -72, MaxY: 42.7,
+		MinT: 0, MaxT: 86400 * 365}
 
 	for _, shards := range []int{1, 4, 8} {
-		cluster, err := distr.Build(ds, distr.Config{Shards: shards, Seed: 17})
+		h, err := db.Register(ds, storm.IndexOptions{Shards: shards})
 		if err != nil {
 			log.Fatal(err)
 		}
+		cluster := h.Cluster()
 		fmt.Printf("\n-- %d shard(s) --\n", shards)
 		for _, s := range cluster.Shards() {
 			fmt.Printf("  shard %d: %d records\n", s.ID, s.Len())
 		}
-
-		q := storm.Range{MinX: -76, MinY: 38.7, MaxX: -72, MaxY: 42.7,
-			MinT: 0, MaxT: 86400 * 365}.Rect()
-		fmt.Printf("  matching records across shards: %d\n", cluster.Count(q))
+		fmt.Printf("  matching records across shards: %d\n", cluster.Count(q.Rect()))
 
 		cluster.ResetNet()
-		est, err := cluster.EstimateAvg(q, "altitude", 2000, 0.95)
+		snap, err := h.Estimate(context.Background(), q, storm.Options{
+			Kind: storm.Avg, Attr: "altitude", MaxSamples: 2000,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		net := cluster.Net()
-		fmt.Printf("  coordinator online AVG: %s\n", est)
+		fmt.Printf("  coordinator online AVG: %s (sampler %s)\n", snap.Estimate, snap.Method)
 		fmt.Printf("  network: %d messages, %d samples moved\n", net.Messages, net.SamplesMoved)
 
-		// Scatter/gather alternative: shards compute partial estimates in
-		// parallel, coordinator merges Welford accumulators.
-		merged, err := cluster.ParallelPartialAvg(q, "altitude", 2000)
-		if err != nil {
+		if err := db.Unregister(ds.Name()); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  merged parallel partials: mean %.2f over %d samples\n", merged.Mean(), merged.N())
 	}
 }

@@ -72,7 +72,7 @@ type A11Point struct {
 // A11Result is the ablation's output table.
 type A11Result struct {
 	Points []A11Point
-	// ColdPlans counts planner invocations that fell back to priors —
+	// ColdPlans counts contracts that ran on a plan priced from priors —
 	// after the warmup queries this should stay at the warmup's own count.
 	ColdPlans uint64
 }

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"storm/internal/data"
 	"storm/internal/distr"
-	"storm/internal/estimator"
 )
 
 // A13Config sizes the replication ablation: the query's hottest shard
@@ -76,116 +73,61 @@ type A13Point struct {
 func A13(cfg A13Config) ([]A13Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
-	q := queryFor(ds, 0.2).Rect()
+	q := queryFor(ds, 0.2)
 
-	// Crash the shard holding the most matching records (see A7): with
-	// Hilbert partitioning a selective query concentrates on few shards,
-	// so killing a spatially irrelevant copy would measure nothing.
-	probe, err := distr.Build(ds, distr.Config{Shards: cfg.Shards, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	target, best := 0, -1
-	for i, sh := range probe.Shards() {
-		if n := sh.Index().Count(q); n > best {
-			target, best = i, n
-		}
-	}
-
-	modes := []struct {
+	// "healthy" runs first: its cluster names the hottest shard, whose copy
+	// the other two modes crash.
+	var out []A13Point
+	var target int
+	for _, mode := range []struct {
 		name     string
 		replicas int
-		plan     *distr.FaultPlan
-	}{
-		{"healthy", 1, nil},
-		// A plain shard target scripts every copy, so at R=1 this is the
-		// copy: the shard is gone and the query degrades.
-		{"r1-degraded", 1, &distr.FaultPlan{Seed: cfg.Seed, Shards: map[int]distr.ShardFaultPlan{
-			target: {Crash: true, CrashAfterFetches: cfg.CrashAfter},
-		}}},
-		// A '<shard>.<replica>' target scripts one copy: replica 0 dies
-		// mid-stream and the fetch path fails over to replica 1.
-		{"r2-failover", 2, &distr.FaultPlan{Seed: cfg.Seed, Replicas: map[distr.ReplicaTarget]distr.ShardFaultPlan{
-			{Shard: target, Replica: 0}: {Crash: true, CrashAfterFetches: cfg.CrashAfter},
-		}}},
-	}
-
-	col, err := ds.NumericColumn("altitude")
-	if err != nil {
-		return nil, err
-	}
-	var out []A13Point
-	for _, mode := range modes {
-		c, err := distr.Build(ds, distr.Config{
-			Shards:   cfg.Shards,
-			Seed:     cfg.Seed,
-			Replicas: mode.replicas,
-			Obs:      Obs,
-			Faults:   mode.plan,
-		})
+	}{{"healthy", 1}, {"r1-degraded", 1}, {"r2-failover", 2}} {
+		var plan *distr.FaultPlan
+		switch mode.name {
+		case "r1-degraded":
+			// A plain shard target scripts every copy, so at R=1 this is
+			// the copy: the shard is gone and the query degrades.
+			plan = crashPlan(cfg.Seed, cfg.CrashAfter, 0, target)
+		case "r2-failover":
+			// A '<shard>.<replica>' target scripts one copy: replica 0 dies
+			// mid-stream and the fetch path fails over to replica 1.
+			plan = &distr.FaultPlan{Seed: cfg.Seed, Replicas: map[distr.ReplicaTarget]distr.ShardFaultPlan{
+				{Shard: target, Replica: 0}: {Crash: true, CrashAfterFetches: cfg.CrashAfter},
+			}}
+		}
+		res, err := faultRun(ds, q, cfg.Shards, mode.replicas, cfg.K, cfg.Seed, plan)
 		if err != nil {
 			return nil, err
 		}
-		healthy := c.Count(q)
-		est, err := estimator.New(estimator.Avg, 0.95, healthy, true)
-		if err != nil {
-			return nil, err
+		if mode.name == "healthy" {
+			target = hottestShards(res.Cluster, q)[0]
 		}
-		// Drive the sampler by hand (EstimateAvg's loop) so the degraded
-		// mode's lost-mass bounds are readable off the sampler at the end.
-		start := time.Now()
-		s := c.Sampler(q)
-		buf := make([]data.Entry, 1024)
-		for drawn := 0; drawn < cfg.K; {
-			want := cfg.K - drawn
-			if want > len(buf) {
-				want = len(buf)
-			}
-			n := s.NextBatch(buf, want)
-			for _, e := range buf[:n] {
-				est.Add(col[e.ID])
-			}
-			_, lostPop := s.Degradation()
-			est.SetPopulation(healthy - lostPop)
-			drawn += n
-			if n < want {
-				break
-			}
-		}
-		elapsed := time.Since(start)
-		snap := est.Snapshot()
 		p := A13Point{
 			Mode:       mode.name,
 			Replicas:   mode.replicas,
-			Population: snap.Population,
-			HealthyPop: healthy,
-			Value:      snap.Value,
-			HalfWidth:  snap.HalfWidth,
-			WallMS:     float64(elapsed.Microseconds()) / 1000,
-			Crashes:    c.FaultStats().Crashes,
-			Failovers:  c.ReplicaStats().Failovers,
-			Degraded:   s.Degraded(),
-		}
-		if s.Degraded() {
-			if lo, hi, lostN, ok := s.LostMassBounds("altitude"); ok {
-				if low, high, ok := estimator.LostMassBounds(snap, lo, hi, lostN); ok {
-					p.LostLow, p.LostHigh = low, high
-				}
-			}
+			Population: res.Population,
+			HealthyPop: res.HealthyPop,
+			Value:      res.Value,
+			HalfWidth:  res.HalfWidth,
+			LostLow:    res.LostMassLow,
+			LostHigh:   res.LostMassHigh,
+			WallMS:     res.WallMS,
+			Crashes:    res.Cluster.FaultStats().Crashes,
+			Failovers:  res.Cluster.ReplicaStats().Failovers,
+			Degraded:   res.Degraded,
 		}
 		switch mode.name {
 		case "r1-degraded":
-			if !s.Degraded() {
+			if !p.Degraded {
 				return nil, fmt.Errorf("bench A13: r1-degraded mode did not degrade (crashes=%d)", p.Crashes)
 			}
 		case "r2-failover":
-			if s.Degraded() || p.Failovers == 0 || p.Population != healthy {
+			if p.Degraded || p.Failovers == 0 || p.Population != p.HealthyPop {
 				return nil, fmt.Errorf("bench A13: r2-failover mode did not fail over cleanly (degraded=%v, failovers=%d, pop=%d/%d)",
-					s.Degraded(), p.Failovers, p.Population, healthy)
+					p.Degraded, p.Failovers, p.Population, p.HealthyPop)
 			}
 		}
-		s.Close()
-		c.Close()
 		out = append(out, p)
 	}
 	return out, nil

@@ -318,3 +318,54 @@ func TestA7Shape(t *testing.T) {
 		t.Errorf("degraded estimate drifted: %v vs %v", degraded.Value, healthy.Value)
 	}
 }
+
+func TestA8Shape(t *testing.T) {
+	// A8 itself fails unless the recover mode completes its crash→readmit
+	// cycle.
+	pts, err := A8(A8Config{N: 100_000, K: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 3 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	healthy, degraded, recovered := pts[0], pts[1], pts[2]
+	if healthy.Crashes != 0 || healthy.Population != healthy.HealthyPop {
+		t.Errorf("healthy mode: %+v", healthy)
+	}
+	if degraded.Crashes != 1 || degraded.Population >= degraded.HealthyPop {
+		t.Errorf("degraded mode should lose the hottest shard's population: %+v", degraded)
+	}
+	if !(degraded.LostLow < degraded.Value && degraded.Value < degraded.LostHigh) {
+		t.Errorf("degraded lost-mass bounds [%v, %v] should bracket the estimate %v",
+			degraded.LostLow, degraded.LostHigh, degraded.Value)
+	}
+	if recovered.Crashes != 1 || recovered.Readmits != 1 || recovered.Population != recovered.HealthyPop {
+		t.Errorf("recover mode should end on the full population after one readmit: %+v", recovered)
+	}
+	if recovered.LostLow != 0 || recovered.LostHigh != 0 {
+		t.Errorf("recover mode carries lost-mass bounds: %+v", recovered)
+	}
+}
+
+func TestA13Shape(t *testing.T) {
+	// A13 itself fails unless r1-degraded degrades and r2-failover fails
+	// over onto the full population.
+	pts, err := A13(A13Config{N: 100_000, K: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 3 {
+		t.Fatalf("points = %d", len(pts))
+	}
+	healthy, r1, r2 := pts[0], pts[1], pts[2]
+	if healthy.Crashes != 0 || healthy.Degraded || healthy.Population != healthy.HealthyPop {
+		t.Errorf("healthy mode: %+v", healthy)
+	}
+	if r1.Failovers != 0 || r1.Population >= r1.HealthyPop || r1.LostLow >= r1.LostHigh {
+		t.Errorf("r1-degraded should shrink the population and carry lost-mass bounds: %+v", r1)
+	}
+	if r2.Replicas != 2 || r2.Crashes != 1 || r2.Failovers != 1 || r2.LostLow != 0 || r2.LostHigh != 0 {
+		t.Errorf("r2-failover should move one stream and lose nothing: %+v", r2)
+	}
+}

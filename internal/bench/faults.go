@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -8,8 +9,71 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/distr"
+	"storm/internal/engine"
 	"storm/internal/estimator"
+	"storm/internal/geo"
 )
+
+// faultResult is one scenario of the fault ablations (A7, A8, A13): the
+// final snapshot of the one query it ran, plus what the tables print beside
+// it.
+type faultResult struct {
+	engine.Snapshot
+	// HealthyPop is the matching count before any fault fired.
+	HealthyPop int
+	WallMS     float64
+	// Cluster is the scenario's own shard cluster, for the fault and
+	// replication counters the run left behind.
+	Cluster *distr.Cluster
+}
+
+// faultRun registers ds as a sharded dataset under the fault plan and runs
+// one k-sample AVG(altitude) over q through engine.Handle.Estimate — the
+// path stormd serves, so population re-targeting, lost-mass bounds and the
+// degraded / recovered / failed-over stamps are the product's own.
+func faultRun(ds *data.Dataset, q geo.Range, shards, replicas, k int, seed int64, plan *distr.FaultPlan) (faultResult, error) {
+	eng := engine.New(engine.Config{Seed: seed, Obs: Obs, NoMetrics: Obs == nil})
+	h, err := eng.Register(ds, engine.IndexOptions{Shards: shards, Replicas: replicas, Faults: plan})
+	if err != nil {
+		return faultResult{}, err
+	}
+	defer eng.Unregister(ds.Name())
+	res := faultResult{Cluster: h.Cluster(), HealthyPop: h.Cluster().Count(q.Rect())}
+	start := time.Now()
+	res.Snapshot, err = h.Estimate(context.Background(), q, engine.Options{
+		Kind: estimator.Avg, Attr: "altitude", MaxSamples: k, Method: engine.MethodDistributed,
+	})
+	res.WallMS = float64(time.Since(start).Microseconds()) / 1000
+	return res, err
+}
+
+// hottestShards ranks the cluster's shards by how many records matching q
+// they hold, most first. With Hilbert partitioning a selective query
+// concentrates on few shards, so killing spatially irrelevant ones would
+// measure nothing; the partition depends only on the dataset and the shard
+// count, so the healthy run's ranking holds for every run beside it.
+func hottestShards(c *distr.Cluster, q geo.Range) []int {
+	rect := q.Rect()
+	matching := make([]int, c.NumShards())
+	order := make([]int, c.NumShards())
+	for i, sh := range c.Shards() {
+		order[i] = i
+		matching[i] = sh.Index().Count(rect)
+	}
+	sort.SliceStable(order, func(a, b int) bool { return matching[order[a]] > matching[order[b]] })
+	return order
+}
+
+// crashPlan scripts a mid-query crash of every copy of each given shard
+// after it has served crashAfter fetches; recoverAfter > 0 brings it back
+// after that many coordinator observations.
+func crashPlan(seed int64, crashAfter, recoverAfter int, shards ...int) *distr.FaultPlan {
+	plan := &distr.FaultPlan{Seed: seed, Shards: map[int]distr.ShardFaultPlan{}}
+	for _, shard := range shards {
+		plan.Shards[shard] = distr.ShardFaultPlan{Crash: true, CrashAfterFetches: crashAfter, RecoverAfter: recoverAfter}
+	}
+	return plan
+}
 
 // A7Config sizes the fault ablation: kill k of Shards shards mid-query and
 // measure the accuracy and latency cost of degrading onto the survivors.
@@ -70,73 +134,46 @@ type A7Point struct {
 
 // A7 measures graceful degradation: an AVG query over an 8-shard cluster
 // while k shards crash mid-query. The coordinator re-weights onto the
-// survivors and shrinks the effective population, so the query completes
-// with an honest (wider) CI instead of stalling; the CI-width and latency
-// columns quantify the cost of each lost shard.
+// survivors and the driver shrinks the effective population, so the query
+// completes with an honest (wider) CI instead of stalling; the CI-width and
+// latency columns quantify the cost of each lost shard.
 func A7(cfg A7Config) ([]A7Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
-	q := queryFor(ds, 0.2).Rect()
+	q := queryFor(ds, 0.2)
 
-	// Kill the shards holding the most matching records: with Hilbert
-	// partitioning a selective query concentrates on few shards, so killing
-	// spatially irrelevant ones would measure nothing. Probe a healthy
-	// build for per-shard matching counts.
-	probe, err := distr.Build(ds, distr.Config{Shards: cfg.Shards, Seed: cfg.Seed})
+	// The healthy run is the kill=0 row and ranks the shards for the rest.
+	healthy, err := faultRun(ds, q, cfg.Shards, 1, cfg.K, cfg.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	byMatch := make([]int, cfg.Shards)
-	matching := make([]int, cfg.Shards)
-	for i, sh := range probe.Shards() {
-		byMatch[i] = i
-		matching[i] = sh.Index().Count(q)
-	}
-	sort.Slice(byMatch, func(a, b int) bool { return matching[byMatch[a]] > matching[byMatch[b]] })
+	hot := hottestShards(healthy.Cluster, q)
 
 	var out []A7Point
 	for _, kill := range cfg.Kill {
 		if kill >= cfg.Shards {
 			kill = cfg.Shards - 1 // always leave at least one survivor
 		}
-		var plan *distr.FaultPlan
+		res := healthy
 		if kill > 0 {
-			plan = &distr.FaultPlan{Seed: cfg.Seed, Shards: map[int]distr.ShardFaultPlan{}}
-			for _, shard := range byMatch[:kill] {
-				plan.Shards[shard] = distr.ShardFaultPlan{
-					Crash: true, CrashAfterFetches: cfg.CrashAfter,
-				}
+			plan := crashPlan(cfg.Seed, cfg.CrashAfter, 0, hot[:kill]...)
+			if res, err = faultRun(ds, q, cfg.Shards, 1, cfg.K, cfg.Seed, plan); err != nil {
+				return nil, err
 			}
 		}
-		c, err := distr.Build(ds, distr.Config{
-			Shards: cfg.Shards,
-			Seed:   cfg.Seed,
-			Obs:    Obs,
-			Faults: plan,
-		})
-		if err != nil {
-			return nil, err
-		}
-		healthy := c.Count(q)
-		start := time.Now()
-		est, err := c.EstimateAvg(q, "altitude", cfg.K, 0.95)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		st := c.FaultStats()
 		rel := math.Inf(1)
-		if est.Value != 0 {
-			rel = est.HalfWidth / math.Abs(est.Value)
+		if res.Value != 0 {
+			rel = res.HalfWidth / math.Abs(res.Value)
 		}
+		st := res.Cluster.FaultStats()
 		out = append(out, A7Point{
 			Killed:     kill,
-			Population: est.Population,
-			HealthyPop: healthy,
-			Value:      est.Value,
-			HalfWidth:  est.HalfWidth,
+			Population: res.Population,
+			HealthyPop: res.HealthyPop,
+			Value:      res.Value,
+			HalfWidth:  res.HalfWidth,
 			RelWidth:   rel,
-			WallMS:     float64(elapsed.Microseconds()) / 1000,
+			WallMS:     res.WallMS,
 			Crashes:    st.Crashes,
 			Retries:    st.Retries,
 			Timeouts:   st.Timeouts,
@@ -209,98 +246,44 @@ type A8Point struct {
 func A8(cfg A8Config) ([]A8Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
-	q := queryFor(ds, 0.2).Rect()
+	q := queryFor(ds, 0.2)
 
-	// Crash the shard holding the most matching records (see A7).
-	probe, err := distr.Build(ds, distr.Config{Shards: cfg.Shards, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	target, best := 0, -1
-	for i, sh := range probe.Shards() {
-		if n := sh.Index().Count(q); n > best {
-			target, best = i, n
-		}
-	}
-
-	modes := []struct {
-		name string
-		plan *distr.FaultPlan
-	}{
-		{"healthy", nil},
-		{"degraded", &distr.FaultPlan{Seed: cfg.Seed, Shards: map[int]distr.ShardFaultPlan{
-			target: {Crash: true, CrashAfterFetches: cfg.CrashAfter},
-		}}},
-		{"recover", &distr.FaultPlan{Seed: cfg.Seed, Shards: map[int]distr.ShardFaultPlan{
-			target: {Crash: true, CrashAfterFetches: cfg.CrashAfter, RecoverAfter: cfg.RecoverAfter},
-		}}},
-	}
-
-	col, err := ds.NumericColumn("altitude")
-	if err != nil {
-		return nil, err
-	}
+	// "healthy" runs first: its cluster names the hottest shard, which the
+	// other two modes crash.
 	var out []A8Point
-	for _, mode := range modes {
-		c, err := distr.Build(ds, distr.Config{
-			Shards: cfg.Shards,
-			Seed:   cfg.Seed,
-			Obs:    Obs,
-			Faults: mode.plan,
-		})
+	var target int
+	for _, mode := range []string{"healthy", "degraded", "recover"} {
+		var plan *distr.FaultPlan
+		switch mode {
+		case "degraded":
+			plan = crashPlan(cfg.Seed, cfg.CrashAfter, 0, target)
+		case "recover":
+			plan = crashPlan(cfg.Seed, cfg.CrashAfter, cfg.RecoverAfter, target)
+		}
+		res, err := faultRun(ds, q, cfg.Shards, 1, cfg.K, cfg.Seed, plan)
 		if err != nil {
 			return nil, err
 		}
-		healthy := c.Count(q)
-		est, err := estimator.New(estimator.Avg, 0.95, healthy, true)
-		if err != nil {
-			return nil, err
+		if mode == "healthy" {
+			target = hottestShards(res.Cluster, q)[0]
 		}
-		// Drive the sampler by hand (EstimateAvg's loop) so the degraded
-		// mode's lost-mass bounds are readable off the sampler at the end.
-		start := time.Now()
-		s := c.Sampler(q)
-		buf := make([]data.Entry, 1024)
-		for drawn := 0; drawn < cfg.K; {
-			want := cfg.K - drawn
-			if want > len(buf) {
-				want = len(buf)
-			}
-			n := s.NextBatch(buf, want)
-			for _, e := range buf[:n] {
-				est.Add(col[e.ID])
-			}
-			_, lostPop := s.Degradation()
-			est.SetPopulation(healthy - lostPop)
-			drawn += n
-			if n < want {
-				break
-			}
-		}
-		elapsed := time.Since(start)
-		snap := est.Snapshot()
-		p := A8Point{
-			Mode:       mode.name,
-			Population: snap.Population,
-			HealthyPop: healthy,
-			Value:      snap.Value,
-			HalfWidth:  snap.HalfWidth,
-			WallMS:     float64(elapsed.Microseconds()) / 1000,
-			Crashes:    c.FaultStats().Crashes,
-			Readmits:   uint64(s.Readmits()),
-		}
-		if s.Degraded() {
-			if lo, hi, lostN, ok := s.LostMassBounds("altitude"); ok {
-				if low, high, ok := estimator.LostMassBounds(snap, lo, hi, lostN); ok {
-					p.LostLow, p.LostHigh = low, high
-				}
-			}
-		}
-		if mode.name == "recover" && (s.Degraded() || s.Readmits() == 0) {
+		st := res.Cluster.FaultStats()
+		if mode == "recover" && !res.Recovered {
 			return nil, fmt.Errorf("bench: recover mode did not complete its crash→readmit cycle (readmits=%d, degraded=%v)",
-				s.Readmits(), s.Degraded())
+				st.Readmits, res.Degraded)
 		}
-		out = append(out, p)
+		out = append(out, A8Point{
+			Mode:       mode,
+			Population: res.Population,
+			HealthyPop: res.HealthyPop,
+			Value:      res.Value,
+			HalfWidth:  res.HalfWidth,
+			LostLow:    res.LostMassLow,
+			LostHigh:   res.LostMassHigh,
+			WallMS:     res.WallMS,
+			Crashes:    st.Crashes,
+			Readmits:   st.Readmits,
+		})
 	}
 	return out, nil
 }

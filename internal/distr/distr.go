@@ -22,13 +22,13 @@
 //
 // The coordinator fans shard work out in parallel: Count and a Sampler's
 // initialization round contact every shard concurrently, as a real
-// coordinator would. Any number of queries (Count, Samplers, EstimateAvg,
-// ParallelPartialAvg) may run concurrently; Insert and Delete take each
-// shard's write lock and so serialize against in-flight rounds on that
-// shard only. A long-lived Sampler that straddles an update may mix pre-
-// and post-update state across batches (each batch is internally
-// consistent); quiesce updates around a sampler when an exactly-uniform
-// stream over a fixed population is required.
+// coordinator would. Any number of queries (Count, Samplers) may run
+// concurrently; Insert and Delete take each shard's write lock and so
+// serialize against in-flight rounds on that shard only. A long-lived
+// Sampler that straddles an update may mix pre- and post-update state
+// across batches (each batch is internally consistent); quiesce updates
+// around a sampler when an exactly-uniform stream over a fixed population
+// is required.
 package distr
 
 import (
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"storm/internal/data"
-	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/obs"
@@ -181,11 +180,6 @@ type Cluster struct {
 	// Remote replica sets may be shorter than cfg.Replicas when the host
 	// pool is smaller — size per-shard loops by len(repl[i]).
 	repl [][]ShardClient
-	// raw is the primary clients without fault decoration. The
-	// scatter/gather partial path uses it: shard-local work there models
-	// computation on the shard itself, not coordinator round trips, so
-	// injected fetch faults must not perturb it (or its RNG draws).
-	raw []ShardClient
 	// mirrorMisses[i][r] counts update mirrors (inserts/deletes) that
 	// replica r of shard i failed to apply; a failover onto a replica
 	// with misses is counted as a stale read.
@@ -259,8 +253,8 @@ func (c *Cluster) Replicas() int { return c.cfg.Replicas }
 // clusterMetrics holds the cluster's resolved metric handles; all-nil
 // (every write a no-op) when Config.Obs is nil.
 type clusterMetrics struct {
-	// fanoutMS times each coordinator fan-out round: a Count round, a
-	// sampler's initialization round, or a scatter/gather partial round.
+	// fanoutMS times each coordinator fan-out round: a Count round or a
+	// sampler's initialization round.
 	fanoutMS *obs.TuningHistogram
 	// fetchMS times individual shard sample fetches (one request/response
 	// round trip).
@@ -418,8 +412,8 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 	c := &Cluster{cfg: cfg, ds: ds}
 	c.faults = newFaultStates(cfg.Faults, cfg.Shards, cfg.Replicas)
 	for s := range parts {
-		// Shards() and the scatter/gather raw path see only the primaries;
-		// updates mirror to every copy (Insert/Delete).
+		// Shards() sees only the primaries; updates mirror to every copy
+		// (Insert/Delete).
 		reps := make([]ShardClient, 0, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
 			sh := built[s*cfg.Replicas+r]
@@ -428,7 +422,6 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 			if r == 0 {
 				c.shards = append(c.shards, sh)
 				c.backends = append(c.backends, b)
-				c.raw = append(c.raw, cl)
 			}
 			if c.faults != nil {
 				cl = &faultClient{ShardClient: cl, c: c, f: c.faults[s][r]}
@@ -728,10 +721,8 @@ type Sampler struct {
 	total  int
 	init   bool
 	closed bool
-	// failovers / staleReads count this query's fetch-path failovers and
-	// how many of them landed on a replica with missed update mirrors.
-	failovers  int
-	staleReads int
+	// failovers counts this query's fetch-path failovers.
+	failovers int
 	// degradation state: shards this query lost mid-stream (crashes or
 	// retry exhaustion) and the matching population that went with them.
 	// lost stashes each lost shard's unemitted count so a crashed shard
@@ -1105,14 +1096,16 @@ func (s *Sampler) clientFetch(shard int, dst []data.Entry, n int) (got int, lost
 			cl.charge(1, 0) // probe sent, shard down
 		case errors.Is(err, ErrUnknownStream):
 			// The shard answered but no longer has the stream — the
-			// signature of a shard process restart. Reopen it once,
-			// excluding everything already emitted; if the reopen fails
-			// (or a reopened stream is unknown again) the stream fails
-			// over, or without replicas the shard is written off like a
-			// crash so re-admission can retry later.
-			if !reopened && s.reopen(shard) {
-				reopened = true
-				continue
+			// signature of a shard process restart. Resume it once on the
+			// same replica; if that fails (or the resumed stream is
+			// unknown again) the stream fails over, or without replicas
+			// the shard is written off like a crash so re-admission can
+			// retry later.
+			if !reopened {
+				if got, ok := s.resume(shard, s.repl[shard]); ok && got > 0 {
+					reopened = true
+					continue
+				}
 			}
 			if moved, done := tryFailover(); moved {
 				if done {
@@ -1173,22 +1166,26 @@ func (s *Sampler) fetchOnce(shard int, dst []data.Entry, n int) (int, error) {
 	return cl.Fetch(s.streams[shard], dst, n)
 }
 
-// reopen replaces shard's sample stream after a shard process restart:
-// a fresh stream is opened under a new ID with this query's emitted IDs
-// excluded, so the merged emissions stay a without-replacement stream.
-// The fetched-but-unemitted buffer came from the dead stream and the
-// fresh one would redeliver it, so it is dropped and the remaining count
-// re-based on the reopened stream's matching count.
-func (s *Sampler) reopen(shard int) bool {
+// resume opens a fresh stream for shard on replica r with this query's
+// emitted IDs excluded and makes it the stream the shard is served from —
+// the one way a stream continues after the one it was on is gone, whether
+// the serving process restarted (same replica) or died (failover).
+// Filtering a uniform WOR stream by a fixed exclude set leaves the
+// complement uniform, so the merged emissions stay exactly uniform without
+// replacement. The fetched-but-unemitted buffer came from the abandoned
+// stream and the fresh one would redeliver it, so it is dropped and the
+// shard's remaining count re-based on the fresh stream's matching count.
+// ok is false when the open failed, in which case nothing changed.
+func (s *Sampler) resume(shard, r int) (got int, ok bool) {
 	cl := s.cluster
 	stream := cl.streamSeq.Add(1)
 	var exclude []data.ID
 	if s.emitted != nil {
 		exclude = s.emitted[shard]
 	}
-	got, err := s.client(shard).Open(stream, s.query, cl.nextSeed(), exclude, s.where, s.win)
+	got, err := cl.repl[shard][r].Open(stream, s.query, cl.nextSeed(), exclude, s.where, s.win)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	s.buffers[shard] = s.buffers[shard][:0]
 	s.heads[shard] = 0
@@ -1196,54 +1193,33 @@ func (s *Sampler) reopen(shard int) bool {
 	s.remaining[shard] = got
 	s.streams[shard] = stream
 	s.open[shard] = got > 0
-	return got > 0
+	s.repl[shard] = r
+	return got, true
 }
 
 // failover moves shard's stream to a surviving replica after the serving
-// copy died: a fresh stream opens on the next live copy with this query's
-// emitted IDs excluded, so the merged emissions stay exactly uniform
-// without replacement — filtering a uniform WOR stream by a fixed exclude
-// set leaves the complement uniform, the same argument reopen and rejoin
-// rest on. The dead copy's fetched-but-unemitted buffer came from the
-// abandoned stream and is dropped; the shard's unemitted matching count
-// re-enters the draw distribution at the reopened stream's count, so
-// nothing is written off, the population does not shrink, and the query
-// does not degrade. Returns false when no surviving replica could serve
-// the stream (the caller then degrades exactly as an unreplicated
-// cluster would); a successful move onto an already-exhausted stream
-// (got == 0) still returns true — the shard is drained, not lost.
+// copy died (see resume). The shard's unemitted matching count re-enters
+// the draw distribution at the reopened stream's count, so nothing is
+// written off, the population does not shrink, and the query does not
+// degrade. Returns false when no surviving replica could serve the stream
+// (the caller then degrades exactly as an unreplicated cluster would); a
+// successful move onto an already-exhausted stream still returns true —
+// the shard is drained, not lost.
 func (s *Sampler) failover(shard int) bool {
 	cl := s.cluster
 	reps := cl.repl[shard]
-	if len(reps) < 2 {
-		return false
-	}
 	cur := s.repl[shard]
 	for step := 1; step < len(reps); step++ {
 		r := (cur + step) % len(reps)
 		if cl.replicaDown(shard, r) {
 			continue
 		}
-		stream := cl.streamSeq.Add(1)
-		var exclude []data.ID
-		if s.emitted != nil {
-			exclude = s.emitted[shard]
-		}
-		got, err := reps[r].Open(stream, s.query, cl.nextSeed(), exclude, s.where, s.win)
-		if err != nil {
+		if _, ok := s.resume(shard, r); !ok {
 			continue
 		}
-		s.buffers[shard] = s.buffers[shard][:0]
-		s.heads[shard] = 0
-		s.total += got - s.remaining[shard]
-		s.remaining[shard] = got
-		s.streams[shard] = stream
-		s.open[shard] = got > 0
-		s.repl[shard] = r
 		s.failovers++
 		cl.rtot.failovers.Add(1)
 		if cl.mirrorMisses[shard][r].Load() > 0 {
-			s.staleReads++
 			cl.rtot.staleReads.Add(1)
 		}
 		return true
@@ -1293,8 +1269,8 @@ func (s *Sampler) loseShard(shard int, crash bool) {
 // re-weights itself back over the full population (draws are proportional
 // to per-shard remaining counts, so restoring the count IS the
 // re-weighting — every still-unemitted record, on every shard, is again
-// equally likely next), and Degradation shrinks so estimators re-grow
-// their effective N via SetPopulation. Each poll of a still-down shard
+// equally likely next), and Status reports the smaller lost population so
+// the query driver re-grows its effective N. Each poll of a still-down shard
 // advances its recovery clock, making a sampling query double as the
 // liveness probe. No-op for healthy queries (len(lost) == 0) and for
 // exhaustion-lost shards (nothing to recover from). Queries that started
@@ -1334,39 +1310,13 @@ func (s *Sampler) Close() error {
 	return nil
 }
 
-// Readmits reports how many lost shards this query has re-admitted after
-// their recovery (see maybeReadmit).
-func (s *Sampler) Readmits() int { return s.readmits }
-
-// Failovers reports how many times this query's fetch path moved a
-// shard's stream to a surviving replica (see failover). The engine stamps
-// snapshots FailedOver when this is nonzero.
-func (s *Sampler) Failovers() int { return s.failovers }
-
-// StaleReads reports how many of this query's failovers landed on a
-// replica that had missed update mirrors.
-func (s *Sampler) StaleReads() int { return s.staleReads }
-
-// Degradation reports the query's degraded state: how many shards it lost
-// mid-stream and the matching population lost with them. Both are zero for
-// a healthy run. Consumers (the engine's evaluator, distr estimators)
-// subtract the lost population from the estimator's effective N, keeping
-// the estimate unbiased over the surviving population — see DESIGN.md
-// §4.3 for the lost-mass caveat.
-func (s *Sampler) Degradation() (shardsLost, lostPopulation int) {
-	return s.lostShards, s.lostPop
-}
-
-// Degraded reports whether the query lost at least one shard mid-stream.
-func (s *Sampler) Degraded() bool { return s.lostShards > 0 }
-
 // StreamStatus is the health of one query's merged shard stream at a
 // point in time: the one value the engine's query driver reads to stamp
 // snapshots degraded / recovered / failed-over and to shrink the
 // effective population. The zero value is a healthy stream.
 type StreamStatus struct {
-	// ShardsLost and LostPopulation are Degradation's pair: shards the
-	// query has written off and the matching records stranded on them.
+	// ShardsLost and LostPopulation are the shards the query has
+	// currently written off and the matching records stranded on them.
 	ShardsLost, LostPopulation int
 	// Readmits counts lost shards re-admitted after recovering; a stream
 	// with Readmits > 0 and ShardsLost == 0 is back on its full population.
@@ -1396,116 +1346,4 @@ func (s *Sampler) Status(attr string) StreamStatus {
 		st.LostLo, st.LostHi, _, st.LostBounded = s.LostMassBounds(attr)
 	}
 	return st
-}
-
-// EstimateAvg runs a distributed online AVG: each sample is drawn through
-// the cluster sampler and folded into a single estimator, exactly as a
-// coordinator would. It stops after maxSamples samples or exhaustion and
-// returns the estimate.
-func (c *Cluster) EstimateAvg(q geo.Rect, attr string, maxSamples int, confidence float64) (estimator.Estimate, error) {
-	col, err := c.ds.NumericColumn(attr)
-	if err != nil {
-		return estimator.Estimate{}, err
-	}
-	population := c.Count(q)
-	est, err := estimator.New(estimator.Avg, confidence, population, true)
-	if err != nil {
-		return estimator.Estimate{}, err
-	}
-	s := c.Sampler(q)
-	defer s.Close()
-	// Large pulls keep the coordinator at one demand-sized request per
-	// shard per round; the chunk only bounds its working memory.
-	const chunk = 1024
-	buf := make([]data.Entry, chunk)
-	for drawn := 0; drawn < maxSamples; {
-		want := maxSamples - drawn
-		if want > chunk {
-			want = chunk
-		}
-		n := s.NextBatch(buf, want)
-		for _, e := range buf[:n] {
-			est.Add(col[e.ID])
-		}
-		// Track the stream's effective population every round: shards that
-		// died mid-query shrink it so the estimate (and its SUM/COUNT
-		// scaling and finite-population correction) covers the surviving
-		// shards instead of silently pretending the lost mass was sampled;
-		// a crashed shard that recovered and was re-admitted restores it,
-		// re-growing the effective N back toward the full population.
-		_, lostPop := s.Degradation()
-		est.SetPopulation(population - lostPop)
-		drawn += n
-		if n < want {
-			break
-		}
-	}
-	return est.Snapshot(), nil
-}
-
-// ParallelPartialAvg demonstrates the scatter/gather alternative: every
-// shard draws its own local sample of size proportional to its matching
-// count, computes a partial Welford accumulator in parallel, and the
-// coordinator merges them. The merged mean is an unbiased estimate of the
-// population mean because shard sample sizes are proportional to shard
-// populations (self-weighting allocation). Shard-local work goes through
-// the undecorated clients: it models computation on the shard, not
-// coordinator fetch round trips, so injected fetch faults do not apply.
-func (c *Cluster) ParallelPartialAvg(q geo.Rect, attr string, totalSamples int) (estimator.Welford, error) {
-	col, err := c.ds.NumericColumn(attr)
-	if err != nil {
-		return estimator.Welford{}, err
-	}
-	start := time.Now()
-	defer observeMS(c.met.fanoutMS, start)
-	counts := make([]int, len(c.raw))
-	total := 0
-	for i, cl := range c.raw {
-		n, err := cl.Count(q, nil, wire.Window{})
-		if err != nil {
-			n = 0
-		}
-		counts[i] = n
-		total += n
-	}
-	c.charge(2*uint64(len(c.raw)), 0)
-	if total == 0 {
-		return estimator.Welford{}, nil
-	}
-
-	partials := make([]estimator.Welford, len(c.raw))
-	var wg sync.WaitGroup
-	for i := range c.raw {
-		if counts[i] == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, stream uint64, seed int64) {
-			defer wg.Done()
-			k := totalSamples * counts[i] / total
-			if k < 1 {
-				k = 1
-			}
-			if _, err := c.raw[i].Open(stream, q, seed, nil, nil, wire.Window{}); err != nil {
-				return
-			}
-			local := make([]data.Entry, k)
-			got, err := c.raw[i].Fetch(stream, local, k)
-			_ = c.raw[i].CloseStream(stream)
-			if err != nil {
-				return
-			}
-			for _, e := range local[:got] {
-				partials[i].Add(col[e.ID])
-			}
-		}(i, c.streamSeq.Add(1), c.nextSeed())
-	}
-	wg.Wait()
-	c.charge(2*uint64(len(c.raw)), uint64(0))
-
-	var merged estimator.Welford
-	for i := range partials {
-		merged.Merge(partials[i])
-	}
-	return merged, nil
 }

@@ -1,7 +1,6 @@
 package distr
 
 import (
-	"math"
 	"testing"
 
 	"storm/internal/data"
@@ -129,67 +128,12 @@ func TestSamplerUniformAcrossShards(t *testing.T) {
 	}
 }
 
-func TestEstimateAvg(t *testing.T) {
-	c, ds := buildCluster(t, 20000, 4)
-	col, _ := ds.NumericColumn("value")
-	var sum float64
-	cnt := 0
-	for i := 0; i < ds.Len(); i++ {
-		if testQuery.Contains(ds.Pos(uint64(i))) {
-			sum += col[i]
-			cnt++
-		}
-	}
-	want := sum / float64(cnt)
-	est, err := c.EstimateAvg(testQuery, "value", 2000, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Value-want) > 3*est.HalfWidth+1e-9 {
-		t.Errorf("estimate %v ± %v vs truth %v", est.Value, est.HalfWidth, want)
-	}
-	if est.Samples != 2000 {
-		t.Errorf("samples = %d", est.Samples)
-	}
-	if _, err := c.EstimateAvg(testQuery, "nope", 10, 0.95); err == nil {
-		t.Error("unknown attribute should error")
-	}
-}
-
-func TestParallelPartialAvg(t *testing.T) {
-	c, ds := buildCluster(t, 20000, 4)
-	col, _ := ds.NumericColumn("value")
-	var sum float64
-	cnt := 0
-	for i := 0; i < ds.Len(); i++ {
-		if testQuery.Contains(ds.Pos(uint64(i))) {
-			sum += col[i]
-			cnt++
-		}
-	}
-	want := sum / float64(cnt)
-	w, err := c.ParallelPartialAvg(testQuery, "value", 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.N() < 1500 {
-		t.Errorf("merged samples = %d", w.N())
-	}
-	if math.Abs(w.Mean()-want) > 2 {
-		t.Errorf("merged mean %v vs truth %v", w.Mean(), want)
-	}
-}
-
 func TestEmptyQueryAcrossShards(t *testing.T) {
 	c, _ := buildCluster(t, 1000, 3)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := c.Sampler(empty)
 	if _, ok := sampling.Next(s); ok {
 		t.Error("empty query should yield nothing")
-	}
-	w, err := c.ParallelPartialAvg(empty, "value", 100)
-	if err != nil || w.N() != 0 {
-		t.Errorf("empty partial avg: %d samples, %v", w.N(), err)
 	}
 }
 

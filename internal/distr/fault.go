@@ -16,8 +16,8 @@
 // is dropped from the query, the fetch distribution re-weights itself over
 // the surviving shards (draws are proportional to per-shard remaining
 // counts, so zeroing the lost shard's count is the re-weighting), and the
-// lost population mass is reported through Sampler.Degradation so
-// estimators shrink their effective N and keep confidence intervals honest
+// lost population mass is reported through Sampler.Status so the query
+// driver shrinks its effective N and keeps confidence intervals honest
 // over the surviving population instead of silently biasing.
 //
 // Crashes need not be permanent: a recover-after schedule brings the

@@ -404,9 +404,6 @@ func BuildRemote(ds *data.Dataset, cfg Config, addrs []string) (*Cluster, error)
 				PoolPages: uint32(cfg.BufferPoolPages),
 			}
 			builders = append(builders, w)
-			if r == 0 {
-				c.raw = append(c.raw, w)
-			}
 			var cl ShardClient = w
 			if c.faults != nil {
 				cl = &faultClient{ShardClient: w, c: c, f: c.faults[s][r]}

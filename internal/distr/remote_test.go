@@ -191,11 +191,11 @@ func TestRemoteFaultPlanResumesStream(t *testing.T) {
 		}
 	}
 
-	if s.Degraded() {
+	if s.Status("").ShardsLost > 0 {
 		t.Fatal("query should have re-admitted the recovered shard")
 	}
-	if s.Readmits() != 1 {
-		t.Errorf("readmits = %d, want 1", s.Readmits())
+	if got := s.Status("").Readmits; got != 1 {
+		t.Errorf("readmits = %d, want 1", got)
 	}
 	if emitted != initial {
 		t.Errorf("drained %d samples, want the full pre-crash population %d", emitted, initial)
@@ -268,10 +268,10 @@ func TestRemoteShardKillRestart(t *testing.T) {
 	// A few healthy rounds, then the host dies mid-stream.
 	drain(3)
 	srvB.Close()
-	for i := 0; i < 200 && !s.Degraded(); i++ {
+	for i := 0; i < 200 && s.Status("").ShardsLost == 0; i++ {
 		drain(1)
 	}
-	if !s.Degraded() {
+	if s.Status("").ShardsLost == 0 {
 		t.Fatal("killing host B never degraded the stream")
 	}
 	if st := c.FaultStats(); st.Crashes == 0 || st.ShardsDown == 0 {
@@ -310,10 +310,10 @@ func TestRemoteShardKillRestart(t *testing.T) {
 	if !done {
 		t.Fatal("stream never completed after host restart")
 	}
-	if s.Degraded() {
+	if s.Status("").ShardsLost > 0 {
 		t.Fatal("query should have re-admitted the restarted host's shards")
 	}
-	if s.Readmits() == 0 {
+	if s.Status("").Readmits == 0 {
 		t.Error("readmits = 0, want the restarted shards re-admitted")
 	}
 	if emitted != initial {

@@ -434,10 +434,6 @@ func (h *Handle) planContract(q geo.Rect, opts Options, c Contract) (ContractPla
 		checkAt = maxPullBatch
 	}
 	cp.ReportEvery = checkAt
-
-	if cp.Cold {
-		h.eng.met.contractColdPlans.Inc()
-	}
 	return cp, nil
 }
 
@@ -498,7 +494,8 @@ func (h *Handle) ExplainContract(q geo.Range, opts Options, c Contract) (Contrac
 // The contract's fields override the corresponding Options fields
 // (Confidence, TargetRelError, TimeBudget). Options.MaxSamples is honored
 // as an additional cap. The result's counters land in
-// storm.engine.contracts.{met,degraded,missed}.
+// storm.engine.contracts.{met,degraded,missed}, and a contract that ran
+// on a cold plan counts once under storm.engine.contracts.cold_plans.
 func (h *Handle) EstimateContract(ctx context.Context, q geo.Range, opts Options, c Contract) (ContractResult, error) {
 	c = c.withDefaults(opts.Confidence)
 	if err := validateContract(opts.withDefaults(), c); err != nil {
@@ -517,6 +514,11 @@ func (h *Handle) EstimateContract(ctx context.Context, q geo.Range, opts Options
 	ch, err := h.EstimateOnline(ctx, q, opts)
 	if err != nil {
 		return ContractResult{}, err
+	}
+	if plan.Cold {
+		// Counted here, once per contract that runs, not per planning
+		// call: EXPLAIN and the server's feasibility pre-check plan too.
+		h.eng.met.contractColdPlans.Inc()
 	}
 	var last Snapshot
 	for s := range ch {

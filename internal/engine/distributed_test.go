@@ -70,6 +70,31 @@ func TestDistributedMethodRouting(t *testing.T) {
 	}
 }
 
+// TestDistributedEstimate: a capped estimate on a healthy sharded handle
+// stops at the cap with an interval around the brute-force mean, and an
+// unknown attribute is an error rather than an answer.
+func TestDistributedEstimate(t *testing.T) {
+	_, h := buildShardedHandle(t, 20000, 4, nil)
+	want, _ := trueMean(h, testRange, "value")
+	snap, err := h.Estimate(context.Background(), testRange, Options{
+		Kind: estimator.Avg, Attr: "value", MaxSamples: 2000, Method: MethodDistributed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Samples != 2000 || snap.Degraded {
+		t.Errorf("healthy capped run: %+v", snap)
+	}
+	if math.Abs(snap.Value-want) > 3*snap.HalfWidth+1e-9 {
+		t.Errorf("estimate %v ± %v vs truth %v", snap.Value, snap.HalfWidth, want)
+	}
+	if _, err := h.Estimate(context.Background(), testRange, Options{
+		Kind: estimator.Avg, Attr: "nope", MaxSamples: 10, Method: MethodDistributed,
+	}); err == nil {
+		t.Error("unknown attribute should error")
+	}
+}
+
 func TestDistributedQueryDegrades(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := New(Config{Seed: 42, Fanout: 32, Obs: reg})

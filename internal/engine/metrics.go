@@ -42,8 +42,8 @@ type metrics struct {
 
 	// contractsMet/Degraded/Missed count contract-mode queries
 	// (EstimateContract) by their final guarantee verdict;
-	// contractColdPlans counts plans made from priors because the dataset
-	// had no telemetry yet.
+	// contractColdPlans counts the ones that ran on a plan made from
+	// priors because the dataset had no telemetry yet.
 	contractsMet      *obs.Counter
 	contractsDegraded *obs.Counter
 	contractsMissed   *obs.Counter

@@ -57,24 +57,6 @@ func (w *Welford) SampleVariance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// Merge combines another accumulator into w (Chan et al. parallel merge);
-// used by the distributed coordinator.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.n), float64(o.n)
-	delta := o.mean - w.mean
-	total := n1 + n2
-	w.mean += delta * n2 / total
-	w.m2 += o.m2 + delta*delta*n1*n2/total
-	w.n += o.n
-}
-
 // Kind identifies the aggregate an Estimator targets.
 type Kind int
 

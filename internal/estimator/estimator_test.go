@@ -3,7 +3,6 @@ package estimator
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"storm/internal/stats"
 )
@@ -25,42 +24,6 @@ func TestWelfordAgainstDirect(t *testing.T) {
 	}
 	if math.Abs(w.SampleVariance()-32.0/7) > 1e-12 {
 		t.Errorf("sample variance = %v, want %v", w.SampleVariance(), 32.0/7)
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var w1, w2, all Welford
-		for _, x := range a {
-			w1.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			w2.Add(x)
-			all.Add(x)
-		}
-		w1.Merge(w2)
-		if w1.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		return math.Abs(w1.Mean()-all.Mean()) < 1e-9 &&
-			math.Abs(w1.Variance()-all.Variance()) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

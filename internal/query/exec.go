@@ -26,6 +26,32 @@ func Execute(ctx context.Context, eng *engine.Engine, statement string, w io.Wri
 	return Run(ctx, eng, q, w)
 }
 
+// Options is the statement's one binding onto engine options, used by
+// every sampled shape and every front end: the engine's driver applies
+// WHERE, LAST, the budget and the method the same way to single and joint
+// estimates, GROUP BY, the analytics and contracts (whose ContractSpec
+// overrides the confidence, error target and budget set here).
+func (q *Query) Options() engine.Options {
+	return engine.Options{
+		Kind:           q.Agg,
+		Attr:           q.Attr,
+		QuantileP:      q.QuantileP,
+		Confidence:     q.Confidence,
+		TargetRelError: q.RelError,
+		TimeBudget:     q.Within,
+		MaxSamples:     q.Samples,
+		Method:         q.Method,
+		Where:          q.Where,
+		Last:           q.Last,
+	}
+}
+
+// ContractSpec is the statement's ERROR … AT CONFIDENCE … [WITHIN …] clause
+// as an engine contract; meaningful when q.Contract is set.
+func (q *Query) ContractSpec() engine.Contract {
+	return engine.Contract{RelError: q.RelError, Confidence: q.Confidence, Deadline: q.Within}
+}
+
 // Run executes a parsed query.
 func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 	if q.Op == OpShow {
@@ -57,21 +83,7 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 	}
 	r := q.Range()
 
-	// One options value for every sampled shape: the engine's driver
-	// applies WHERE, LAST, the budget and the method the same way to single
-	// and joint estimates, GROUP BY and the analytics.
-	opts := engine.Options{
-		Kind:           q.Agg,
-		Attr:           q.Attr,
-		QuantileP:      q.QuantileP,
-		Confidence:     q.Confidence,
-		TargetRelError: q.RelError,
-		TimeBudget:     q.Within,
-		MaxSamples:     q.Samples,
-		Method:         q.Method,
-		Where:          q.Where,
-		Last:           q.Last,
-	}
+	opts := q.Options()
 	// capped bounds an unbounded statement at n samples: shapes that render
 	// once would otherwise run to exhaustion.
 	capped := func(n int) engine.Options {
@@ -129,7 +141,7 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 					plan.Where, plan.WhereSelectivity*100, plan.Qualifying, strategy)
 			}
 			if q.Contract {
-				cp, err := h.ExplainContract(r, contractOptions(q), queryContract(q))
+				cp, err := h.ExplainContract(r, opts, q.ContractSpec())
 				if err != nil {
 					return err
 				}
@@ -161,7 +173,7 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 			if q.GroupBy != "" || len(q.MultiAggs) > 1 {
 				return fmt.Errorf("query: contracts apply to single-aggregate estimates (no GROUP BY or aggregate lists)")
 			}
-			res, err := h.EstimateContract(ctx, r, contractOptions(q), queryContract(q))
+			res, err := h.EstimateContract(ctx, r, opts, q.ContractSpec())
 			if err != nil {
 				return err
 			}
@@ -291,20 +303,6 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 	}
 }
 
-// contractOptions maps a contract-mode statement onto engine options; the
-// contract itself (queryContract) carries the targets.
-func contractOptions(q *Query) engine.Options {
-	return engine.Options{
-		Kind:       q.Agg,
-		Attr:       q.Attr,
-		QuantileP:  q.QuantileP,
-		MaxSamples: q.Samples,
-		Method:     q.Method,
-		Where:      q.Where,
-		Last:       q.Last,
-	}
-}
-
 // final drains a render-once shape's snapshot stream, handing each report to
 // each (when non-nil), and returns the last one. It fails with the set-up
 // error that report carries (see engine.Progress.Err), or with ctx's error
@@ -327,9 +325,4 @@ func final[T interface{ Err() error }](ctx context.Context, ch <-chan T, each fu
 		return last, errors.New("query: stream closed without a result")
 	}
 	return last, last.Err()
-}
-
-// queryContract extracts the statement's contract clauses.
-func queryContract(q *Query) engine.Contract {
-	return engine.Contract{RelError: q.RelError, Confidence: q.Confidence, Deadline: q.Within}
 }

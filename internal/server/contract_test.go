@@ -172,3 +172,57 @@ func TestContractQueryErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestColdPlansCountsContractsNotPlans: storm.engine.contracts.cold_plans
+// is an alarm on contracts running without telemetry, so it moves once per
+// contract that executes on a cold plan — not per planning call. EXPLAIN
+// plans without running, the HTTP contract path plans twice (feasibility
+// pre-check, then execution), and a 422 refusal plans and runs nothing.
+func TestColdPlansCountsContractsNotPlans(t *testing.T) {
+	ts := newTestServer(t)
+	post := func(stmt string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"statement": "`+stmt+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	coldPlans := func() float64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var metrics map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		v, _ := metrics["storm.engine.contracts.cold_plans"].(float64)
+		return v
+	}
+	const contract = "SELECT AVG(value) FROM uniform WHERE REGION(10,10,90,90) ERROR 10% AT CONFIDENCE 95% WITHIN 5s"
+
+	if code := post("EXPLAIN " + contract); code != 200 {
+		t.Fatalf("EXPLAIN status = %d", code)
+	}
+	if got := coldPlans(); got != 0 {
+		t.Errorf("cold_plans after EXPLAIN = %v, want 0 (nothing ran)", got)
+	}
+	if code := post(contract); code != 200 {
+		t.Fatalf("cold contract status = %d", code)
+	}
+	if got := coldPlans(); got != 1 {
+		t.Errorf("cold_plans after one cold contract = %v, want 1", got)
+	}
+	// The profile is warm now; this one is refused before it runs.
+	if code := post("SELECT AVG(value) FROM uniform WHERE REGION(10,10,90,90) ERROR 0.01% AT CONFIDENCE 99% WITHIN 1ms"); code != http.StatusUnprocessableEntity {
+		t.Fatalf("infeasible contract status = %d, want 422", code)
+	}
+	if got := coldPlans(); got != 1 {
+		t.Errorf("cold_plans after a 422 refusal = %v, want 1", got)
+	}
+}

@@ -66,7 +66,16 @@ type Server struct {
 	ingCfg ingest.Config
 	ingMu  sync.Mutex
 	ing    map[string]*ingest.Ingestor
+	// writeTimeout bounds each NDJSON flush burst (see streamEstimate);
+	// always streamWriteTimeout outside tests.
+	writeTimeout time.Duration
 }
+
+// streamWriteTimeout is how long one burst of NDJSON snapshots may take to
+// reach the client before the stream is abandoned. A healthy reader drains
+// a burst in well under a millisecond; half a minute only ever ends streams
+// whose reader has stopped.
+const streamWriteTimeout = 30 * time.Second
 
 // Option configures a Server.
 type Option func(*Server)
@@ -121,7 +130,7 @@ type serverMetrics struct {
 // per-connection counters.
 func New(eng *engine.Engine, opts ...Option) *Server {
 	reg := eng.Obs()
-	s := &Server{eng: eng, mux: http.NewServeMux(), met: serverMetrics{
+	s := &Server{eng: eng, mux: http.NewServeMux(), writeTimeout: streamWriteTimeout, met: serverMetrics{
 		queries:     reg.Counter("storm.server.queries"),
 		streams:     reg.Gauge("storm.server.streams.active"),
 		snapshots:   reg.Counter("storm.server.snapshots"),
@@ -570,28 +579,15 @@ func (s *Server) streamEstimate(w http.ResponseWriter, r *http.Request, q *query
 		httpError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	opts := engine.Options{
-		Kind:           q.Agg,
-		Attr:           q.Attr,
-		QuantileP:      q.QuantileP,
-		Confidence:     q.Confidence,
-		TargetRelError: q.RelError,
-		TimeBudget:     q.Within,
-		MaxSamples:     q.Samples,
-		Method:         q.Method,
-		Where:          q.Where,
-		Last:           q.Last,
-	}
 	// r.Context() is cancelled when the client disconnects, which stops
 	// the query — interactive exploration over HTTP.
-	ch, err := h.EstimateOnline(r.Context(), q.Range(), opts)
+	ch, err := h.EstimateOnline(r.Context(), q.Range(), q.Options())
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
 	encode := func(snap engine.Snapshot) bool {
 		if enc.Encode(snapshotJSON(snap)) != nil {
 			return false
@@ -599,9 +595,19 @@ func (s *Server) streamEstimate(w http.ResponseWriter, r *http.Request, q *query
 		s.met.snapshots.Inc()
 		return true
 	}
+	rc := http.NewResponseController(w)
 	for snap := range ch {
+		// The query goroutine holds the dataset's read lock until this
+		// handler returns, and a writer waiting on that lock parks every
+		// new reader behind it — so a client that stops reading must fail
+		// the write, not block it forever. One deadline covers the burst's
+		// writes and its flush; a ResponseWriter without deadlines or
+		// flushing (tests, in-process callers) streams without them.
+		if err := rc.SetWriteDeadline(time.Now().Add(s.writeTimeout)); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return
+		}
 		if !encode(snap) {
-			return // client gone; ctx cancellation stops the query
+			return // client gone or stalled; ctx cancellation stops the query
 		}
 		// Coalesce: when the evaluator's batched loop produced several
 		// snapshots since the last write, encode everything already queued
@@ -620,8 +626,8 @@ func (s *Server) streamEstimate(w http.ResponseWriter, r *http.Request, q *query
 				break drain
 			}
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			return
 		}
 	}
 }
@@ -738,17 +744,9 @@ func (s *Server) contractQuery(w http.ResponseWriter, r *http.Request, q *query.
 		factor = float64(cur) / float64(s.maxStreams)
 		s.met.qosDegraded.Inc()
 	}
-	req := engine.Contract{RelError: q.RelError, Confidence: q.Confidence, Deadline: q.Within}
+	req := q.ContractSpec()
 	eff := req.Scale(factor)
-	opts := engine.Options{
-		Kind:       q.Agg,
-		Attr:       q.Attr,
-		QuantileP:  q.QuantileP,
-		MaxSamples: q.Samples,
-		Method:     q.Method,
-		Where:      q.Where,
-		Last:       q.Last,
-	}
+	opts := q.Options()
 	// Provably infeasible contracts are refused up front with 422: the
 	// planner's warm-profile prediction says the error target cannot fit
 	// the deadline, so running the query would burn the whole deadline to

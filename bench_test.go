@@ -9,6 +9,7 @@ package storm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"storm/internal/ingest"
 	"storm/internal/iosim"
 	"storm/internal/lstree"
+	"storm/internal/pred"
 	"storm/internal/rstree"
 	"storm/internal/rtree"
 	"storm/internal/sampling"
@@ -211,6 +213,36 @@ func BenchmarkBatchedSampling(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.NextBatch(buf, k)
+		}
+	})
+	// The same check across materializations: a without-replacement pull
+	// that drains stored buffers and bulk-loads their parts, once an
+	// earlier query's Close has stocked the scratch pools (0 allocs/op).
+	// Only the pull is timed; each iteration's sampler is set up — frontier,
+	// consumed set, first small pull — and closed off the clock.
+	b.Run("SteadyStateMaterialize", func(b *testing.B) {
+		open := func() *rstree.Sampler {
+			s := batchedRS.Sampler(fixQuery, sampling.WithoutReplacement, stats.NewRNG(1))
+			s.AttributeIO(iosim.NewCounter(batchedDev))
+			s.NextBatch(buf, 16)
+			return s
+		}
+		warm := open()
+		warm.NextBatch(buf, k)
+		warm.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := open()
+			b.StartTimer()
+			s.NextBatch(buf, k)
+			b.StopTimer()
+			if s.Explosions() == 0 {
+				b.Fatal("the pull crossed no materialization")
+			}
+			s.Close()
+			b.StartTimer()
 		}
 	})
 }
@@ -453,14 +485,87 @@ func BenchmarkEstimatorAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimatorSnapshot times one report point. Up to 201 samples the
+// interval takes Student's t critical value (the first report points of
+// every query, and all of a dashboard tile's); k=1000 is past the cut-over
+// to the normal quantile.
 func BenchmarkEstimatorSnapshot(b *testing.B) {
-	est := estimator.MustNew(estimator.Avg, 0.95, 1<<30, true)
-	for i := 0; i < 1000; i++ {
-		est.Add(float64(i))
+	for _, k := range []int{16, 48, 112, 1000} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			est := estimator.MustNew(estimator.Avg, 0.95, 1<<30, true)
+			for i := 0; i < k; i++ {
+				est.Add(float64(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				est.Snapshot()
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est.Snapshot()
+}
+
+// BenchmarkRequestFixedCost times what a request pays before (and beside)
+// its samples — resolve the region, size the population, start and stop the
+// driver — on the three shapes the benchmark of record sends: the exact
+// COUNT of its set-up checks, a stream's first 16-sample report, and a
+// dashboard's predicate contract as the server runs it (plan, then execute
+// that plan). descents/op is the shared device's page charges outside the
+// sampler's own attributed ones, in units of one Count descent of the region:
+// 1 for the first two, and 1 plus the CountWhere walk's (smaller) share for
+// the contract.
+func BenchmarkRequestFixedCost(b *testing.B) {
+	fixture(b)
+	eng := engine.New(engine.Config{Seed: 1, BufferPoolPages: 2048, NoMetrics: true})
+	h, err := eng.Register(fixDS, engine.IndexOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := geo.Range{MinX: -76, MinY: 38.7, MaxX: -72, MaxY: 42.7, MinT: 0, MaxT: 86400 * 365}
+	ctx := context.Background()
+	dev := eng.Device()
+	before := dev.Stats().Logical
+	h.Count(q)
+	descent := float64(dev.Stats().Logical - before)
+
+	contractOpts := engine.Options{Kind: estimator.Avg, Attr: "altitude",
+		Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: math.Inf(1), LoOpen: true}}}
+	shapes := []struct {
+		name string
+		run  func() (engine.Snapshot, error)
+	}{
+		{"count", func() (engine.Snapshot, error) {
+			return h.Estimate(ctx, q, engine.Options{Kind: estimator.Count})
+		}},
+		{"estimate16", func() (engine.Snapshot, error) {
+			return h.Estimate(ctx, q, engine.Options{Kind: estimator.Avg, Attr: "altitude", MaxSamples: 16})
+		}},
+		{"contract", func() (engine.Snapshot, error) {
+			plan, err := h.ExplainContract(q, contractOpts, engine.Contract{RelError: 0.05, Deadline: 100 * time.Millisecond})
+			if err != nil {
+				return engine.Snapshot{}, err
+			}
+			res, err := h.ExecuteContract(ctx, q, contractOpts, plan)
+			return res.Snapshot, err
+		}},
+	}
+	for _, shape := range shapes {
+		b.Run(shape.name, func(b *testing.B) {
+			if _, err := shape.run(); err != nil { // warm pools and the contract profile
+				b.Fatal(err)
+			}
+			var planner uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				before := dev.Stats().Logical
+				snap, err := shape.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				planner += dev.Stats().Logical - before - snap.IO.Logical
+			}
+			b.ReportMetric(float64(planner)/float64(b.N)/descent, "descents/op")
+		})
 	}
 }
 

@@ -162,6 +162,10 @@ type ContractPlan struct {
 	// between target checks): roughly 16 checks on the way to the
 	// predicted budget, clamped to the engine's batch bounds.
 	ReportEvery int
+	// counted is the range count the plan sized its budget against;
+	// ExecuteContract hands it to the driver so the region is not walked
+	// again.
+	counted regionCount
 }
 
 // ContractResult is the single answer of a contract query: the final
@@ -339,7 +343,7 @@ func validateContract(opts Options, c Contract) error {
 // planContract builds the plan for a contract query. Caller holds h.mu
 // (read side suffices) and has applied the contract's defaults.
 func (h *Handle) planContract(q geo.Rect, opts Options, c Contract) (ContractPlan, error) {
-	plan, emptyPred, err := h.planWhere(opts.Where, opts.Pushdown)
+	res, err := h.resolve(q, opts)
 	if err != nil {
 		return ContractPlan{}, err
 	}
@@ -347,20 +351,19 @@ func (h *Handle) planContract(q geo.Rect, opts Options, c Contract) (ContractPla
 	// budgets, feasibility and exhaustion all size against the windowed
 	// count, so a contract over a fresh 5-minute window is planned for
 	// thousands of records, not the dataset's millions.
-	q = h.window(opts.Last).Apply(q)
-	matching := h.rs.Count(q)
+	matching := res.matching()
 	qual := matching
 	switch {
-	case emptyPred:
+	case res.emptyPred:
 		qual = 0
-	case plan != nil:
+	case res.plan != nil && res.plan.compiled != nil:
 		// PR 7 selectivity estimate: predicted qualifying fraction of the
 		// range matches, from the dataset-level attribute envelope. The
 		// execution path computes the exact count; the planner only needs
 		// a budget-sizing prediction.
-		qual = int(math.Round(float64(matching) * plan.est))
+		qual = int(math.Round(float64(matching) * res.plan.est))
 	}
-	cp := ContractPlan{Target: c, Qualifying: qual, ReportEvery: minPullBatch, Feasible: true}
+	cp := ContractPlan{Target: c, Qualifying: qual, ReportEvery: minPullBatch, Feasible: true, counted: res.counted}
 	if opts.Kind == estimator.Count || qual == 0 {
 		// Exact (or empty) immediately: range counting answers COUNT
 		// without sampling.
@@ -497,12 +500,23 @@ func (h *Handle) ExplainContract(q geo.Range, opts Options, c Contract) (Contrac
 // storm.engine.contracts.{met,degraded,missed}, and a contract that ran
 // on a cold plan counts once under storm.engine.contracts.cold_plans.
 func (h *Handle) EstimateContract(ctx context.Context, q geo.Range, opts Options, c Contract) (ContractResult, error) {
-	c = c.withDefaults(opts.Confidence)
-	if err := validateContract(opts.withDefaults(), c); err != nil {
-		return ContractResult{}, err
-	}
 	plan, err := h.ExplainContract(q, opts, c)
 	if err != nil {
+		return ContractResult{}, err
+	}
+	return h.ExecuteContract(ctx, q, opts, plan)
+}
+
+// ExecuteContract runs a contract query that ExplainContract has already
+// planned for the same range and options — EstimateContract's second half,
+// for a caller that looks at the plan before deciding to run (the server
+// refuses provably infeasible contracts). The contract is plan.Target. The
+// plan's range count rides along and is reused unless an update reached the
+// index in between, in which case the region is counted afresh: the answer's
+// population is always that of the index the query ran on.
+func (h *Handle) ExecuteContract(ctx context.Context, q geo.Range, opts Options, plan ContractPlan) (ContractResult, error) {
+	c := plan.Target
+	if err := validateContract(opts.withDefaults(), c); err != nil {
 		return ContractResult{}, err
 	}
 	opts.Confidence = c.Confidence
@@ -511,13 +525,16 @@ func (h *Handle) EstimateContract(ctx context.Context, q geo.Range, opts Options
 	if opts.ReportEvery == 0 {
 		opts.ReportEvery = plan.ReportEvery
 	}
+	// The count goes to the driver and stays out of the result, which a
+	// caller may keep: it references the tree it was counted on.
+	opts.counted, plan.counted = plan.counted, regionCount{}
 	ch, err := h.EstimateOnline(ctx, q, opts)
 	if err != nil {
 		return ContractResult{}, err
 	}
 	if plan.Cold {
 		// Counted here, once per contract that runs, not per planning
-		// call: EXPLAIN and the server's feasibility pre-check plan too.
+		// call: EXPLAIN plans too.
 		h.eng.met.contractColdPlans.Inc()
 	}
 	var last Snapshot

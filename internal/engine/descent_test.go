@@ -1,0 +1,151 @@
+package engine
+
+import (
+	"context"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"storm/internal/data"
+	"storm/internal/estimator"
+	"storm/internal/geo"
+	"storm/internal/pred"
+)
+
+// TestOneDescentPerRequest is the deterministic gate on a request's fixed
+// planning cost: the shared device's Logical counter may move, outside the
+// sampler's own attributed charges, by exactly one Count descent of the
+// region per request — plus one CountWhere descent when a compiled predicate
+// sizes the population — however many layers (server pre-check, contract
+// planner, optimizer, population) want the count.
+func TestOneDescentPerRequest(t *testing.T) {
+	e, h := buildHandleWithPool(t, 20000, false, 64)
+	ctx := context.Background()
+	dev := e.Device()
+	where := []pred.Term{{Attr: "value", Lo: 100, Hi: math.Inf(1)}}
+
+	delta := func(f func()) uint64 {
+		before := dev.Stats().Logical
+		f()
+		return dev.Stats().Logical - before
+	}
+	// The reference descents, walked directly on the tree.
+	rect := testRange.Rect()
+	count := delta(func() { h.rs.Count(rect) })
+	plan, empty, err := h.planWhere(where, PushdownAuto)
+	if err != nil || empty || plan == nil {
+		t.Fatalf("fixture predicate must neither pass nor fail every record: plan %v, empty %v, err %v", plan, empty, err)
+	}
+	countWhere := delta(func() { h.rs.Tree().CountWhere(rect, plan.treeFilter(h.sums)) })
+	if count == 0 || countWhere == 0 {
+		t.Fatalf("reference descents charged nothing: Count %d, CountWhere %d pages", count, countWhere)
+	}
+
+	t.Run("exact COUNT", func(t *testing.T) {
+		var snap Snapshot
+		got := delta(func() { snap, err = h.Estimate(ctx, testRange, Options{Kind: estimator.Count}) })
+		if err != nil || !snap.Exact {
+			t.Fatalf("COUNT: %+v, %v", snap, err)
+		}
+		if got != count {
+			t.Errorf("exact COUNT charged %d pages, want one Count descent = %d", got, count)
+		}
+	})
+	t.Run("ESTIMATE", func(t *testing.T) {
+		var snap Snapshot
+		got := delta(func() {
+			snap, err = h.Estimate(ctx, testRange, Options{Kind: estimator.Avg, Attr: "value", MaxSamples: 64})
+		})
+		if err != nil || snap.Samples != 64 {
+			t.Fatalf("ESTIMATE: %+v, %v", snap, err)
+		}
+		if want := count + snap.IO.Logical; got != want {
+			t.Errorf("ESTIMATE charged %d pages, want one Count descent + the sampler's own = %d + %d", got, count, snap.IO.Logical)
+		}
+	})
+	t.Run("predicate contract", func(t *testing.T) {
+		opts := Options{Kind: estimator.Avg, Attr: "value", Where: where}
+		c := Contract{RelError: 0.05, Deadline: 2 * time.Second}
+		var res ContractResult
+		got := delta(func() {
+			// What server.contractQuery does: plan, look at the plan, run it.
+			var cp ContractPlan
+			if cp, err = h.ExplainContract(testRange, opts, c); err == nil {
+				res, err = h.ExecuteContract(ctx, testRange, opts, cp)
+			}
+		})
+		if err != nil || res.Samples == 0 {
+			t.Fatalf("contract: %+v, %v", res, err)
+		}
+		if want := count + countWhere + res.IO.Logical; got != want {
+			t.Errorf("contract charged %d pages, want one Count + one CountWhere + the sampler's own = %d + %d + %d",
+				got, count, countWhere, res.IO.Logical)
+		}
+	})
+	t.Run("EXPLAIN", func(t *testing.T) {
+		if got := delta(func() { _, err = h.ExplainWhere(testRange, nil, PushdownAuto) }); err != nil || got != count {
+			t.Errorf("EXPLAIN charged %d pages (err %v), want one Count descent = %d", got, err, count)
+		}
+		if got := delta(func() { _, err = h.ExplainWhere(testRange, where, PushdownAuto) }); err != nil || got != count+countWhere {
+			t.Errorf("EXPLAIN … WHERE charged %d pages (err %v), want one Count + one CountWhere = %d + %d", got, err, count, countWhere)
+		}
+	})
+}
+
+// TestStalePlanIsRecounted plans a contract, lets records into the region,
+// and only then executes with that plan: the plan's range count describes a
+// tree that no longer exists, so the execution must count again and answer
+// over the population it actually sampled. A drain keeps ingesting elsewhere
+// meanwhile, so under -race the carried count also meets concurrent writers.
+func TestStalePlanIsRecounted(t *testing.T) {
+	_, h := buildHandle(t, 5000, false)
+	ctx := context.Background()
+	opts := Options{Kind: estimator.Avg, Attr: "value"}
+	c := Contract{RelError: 0.02, Deadline: 5 * time.Second}
+
+	rows := func(n int, x, y float64) []data.Row {
+		out := make([]data.Row, n)
+		for i := range out {
+			out[i] = data.Row{Pos: geo.Vec{x, y, 50}, Num: map[string]float64{"value": 100}}
+		}
+		return out
+	}
+
+	stop := make(chan struct{})
+	var drain sync.WaitGroup
+	drain.Add(1)
+	go func() {
+		defer drain.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				h.InsertBatch(rows(8, 90, 90)) // outside testRange
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		drain.Wait()
+	}()
+
+	cp, err := h.ExplainContract(testRange, opts, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const added = 300
+	h.InsertBatch(rows(added, 40, 40)) // inside testRange
+	want := h.Count(testRange)
+	if want < cp.counted.n+added {
+		t.Fatalf("fixture: region holds %d records after inserting %d beside the planned %d", want, added, cp.counted.n)
+	}
+	res, err := h.ExecuteContract(ctx, testRange, opts, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Population != want {
+		t.Errorf("population %d from a plan counted before the insert, want the post-insert count %d", res.Population, want)
+	}
+}

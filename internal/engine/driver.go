@@ -13,7 +13,6 @@ import (
 	"storm/internal/iosim"
 	"storm/internal/sampling"
 	"storm/internal/stats"
-	"storm/internal/wire"
 )
 
 // Progress is the part of a progress report the query driver owns. Every
@@ -241,46 +240,17 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 	if seed == 0 {
 		seed = h.eng.nextSeed()
 	}
-	// Resolve the predicate plan and method up front: the population is
-	// the qualifying count — for distributed queries the cluster's, which
-	// excludes shards that are already down — the honest effective N for
-	// the stream the coordinator can deliver.
-	plan, emptyPred, err := h.planWhere(opts.Where, opts.Pushdown)
+	// One resolution step up front — predicate plan, LAST window against
+	// the watermark, method, and with them the region's one range count —
+	// so estimator CIs, finite-population corrections and exactness all
+	// size against the windowed qualifying population.
+	res, err := h.resolve(q, opts)
 	if err != nil {
 		emit(true, failedPrefix+err.Error())
 		return
 	}
-	// Resolve the LAST window against the watermark before sizing the
-	// population, so estimator CIs, finite-population corrections and
-	// exactness all use the windowed count. Local methods narrow the query
-	// rectangle's time axis here; the distributed method keeps the rect
-	// intact and ships the resolved window as a wire term so every shard
-	// narrows its own time axis — identically in-process and over TCP.
-	win := h.window(opts.Last)
-	r.Windowed, r.WindowLo, r.WindowHi = win.Set, win.Lo, win.Hi
-	if h.cluster == nil {
-		// No cluster: narrow before method resolution so the optimizer
-		// costs the rectangle the query actually covers.
-		q = win.Apply(q)
-		win = wire.Window{}
-	}
-	method := opts.Method
-	if method == Auto {
-		method = h.choose(q)
-	}
-	if win.Set {
-		if method == MethodDistributed {
-			if plan == nil {
-				plan = &wherePlan{}
-			}
-			plan.win = win
-		} else {
-			q = win.Apply(q)
-		}
-	}
-	if !emptyPred {
-		population = h.qualifying(q, method, plan)
-	}
+	r.Windowed, r.WindowLo, r.WindowHi = res.win.Set, res.win.Lo, res.win.Hi
+	population = res.population()
 	// COUNT is exact via canonical range counting (predicates included:
 	// the qualifying population is counted through the pruned traversal):
 	// answer immediately.
@@ -297,7 +267,7 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 	if opts.TimeBudget > 0 {
 		deadline = start.Add(opts.TimeBudget)
 	}
-	sampler, ctr, err := h.newSampler(method, q, opts.Mode, stats.NewRNG(seed), plan)
+	sampler, ctr, err := h.newSampler(res.method, res.sampled(), opts.Mode, stats.NewRNG(seed), res.plan)
 	if err != nil {
 		emit(true, failedPrefix+err.Error())
 		return

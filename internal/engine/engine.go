@@ -569,16 +569,17 @@ type ioAttributor interface {
 
 // closeSampler releases sampler resources that outlive the pull loop.
 // Distributed samplers hold per-shard stream state — server-side state on
-// remote shard hosts — that only an explicit close releases; in-process
-// samplers have no Close and are left to the GC.
+// remote shard hosts — that only an explicit close releases, and closing an
+// RS-tree sampler hands its pooled scratch to the next query; the other
+// in-process samplers have no Close and are left to the GC.
 func closeSampler(s sampling.Sampler) {
 	if c, ok := s.(interface{ Close() error }); ok {
 		c.Close()
 	}
 }
 
-// newSampler builds a sampler for the query using the requested method;
-// Auto applies the optimizer's rules (see choose). A non-nil plan applies
+// newSampler builds a sampler for the query using the resolved method (see
+// resolve; Auto is not one). A non-nil plan applies
 // its WHERE predicate: pushdown plans use the predicate-aware sampler
 // variants (node-summary pruning with the acceptance correction that
 // keeps samples uniform over qualifying records), rejection plans wrap
@@ -588,9 +589,6 @@ func closeSampler(s sampling.Sampler) {
 // race-free; the returned counter is nil otherwise. Caller holds h.mu
 // (read side suffices).
 func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *stats.RNG, plan *wherePlan) (sampling.Sampler, *iosim.Counter, error) {
-	if method == Auto {
-		method = h.choose(q)
-	}
 	var dev iosim.Accountant = iosim.Discard
 	var ctr *iosim.Counter
 	if h.eng.device != nil {
@@ -705,8 +703,9 @@ func (h *Handle) Explain(q geo.Range) (Plan, error) {
 // everything else uses the RS-tree. A dataset registered with a shard
 // cluster is sampled through its coordinator — that is the deployment the
 // operator asked for, and the only path with graceful shard-loss
-// degradation.
-func (h *Handle) choose(q geo.Rect) Method {
+// degradation. matching yields the range's count |P ∩ q| (the request's one
+// descent, see resolution.matching) and is asked only when a rule needs it.
+func (h *Handle) choose(matching func() int) Method {
 	if h.cluster != nil {
 		return MethodDistributed
 	}
@@ -714,7 +713,7 @@ func (h *Handle) choose(q geo.Rect) Method {
 	if n == 0 {
 		return MethodRSTree
 	}
-	cnt := h.rs.Count(q)
+	cnt := matching()
 	switch {
 	case cnt <= 2*h.rs.Tree().Fanout():
 		return MethodQueryFirst

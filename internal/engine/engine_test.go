@@ -248,18 +248,25 @@ func TestMethodSelection(t *testing.T) {
 
 func TestOptimizerChoices(t *testing.T) {
 	_, h := buildHandle(t, 20000, false)
+	choose := func(q geo.Range) Method {
+		res, err := h.resolve(q.Rect(), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.method
+	}
 	// Tiny result → QueryFirst.
 	tiny := geo.Range{MinX: 50, MinY: 50, MaxX: 50.5, MaxY: 50.5, MinT: 0, MaxT: 100}
-	if m := h.choose(tiny.Rect()); m != MethodQueryFirst {
+	if m := choose(tiny); m != MethodQueryFirst {
 		t.Errorf("tiny query chose %v", m)
 	}
 	// Whole-data query → SampleFirst.
 	all := geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100}
-	if m := h.choose(all.Rect()); m != MethodSampleFirst {
+	if m := choose(all); m != MethodSampleFirst {
 		t.Errorf("whole-data query chose %v", m)
 	}
 	// Selective-but-not-tiny → RS-tree.
-	if m := h.choose(testRange.Rect()); m != MethodRSTree {
+	if m := choose(testRange); m != MethodRSTree {
 		t.Errorf("selective query chose %v", m)
 	}
 }

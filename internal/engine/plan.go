@@ -144,21 +144,110 @@ func (h *Handle) planWhere(where []pred.Term, strategy PushdownStrategy) (plan *
 	return pl, false, nil
 }
 
-// qualifying returns the exact qualifying population |P ∩ q ∩ σ| for the
-// resolved method — the N the estimator scales SUM/COUNT by, applies the
-// finite-population correction against, and declares exactness at.
-// Caller holds h.mu.
-func (h *Handle) qualifying(q geo.Rect, method Method, plan *wherePlan) int {
-	if method == MethodDistributed && h.cluster != nil {
-		if plan == nil {
-			return h.cluster.Count(q)
+// regionCount is |P ∩ rect| as one canonical descent of the RS-tree counted
+// it, with the tree state it was counted at. A contract's planner hands its
+// count to the execution across a gap in which nobody holds the read lock;
+// current says whether an update got in between.
+type regionCount struct {
+	rect    geo.Rect
+	n       int
+	root    *rtree.Node
+	version uint64
+}
+
+// current reports whether c counts rect on t as t stands now.
+func (c regionCount) current(t *rtree.Tree, rect geo.Rect) bool {
+	return c.root != nil && c.root == t.Root() && c.version == t.Version() && c.rect == rect
+}
+
+// resolution is what a request learns about its region before it draws or
+// answers: the rectangle it really covers, the WHERE plan, the sampling
+// method and — once something asks — the range count and the qualifying
+// population. The driver, EXPLAIN and the contract planner all get it from
+// resolve, so one request walks the region's canonical descent once.
+type resolution struct {
+	h *Handle
+	// query is the rectangle as given; rect has its time axis narrowed to
+	// the LAST window, which is what the local indexes count and sample.
+	query, rect geo.Rect
+	// win is the resolved LAST window (unset without one).
+	win wire.Window
+	// plan is the WHERE plan, nil without an effective predicate; emptyPred
+	// reports that the root digests prove nothing can qualify.
+	plan      *wherePlan
+	emptyPred bool
+	method    Method
+	// counted is the range count of rect: carried in from the planner,
+	// taken by matching, or zero while nothing has needed it.
+	counted regionCount
+}
+
+// resolve is the one resolution step of a request: WHERE plan, LAST window
+// against the watermark, then the method — Auto applies the optimizer's
+// rules (see choose) to the narrowed rectangle, so it costs the region the
+// query actually covers. Caller holds h.mu (read side suffices).
+func (h *Handle) resolve(q geo.Rect, opts Options) (*resolution, error) {
+	plan, emptyPred, err := h.planWhere(opts.Where, opts.Pushdown)
+	if err != nil {
+		return nil, err
+	}
+	win := h.window(opts.Last)
+	r := &resolution{h: h, query: q, rect: win.Apply(q), win: win,
+		plan: plan, emptyPred: emptyPred, method: opts.Method, counted: opts.counted}
+	if r.method == Auto {
+		r.method = h.choose(r.matching)
+	}
+	if win.Set && r.method == MethodDistributed {
+		// The shards narrow their own time axes — identically in-process
+		// and over TCP — so the window ships as a wire term beside the
+		// predicate and the rectangle goes out as given.
+		if r.plan == nil {
+			r.plan = &wherePlan{}
 		}
-		return h.cluster.CountWindow(q, plan.terms, plan.win)
+		r.plan.win = win
 	}
-	if plan == nil || plan.compiled == nil {
-		return h.rs.Count(q)
+	return r, nil
+}
+
+// matching returns |P ∩ rect|, descending for it at most once per request
+// and not at all when the planner's count still describes the tree.
+func (r *resolution) matching() int {
+	if t := r.h.rs.Tree(); !r.counted.current(t, r.rect) {
+		r.counted = regionCount{rect: r.rect, n: t.Count(r.rect), root: t.Root(), version: t.Version()}
 	}
-	return h.rs.Tree().CountWhere(q, plan.treeFilter(h.sums))
+	return r.counted.n
+}
+
+// sampled returns the rectangle the method's sampler takes: the narrowed
+// one, except for the distributed method (see resolve).
+func (r *resolution) sampled() geo.Rect {
+	if r.method == MethodDistributed {
+		return r.query
+	}
+	return r.rect
+}
+
+// population returns the exact qualifying population |P ∩ q ∩ σ| for the
+// resolved method — the N the estimator scales SUM/COUNT by, applies the
+// finite-population correction against, and declares exactness at. For
+// distributed queries it is the cluster's count, which excludes shards
+// that are already down: the honest effective N for the stream the
+// coordinator can deliver.
+func (r *resolution) population() int {
+	h := r.h
+	switch {
+	case r.emptyPred:
+		return 0
+	case r.method == MethodDistributed && h.cluster != nil:
+		if r.plan == nil {
+			return h.cluster.Count(r.query)
+		}
+		return h.cluster.CountWindow(r.query, r.plan.terms, r.plan.win)
+	case r.plan == nil || r.plan.compiled == nil:
+		return r.matching()
+	default:
+		return h.rs.Tree().CountWhere(r.rect, r.plan.treeFilter(h.sums))
+	}
 }
 
 // ExplainWhere returns the optimizer's plan for a range and an optional
@@ -170,19 +259,18 @@ func (h *Handle) ExplainWhere(q geo.Range, where []pred.Term, strategy PushdownS
 	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	rect := q.Rect()
-	n := h.rs.Len()
-	matching := h.rs.Count(rect)
-	plan, emptyPred, err := h.planWhere(where, strategy)
+	res, err := h.resolve(q.Rect(), Options{Where: where, Pushdown: strategy})
 	if err != nil {
 		return Plan{}, err
 	}
+	n := h.rs.Len()
+	matching := res.matching()
 	p := Plan{
 		Dataset:          h.name,
 		N:                n,
 		Matching:         matching,
-		Method:           h.choose(rect),
-		CanonicalSize:    h.rs.Tree().CanonicalSize(rect),
+		Method:           res.method,
+		CanonicalSize:    h.rs.Tree().CanonicalSize(res.rect),
 		TreeHeight:       h.rs.Tree().Height(),
 		Qualifying:       matching,
 		WhereSelectivity: 1,
@@ -194,12 +282,12 @@ func (h *Handle) ExplainWhere(q geo.Range, where []pred.Term, strategy PushdownS
 		p.Where = pred.Normalize(where).String()
 	}
 	switch {
-	case emptyPred:
+	case res.emptyPred:
 		p.Qualifying, p.WhereSelectivity = 0, 0
-	case plan != nil:
-		p.WhereSelectivity = plan.est
-		p.Pushdown = plan.pushdown
-		p.Qualifying = h.qualifying(rect, p.Method, plan)
+	case res.plan != nil:
+		p.WhereSelectivity = res.plan.est
+		p.Pushdown = res.plan.pushdown
+		p.Qualifying = res.population()
 	}
 	return p, nil
 }

@@ -64,6 +64,10 @@ type Options struct {
 	// serially or concurrently: per-node sample buffers are deterministic
 	// in the index state, never in other queries' history.
 	Seed int64
+	// counted is the range count the contract planner already took for
+	// this query (ExecuteContract sets it); the driver reuses it while it
+	// still describes the index.
+	counted regionCount
 }
 
 func (o Options) withDefaults() Options {
@@ -222,7 +226,11 @@ func (h *Handle) Sample(q geo.Range, k int, method Method, mode sampling.Mode, s
 	if seed == 0 {
 		seed = h.eng.nextSeed()
 	}
-	sampler, _, err := h.newSampler(method, q.Rect(), mode, stats.NewRNG(seed), nil)
+	res, err := h.resolve(q.Rect(), Options{Method: method})
+	if err != nil {
+		return nil, err
+	}
+	sampler, _, err := h.newSampler(res.method, res.sampled(), mode, stats.NewRNG(seed), res.plan)
 	if err != nil {
 		return nil, err
 	}

@@ -346,11 +346,12 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 		s = count
 	}
 	rng := stats.NewRNG(x.bufferSeed(n))
-	positions := distinctPositions(rng, count, s)
+	box := distinctPositions(rng, count, s)
+	positions := *box
 	sort.Ints(positions)
 	out := make([]data.Entry, 0, s)
 	x.collectPositions(n, positions, 0, &out, acct)
-	putInts(positions)
+	intPool.put(box)
 	// The positions were sorted for the descent; shuffle the collected
 	// entries so the buffer order is uniform.
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
@@ -358,11 +359,12 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 }
 
 // distinctPositions returns s distinct uniform values in [0, count) in a
-// pooled slice (return it with putInts).
-func distinctPositions(rng *stats.RNG, count, s int) []int {
+// pooled slice (return the box with intPool.put).
+func distinctPositions(rng *stats.RNG, count, s int) *[]int {
 	if s*2 >= count {
 		// Dense case: partial Fisher–Yates over the full range.
-		all := getInts(count)
+		box := intPool.get(count)
+		all := *box
 		for i := range all {
 			all[i] = i
 		}
@@ -370,10 +372,12 @@ func distinctPositions(rng *stats.RNG, count, s int) []int {
 			j := i + rng.Intn(count-i)
 			all[i], all[j] = all[j], all[i]
 		}
-		return all[:s]
+		*box = all[:s]
+		return box
 	}
 	seen := make(map[int]struct{}, s)
-	out := getInts(s)[:0]
+	box := intPool.get(s)
+	out := (*box)[:0]
 	for len(out) < s {
 		p := rng.Intn(count)
 		if _, dup := seen[p]; dup {
@@ -382,7 +386,8 @@ func distinctPositions(rng *stats.RNG, count, s int) []int {
 		seen[p] = struct{}{}
 		out = append(out, p)
 	}
-	return out
+	*box = out
+	return box
 }
 
 // collectPositions resolves sorted subtree positions to entries, charging

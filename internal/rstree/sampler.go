@@ -22,11 +22,16 @@ type part struct {
 	node *rtree.Node
 	// buf is the active sample source: initially the node's stored
 	// buffer, after materialization the remaining matching entries.
-	buf    []data.Entry
-	order  []int // query-local lazy Fisher–Yates permutation of buf
+	buf []data.Entry
+	// order is the query-local lazy Fisher–Yates permutation of a stored
+	// buffer, which other queries share and which therefore stays in stored
+	// order; nil before the first draw and once the part is materialized.
+	order  *[]int
 	cursor int
-	// materialized marks that buf holds the exact remaining entries.
-	materialized bool
+	// own is the pool box behind buf once the part is materialized, nil
+	// before: buf then holds the exact remaining entries, belongs to this
+	// part alone and is shuffled in place.
+	own *[]data.Entry
 	// contained marks a subtree entirely inside the query: its draws are
 	// accepted without a per-entry containment test.
 	contained bool
@@ -71,6 +76,8 @@ type Sampler struct {
 	fen   *fenwick
 	seen  *sampling.IDSet
 	init  bool
+	// closed marks a sampler whose scratch went back to the pools.
+	closed bool
 
 	// with-replacement state
 	wrNodes     []*rtree.Node
@@ -168,7 +175,7 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k > len(dst) {
 		k = len(dst)
 	}
-	if k <= 0 {
+	if k <= 0 || s.closed {
 		return 0
 	}
 	s.beginBatch()
@@ -283,7 +290,7 @@ func (s *Sampler) nextWithoutReplacement() (data.Entry, bool) {
 		s.charge(p.node)
 		e, ok := s.nextFromBuffer(p)
 		if !ok {
-			if p.materialized || (p.node.IsLeaf() && len(p.buf) == p.node.Count()) {
+			if p.materialized() || (p.node.IsLeaf() && len(p.buf) == p.node.Count()) {
 				// The exact remaining set is exhausted.
 				s.retirePart(p, i)
 				continue
@@ -293,7 +300,7 @@ func (s *Sampler) nextWithoutReplacement() (data.Entry, bool) {
 		}
 		s.seen.Add(e.ID)
 		s.fen.Add(i, -1)
-		if p.materialized ||
+		if p.materialized() ||
 			((p.contained || s.query.Contains(e.Pos)) &&
 				(p.predAll || s.filter.Match(e.ID))) {
 			s.draws++
@@ -307,26 +314,67 @@ func (s *Sampler) nextWithoutReplacement() (data.Entry, bool) {
 // retirePart zeroes an exhausted part's weight and recycles its scratch.
 func (s *Sampler) retirePart(p *part, slot int) {
 	s.fen.Set(slot, 0)
+	p.release()
+}
+
+// materialized reports whether buf holds the part's exact remaining entries
+// rather than the node's stored sample.
+func (p *part) materialized() bool { return p.own != nil }
+
+// release returns the part's pooled scratch — the permutation of a stored
+// buffer, the contents of a materialized one — and leaves it empty.
+func (p *part) release() {
 	if p.order != nil {
-		putInts(p.order)
+		intPool.put(p.order)
 		p.order = nil
+	}
+	if p.own != nil {
+		putEntries(p.own)
+		p.own = nil
 	}
 	p.buf = nil
 }
 
+// Close ends the stream and hands the scratch its parts still hold to the
+// next query; further pulls return nothing. A query that never calls it
+// loses nothing but the reuse. Safe to call more than once, and on a sampler
+// that never drew.
+func (s *Sampler) Close() error {
+	s.closed = true
+	for _, p := range s.parts {
+		p.release()
+	}
+	s.parts = nil
+	return nil
+}
+
 // nextFromBuffer returns the next not-yet-consumed entry of p's buffer in
-// query-local random order, or ok=false when the buffer is exhausted.
+// query-local random order, or ok=false when the buffer is exhausted. Both
+// kinds of buffer take the same Fisher–Yates step off the same draw: a
+// stored buffer through the part's permutation, a materialized one on its
+// own entries.
 func (s *Sampler) nextFromBuffer(p *part) (data.Entry, bool) {
-	if p.order == nil {
-		p.order = getInts(len(p.buf))
-		for i := range p.order {
-			p.order[i] = i
+	var order []int
+	if !p.materialized() {
+		if p.order == nil {
+			p.order = intPool.get(len(p.buf))
+			for i := range *p.order {
+				(*p.order)[i] = i
+			}
 		}
+		order = *p.order
 	}
 	for p.cursor < len(p.buf) {
-		j := p.cursor + s.rng.Intn(len(p.buf)-p.cursor)
-		p.order[p.cursor], p.order[j] = p.order[j], p.order[p.cursor]
-		e := p.buf[p.order[p.cursor]]
+		i := p.cursor
+		j := i + s.rng.Intn(len(p.buf)-i)
+		var e data.Entry
+		if p.materialized() {
+			p.buf[i], p.buf[j] = p.buf[j], p.buf[i]
+			e = p.buf[i]
+		} else {
+			order[i], order[j] = order[j], order[i]
+			e = p.buf[order[i]]
+		}
 		p.cursor++
 		if s.seen.Contains(e.ID) {
 			// Defensive: stored buffers and materialized lists are
@@ -346,16 +394,12 @@ func (s *Sampler) nextFromBuffer(p *part) (data.Entry, bool) {
 // actually drained — never more than a full range report.
 func (s *Sampler) materialize(p *part, slot int) {
 	s.explosions++
-	remaining := make([]data.Entry, 0, p.node.Count())
-	s.collectMatching(p.node, p.contained, p.predAll, &remaining)
-	p.buf = remaining
-	if p.order != nil {
-		putInts(p.order)
-		p.order = nil
-	}
+	p.release()
+	p.own = getEntries(p.node.Count())
+	s.collectMatching(p.node, p.contained, p.predAll, p.own)
+	p.buf = *p.own
 	p.cursor = 0
-	p.materialized = true
-	s.fen.Set(slot, len(remaining))
+	s.fen.Set(slot, len(p.buf))
 }
 
 // collectMatching appends the subtree's unconsumed matching entries in
@@ -366,8 +410,8 @@ func (s *Sampler) materialize(p *part, slot int) {
 // the per-entry predicate test, and predicate-pruned child subtrees are
 // dropped from the scan entirely.
 func (s *Sampler) collectMatching(root *rtree.Node, contained, predAll bool, out *[]data.Entry) {
-	stack := getNodeStack()
-	stack = append(stack, root)
+	box := getNodeStack()
+	stack := append(*box, root)
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -399,7 +443,7 @@ func (s *Sampler) collectMatching(root *rtree.Node, contained, predAll bool, out
 			stack = append(stack, kids[i])
 		}
 	}
-	putNodeStack(stack)
+	putNodeStack(box, stack)
 }
 
 // nextWithReplacement draws an independent uniform sample of P ∩ Q by

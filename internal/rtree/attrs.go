@@ -226,16 +226,19 @@ func (f *TreeFilter) Match(id data.ID) bool {
 // CountWhere returns the number of entries in q that satisfy f's
 // predicate, pruning subtrees whose digests rule the predicate out and
 // short-cutting contained subtrees whose digests prove every record
-// qualifies. A nil filter is exactly Count.
+// qualifies. A nil filter is exactly Count, and the descent is charged the
+// same way.
 func (t *Tree) CountWhere(q geo.Rect, f *TreeFilter) int {
 	if f == nil {
 		return t.Count(q)
 	}
-	return t.countWhere(t.root, q, f)
+	acct := t.beginDescent()
+	defer t.endDescent(acct)
+	return t.countWhere(acct, t.root, q, f)
 }
 
-func (t *Tree) countWhere(n *Node, q geo.Rect, f *TreeFilter) int {
-	t.Charge(n)
+func (t *Tree) countWhere(acct *iosim.Batcher, n *Node, q geo.Rect, f *TreeFilter) int {
+	acct.Access(n.page)
 	v := f.Verdict(n)
 	if v == pred.None {
 		return 0
@@ -254,7 +257,7 @@ func (t *Tree) countWhere(n *Node, q geo.Rect, f *TreeFilter) int {
 	}
 	for _, c := range n.children {
 		if c.mbr.Intersects(q) {
-			total += t.countWhere(c, q, f)
+			total += t.countWhere(acct, c, q, f)
 		}
 	}
 	return total

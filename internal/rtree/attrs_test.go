@@ -2,10 +2,12 @@ package rtree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/iosim"
 	"storm/internal/pred"
 	"storm/internal/stats"
 )
@@ -173,5 +175,89 @@ func TestTreeFilterNilAndMissingAttr(t *testing.T) {
 	}
 	if f.Pruned != 0 {
 		t.Errorf("summary-less filter claimed %d prunes", f.Pruned)
+	}
+}
+
+// runLog is an accountant that records what a descent charges and how: the
+// page sequence, expanded from the runs, and the calls it arrived in.
+type runLog struct {
+	pages             []iosim.PageID
+	accesses, flushes int
+}
+
+func (l *runLog) Access(p iosim.PageID) bool {
+	l.accesses++
+	l.pages = append(l.pages, p)
+	return true
+}
+func (l *runLog) Write(iosim.PageID)      {}
+func (l *runLog) Invalidate(iosim.PageID) {}
+func (l *runLog) AccessBatch(pages []iosim.PageID, counts []int) uint64 {
+	l.flushes++
+	for i, p := range pages {
+		for j := 0; j < counts[i]; j++ {
+			l.pages = append(l.pages, p)
+		}
+	}
+	return 0
+}
+
+// TestCountChargesInRunsTheSameSequence pins both halves of how Count and
+// CountWhere charge: the device sees the pages a node-by-node descent would
+// charge, in that order, and sees them only through batch flushes — a few per
+// descent, never one call (one device lock) per node.
+func TestCountChargesInRunsTheSameSequence(t *testing.T) {
+	ds := attrDataset(t, 20000, 5)
+	log := &runLog{}
+	tr := MustNew(Config{Fanout: 8, Device: log})
+	tr.BulkLoad(ds.Entries())
+	sums := NewSummaries(tr, ds)
+	sums.Precompute()
+	c := compilePred(t, ds, pred.Term{Attr: "speed", Lo: 20, Hi: 80})
+
+	// The descents as they charged before batching: one Access per node.
+	var nodeByNode func(n *Node, q geo.Rect, f *TreeFilter, out *[]iosim.PageID)
+	nodeByNode = func(n *Node, q geo.Rect, f *TreeFilter, out *[]iosim.PageID) {
+		*out = append(*out, n.page)
+		v := f.Verdict(n)
+		if v == pred.None || (v == pred.All && q.ContainsRect(n.mbr)) || n.leaf {
+			return
+		}
+		for _, ch := range n.children {
+			if ch.mbr.Intersects(q) {
+				nodeByNode(ch, q, f, out)
+			}
+		}
+	}
+	queries := []geo.Rect{
+		{Min: geo.Vec{0, 0, 0}, Max: geo.Vec{100, 100, 100}},
+		{Min: geo.Vec{10, 10, 10}, Max: geo.Vec{60, 70, 90}},
+		{Min: geo.Vec{40, 40, 0}, Max: geo.Vec{45, 45, 100}},
+		{Min: geo.Vec{200, 200, 200}, Max: geo.Vec{300, 300, 300}}, // disjoint
+	}
+	for qi, q := range queries {
+		for _, where := range []bool{false, true} {
+			var f *TreeFilter
+			if where {
+				f = NewTreeFilter(c, sums)
+			}
+			var want []iosim.PageID
+			nodeByNode(tr.root, q, f, &want)
+			*log = runLog{}
+			if where {
+				tr.CountWhere(q, NewTreeFilter(c, sums))
+			} else {
+				tr.Count(q)
+			}
+			if !slices.Equal(log.pages, want) {
+				t.Errorf("query %d where=%v: charged %d pages, node-by-node descent charges %d (or another order)", qi, where, len(log.pages), len(want))
+			}
+			if log.accesses != 0 {
+				t.Errorf("query %d where=%v: %d single-page Access calls, want every charge in a batch flush", qi, where, log.accesses)
+			}
+			if max := len(want)/64 + 1; log.flushes == 0 || log.flushes > max {
+				t.Errorf("query %d where=%v: %d flushes for %d pages, want 1..%d", qi, where, log.flushes, len(want), max)
+			}
+		}
 	}
 }

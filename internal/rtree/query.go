@@ -65,13 +65,17 @@ func (t *Tree) ReportAllTo(acct iosim.Accountant, q geo.Rect) []data.Entry {
 
 // Count returns |P ∩ q| exactly. Subtrees fully inside q contribute their
 // stored counts without descending, so the cost is proportional to the size
-// of the canonical set rather than to the answer.
+// of the canonical set rather than to the answer. Visited nodes are charged
+// in descent order through a run-length batcher: the device sees the access
+// sequence of a node-by-node charge and is locked once per flush.
 func (t *Tree) Count(q geo.Rect) int {
-	return t.count(t.root, q)
+	acct := t.beginDescent()
+	defer t.endDescent(acct)
+	return t.count(acct, t.root, q)
 }
 
-func (t *Tree) count(n *Node, q geo.Rect) int {
-	t.Charge(n)
+func (t *Tree) count(acct *iosim.Batcher, n *Node, q geo.Rect) int {
+	acct.Access(n.page)
 	if q.ContainsRect(n.mbr) {
 		return n.count
 	}
@@ -86,10 +90,24 @@ func (t *Tree) count(n *Node, q geo.Rect) int {
 	}
 	for _, c := range n.children {
 		if c.mbr.Intersects(q) {
-			total += t.count(c, q)
+			total += t.count(acct, c, q)
 		}
 	}
 	return total
+}
+
+// beginDescent returns a batcher in front of the tree's device for one
+// read-only descent; endDescent flushes it and keeps it for the next one.
+func (t *Tree) beginDescent() *iosim.Batcher {
+	if b, ok := t.descents.Get().(*iosim.Batcher); ok {
+		return b
+	}
+	return iosim.NewBatcher(t.cfg.Device)
+}
+
+func (t *Tree) endDescent(b *iosim.Batcher) {
+	b.Flush()
+	t.descents.Put(b)
 }
 
 // CanonicalPart is one element of a canonical decomposition of a range

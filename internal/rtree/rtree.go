@@ -26,6 +26,7 @@ package rtree
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"storm/internal/data"
@@ -173,6 +174,8 @@ type Tree struct {
 	version  uint64
 	quant    *hilbert.Quantizer
 	minFill  int
+	// descents recycles the batchers Count and CountWhere charge through.
+	descents sync.Pool
 }
 
 // New returns an empty tree with the given configuration.

@@ -747,13 +747,19 @@ func (s *Server) contractQuery(w http.ResponseWriter, r *http.Request, q *query.
 	req := q.ContractSpec()
 	eff := req.Scale(factor)
 	opts := q.Options()
+	// One planning call serves both the refusal below and the execution,
+	// which reuses the plan's range count.
+	plan, err := h.ExplainContract(q.Range(), opts, eff)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	// Provably infeasible contracts are refused up front with 422: the
 	// planner's warm-profile prediction says the error target cannot fit
 	// the deadline, so running the query would burn the whole deadline to
 	// deliver a "missed" verdict anyway. Cold plans (no telemetry yet) get
-	// the benefit of the doubt and run. Planning errors fall through to
-	// EstimateContract, which reports them as a 400.
-	if plan, perr := h.ExplainContract(q.Range(), opts, eff); perr == nil && !plan.Feasible && !plan.Cold {
+	// the benefit of the doubt and run.
+	if !plan.Feasible && !plan.Cold {
 		s.met.infeasible.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusUnprocessableEntity)
@@ -769,7 +775,7 @@ func (s *Server) contractQuery(w http.ResponseWriter, r *http.Request, q *query.
 		})
 		return
 	}
-	res, err := h.EstimateContract(r.Context(), q.Range(), opts, eff)
+	res, err := h.ExecuteContract(r.Context(), q.Range(), opts, plan)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

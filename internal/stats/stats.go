@@ -7,6 +7,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 )
 
 // RNG is the random source used across STORM. It wraps math/rand so every
@@ -156,6 +157,50 @@ func ZScore(confidence float64) float64 {
 	return NormalQuantile(0.5 + confidence/2)
 }
 
+// tMaxNu is the largest ν whose critical value is solved from the t
+// distribution; above it the normal quantile stands in.
+const tMaxNu = 200
+
+// tMemo holds the critical values already solved, one row per confidence
+// level. A query asks for one level at every report point and a deployment
+// uses a handful of levels, so the table is a fixed array: a level that
+// arrives when every row belongs to another is solved each time it is asked
+// for and never displaces one.
+var tMemo [8]tMemoRow
+
+type tMemoRow struct {
+	// conf is the row's confidence level as float64 bits; 0 marks a free
+	// row (0 is not a level the table stores).
+	conf atomic.Uint64
+	// crit is the critical value for ν = index+1 as float64 bits; 0 marks
+	// one not solved yet.
+	crit [tMaxNu]atomic.Uint64
+}
+
+// tMemoCell returns the table cell for (confidence, nu), claiming a free row
+// for a level seen for the first time. It returns nil for a confidence
+// outside (0, 1) and when the table is full of other levels.
+func tMemoCell(confidence float64, nu int) *atomic.Uint64 {
+	if !(confidence > 0 && confidence < 1) {
+		return nil
+	}
+	key := math.Float64bits(confidence)
+	for i := range tMemo {
+		row := &tMemo[i]
+		have := row.conf.Load()
+		if have == 0 {
+			if row.conf.CompareAndSwap(0, key) {
+				return &row.crit[nu-1]
+			}
+			have = row.conf.Load()
+		}
+		if have == key {
+			return &row.crit[nu-1]
+		}
+	}
+	return nil
+}
+
 // StudentTQuantile returns the two-sided critical value of Student's t
 // distribution with nu degrees of freedom at the given confidence level.
 // Online aggregation uses t-based intervals while the sample is small and
@@ -164,18 +209,40 @@ func StudentTQuantile(confidence float64, nu int) float64 {
 	if nu <= 0 {
 		panic("stats: degrees of freedom must be positive")
 	}
-	if nu > 200 {
+	if nu > tMaxNu {
 		return ZScore(confidence)
 	}
-	// Solve F(t) = 0.5 + confidence/2 by bisection on the CDF. The CDF is
-	// evaluated through the regularized incomplete beta function.
+	cell := tMemoCell(confidence, nu)
+	if cell == nil {
+		return solveStudentT(confidence, float64(nu))
+	}
+	if bits := cell.Load(); bits != 0 {
+		return math.Float64frombits(bits)
+	}
+	t := solveStudentT(confidence, float64(nu))
+	cell.Store(math.Float64bits(t))
+	return t
+}
+
+// solveStudentT solves F(t) = 0.5 + confidence/2 by bisection on the CDF,
+// which is evaluated through the regularized incomplete beta function. An
+// iteration that moves neither bound is a fixed point of the remaining
+// ones — float64 runs out of midpoints after about 64 halvings of [0, 1e3]
+// — so stopping there returns what all 200 rounds would.
+func solveStudentT(confidence, nu float64) float64 {
 	target := 0.5 + confidence/2
 	lo, hi := 0.0, 1e3
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		if studentTCDF(mid, float64(nu)) < target {
+		if studentTCDF(mid, nu) < target {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}

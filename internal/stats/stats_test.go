@@ -342,3 +342,63 @@ func TestShuffleIntsPermutes(t *testing.T) {
 		}
 	}
 }
+
+// bisectStudentT200 is StudentTQuantile's solve as it was before the early
+// exit and the memo: all 200 rounds, nothing remembered.
+func bisectStudentT200(confidence float64, nu int) float64 {
+	target := 0.5 + confidence/2
+	lo, hi := 0.0, 1e3
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if studentTCDF(mid, float64(nu)) < target {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+func TestStudentTQuantileBitIdenticalToFullBisection(t *testing.T) {
+	for _, conf := range []float64{0.80, 0.90, 0.95, 0.99, 0.999} {
+		for nu := 1; nu <= tMaxNu; nu++ {
+			want := math.Float64bits(bisectStudentT200(conf, nu))
+			// Twice: the first call solves (or bypasses), the second reads
+			// the memo when the level has a row.
+			for pass := 0; pass < 2; pass++ {
+				if got := math.Float64bits(StudentTQuantile(conf, nu)); got != want {
+					t.Fatalf("pass %d: t(%v, %d) = %x, want %x", pass, conf, nu, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestStudentTMemoStaysFixedUnderDistinctConfidences(t *testing.T) {
+	held := StudentTQuantile(0.95, 7)
+	for i := 0; i < 10000; i++ {
+		conf := 0.5 + 0.49*float64(i)/10000
+		nu := 1 + i%tMaxNu
+		if got, want := StudentTQuantile(conf, nu), bisectStudentT200(conf, nu); got != want {
+			t.Fatalf("t(%v, %d) = %v, want %v", conf, nu, got, want)
+		}
+	}
+	rows := 0
+	for i := range tMemo {
+		if tMemo[i].conf.Load() != 0 {
+			rows++
+		}
+	}
+	if rows != len(tMemo) {
+		t.Errorf("memo holds %d levels after 10000 distinct ones, want all %d rows taken and no more", rows, len(tMemo))
+	}
+	if got := StudentTQuantile(0.95, 7); got != held {
+		t.Errorf("t(0.95, 7) = %v after the flood, was %v", got, held)
+	}
+	// Levels that are not confidences never take a row.
+	for _, conf := range []float64{0, 1, -0.5, 1.5, math.NaN()} {
+		if tMemoCell(conf, 3) != nil {
+			t.Errorf("confidence %v was given a memo row", conf)
+		}
+	}
+}

@@ -86,7 +86,8 @@ test-stats:
 # fault-plan grammar (no panic, canonical round-trip), the wire codec (no
 # panic on arbitrary frames, decode∘encode identity), and the query
 # language's WHERE, contract and LAST-window grammars (no panic, canonical
-# fixpoints).
+# fixpoints) — and over the Hilbert key of any three floats, which must be
+# the generic transform's (every shard boundary and page ID hangs off it).
 # The checked-in corpora also run on plain `go test`.
 fuzz-smoke:
 	$(GO) test -run FuzzParseFaultPlan -fuzz FuzzParseFaultPlan -fuzztime 15s ./internal/distr/
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseWhere -fuzz FuzzParseWhere -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzParseContract -fuzz FuzzParseContract -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzParseWindow -fuzz FuzzParseWindow -fuzztime 15s ./internal/query/
+	$(GO) test -run FuzzValue3 -fuzz FuzzValue3 -fuzztime 15s ./internal/hilbert/
 
 # Real-process cluster smoke: build stormd, spawn 4 -role=shard processes
 # plus a coordinator, query over HTTP, kill one shard host mid-stream and

@@ -17,6 +17,7 @@ import (
 
 	"storm/internal/bench"
 	"storm/internal/data"
+	"storm/internal/distr"
 	"storm/internal/engine"
 	"storm/internal/estimator"
 	"storm/internal/gen"
@@ -30,6 +31,7 @@ import (
 	"storm/internal/rtree"
 	"storm/internal/sampling"
 	"storm/internal/stats"
+	"storm/internal/wire"
 )
 
 // ---- shared fixtures (built once across benchmarks) ----
@@ -447,6 +449,36 @@ func BenchmarkRegister(b *testing.B) {
 	b.ReportMetric(genMS, "gen-ms")
 	b.ReportMetric(sortMS, "sort-ms")
 	b.ReportMetric(float64(time.Since(start).Microseconds())/1000, "pack-ms")
+}
+
+// BenchmarkHostBuild times what a coordinator waits for at registration:
+// one shard host (as cmd/stormd -role=shard runs it) answering the Build
+// requests for both shards of a two-way partition of its dataset copy, at
+// once, as BuildRemote issues them. partitions/op is the deterministic
+// half: a host partitions once per dataset, not once per Build.
+func BenchmarkHostBuild(b *testing.B) {
+	ds := gen.OSM(gen.OSMConfig{N: 250_000, Seed: 1})
+	var partitions uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := distr.NewHost()
+		h.AddDataset(ds)
+		var wg sync.WaitGroup
+		for shard := uint32(0); shard < 2; shard++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp := h.Handle(&wire.Build{Target: wire.Target{DS: ds.Name(), Shard: shard}, Of: 2, Seed: 1})
+				if _, ok := resp.(*wire.BuildOK); !ok {
+					b.Errorf("Build shard %d: %#v", shard, resp)
+				}
+			}()
+		}
+		wg.Wait()
+		partitions += h.Partitions()
+	}
+	b.ReportMetric(float64(partitions)/float64(b.N), "partitions/op")
 }
 
 // ---- substrate micro-benchmarks ----

@@ -12,7 +12,7 @@ import (
 
 func buildCluster(t testing.TB, n, shards int) (*Cluster, *data.Dataset) {
 	t.Helper()
-	ds := gen.Uniform(n, 11, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
+	ds := testDataset(n)
 	c, err := Build(ds, Config{Shards: shards, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

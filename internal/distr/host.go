@@ -4,15 +4,19 @@
 // coordinator's Build request names a (dataset, shard, of) triple, and the
 // host partitions its local copy of the dataset exactly as the coordinator
 // would (partition is deterministic), so only sample batches ever cross
-// the wire, never shard contents.
+// the wire, never shard contents. The host partitions once per (dataset,
+// of, record count), however many of the dataset's shards it is asked to
+// build (partMemo), and a Build reads the dataset copy under dsMu.
 package distr
 
 import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"storm/internal/data"
+	"storm/internal/geo"
 	"storm/internal/rtree"
 	"storm/internal/wire"
 )
@@ -22,14 +26,53 @@ type hostKey struct {
 	shard uint32
 }
 
+// maxBuildShards bounds wire.Build.Of, which comes off the wire and sizes
+// the partition's per-shard tables before any record is looked at. The
+// record count is no bound — a coordinator cuts an empty dataset into as
+// many shards as it has hosts — so the limit is a constant, far above any
+// host pool and far below an allocation that hurts.
+const maxBuildShards = 1 << 16
+
+// partMemo is one dataset's partition, computed by the first Build that
+// asks for it and handed out a part per shard. It is keyed by what the
+// partition depends on and a host can see change: the dataset copy, the
+// shard count and the copy's record count when it was computed (the first
+// half of a content epoch; mirrored inserts only ever append).
+type partMemo struct {
+	ds *data.Dataset
+	of uint32
+	n  int
+	// claimed marks shards whose Build has this memo (guarded by Host.mu).
+	// Claiming precedes computing, so a second Build for one shard — two
+	// coordinators rebuilding it at once — never waits for a part that is
+	// already gone: it starts a memo of its own.
+	claimed []bool
+	// left counts parts not yet handed out (guarded by Host.mu).
+	left int
+
+	once   sync.Once
+	parts  [][]data.Entry
+	bounds geo.Rect
+	err    error
+}
+
 // Host serves shard requests for the datasets it holds.
 type Host struct {
 	// mu guards the maps; dsMu serializes dataset row appends (mirrored
-	// inserts) against the exclude-filtering reads in stream opens.
+	// inserts) against the reads of the dataset copy in Builds and in the
+	// exclude-filtering of stream opens. Where both are held, dsMu is
+	// taken first.
 	mu       sync.Mutex
 	dsMu     sync.RWMutex
 	datasets map[string]*data.Dataset
 	backends map[hostKey]*shardBackend
+	// memos holds at most one partition per dataset, and only until every
+	// part has been handed out: the entries then live on in the shards
+	// built from them, not in a second copy here. (A host asked for only
+	// some of a dataset's shards keeps the rest until a Build with another
+	// key replaces the memo.)
+	memos      map[string]*partMemo
+	partitions atomic.Uint64
 }
 
 // NewHost returns an empty host; add datasets before serving.
@@ -37,6 +80,7 @@ func NewHost() *Host {
 	return &Host{
 		datasets: make(map[string]*data.Dataset),
 		backends: make(map[hostKey]*shardBackend),
+		memos:    make(map[string]*partMemo),
 	}
 }
 
@@ -55,6 +99,11 @@ func (h *Host) Shards() int {
 	defer h.mu.Unlock()
 	return len(h.backends)
 }
+
+// Partitions returns how many times the host has partitioned a dataset:
+// one per (dataset, shard count, record count) it was asked to build
+// shards of, not one per Build.
+func (h *Host) Partitions() uint64 { return h.partitions.Load() }
 
 // backend resolves a shard-scoped request's target.
 func (h *Host) backend(t wire.Target) *shardBackend {
@@ -182,20 +231,24 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	}
 	h.mu.Unlock()
 
-	if req.Of < 1 || req.Shard >= req.Of {
+	if req.Of < 1 || req.Shard >= req.Of || req.Of > maxBuildShards {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %d out of range", req.Shard, req.Of)}
 	}
+	// From here the Build reads the dataset copy — its length, positions
+	// and attribute columns — while a mirrored insert into a sibling shard
+	// that is already built may append to it.
+	h.dsMu.RLock()
+	defer h.dsMu.RUnlock()
 	cfg := Config{
 		Shards:          int(req.Of),
 		Fanout:          int(req.Fanout),
 		Seed:            req.Seed,
 		BufferPoolPages: int(req.PoolPages),
 	}
-	parts, bounds, err := partition(ds, cfg.Shards)
+	part, bounds, err := h.part(ds, req.Of, req.Shard)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}
-	part := parts[req.Shard]
 	sh, err := buildShard(ds, part, rtree.STROrder(cfg.Fanout, part)[0], int(req.Shard), bounds, cfg)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
@@ -212,6 +265,41 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	b := newShardBackend(sh, ds)
 	h.backends[key] = b
 	return &wire.BuildOK{Count: uint64(b.length())}
+}
+
+// part returns one shard's part of the dataset's partition into of, and
+// the bounds the partition was keyed over. The first Build of a (dataset,
+// of, record count) computes the partition; concurrent and later Builds
+// for sibling shards wait for it and take their own part. Caller holds
+// dsMu for reading, which is what keeps the record count, and so the key,
+// fixed while the Build runs.
+func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect, error) {
+	name, n := ds.Name(), ds.Len()
+	h.mu.Lock()
+	m := h.memos[name]
+	if m == nil || m.ds != ds || m.of != of || m.n != n || m.claimed[shard] {
+		m = &partMemo{ds: ds, of: of, n: n, claimed: make([]bool, of), left: int(of)}
+		h.memos[name] = m
+	}
+	m.claimed[shard] = true
+	h.mu.Unlock()
+
+	m.once.Do(func() {
+		h.partitions.Add(1)
+		m.parts, m.bounds, m.err = partition(ds, int(of))
+	})
+	if m.err != nil {
+		return nil, geo.Rect{}, m.err
+	}
+
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	part := m.parts[shard]
+	m.parts[shard] = nil
+	if m.left--; m.left == 0 && h.memos[name] == m {
+		delete(h.memos, name)
+	}
+	return part, m.bounds, nil
 }
 
 // handleInsert mirrors one inserted record into the owning shard's index

@@ -1,0 +1,196 @@
+package distr
+
+import (
+	"sync"
+	"testing"
+
+	"storm/internal/data"
+	"storm/internal/gen"
+	"storm/internal/geo"
+	"storm/internal/wire"
+)
+
+// testDataset generates the in-package fixture; calling it again gives a
+// shard host its own identical copy, as regenerating from the same flags
+// does in a real deployment.
+func testDataset(n int) *data.Dataset {
+	return gen.Uniform(n, 11, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
+}
+
+// buildOn sends one Build per listed shard to the host, all at once, and
+// fails the test on any answer but BuildOK.
+func buildOn(t *testing.T, h *Host, ds string, of uint32, shards ...uint32) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, s := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := h.Handle(&wire.Build{Target: wire.Target{DS: ds, Shard: s}, Of: of, Seed: 5})
+			if _, ok := resp.(*wire.BuildOK); !ok {
+				t.Errorf("Build shard %d of %d: %#v", s, of, resp)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestHostPartitionsOncePerDataset is the deterministic gate on the
+// host's build work: however many of a dataset's shards a host builds,
+// concurrently or one after another, it partitions once per (dataset,
+// shard count, record count) — and what it then serves is what the
+// loopback cluster holds, entry for entry and sample for sample.
+func TestHostPartitionsOncePerDataset(t *testing.T) {
+	const n = 6000
+	everything := geo.NewRect(geo.Vec{-1, -1, -1}, geo.Vec{101, 101, 101})
+	for _, of := range []uint32{2, 4} {
+		ds := testDataset(n)
+		cfg := Config{Shards: int(of), Seed: 5, RetryBackoff: -1}
+		local, err := Build(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		h := NewHost()
+		h.AddDataset(testDataset(n))
+		all := make([]uint32, of)
+		for s := range all {
+			all[s] = uint32(s)
+		}
+		// All but the last shard at once, the last one later: one partition.
+		buildOn(t, h, ds.Name(), of, all[:of-1]...)
+		buildOn(t, h, ds.Name(), of, all[of-1])
+		if got := h.Partitions(); got != 1 {
+			t.Fatalf("of=%d: %d Builds made %d partitions, want 1", of, of, got)
+		}
+		if len(h.memos) != 0 {
+			t.Errorf("of=%d: the host keeps a partition after handing out every part", of)
+		}
+		// Re-issued Builds answer from the built shards.
+		buildOn(t, h, ds.Name(), of, all...)
+		if got := h.Partitions(); got != 1 {
+			t.Fatalf("of=%d: re-issued Builds partitioned again (%d)", of, got)
+		}
+
+		for s, sh := range local.Shards() {
+			want := sh.Index().Tree().ReportAll(everything)
+			b := h.backend(wire.Target{DS: ds.Name(), Shard: uint32(s)})
+			got := b.shard.Index().Tree().ReportAll(everything)
+			if len(want) != len(got) || len(got) != b.length() {
+				t.Fatalf("of=%d shard %d: host holds %d entries (length %d), loopback %d", of, s, len(got), b.length(), len(want))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("of=%d shard %d: entry %d is %v on the host, %v over loopback", of, s, i, got[i], want[i])
+				}
+			}
+		}
+
+		srv, err := wire.NewServer("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := BuildRemote(ds, cfg, []string{srv.Addr()})
+		if err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		want, got := make([]data.Entry, 512), make([]data.Entry, 512)
+		if k := local.Sampler(testQuery).NextBatch(want, len(want)); k != len(want) {
+			t.Fatalf("of=%d: loopback stream ends after %d samples", of, k)
+		}
+		if k := remote.Sampler(testQuery).NextBatch(got, len(got)); k != len(got) {
+			t.Fatalf("of=%d: host stream ends after %d samples", of, k)
+		}
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("of=%d: sample %d is %v over the host, %v over loopback", of, i, got[i], want[i])
+			}
+		}
+		if got := h.Partitions(); got != 1 {
+			t.Errorf("of=%d: BuildRemote on a built host partitioned again (%d)", of, got)
+		}
+		remote.Close()
+		srv.Close()
+	}
+
+	// A dataset that grew is partitioned afresh, once, for the shards still
+	// to be built.
+	h := NewHost()
+	h.AddDataset(testDataset(n))
+	buildOn(t, h, "uniform", 4, 0)
+	resp := h.Handle(&wire.Insert{Target: wire.Target{DS: "uniform", Shard: 0}, ID: n, Pos: geo.Vec{50, 50, 50}})
+	if _, ok := resp.(*wire.InsertOK); !ok {
+		t.Fatalf("Insert: %#v", resp)
+	}
+	buildOn(t, h, "uniform", 4, 1, 2, 3)
+	if got := h.Partitions(); got != 2 {
+		t.Errorf("Builds either side of an insert made %d partitions, want 2", got)
+	}
+}
+
+// TestHostBuildRejectsOversizedOf: Of comes off the wire and sizes the
+// partition's per-shard tables; an absurd one is refused before anything
+// is allocated or memoised, while more shards than records — a small or
+// empty dataset on a pool of hosts — stays a valid cluster.
+func TestHostBuildRejectsOversizedOf(t *testing.T) {
+	h := NewHost()
+	h.AddDataset(testDataset(100))
+	h.AddDataset(data.NewDataset("empty"))
+	for _, c := range []struct {
+		ds     string
+		of     uint32
+		refuse bool
+	}{
+		{"uniform", 4_000_000_000, true},
+		{"uniform", maxBuildShards + 1, true},
+		{"uniform", 101, false},
+		{"empty", 2, false},
+	} {
+		resp := h.Handle(&wire.Build{Target: wire.Target{DS: c.ds, Shard: 0}, Of: c.of, Seed: 1})
+		werr, isErr := resp.(*wire.Error)
+		switch {
+		case !c.refuse && isErr:
+			t.Errorf("Build %s of %d refused: %v", c.ds, c.of, werr)
+		case c.refuse && (!isErr || werr.Code != wire.ErrCodeBadRequest):
+			t.Errorf("Build %s of %d answered %#v, want a bad-request error", c.ds, c.of, resp)
+		}
+	}
+	if got := h.Partitions(); got != 2 {
+		t.Errorf("refused Builds reached partition: %d partitions, want 2", got)
+	}
+}
+
+// TestHostBuildRacesInsert builds shard 1 while mirrored inserts land in
+// shard 0, which is already built — a re-issued Build after a host
+// restart meets exactly this. The inserts append to the dataset copy the
+// Build reads; under -race this test is the proof that the two are
+// ordered.
+func TestHostBuildRacesInsert(t *testing.T) {
+	const n = 4000
+	h := NewHost()
+	h.AddDataset(testDataset(n))
+	buildOn(t, h, "uniform", 2, 0)
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			resp := h.Handle(&wire.Insert{
+				Target: wire.Target{DS: "uniform", Shard: 0},
+				ID:     data.ID(n + i), Pos: geo.Vec{10, 10, float64(i % 100)},
+				Num: []wire.NumAttr{{Name: "value", Val: 1}},
+			})
+			if _, ok := resp.(*wire.InsertOK); !ok {
+				t.Errorf("Insert %d: %#v", i, resp)
+				return
+			}
+		}
+	}()
+	buildOn(t, h, "uniform", 2, 1)
+	wg.Wait()
+	if got := h.Shards(); got != 2 {
+		t.Errorf("host serves %d shards, want 2", got)
+	}
+}

@@ -20,7 +20,9 @@ import (
 
 const (
 	// remoteBuildTimeout bounds a Build RPC: the shard host partitions
-	// and indexes its dataset copy, which dwarfs every other request.
+	// its dataset copy (once per dataset, shard count and record count —
+	// sibling Builds wait for that one partition) and indexes the shard,
+	// under its dataset lock, which dwarfs every other request.
 	remoteBuildTimeout = 2 * time.Minute
 	// remoteOpTimeout bounds metadata requests (count, open, summary,
 	// bounds, len, updates) — cheap but index-sized, so they get more

@@ -195,9 +195,12 @@ func NewQuantizer(curve *Curve, lo, hi []float64) (*Quantizer, error) {
 }
 
 // Value3 is Value specialized for three dimensions — the per-record hot
-// path of streaming inserts. It performs no allocation and unrolls the
-// transpose loops over the three axis words; the result is bit-identical
-// to Value(x, y, z). Panics if the curve is not three-dimensional.
+// path of partitioning, leaf packing and streaming inserts. It performs no
+// allocation and, past the clamp, no data-dependent branch: the three cell
+// numbers are bit-interleaved (three shift-and-mask spreads) and the
+// interleaved word is walked two curve levels per table lookup (see
+// step3). The result is bit-identical to Value(x, y, z). Panics if the
+// curve is not three-dimensional.
 func (q *Quantizer) Value3(xf, yf, zf float64) uint64 {
 	if q.curve.dims != 3 {
 		panic("hilbert: Value3 on a non-3D curve")
@@ -214,49 +217,98 @@ func (q *Quantizer) Value3(xf, yf, zf float64) uint64 {
 			return uint64(c)
 		}
 	}
-	x0, x1, x2 := quant(xf, 0), quant(yf, 1), quant(zf, 2)
+	// Bit b of x, y, z on bit 3b+2, 3b+1, 3b: level by level, the cell
+	// octant the curve passes through.
+	m := spread3(quant(xf, 0))<<2 | spread3(quant(yf, 1))<<1 | spread3(quant(zf, 2))
 
-	// axesToTranspose, dims unrolled (see the generic version for the
-	// algorithm; this is the same Skilling transform).
-	m := uint64(1) << (q.curve.order - 1)
-	for qb := m; qb > 1; qb >>= 1 {
-		p := qb - 1
-		if x0&qb != 0 {
-			x0 ^= p
-		}
-		if x1&qb != 0 {
-			x0 ^= p
-		} else {
-			t := (x0 ^ x1) & p
-			x0 ^= t
-			x1 ^= t
-		}
-		if x2&qb != 0 {
-			x0 ^= p
-		} else {
-			t := (x0 ^ x2) & p
-			x0 ^= t
-			x2 ^= t
-		}
-	}
-	x1 ^= x0
-	x2 ^= x1
-	var t uint64
-	for qb := m; qb > 1; qb >>= 1 {
-		if x2&qb != 0 {
-			t ^= qb - 1
-		}
-	}
-	x0 ^= t
-	x1 ^= t
-	x2 ^= t
-
-	// transposeToIndex, dims unrolled.
+	shift := 3 * q.curve.order
 	var h uint64
-	for b := int(q.curve.order) - 1; b >= 0; b-- {
-		h = h<<3 | (x0>>uint(b)&1)<<2 | (x1>>uint(b)&1)<<1 | (x2 >> uint(b) & 1)
+	var state uint16
+	for shift >= 6 {
+		shift -= 6
+		e := step3[state|uint16(m>>shift&63)]
+		h, state = h<<6|uint64(e&63), e&^63
+	}
+	if shift == 3 {
+		// Odd order: the last level alone, as the upper half of a step
+		// (whose index bits do not depend on the lower half).
+		h = h<<3 | uint64(step3[state|uint16(m&7)<<3]>>3&7)
 	}
 	return h
+}
+
+// spread3 moves bit b of v (b < 21) to bit 3b, zeros between: the five
+// shift-and-mask doublings of a Morton encode.
+func spread3(v uint64) uint64 {
+	v = (v | v<<32) & 0x001f00000000ffff
+	v = (v | v<<16) & 0x001f0000ff0000ff
+	v = (v | v<<8) & 0x100f00f00f00f00f
+	v = (v | v<<4) & 0x10c30c30c30c30c3
+	v = (v | v<<2) & 0x1249249249249249
+	return v
+}
+
+// step3 is the 3-D curve as a state machine over octants, most significant
+// level first. Skilling's transform at one level rewrites lower bits only,
+// so the top 3k bits of an index depend on the top k bits of each
+// coordinate alone, and all the levels above leave behind for the levels
+// below is an orientation of the unit curve (an axis permutation with
+// inversions; 24 occur). step3[state<<6|o] takes the octants of two levels
+// (o, six bits) to their six index bits and the orientation below them,
+// packed as next<<6|bits so the masked entry is the next lookup's base.
+var step3 = buildStep3()
+
+// buildStep3 derives the table from Curve.Encode, so Value3 cannot drift
+// from the generic transform. An orientation is named by a coordinate
+// prefix that reaches it and recognised by how it maps the next level's
+// eight octants (a signed axis permutation is determined by that), both
+// read off Encode at the order of prefix plus one level. The single-level
+// machine is discovered breadth-first from the empty prefix; the two-level
+// table is that machine composed with itself.
+func buildStep3() []uint16 {
+	type prefix struct {
+		x, y, z uint64
+		levels  uint
+	}
+	type level struct{ out, next [8]uint8 }
+	extend := func(p prefix, o uint64) prefix {
+		return prefix{p.x<<1 | o>>2, p.y<<1 | o>>1&1, p.z<<1 | o&1, p.levels + 1}
+	}
+	ids := make(map[[8]uint8]uint8)
+	var reached []prefix
+	var machine []level
+	intern := func(p prefix) uint8 {
+		c := MustNew(3, p.levels+1)
+		var out [8]uint8
+		for o := range out {
+			e := extend(p, uint64(o))
+			out[o] = uint8(c.Encode(e.x, e.y, e.z) & 7)
+		}
+		id, seen := ids[out]
+		if !seen {
+			id = uint8(len(machine))
+			ids[out] = id
+			reached = append(reached, p)
+			machine = append(machine, level{out: out})
+		}
+		return id
+	}
+	intern(prefix{})
+	for s := 0; s < len(machine); s++ {
+		for o := range machine[s].next {
+			machine[s].next[o] = intern(extend(reached[s], uint64(o)))
+		}
+	}
+
+	step := make([]uint16, len(machine)<<6)
+	for s, top := range machine {
+		for o := 0; o < 64; o++ {
+			hi, lo := o>>3, o&7
+			low := machine[top.next[hi]]
+			step[s<<6|o] = uint16(low.next[lo])<<6 | uint16(top.out[hi])<<3 | uint16(low.out[lo])
+		}
+	}
+	return step
 }
 
 // Value returns the Hilbert index of the given floating-point coordinates,

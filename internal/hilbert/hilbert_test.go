@@ -1,6 +1,8 @@
 package hilbert
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -204,23 +206,33 @@ func TestLocality(t *testing.T) {
 	}
 }
 
+// TestValue3MatchesValue compares Value3 with the generic Value at every
+// order over points drawn from twice the box (so half the draws on each
+// axis clamp) and at the far corners, with and without a degenerate axis.
 func TestValue3MatchesValue(t *testing.T) {
-	for _, order := range []uint{1, 4, 16, 21} {
+	rng := rand.New(rand.NewSource(1))
+	for order := uint(1); order <= 21; order++ {
 		c := MustNew(3, order)
-		q, err := NewQuantizer(c, []float64{-10, 0, 3}, []float64{10, 100, 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := func(x, y, z float64) bool {
-			return q.Value3(x, y, z) == q.Value(x, y, z)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-			t.Errorf("order %d: %v", order, err)
-		}
-		// Clamped corners too (quick rarely lands outside float extremes).
-		for _, v := range [][3]float64{{-1e9, -1e9, -1e9}, {1e9, 1e9, 1e9}, {-10, 100, 5}} {
-			if got, want := q.Value3(v[0], v[1], v[2]), q.Value(v[0], v[1], v[2]); got != want {
-				t.Errorf("order %d corner %v: Value3 %d != Value %d", order, v, got, want)
+		for _, hi := range [][]float64{{10, 100, 7}, {10, 100, 3}} {
+			lo := []float64{-10, 0, 3}
+			q, err := NewQuantizer(c, lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 20_000; i++ {
+				var p [3]float64
+				for d := range p {
+					w := hi[d] - lo[d]
+					p[d] = lo[d] - w/2 + 2*w*rng.Float64()
+				}
+				if got, want := q.Value3(p[0], p[1], p[2]), q.Value(p[0], p[1], p[2]); got != want {
+					t.Fatalf("order %d hi %v point %v: Value3 %d != Value %d", order, hi, p, got, want)
+				}
+			}
+			for _, v := range [][3]float64{{-1e9, -1e9, -1e9}, {1e9, 1e9, 1e9}, {-10, 100, 5}} {
+				if got, want := q.Value3(v[0], v[1], v[2]), q.Value(v[0], v[1], v[2]); got != want {
+					t.Errorf("order %d hi %v corner %v: Value3 %d != Value %d", order, hi, v, got, want)
+				}
 			}
 		}
 	}
@@ -235,4 +247,79 @@ func TestValue3PanicsOnNon3D(t *testing.T) {
 		}
 	}()
 	q.Value3(0, 0, 0)
+}
+
+// TestValue3ExhaustiveSmallOrders checks every lattice cell of the orders
+// small enough to enumerate: Value3 at the cell's centre is Curve.Encode
+// of the cell.
+func TestValue3ExhaustiveSmallOrders(t *testing.T) {
+	for order := uint(1); order <= 5; order++ {
+		c := MustNew(3, order)
+		n := c.Max()
+		q, err := NewQuantizer(c, []float64{0, 0, 0}, []float64{float64(n), float64(n), float64(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := uint64(0); x < n; x++ {
+			for y := uint64(0); y < n; y++ {
+				for z := uint64(0); z < n; z++ {
+					got := q.Value3(float64(x)+0.5, float64(y)+0.5, float64(z)+0.5)
+					if want := c.Encode(x, y, z); got != want {
+						t.Fatalf("order %d cell (%d,%d,%d): Value3 %d != Encode %d", order, x, y, z, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestValue3NoAllocs(t *testing.T) {
+	q, err := NewQuantizer(MustNew(3, 16), []float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = q.Value3(0.3, 0.6, 0.9) }); n != 0 {
+		t.Errorf("Value3 allocates %v times per call", n)
+	}
+}
+
+// FuzzValue3 holds Value3 to Value on arbitrary floats (NaN, infinities
+// and denormals included) at an arbitrary order.
+func FuzzValue3(f *testing.F) {
+	f.Add(uint8(16), 0.5, 0.5, 0.5)
+	f.Add(uint8(1), -1.0, 2.0, 0.0)
+	f.Add(uint8(21), 1.0, 1.0, 1.0)
+	f.Add(uint8(7), math.NaN(), math.Inf(1), math.Inf(-1))
+	f.Fuzz(func(t *testing.T, o uint8, x, y, z float64) {
+		order := uint(o)%21 + 1
+		q, err := NewQuantizer(MustNew(3, order), []float64{0, -1, 0}, []float64{1, 1, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := q.Value3(x, y, z), q.Value(x, y, z); got != want {
+			t.Fatalf("order %d (%v,%v,%v): Value3 %d != Value %d", order, x, y, z, got, want)
+		}
+	})
+}
+
+var sink uint64
+
+// BenchmarkValue3 keys random in-box points at the order partitioning and
+// the R-tree use (16): the per-record cost of every Hilbert sort.
+func BenchmarkValue3(b *testing.B) {
+	q, err := NewQuantizer(MustNew(3, 16), []float64{0, 0, 0}, []float64{1, 1, 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pts := make([][3]float64, 1<<14)
+	for i := range pts {
+		pts[i] = [3]float64{rng.Float64(), rng.Float64(), rng.Float64()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &pts[i&(len(pts)-1)]
+		sink = q.Value3(p[0], p[1], p[2])
+	}
 }

@@ -46,6 +46,29 @@ func NewDataset(name string) *Dataset {
 	}
 }
 
+// FromColumns returns a dataset over columns a bulk writer (a generator, a
+// loader) filled itself: row i is pos[i] with attribute values num[c][i] and
+// str[c][i]. It adopts the slices — the caller hands them over and must not
+// touch them again — and rejects a column whose length differs from pos.
+// Either map may be nil.
+func FromColumns(name string, pos []geo.Vec, num map[string][]float64, str map[string][]string) (*Dataset, error) {
+	d := NewDataset(name)
+	d.pos = pos
+	for c, col := range num {
+		if len(col) != len(pos) {
+			return nil, fmt.Errorf("data: numeric column %q has %d values for %d records", c, len(col), len(pos))
+		}
+		d.num[c] = col
+	}
+	for c, col := range str {
+		if len(col) != len(pos) {
+			return nil, fmt.Errorf("data: string column %q has %d values for %d records", c, len(col), len(pos))
+		}
+		d.str[c] = col
+	}
+	return d, nil
+}
+
 // Name returns the dataset's name.
 func (d *Dataset) Name() string { return d.name }
 
@@ -238,10 +261,11 @@ func (d *Dataset) Append(row Row) ID {
 	return id
 }
 
-// AppendFast adds a record position only, for bulk generators that fill
-// columns directly afterwards via column slices. It returns the new ID.
-// All declared columns are extended with zero values (not NaN) because
-// generators overwrite them immediately.
+// AppendFast adds a record position only, for writers that set its
+// attributes right afterwards with SetNumeric / SetString (a bulk writer
+// that fills whole columns hands them to FromColumns instead). It returns
+// the new ID. All declared columns are extended with zero values (not NaN)
+// because the caller overwrites them immediately.
 func (d *Dataset) AppendFast(pos geo.Vec) ID {
 	id := ID(len(d.pos))
 	d.pos = append(d.pos, pos)

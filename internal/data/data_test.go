@@ -121,6 +121,50 @@ func TestAppendFastAndSet(t *testing.T) {
 	}
 }
 
+func TestFromColumns(t *testing.T) {
+	pos := []geo.Vec{{1, 1, 1}, {2, 2, 2}}
+	v := []float64{3.5, math.NaN()}
+	s := []string{"a", ""}
+	ds, err := FromColumns("d", pos, map[string][]float64{"v": v}, map[string][]string{"s": s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.Name() != "d" || ds.Len() != 2 || ds.Pos(1) != pos[1] {
+		t.Fatalf("name=%q len=%d pos[1]=%v", ds.Name(), ds.Len(), ds.Pos(1))
+	}
+	// Adopted, not copied.
+	if col, _ := ds.NumericColumn("v"); &col[0] != &v[0] {
+		t.Error("numeric column was copied")
+	}
+	if col, _ := ds.StringColumn("s"); &col[0] != &s[0] {
+		t.Error("string column was copied")
+	}
+	// An adopted dataset appends like any other.
+	id := ds.Append(Row{Pos: geo.Vec{3, 3, 3}, Str: map[string]string{"s": "c"}})
+	if got, _ := ds.Numeric("v", id); !math.IsNaN(got) {
+		t.Errorf("appended missing numeric = %v, want NaN", got)
+	}
+	if got, _ := ds.String("s", id); got != "c" {
+		t.Errorf("appended string = %q", got)
+	}
+
+	if _, err := FromColumns("d", pos, map[string][]float64{"v": v[:1]}, nil); err == nil {
+		t.Error("short numeric column should be rejected")
+	}
+	if _, err := FromColumns("d", pos, nil, map[string][]string{"s": {"a", "b", "c"}}); err == nil {
+		t.Error("long string column should be rejected")
+	}
+	empty, err := FromColumns("e", nil, nil, nil)
+	if err != nil || empty.Len() != 0 {
+		t.Fatalf("empty: %v, %v", empty, err)
+	}
+	empty.AddNumericColumn("x")
+	empty.Append(Row{Pos: geo.Vec{0, 0, 0}})
+	if empty.Len() != 1 || !empty.HasNumeric("x") {
+		t.Error("nil maps must leave a usable dataset")
+	}
+}
+
 func TestColumnListings(t *testing.T) {
 	ds := NewDataset("d")
 	ds.AddNumericColumn("a")

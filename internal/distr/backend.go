@@ -7,7 +7,6 @@ package distr
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"storm/internal/data"
@@ -24,8 +23,10 @@ import (
 
 // partition splits the dataset into contiguous Hilbert ranges — one per
 // shard, spatially coherent so selective queries touch few shards. The
-// result is fully deterministic in the dataset contents and shard count
-// (a comparison sort's permutation depends only on its comparisons), so a
+// result is fully deterministic in the dataset contents and shard count:
+// the order is rtree.SortKeyed's over (Hilbert key, position) pairs, the
+// in-repo pdqsort whose permutation, tie order included, depends only on its
+// comparisons — not on the toolchain that built the process — so a
 // coordinator and a remote shard host partitioning the same dataset agree
 // on every shard's contents without shipping them.
 func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect, err error) {
@@ -42,23 +43,11 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 	// Sorting (key, position) pairs by key alone moves 16 bytes per swap
 	// and reads no other memory; equal keys compare equal whatever their
 	// position, so the order is the one a sort over the entries would give.
-	type keyed struct {
-		key uint64
-		idx int
-	}
-	order := make([]keyed, len(entries))
+	order := make([]rtree.Keyed[uint64], len(entries))
 	for i, e := range entries {
-		order[i] = keyed{key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), idx: i}
+		order[i] = rtree.Keyed[uint64]{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
 	}
-	slices.SortFunc(order, func(a, b keyed) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		}
-		return 0
-	})
+	rtree.SortKeyed(order)
 
 	parts = make([][]data.Entry, shards)
 	per := (len(entries) + shards - 1) / shards
@@ -73,7 +62,7 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 		}
 		part := make([]data.Entry, 0, hi-lo)
 		for _, k := range order[lo:hi] {
-			part = append(part, entries[k.idx])
+			part = append(part, entries[k.Idx])
 		}
 		parts[s] = part
 	}

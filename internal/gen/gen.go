@@ -73,11 +73,9 @@ func OSM(cfg OSMConfig) *data.Dataset {
 	rng := stats.NewRNG(cfg.Seed)
 	cityAlias := cityAlias(cfg.Cities)
 
-	ds := data.NewDataset("osm")
-	ds.AddNumericColumn("altitude")
-	ds.Grow(cfg.N)
-
-	for i := 0; i < cfg.N; i++ {
+	pos := make([]geo.Vec, max(cfg.N, 0))
+	alt := make([]float64, len(pos))
+	for i := range pos {
 		var lon, lat float64
 		if rng.Bernoulli(cfg.ClusterFraction) {
 			c := cfg.Cities[cityAlias.Draw(rng)]
@@ -88,8 +86,19 @@ func OSM(cfg OSMConfig) *data.Dataset {
 			lat = rng.Uniform(USABounds.MinLat, USABounds.MaxLat)
 		}
 		t := rng.Uniform(0, 86400*365) // timestamps across one year
-		id := ds.AppendFast(geo.Vec{lon, lat, t})
-		ds.SetNumeric("altitude", id, altitudeAt(lon, lat)+rng.NormFloat64()*30)
+		pos[i] = geo.Vec{lon, lat, t}
+		alt[i] = altitudeAt(lon, lat) + rng.NormFloat64()*30
+	}
+	return adopt("osm", pos, map[string][]float64{"altitude": alt}, nil)
+}
+
+// adopt hands a generator's filled columns to data.FromColumns. Every
+// generator fills one value per column per row, so a length mismatch is a
+// bug in the generator.
+func adopt(name string, pos []geo.Vec, num map[string][]float64, str map[string][]string) *data.Dataset {
+	ds, err := data.FromColumns(name, pos, num, str)
+	if err != nil {
+		panic("gen: " + err.Error())
 	}
 	return ds
 }
@@ -144,11 +153,10 @@ func Stations(cfg StationsConfig) *data.Dataset {
 	rng := stats.NewRNG(cfg.Seed)
 	alias := cityAlias(cfg.Cities)
 
-	ds := data.NewDataset("mesowest")
-	ds.AddNumericColumn("temp")
-	ds.AddStringColumn("station")
-	ds.Grow(cfg.Stations * cfg.ReadingsPerStation)
-
+	n := max(cfg.Stations*cfg.ReadingsPerStation, 0)
+	pos := make([]geo.Vec, 0, n)
+	temps := make([]float64, 0, n)
+	stations := make([]string, 0, n)
 	for s := 0; s < cfg.Stations; s++ {
 		var lon, lat float64
 		if rng.Bernoulli(0.6) {
@@ -163,17 +171,17 @@ func Stations(cfg StationsConfig) *data.Dataset {
 		start := rng.Uniform(0, 3600)
 		for r := 0; r < cfg.ReadingsPerStation; r++ {
 			t := start + float64(r)*3600 // hourly
-			id := ds.AppendFast(geo.Vec{lon, lat, t})
 			temp := temperatureAt(lat, t) + rng.NormFloat64()*2
 			if cfg.ColdSnap && t >= 10*86400 && t <= 13*86400 &&
 				math.Abs(lon-(-84.4)) < 1.5 && math.Abs(lat-33.7) < 1.5 {
 				temp -= 15
 			}
-			ds.SetNumeric("temp", id, temp)
-			ds.SetString("station", id, name)
+			pos = append(pos, geo.Vec{lon, lat, t})
+			temps = append(temps, temp)
+			stations = append(stations, name)
 		}
 	}
-	return ds
+	return adopt("mesowest", pos, map[string][]float64{"temp": temps}, map[string][]string{"station": stations})
 }
 
 // temperatureAt models temperature as latitude gradient + seasonal cycle +
@@ -237,10 +245,10 @@ func Tweets(cfg TweetsConfig) (*data.Dataset, map[string][]geo.Vec) {
 	alias := cityAlias(cfg.Cities)
 	topicNames := []string{"daily", "sports", "food", "positive"}
 
-	ds := data.NewDataset("tweets")
-	ds.AddStringColumn("user")
-	ds.AddStringColumn("text")
-	ds.Grow(cfg.N)
+	n := max(cfg.N, 0)
+	pos := make([]geo.Vec, n)
+	authors := make([]string, n)
+	texts := make([]string, n)
 
 	type userState struct {
 		name     string
@@ -261,13 +269,13 @@ func Tweets(cfg TweetsConfig) (*data.Dataset, map[string][]geo.Vec) {
 
 	// Tweets are generated in time order; each tweet advances its
 	// author's random walk, so a user's tweets trace a trajectory.
-	for i := 0; i < cfg.N; i++ {
+	for i := range pos {
 		t := cfg.Duration * float64(i) / float64(cfg.N)
 		u := users[rng.Intn(len(users))]
 		// Random walk with mild pull back toward the home city.
 		u.lon += rng.NormFloat64()*0.03 + 0.02*(u.city.Lon-u.lon)
 		u.lat += rng.NormFloat64()*0.03 + 0.02*(u.city.Lat-u.lat)
-		pos := geo.Vec{u.lon, u.lat, t}
+		pos[i] = geo.Vec{u.lon, u.lat, t}
 
 		topic := topicNames[rng.Intn(len(topicNames))]
 		if cfg.Snowstorm && t >= cfg.SnowstormStart && t <= cfg.SnowstormEnd &&
@@ -285,12 +293,11 @@ func Tweets(cfg TweetsConfig) (*data.Dataset, map[string][]geo.Vec) {
 			text += words[rng.Intn(len(words))]
 		}
 
-		id := ds.AppendFast(pos)
-		ds.SetString("user", id, u.name)
-		ds.SetString("text", id, text)
-		truth[u.name] = append(truth[u.name], pos)
+		authors[i] = u.name
+		texts[i] = text
+		truth[u.name] = append(truth[u.name], pos[i])
 	}
-	return ds, truth
+	return adopt("tweets", pos, nil, map[string][]string{"user": authors, "text": texts}), truth
 }
 
 // Uniform generates n uniform points in the given range with a single
@@ -298,9 +305,6 @@ func Tweets(cfg TweetsConfig) (*data.Dataset, map[string][]geo.Vec) {
 // tests that want a structureless baseline.
 func Uniform(n int, seed int64, r geo.Range) *data.Dataset {
 	rng := stats.NewRNG(seed)
-	ds := data.NewDataset("uniform")
-	ds.AddNumericColumn("value")
-	ds.Grow(n)
 	minT, maxT := r.MinT, r.MaxT
 	if math.IsInf(minT, -1) {
 		minT = 0
@@ -308,13 +312,15 @@ func Uniform(n int, seed int64, r geo.Range) *data.Dataset {
 	if math.IsInf(maxT, 1) {
 		maxT = 1000
 	}
-	for i := 0; i < n; i++ {
-		id := ds.AppendFast(geo.Vec{
+	pos := make([]geo.Vec, max(n, 0))
+	values := make([]float64, len(pos))
+	for i := range pos {
+		pos[i] = geo.Vec{
 			rng.Uniform(r.MinX, r.MaxX),
 			rng.Uniform(r.MinY, r.MaxY),
 			rng.Uniform(minT, maxT),
-		})
-		ds.SetNumeric("value", id, 100+rng.NormFloat64()*20)
+		}
+		values[i] = 100 + rng.NormFloat64()*20
 	}
-	return ds
+	return adopt("uniform", pos, map[string][]float64{"value": values}, nil)
 }

@@ -292,7 +292,8 @@ func datasetDigest(ds *data.Dataset) string {
 // config. Every golden stream, figure counter and benchmark truth value is
 // computed over these records, so how a generator allocates must never show
 // in what it returns. The digests were recorded before the generators
-// reserved their columns up front.
+// reserved their columns up front (uniform's before the generators filled
+// their columns directly for data.FromColumns).
 func TestGeneratorsByteIdentical(t *testing.T) {
 	tweets, _ := Tweets(TweetsConfig{N: 20_000, Seed: 3, Snowstorm: true})
 	for _, tc := range []struct {
@@ -306,6 +307,8 @@ func TestGeneratorsByteIdentical(t *testing.T) {
 			"7e6979adcff0be8d57e37a99f343c4382e0cd0085eb0938cc07ebf8bf5710a7f"},
 		{"stations", Stations(StationsConfig{Stations: 300, ReadingsPerStation: 48, Seed: 5, ColdSnap: true}),
 			"538efe6b47d96e9206837b8a6c6d3e2f03388adc76181cfdd7a4ac22e47c4a53"},
+		{"uniform", Uniform(20_000, 7, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100}),
+			"4c8a83d5e562407a980a9e1ed977cd846f6ada2d85aefb115394dd847cf232e6"},
 	} {
 		if got := datasetDigest(tc.ds); got != tc.want {
 			t.Errorf("%s: digest %s, recorded %s", tc.name, got, tc.want)

@@ -89,11 +89,15 @@ func toAnySlice(ss []string) []any {
 	return out
 }
 
-// Load reads a dataset previously written by Save.
+// Load reads a dataset previously written by Save in one scan of the
+// collection: every record appends NaN / "" to each schema column and then
+// overwrites the attributes its document stores, so missing values come back
+// as they were saved.
 func Load(store *docstore.Store, name string) (*data.Dataset, error) {
-	ds := data.NewDataset(name)
 	sawSchema := false
-	var numCols, strCols []string
+	var pos []geo.Vec
+	num := map[string][]float64{}
+	str := map[string][]string{}
 	var loadErr error
 	err := store.Scan(name, func(id int64, doc docstore.Document) bool {
 		if !sawSchema {
@@ -102,13 +106,11 @@ func Load(store *docstore.Store, name string) (*data.Dataset, error) {
 				return false
 			}
 			sawSchema = true
-			numCols = fromAnySlice(doc["numeric"])
-			strCols = fromAnySlice(doc["string"])
-			for _, c := range numCols {
-				ds.AddNumericColumn(c)
+			for _, c := range fromAnySlice(doc["numeric"]) {
+				num[c] = []float64{}
 			}
-			for _, c := range strCols {
-				ds.AddStringColumn(c)
+			for _, c := range fromAnySlice(doc["string"]) {
+				str[c] = []string{}
 			}
 			return true
 		}
@@ -119,24 +121,35 @@ func Load(store *docstore.Store, name string) (*data.Dataset, error) {
 			loadErr = fmt.Errorf("persist: document %d of %q has malformed coordinates", id, name)
 			return false
 		}
-		rid := ds.AppendFast(geo.Vec{x, y, t})
+		row := len(pos)
+		pos = append(pos, geo.Vec{x, y, t})
+		for c, col := range num {
+			num[c] = append(col, math.NaN())
+		}
+		for c, col := range str {
+			str[c] = append(col, "")
+		}
 		if n, ok := doc["n"].(map[string]any); ok {
 			for c, v := range n {
 				if fv, ok := v.(float64); ok {
-					if err := ds.SetNumeric(c, rid, fv); err != nil {
-						loadErr = fmt.Errorf("persist: document %d of %q: %w", id, name, err)
+					col, known := num[c]
+					if !known {
+						loadErr = fmt.Errorf("persist: document %d of %q: no numeric column %q in the schema", id, name, c)
 						return false
 					}
+					col[row] = fv
 				}
 			}
 		}
 		if s, ok := doc["s"].(map[string]any); ok {
 			for c, v := range s {
 				if sv, ok := v.(string); ok {
-					if err := ds.SetString(c, rid, sv); err != nil {
-						loadErr = fmt.Errorf("persist: document %d of %q: %w", id, name, err)
+					col, known := str[c]
+					if !known {
+						loadErr = fmt.Errorf("persist: document %d of %q: no string column %q in the schema", id, name, c)
 						return false
 					}
+					col[row] = sv
 				}
 			}
 		}
@@ -151,33 +164,7 @@ func Load(store *docstore.Store, name string) (*data.Dataset, error) {
 	if !sawSchema {
 		return nil, fmt.Errorf("persist: collection %q is empty", name)
 	}
-	// Restore NaN for missing numeric attributes: AppendFast fills zeros,
-	// so pre-mark everything NaN then overwrite... AppendFast already ran;
-	// instead, mark rows lacking a stored value. We re-scan cheaply via a
-	// presence pass below.
-	return ds, restoreMissing(store, name, ds, numCols)
-}
-
-// restoreMissing sets numeric attributes absent from the stored documents
-// back to NaN (AppendFast initializes them to zero).
-func restoreMissing(store *docstore.Store, name string, ds *data.Dataset, numCols []string) error {
-	if len(numCols) == 0 {
-		return nil
-	}
-	row := -1
-	return store.Scan(name, func(id int64, doc docstore.Document) bool {
-		if doc[schemaKey] == true {
-			return true
-		}
-		row++
-		n, _ := doc["n"].(map[string]any)
-		for _, c := range numCols {
-			if _, present := n[c]; !present {
-				ds.SetNumeric(c, data.ID(row), math.NaN())
-			}
-		}
-		return true
-	})
+	return data.FromColumns(name, pos, num, str)
 }
 
 func fromAnySlice(v any) []string {

@@ -335,7 +335,7 @@ func (x *Index) generate(n *rtree.Node, acct iosim.Accountant) []data.Entry {
 // distinct positions in the subtree's canonical enumeration (children in
 // order, then leaf entries in order) and descending only into children that
 // own a drawn position, so generation costs O(s · height) node visits. The
-// randomness comes from a private RNG seeded by (node, version), so the
+// randomness comes from a pooled RNG reseeded by (node, version), so the
 // result is deterministic for a given tree state.
 func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []data.Entry {
 	count := n.Count()
@@ -345,7 +345,8 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 	if s > count {
 		s = count
 	}
-	rng := stats.NewRNG(x.bufferSeed(n))
+	rng := rngPool.Get().(*stats.RNG)
+	rng.Reseed(x.bufferSeed(n))
 	box := distinctPositions(rng, count, s)
 	positions := *box
 	sort.Ints(positions)
@@ -355,6 +356,7 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 	// The positions were sorted for the descent; shuffle the collected
 	// entries so the buffer order is uniform.
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	rngPool.Put(rng)
 	return out
 }
 

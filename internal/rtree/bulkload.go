@@ -3,7 +3,6 @@ package rtree
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -88,11 +87,11 @@ func (s *hilbertSorter) Swap(i, j int) {
 // concurrently on up to GOMAXPROCS goroutines.
 //
 // The result is nevertheless a pure function of each list: every sort is
-// the standard library's pdqsort over (coordinate, position) pairs compared
-// by coordinate alone, a comparison sort whose permutation — including the
-// order it leaves equal coordinates in — depends only on the outcomes of
-// its comparisons, never on what is being moved or on scheduling. Page
-// contents, and with them every seeded sample stream, rest on that.
+// SortKeyed over (coordinate, position) pairs, the in-repo pdqsort whose
+// permutation — including the order it leaves equal coordinates in —
+// depends only on the outcomes of its comparisons, never on what is being
+// moved, on scheduling or on the Go toolchain. Page contents, and with them
+// every seeded sample stream, rest on that.
 func STROrder(fanout int, lists ...[]data.Entry) [][]data.Entry {
 	if fanout < 1 {
 		fanout = DefaultFanout
@@ -140,33 +139,12 @@ func STROrder(fanout int, lists ...[]data.Entry) [][]data.Entry {
 	return out
 }
 
-// strKey is what the STR sorts move: one coordinate and the position of the
-// entry it belongs to — half the bytes of a data.Entry, and the entries
-// themselves are gathered once per pass.
-type strKey struct {
-	key float64
-	idx int
-}
-
-// cmpSTRKey orders keys by coordinate only; equal coordinates compare equal
-// whatever their positions, which is what keeps the permutation that of a
-// sort over the entries themselves.
-func cmpSTRKey(a, b strKey) int {
-	switch {
-	case a.key < b.key:
-		return -1
-	case a.key > b.key:
-		return 1
-	}
-	return 0
-}
-
 // strSort is the STR sort of one list: sortX, then sortSlab for every slab
 // (each touches only its own range of keys and out, so slabs run in
-// parallel).
+// parallel). Every pass sorts (coordinate, position) pairs with SortKeyed.
 type strSort struct {
 	src, out          []data.Entry
-	keys              []strKey
+	keys              []Keyed[float64]
 	slabSize, runSize int
 }
 
@@ -181,7 +159,7 @@ func newSTRSort(src []data.Entry, fanout int) *strSort {
 	return &strSort{
 		src:      src,
 		out:      make([]data.Entry, len(src)),
-		keys:     make([]strKey, len(src)),
+		keys:     make([]Keyed[float64], len(src)),
 		slabSize: s * s * fanout,
 		runSize:  s * fanout,
 	}
@@ -192,11 +170,11 @@ func (s *strSort) slabs() int { return (len(s.out) + s.slabSize - 1) / s.slabSiz
 // sortX orders out by x.
 func (s *strSort) sortX() {
 	for i, e := range s.src {
-		s.keys[i] = strKey{key: e.Pos[0], idx: i}
+		s.keys[i] = Keyed[float64]{Key: e.Pos[0], Idx: i}
 	}
-	slices.SortFunc(s.keys, cmpSTRKey)
+	SortKeyed(s.keys)
 	for i, k := range s.keys {
-		s.out[i] = s.src[k.idx]
+		s.out[i] = s.src[k.Idx]
 	}
 }
 
@@ -205,20 +183,20 @@ func (s *strSort) sortSlab(lo int, scratch *[]data.Entry) {
 	hi := min(lo+s.slabSize, len(s.out))
 	slab, keys := s.out[lo:hi], s.keys[lo:hi]
 	for i, e := range slab {
-		keys[i] = strKey{key: e.Pos[1], idx: i}
+		keys[i] = Keyed[float64]{Key: e.Pos[1], Idx: i}
 	}
-	slices.SortFunc(keys, cmpSTRKey)
+	SortKeyed(keys)
 	for rlo := 0; rlo < len(keys); rlo += s.runSize {
 		run := keys[rlo:min(rlo+s.runSize, len(keys))]
 		for i, k := range run {
-			run[i].key = slab[k.idx].Pos[2]
+			run[i].Key = slab[k.Idx].Pos[2]
 		}
-		slices.SortFunc(run, cmpSTRKey)
+		SortKeyed(run)
 	}
 	unsorted := append((*scratch)[:0], slab...)
 	*scratch = unsorted
 	for i, k := range keys {
-		slab[i] = unsorted[k.idx]
+		slab[i] = unsorted[k.Idx]
 	}
 }
 

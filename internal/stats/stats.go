@@ -12,15 +12,25 @@ import (
 
 // RNG is the random source used across STORM. It wraps math/rand so every
 // sampler and generator can be seeded deterministically, which keeps the
-// statistical tests and benchmark figures reproducible.
+// statistical tests and benchmark figures reproducible. Its stream for a
+// seed is rand.New(rand.NewSource(seed))'s, draw for draw; only the seeding
+// is cheaper (see source). An RNG is used through its pointer and never
+// copied: r draws from src in place.
 type RNG struct {
-	r *rand.Rand
+	src source
+	r   *rand.Rand
 }
 
 // NewRNG returns an RNG seeded with the given seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	g := &RNG{}
+	g.src.Seed(seed)
+	g.r = rand.New(&g.src)
+	return g
 }
+
+// Reseed restarts g as NewRNG(seed) would, without allocating.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
@@ -64,12 +74,6 @@ func (g *RNG) Geometric(p float64) int {
 		u = g.r.Float64()
 	}
 	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
-// Zipf returns a Zipf-distributed value in [0, n) with exponent s >= 1.
-func (g *RNG) Zipf(s float64, n uint64) uint64 {
-	z := rand.NewZipf(g.r, s, 1, n-1)
-	return z.Uint64()
 }
 
 // Shuffle performs a Fisher–Yates shuffle driven by swap.

@@ -233,23 +233,6 @@ func TestChiSquareStat(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	g := NewRNG(21)
-	counts := make(map[uint64]int)
-	const trials = 50000
-	for i := 0; i < trials; i++ {
-		v := g.Zipf(1.5, 100)
-		if v >= 100 {
-			t.Fatalf("zipf value %d out of range", v)
-		}
-		counts[v]++
-	}
-	// Rank 0 must dominate rank 10 heavily under s=1.5.
-	if counts[0] < 5*counts[10] {
-		t.Errorf("zipf not skewed: counts[0]=%d counts[10]=%d", counts[0], counts[10])
-	}
-}
-
 func TestDistributionalHelpers(t *testing.T) {
 	g := NewRNG(22)
 	var expSum, normSum float64

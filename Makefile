@@ -84,7 +84,8 @@ test-stats:
 
 # Short fuzz passes over the operator/network-facing input surfaces: the
 # fault-plan grammar (no panic, canonical round-trip), the wire codec (no
-# panic on arbitrary frames, decode∘encode identity), and the query
+# panic on arbitrary frames, decode∘encode identity), the dataset snapshot
+# decoder (no panic on arbitrary bytes, decode∘encode identity), the query
 # language's WHERE, contract and LAST-window grammars (no panic, canonical
 # fixpoints) — and over the Hilbert key of any three floats, which must be
 # the generic transform's (every shard boundary and page ID hangs off it).
@@ -92,6 +93,7 @@ test-stats:
 fuzz-smoke:
 	$(GO) test -run FuzzParseFaultPlan -fuzz FuzzParseFaultPlan -fuzztime 15s ./internal/distr/
 	$(GO) test -run FuzzWireCodec -fuzz FuzzWireCodec -fuzztime 15s ./internal/wire/
+	$(GO) test -run FuzzReadSnapshot -fuzz FuzzReadSnapshot -fuzztime 15s ./internal/data/
 	$(GO) test -run FuzzParseWhere -fuzz FuzzParseWhere -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzParseContract -fuzz FuzzParseContract -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzParseWindow -fuzz FuzzParseWindow -fuzztime 15s ./internal/query/

@@ -1,13 +1,12 @@
 // Command stormimport runs a file through STORM's data connector — schema
 // discovery, parsing, coordinate mapping — then indexes it and answers one
 // optional query, demonstrating the paper's "data import" demo component.
+// With -out it also saves the imported dataset as a snapshot file (the
+// format storm.SaveDataset writes and storm.LoadDataset reads).
 //
-//	stormimport -in weather.csv
+//	stormimport -in weather.csv -out weather.snap
 //	stormimport -in tweets.jsonl -format jsonl -x lng -y lat -t ts
 //	stormimport -in dump.sql -format sql -q "COUNT FROM dump WHERE REGION(-125,24,-66,50)"
-//
-// The import also round-trips the records through the simulated
-// DFS-backed document store, reporting per-node storage balance.
 package main
 
 import (
@@ -21,8 +20,6 @@ import (
 
 	"storm/internal/connector"
 	"storm/internal/data"
-	"storm/internal/dfs"
-	"storm/internal/docstore"
 	"storm/internal/engine"
 	"storm/internal/query"
 )
@@ -35,7 +32,7 @@ func main() {
 	tcol := flag.String("t", "", "time column override")
 	skip := flag.Bool("skip-invalid", true, "skip rows with unparsable coordinates")
 	stmt := flag.String("q", "", "query to run after import")
-	storeNodes := flag.Int("store-nodes", 4, "simulated DFS nodes for the document store")
+	out := flag.String("out", "", "write the imported dataset to this snapshot file")
 	flag.Parse()
 
 	if *in == "" {
@@ -106,39 +103,13 @@ func main() {
 	}
 	fmt.Printf("imported %d rows (%d skipped)\n", res.Rows, res.Skipped)
 
-	// Persist through the DFS-backed document store, the paper's storage
-	// engine path ("JSON format in a distributed MongoDB installation").
-	cluster, err := dfs.New(dfs.Config{Nodes: *storeNodes, Replication: 2})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stormimport: %v\n", err)
-		os.Exit(1)
-	}
-	store := docstore.Open(cluster)
 	ds := res.Dataset
-	for i := 0; i < ds.Len(); i++ {
-		id := data.ID(i)
-		p := ds.Pos(id)
-		doc := docstore.Document{"lon": p.X(), "lat": p.Y(), "time": p.T()}
-		for _, c := range ds.NumericColumns() {
-			v, _ := ds.Numeric(c, id)
-			doc[c] = v
-		}
-		for _, c := range ds.StringColumns() {
-			v, _ := ds.String(c, id)
-			doc[c] = v
-		}
-		if _, err := store.Insert(name, doc); err != nil {
-			fmt.Fprintf(os.Stderr, "stormimport: store: %v\n", err)
+	if *out != "" {
+		if err := writeSnapshot(*out, ds); err != nil {
+			fmt.Fprintf(os.Stderr, "stormimport: writing %s: %v\n", *out, err)
 			os.Exit(1)
 		}
-	}
-	if err := store.Flush(name); err != nil {
-		fmt.Fprintf(os.Stderr, "stormimport: store flush: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("document store segments per DFS node:")
-	for _, st := range cluster.Stats() {
-		fmt.Printf("  node %d: %d chunks, %d bytes\n", st.Node, st.Chunks, st.BytesStored)
+		fmt.Printf("wrote snapshot %s\n", *out)
 	}
 
 	eng := engine.New(engine.Config{Seed: 1})
@@ -154,4 +125,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// writeSnapshot writes ds to path through a temporary file in the same
+// directory and a rename, so a failed import never leaves a truncated
+// snapshot at path.
+func writeSnapshot(path string, ds *data.Dataset) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name()) // a no-op once the rename has happened
+	err = ds.WriteSnapshot(f)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	return err
 }

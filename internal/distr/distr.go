@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -263,17 +264,49 @@ type clusterMetrics struct {
 	fetches *obs.Counter
 }
 
-// registryClusters tracks, per obs registry, every cluster publishing to
-// it. Registry.Publish overwrites duplicate names, so per-cluster Funcs
-// would expose only the most recently built cluster (a server registers
-// one cluster per sharded dataset); instead the storm.distr.* Funcs are
+// registries holds, per obs registry, the clusters publishing to it.
+// Registry.Publish overwrites duplicate names, so per-cluster Funcs would
+// expose only the most recently built cluster (a server registers one
+// cluster per sharded dataset); instead the storm.distr.* Funcs are
 // published once per registry and sum across its clusters at scrape time.
-// Entries are never removed — clusters live for the process — so a
-// replaced cluster keeps contributing its final totals.
-var registryClusters = struct {
+var registries = struct {
 	sync.Mutex
-	m map[*obs.Registry][]*Cluster
-}{m: map[*obs.Registry][]*Cluster{}}
+	m map[*obs.Registry]*published
+}{m: map[*obs.Registry]*published{}}
+
+// published is one registry's share of storm.distr.*: its live clusters,
+// and the final counter totals of the ones already closed, indexed like
+// distrCounters. Close moves a cluster from live into retired, so the
+// registry does not keep it alive and its counters never go down.
+type published struct {
+	live    []*Cluster
+	retired [len(distrCounters)]uint64
+}
+
+// distrCounters are the monotonic storm.distr.* totals. Each cluster owns
+// its atomics (exact with or without a registry); the registry reads them
+// at scrape time.
+var distrCounters = [...]struct {
+	name string
+	read func(*Cluster) uint64
+}{
+	{"storm.distr.net.messages", func(c *Cluster) uint64 { return c.Net().Messages }},
+	{"storm.distr.net.samples_moved", func(c *Cluster) uint64 { return c.Net().SamplesMoved }},
+	{"storm.distr.net.bytes_sent", func(c *Cluster) uint64 { return c.Net().BytesSent }},
+	{"storm.distr.net.bytes_recv", func(c *Cluster) uint64 { return c.Net().BytesRecv }},
+	{"storm.distr.faults.injected", func(c *Cluster) uint64 { return c.ftot.injected.Load() }},
+	{"storm.distr.faults.latency", func(c *Cluster) uint64 { return c.ftot.latency.Load() }},
+	{"storm.distr.faults.transient", func(c *Cluster) uint64 { return c.ftot.transient.Load() }},
+	{"storm.distr.faults.timeouts", func(c *Cluster) uint64 { return c.ftot.timeouts.Load() }},
+	{"storm.distr.faults.crashes", func(c *Cluster) uint64 { return c.ftot.crashes.Load() }},
+	{"storm.distr.faults.retries", func(c *Cluster) uint64 { return c.ftot.retries.Load() }},
+	{"storm.distr.faults.recoveries", func(c *Cluster) uint64 { return c.ftot.recoveries.Load() }},
+	{"storm.distr.faults.exhausted", func(c *Cluster) uint64 { return c.ftot.exhausted.Load() }},
+	{"storm.distr.faults.readmits", func(c *Cluster) uint64 { return c.ftot.readmits.Load() }},
+	{"storm.distr.replicas.failovers", func(c *Cluster) uint64 { return c.rtot.failovers.Load() }},
+	{"storm.distr.replicas.stale_reads", func(c *Cluster) uint64 { return c.rtot.staleReads.Load() }},
+	{"storm.distr.replicas.rebuilds", func(c *Cluster) uint64 { return c.rtot.rebuilds.Load() }},
+}
 
 // initMetrics resolves the cluster's metrics against cfg.Obs and
 // re-exports the network and fault totals as live scrape-time Funcs.
@@ -287,77 +320,66 @@ func (c *Cluster) initMetrics() {
 	if reg == nil {
 		return
 	}
-	registryClusters.Lock()
-	defer registryClusters.Unlock()
-	prev := registryClusters.m[reg]
-	registryClusters.m[reg] = append(prev, c)
-	if prev != nil {
-		return // this registry's scrape Funcs are already live
+	registries.Lock()
+	defer registries.Unlock()
+	if p := registries.m[reg]; p != nil {
+		p.live = append(p.live, c) // this registry's scrape Funcs are already live
+		return
 	}
-	clusters := func() []*Cluster {
-		registryClusters.Lock()
-		defer registryClusters.Unlock()
-		return registryClusters.m[reg]
+	p := &published{live: []*Cluster{c}}
+	registries.m[reg] = p
+	// Every Func sums under the lock, so a cluster being retired is counted
+	// once: live or retired, never both.
+	for i, m := range distrCounters {
+		reg.PublishFunc(m.name, func() any {
+			registries.Lock()
+			defer registries.Unlock()
+			n := p.retired[i]
+			for _, c := range p.live {
+				n += m.read(c)
+			}
+			return n
+		})
 	}
+	// The two gauges describe live clusters only.
 	reg.PublishFunc("storm.distr.shards", func() any {
+		registries.Lock()
+		defer registries.Unlock()
 		n := 0
-		for _, c := range clusters() {
+		for _, c := range p.live {
 			n += len(c.clients)
 		}
 		return n
 	})
-	netSum := func(read func(NetStats) uint64) func() any {
-		return func() any {
-			var n uint64
-			for _, c := range clusters() {
-				n += read(c.Net())
-			}
-			return n
-		}
-	}
-	reg.PublishFunc("storm.distr.net.messages", netSum(func(n NetStats) uint64 { return n.Messages }))
-	reg.PublishFunc("storm.distr.net.samples_moved", netSum(func(n NetStats) uint64 { return n.SamplesMoved }))
-	reg.PublishFunc("storm.distr.net.bytes_sent", netSum(func(n NetStats) uint64 { return n.BytesSent }))
-	reg.PublishFunc("storm.distr.net.bytes_recv", netSum(func(n NetStats) uint64 { return n.BytesRecv }))
-	// Fault totals are owned by each cluster's atomics (exact with or
-	// without a registry); the registry reads them at scrape time.
-	sum := func(read func(*faultTotals) uint64) func() any {
-		return func() any {
-			var n uint64
-			for _, c := range clusters() {
-				n += read(&c.ftot)
-			}
-			return n
-		}
-	}
-	reg.PublishFunc("storm.distr.faults.injected", sum(func(t *faultTotals) uint64 { return t.injected.Load() }))
-	reg.PublishFunc("storm.distr.faults.latency", sum(func(t *faultTotals) uint64 { return t.latency.Load() }))
-	reg.PublishFunc("storm.distr.faults.transient", sum(func(t *faultTotals) uint64 { return t.transient.Load() }))
-	reg.PublishFunc("storm.distr.faults.timeouts", sum(func(t *faultTotals) uint64 { return t.timeouts.Load() }))
-	reg.PublishFunc("storm.distr.faults.crashes", sum(func(t *faultTotals) uint64 { return t.crashes.Load() }))
-	reg.PublishFunc("storm.distr.faults.retries", sum(func(t *faultTotals) uint64 { return t.retries.Load() }))
-	reg.PublishFunc("storm.distr.faults.recoveries", sum(func(t *faultTotals) uint64 { return t.recoveries.Load() }))
-	reg.PublishFunc("storm.distr.faults.exhausted", sum(func(t *faultTotals) uint64 { return t.exhausted.Load() }))
-	reg.PublishFunc("storm.distr.faults.readmits", sum(func(t *faultTotals) uint64 { return t.readmits.Load() }))
 	reg.PublishFunc("storm.distr.faults.shards_down", func() any {
+		registries.Lock()
+		defer registries.Unlock()
 		var n int64
-		for _, c := range clusters() {
+		for _, c := range p.live {
 			n += c.ftot.shardsDown.Load()
 		}
 		return n
 	})
-	rsum := func(read func(*replTotals) uint64) func() any {
-		return func() any {
-			var n uint64
-			for _, c := range clusters() {
-				n += read(&c.rtot)
-			}
-			return n
-		}
+}
+
+// retire removes a closed cluster from its registry's live list and folds
+// its final counter totals into the registry's retired sums. It is a no-op
+// without a registry and on a second Close.
+func (c *Cluster) retire() {
+	registries.Lock()
+	defer registries.Unlock()
+	p := registries.m[c.cfg.Obs]
+	if p == nil {
+		return
 	}
-	reg.PublishFunc("storm.distr.replicas.failovers", rsum(func(t *replTotals) uint64 { return t.failovers.Load() }))
-	reg.PublishFunc("storm.distr.replicas.stale_reads", rsum(func(t *replTotals) uint64 { return t.staleReads.Load() }))
-	reg.PublishFunc("storm.distr.replicas.rebuilds", rsum(func(t *replTotals) uint64 { return t.rebuilds.Load() }))
+	i := slices.Index(p.live, c)
+	if i < 0 {
+		return
+	}
+	p.live = slices.Delete(p.live, i, i+1)
+	for j, m := range distrCounters {
+		p.retired[j] += m.read(c)
+	}
 }
 
 // observeMS records elapsed wall time since start into h (no-op on a nil
@@ -527,9 +549,10 @@ func (c *Cluster) nextSeed() int64 {
 	return c.cfg.Seed*101 + c.rngSeq
 }
 
-// Close releases the cluster's transports (a no-op for in-process
-// clusters, whose loopback clients hold no resources). Every replica's
-// client is closed, not just the primaries.
+// Close releases the cluster's transports (in-process loopback clients
+// hold none) and withdraws it from its obs registry, whose storm.distr.*
+// counters keep its final totals. Every replica's client is closed, not
+// just the primaries.
 func (c *Cluster) Close() error {
 	var first error
 	for _, reps := range c.repl {
@@ -544,6 +567,7 @@ func (c *Cluster) Close() error {
 			first = err
 		}
 	}
+	c.retire()
 	return first
 }
 

@@ -427,8 +427,8 @@ func (e *Engine) Unregister(name string) error {
 	delete(e.datasets, name)
 	e.obs.Unpublish("storm.dataset." + name + ".")
 	if h.cluster != nil {
-		// Releases the remote cluster's TCP transports; a no-op for
-		// simulated clusters.
+		// Releases a remote cluster's TCP transports and lets the obs
+		// registry drop the cluster.
 		h.cluster.Close()
 	}
 	return nil

@@ -87,11 +87,6 @@ type Config struct {
 	// 0 means Fanout², i.e. boundary subtrees stay whole at the
 	// leaf-parent level.
 	LazyCutoff int
-	// LazyBuffers defers per-node sample generation to first query use.
-	// By default buffers are precomputed at build time, matching the
-	// paper's design where S(u) is stored alongside node u on disk;
-	// updates always regenerate affected buffers lazily.
-	LazyBuffers bool
 	// Packing is the bulk-load sort order passed through to the
 	// underlying R-tree; the zero value is STR (see rtree.Packing).
 	Packing rtree.Packing
@@ -113,9 +108,9 @@ type Index struct {
 }
 
 // BufferRegens returns how many per-node sample buffers queries have had to
-// (re)generate since the index was built — update invalidation pressure
-// plus, under LazyBuffers, first-touch generation. Buffers precomputed by
-// the build itself do not count, so a freshly built index reports 0.
+// regenerate since the index was built — update invalidation pressure.
+// Buffers precomputed by the build itself do not count, so a freshly built
+// index reports 0.
 func (x *Index) BufferRegens() uint64 { return x.regens.Load() }
 
 // Build constructs an RS-tree over the given entries.
@@ -175,9 +170,7 @@ func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry
 	}
 	load(t, entries)
 	idx := &Index{cfg: cfg, tree: t}
-	if !cfg.LazyBuffers {
-		idx.precomputeBuffers()
-	}
+	idx.precomputeBuffers()
 	return idx, nil
 }
 

@@ -463,18 +463,6 @@ func TestBufferRegensCountsOnlyQueryWork(t *testing.T) {
 	if built.BufferRegens() == 0 {
 		t.Error("BufferRegens stayed 0 after an insert and a query over the touched path")
 	}
-
-	lazy, err := Build(entries, Config{Fanout: 16, Seed: 5, LazyBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lazy.BufferRegens() + stored(lazy); got != 0 {
-		t.Errorf("LazyBuffers: fresh index has %d regens + stored buffers, want none", got)
-	}
-	drain(lazy, 300)
-	if got, want := lazy.BufferRegens(), stored(lazy); got == 0 || got != want {
-		t.Errorf("LazyBuffers: BufferRegens = %d, %d nodes were first-touched", got, want)
-	}
 }
 
 func TestConfigValidation(t *testing.T) {

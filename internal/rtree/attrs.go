@@ -248,8 +248,14 @@ func (t *Tree) countWhere(acct *iosim.Batcher, n *Node, q geo.Rect, f *TreeFilte
 	}
 	total := 0
 	if n.leaf {
-		for _, e := range n.entries {
-			if q.Contains(e.Pos) && (v == pred.All || f.Match(e.ID)) {
+		if v == pred.All {
+			for i := range n.entries {
+				total += in(&q, &n.entries[i].Pos)
+			}
+			return total
+		}
+		for i := range n.entries {
+			if in(&q, &n.entries[i].Pos) == 1 && f.Match(n.entries[i].ID) {
 				total++
 			}
 		}

@@ -81,10 +81,8 @@ func (t *Tree) count(acct *iosim.Batcher, n *Node, q geo.Rect) int {
 	}
 	total := 0
 	if n.leaf {
-		for _, e := range n.entries {
-			if q.Contains(e.Pos) {
-				total++
-			}
+		for i := range n.entries {
+			total += in(&q, &n.entries[i].Pos)
 		}
 		return total
 	}
@@ -94,6 +92,25 @@ func (t *Tree) count(acct *iosim.Batcher, n *Node, q geo.Rect) int {
 		}
 	}
 	return total
+}
+
+// in is q.Contains(p) as 1 or 0, computed without a data-dependent branch:
+// over a boundary leaf the short-circuit form mispredicts on about every
+// other entry. Each axis is !(p < min) & !(p > max), never p >= min &&
+// p <= max, so that a NaN coordinate or bound passes exactly as it passes
+// geo.Rect.Contains (every comparison with NaN is false).
+func in(q *geo.Rect, p *geo.Vec) int {
+	return b2i(!(p[0] < q.Min[0])) & b2i(!(p[0] > q.Max[0])) &
+		b2i(!(p[1] < q.Min[1])) & b2i(!(p[1] > q.Max[1])) &
+		b2i(!(p[2] < q.Min[2])) & b2i(!(p[2] > q.Max[2]))
+}
+
+// b2i compiles to a flag set, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // beginDescent returns a batcher in front of the tree's device for one

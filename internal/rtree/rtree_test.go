@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"storm/internal/data"
 	"storm/internal/geo"
 	"storm/internal/iosim"
+	"storm/internal/pred"
 	"storm/internal/stats"
 )
 
@@ -100,6 +102,71 @@ func TestBulkLoadMatchesBrute(t *testing.T) {
 			if c := tree.Count(q); c != len(want) {
 				t.Errorf("Count(%v) = %d, want %d", q, c, len(want))
 			}
+		}
+	}
+}
+
+// TestInMatchesRectContains pins the branch-free leaf test of Count and
+// CountWhere to geo.Rect.Contains: points on every face, edge and corner,
+// just outside each face, NaN coordinates (which Contains admits, as every
+// comparison with NaN is false) and ±Inf bounds.
+func TestInMatchesRectContains(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	box := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 2, 3})
+	var points []geo.Vec
+	for _, x := range []float64{-0.5, 0, 0.5, 1, 1.5, nan} {
+		for _, y := range []float64{-1, 0, 1, 2, 2.5, nan} {
+			for _, z := range []float64{-inf, 0, 1.5, 3, 3.5, inf, nan} {
+				points = append(points, geo.Vec{x, y, z})
+			}
+		}
+	}
+	rects := []geo.Rect{
+		box,
+		{Min: geo.Vec{-inf, -inf, -inf}, Max: geo.Vec{inf, inf, inf}},
+		{Min: geo.Vec{0, -inf, 0}, Max: geo.Vec{inf, 2, 3}},
+		{Min: geo.Vec{1, 2, 3}, Max: geo.Vec{1, 2, 3}},
+		{Min: geo.Vec{nan, 0, 0}, Max: geo.Vec{1, nan, 3}},
+		geo.EmptyRect(),
+	}
+	for _, q := range rects {
+		for _, p := range points {
+			want := 0
+			if q.Contains(p) {
+				want = 1
+			}
+			if got := in(&q, &p); got != want {
+				t.Errorf("in(%v, %v) = %d, Contains says %d", q, p, got, want)
+			}
+		}
+	}
+
+	// Through the leaf scans: the finite points around the box plus one far
+	// point, so that no node's MBR is contained and every leaf is filtered.
+	// Attribute v alternates 0/1: v >= 0 takes the all-match leaf loop and
+	// v = 1 the per-record one.
+	ds := data.NewDataset("faces")
+	ds.AddNumericColumn("v")
+	for _, p := range append(points, geo.Vec{9, 9, 9}) {
+		if math.IsNaN(p[0]+p[1]+p[2]) || math.IsInf(p[2], 0) {
+			continue
+		}
+		id := ds.AppendFast(p)
+		if err := ds.SetNumeric("v", id, float64(id%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree := MustNew(Config{Fanout: 8})
+	tree.BulkLoad(ds.Entries())
+	sums := NewSummaries(tree, ds)
+	sums.Precompute()
+	if got, want := tree.Count(box), len(bruteRange(ds.Entries(), box)); got != want {
+		t.Errorf("Count(box) = %d, want %d", got, want)
+	}
+	for _, term := range []pred.Term{{Attr: "v", Lo: 0, Hi: inf}, {Attr: "v", Lo: 1, Hi: 1}} {
+		c := compilePred(t, ds, term)
+		if got, want := tree.CountWhere(box, NewTreeFilter(c, sums)), bruteCountWhere(ds, box, c); got != want {
+			t.Errorf("CountWhere(box, %+v) = %d, want %d", term, got, want)
 		}
 	}
 }

@@ -51,14 +51,11 @@ import (
 	"storm/internal/analytics"
 	"storm/internal/connector"
 	"storm/internal/data"
-	"storm/internal/dfs"
 	"storm/internal/distr"
-	"storm/internal/docstore"
 	"storm/internal/engine"
 	"storm/internal/estimator"
 	"storm/internal/gen"
 	"storm/internal/geo"
-	"storm/internal/persist"
 	"storm/internal/pred"
 	"storm/internal/query"
 	"storm/internal/sampling"
@@ -306,26 +303,11 @@ func DiscoverSchema(src Source, sampleLimit int) (Schema, error) {
 	return connector.DiscoverSchema(src, sampleLimit)
 }
 
-// Store is the JSON document store over the simulated DFS — STORM's
-// storage engine.
-type Store = docstore.Store
+// SaveDataset writes a dataset to w as one checksummed columnar snapshot
+// (the format is documented in internal/data): STORM's storage-engine
+// import, bit-exact and identical for identical datasets.
+func SaveDataset(w io.Writer, ds *Dataset) error { return ds.WriteSnapshot(w) }
 
-// OpenStore returns a document store over a simulated DFS cluster with the
-// given number of storage nodes (replication 2, capped at the node count).
-func OpenStore(nodes int) (*Store, error) {
-	repl := 2
-	if repl > nodes {
-		repl = nodes
-	}
-	cluster, err := dfs.New(dfs.Config{Nodes: nodes, Replication: repl})
-	if err != nil {
-		return nil, err
-	}
-	return docstore.Open(cluster), nil
-}
-
-// SaveDataset persists a dataset into the storage engine as JSON documents.
-func SaveDataset(store *Store, ds *Dataset) error { return persist.Save(store, ds) }
-
-// LoadDataset reads a dataset previously written by SaveDataset.
-func LoadDataset(store *Store, name string) (*Dataset, error) { return persist.Load(store, name) }
+// LoadDataset reads a dataset written by SaveDataset, rejecting truncated,
+// corrupt or trailing input with an error.
+func LoadDataset(r io.Reader) (*Dataset, error) { return data.ReadSnapshot(r) }

@@ -1,9 +1,11 @@
 package storm
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -95,37 +97,46 @@ func (c csvRaw) Rows(fn func(map[string]string) error) error {
 	return nil
 }
 
-func TestStoreFacadeRoundTrip(t *testing.T) {
-	store, err := OpenStore(3)
+// TestSnapshotFacadeRoundTrip pins that a saved and loaded dataset answers
+// exactly like the original: a seeded online estimate over each yields the
+// same stream, snapshot for snapshot.
+func TestSnapshotFacadeRoundTrip(t *testing.T) {
+	ds := GenerateOSM(OSMConfig{N: 5000, Seed: 9})
+	var file bytes.Buffer
+	if err := SaveDataset(&file, ds); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadDataset(&file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := GenerateOSM(OSMConfig{N: 500, Seed: 9})
-	if err := SaveDataset(store, ds); err != nil {
-		t.Fatal(err)
+	if _, err := LoadDataset(strings.NewReader("STORMSNP")); err == nil {
+		t.Error("a truncated snapshot loaded")
 	}
-	got, err := LoadDataset(store, "osm")
-	if err != nil {
-		t.Fatal(err)
+
+	stream := func(ds *Dataset) []Estimate {
+		h, err := Open(Config{Seed: 9}).Register(ds, IndexOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, err := h.EstimateOnline(context.Background(), SpatialRange(-112.4, 40.2, -111.4, 41.2), Options{
+			Kind: Avg, Attr: "altitude", MaxSamples: 600, ReportEvery: 50, Seed: 7,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Estimate
+		for snap := range ch {
+			out = append(out, snap.Estimate)
+		}
+		return out
 	}
-	if got.Len() != 500 {
-		t.Fatalf("len = %d", got.Len())
+	want, loaded := stream(ds), stream(got)
+	if len(want) < 2 {
+		t.Fatalf("the original's stream has %d snapshots, want several", len(want))
 	}
-	// The loaded dataset is registerable and queryable.
-	db := Open(Config{Seed: 9})
-	h, err := db.Register(got, IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := h.Estimate(context.Background(), UniverseRange(), Options{
-		Kind: Avg, Attr: "altitude", MaxSamples: 200,
-	})
-	if err != nil || snap.Samples != 200 {
-		t.Fatalf("query over loaded dataset: %+v, %v", snap, err)
-	}
-	// Single-node store also works (replication clamp).
-	if _, err := OpenStore(1); err != nil {
-		t.Errorf("single-node store: %v", err)
+	if !reflect.DeepEqual(loaded, want) {
+		t.Errorf("the loaded dataset's stream differs:\n got  %v\n want %v", loaded, want)
 	}
 }
 

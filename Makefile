@@ -72,14 +72,14 @@ fig:
 # property at the layer that owns it: stream uniformity (first-sample
 # chi-square) in internal/distr, which moves the samples; CI coverage,
 # unbiasedness and lost-mass-bound coverage in internal/engine, through
-# Handle.Estimate — the one place samples become an answer. Seeds are fixed
+# Handle.Estimate — the one place samples become an answer — beside the
+# LAST-window suite, which resolves windows there too. Seeds are fixed
 # in the tests, so a failure is a real regression, not sampling noise
 # (false-positive budget ~1e-3 per check, see the statcheck package doc).
 # -run TestStat takes in the failover slice (TestStatFailover*) too.
 test-stats:
 	$(GO) test -race -run 'TestStat' -v ./internal/distr/
 	$(GO) test -race -run 'TestStat' -v ./internal/engine/
-	$(GO) test -race -run 'TestStat' -v ./internal/ingest/
 	$(GO) test -race ./internal/stats/statcheck/
 
 # Short fuzz passes over the operator/network-facing input surfaces: the

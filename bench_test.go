@@ -182,8 +182,7 @@ func BenchmarkBatchedSampling(b *testing.B) {
 			b.Run("k=1", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s := batchedRS.Sampler(fixQuery, mode, stats.NewRNG(int64(i)+1))
-					s.AttributeIO(iosim.NewCounter(batchedDev))
+					s := batchedRS.SamplerWhere(fixQuery, mode, stats.NewRNG(int64(i)+1), nil, iosim.NewCounter(batchedDev))
 					for j := 0; j < k; j++ {
 						if s.NextBatch(buf, 1) == 0 {
 							b.Fatal("exhausted")
@@ -194,8 +193,7 @@ func BenchmarkBatchedSampling(b *testing.B) {
 			b.Run("NextBatch", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					s := batchedRS.Sampler(fixQuery, mode, stats.NewRNG(int64(i)+1))
-					s.AttributeIO(iosim.NewCounter(batchedDev))
+					s := batchedRS.SamplerWhere(fixQuery, mode, stats.NewRNG(int64(i)+1), nil, iosim.NewCounter(batchedDev))
 					if got := s.NextBatch(buf, k); got != k {
 						b.Fatal("exhausted")
 					}
@@ -208,8 +206,7 @@ func BenchmarkBatchedSampling(b *testing.B) {
 	// Steady state: a warmed with-replacement sampler re-batching from
 	// published buffers — the allocation-free hot loop (0 allocs/op).
 	b.Run("SteadyState", func(b *testing.B) {
-		s := batchedRS.Sampler(fixQuery, sampling.WithReplacement, stats.NewRNG(1))
-		s.AttributeIO(iosim.NewCounter(batchedDev))
+		s := batchedRS.SamplerWhere(fixQuery, sampling.WithReplacement, stats.NewRNG(1), nil, iosim.NewCounter(batchedDev))
 		s.NextBatch(buf, k) // warm: alias tables, batcher, scratch
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -224,8 +221,7 @@ func BenchmarkBatchedSampling(b *testing.B) {
 	// consumed set, first small pull — and closed off the clock.
 	b.Run("SteadyStateMaterialize", func(b *testing.B) {
 		open := func() *rstree.Sampler {
-			s := batchedRS.Sampler(fixQuery, sampling.WithoutReplacement, stats.NewRNG(1))
-			s.AttributeIO(iosim.NewCounter(batchedDev))
+			s := batchedRS.SamplerWhere(fixQuery, sampling.WithoutReplacement, stats.NewRNG(1), nil, iosim.NewCounter(batchedDev))
 			s.NextBatch(buf, 16)
 			return s
 		}
@@ -240,7 +236,7 @@ func BenchmarkBatchedSampling(b *testing.B) {
 			b.StartTimer()
 			s.NextBatch(buf, k)
 			b.StopTimer()
-			if s.Explosions() == 0 {
+			if s.SamplerStats().Explosions == 0 {
 				b.Fatal("the pull crossed no materialization")
 			}
 			s.Close()
@@ -665,7 +661,7 @@ func BenchmarkIngestConcurrentQueries(b *testing.B) {
 			wm, _ := h.Watermark()
 			in := ingest.New(h, ingest.Config{
 				Shards: 8, FlushRecords: 8192, MaxBatch: 8192,
-				Window: window, Seed: 1, Name: fmt.Sprintf("bench-c%d", clients),
+				Name: fmt.Sprintf("bench-c%d", clients),
 			})
 			defer in.Close()
 			// Open-loop background producer: 512-row chunks of synthetic

@@ -568,7 +568,7 @@ func a12(seed int64) error {
 		return err
 	}
 	fmt.Printf("static baseline: p50 %.2f ms, p95 %.2f ms\n", res.StaticP50MS, res.StaticP95MS)
-	rows := [][]string{{"shards", "inserts/s", "stream ms", "backpressure", "queries", "q p50 ms", "q p95 ms", "p95 ratio", "win retained"}}
+	rows := [][]string{{"shards", "inserts/s", "stream ms", "backpressure", "queries", "q p50 ms", "q p95 ms", "p95 ratio"}}
 	for _, p := range res.Points {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p.Shards),
@@ -579,7 +579,6 @@ func a12(seed int64) error {
 			fmt.Sprintf("%.2f", p.QP50MS),
 			fmt.Sprintf("%.2f", p.QP95MS),
 			fmt.Sprintf("%.2fx", p.RatioP95),
-			fmt.Sprintf("%d", p.WindowRetained),
 		})
 	}
 	fmt.Print(viz.Table(rows))

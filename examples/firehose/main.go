@@ -4,9 +4,8 @@
 // the indexes, backpressure) while concurrent queries watch the stream
 // through a sliding `LAST`-window — the engine anchors the window at the
 // dataset's event-time watermark, so answers track the stream's leading
-// edge. The ingestor also keeps a WindowReservoir: an exactly uniform
-// O(k) sample of the live window, read here without touching the
-// indexes. See INGEST.md for the architecture.
+// edge. Once the stream ends, the same window is counted exactly and
+// estimated once more. See INGEST.md for the architecture.
 package main
 
 import (
@@ -36,13 +35,10 @@ func main() {
 	}
 
 	// The stream buffer: 8 acceptance shards, drained in the background
-	// into h.InsertBatch, plus a 60s window reservoir (k=512).
+	// into h.InsertBatch.
 	in := ingest.New(h, ingest.Config{
 		Shards:        8,
 		FlushInterval: 20 * time.Millisecond,
-		Window:        60 * time.Second,
-		WindowSamples: 512,
-		Seed:          7,
 		Name:          "firehose",
 	})
 	defer in.Close()
@@ -101,23 +97,29 @@ func main() {
 		break
 	}
 
-	// Drain what's left, then read the stream-side window sample: an
-	// exactly uniform k-subset of the live 60s window, O(k), no index.
+	// Drain what's left, then ask the indexes about the final window: an
+	// exact COUNT by range counting, and the AVG estimate over the same
+	// population.
 	in.Flush()
-	sample := in.WindowSample()
-	wm, _ := in.Watermark()
-	fresh := 0
-	for _, r := range sample {
-		if r.Pos[2] >= wm-60 {
-			fresh++
-		}
-	}
 	fmt.Printf("\nproduced %d records (%d backpressure retries)\n",
 		produced.Load(), backpressured.Load())
-	fmt.Printf("reservoir: %d-record uniform sample of the live window, all %d in [wm-60s, wm]\n",
-		len(sample), fresh)
-	if fresh != len(sample) {
-		log.Fatal("window sample leaked records outside the window")
+	count, err := h.Estimate(context.Background(), region, engine.Options{
+		Kind: estimator.Count, Last: 60 * time.Second,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	avg, err := h.Estimate(context.Background(), region, engine.Options{
+		Kind: estimator.Avg, Attr: "speed",
+		Last: 60 * time.Second, MaxSamples: 800, Seed: 1,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("final LAST 60s [%.1fs, %.1fs]: COUNT = %.0f (exact %v), AVG(speed) = %s\n",
+		count.WindowLo, count.WindowHi, count.Value, count.Exact, avg.Estimate)
+	if avg.Population != int(count.Value) {
+		log.Fatalf("the estimate sampled %d records, the window holds %.0f", avg.Population, count.Value)
 	}
 
 	// The same window through the query language over HTTP would be:

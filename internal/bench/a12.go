@@ -100,9 +100,6 @@ type A12Point struct {
 	QP95MS  float64
 	// RatioP95 is QP95MS over the static baseline's p95.
 	RatioP95 float64
-	// WindowRetained is the reservoir's retained-record count at the end
-	// of the stream (memory held for the O(k) live-window sample).
-	WindowRetained int
 }
 
 // A12Result is the ablation's output table plus the shared baseline.
@@ -254,7 +251,6 @@ func A12(cfg A12Config) (A12Result, error) {
 		// the drain still keeps pace with the offered rate.
 		in := ingest.New(h, ingest.Config{
 			Shards: shards, FlushRecords: 8192, MaxBatch: 4096,
-			Window: cfg.Window, Seed: cfg.Seed,
 			Obs: Obs, Name: fmt.Sprintf("a12-s%d", shards),
 		})
 
@@ -326,10 +322,6 @@ func A12(cfg A12Config) (A12Result, error) {
 		elapsed := time.Since(start)
 		stop.Store(true)
 		queryWG.Wait()
-		retained := 0
-		if w := in.Window(); w != nil {
-			retained = w.Retained()
-		}
 		if err := in.Close(); err != nil {
 			return res, err
 		}
@@ -344,14 +336,13 @@ func A12(cfg A12Config) (A12Result, error) {
 		}
 
 		p := A12Point{
-			Shards:         shards,
-			InsertsPerSec:  float64(cfg.Inserts) / elapsed.Seconds(),
-			ElapsedMS:      float64(elapsed) / float64(time.Millisecond),
-			Backpressure:   bp.Load(),
-			Queries:        len(lats),
-			QP50MS:         percentile(lats, 0.50),
-			QP95MS:         percentile(lats, 0.95),
-			WindowRetained: retained,
+			Shards:        shards,
+			InsertsPerSec: float64(cfg.Inserts) / elapsed.Seconds(),
+			ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
+			Backpressure:  bp.Load(),
+			Queries:       len(lats),
+			QP50MS:        percentile(lats, 0.50),
+			QP95MS:        percentile(lats, 0.95),
 		}
 		if res.StaticP95MS > 0 {
 			p.RatioP95 = p.QP95MS / res.StaticP95MS

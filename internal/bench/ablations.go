@@ -180,13 +180,13 @@ func A2(cfg A2Config) ([]A2Point, error) {
 		got := drawOnline(s, cfg.K)
 		elapsed := time.Since(start)
 		record("a2", "RS-tree", s, dev)
-		st := dev.Stats()
+		st, ss := dev.Stats(), s.SamplerStats()
 		out = append(out, A2Point{
 			BufSize:           bufSize,
 			WallMS:            float64(elapsed.Microseconds()) / 1000,
 			Reads:             st.Reads,
-			Explosions:        s.Explosions(),
-			Rejects:           s.Rejects(),
+			Explosions:        ss.Explosions,
+			Rejects:           ss.Rejects,
 			AccessesPerSample: float64(st.Logical) / float64(got),
 		})
 	}

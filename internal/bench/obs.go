@@ -25,20 +25,17 @@ func metricName(label string) string {
 }
 
 // record flushes one sampler run's telemetry into Obs: the sampler's draw
-// accounting (when it implements sampling.StatsReporter) and the device's
-// physical I/O counters. No-op when Obs is nil or the run used no device.
+// accounting and the device's physical I/O counters. No-op when Obs is nil or the run used no device.
 func record(figure, method string, s sampling.Sampler, dev *iosim.Device) {
 	if Obs == nil {
 		return
 	}
 	prefix := "storm.bench." + figure + "." + metricName(method) + "."
-	if sr, ok := s.(sampling.StatsReporter); ok {
-		st := sr.SamplerStats()
-		Obs.Counter(prefix + "draws").Add(st.Draws)
-		Obs.Counter(prefix + "rejects").Add(st.Rejects)
-		Obs.Counter(prefix + "explosions").Add(st.Explosions)
-		Obs.Counter(prefix + "scans").Add(st.Scans)
-	}
+	st := s.SamplerStats()
+	Obs.Counter(prefix + "draws").Add(st.Draws)
+	Obs.Counter(prefix + "rejects").Add(st.Rejects)
+	Obs.Counter(prefix + "explosions").Add(st.Explosions)
+	Obs.Counter(prefix + "scans").Add(st.Scans)
 	if dev != nil {
 		st := dev.Stats()
 		Obs.Counter(prefix + "io.reads").Add(st.Reads)

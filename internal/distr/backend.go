@@ -8,6 +8,7 @@ package distr
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"storm/internal/data"
 	"storm/internal/geo"
@@ -226,7 +227,7 @@ func (b *shardBackend) open(stream uint64, q geo.Rect, seed int64, exclude []dat
 	}
 	var sp *rstree.Sampler
 	if n > 0 {
-		sp = b.shard.index.SamplerWhere(q, sampling.WithoutReplacement, stats.NewRNG(seed), f)
+		sp = b.shard.index.SamplerWhere(q, sampling.WithoutReplacement, stats.NewRNG(seed), f, nil)
 	}
 	b.mu.RUnlock()
 	if n < 0 {
@@ -352,8 +353,9 @@ func (c *loopbackClient) Open(stream uint64, q geo.Rect, seed int64, exclude []d
 	return c.b.open(stream, q, seed, exclude, where, win)
 }
 
-// Fetch implements ShardClient.
-func (c *loopbackClient) Fetch(stream uint64, dst []data.Entry, n int) (int, error) {
+// Fetch implements ShardClient. An in-process fetch cannot block on a
+// network, so the deadline has nothing to bound.
+func (c *loopbackClient) Fetch(stream uint64, dst []data.Entry, n int, _ time.Time) (int, error) {
 	return c.b.fetch(stream, dst, n)
 }
 
@@ -383,6 +385,9 @@ func (c *loopbackClient) Summary(attr string) (AttrSummary, bool, error) {
 	s, ok := c.b.summary(attr)
 	return s, ok, nil
 }
+
+// Live implements ShardClient: the in-process shard is never down.
+func (c *loopbackClient) Live() (down, rejoined bool) { return false, false }
 
 // Addr implements ShardClient.
 func (c *loopbackClient) Addr() string { return "loopback" }

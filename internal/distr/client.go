@@ -29,7 +29,8 @@ import (
 //     releases it.
 //   - Insert/Delete mirror updates into the shard's index.
 //   - Bounds and Len serve insert routing and diagnostics; Summary serves
-//     the per-attribute digests behind degraded lost-mass bounds.
+//     the per-attribute digests behind degraded lost-mass bounds; Live is
+//     the liveness check that fences a down shard off.
 //
 // Implementations: loopbackClient (in-process, backend.go), wireClient
 // (TCP, remote.go), faultClient (fault-injection decorator, fault.go).
@@ -46,8 +47,13 @@ type ShardClient interface {
 	// window win (zero = none); it returns the stream's matching count. A
 	// zero count opens nothing.
 	Open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term, win wire.Window) (int, error)
-	// Fetch pulls up to n samples from an open stream into dst[:n].
-	Fetch(stream uint64, dst []data.Entry, n int) (int, error)
+	// Fetch pulls up to n samples from an open stream into dst[:n]. A
+	// non-zero deadline is an absolute wall-clock bound the attempt must
+	// respect: the TCP transport caps its request timeout at the time
+	// remaining (never above Config.FetchTimeout, never below
+	// wire.MinCallTimeout). A zero deadline leaves Config.FetchTimeout as
+	// the only bound.
+	Fetch(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error)
 	// CloseStream releases an open stream.
 	CloseStream(stream uint64) error
 	// Insert adds a record to the shard's index (the record's attributes
@@ -62,33 +68,16 @@ type ShardClient interface {
 	// Summary returns the shard's digest of a numeric attribute; found is
 	// false when the shard has no summary for it.
 	Summary(attr string) (s AttrSummary, found bool, err error)
+	// Live reports whether the shard is currently down. Each call is one
+	// coordinator observation (it advances an injected crash's recovery
+	// clock, or rate-limits a real TCP probe), and rejoined is true
+	// exactly once per recovery — on the observation that brought the
+	// shard back. The loopback is never down.
+	Live() (down, rejoined bool)
 	// Addr names the shard's endpoint ("loopback" in-process).
 	Addr() string
 	// Close releases client resources.
 	Close() error
-}
-
-// deadlineFetcher is the optional deadline-aware fetch side of a
-// ShardClient: FetchBefore is Fetch with an absolute wall-clock deadline
-// the attempt must respect — the TCP transport caps its per-request
-// timeout at the time remaining (floored at wire.MinCallTimeout), and the
-// fault decorator forwards the deadline through to its inner client.
-// Samplers running under a deadline (engine time budgets, query
-// contracts) route fetches through this when available, so a stuck shard
-// cannot hold a bounded query past its budget. Clients without it (the
-// plain loopback, which cannot block on a network) are fetched normally.
-type deadlineFetcher interface {
-	FetchBefore(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error)
-}
-
-// liveChecker is the optional liveness side of a ShardClient. Live
-// reports whether the shard is currently down; each call is one
-// coordinator observation (it advances an injected crash's recovery
-// clock, or rate-limits a real TCP probe), and rejoined is true exactly
-// once per recovery — on the observation that brought the shard back.
-// Clients without liveness (the plain loopback) are simply never down.
-type liveChecker interface {
-	Live() (down, rejoined bool)
 }
 
 // Fetch-path error taxonomy. The coordinator's retry loop (see

@@ -691,8 +691,10 @@ func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) in
 			defer wg.Done()
 			// Replicas hold identical trees: the first copy that answers
 			// speaks for the shard (the primary answers first in the
-			// healthy case, keeping the unreplicated path unchanged).
+			// healthy case, keeping the unreplicated path unchanged). Each
+			// copy asked is one request and one response.
 			for _, cl := range c.repl[i] {
+				c.charge(2, 0)
 				if n, err := cl.Count(q, where, win); err == nil {
 					counts[i] = n
 					return
@@ -705,7 +707,6 @@ func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) in
 	for _, n := range counts {
 		total += n
 	}
-	c.charge(2*uint64(len(c.clients)), 0)
 	return total
 }
 
@@ -745,6 +746,8 @@ type Sampler struct {
 	total  int
 	init   bool
 	closed bool
+	// draws counts the samples NextBatch has delivered.
+	draws uint64
 	// failovers counts this query's fetch-path failovers.
 	failovers int
 	// degradation state: shards this query lost mid-stream (crashes or
@@ -795,14 +798,20 @@ var _ sampling.Sampler = (*Sampler)(nil)
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "distributed-rs-tree" }
 
+// SamplerStats implements sampling.Sampler. Draws is the samples delivered
+// to the consumer; the shards' own rejections and scans stay on the shards.
+func (s *Sampler) SamplerStats() sampling.SamplerStats {
+	return sampling.SamplerStats{Draws: s.draws}
+}
+
 // SetDeadline installs a wall-clock deadline enforced at the shard fetch
-// boundary: per-fetch RPC timeouts are capped at the time remaining
-// (clients implementing deadlineFetcher), retry/backoff cycles stop at
-// the deadline, and draw calls return short once it has passed — without
-// writing any shard off, since a deadline expiry says nothing about shard
-// health. The engine threads Options.TimeBudget (and with it contract
-// deadlines) through here so one slow or faulted shard cannot run a
-// bounded query past its budget. The zero time clears the deadline.
+// boundary: per-fetch RPC timeouts are capped at the time remaining,
+// retry/backoff cycles stop at the deadline, and draw calls return short
+// once it has passed — without writing any shard off, since a deadline
+// expiry says nothing about shard health. The engine threads
+// Options.TimeBudget (and with it contract deadlines) through here so one
+// slow or faulted shard cannot run a bounded query past its budget. The
+// zero time clears the deadline.
 func (s *Sampler) SetDeadline(t time.Time) {
 	s.deadline = t
 	s.deadlineHit = false
@@ -860,7 +869,9 @@ func (s *Sampler) initialize() {
 			// healthy — identical to the unreplicated path). A replica that
 			// refuses the open is skipped like a pre-crashed shard; only a
 			// shard none of whose copies answered is absent from the query.
+			// Each open is one request and one response.
 			for r, rc := range cl.repl[i] {
+				cl.charge(2, 0)
 				got, err := rc.Open(s.streams[i], s.query, seeds[i], nil, s.where, s.win)
 				if err != nil {
 					continue
@@ -876,7 +887,6 @@ func (s *Sampler) initialize() {
 	for _, rem := range s.remaining {
 		s.total += rem
 	}
-	cl.charge(2*uint64(n), 0) // count round
 }
 
 // buffered returns how many fetched-but-unemitted samples shard has.
@@ -935,6 +945,7 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 		}
 		got += n
 	}
+	s.draws += uint64(got)
 	return got
 }
 
@@ -1175,19 +1186,11 @@ func (s *Sampler) client(shard int) ShardClient {
 	return s.cluster.repl[shard][s.repl[shard]]
 }
 
-// fetchOnce performs a single fetch attempt, routing through the client's
-// deadline-aware path when the sampler has a deadline and the client
-// supports one (the TCP transport then caps the request timeout at the
-// time remaining, so a stuck shard cannot hold the query past its
-// budget).
+// fetchOnce performs a single fetch attempt under the sampler's deadline
+// (the TCP transport caps the request timeout at the time remaining, so a
+// stuck shard cannot hold the query past its budget).
 func (s *Sampler) fetchOnce(shard int, dst []data.Entry, n int) (int, error) {
-	cl := s.client(shard)
-	if !s.deadline.IsZero() {
-		if df, ok := cl.(deadlineFetcher); ok {
-			return df.FetchBefore(s.streams[shard], dst, n, s.deadline)
-		}
-	}
-	return cl.Fetch(s.streams[shard], dst, n)
+	return s.client(shard).Fetch(s.streams[shard], dst, n, s.deadline)
 }
 
 // resume opens a fresh stream for shard on replica r with this query's

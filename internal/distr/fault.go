@@ -703,17 +703,13 @@ func (c *Cluster) FaultStats() FaultStats {
 	}
 }
 
-// replicaDown reports whether replica r of shard i is down (false for
-// clients without liveness — the bare loopback). The check is itself a
-// coordinator contact: on a recoverable replica it advances the injected
-// recovery clock (or rate-limits a real TCP probe), and the contact that
-// revives the replica performs the cluster-wide re-admit accounting.
+// replicaDown reports whether replica r of shard i is down (never for the
+// bare loopback). The check is itself a coordinator contact: on a
+// recoverable replica it advances the injected recovery clock (or
+// rate-limits a real TCP probe), and the contact that revives the replica
+// performs the cluster-wide re-admit accounting.
 func (c *Cluster) replicaDown(i, r int) bool {
-	lc, ok := c.repl[i][r].(liveChecker)
-	if !ok {
-		return false
-	}
-	down, rejoined := lc.Live()
+	down, rejoined := c.repl[i][r].Live()
 	if rejoined {
 		c.countReadmit()
 	}
@@ -775,21 +771,11 @@ type faultClient struct {
 }
 
 // Fetch implements ShardClient, applying the shard's fault verdict before
-// (or instead of) the inner fetch. With a FaultNone verdict it is a
-// direct pass-through, byte-identical to the undecorated client.
-func (fc *faultClient) Fetch(stream uint64, dst []data.Entry, n int) (int, error) {
-	return fc.doFetch(stream, dst, n, time.Time{})
-}
-
-// FetchBefore implements deadlineFetcher, forwarding the deadline to the
-// inner client when it is deadline-aware. The fault verdict still applies
-// first — an injected crash or timeout fires identically whether or not
-// the query runs under a contract deadline.
-func (fc *faultClient) FetchBefore(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error) {
-	return fc.doFetch(stream, dst, n, deadline)
-}
-
-func (fc *faultClient) doFetch(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error) {
+// (or instead of) the inner fetch, which gets the deadline. The verdict
+// applies first — an injected crash or timeout fires identically whether or
+// not the query runs under a contract deadline. With a FaultNone verdict it
+// is a direct pass-through, byte-identical to the undecorated client.
+func (fc *faultClient) Fetch(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error) {
 	kind, delay, crashed, rejoined := fc.f.verdict()
 	if rejoined {
 		fc.c.countReadmit()
@@ -813,13 +799,7 @@ func (fc *faultClient) doFetch(stream uint64, dst []data.Entry, n int, deadline 
 		}
 		time.Sleep(delay)
 	}
-	var got int
-	var err error
-	if df, ok := fc.ShardClient.(deadlineFetcher); ok && !deadline.IsZero() {
-		got, err = df.FetchBefore(stream, dst, n, deadline)
-	} else {
-		got, err = fc.ShardClient.Fetch(stream, dst, n)
-	}
+	got, err := fc.ShardClient.Fetch(stream, dst, n, deadline)
 	if err != nil {
 		return got, err
 	}
@@ -827,17 +807,14 @@ func (fc *faultClient) doFetch(stream uint64, dst []data.Entry, n int, deadline 
 	return got, nil
 }
 
-// Live implements liveChecker: the injected crash state is consulted
-// first (each call is one coordinator observation against the recovery
-// clock), then any real liveness the inner client has — so a TCP shard
-// can be down for real even when no crash is scripted.
+// Live implements ShardClient: the injected crash state is consulted first
+// (each call is one coordinator observation against the recovery clock),
+// then the inner client's own liveness — so a TCP shard can be down for
+// real even when no crash is scripted.
 func (fc *faultClient) Live() (down, rejoined bool) {
 	down, rejoined = fc.f.observe()
 	if down || rejoined {
 		return down, rejoined
 	}
-	if lc, ok := fc.ShardClient.(liveChecker); ok {
-		return lc.Live()
-	}
-	return false, false
+	return fc.ShardClient.Live()
 }

@@ -241,6 +241,33 @@ func TestCrashedShardExcludedAfterwards(t *testing.T) {
 	}
 }
 
+// TestNetChargesOnlyContactedShards: a crashed shard is fenced off before the
+// count and open rounds, so it is sent nothing and the simulated network
+// charges two messages for each surviving shard only.
+func TestNetChargesOnlyContactedShards(t *testing.T) {
+	ds := distrtest.Dataset(6000)
+	q := distrtest.Query()
+	plan := &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{0: {Crash: true, CrashAfterFetches: 0}}}
+	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 5, plan))
+	distrtest.DrainBatched(c.Sampler(q), []int{64}) // triggers the crash
+	if c.FaultStats().ShardsDown != 1 {
+		t.Fatalf("fixture: %d shards down, want 1", c.FaultStats().ShardsDown)
+	}
+	c.ResetNet()
+	c.Count(q)
+	if got := c.Net().Messages; got != 6 {
+		t.Errorf("count round over 3 live shards charged %d messages, want 6", got)
+	}
+	c.ResetNet()
+	var one [1]data.Entry
+	if c.Sampler(q).NextBatch(one[:], 1) != 1 {
+		t.Fatal("no sample from the surviving shards")
+	}
+	if got := c.Net().Messages; got != 8 {
+		t.Errorf("open round over 3 live shards plus one fetch charged %d messages, want 8", got)
+	}
+}
+
 // TestStatDegradedFirstSampleUniform: after a crash the draw distribution
 // re-weights onto the surviving shards. The first sample emitted after the
 // crash must be uniform over the surviving matching records — a chi-square

@@ -85,7 +85,7 @@ func (w *wireClient) markUp() {
 	}
 }
 
-// Live implements liveChecker: a down shard is probed with a Ping at
+// Live implements ShardClient: a down shard is probed with a Ping at
 // most once per remoteProbeEvery. Rejoin accounting is internal to the
 // markUp transition, so Live never reports rejoined itself.
 func (w *wireClient) Live() (down, rejoined bool) {
@@ -183,27 +183,12 @@ func (w *wireClient) Open(stream uint64, q geo.Rect, seed int64, exclude []data.
 	return int(ok.N), nil
 }
 
-// Fetch implements ShardClient. The per-fetch deadline is
-// Config.FetchTimeout, enforced by the transport on the connection.
-func (w *wireClient) Fetch(stream uint64, dst []data.Entry, n int) (int, error) {
-	resp, err := w.call(&wire.Fetch{Target: w.tgt, Stream: stream, N: uint32(n)}, w.c.cfg.FetchTimeout)
-	if err != nil {
-		return 0, err
-	}
-	ents, isEnts := resp.(*wire.Entries)
-	if !isEnts {
-		return 0, fmt.Errorf("distr: unexpected %v response to fetch", resp.WireKind())
-	}
-	got := copy(dst, ents.Entries)
-	return got, nil
-}
-
-// FetchBefore implements deadlineFetcher: a Fetch whose transport
-// timeout is capped at the time remaining until deadline (never above
-// Config.FetchTimeout, never below wire.MinCallTimeout), so a contract
-// query's last fetch cannot block past the deadline waiting on a slow
-// shard. A zero deadline degrades to a plain Fetch.
-func (w *wireClient) FetchBefore(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error) {
+// Fetch implements ShardClient. The transport enforces the request
+// timeout on the connection: Config.FetchTimeout, capped at the time
+// remaining until a non-zero deadline (floored at wire.MinCallTimeout), so
+// a contract query's last fetch cannot block past the deadline waiting on
+// a slow shard.
+func (w *wireClient) Fetch(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error) {
 	timeout := w.c.cfg.FetchTimeout
 	if !deadline.IsZero() {
 		if left := time.Until(deadline); left < timeout {

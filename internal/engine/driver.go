@@ -190,7 +190,8 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 		// the one stream that can change health mid-query and enforce a
 		// deadline inside its own draw machinery — and nil otherwise.
 		dist *distr.Sampler
-		srep sampling.StatsReporter
+		// sampler is nil until the query has one to report counters from.
+		sampler sampling.Sampler
 		// Sticky: each status transition counts once per query even when
 		// the stream later heals.
 		wasDegraded, wasRecovered, wasFailedOver bool
@@ -228,8 +229,8 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 		if ctr != nil {
 			r.IO = ctr.Snapshot()
 		}
-		if srep != nil {
-			if st := srep.SamplerStats(); st.Draws > 0 {
+		if sampler != nil {
+			if st := sampler.SamplerStats(); st.Draws > 0 {
 				r.RejectRatio = float64(st.Rejects) / float64(st.Draws)
 			}
 		}
@@ -267,12 +268,12 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 	if opts.TimeBudget > 0 {
 		deadline = start.Add(opts.TimeBudget)
 	}
-	sampler, ctr, err := h.newSampler(res.method, res.sampled(), opts.Mode, stats.NewRNG(seed), res.plan)
+	sampler, ctr, err = h.newSampler(res.method, res.sampled(), opts.Mode, stats.NewRNG(seed), res.plan)
 	if err != nil {
 		emit(true, failedPrefix+err.Error())
 		return
 	}
-	defer closeSampler(sampler)
+	defer sampler.Close()
 	if dist, _ = sampler.(*distr.Sampler); dist != nil {
 		// Push the budget down to the shard fetch boundary: the
 		// coordinator then caps per-fetch RPC timeouts and stops
@@ -280,7 +281,6 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 		// run the query past it (the zero time means none).
 		dist.SetDeadline(deadline)
 	}
-	srep, _ = sampler.(sampling.StatsReporter)
 	name := sampler.Name()
 
 	// Samples are pulled in adaptive batches (see batch.go) but folded in

@@ -561,47 +561,24 @@ func (h *Handle) DeleteRange(q geo.Range) (int, error) {
 	return len(matches), nil
 }
 
-// ioAttributor is implemented by samplers that can charge their page
-// accesses through a caller-supplied accountant (per-query attribution).
-type ioAttributor interface {
-	AttributeIO(iosim.Accountant)
-}
-
-// closeSampler releases sampler resources that outlive the pull loop.
-// Distributed samplers hold per-shard stream state — server-side state on
-// remote shard hosts — that only an explicit close releases, and closing an
-// RS-tree sampler hands its pooled scratch to the next query; the other
-// in-process samplers have no Close and are left to the GC.
-func closeSampler(s sampling.Sampler) {
-	if c, ok := s.(interface{ Close() error }); ok {
-		c.Close()
-	}
-}
-
 // newSampler builds a sampler for the query using the resolved method (see
 // resolve; Auto is not one). A non-nil plan applies
 // its WHERE predicate: pushdown plans use the predicate-aware sampler
 // variants (node-summary pruning with the acceptance correction that
 // keeps samples uniform over qualifying records), rejection plans wrap
 // the plain sampler in sampling.Filtered. When I/O simulation is enabled,
-// the sampler is wired to a fresh per-query iosim.Counter that forwards
-// to the shared device, so each concurrent query's I/O is attributed
-// race-free; the returned counter is nil otherwise. Caller holds h.mu
-// (read side suffices).
+// the sampler charges a fresh per-query iosim.Counter that forwards to the
+// shared device, so each concurrent query's I/O is attributed race-free;
+// the returned counter is nil otherwise. The caller closes the sampler and
+// holds h.mu (read side suffices).
 func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *stats.RNG, plan *wherePlan) (sampling.Sampler, *iosim.Counter, error) {
-	var dev iosim.Accountant = iosim.Discard
+	// acct stays a nil interface without a device: the samplers then charge
+	// their tree's device, as they always do.
+	var acct iosim.Accountant
 	var ctr *iosim.Counter
 	if h.eng.device != nil {
 		ctr = iosim.NewCounter(h.eng.device)
-		dev = ctr
-	}
-	attach := func(s sampling.Sampler) (sampling.Sampler, *iosim.Counter, error) {
-		if ctr != nil {
-			if a, ok := s.(ioAttributor); ok {
-				a.AttributeIO(ctr)
-			}
-		}
-		return s, ctr, nil
+		acct = ctr
 	}
 	switch method {
 	case MethodDistributed:
@@ -614,14 +591,14 @@ func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *
 		if plan != nil {
 			// plan.win (the resolved LAST window) rides to the shards with
 			// the predicate terms; a window-only plan has nil terms.
-			return attach(h.cluster.SamplerWindow(q, plan.terms, plan.win))
+			return h.cluster.SamplerWindow(q, plan.terms, plan.win), ctr, nil
 		}
-		return attach(h.cluster.Sampler(q))
+		return h.cluster.Sampler(q), ctr, nil
 	case MethodRSTree:
 		if plan.usePushdown() {
-			return attach(h.rs.SamplerWhere(q, mode, rng, plan.treeFilter(h.sums)))
+			return h.rs.SamplerWhere(q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil
 		}
-		return attach(plan.reject(h.rs.Sampler(q, mode, rng)))
+		return plan.reject(h.rs.SamplerWhere(q, mode, rng, nil, acct)), ctr, nil
 	case MethodLSTree:
 		if h.ls == nil {
 			return nil, nil, fmt.Errorf("engine: dataset %q has no LS-tree (register with IndexOptions.LSTree)", h.name)
@@ -630,21 +607,21 @@ func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *
 			return nil, nil, fmt.Errorf("engine: LS-tree supports without-replacement sampling only")
 		}
 		if plan.usePushdown() {
-			return attach(h.ls.SamplerWhere(q, rng, plan.compiled))
+			return h.ls.SamplerWhere(q, rng, plan.compiled, acct), ctr, nil
 		}
-		return attach(plan.reject(h.ls.Sampler(q, rng)))
+		return plan.reject(h.ls.SamplerWhere(q, rng, nil, acct)), ctr, nil
 	case MethodRandomPath:
 		if plan.usePushdown() {
-			return attach(sampling.NewRandomPathWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums)))
+			return sampling.NewRandomPathWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil
 		}
-		return attach(plan.reject(sampling.NewRandomPath(h.rs.Tree(), q, mode, rng)))
+		return plan.reject(sampling.NewRandomPathWhere(h.rs.Tree(), q, mode, rng, nil, acct)), ctr, nil
 	case MethodQueryFirst:
 		if plan.usePushdown() {
-			return attach(sampling.NewQueryFirstWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums)))
+			return sampling.NewQueryFirstWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil
 		}
-		return attach(plan.reject(sampling.NewQueryFirst(h.rs.Tree(), q, mode, rng)))
+		return plan.reject(sampling.NewQueryFirstWhere(h.rs.Tree(), q, mode, rng, nil, acct)), ctr, nil
 	case MethodSampleFirst:
-		sf := sampling.NewSampleFirst(h.ds, q, mode, rng, dev, h.rs.Tree().Fanout())
+		sf := sampling.NewSampleFirst(h.ds, q, mode, rng, acct, h.rs.Tree().Fanout())
 		if plan != nil {
 			// SampleFirst is itself a rejection loop over the raw store;
 			// the predicate joins its accept test (with the degraded-scan

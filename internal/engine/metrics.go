@@ -145,23 +145,17 @@ func (q *queryObs) end() {
 }
 
 // batch flushes one NextBatch round into the registry: the pull size and
-// the sampler's counter deltas since the previous flush. Samplers that do
-// not implement StatsReporter still contribute their returned sample
-// count.
+// the sampler's counter deltas since the previous flush.
 func (q *queryObs) batch(s sampling.Sampler, n int) {
 	m := q.met
 	m.batchSize.Observe(float64(n))
-	if r, ok := s.(sampling.StatsReporter); ok {
-		cur := r.SamplerStats()
-		m.samplesDrawn.Add(cur.Draws - q.last.Draws)
-		m.samplerRejects.Add(cur.Rejects - q.last.Rejects)
-		m.samplerExplosions.Add(cur.Explosions - q.last.Explosions)
-		m.samplerScans.Add(cur.Scans - q.last.Scans)
-		m.pushdownPruned.Add(cur.Pruned - q.last.Pruned)
-		q.last = cur
-	} else if n > 0 {
-		m.samplesDrawn.Add(uint64(n))
-	}
+	cur := s.SamplerStats()
+	m.samplesDrawn.Add(cur.Draws - q.last.Draws)
+	m.samplerRejects.Add(cur.Rejects - q.last.Rejects)
+	m.samplerExplosions.Add(cur.Explosions - q.last.Explosions)
+	m.samplerScans.Add(cur.Scans - q.last.Scans)
+	m.pushdownPruned.Add(cur.Pruned - q.last.Pruned)
+	q.last = cur
 }
 
 // ci records one emitted snapshot's relative CI width and stamps any

@@ -102,7 +102,7 @@ func TestStatPushdownUniform(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer closeSampler(s)
+				defer s.Close()
 				draws := 8 * len(qual) // expected count 8 per category (chi-square wants >= 5)
 				counts := make([]int, len(qual))
 				buf := make([]data.Entry, 256)

@@ -234,7 +234,7 @@ func (h *Handle) Sample(q geo.Range, k int, method Method, mode sampling.Mode, s
 	if err != nil {
 		return nil, err
 	}
-	defer closeSampler(sampler)
+	defer sampler.Close()
 	qo := h.beginQuery(time.Now())
 	defer qo.end()
 	out := make([]data.Entry, k)

@@ -31,12 +31,10 @@
 // # Sliding-window state
 //
 // The ingestor tracks the stream's watermark (the maximum event time
-// seen) and can maintain a WindowReservoir — an exactly uniform sample
-// over the trailing window — so monitors can answer "what does the last
-// five minutes look like" in O(k) without touching the indexes. Full
-// query semantics over the window (`LAST <dur>` with WHERE, contracts and
-// distributed execution) run through the engine, which narrows the query
-// range's time axis against the dataset watermark; see engine.Options.
+// seen). Queries over the live window (`LAST <dur>` with WHERE, contracts
+// and distributed execution) run through the engine, which narrows the
+// query range's time axis against the dataset watermark; see
+// engine.Options.
 //
 // Metrics land under storm.ingest.<dataset>.*: accepted, backpressure,
 // batches, drained, pending, window.lag_ms (how far queryability trails
@@ -92,15 +90,6 @@ type Config struct {
 	// even when a large backlog has built up; the backlog drains over
 	// several calls with the lock released in between.
 	MaxBatch int
-	// Window, when positive, maintains a WindowReservoir over the trailing
-	// window of this duration (event-time seconds are taken from each
-	// row's Pos[2]).
-	Window time.Duration
-	// WindowSamples is the reservoir's sample capacity k (default 1024);
-	// ignored without Window.
-	WindowSamples int
-	// Seed drives the reservoir's priority draws.
-	Seed int64
 	// Obs receives storm.ingest.<Name>.* metrics; nil disables them.
 	Obs *obs.Registry
 	// Name is the dataset name used in metric keys (default "default").
@@ -122,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1 << 16
-	}
-	if c.WindowSamples <= 0 {
-		c.WindowSamples = 1024
 	}
 	if c.Name == "" {
 		c.Name = "default"
@@ -167,7 +153,6 @@ type Ingestor struct {
 	// time accepted so far; wmSet flips once the first record lands.
 	wm     atomic.Uint64
 	wmSet  atomic.Bool
-	res    *WindowReservoir
 	met    ingestMetrics
 	wake   chan struct{}
 	done   chan struct{}
@@ -195,9 +180,6 @@ func New(sink Sink, cfg Config) *Ingestor {
 	for i := range in.shards {
 		in.shards[i] = &bufShard{}
 	}
-	if cfg.Window > 0 {
-		in.res = NewWindowReservoir(cfg.WindowSamples, cfg.Seed)
-	}
 	// A nil registry hands out nil metrics whose writes are no-ops, so no
 	// site below branches on "are metrics enabled" (the package obs rule).
 	prefix := "storm.ingest." + cfg.Name + "."
@@ -211,9 +193,6 @@ func New(sink Sink, cfg Config) *Ingestor {
 		batchMS:      reg.TuningHistogram(prefix+"drain.batch_ms", 0.1, 16),
 	}
 	reg.PublishFunc(prefix+"pending", func() any { return in.Pending() })
-	if in.res != nil {
-		reg.PublishFunc(prefix+"window.retained", func() any { return in.res.Retained() })
-	}
 	in.wg.Add(1)
 	go in.drainLoop()
 	return in
@@ -242,9 +221,6 @@ func (in *Ingestor) Append(row data.Row) error {
 	in.accepted.Add(1)
 	in.met.accepted.Inc()
 	in.noteTime(row.Pos[2])
-	if in.res != nil {
-		in.res.Add(row)
-	}
 	if n >= in.cfg.FlushRecords {
 		// Wake the drainer early; non-blocking because one pending wake-up
 		// is enough.
@@ -259,7 +235,7 @@ func (in *Ingestor) Append(row data.Row) error {
 // AppendBatch buffers a batch of records under one shard-lock acquisition
 // and one round of counter updates — the POST /ingest array path and
 // paced firehose producers, where per-record Append overhead (mutex,
-// atomics, reservoir lock) would dominate. All-or-nothing: when it
+// atomics) would dominate. All-or-nothing: when it
 // returns ErrBackpressure or ErrClosed, no record of the batch was
 // buffered, so the caller retries the whole batch after backing off.
 func (in *Ingestor) AppendBatch(rows []data.Row) error {
@@ -292,9 +268,6 @@ func (in *Ingestor) AppendBatch(rows []data.Row) error {
 	}
 	if !math.IsInf(maxT, -1) { // all-NaN batches advance nothing
 		in.noteTime(maxT)
-	}
-	if in.res != nil {
-		in.res.AddBatch(rows)
 	}
 	if n >= in.cfg.FlushRecords {
 		select {
@@ -336,24 +309,6 @@ func (in *Ingestor) Pending() int { return int(in.pending.Load()) }
 
 // Accepted returns how many records Append has accepted in total.
 func (in *Ingestor) Accepted() uint64 { return in.accepted.Load() }
-
-// Window returns the ingestor's live-window reservoir, or nil when
-// Config.Window was zero.
-func (in *Ingestor) Window() *WindowReservoir { return in.res }
-
-// WindowSample returns an exactly uniform sample of up to K records whose
-// event time falls in the trailing Config.Window ending at the watermark.
-// Nil without a configured window or before the first record.
-func (in *Ingestor) WindowSample() []data.Row {
-	if in.res == nil {
-		return nil
-	}
-	wm, ok := in.Watermark()
-	if !ok {
-		return nil
-	}
-	return in.res.Sample(wm - in.cfg.Window.Seconds())
-}
 
 // drainLoop is the background drainer: wake on the flush interval or an
 // early-flush signal, drain everything buffered, repeat until Close.

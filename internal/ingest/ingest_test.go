@@ -7,8 +7,14 @@ import (
 	"time"
 
 	"storm/internal/data"
+	"storm/internal/geo"
 	"storm/internal/obs"
 )
+
+// rowAt is a record at event time t.
+func rowAt(t float64) data.Row {
+	return data.Row{Pos: geo.Vec{t, 0, t}}
+}
 
 // memSink is a Sink that records every drained batch. gate, when set,
 // blocks InsertBatch until released — simulating a slow index so tests can
@@ -183,51 +189,12 @@ func TestIngestCloseFlushesAndRejects(t *testing.T) {
 	}
 }
 
-func TestIngestWindowSample(t *testing.T) {
-	sink := &memSink{}
-	in := New(sink, Config{
-		Shards: 4, FlushInterval: time.Hour, FlushRecords: 1 << 20,
-		Window: 50 * time.Second, WindowSamples: 16, Seed: 5,
-	})
-	defer in.Close()
-
-	if in.WindowSample() != nil {
-		t.Fatal("window sample before any record should be nil")
-	}
-	for i := 0; i < 200; i++ {
-		if err := in.Append(rowAt(float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := in.WindowSample()
-	if len(s) != 16 {
-		t.Fatalf("window sample size = %d, want k=16", len(s))
-	}
-	// Window = [watermark-50, watermark] = [149, 199].
-	for _, r := range s {
-		if r.Pos[2] < 149 || r.Pos[2] > 199 {
-			t.Fatalf("window sample t=%v outside [149, 199]", r.Pos[2])
-		}
-	}
-	if in.Window() == nil || in.Window().Added() != 200 {
-		t.Fatalf("reservoir saw %v adds, want every accepted record", in.Window().Added())
-	}
-
-	// Without a configured window there is no reservoir at all.
-	plain := New(&memSink{}, Config{FlushInterval: time.Hour})
-	defer plain.Close()
-	plain.Append(rowAt(1))
-	if plain.Window() != nil || plain.WindowSample() != nil {
-		t.Fatal("unwindowed ingestor grew a reservoir")
-	}
-}
-
 func TestIngestConcurrentProducers(t *testing.T) {
 	sink := &memSink{}
 	reg := obs.NewRegistry()
 	in := New(sink, Config{
 		Shards: 8, FlushInterval: time.Millisecond, FlushRecords: 64,
-		Window: time.Hour, WindowSamples: 32, Obs: reg, Name: "conc",
+		Obs: reg, Name: "conc",
 	})
 
 	const producers, perProducer = 8, 500
@@ -290,12 +257,12 @@ func TestIngestConcurrentProducers(t *testing.T) {
 }
 
 // TestIngestAppendBatch: the batched producer path accepts all-or-nothing,
-// drains every record exactly once, and feeds the window reservoir.
+// drains every record exactly once, and advances the watermark.
 func TestIngestAppendBatch(t *testing.T) {
 	sink := &memSink{}
 	in := New(sink, Config{
 		Shards: 4, FlushInterval: time.Hour, FlushRecords: 1 << 20,
-		Window: time.Hour, WindowSamples: 16, Name: "batch",
+		Name: "batch",
 	})
 	batch := make([]data.Row, 300)
 	for i := range batch {
@@ -313,8 +280,8 @@ func TestIngestAppendBatch(t *testing.T) {
 	if wm, ok := in.Watermark(); !ok || wm != 299 {
 		t.Fatalf("watermark = %v/%v, want 299", wm, ok)
 	}
-	if in.Window().Added() != 300 {
-		t.Fatalf("reservoir saw %d records, want 300", in.Window().Added())
+	if got := in.Accepted(); got != 300 {
+		t.Fatalf("accepted = %d, want 300", got)
 	}
 	if err := in.Close(); err != nil {
 		t.Fatal(err)

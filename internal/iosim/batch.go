@@ -7,34 +7,7 @@ package iosim
 // would have — batching buys fewer lock acquisitions and map operations,
 // never different numbers.
 
-// BatchAccountant is implemented by accountants that can charge a
-// run-length encoded access sequence in one call. The sequence is the
-// concatenation, in order, of counts[i] consecutive accesses of pages[i];
-// the return value is how many of those accesses were buffer hits.
-// Accountants lacking the fast path are driven through Access in a loop by
-// AccessRuns, so callers never need to type-switch themselves.
-type BatchAccountant interface {
-	Accountant
-	AccessBatch(pages []PageID, counts []int) (hits uint64)
-}
-
-// AccessRuns charges a run-length access sequence to any Accountant, using
-// the batched fast path when available.
-func AccessRuns(a Accountant, pages []PageID, counts []int) (hits uint64) {
-	if ba, ok := a.(BatchAccountant); ok {
-		return ba.AccessBatch(pages, counts)
-	}
-	for i, p := range pages {
-		for j := 0; j < counts[i]; j++ {
-			if a.Access(p) {
-				hits++
-			}
-		}
-	}
-	return hits
-}
-
-// AccessBatch implements BatchAccountant: it replays the run-length access
+// AccessBatch implements Accountant: it replays the run-length access
 // sequence under a single lock acquisition. Consecutive accesses of a
 // cached page after the first are hits by definition (the page cannot be
 // evicted between them), so each run costs one map lookup instead of
@@ -87,7 +60,7 @@ func (d *Device) addCost(c float64, n int) {
 	}
 }
 
-// AccessBatch implements BatchAccountant for per-query attribution: the
+// AccessBatch implements Accountant for per-query attribution: the
 // run totals are added to the counter's atomics and the sequence is
 // forwarded to the underlying accountant's batch path. Run extensions —
 // the accesses after the first of each multi-access run — are also
@@ -110,7 +83,7 @@ func (c *Counter) AccessBatch(pages []PageID, counts []int) (hits uint64) {
 	if coalesced > 0 {
 		c.coalesced.Add(coalesced)
 	}
-	hits = AccessRuns(c.next, pages, counts)
+	hits = c.next.AccessBatch(pages, counts)
 	c.hits.Add(hits)
 	return hits
 }
@@ -160,22 +133,37 @@ func NewBatcher(next Accountant) *Batcher {
 	}
 }
 
-// Target returns the accountant the batcher forwards to.
-func (b *Batcher) Target() Accountant { return b.next }
-
 // Access implements Accountant by queueing the charge. It always reports a
 // hit; the true verdict is accounted downstream at flush time.
 func (b *Batcher) Access(p PageID) bool {
-	if n := len(b.pages); n > 0 && b.pages[n-1] == p {
-		b.counts[n-1]++
-		return true
+	b.queue(p, 1)
+	return true
+}
+
+// AccessBatch implements Accountant by queueing the runs in order, so the
+// flushed sequence is the one the equivalent Access calls would queue. Like
+// Access it reports every access as a hit.
+func (b *Batcher) AccessBatch(pages []PageID, counts []int) (hits uint64) {
+	for i, p := range pages {
+		if n := counts[i]; n > 0 {
+			b.queue(p, n)
+			hits += uint64(n)
+		}
+	}
+	return hits
+}
+
+// queue appends n accesses of p, extending the last run when p repeats it.
+func (b *Batcher) queue(p PageID, n int) {
+	if last := len(b.pages) - 1; last >= 0 && b.pages[last] == p {
+		b.counts[last] += n
+		return
 	}
 	if len(b.pages) == batcherCap {
 		b.Flush()
 	}
 	b.pages = append(b.pages, p)
-	b.counts = append(b.counts, 1)
-	return true
+	b.counts = append(b.counts, n)
 }
 
 // Write implements Accountant. Pending reads are flushed first so the
@@ -197,7 +185,7 @@ func (b *Batcher) Flush() {
 	if len(b.pages) == 0 {
 		return
 	}
-	AccessRuns(b.next, b.pages, b.counts)
+	b.next.AccessBatch(b.pages, b.counts)
 	b.pages = b.pages[:0]
 	b.counts = b.counts[:0]
 }

@@ -31,7 +31,8 @@ func replaySerial(d *Device, pages []PageID, counts []int) (hits uint64) {
 
 // TestAccessBatchMatchesSerial is the batching contract: AccessBatch must
 // leave the device stats and LRU pool in exactly the state the equivalent
-// serial Access sequence would.
+// serial Access sequence would — on the device itself, and through a
+// Batcher queueing the runs (past its capacity) and flushing them.
 func TestAccessBatchMatchesSerial(t *testing.T) {
 	for _, capacity := range []int{0, 1, 4, 64} {
 		rng := stats.NewRNG(7)
@@ -43,11 +44,19 @@ func TestAccessBatchMatchesSerial(t *testing.T) {
 		batched := NewDevice(capacity, DefaultCostModel())
 		batchedHits := batched.AccessBatch(pages, counts)
 
+		queued := NewDevice(capacity, DefaultCostModel())
+		b := NewBatcher(queued)
+		b.AccessBatch(pages, counts)
+		b.Flush()
+
 		if serialHits != batchedHits {
 			t.Errorf("capacity %d: hits %d (batched) vs %d (serial)", capacity, batchedHits, serialHits)
 		}
 		if s, b := serial.Stats(), batched.Stats(); s != b {
 			t.Errorf("capacity %d: stats diverge:\n  serial  %v\n  batched %v", capacity, s, b)
+		}
+		if s, q := serial.Stats(), queued.Stats(); s != q {
+			t.Errorf("capacity %d: stats diverge:\n  serial  %v\n  batcher %v", capacity, s, q)
 		}
 
 		// The pools must agree too: a probe sequence must produce the same
@@ -55,7 +64,7 @@ func TestAccessBatchMatchesSerial(t *testing.T) {
 		probe, probeCounts := randomRuns(rng, 200, 100, 1)
 		for i, p := range probe {
 			_ = probeCounts[i]
-			if serial.Access(p) != batched.Access(p) {
+			if hit := serial.Access(p); hit != batched.Access(p) || hit != queued.Access(p) {
 				t.Fatalf("capacity %d: LRU pools diverge at probe %d (page %d)", capacity, i, p)
 			}
 		}

@@ -275,6 +275,11 @@ func (d *Device) Capacity() int { return d.capacity }
 // A nil-safe no-op implementation is available via Discard.
 type Accountant interface {
 	Access(PageID) bool
+	// AccessBatch charges a run-length encoded access sequence — the
+	// concatenation, in order, of counts[i] consecutive accesses of
+	// pages[i] — exactly as that many Access calls would, and returns how
+	// many of them were buffer hits.
+	AccessBatch(pages []PageID, counts []int) (hits uint64)
 	Write(PageID)
 	Invalidate(PageID)
 }

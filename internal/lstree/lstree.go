@@ -268,7 +268,7 @@ func (x *Index) Delete(e data.Entry) bool {
 // randomness, so a fixed rng seed reproduces the same stream regardless of
 // concurrent queries. Samplers of the same Index may run concurrently.
 func (x *Index) Sampler(q geo.Rect, rng *stats.RNG) *Sampler {
-	return x.SamplerWhere(q, rng, nil)
+	return x.SamplerWhere(q, rng, nil, nil)
 }
 
 // SamplerWhere returns a without-replacement online sampler for q
@@ -276,13 +276,19 @@ func (x *Index) Sampler(q geo.Rect, rng *stats.RNG) *Sampler {
 // attribute values, so each level's predicate-filtered matches remain a
 // coin-flip sample of the qualifying records and the level-by-level stream
 // stays exactly uniform over them. When summaries are enabled, each level
-// scan prunes subtrees by digest. A nil predicate is exactly Sampler.
-func (x *Index) SamplerWhere(q geo.Rect, rng *stats.RNG, c *pred.Compiled) *Sampler {
+// scan prunes subtrees by digest. Page charges go to acct (typically an
+// iosim.Counter forwarding to the shared device, for race-free per-query
+// I/O accounting), or to the index's device when acct is nil. A nil
+// predicate and a nil acct is exactly Sampler.
+func (x *Index) SamplerWhere(q geo.Rect, rng *stats.RNG, c *pred.Compiled, acct iosim.Accountant) *Sampler {
+	if acct == nil {
+		acct = x.cfg.Device
+	}
 	s := &Sampler{
 		index: x,
 		query: q,
 		rng:   rng,
-		acct:  x.cfg.Device,
+		batch: iosim.NewBatcher(acct),
 		level: len(x.levels),
 		seen:  sampling.NewIDSet(x.size),
 	}
@@ -306,8 +312,7 @@ type Sampler struct {
 	index *Index
 	query geo.Rect
 	rng   *stats.RNG
-	acct  iosim.Accountant
-	batch *iosim.Batcher // reused by NextBatch; charges go to acct
+	batch *iosim.Batcher // coalesces a pull's level-scan charges; NextBatch flushes it
 	level int            // next level to scan (counts down); len(levels) before start
 	// filters holds one predicate filter per level (parallel to the
 	// index's levels); nil when the query has no predicate.
@@ -319,25 +324,20 @@ type Sampler struct {
 	seen    *sampling.IDSet
 
 	// instrumentation (single-goroutine, flushed by consumers at batch
-	// boundaries — see sampling.StatsReporter)
+	// boundaries — see sampling.SamplerStats)
 	draws   uint64
 	rejects uint64
 	scans   uint64
-}
-
-// AttributeIO redirects this query's page charges to a (typically an
-// iosim.Counter forwarding to the shared device) for race-free per-query
-// I/O accounting.
-func (s *Sampler) AttributeIO(a iosim.Accountant) {
-	if a != nil {
-		s.acct = a
-	}
 }
 
 var _ sampling.Sampler = (*Sampler)(nil)
 
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "LS-tree" }
+
+// Close implements sampling.Sampler; the LS-tree sampler holds nothing to
+// release.
+func (s *Sampler) Close() error { return nil }
 
 // NextBatch implements sampling.Sampler. The range-report page charges of
 // any level scans the pull triggers are coalesced through a run-length
@@ -349,11 +349,6 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k <= 0 {
 		return 0
 	}
-	prev := s.acct
-	if s.batch == nil || s.batch.Target() != prev {
-		s.batch = iosim.NewBatcher(prev)
-	}
-	s.acct = s.batch
 	got := 0
 	for got < k {
 		e, ok := s.next()
@@ -363,7 +358,6 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 		dst[got] = e
 		got++
 	}
-	s.acct = prev
 	s.batch.Flush()
 	return got
 }
@@ -395,13 +389,13 @@ func (s *Sampler) next() (data.Entry, bool) {
 		if s.filters != nil {
 			f = s.filters[s.level]
 		}
-		s.pending = s.index.levels[s.level].ReportAllWhereTo(s.acct, s.query, f)
+		s.pending = s.index.levels[s.level].ReportAllWhereTo(s.batch, s.query, f)
 		s.cursor = 0
 		s.scans++
 	}
 }
 
-// SamplerStats implements sampling.StatsReporter: Rejects counts
+// SamplerStats implements sampling.Sampler: Rejects counts
 // duplicate suppressions (records already emitted from a higher level)
 // and Scans counts level range-reports performed so far.
 func (s *Sampler) SamplerStats() sampling.SamplerStats {

@@ -24,8 +24,8 @@ func TestCloseIdempotentAndSafeBeforeFirstDraw(t *testing.T) {
 	// Mid-stream, holding permutations and materialized parts.
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(1))
 	buf := make([]data.Entry, 600)
-	if got := s.NextBatch(buf, len(buf)); got != len(buf) || s.Explosions() == 0 {
-		t.Fatalf("fixture: drew %d of %d with %d materializations, want a full pull that materialized", got, len(buf), s.Explosions())
+	if got := s.NextBatch(buf, len(buf)); got != len(buf) || s.SamplerStats().Explosions == 0 {
+		t.Fatalf("fixture: drew %d of %d with %d materializations, want a full pull that materialized", got, len(buf), s.SamplerStats().Explosions)
 	}
 	for i := 0; i < 2; i++ {
 		if err := s.Close(); err != nil {
@@ -72,7 +72,7 @@ func TestPooledScratchNeverAliased(t *testing.T) {
 				out = append(out, e.ID)
 			}
 		}
-		return out, s.Explosions()
+		return out, s.SamplerStats().Explosions
 	}
 	// The solo streams are left unclosed: what they held stays theirs, so
 	// they are what the seeds draw with no recycled slice in play.

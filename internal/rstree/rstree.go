@@ -226,6 +226,17 @@ func (l *pageLog) Access(p iosim.PageID) bool { *l = append(*l, p); return true 
 func (l *pageLog) Write(iosim.PageID)         {}
 func (l *pageLog) Invalidate(iosim.PageID)    {}
 
+func (l *pageLog) AccessBatch(pages []iosim.PageID, counts []int) uint64 {
+	var n uint64
+	for i, p := range pages {
+		for j := 0; j < counts[i]; j++ {
+			*l = append(*l, p)
+			n++
+		}
+	}
+	return n
+}
+
 // Tree exposes the underlying Hilbert R-tree (for counting, reporting and
 // structural tests).
 func (x *Index) Tree() *rtree.Tree { return x.tree }

@@ -54,16 +54,10 @@ type Sampler struct {
 	query geo.Rect
 	mode  sampling.Mode
 	rng   *stats.RNG
-	// acct receives this query's page charges; defaults to the tree's
-	// shared device and can be redirected via AttributeIO for race-free
-	// per-query I/O accounting.
-	acct iosim.Accountant
-	// chg is the active charge target: acct normally, the run-length
-	// batcher while a NextBatch call is in flight. Swapping the target —
-	// never the charge sequence — is what lets a pull take the device
-	// lock once per flush while keeping stats identical to per-access
-	// charging.
-	chg   iosim.Accountant
+	// batch queues this query's page charges as runs for the accountant
+	// the sampler was built with; NextBatch flushes it, so a pull takes
+	// the device lock once per flush while the stats stay identical to
+	// per-access charging.
 	batch *iosim.Batcher
 	// filter is the query's predicate pushdown state; nil means no
 	// predicate. Subtrees it rules out never enter the frontier, and
@@ -95,16 +89,11 @@ type Sampler struct {
 	draws      uint64
 }
 
-// Explosions returns how many parts were materialized (their subtrees
-// bulk-loaded) so far — the exploration pressure that the sample-buffer
-// size controls.
-func (s *Sampler) Explosions() uint64 { return s.explosions }
-
-// Rejects returns how many consumed draws fell outside the query (the
-// acceptance/rejection overhead of keeping boundary subtrees whole).
-func (s *Sampler) Rejects() uint64 { return s.rejects }
-
-// SamplerStats implements sampling.StatsReporter.
+// SamplerStats implements sampling.Sampler. Explosions counts the parts
+// materialized so far (their subtrees bulk-loaded) — the exploration
+// pressure the sample-buffer size controls; Rejects counts consumed draws
+// that fell outside the query or failed its predicate — the
+// acceptance/rejection overhead of keeping boundary subtrees whole.
 func (s *Sampler) SamplerStats() sampling.SamplerStats {
 	st := sampling.SamplerStats{
 		Draws:      s.draws,
@@ -123,42 +112,35 @@ func (s *Sampler) SamplerStats() sampling.SamplerStats {
 // this query's draws, so a fixed rng seed reproduces the same stream
 // regardless of what other queries run beside it.
 func (x *Index) Sampler(q geo.Rect, mode sampling.Mode, rng *stats.RNG) *Sampler {
-	return x.SamplerWhere(q, mode, rng, nil)
+	return x.SamplerWhere(q, mode, rng, nil, nil)
 }
 
 // SamplerWhere returns an online sampler for q restricted to records
 // satisfying f's predicate: subtrees whose digests rule the predicate out
 // never enter the frontier, predicate-failing draws are consumed-and-
 // rejected (keeping the accepted stream exactly uniform over qualifying
-// records), and materialized parts hold only qualifying entries. A nil
-// filter is exactly Sampler.
-func (x *Index) SamplerWhere(q geo.Rect, mode sampling.Mode, rng *stats.RNG, f *rtree.TreeFilter) *Sampler {
-	s := &Sampler{
+// records), and materialized parts hold only qualifying entries. Page
+// charges go to acct — an iosim.Counter forwarding to the shared device
+// attributes I/O to this query without racing other queries' attribution
+// — or to the tree's device when acct is nil. A nil filter and a nil acct
+// is exactly Sampler.
+func (x *Index) SamplerWhere(q geo.Rect, mode sampling.Mode, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *Sampler {
+	if acct == nil {
+		acct = x.tree.Device()
+	}
+	return &Sampler{
 		index:       x,
 		query:       q,
 		mode:        mode,
 		rng:         rng,
-		acct:        x.tree.Device(),
+		batch:       iosim.NewBatcher(acct),
 		filter:      f,
 		MaxAttempts: 1 << 22,
-	}
-	s.chg = s.acct
-	return s
-}
-
-// AttributeIO redirects this query's page charges to a. Pass an
-// iosim.Counter forwarding to the shared device to attribute I/O to this
-// query without racing other queries' attribution.
-func (s *Sampler) AttributeIO(a iosim.Accountant) {
-	if a != nil {
-		s.acct = a
-		s.chg = a
-		s.batch = nil
 	}
 }
 
 // charge accounts one logical access of n's page to this query.
-func (s *Sampler) charge(n *rtree.Node) { s.chg.Access(n.PageID()) }
+func (s *Sampler) charge(n *rtree.Node) { s.batch.Access(n.PageID()) }
 
 var _ sampling.Sampler = (*Sampler)(nil)
 
@@ -178,8 +160,7 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	if k <= 0 || s.closed {
 		return 0
 	}
-	s.beginBatch()
-	defer s.endBatch()
+	defer s.batch.Flush()
 	if !s.init {
 		s.initialize()
 	}
@@ -199,20 +180,6 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 		got++
 	}
 	return got
-}
-
-// beginBatch swaps the charge target to the query's run-length batcher.
-func (s *Sampler) beginBatch() {
-	if s.batch == nil || s.batch.Target() != s.acct {
-		s.batch = iosim.NewBatcher(s.acct)
-	}
-	s.chg = s.batch
-}
-
-// endBatch flushes pending charges and restores per-draw charging.
-func (s *Sampler) endBatch() {
-	s.batch.Flush()
-	s.chg = s.acct
 }
 
 // initialize builds the query frontier: the maximal subtrees fully inside
@@ -271,7 +238,7 @@ func (s *Sampler) addPart(n *rtree.Node, contained, predAll bool) {
 		s.wrWeights = append(s.wrWeights, n.Count())
 		return
 	}
-	p := &part{node: n, buf: s.index.bufferFor(n, s.chg), contained: contained, predAll: predAll}
+	p := &part{node: n, buf: s.index.bufferFor(n, s.batch), contained: contained, predAll: predAll}
 	s.fen.Append(n.Count())
 	s.parts = append(s.parts, p)
 }

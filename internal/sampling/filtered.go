@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"storm/internal/data"
-	"storm/internal/iosim"
 	"storm/internal/pred"
 )
 
@@ -16,8 +15,7 @@ import (
 //
 // Rejections are counted in the wrapper and surface through SamplerStats
 // (merged with the inner sampler's counters), feeding the engine's
-// reject_ratio. Filtered forwards AttributeIO and Close to the inner
-// sampler when it supports them.
+// reject_ratio. Close closes the inner sampler.
 type Filtered struct {
 	inner Sampler
 	pred  *pred.Compiled
@@ -25,7 +23,6 @@ type Filtered struct {
 	// with-replacement inner stream (infinite by contract) cannot spin
 	// forever on a predicate with no qualifying records. Defaults to 2²².
 	MaxAttempts int
-	draws       uint64
 	rejects     uint64
 	buf         []data.Entry // inner pulls land here before filtering
 }
@@ -39,20 +36,8 @@ func NewFiltered(inner Sampler, c *pred.Compiled) *Filtered {
 // Name implements Sampler.
 func (s *Filtered) Name() string { return s.inner.Name() + "+reject" }
 
-// AttributeIO forwards per-query I/O attribution to the inner sampler.
-func (s *Filtered) AttributeIO(a iosim.Accountant) {
-	if x, ok := s.inner.(interface{ AttributeIO(iosim.Accountant) }); ok {
-		x.AttributeIO(a)
-	}
-}
-
-// Close releases the inner sampler's resources when it holds any.
-func (s *Filtered) Close() error {
-	if c, ok := s.inner.(interface{ Close() error }); ok {
-		return c.Close()
-	}
-	return nil
-}
+// Close implements Sampler by closing the inner sampler.
+func (s *Filtered) Close() error { return s.inner.Close() }
 
 // NextBatch implements Sampler: inner pulls sized by what is still missing
 // are filtered into dst. The inner stream's chunking invariance plus
@@ -75,7 +60,6 @@ func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 			if s.pred.Match(e.ID) {
 				dst[got] = e
 				got++
-				s.draws++
 			} else {
 				s.rejects++
 			}
@@ -91,18 +75,12 @@ func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 	return got
 }
 
-// SamplerStats implements StatsReporter, merging the inner sampler's
-// counters (when it reports any) with the wrapper's rejections. Draws stay
-// the inner sampler's — reject_ratio then reads "rejections per inner
-// draw", which is exactly the rejection-sampling overhead.
+// SamplerStats implements Sampler, merging the inner sampler's counters with
+// the wrapper's rejections. Draws stay the inner sampler's — reject_ratio
+// then reads "rejections per inner draw", which is exactly the
+// rejection-sampling overhead.
 func (s *Filtered) SamplerStats() SamplerStats {
-	var st SamplerStats
-	if r, ok := s.inner.(StatsReporter); ok {
-		st = r.SamplerStats()
-	}
+	st := s.inner.SamplerStats()
 	st.Rejects += s.rejects
 	return st
 }
-
-// Accepted returns how many samples passed the predicate.
-func (s *Filtered) Accepted() uint64 { return s.draws }

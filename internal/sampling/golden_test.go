@@ -116,16 +116,16 @@ func goldenCases(t *testing.T) []goldenCase {
 		mode := m.mode
 		add("rs-tree/"+m.name, m.limit,
 			func() sampling.Sampler { return rs.Sampler(q, mode, stats.NewRNG(101)) },
-			func() sampling.Sampler { return rs.SamplerWhere(q, mode, stats.NewRNG(101), filter()) })
+			func() sampling.Sampler { return rs.SamplerWhere(q, mode, stats.NewRNG(101), filter(), nil) })
 		add("queryfirst/"+m.name, m.limit,
 			func() sampling.Sampler { return sampling.NewQueryFirst(rs.Tree(), q, mode, stats.NewRNG(102)) },
 			func() sampling.Sampler {
-				return sampling.NewQueryFirstWhere(rs.Tree(), q, mode, stats.NewRNG(102), filter())
+				return sampling.NewQueryFirstWhere(rs.Tree(), q, mode, stats.NewRNG(102), filter(), nil)
 			})
 		add("randompath/"+m.name, m.limit,
 			func() sampling.Sampler { return sampling.NewRandomPath(rs.Tree(), q, mode, stats.NewRNG(103)) },
 			func() sampling.Sampler {
-				return sampling.NewRandomPathWhere(rs.Tree(), q, mode, stats.NewRNG(103), filter())
+				return sampling.NewRandomPathWhere(rs.Tree(), q, mode, stats.NewRNG(103), filter(), nil)
 			})
 		// Draining a without-replacement SampleFirst runs it into its
 		// degraded filtered scan, so that path is pinned too.
@@ -139,7 +139,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	add("ls-tree/wor", -1,
 		func() sampling.Sampler { return ls.Sampler(q, stats.NewRNG(105)) },
-		func() sampling.Sampler { return ls.SamplerWhere(q, stats.NewRNG(105), where) })
+		func() sampling.Sampler { return ls.SamplerWhere(q, stats.NewRNG(105), where, nil) })
 
 	cluster := func(cfg distr.Config) *distr.Cluster {
 		c, err := distr.Build(ds, cfg)

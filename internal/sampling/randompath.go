@@ -39,10 +39,9 @@ type RandomPath struct {
 	query  geo.Rect
 	mode   Mode
 	rng    *stats.RNG
-	acct   iosim.Accountant
 	filter *rtree.TreeFilter
 	elig   []*rtree.Node  // per-node scratch: eligible children of the walk
-	batch  *iosim.Batcher // reused by NextBatch; charges go to acct
+	batch  *iosim.Batcher // coalesces a pull's node charges; NextBatch flushes it
 	seen   *IDSet
 	// remaining is the exact number of matching records left to emit in
 	// without-replacement mode; -1 until first computed.
@@ -53,20 +52,26 @@ type RandomPath struct {
 	draws    uint64
 }
 
-// NewRandomPath returns a RandomPath sampler over the tree and range.
+// NewRandomPath returns a RandomPath sampler over the tree and range,
+// charging the tree's device.
 func NewRandomPath(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *RandomPath {
-	return NewRandomPathWhere(t, q, mode, rng, nil)
+	return NewRandomPathWhere(t, q, mode, rng, nil, nil)
 }
 
 // NewRandomPathWhere returns a RandomPath sampler that additionally prunes
 // by attribute predicate: subtrees with a None digest verdict are excluded
 // from the weighted descent and leaf picks failing the predicate are
-// rejected, so accepted samples are uniform over the qualifying records. A
-// nil filter is exactly NewRandomPath.
-func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter) *RandomPath {
+// rejected, so accepted samples are uniform over the qualifying records.
+// Node charges go to acct, or to the tree's device when acct is nil. A nil
+// filter and a nil acct is exactly NewRandomPath.
+func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *RandomPath {
+	if acct == nil {
+		acct = t.Device()
+	}
 	s := &RandomPath{
-		tree: t, query: q, mode: mode, rng: rng, acct: t.Device(),
+		tree: t, query: q, mode: mode, rng: rng,
 		filter:    f,
+		batch:     iosim.NewBatcher(acct),
 		remaining: -1,
 		MaxWalks:  1 << 22,
 	}
@@ -76,23 +81,18 @@ func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f 
 	return s
 }
 
-// AttributeIO redirects this query's page charges to a for race-free
-// per-query I/O accounting.
-func (s *RandomPath) AttributeIO(a iosim.Accountant) {
-	if a != nil {
-		s.acct = a
-	}
-}
-
 // Name implements Sampler.
 func (s *RandomPath) Name() string { return "RandomPath" }
+
+// Close implements Sampler; RandomPath holds nothing to release.
+func (s *RandomPath) Close() error { return nil }
 
 // Walks returns the total number of root-to-leaf walks performed.
 func (s *RandomPath) Walks() uint64 { return s.walks }
 
-// SamplerStats implements StatsReporter: every walk that did not return a
-// sample (rejected descent, duplicate in without-replacement mode) counts
-// as a rejection.
+// SamplerStats implements Sampler: every walk that did not return a sample
+// (rejected descent, duplicate in without-replacement mode) counts as a
+// rejection.
 func (s *RandomPath) SamplerStats() SamplerStats {
 	st := SamplerStats{Draws: s.draws, Rejects: s.walks - s.draws}
 	if s.filter != nil {
@@ -111,9 +111,6 @@ func (s *RandomPath) NextBatch(dst []data.Entry, k int) int {
 	if k <= 0 {
 		return 0
 	}
-	prev := s.acct
-	s.batch = reuseBatcher(s.batch, prev)
-	s.acct = s.batch
 	got := 0
 	for got < k {
 		e, ok := s.next()
@@ -123,7 +120,6 @@ func (s *RandomPath) NextBatch(dst []data.Entry, k int) int {
 		dst[got] = e
 		got++
 	}
-	s.acct = prev
 	s.batch.Flush()
 	return got
 }
@@ -160,7 +156,7 @@ func (s *RandomPath) next() (data.Entry, bool) {
 // walk performs one random root-to-leaf descent; ok is false on rejection.
 func (s *RandomPath) walk() (data.Entry, bool) {
 	n := s.tree.Root()
-	s.acct.Access(n.PageID())
+	s.batch.Access(n.PageID())
 	if n.Count() == 0 {
 		return data.Entry{}, false
 	}
@@ -204,7 +200,7 @@ func (s *RandomPath) walk() (data.Entry, bool) {
 			pick -= c.Count()
 		}
 		n = next
-		s.acct.Access(n.PageID())
+		s.batch.Access(n.PageID())
 	}
 	entries := n.Entries()
 	if len(entries) == 0 {

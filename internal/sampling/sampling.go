@@ -54,9 +54,17 @@ const (
 // a pull of k is k pulls of 1. Pulling more at a time only amortizes
 // per-sample overheads (lock acquisitions, I/O charge bookkeeping, network
 // round trips), never the draw distribution.
+//
+// SamplerStats reports the stream's cumulative instrumentation counters.
+// Close ends the stream and releases what it holds beyond the garbage
+// collector's reach — pooled scratch, server-side shard streams; samplers
+// holding nothing return nil. A sampler charges its simulated I/O to the
+// accountant it was built with, for its whole lifetime.
 type Sampler interface {
 	NextBatch(dst []data.Entry, k int) int
 	Name() string
+	SamplerStats() SamplerStats
+	Close() error
 }
 
 // Next draws one sample — the k = 1 pull — for callers that consume a
@@ -67,16 +75,6 @@ func Next(s Sampler) (e data.Entry, ok bool) {
 	var one [1]data.Entry
 	n := s.NextBatch(one[:], 1)
 	return one[0], n == 1
-}
-
-// reuseBatcher returns batch if it already forwards to acct, otherwise a
-// fresh Batcher targeting acct. Samplers keep their Batcher across
-// NextBatch calls so its run buffers are allocated once per query.
-func reuseBatcher(batch *iosim.Batcher, acct iosim.Accountant) *iosim.Batcher {
-	if batch != nil && batch.Target() == acct {
-		return batch
-	}
-	return iosim.NewBatcher(acct)
 }
 
 // QueryFirst is the paper's first strawman: compute P ∩ Q in full, then
@@ -97,29 +95,29 @@ type QueryFirst struct {
 	draws   uint64
 }
 
-// NewQueryFirst returns a QueryFirst sampler over the given tree and range.
+// NewQueryFirst returns a QueryFirst sampler over the given tree and range,
+// charging the tree's device.
 func NewQueryFirst(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *QueryFirst {
-	return NewQueryFirstWhere(t, q, mode, rng, nil)
+	return NewQueryFirstWhere(t, q, mode, rng, nil, nil)
 }
 
 // NewQueryFirstWhere returns a QueryFirst sampler whose up-front range
 // report is predicate-pruned: subtrees with a None digest verdict are
-// skipped and only qualifying records enter the permutation. A nil filter
-// is exactly NewQueryFirst.
-func NewQueryFirstWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter) *QueryFirst {
-	return &QueryFirst{tree: t, query: q, mode: mode, rng: rng, acct: t.Device(), filter: f}
-}
-
-// AttributeIO redirects this query's page charges to a for race-free
-// per-query I/O accounting.
-func (s *QueryFirst) AttributeIO(a iosim.Accountant) {
-	if a != nil {
-		s.acct = a
+// skipped and only qualifying records enter the permutation. Page charges
+// go to acct (a per-query iosim.Counter, say), or to the tree's device when
+// acct is nil. A nil filter and a nil acct is exactly NewQueryFirst.
+func NewQueryFirstWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *QueryFirst {
+	if acct == nil {
+		acct = t.Device()
 	}
+	return &QueryFirst{tree: t, query: q, mode: mode, rng: rng, acct: acct, filter: f}
 }
 
 // Name implements Sampler.
 func (s *QueryFirst) Name() string { return "RangeReport" }
+
+// Close implements Sampler; QueryFirst holds nothing to release.
+func (s *QueryFirst) Close() error { return nil }
 
 // NextBatch implements Sampler. All of QueryFirst's I/O happens in the one
 // up-front range report; after it a draw is one step over the result.
@@ -157,8 +155,8 @@ func (s *QueryFirst) NextBatch(dst []data.Entry, k int) int {
 	return got
 }
 
-// SamplerStats implements StatsReporter: Scans records the up-front full
-// range report once it has run.
+// SamplerStats implements Sampler: Scans records the up-front full range
+// report once it has run.
 func (s *QueryFirst) SamplerStats() SamplerStats {
 	st := SamplerStats{Draws: s.draws}
 	if s.fetched {
@@ -180,7 +178,8 @@ type SampleFirst struct {
 	query geo.Rect
 	mode  Mode
 	rng   *stats.RNG
-	dev   iosim.Accountant
+	// batch coalesces the page charges of a pull; NextBatch flushes it.
+	batch *iosim.Batcher
 	// perPage is how many records share a simulated data page.
 	perPage int
 	// MaxAttempts bounds the rejection loop per sample; when exceeded,
@@ -200,10 +199,9 @@ type SampleFirst struct {
 	// Must be set before the first draw.
 	Pred     *pred.Compiled
 	seen     *IDSet
-	batch    *iosim.Batcher // reused by NextBatch; charges go to dev
-	attempts uint64         // total attempts, for instrumentation
-	accepted uint64         // rejection-loop accepts (excludes scan serves)
-	draws    uint64         // accepted samples returned
+	attempts uint64 // total attempts, for instrumentation
+	accepted uint64 // rejection-loop accepts (excludes scan serves)
+	draws    uint64 // accepted samples returned
 	// Degraded-scan state: pending holds the remaining matching records,
 	// permuted incrementally from cursor.
 	scanned    bool
@@ -214,16 +212,13 @@ type SampleFirst struct {
 
 // NewSampleFirst returns a SampleFirst sampler over the raw dataset. dev
 // charges a page access per inspected record (records are perPage to a
-// simulated page); pass iosim.Discard to skip accounting.
+// simulated page); nil or iosim.Discard skips accounting.
 func NewSampleFirst(ds *data.Dataset, q geo.Rect, mode Mode, rng *stats.RNG, dev iosim.Accountant, perPage int) *SampleFirst {
 	if perPage <= 0 {
 		perPage = 64
 	}
-	if dev == nil {
-		dev = iosim.Discard
-	}
 	s := &SampleFirst{
-		ds: ds, query: q, mode: mode, rng: rng, dev: dev, perPage: perPage,
+		ds: ds, query: q, mode: mode, rng: rng, batch: iosim.NewBatcher(dev), perPage: perPage,
 		MaxAttempts: 200 * ds.Len(),
 	}
 	if mode == WithoutReplacement {
@@ -232,24 +227,18 @@ func NewSampleFirst(ds *data.Dataset, q geo.Rect, mode Mode, rng *stats.RNG, dev
 	return s
 }
 
-// AttributeIO redirects this query's page charges to a for race-free
-// per-query I/O accounting.
-func (s *SampleFirst) AttributeIO(a iosim.Accountant) {
-	if a != nil {
-		s.dev = a
-	}
-}
-
 // Name implements Sampler.
 func (s *SampleFirst) Name() string { return "SampleFirst" }
+
+// Close implements Sampler; SampleFirst holds nothing to release.
+func (s *SampleFirst) Close() error { return nil }
 
 // Attempts returns the total number of records inspected so far.
 func (s *SampleFirst) Attempts() uint64 { return s.attempts }
 
-// SamplerStats implements StatsReporter: every attempt that did not
-// become a returned sample is a rejection of the whole-dataset loop;
-// Explosions counts a degradation to the filtered scan, Scans the scan
-// itself.
+// SamplerStats implements Sampler: every attempt that did not become a
+// returned sample is a rejection of the whole-dataset loop; Explosions
+// counts a degradation to the filtered scan, Scans the scan itself.
 func (s *SampleFirst) SamplerStats() SamplerStats {
 	st := SamplerStats{
 		Draws:      s.draws,
@@ -272,9 +261,6 @@ func (s *SampleFirst) NextBatch(dst []data.Entry, k int) int {
 	if k <= 0 {
 		return 0
 	}
-	prev := s.dev
-	s.batch = reuseBatcher(s.batch, prev)
-	s.dev = s.batch
 	got := 0
 	for got < k {
 		e, ok := s.next()
@@ -284,7 +270,6 @@ func (s *SampleFirst) NextBatch(dst []data.Entry, k int) int {
 		dst[got] = e
 		got++
 	}
-	s.dev = prev
 	s.batch.Flush()
 	return got
 }
@@ -301,7 +286,7 @@ func (s *SampleFirst) next() (data.Entry, bool) {
 	for tries := 0; tries < s.MaxAttempts; tries++ {
 		s.attempts++
 		id := data.ID(s.rng.Intn(n))
-		s.dev.Access(iosim.PageID(uint64(id) / uint64(s.perPage)))
+		s.batch.Access(iosim.PageID(uint64(id) / uint64(s.perPage)))
 		pos := s.ds.Pos(id)
 		if !s.query.Contains(pos) {
 			continue
@@ -340,7 +325,7 @@ func (s *SampleFirst) scanNext() (data.Entry, bool) {
 		s.explosions++
 		n := s.ds.Len()
 		for p := 0; p <= (n-1)/s.perPage; p++ {
-			s.dev.Access(iosim.PageID(p))
+			s.batch.Access(iosim.PageID(p))
 		}
 		for i := 0; i < n; i++ {
 			id := data.ID(i)

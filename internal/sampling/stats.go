@@ -15,7 +15,7 @@ type SamplerStats struct {
 	// walks for RandomPath, duplicate suppressions for the LS-tree.
 	Rejects uint64
 	// Explosions is how many frontier subtrees were materialized
-	// (RS-tree only; zero elsewhere).
+	// (RS-tree) or degraded scans were taken (SampleFirst); zero elsewhere.
 	Explosions uint64
 	// Scans is how many full range-report scans were performed: level
 	// scans for the LS-tree, the up-front report for QueryFirst, the
@@ -24,12 +24,4 @@ type SamplerStats struct {
 	// Pruned is how many subtrees predicate pushdown excluded from the
 	// descent (node-summary None verdicts); zero without a predicate.
 	Pruned uint64
-}
-
-// StatsReporter is implemented by samplers that expose per-query
-// instrumentation counters. All samplers in this package and the
-// lstree/rstree index samplers implement it; consumers type-assert so
-// third-party Sampler implementations remain valid without it.
-type StatsReporter interface {
-	SamplerStats() SamplerStats
 }

@@ -4,8 +4,8 @@ GO ?= go
 
 # Packages with concurrency-sensitive code paths: the bulk-load sorts
 # (rtree.STROrder spawns goroutines), shared indexes, the query engine,
-# the I/O accounting, the HTTP server and the simulated cluster all run
-# under -race.
+# the I/O accounting, the HTTP server and the in-process shard hosts all
+# run under -race.
 RACE_PKGS := ./internal/rtree/ ./internal/rstree/ ./internal/lstree/ ./internal/sampling/ \
 	./internal/engine/ ./internal/iosim/ ./internal/server/ ./internal/distr/ \
 	./internal/obs/ ./internal/wire/ ./internal/ingest/

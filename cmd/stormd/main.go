@@ -42,7 +42,7 @@
 //
 // -fault-plan injects deterministic shard faults (latency spikes,
 // timeouts, transient errors, crashes) at the coordinator's transport
-// layer — the same plan drives simulated and remote clusters — whose
+// layer — the same plan drives in-process and remote clusters — whose
 // effects surface as storm.distr.faults.* on /metrics and as
 // "degraded": true in NDJSON query streams. A crash with recover-after=N
 // rejoins after N coordinator observations of the down shard: in-flight
@@ -115,7 +115,7 @@ func main() {
 	pool := flag.Int("pool", 0, "simulated buffer pool pages (0 disables I/O simulation)")
 	noMetrics := flag.Bool("no-metrics", false, "disable metric collection and /metrics")
 	noPprof := flag.Bool("no-pprof", false, "do not mount /debug/pprof/")
-	shardsFlag := flag.String("shards", "", "shard cluster: an integer builds a simulated in-process cluster, a comma-separated host:port list samples through remote -role=shard processes (empty = single node)")
+	shardsFlag := flag.String("shards", "", "shard cluster: an integer builds a cluster of in-process shard hosts, a comma-separated host:port list samples through remote -role=shard processes (empty = single node)")
 	replicas := flag.Int("replicas", 1, "copies of each shard (requires -shards; R>=2 mirrors updates and fails queries over to surviving copies)")
 	faultSpec := flag.String("fault-plan", "", "shard fault plan, e.g. '1:crash-after=40,recover-after=6;*:latency-p=0.05,latency=2ms' (requires -shards)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault injection")
@@ -203,7 +203,7 @@ func main() {
 }
 
 // parseShards interprets the -shards flag: empty means single node, an
-// integer means that many simulated in-process shards, anything else is a
+// integer means that many shards on in-process shard hosts, anything else is a
 // comma-separated list of remote shard-host addresses.
 func parseShards(s string) (sim int, addrs []string, err error) {
 	s = strings.TrimSpace(s)

@@ -10,8 +10,8 @@ import (
 )
 
 // A9Config sizes the transport ablation: the same batched sample drain
-// through an in-process loopback cluster and through shard hosts behind
-// real TCP sockets.
+// through in-process shard hosts reached in memory and through shard hosts
+// behind real TCP sockets.
 type A9Config struct {
 	N      int // dataset size
 	K      int // samples drained per run
@@ -52,24 +52,24 @@ type A9Point struct {
 	// RoundUS is the mean wall time of one NextBatch round in µs — the
 	// interactive-latency cost of putting sockets under the coordinator.
 	RoundUS float64
-	// Messages and SamplesMoved come from the cluster's NetStats: the
-	// loopback cluster reports the simulated protocol charges (comparable
-	// with ablation A4), the TCP cluster reports transport-measured
-	// request+response counts and real encoded bytes.
+	// Messages and SamplesMoved come from the cluster's NetStats: both
+	// transports count one message per request and one per response
+	// (comparable with ablation A4), and TCP adds the encoded bytes.
 	Messages     uint64
 	SamplesMoved uint64
 	BytesSent    uint64
 	BytesRecv    uint64
 	// Identical reports whether this transport's sample stream was
-	// byte-identical to the loopback baseline (always true for the
+	// byte-identical to the in-process baseline (always true for the
 	// baseline itself).
 	Identical bool
 }
 
 // A9 measures what cluster mode costs: the identical seeded drain runs
-// through the loopback transport and through real TCP shard hosts, so the
+// through in-process shard hosts and through real TCP shard hosts, so the
 // wall-clock delta is pure transport overhead — the sample streams are
-// verified byte-identical before the numbers are reported.
+// verified byte-identical, and the message counts equal, before the
+// numbers are reported.
 func A9(cfg A9Config) ([]A9Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
@@ -149,6 +149,9 @@ func A9(cfg A9Config) ([]A9Point, error) {
 	}
 	if !tp.Identical {
 		return nil, fmt.Errorf("bench A9: TCP stream diverged from loopback under seed %d", cfg.Seed)
+	}
+	if lp.Messages != tp.Messages {
+		return nil, fmt.Errorf("bench A9: TCP counted %d messages, loopback %d, under seed %d", tp.Messages, lp.Messages, cfg.Seed)
 	}
 	return []A9Point{lp, tp}, nil
 }

@@ -582,7 +582,7 @@ type A4Point struct {
 	MaxShardShare float64
 }
 
-// A4 measures coordinator sampling across 1..8 simulated shards and across
+// A4 measures coordinator sampling across 1..8 in-process shards and across
 // the pull sizes its callers issue: messages grow with shard count and
 // shrink with pull size (a round costs one round trip per participating
 // shard however many samples it carries), while per-shard load stays

@@ -1,14 +1,13 @@
 // The shard-server side of the RPC boundary: shardBackend owns one
-// shard's index, summaries and open sample streams, and loopbackClient is
-// the in-process ShardClient over it. The same backend serves remote
-// coordinators through Host (host.go), so shard behavior is identical
+// shard's index, summaries and open sample streams. A Host (host.go)
+// serves its backends to every coordinator — in-process shard hosts and
+// shard processes behind TCP alike — so shard behavior is identical
 // whichever transport carries the requests.
 package distr
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"storm/internal/data"
 	"storm/internal/geo"
@@ -71,23 +70,15 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 }
 
 // buildShard materializes one shard from its partition: a local RS-tree
-// (seeded cfg.Seed + id*7919, the derivation both the in-process cluster
-// and remote shard hosts use) packed from sorted — the partition in STR
-// order at cfg.Fanout, which replicas of one shard share — an optional
-// simulated device, and the per-attribute summaries behind lost-mass
-// bounds (digested in partition order: float sums are order-sensitive).
-func buildShard(ds *data.Dataset, part, sorted []data.Entry, id int, bounds geo.Rect, cfg Config) (*Shard, error) {
-	var dev *iosim.Device
-	var acct iosim.Accountant = iosim.Discard
-	if cfg.BufferPoolPages > 0 {
-		dev = iosim.NewDevice(cfg.BufferPoolPages, iosim.DefaultCostModel())
-		acct = dev
-	}
-	idx, err := rstree.BuildSorted(sorted, rstree.Config{
-		Fanout: cfg.Fanout,
-		Device: acct,
+// packed in STR order at fanout and seeded seed + id*7919, and the
+// per-attribute summaries behind lost-mass bounds (digested in partition
+// order: float sums are order-sensitive).
+func buildShard(ds *data.Dataset, part []data.Entry, id int, bounds geo.Rect, fanout int, seed int64) (*Shard, error) {
+	idx, err := rstree.BuildSorted(rtree.STROrder(fanout, part)[0], rstree.Config{
+		Fanout: fanout,
+		Device: iosim.Discard,
 		Bounds: bounds,
-		Seed:   cfg.Seed + int64(id)*7919,
+		Seed:   seed + int64(id)*7919,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distr: building shard %d: %w", id, err)
@@ -95,14 +86,14 @@ func buildShard(ds *data.Dataset, part, sorted []data.Entry, id int, bounds geo.
 	attrs := rtree.NewSummaries(idx.Tree(), ds)
 	attrs.Precompute()
 	return &Shard{
-		ID: id, index: idx, device: dev, count: len(part),
+		ID: id, index: idx, count: len(part),
 		summaries: buildSummaries(ds, part), attrs: attrs,
 	}, nil
 }
 
 // backendStream is one open sample stream on a shard. Each stream has a
 // single consumer (the coordinator query that opened it), so its scratch
-// buffer for wire fetches is reused across rounds without copying.
+// buffer for fetch responses is reused across rounds without copying.
 type backendStream struct {
 	mu sync.Mutex
 	sp *rstree.Sampler
@@ -110,7 +101,8 @@ type backendStream struct {
 	// only on a reopen after a shard restart); filtering a uniform
 	// without-replacement stream leaves the complement uniform WOR.
 	exclude map[data.ID]struct{}
-	// scratch backs wire-transport fetch responses (see Host).
+	// scratch backs fetch responses (see Host): the coordinator copies a
+	// response out before its next fetch on the stream.
 	scratch []data.Entry
 }
 
@@ -146,6 +138,10 @@ func (st *backendStream) fetch(dst []data.Entry, n int) int {
 type shardBackend struct {
 	shard *Shard
 	ds    *data.Dataset
+	// of is the shard count of the partition the shard was cut from; a
+	// Build for the same shard under another count is refused (see
+	// Host.handleBuild).
+	of uint32
 	// mu guards the shard's index, count and summaries: stream fetches
 	// and counts hold the read side, insert/delete the write side.
 	mu sync.RWMutex
@@ -154,8 +150,8 @@ type shardBackend struct {
 	streams map[uint64]*backendStream
 }
 
-func newShardBackend(sh *Shard, ds *data.Dataset) *shardBackend {
-	return &shardBackend{shard: sh, ds: ds, streams: make(map[uint64]*backendStream)}
+func newShardBackend(sh *Shard, ds *data.Dataset, of uint32) *shardBackend {
+	return &shardBackend{shard: sh, ds: ds, of: of, streams: make(map[uint64]*backendStream)}
 }
 
 // compileWhere compiles the coordinator's predicate terms against the
@@ -189,13 +185,13 @@ func (b *shardBackend) count(q geo.Rect, where []pred.Term, win wire.Window) (in
 	return b.shard.index.Tree().CountWhere(q, f), nil
 }
 
-// open creates sample stream id over q. The count-then-create sequence
-// and the stats.NewRNG(seed) sampler construction are exactly what the
-// pre-RPC coordinator did inline, so loopback streams are byte-identical.
-// Excluded IDs that still match q (and the predicate, when one rode along)
-// are subtracted from the returned count; an excluded record deleted since
-// it was emitted would make that subtraction overshoot by one, which only
-// ends the stream early — the coordinator's defensive repair absorbs it.
+// open creates sample stream id over q: count, then a sampler seeded
+// stats.NewRNG(seed), so a stream is a function of the shard and the seed
+// alone, whichever host serves it. Excluded IDs that still match q (and
+// the predicate, when one rode along) are subtracted from the returned
+// count; an excluded record deleted since it was emitted would make that
+// subtraction overshoot by one, which only ends the stream early — the
+// coordinator's defensive repair absorbs it.
 // The window narrows q's time axis up front, exactly as count does, so a
 // windowed stream draws from the same records on every transport.
 func (b *shardBackend) open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term, win wire.Window) (int, error) {
@@ -248,22 +244,9 @@ func (b *shardBackend) lookup(stream uint64) *backendStream {
 	return b.streams[stream]
 }
 
-// fetch draws up to n samples from the stream into dst[:n].
-func (b *shardBackend) fetch(stream uint64, dst []data.Entry, n int) (int, error) {
-	st := b.lookup(stream)
-	if st == nil {
-		return 0, ErrUnknownStream
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return st.fetch(dst, n), nil
-}
-
-// fetchScratch is fetch into the stream's reusable scratch buffer — the
-// wire-transport path, where the response is serialized before the
-// stream's single consumer can issue another fetch.
+// fetchScratch draws up to n samples from the stream into its reusable
+// scratch buffer, which the response carries: the stream's single consumer
+// encodes or copies it before issuing another fetch.
 func (b *shardBackend) fetchScratch(stream uint64, n int) ([]data.Entry, error) {
 	st := b.lookup(stream)
 	if st == nil {
@@ -333,64 +316,3 @@ func (b *shardBackend) summary(attr string) (AttrSummary, bool) {
 	}
 	return *a, true
 }
-
-// loopbackClient is the in-process ShardClient: direct dispatch to the
-// backend with no serialization, no deadline and no traffic — the
-// loopback transport, byte-identical in behavior, seeds and cost to the
-// pre-RPC direct calls (the cluster keeps its simulated NetStats charges
-// on this path; see Cluster.charge).
-type loopbackClient struct {
-	b *shardBackend
-}
-
-// Count implements ShardClient.
-func (c *loopbackClient) Count(q geo.Rect, where []pred.Term, win wire.Window) (int, error) {
-	return c.b.count(q, where, win)
-}
-
-// Open implements ShardClient.
-func (c *loopbackClient) Open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term, win wire.Window) (int, error) {
-	return c.b.open(stream, q, seed, exclude, where, win)
-}
-
-// Fetch implements ShardClient. An in-process fetch cannot block on a
-// network, so the deadline has nothing to bound.
-func (c *loopbackClient) Fetch(stream uint64, dst []data.Entry, n int, _ time.Time) (int, error) {
-	return c.b.fetch(stream, dst, n)
-}
-
-// CloseStream implements ShardClient.
-func (c *loopbackClient) CloseStream(stream uint64) error {
-	c.b.closeStream(stream)
-	return nil
-}
-
-// Insert implements ShardClient.
-func (c *loopbackClient) Insert(e data.Entry) error {
-	c.b.insert(e)
-	return nil
-}
-
-// Delete implements ShardClient.
-func (c *loopbackClient) Delete(e data.Entry) (bool, error) { return c.b.delete(e), nil }
-
-// Bounds implements ShardClient.
-func (c *loopbackClient) Bounds() (geo.Rect, error) { return c.b.bounds(), nil }
-
-// Len implements ShardClient.
-func (c *loopbackClient) Len() (int, error) { return c.b.length(), nil }
-
-// Summary implements ShardClient.
-func (c *loopbackClient) Summary(attr string) (AttrSummary, bool, error) {
-	s, ok := c.b.summary(attr)
-	return s, ok, nil
-}
-
-// Live implements ShardClient: the in-process shard is never down.
-func (c *loopbackClient) Live() (down, rejoined bool) { return false, false }
-
-// Addr implements ShardClient.
-func (c *loopbackClient) Addr() string { return "loopback" }
-
-// Close implements ShardClient.
-func (c *loopbackClient) Close() error { return nil }

@@ -1,10 +1,10 @@
 // The coordinator↔shard RPC boundary. Everything the coordinator does to
 // a shard — count rounds, the batched sample protocol, update mirroring,
 // the metadata reads behind routing and lost-mass bounds — goes through
-// the ShardClient interface, so the same Cluster/Sampler code runs over
-// the in-process loopback (byte-identical to the pre-RPC direct calls),
-// over TCP to real shard processes, and under the fault-injection
-// decorator that the PR 4–5 robustness suites drive.
+// the ShardClient interface. Its one transport-facing implementation is
+// wireClient, the same for in-process shard hosts and for shard processes
+// behind TCP; the fault-injection decorator wraps it for the robustness
+// suites.
 package distr
 
 import (
@@ -32,8 +32,8 @@ import (
 //     the per-attribute digests behind degraded lost-mass bounds; Live is
 //     the liveness check that fences a down shard off.
 //
-// Implementations: loopbackClient (in-process, backend.go), wireClient
-// (TCP, remote.go), faultClient (fault-injection decorator, fault.go).
+// Implementations: wireClient (remote.go, over an in-memory or TCP
+// wire.Transport) and faultClient (fault-injection decorator, fault.go).
 // All methods must be safe for concurrent use.
 type ShardClient interface {
 	// Count returns the shard's matching count for q, restricted to
@@ -72,12 +72,11 @@ type ShardClient interface {
 	// coordinator observation (it advances an injected crash's recovery
 	// clock, or rate-limits a real TCP probe), and rejoined is true
 	// exactly once per recovery — on the observation that brought the
-	// shard back. The loopback is never down.
+	// shard back. An in-process shard host is never down on its own.
 	Live() (down, rejoined bool)
-	// Addr names the shard's endpoint ("loopback" in-process).
+	// Addr names the shard's endpoint ("loopback" for an in-process
+	// shard host).
 	Addr() string
-	// Close releases client resources.
-	Close() error
 }
 
 // Fetch-path error taxonomy. The coordinator's retry loop (see

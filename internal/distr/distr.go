@@ -10,13 +10,14 @@
 // yields a uniform without-replacement stream over P ∩ Q.
 //
 // The coordinator reaches shards only through the ShardClient interface
-// (client.go). In-process clusters (Build) use the loopback client —
-// direct dispatch, byte-identical in behavior and seeds to a coordinator
-// holding the shards itself — and charge simulated network traffic (one
-// message per request and response) so benchmarks can report message
-// counts and per-shard balance. Remote clusters (BuildRemote) speak the
-// wire protocol over TCP to real shard processes and report measured
-// traffic instead.
+// (client.go), and every shard copy is served by a Host (host.go). An
+// in-process cluster (Build) runs its shard hosts in the coordinator's
+// process and hands them requests through an in-memory transport; a remote
+// cluster (BuildRemote) speaks the wire protocol over TCP to shard-host
+// processes. Both are assembled by the same code, and both report the
+// messages their transports counted (one per request and one per
+// response), so benchmarks can compare message counts and per-shard
+// balance across them; TCP adds the bytes it moved.
 //
 // # Concurrency
 //
@@ -35,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,7 +43,6 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
-	"storm/internal/iosim"
 	"storm/internal/obs"
 	"storm/internal/pred"
 	"storm/internal/rstree"
@@ -61,19 +60,16 @@ type Config struct {
 	// means 1, the unreplicated layout). Remote placement maps each shard
 	// to Replicas distinct hosts — the consistent-hash ring's successor
 	// rule, so a pool smaller than Replicas yields fewer copies — and
-	// Build clones each in-process shard Replicas times. Updates mirror
-	// to every copy, the coordinator's fetch path fails over to a
-	// surviving copy when the serving one dies (Sampler.failover), and a
-	// query only degrades when every copy of a shard is lost. See
-	// DESIGN.md §4.8.
+	// Build runs Replicas in-process shard hosts, copy r of every shard
+	// on host r. Updates mirror to every copy, the coordinator's fetch
+	// path fails over to a surviving copy when the serving one dies
+	// (Sampler.failover), and a query only degrades when every copy of a
+	// shard is lost. See DESIGN.md §4.8.
 	Replicas int
 	// Fanout is each shard's RS-tree fanout; 0 means the default.
 	Fanout int
 	// Seed drives partitioning and sampling randomness.
 	Seed int64
-	// BufferPoolPages gives each shard a simulated buffer pool of this
-	// many pages; 0 disables I/O accounting.
-	BufferPoolPages int
 	// Obs receives the cluster's metrics (fan-out latency, per-shard
 	// fetch latency, live network counters). Nil disables collection at
 	// zero cost (see package obs).
@@ -82,7 +78,7 @@ type Config struct {
 	// FaultPlan); nil leaves the cluster healthy and the fetch path
 	// byte-identical to a plan-free build. Faults are injected at the
 	// ShardClient boundary (a transport decorator), so the same plan
-	// drives loopback and TCP clusters identically.
+	// drives in-process and TCP clusters identically.
 	Faults *FaultPlan
 	// FetchTimeout is the coordinator's per-fetch deadline: an injected
 	// latency spike at or beyond it surfaces as a timeout, and the TCP
@@ -124,9 +120,10 @@ func (cfg *Config) normalize() error {
 	return nil
 }
 
-// NetStats counts network traffic: simulated charges on an in-process
-// cluster, measured frames and payload bytes on a TCP one (byte counters
-// stay zero on the loopback, which moves no bytes).
+// NetStats counts network traffic as the cluster's transports measured
+// it: messages (requests and responses) and, over TCP, frame bytes (byte
+// counters stay zero in-process, where nothing is encoded). SamplesMoved
+// is the samples the coordinator's fetches delivered.
 type NetStats struct {
 	Messages     uint64
 	SamplesMoved uint64
@@ -134,12 +131,11 @@ type NetStats struct {
 	BytesRecv    uint64
 }
 
-// Shard is one in-process shard server.
+// Shard is one built copy of a shard, as a Host serves it.
 type Shard struct {
-	ID     int
-	index  *rstree.Index
-	device *iosim.Device
-	count  int
+	ID    int
+	index *rstree.Index
+	count int
 	// summaries digests each numeric attribute of the shard's records
 	// (count/sum/min/max) for coordinator-side lost-mass bounds; guarded
 	// by the owning backend's lock like the index (see summary.go).
@@ -156,16 +152,12 @@ func (s *Shard) Len() int { return s.count }
 // Index returns the shard's local RS-tree (diagnostics and benchmarks).
 func (s *Shard) Index() *rstree.Index { return s.index }
 
-// Device returns the shard's simulated block device (nil when disabled).
-func (s *Shard) Device() *iosim.Device { return s.device }
-
 // Cluster is a distributed STORM deployment: a coordinator plus one
-// ShardClient per shard. Build wires the clients to in-process backends
-// over the loopback; BuildRemote (remote.go) wires them to shard
-// processes over TCP. All coordinator logic is transport-blind.
+// ShardClient per shard copy. Build wires the clients to in-process shard
+// hosts in memory; BuildRemote (remote.go) wires them to shard processes
+// over TCP. All coordinator logic is transport-blind.
 type Cluster struct {
-	// mu guards the simulated network counters, the remote baseline, and
-	// the seed sequence.
+	// mu guards the seed sequence.
 	mu  sync.Mutex
 	cfg Config
 	ds  *data.Dataset
@@ -185,21 +177,16 @@ type Cluster struct {
 	// replica r of shard i failed to apply; a failover onto a replica
 	// with misses is counted as a stale read.
 	mirrorMisses [][]atomic.Uint64
-	// shards and backends hold the in-process shard servers; nil on a
-	// remote cluster, whose shards live in other processes.
-	shards   []*Shard
-	backends []*shardBackend
-	// remote marks a TCP cluster: simulated charges are off (Net reports
-	// measured transport traffic) and samplers keep per-shard emitted
-	// IDs so a restarted shard's stream can be reopened with an exclude
-	// list.
-	remote     bool
-	transports []*wire.TCPClient
-	netBase    NetStats
-	net        NetStats
-	// remoteSamples counts samples fetched over real transports
-	// (SamplesMoved has no wire-level counterpart to measure).
-	remoteSamples atomic.Uint64
+	// hosts are an in-process cluster's shard hosts, copy r of every shard
+	// on hosts[r]; nil on a remote cluster, whose shards live in other
+	// processes.
+	hosts []*Host
+	// transports are the distinct carriers to the shard hosts, one per
+	// host; Net sums their counts.
+	transports []wire.Transport
+	// samplesMoved counts samples the coordinator's fetches delivered
+	// (SamplesMoved has no transport-level counterpart to measure).
+	samplesMoved atomic.Uint64
 	// streamSeq allocates cluster-unique sample stream IDs.
 	streamSeq atomic.Uint64
 	rngSeq    int64
@@ -391,71 +378,33 @@ func observeMS(h *obs.TuningHistogram, start time.Time) {
 	h.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 }
 
-// Build partitions the dataset into contiguous Hilbert ranges, builds a
-// local RS-tree per shard, and wires the coordinator to the shards over
-// the in-process loopback. Hilbert partitioning keeps shards spatially
-// coherent, so selective queries touch few shards — the distributed
-// Hilbert R-tree layout the paper describes.
+// Build runs the cluster's shard hosts in this process: cfg.Replicas
+// Hosts, each holding ds itself and reached through an in-memory
+// transport, with copy r of every shard on host r. Each host partitions
+// ds into contiguous Hilbert ranges and builds a local RS-tree per shard
+// exactly as a shard-host process does, and the coordinator reaches them
+// through the same client, fault decorator and assembly as BuildRemote's.
+// Hilbert partitioning keeps shards spatially coherent, so selective
+// queries touch few shards — the distributed Hilbert R-tree layout the
+// paper describes.
 func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	parts, bounds, err := partition(ds, cfg.Shards)
-	if err != nil {
-		return nil, err
+	c := &Cluster{cfg: cfg, ds: ds, hosts: make([]*Host, cfg.Replicas)}
+	eps := make([]endpoint, cfg.Replicas)
+	for r := range c.hosts {
+		h := NewHost()
+		h.AddDataset(ds)
+		t := wire.NewMemClient(h)
+		c.hosts[r], eps[r] = h, endpoint{addr: "loopback", t: t}
+		c.transports = append(c.transports, t)
 	}
-	// Each replica is an exact clone: same partition, same build seed, so
-	// the copies hold identical trees and any of them can serve any stream.
-	// The partitions are therefore sorted once each (concurrently), and the
-	// S×R copies — every one on a device of its own, so nothing orders them
-	// — are packed side by side on up to GOMAXPROCS goroutines.
-	sorted := rtree.STROrder(cfg.Fanout, parts...)
-	built := make([]*Shard, cfg.Shards*cfg.Replicas)
-	errs := make([]error, len(built))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := range built {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			s := i / cfg.Replicas
-			built[i], errs[i] = buildShard(ds, parts[s], sorted[s], s, bounds, cfg)
-		}()
+	place := make([][]endpoint, cfg.Shards)
+	for s := range place {
+		place[s] = eps
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	c := &Cluster{cfg: cfg, ds: ds}
-	c.faults = newFaultStates(cfg.Faults, cfg.Shards, cfg.Replicas)
-	for s := range parts {
-		// Shards() sees only the primaries; updates mirror to every copy
-		// (Insert/Delete).
-		reps := make([]ShardClient, 0, cfg.Replicas)
-		for r := 0; r < cfg.Replicas; r++ {
-			sh := built[s*cfg.Replicas+r]
-			b := newShardBackend(sh, ds)
-			var cl ShardClient = &loopbackClient{b: b}
-			if r == 0 {
-				c.shards = append(c.shards, sh)
-				c.backends = append(c.backends, b)
-			}
-			if c.faults != nil {
-				cl = &faultClient{ShardClient: cl, c: c, f: c.faults[s][r]}
-			}
-			reps = append(reps, cl)
-		}
-		c.repl = append(c.repl, reps)
-		c.clients = append(c.clients, reps[0])
-	}
-	c.mirrorMisses = newMirrorMisses(c.repl)
-	c.initMetrics()
-	return c, nil
+	return c.assemble(place)
 }
 
 // newMirrorMisses sizes the per-replica missed-mirror counters to the
@@ -469,77 +418,45 @@ func newMirrorMisses(repl [][]ShardClient) [][]atomic.Uint64 {
 	return mm
 }
 
-// Shards returns the in-process shard servers (nil on a remote cluster).
-func (c *Cluster) Shards() []*Shard { return c.shards }
+// Shards returns the primary copy of every shard of an in-process
+// cluster — the shards its host 0 built — and nil on a remote one.
+func (c *Cluster) Shards() []*Shard {
+	if c.Remote() {
+		return nil
+	}
+	out := make([]*Shard, len(c.clients))
+	for s := range out {
+		out[s] = c.hosts[0].backend(wire.Target{DS: c.ds.Name(), Shard: uint32(s)}).shard
+	}
+	return out
+}
 
 // NumShards returns how many shards the cluster has, local or remote.
 func (c *Cluster) NumShards() int { return len(c.clients) }
 
-// Remote reports whether the cluster's shards are remote processes.
-func (c *Cluster) Remote() bool { return c.remote }
+// Remote reports whether the cluster's shards are remote processes (it
+// runs no in-process shard host).
+func (c *Cluster) Remote() bool { return len(c.hosts) == 0 }
 
-// transportTotals sums lifetime traffic across the TCP transports.
-// Caller holds c.mu.
-func (c *Cluster) transportTotals() NetStats {
-	var n NetStats
+// Net returns the traffic the cluster's transports counted since they
+// were built or last reset, and the samples its fetches delivered.
+func (c *Cluster) Net() NetStats {
+	n := NetStats{SamplesMoved: c.samplesMoved.Load()}
 	for _, t := range c.transports {
 		ct := t.Counts()
 		n.Messages += ct.MsgsSent + ct.MsgsRecv
 		n.BytesSent += ct.BytesSent
 		n.BytesRecv += ct.BytesRecv
 	}
-	n.SamplesMoved = c.remoteSamples.Load()
 	return n
-}
-
-// Net returns a snapshot of network statistics: the simulated charges on
-// an in-process cluster, the transports' measured frame and byte counts
-// (since the last ResetNet) on a remote one.
-func (c *Cluster) Net() NetStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.remote {
-		return c.net
-	}
-	t := c.transportTotals()
-	return NetStats{
-		Messages:     t.Messages - c.netBase.Messages,
-		SamplesMoved: t.SamplesMoved - c.netBase.SamplesMoved,
-		BytesSent:    t.BytesSent - c.netBase.BytesSent,
-		BytesRecv:    t.BytesRecv - c.netBase.BytesRecv,
-	}
 }
 
 // ResetNet zeroes the network counters.
 func (c *Cluster) ResetNet() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.remote {
-		c.netBase = c.transportTotals()
-		return
+	for _, t := range c.transports {
+		t.Reset()
 	}
-	c.net = NetStats{}
-}
-
-// charge adds simulated network traffic. On a remote cluster it is a
-// no-op: the transports measure the real thing.
-func (c *Cluster) charge(messages, samples uint64) {
-	if c.remote {
-		return
-	}
-	c.mu.Lock()
-	c.net.Messages += messages
-	c.net.SamplesMoved += samples
-	c.mu.Unlock()
-}
-
-// chargeFetch accounts one successful sample fetch of got samples.
-func (c *Cluster) chargeFetch(got uint64) {
-	if c.remote {
-		c.remoteSamples.Add(got)
-		return
-	}
-	c.charge(2, got)
+	c.samplesMoved.Store(0)
 }
 
 func (c *Cluster) nextSeed() int64 {
@@ -549,19 +466,10 @@ func (c *Cluster) nextSeed() int64 {
 	return c.cfg.Seed*101 + c.rngSeq
 }
 
-// Close releases the cluster's transports (in-process loopback clients
-// hold none) and withdraws it from its obs registry, whose storm.distr.*
-// counters keep its final totals. Every replica's client is closed, not
-// just the primaries.
+// Close releases the cluster's transports and withdraws it from its obs
+// registry, whose storm.distr.* counters keep its final totals.
 func (c *Cluster) Close() error {
 	var first error
-	for _, reps := range c.repl {
-		for _, cl := range reps {
-			if err := cl.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
 	for _, t := range c.transports {
 		if err := t.Close(); err != nil && first == nil {
 			first = err
@@ -599,9 +507,7 @@ func (c *Cluster) Insert(e data.Entry) {
 	for r, cl := range c.repl[best] {
 		if err := cl.Insert(e); err != nil {
 			c.mirrorMisses[best][r].Add(1)
-			continue
 		}
-		c.charge(2, 0)
 	}
 }
 
@@ -635,7 +541,6 @@ func (c *Cluster) Delete(e data.Entry) bool {
 		found := false
 		var missed []int
 		for r, cl := range c.repl[i] {
-			c.charge(2, 0)
 			ok, err := cl.Delete(e)
 			if err != nil {
 				missed = append(missed, r)
@@ -676,7 +581,7 @@ func (c *Cluster) CountWhere(q geo.Rect, where []pred.Term) int {
 // CountWindow is CountWhere further restricted to records in the resolved
 // event-time window (zero = none). The window ships as a wire term and each
 // shard narrows its own time axis before counting, so windowed counts see
-// the identical population on the loopback and over TCP.
+// the identical population in-process and over TCP.
 func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) int {
 	start := time.Now()
 	defer observeMS(c.met.fanoutMS, start)
@@ -691,10 +596,8 @@ func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) in
 			defer wg.Done()
 			// Replicas hold identical trees: the first copy that answers
 			// speaks for the shard (the primary answers first in the
-			// healthy case, keeping the unreplicated path unchanged). Each
-			// copy asked is one request and one response.
+			// healthy case, keeping the unreplicated path unchanged).
 			for _, cl := range c.repl[i] {
-				c.charge(2, 0)
 				if n, err := cl.Count(q, where, win); err == nil {
 					counts[i] = n
 					return
@@ -733,12 +636,9 @@ type Sampler struct {
 	// heads[i] is the read cursor into buffers[i]; entries before it have
 	// been emitted.
 	heads []int
-	// emitted, on remote or replicated clusters, records each shard's
-	// emitted record IDs so a restarted shard's stream can be reopened —
-	// or failed over to another replica — with an exclude list (the fresh
-	// stream must not redeliver them). Unreplicated loopback streams
-	// survive in the backend and never need reopening, so that path skips
-	// the bookkeeping.
+	// emitted records each shard's emitted record IDs so a restarted
+	// shard's stream can be reopened — or failed over to another replica —
+	// with an exclude list (the fresh stream must not redeliver them).
 	emitted [][]data.ID
 	// repl[i] is the replica currently serving shard i's stream; the
 	// fetch path's failover moves it to a surviving copy (see failover).
@@ -788,7 +688,7 @@ func (c *Cluster) SamplerWhere(q geo.Rect, where []pred.Term) *Sampler {
 // event-time window (zero = none): the window rides on every stream open,
 // each shard narrows its own time axis, and the merged stream is exactly
 // uniform over the cluster's windowed qualifying records — byte-identical
-// across the loopback and TCP transports.
+// across the in-memory and TCP transports.
 func (c *Cluster) SamplerWindow(q geo.Rect, where []pred.Term, win wire.Window) *Sampler {
 	return &Sampler{cluster: c, query: q, where: where, win: win, rng: stats.NewRNG(c.nextSeed())}
 }
@@ -844,9 +744,7 @@ func (s *Sampler) initialize() {
 	s.buffers = make([][]data.Entry, n)
 	s.heads = make([]int, n)
 	s.repl = make([]int, n)
-	if cl.remote || cl.cfg.Replicas > 1 {
-		s.emitted = make([][]data.ID, n)
-	}
+	s.emitted = make([][]data.ID, n)
 	seeds := make([]int64, n)
 	for i := range seeds {
 		seeds[i] = cl.nextSeed()
@@ -869,9 +767,7 @@ func (s *Sampler) initialize() {
 			// healthy — identical to the unreplicated path). A replica that
 			// refuses the open is skipped like a pre-crashed shard; only a
 			// shard none of whose copies answered is absent from the query.
-			// Each open is one request and one response.
 			for r, rc := range cl.repl[i] {
-				cl.charge(2, 0)
 				got, err := rc.Open(s.streams[i], s.query, seeds[i], nil, s.where, s.win)
 				if err != nil {
 					continue
@@ -1060,7 +956,7 @@ func (s *Sampler) fetchInto(shard, n int) {
 		s.loseShard(shard, crashed)
 		return
 	}
-	s.cluster.chargeFetch(uint64(got))
+	s.cluster.samplesMoved.Add(uint64(got))
 }
 
 // clientFetch performs one fetch against the replica serving the shard's
@@ -1128,7 +1024,6 @@ func (s *Sampler) clientFetch(shard int, dst []data.Entry, n int) (got int, lost
 				}
 				return 0, true, true
 			}
-			cl.charge(1, 0) // probe sent, shard down
 		case errors.Is(err, ErrUnknownStream):
 			// The shard answered but no longer has the stream — the
 			// signature of a shard process restart. Resume it once on the
@@ -1153,7 +1048,6 @@ func (s *Sampler) clientFetch(shard int, dst []data.Entry, n int) (got int, lost
 		default:
 			// Timeouts, transient faults, and transport errors that are
 			// not a down verdict: retryable.
-			cl.charge(1, 0) // request sent, no usable response
 		}
 		if attempt >= cl.cfg.MaxRetries {
 			if moved, done := tryFailover(); moved {

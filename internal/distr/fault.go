@@ -1,4 +1,4 @@
-// Fault injection and graceful degradation for the simulated cluster.
+// Fault injection and graceful degradation for the cluster.
 //
 // A FaultPlan scripts, per shard, the failure modes a distributed STORM
 // deployment sees in practice — latency spikes, transient fetch errors,
@@ -6,8 +6,8 @@
 // so every robustness test replays bit-for-bit. Faults are injected at the
 // ShardClient boundary by a transport decorator (faultClient): the
 // coordinator's fetch path observes them exactly where a real coordinator
-// observes remote failures, and the same plan drives the in-process
-// loopback and a TCP cluster identically.
+// observes remote failures, and the same plan drives in-process shard
+// hosts and a TCP cluster identically.
 //
 // The coordinator's contract under faults follows BlinkDB-style partial
 // failure semantics: it never blocks a query on a lost shard. Transient
@@ -703,11 +703,11 @@ func (c *Cluster) FaultStats() FaultStats {
 	}
 }
 
-// replicaDown reports whether replica r of shard i is down (never for the
-// bare loopback). The check is itself a coordinator contact: on a
-// recoverable replica it advances the injected recovery clock (or
-// rate-limits a real TCP probe), and the contact that revives the replica
-// performs the cluster-wide re-admit accounting.
+// replicaDown reports whether replica r of shard i is down (never for an
+// in-process shard host without a fault plan). The check is itself a
+// coordinator contact: on a recoverable replica it advances the injected
+// recovery clock (or rate-limits a real TCP probe), and the contact that
+// revives the replica performs the cluster-wide re-admit accounting.
 func (c *Cluster) replicaDown(i, r int) bool {
 	down, rejoined := c.repl[i][r].Live()
 	if rejoined {
@@ -761,7 +761,7 @@ func (c *Cluster) countFault(kind FaultKind, crashed bool) {
 // Every Fetch passes through the verdict machinery at the transport
 // boundary — the injected failure surfaces to the coordinator as the
 // same error a real transport would return — so a fault plan exercises
-// the identical coordinator retry/degradation code over loopback and TCP.
+// the identical coordinator retry/degradation code in-process and over TCP.
 // All other requests pass through undisturbed (the plans script the
 // fetch path; crashed shards are fenced off upstream by shardDown).
 type faultClient struct {

@@ -1,12 +1,14 @@
-// Host is the shard-server request handler: it owns the shard backends
-// of one stormd -role=shard process and implements wire.Handler, which is
-// what a wire.Server serves over TCP. Shard state is built on demand — the
+// Host is the shard server, the one request handler every shard copy runs
+// behind: it owns the shard backends of one stormd -role=shard process (a
+// wire.Server serves it over TCP) or of one in-process shard host of a
+// Build cluster (a wire.MemClient hands it requests in memory). It
+// implements wire.Handler. Shard state is built on demand — the
 // coordinator's Build request names a (dataset, shard, of) triple, and the
-// host partitions its local copy of the dataset exactly as the coordinator
-// would (partition is deterministic), so only sample batches ever cross
-// the wire, never shard contents. The host partitions once per (dataset,
-// of, record count), however many of the dataset's shards it is asked to
-// build (partMemo), and a Build reads the dataset copy under dsMu.
+// host partitions its local copy of the dataset (partition is
+// deterministic), so only sample batches ever cross the wire, never shard
+// contents. The host partitions once per (dataset, of, record count),
+// however many of the dataset's shards it is asked to build (partMemo),
+// and a Build reads the dataset copy under dsMu.
 package distr
 
 import (
@@ -17,7 +19,6 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
-	"storm/internal/rtree"
 	"storm/internal/wire"
 )
 
@@ -219,15 +220,16 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 // after an unknown-shard error, e.g. when this process restarted); the
 // existing backend — including any post-build inserts — answers.
 func (h *Host) handleBuild(req *wire.Build) wire.Msg {
+	key := hostKey{ds: req.DS, shard: req.Shard}
 	h.mu.Lock()
 	ds, ok := h.datasets[req.DS]
 	if !ok {
 		h.mu.Unlock()
 		return &wire.Error{Code: wire.ErrCodeUnknownDataset, Msg: fmt.Sprintf("dataset %q not on this host", req.DS)}
 	}
-	if b, built := h.backends[hostKey{ds: req.DS, shard: req.Shard}]; built {
+	if b, built := h.backends[key]; built {
 		h.mu.Unlock()
-		return &wire.BuildOK{Count: uint64(b.length())}
+		return rebuilt(b, req)
 	}
 	h.mu.Unlock()
 
@@ -239,31 +241,37 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	// that is already built may append to it.
 	h.dsMu.RLock()
 	defer h.dsMu.RUnlock()
-	cfg := Config{
-		Shards:          int(req.Of),
-		Fanout:          int(req.Fanout),
-		Seed:            req.Seed,
-		BufferPoolPages: int(req.PoolPages),
-	}
 	part, bounds, err := h.part(ds, req.Of, req.Shard)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}
-	sh, err := buildShard(ds, part, rtree.STROrder(cfg.Fanout, part)[0], int(req.Shard), bounds, cfg)
+	sh, err := buildShard(ds, part, int(req.Shard), bounds, int(req.Fanout), req.Seed)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := hostKey{ds: req.DS, shard: req.Shard}
 	if b, built := h.backends[key]; built {
 		// A concurrent Build for the same shard won the race; answer from
 		// the established backend so streams opened on it stay valid.
-		return &wire.BuildOK{Count: uint64(b.length())}
+		return rebuilt(b, req)
 	}
-	b := newShardBackend(sh, ds)
+	b := newShardBackend(sh, ds, req.Of)
 	h.backends[key] = b
+	return &wire.BuildOK{Count: uint64(b.length())}
+}
+
+// rebuilt answers a Build for a shard the host already serves. The same
+// shard count gets the built shard. Another count is refused: the shard
+// holds a part of a different partition, and serving it would hand the
+// coordinator records that overlap its other shards'. Seed and Fanout are
+// not compared — they change which seeded stream the shard serves, not
+// which records it holds.
+func rebuilt(b *shardBackend, req *wire.Build) wire.Msg {
+	if b.of != req.Of {
+		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %q is built as one of %d shards, not %d", req.Shard, req.DS, b.of, req.Of)}
+	}
 	return &wire.BuildOK{Count: uint64(b.length())}
 }
 
@@ -304,10 +312,12 @@ func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect,
 
 // handleInsert mirrors one inserted record into the owning shard's index
 // and appends the row (with its attributes) to the host's dataset copy so
-// record IDs keep addressing the attribute columns. Inserts routed to
-// shards on other hosts leave gaps here; those IDs are padded with
-// placeholder rows that no local shard ever references (the record is on
-// no local index, so no stream can emit or exclude it).
+// record IDs keep addressing the attribute columns. An in-process host
+// shares the coordinator's dataset, which already holds the row, so it
+// appends nothing. Inserts routed to shards on other hosts leave gaps
+// here; those IDs are padded with placeholder rows that no local shard
+// ever references (the record is on no local index, so no stream can emit
+// or exclude it).
 func (h *Host) handleInsert(req *wire.Insert) wire.Msg {
 	b := h.backend(req.Target)
 	if b == nil {

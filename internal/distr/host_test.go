@@ -1,6 +1,7 @@
 package distr
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -158,6 +159,29 @@ func TestHostBuildRejectsOversizedOf(t *testing.T) {
 	}
 	if got := h.Partitions(); got != 2 {
 		t.Errorf("refused Builds reached partition: %d partitions, want 2", got)
+	}
+}
+
+// TestHostRefusesBuildForOtherShardCount: a built shard is one part of a
+// partition into Of shards. A coordinator asking for the same shard under
+// another count (restarted with another -shards) would get a part that
+// overlaps its other shards', so the host refuses, naming both counts; the
+// same count stays idempotent.
+func TestHostRefusesBuildForOtherShardCount(t *testing.T) {
+	h := NewHost()
+	h.AddDataset(testDataset(1000))
+	buildOn(t, h, "uniform", 2, 0)
+	resp := h.Handle(&wire.Build{Target: wire.Target{DS: "uniform", Shard: 0}, Of: 4, Seed: 5})
+	werr, isErr := resp.(*wire.Error)
+	if !isErr || werr.Code != wire.ErrCodeBadRequest {
+		t.Fatalf("Build shard 0 of 4 on a shard built as 0 of 2 answered %#v, want a bad-request error", resp)
+	}
+	if !strings.Contains(werr.Msg, "of 2 shards") || !strings.Contains(werr.Msg, "not 4") {
+		t.Errorf("refusal %q should name both shard counts", werr.Msg)
+	}
+	buildOn(t, h, "uniform", 2, 0)
+	if got := h.Partitions(); got != 1 {
+		t.Errorf("%d partitions, want 1: neither the refusal nor the re-Build partitions", got)
 	}
 }
 

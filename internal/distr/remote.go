@@ -1,9 +1,9 @@
-// The TCP side of the ShardClient boundary: wireClient speaks the wire
-// protocol to a remote shard host, and BuildRemote assembles a Cluster
-// whose shards are real processes. The coordinator logic above the
-// interface is untouched — the same Cluster/Sampler code that runs over
-// the loopback runs here, with real frames, real deadlines, and measured
-// (not simulated) network statistics.
+// The transport side of the ShardClient boundary: wireClient speaks the
+// wire protocol to a shard host, and assemble builds every Cluster —
+// Build's in-process shard hosts reached in memory, BuildRemote's shard
+// processes reached over TCP — from the same clients, fault decorators,
+// Build RPCs and summary priming. Only the transport differs: TCP adds
+// frames, deadlines and bytes, and both count the messages they carry.
 package distr
 
 import (
@@ -34,11 +34,11 @@ const (
 	remoteProbeEvery = 50 * time.Millisecond
 )
 
-// wireClient is the ShardClient over one TCP transport to the shard host
-// owning this shard. Transports are shared per host address; the client
-// adds the shard addressing, the per-request deadlines, the down/rejoin
-// bookkeeping for real outages, and a build-time summary cache so
-// lost-mass bounds stay answerable while the shard is down — exactly
+// wireClient is the ShardClient over one transport to the shard host
+// owning this copy of the shard. Transports are shared per host; the
+// client adds the shard addressing, the per-request deadlines, the
+// down/rejoin bookkeeping for real outages, and a build-time summary cache
+// so lost-mass bounds stay answerable while the shard is down — exactly
 // when they are needed.
 type wireClient struct {
 	c    *Cluster
@@ -312,14 +312,9 @@ func (w *wireClient) Summary(attr string) (AttrSummary, bool, error) {
 // Addr implements ShardClient.
 func (w *wireClient) Addr() string { return w.addr }
 
-// Close implements ShardClient. The transport is shared by every shard
-// on the same host and closed once by Cluster.Close, so the client
-// itself holds nothing.
-func (w *wireClient) Close() error { return nil }
-
-// buildRemoteShard issues the shard's Build RPC and primes the summary
+// buildAndPrime issues the shard copy's Build RPC and primes the summary
 // cache for every numeric column.
-func (w *wireClient) buildRemoteShard(cols []string) error {
+func (w *wireClient) buildAndPrime(cols []string) error {
 	resp, err := w.roundTrip(&w.build, remoteBuildTimeout)
 	if err != nil {
 		return fmt.Errorf("distr: building shard %d on %s: %w", w.tgt.Shard, w.addr, err)
@@ -338,6 +333,12 @@ func (w *wireClient) buildRemoteShard(cols []string) error {
 	return nil
 }
 
+// endpoint is one shard host as the coordinator reaches it.
+type endpoint struct {
+	addr string
+	t    wire.Transport
+}
+
 // BuildRemote assembles a cluster whose shards live in remote shard-host
 // processes. Each shard is placed on cfg.Replicas distinct hosts by
 // consistent hashing over addrs (ring successors; a pool smaller than
@@ -348,9 +349,9 @@ func (w *wireClient) buildRemoteShard(cols []string) error {
 // transport per host. Every replica of a shard answers to the same wire
 // Target — replica identity is purely a coordinator-side routing choice,
 // so the wire protocol is unchanged by replication. cfg.Shards defaults
-// to len(addrs). Fault plans decorate the TCP clients exactly as they
-// decorate loopback ones, so the robustness suites run unchanged against
-// real processes.
+// to len(addrs). Past placement, the cluster is assembled exactly as
+// Build's, fault decorators included, so the robustness suites run
+// unchanged against real processes.
 func BuildRemote(ds *data.Dataset, cfg Config, addrs []string) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("distr: remote cluster needs at least one shard host")
@@ -361,34 +362,46 @@ func BuildRemote(ds *data.Dataset, cfg Config, addrs []string) (*Cluster, error)
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, ds: ds, remote: true}
-	c.faults = newFaultStates(cfg.Faults, cfg.Shards, cfg.Replicas)
+	c := &Cluster{cfg: cfg, ds: ds}
 	ring := newRing(addrs)
-	transports := make(map[string]*wire.TCPClient, len(addrs))
-	var builders []*wireClient
-	for s := 0; s < cfg.Shards; s++ {
-		raddrs := ring.lookupN(shardPlacementKey(ds.Name(), s), cfg.Replicas)
-		reps := make([]ShardClient, 0, len(raddrs))
-		for r, addr := range raddrs {
-			t, dialed := transports[addr]
-			if !dialed {
+	dialed := make(map[string]wire.Transport, len(addrs))
+	place := make([][]endpoint, cfg.Shards)
+	for s := range place {
+		for _, addr := range ring.lookupN(shardPlacementKey(ds.Name(), s), cfg.Replicas) {
+			t, ok := dialed[addr]
+			if !ok {
 				t = wire.NewTCPClient(addr)
-				transports[addr] = t
+				dialed[addr] = t
 				c.transports = append(c.transports, t)
 			}
+			place[s] = append(place[s], endpoint{addr: addr, t: t})
+		}
+	}
+	return c.assemble(place)
+}
+
+// assemble finishes a cluster whose transports are set: copy r of shard s
+// is reached through a wireClient over place[s][r], wrapped in its fault
+// injector when a plan is installed, and every copy is built with a Build
+// RPC whose summaries are then primed. On error the cluster is closed.
+func (c *Cluster) assemble(place [][]endpoint) (*Cluster, error) {
+	c.faults = newFaultStates(c.cfg.Faults, c.cfg.Shards, c.cfg.Replicas)
+	var builders []*wireClient
+	for s, eps := range place {
+		reps := make([]ShardClient, 0, len(eps))
+		for r, ep := range eps {
 			w := &wireClient{
 				c:        c,
-				t:        t,
-				addr:     addr,
-				tgt:      wire.Target{DS: ds.Name(), Shard: uint32(s)},
+				t:        ep.t,
+				addr:     ep.addr,
+				tgt:      wire.Target{DS: c.ds.Name(), Shard: uint32(s)},
 				sumCache: make(map[string]AttrSummary),
 			}
 			w.build = wire.Build{
-				Target:    w.tgt,
-				Of:        uint32(cfg.Shards),
-				Seed:      cfg.Seed,
-				Fanout:    uint32(cfg.Fanout),
-				PoolPages: uint32(cfg.BufferPoolPages),
+				Target: w.tgt,
+				Of:     uint32(c.cfg.Shards),
+				Seed:   c.cfg.Seed,
+				Fanout: uint32(c.cfg.Fanout),
 			}
 			builders = append(builders, w)
 			var cl ShardClient = w
@@ -402,14 +415,14 @@ func BuildRemote(ds *data.Dataset, cfg Config, addrs []string) (*Cluster, error)
 	}
 	c.mirrorMisses = newMirrorMisses(c.repl)
 
-	cols := ds.NumericColumns()
+	cols := c.ds.NumericColumns()
 	errs := make([]error, len(builders))
 	var wg sync.WaitGroup
 	for i, w := range builders {
 		wg.Add(1)
 		go func(i int, w *wireClient) {
 			defer wg.Done()
-			errs[i] = w.buildRemoteShard(cols)
+			errs[i] = w.buildAndPrime(cols)
 		}(i, w)
 	}
 	wg.Wait()

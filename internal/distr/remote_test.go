@@ -45,8 +45,9 @@ func buildRemote(t *testing.T, ds *data.Dataset, cfg distr.Config, addrs []strin
 }
 
 // TestRemoteMatchesLoopback: same dataset, same seed, same config — the
-// sample stream over TCP is byte-identical to the loopback stream, and
-// the remote cluster reports measured (not simulated) traffic.
+// sample stream over TCP is byte-identical to the in-process stream, the
+// remote cluster reports the bytes it moved, and both transports count
+// the same messages and samples moved, from the Build and priming RPCs on.
 func TestRemoteMatchesLoopback(t *testing.T) {
 	const n = 4000
 	ds := distrtest.Dataset(n)
@@ -74,6 +75,9 @@ func TestRemoteMatchesLoopback(t *testing.T) {
 	}
 	if net.SamplesMoved != uint64(len(got)) {
 		t.Errorf("SamplesMoved = %d, want %d drained samples", net.SamplesMoved, len(got))
+	}
+	if lnet := local.Net(); lnet.Messages != net.Messages || lnet.SamplesMoved != net.SamplesMoved {
+		t.Errorf("in-process NetStats = %+v, TCP = %+v: messages and samples moved should match", lnet, net)
 	}
 	remote.ResetNet()
 	if after := remote.Net(); after.Messages != 0 || after.BytesSent != 0 {

@@ -159,18 +159,18 @@ type IndexOptions struct {
 	// LSTree additionally builds an LS-tree (the RS-tree is always
 	// built: it is the engine's default sampler and range counter).
 	LSTree bool
-	// Shards additionally builds a simulated distributed cluster with this
-	// many shard servers (see package distr); 0 disables. When set, the
-	// optimizer prefers MethodDistributed and updates are mirrored into the
-	// shard trees.
+	// Shards additionally builds a distributed cluster with this many
+	// shards, served by in-process shard hosts (see package distr); 0
+	// disables. When set, the optimizer prefers MethodDistributed and updates
+	// are mirrored into the shard trees.
 	Shards int
 	// Faults installs a deterministic fault-injection plan on the cluster
 	// (ignored without a cluster); nil leaves the cluster healthy. The
 	// plan's own Seed field drives the injected fault sequence. Faults are
 	// injected at the transport decorator, so the same plan drives
-	// simulated and remote clusters identically.
+	// in-process and remote clusters identically.
 	Faults *distr.FaultPlan
-	// ShardAddrs runs the shard cluster remotely instead of simulated:
+	// ShardAddrs runs the shard cluster remotely instead of in-process:
 	// shards are placed on these stormd -role=shard host addresses by
 	// consistent hashing and reached over TCP. Each host must already
 	// hold a copy of the dataset under the same name (shard hosts
@@ -204,7 +204,7 @@ type Handle struct {
 	// predicate selectivity from them; they are version-keyed, so index
 	// updates invalidate exactly the nodes they touch.
 	sums *rtree.Summaries
-	// cluster is the dataset's simulated shard cluster (IndexOptions.Shards
+	// cluster is the dataset's shard cluster (IndexOptions.Shards
 	// > 0), nil otherwise. Structural mutation is additionally guarded by
 	// the cluster's own lock, so queries can fetch from shards while holding
 	// only this handle's read lock.
@@ -533,7 +533,7 @@ func (h *Handle) Delete(id data.ID) bool {
 // HasLSTree reports whether the handle has an LS-tree index.
 func (h *Handle) HasLSTree() bool { return h.ls != nil }
 
-// Cluster returns the dataset's simulated shard cluster, or nil when the
+// Cluster returns the dataset's shard cluster, or nil when the
 // dataset was registered without IndexOptions.Shards. Exposed for fault
 // diagnostics (Cluster.FaultStats) and benchmarks.
 func (h *Handle) Cluster() *distr.Cluster { return h.cluster }

@@ -170,7 +170,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type ShardInfo struct {
 	Dataset string `json:"dataset"`
 	// Remote is true for a TCP cluster (shards are separate processes),
-	// false for a simulated in-process cluster.
+	// false for a cluster of in-process shard hosts.
 	Remote bool                `json:"remote"`
 	Shards []distr.ShardStatus `json:"shards"`
 	// ShardsDown counts shards whose host is currently unreachable (or

@@ -150,6 +150,9 @@ func (t *TCPClient) RoundTrip(req Msg, timeout time.Duration) (Msg, error) {
 // Counts implements Transport.
 func (t *TCPClient) Counts() Counts { return t.snapshot() }
 
+// Reset implements Transport.
+func (t *TCPClient) Reset() { t.reset() }
+
 // Close implements Transport, closing every pooled connection.
 func (t *TCPClient) Close() error {
 	t.mu.Lock()

@@ -2,10 +2,10 @@
 // distributed STORM deployment: a compact length-prefixed binary codec for
 // the shard round shapes (count rounds, the batched simulate→fetch sample
 // protocol, insert/delete mirroring, attribute summaries for lost-mass
-// bounds) plus the transport that carries it — TCP with per-request
-// deadlines (see transport.go and tcp.go). In-process clusters call their
-// shard backends directly (package distr's loopback client) and never
-// touch this package's codec.
+// bounds) plus the transports that carry it — TCP with per-request
+// deadlines (tcp.go), and an in-memory transport for in-process shard
+// hosts that hands the same messages over without encoding them
+// (transport.go).
 //
 // # Frame format
 //
@@ -206,8 +206,6 @@ type Build struct {
 	Seed int64
 	// Fanout is the shard RS-tree fanout (0 = default).
 	Fanout uint32
-	// PoolPages sizes the shard's simulated buffer pool (0 disables).
-	PoolPages uint32
 }
 
 // WireKind implements Msg.
@@ -217,14 +215,12 @@ func (m *Build) encode(e *encoder) {
 	e.u32(m.Of)
 	e.i64(m.Seed)
 	e.u32(m.Fanout)
-	e.u32(m.PoolPages)
 }
 func (m *Build) decode(d *decoder) {
 	m.Target.decode(d)
 	m.Of = d.u32()
 	m.Seed = d.i64()
 	m.Fanout = d.u32()
-	m.PoolPages = d.u32()
 }
 
 // BuildOK acknowledges a Build.

@@ -20,7 +20,7 @@ func sampleMsgs() []Msg {
 		&Error{},
 		&Ping{},
 		&Pong{Shards: 4},
-		&Build{Target: Target{DS: "osm", Shard: 3}, Of: 8, Seed: -42, Fanout: 16, PoolPages: 1024},
+		&Build{Target: Target{DS: "osm", Shard: 3}, Of: 8, Seed: -42, Fanout: 16},
 		&BuildOK{Count: 125000},
 		&Count{Target: Target{DS: "tweets", Shard: 0}, Query: geo.Rect{Min: geo.Vec{20, 20, -inf}, Max: geo.Vec{60, 60, inf}}},
 		&CountOK{N: 9999},

@@ -408,9 +408,10 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkRegister times what stands between a start (or a shard-host
-// restart) and the first answer: engine.Register of the benchmark-of-record
-// dataset with both indexes. gen-ms is the generation of that dataset, which
+// BenchmarkRegister times engine.Register of the benchmark-of-record dataset
+// with both indexes (IndexOptions.LSTree; stormd registers without it and
+// leaves the LS-tree to the first query that asks for it, so a start pays
+// less than this). gen-ms is the generation of that dataset, which
 // a starting stormd pays first; sort-ms and pack-ms split one further build
 // into the same two halves Register runs — the pure STR sorts (level 0
 // shared by both indexes) and the packing against the device, RS-tree
@@ -445,6 +446,50 @@ func BenchmarkRegister(b *testing.B) {
 	b.ReportMetric(genMS, "gen-ms")
 	b.ReportMetric(sortMS, "sort-ms")
 	b.ReportMetric(float64(time.Since(start).Microseconds())/1000, "pack-ms")
+}
+
+// BenchmarkInsertBatch times the ingest drain's write path,
+// engine.Handle.InsertBatch, in 300-record batches into the
+// benchmark-of-record dataset; all of it runs under the dataset's write lock.
+// ls=unbuilt is a dataset no LS-tree query has touched yet (what stormd
+// registers), ls=built one whose LS-tree exists, so every record also draws
+// its level coin flips and joins those levels. us/record is the cost per
+// record.
+func BenchmarkInsertBatch(b *testing.B) {
+	for _, sub := range []struct {
+		name string
+		ls   bool
+	}{{"ls=unbuilt", false}, {"ls=built", true}} {
+		// The handle outlives the calibration run: a few hundred extra
+		// records do not change a 500 k dataset.
+		var h *engine.Handle
+		rng := stats.NewRNG(3)
+		b.Run(sub.name, func(b *testing.B) {
+			if h == nil {
+				var err error
+				e := engine.New(engine.Config{Seed: 1, NoMetrics: true})
+				if h, err = e.Register(gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1}), engine.IndexOptions{LSTree: sub.ls}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ds := h.Data()
+			batch := make([]data.Row, 300)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// Copies of random existing records, moved a little: the
+				// batch lands where the data is.
+				for j := range batch {
+					p := ds.Pos(data.ID(rng.Intn(500_000)))
+					batch[j] = data.Row{Pos: geo.Vec{p[0] + rng.Float64()*0.01, p[1] + rng.Float64()*0.01, p[2]}}
+				}
+				b.StartTimer()
+				h.InsertBatch(batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(batch)), "us/record")
+		})
+	}
 }
 
 // BenchmarkHostBuild times what a coordinator waits for at registration:

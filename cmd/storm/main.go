@@ -43,7 +43,7 @@ func main() {
 		tweets,
 		gen.Stations(gen.StationsConfig{Stations: *stations, ReadingsPerStation: *readings, Seed: *seed}),
 	} {
-		if _, err := eng.Register(ds, engine.IndexOptions{LSTree: true}); err != nil {
+		if _, err := eng.Register(ds, engine.IndexOptions{}); err != nil {
 			fmt.Fprintf(os.Stderr, "storm: registering %s: %v\n", ds.Name(), err)
 			os.Exit(1)
 		}

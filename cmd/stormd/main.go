@@ -169,7 +169,7 @@ func main() {
 
 	eng := engine.New(engine.Config{Seed: *seed, BufferPoolPages: *pool, NoMetrics: *noMetrics})
 	for _, ds := range genDatasets() {
-		opts := engine.IndexOptions{LSTree: true, Shards: simShards, ShardAddrs: shardAddrs, Replicas: *replicas, Faults: faults}
+		opts := engine.IndexOptions{Shards: simShards, ShardAddrs: shardAddrs, Replicas: *replicas, Faults: faults}
 		if _, err := eng.Register(ds, opts); err != nil {
 			log.Fatalf("stormd: registering %s: %v", ds.Name(), err)
 		}

@@ -156,8 +156,11 @@ func (e *Engine) Device() *iosim.Device { return e.device }
 
 // IndexOptions controls which sampling indexes Register builds.
 type IndexOptions struct {
-	// LSTree additionally builds an LS-tree (the RS-tree is always
+	// LSTree builds the LS-tree during Register (the RS-tree is always
 	// built: it is the engine's default sampler and range counter).
+	// Without it the first query that samples with MethodLSTree builds
+	// the LS-tree over the live records, holding that query's read lock
+	// for the build; either way every later update maintains it.
 	LSTree bool
 	// Shards additionally builds a distributed cluster with this many
 	// shards, served by in-process shard hosts (see package distr); 0
@@ -198,7 +201,15 @@ type Handle struct {
 	name string
 	ds   *data.Dataset
 	rs   *rstree.Index
-	ls   *lstree.Index
+	// ls is the dataset's LS-tree, nil until buildLS publishes it: during
+	// Register when IndexOptions.LSTree asks for it, else on the first
+	// MethodLSTree query (under that query's read lock, hence atomic).
+	// Updates maintain it under the write lock once it exists.
+	ls     atomic.Pointer[lstree.Index]
+	lsOnce sync.Once
+	lsErr  error
+	// lsSeed seeds the LS-tree's level coin flips; fixed at Register.
+	lsSeed int64
 	// sums maintains the RS-tree's per-node attribute summaries (min/max
 	// per numeric column). The planner prunes subtrees and estimates
 	// predicate selectivity from them; they are version-keyed, so index
@@ -277,13 +288,14 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 // and LS-tree level 0, the LS-tree's upper levels are sorted beside it, and
 // the shard cluster — its own devices, usually other processes — is built
 // concurrently with all of that. What is order-sensitive stays in the order
-// it always had: the per-index seeds are drawn RS, LS, cluster before any
+// it always had: the per-index seeds are drawn RS, LS (only when the LS-tree
+// is built here; a lazily built one takes lazyLSSeed), cluster before any
 // work starts, and the trees are packed against the shared device serially,
 // RS-tree then LS-tree levels bottom-up, so page writes, buffer-pool state
 // and every seeded stream are those of a one-index-at-a-time build.
 func (e *Engine) build(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
 	rsSeed := e.nextSeed()
-	var lsSeed int64
+	lsSeed := lazyLSSeed(rsSeed)
 	if opts.LSTree {
 		lsSeed = e.nextSeed()
 	}
@@ -340,46 +352,108 @@ func (e *Engine) startCluster(ds *data.Dataset, opts IndexOptions) (join func() 
 }
 
 // buildLocal builds the handle's in-process indexes: the RS-tree, its
-// attribute summaries, and the LS-tree when asked for.
+// attribute summaries, and the LS-tree when asked for. The LS-tree's level
+// 0 sort then doubles as the RS-tree's.
 func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64) (*Handle, error) {
-	var dev iosim.Accountant = iosim.Discard
-	if e.device != nil {
-		dev = e.device
-	}
-	rsCfg := rstree.Config{Fanout: e.cfg.Fanout, Device: dev, Seed: rsSeed}
+	h := &Handle{name: ds.Name(), ds: ds, eng: e, deleted: make(map[data.ID]struct{}), lsSeed: lsSeed}
+	rsCfg := rstree.Config{Fanout: e.cfg.Fanout, Device: e.accountant(), Seed: rsSeed}
 	entries := ds.Entries()
 	var (
-		rs       *rstree.Index
 		lsSorted *lstree.Sorted
 		err      error
 	)
 	if withLS {
-		lsCfg := lstree.Config{Fanout: e.cfg.Fanout, Device: dev, Seed: lsSeed, Attrs: ds}
-		if lsSorted, err = lstree.Sort(entries, lsCfg); err != nil {
+		if lsSorted, err = lstree.Sort(entries, h.lsConfig()); err != nil {
 			return nil, fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), err)
 		}
-		rs, err = rstree.BuildSorted(lsSorted.Level0(), rsCfg)
+		h.rs, err = rstree.BuildSorted(lsSorted.Level0(), rsCfg)
 	} else {
-		rs, err = rstree.Build(entries, rsCfg)
+		h.rs, err = rstree.Build(entries, rsCfg)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: building RS-tree for %q: %w", ds.Name(), err)
 	}
-	h := &Handle{name: ds.Name(), ds: ds, rs: rs, eng: e, deleted: make(map[data.ID]struct{})}
 	for _, en := range entries {
 		h.noteTime(en.Pos[2])
 	}
 	// Bulk-load-time summary build: one tree walk computes every node's
 	// attribute digests so the first predicate query pays no lazy
 	// recomputation.
-	h.sums = rtree.NewSummaries(rs.Tree(), ds)
+	h.sums = rtree.NewSummaries(h.rs.Tree(), ds)
 	h.sums.Precompute()
 	if withLS {
-		if h.ls, err = lsSorted.Pack(); err != nil {
-			return nil, fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), err)
+		if _, err := h.buildLS(func() (*lstree.Sorted, error) { return lsSorted, nil }); err != nil {
+			return nil, err
 		}
 	}
 	return h, nil
+}
+
+// accountant is what the engine's indexes charge page accesses to: the
+// shared device, or iosim.Discard without I/O simulation.
+func (e *Engine) accountant() iosim.Accountant {
+	if e.device != nil {
+		return e.device
+	}
+	return iosim.Discard
+}
+
+// lsConfig is the handle's LS-tree configuration.
+func (h *Handle) lsConfig() lstree.Config {
+	return lstree.Config{Fanout: h.eng.cfg.Fanout, Device: h.eng.accountant(), Seed: h.lsSeed, Attrs: h.ds}
+}
+
+// buildLS packs the handle's LS-tree from the levels sorted returns and
+// publishes it, exactly once per handle: Register calls it when
+// IndexOptions.LSTree asks, otherwise lsTree does on first use. Every later
+// call returns the first call's outcome.
+func (h *Handle) buildLS(sorted func() (*lstree.Sorted, error)) (*lstree.Index, error) {
+	h.lsOnce.Do(func() {
+		s, err := sorted()
+		var ls *lstree.Index
+		if err == nil {
+			ls, err = s.Pack()
+		}
+		if err != nil {
+			h.lsErr = fmt.Errorf("engine: building LS-tree for %q: %w", h.name, err)
+			return
+		}
+		h.ls.Store(ls)
+		h.eng.met.lsBuilds.Inc()
+	})
+	return h.ls.Load(), h.lsErr
+}
+
+// lsTree returns the handle's LS-tree, building it on first use over the
+// live records — the dataset's rows in ID order minus the deleted ones,
+// exactly the RS-tree's population. The caller holds h.mu (read side
+// suffices: writers, the only other users of the population, are
+// excluded, and concurrent first readers wait inside buildLS).
+func (h *Handle) lsTree() (*lstree.Index, error) {
+	return h.buildLS(func() (*lstree.Sorted, error) {
+		entries := h.ds.Entries()
+		if len(h.deleted) > 0 {
+			live := entries[:0]
+			for _, e := range entries {
+				if _, gone := h.deleted[e.ID]; !gone {
+					live = append(live, e)
+				}
+			}
+			entries = live
+		}
+		return lstree.Sort(entries, h.lsConfig())
+	})
+}
+
+// lazyLSSeed derives the LS-tree seed of a dataset registered without
+// IndexOptions.LSTree from its RS-tree seed by one SplitMix64 step, so the
+// seed is fixed at Register without a draw from the engine's seed
+// sequence: every seed drawn after it is the one it always was.
+func lazyLSSeed(rsSeed int64) int64 {
+	z := uint64(rsSeed) + 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E9B5
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return int64(z ^ z>>31)
 }
 
 // publishDataset registers a freshly published handle's per-dataset metrics.
@@ -498,8 +572,8 @@ func (h *Handle) Insert(row data.Row) data.ID {
 	h.noteTime(row.Pos[2])
 	e := data.Entry{ID: id, Pos: row.Pos}
 	h.rs.Insert(e)
-	if h.ls != nil {
-		h.ls.Insert(e)
+	if ls := h.ls.Load(); ls != nil {
+		ls.Insert(e)
 	}
 	if h.cluster != nil {
 		h.cluster.Insert(e)
@@ -520,8 +594,8 @@ func (h *Handle) Delete(id data.ID) bool {
 	if !h.rs.Delete(e) {
 		return false
 	}
-	if h.ls != nil {
-		h.ls.Delete(e)
+	if ls := h.ls.Load(); ls != nil {
+		ls.Delete(e)
 	}
 	if h.cluster != nil {
 		h.cluster.Delete(e)
@@ -530,8 +604,13 @@ func (h *Handle) Delete(id data.ID) bool {
 	return true
 }
 
-// HasLSTree reports whether the handle has an LS-tree index.
-func (h *Handle) HasLSTree() bool { return h.ls != nil }
+// HasLSTree reports whether the handle's LS-tree has been built, during
+// Register (IndexOptions.LSTree) or by the first MethodLSTree query.
+func (h *Handle) HasLSTree() bool {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.ls.Load() != nil
+}
 
 // Cluster returns the dataset's shard cluster, or nil when the
 // dataset was registered without IndexOptions.Shards. Exposed for fault
@@ -548,10 +627,11 @@ func (h *Handle) DeleteRange(q geo.Range) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	matches := h.rs.Tree().ReportAll(q.Rect())
+	ls := h.ls.Load()
 	for _, e := range matches {
 		h.rs.Delete(e)
-		if h.ls != nil {
-			h.ls.Delete(e)
+		if ls != nil {
+			ls.Delete(e)
 		}
 		if h.cluster != nil {
 			h.cluster.Delete(e)
@@ -600,16 +680,17 @@ func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *
 		}
 		return plan.reject(h.rs.SamplerWhere(q, mode, rng, nil, acct)), ctr, nil
 	case MethodLSTree:
-		if h.ls == nil {
-			return nil, nil, fmt.Errorf("engine: dataset %q has no LS-tree (register with IndexOptions.LSTree)", h.name)
-		}
 		if mode == sampling.WithReplacement {
 			return nil, nil, fmt.Errorf("engine: LS-tree supports without-replacement sampling only")
 		}
-		if plan.usePushdown() {
-			return h.ls.SamplerWhere(q, rng, plan.compiled, acct), ctr, nil
+		ls, err := h.lsTree()
+		if err != nil {
+			return nil, nil, err
 		}
-		return plan.reject(h.ls.SamplerWhere(q, rng, nil, acct)), ctr, nil
+		if plan.usePushdown() {
+			return ls.SamplerWhere(q, rng, plan.compiled, acct), ctr, nil
+		}
+		return plan.reject(ls.SamplerWhere(q, rng, nil, acct)), ctr, nil
 	case MethodRandomPath:
 		if plan.usePushdown() {
 			return sampling.NewRandomPathWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil

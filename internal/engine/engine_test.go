@@ -239,10 +239,18 @@ func TestMethodSelection(t *testing.T) {
 			t.Errorf("method %v: samples = %d", m, snap.Samples)
 		}
 	}
-	// LS-tree without the index errors cleanly.
+	// A handle registered without the LS-tree builds it on the first
+	// LS-tree query and samples.
 	_, h2 := buildHandle(t, 1000, false)
-	if _, err := h2.Sample(testRange, 10, MethodLSTree, sampling.WithoutReplacement, 1); err == nil {
-		t.Error("LS-tree sampling without an LS-tree should error")
+	if h2.HasLSTree() {
+		t.Fatal("LS-tree built at Register without IndexOptions.LSTree")
+	}
+	got, err := h2.Sample(testRange, 10, MethodLSTree, sampling.WithoutReplacement, 1)
+	if err != nil || len(got) != 10 {
+		t.Fatalf("LS-tree sampling on a lazy handle: %d samples, err %v", len(got), err)
+	}
+	if !h2.HasLSTree() {
+		t.Error("first LS-tree query did not build the LS-tree")
 	}
 }
 

@@ -190,9 +190,10 @@ func registerGolden(t *testing.T, set goldenSet, fanout int, structure, derived 
 	structure.record(name+"/rs", treeDigest(h.rs.Tree()))
 	derived.record(name+"/rs", derivedDigest(h.rs.Tree()))
 	derived.record(name+"/rs-buffers", bufferDigest(h.rs))
-	for i := 0; i < h.ls.Levels(); i++ {
-		structure.record(fmt.Sprintf("%s/ls%d", name, i), treeDigest(h.ls.Level(i)))
-		derived.record(fmt.Sprintf("%s/ls%d", name, i), derivedDigest(h.ls.Level(i)))
+	ls := h.ls.Load()
+	for i := 0; i < ls.Levels(); i++ {
+		structure.record(fmt.Sprintf("%s/ls%d", name, i), treeDigest(ls.Level(i)))
+		derived.record(fmt.Sprintf("%s/ls%d", name, i), derivedDigest(ls.Level(i)))
 	}
 	for _, sh := range h.cluster.Shards() {
 		structure.record(fmt.Sprintf("%s/shard%d", name, sh.ID), treeDigest(sh.Index().Tree()))

@@ -49,6 +49,11 @@ type metrics struct {
 	contractsMissed   *obs.Counter
 	contractColdPlans *obs.Counter
 
+	// lsBuilds counts LS-tree builds: one per dataset registered with
+	// IndexOptions.LSTree, plus one per dataset whose first MethodLSTree
+	// query built it (that query held the dataset's read lock meanwhile).
+	lsBuilds *obs.Counter
+
 	batchSize *obs.Histogram
 	// Latency and CI-width distributions self-tune: their log-spaced
 	// bounds rescale upward instead of saturating a top bucket when a
@@ -101,6 +106,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		contractsDegraded: reg.Counter("storm.engine.contracts.degraded"),
 		contractsMissed:   reg.Counter("storm.engine.contracts.missed"),
 		contractColdPlans: reg.Counter("storm.engine.contracts.cold_plans"),
+		lsBuilds:          reg.Counter("storm.engine.lstree.builds"),
 		batchSize:         reg.Histogram("storm.engine.batch.size", obs.BatchSizeBuckets),
 		ciRelWidth:        reg.TuningHistogram("storm.engine.ci.relwidth", 1e-4, 16),
 		queryLatencyMS:    reg.TuningHistogram("storm.engine.query.latency_ms", 0.1, 16),

@@ -101,13 +101,13 @@ func (h *Handle) InsertBatch(rows []data.Row) []data.ID {
 		h.noteTime(row.Pos[2])
 	}
 	h.rs.InsertBatch(entries) // reorders entries in place
-	if h.ls != nil || h.cluster != nil {
+	if ls := h.ls.Load(); ls != nil || h.cluster != nil {
 		// The secondary indexes keep their per-entry insert paths; the
 		// Hilbert order the batch now carries keeps those spatially
 		// clustered too.
 		for _, e := range entries {
-			if h.ls != nil {
-				h.ls.Insert(e)
+			if ls != nil {
+				ls.Insert(e)
 			}
 			if h.cluster != nil {
 				h.cluster.Insert(e)

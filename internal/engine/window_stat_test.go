@@ -44,18 +44,19 @@ func churnRows() []data.Row {
 	return rows
 }
 
-// churnHandle registers the base records with both local indexes under
-// engine seed seed, then streams the rest through InsertBatch, each chunk
-// shuffled by seed: every trial holds the same records in indexes whose
-// sample buffers, level coin flips and insertion order differ.
-func churnHandle(t *testing.T, rows []data.Row, seed int64) *Handle {
+// churnHandle registers the base records under engine seed seed, with the
+// LS-tree built at Register unless lazy (then the first LS-tree query builds
+// it), then streams the rest through InsertBatch, each chunk shuffled by
+// seed: every trial holds the same records in indexes whose sample buffers,
+// level coin flips and insertion order differ.
+func churnHandle(t *testing.T, rows []data.Row, seed int64, lazy bool) *Handle {
 	t.Helper()
 	ds := data.NewDataset("churn")
 	ds.AddNumericColumn("value")
 	for _, r := range rows[:churnBase] {
 		ds.Append(r)
 	}
-	h, err := New(Config{Seed: seed, Fanout: 16, NoMetrics: true}).Register(ds, IndexOptions{LSTree: true})
+	h, err := New(Config{Seed: seed, Fanout: 16, NoMetrics: true}).Register(ds, IndexOptions{LSTree: !lazy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,20 +122,34 @@ var churnMethods = []Method{MethodRSTree, MethodLSTree}
 // batch inserts must sample exactly uniformly from the windowed population.
 // Each trial builds the indexes afresh under its own seed (a sampler over
 // one fixed index is uniform only across index builds: the RS-tree's stored
-// buffers and the LS-tree's levels are fixed samples). For the RS-tree and
-// the LS-tree it chi-squares the trials' first samples against the
-// windowed records. Seeds are fixed; a failure is a regression, not noise
-// (see the statcheck package doc for the false-positive budget).
+// buffers and the LS-tree's levels are fixed samples). For the RS-tree, the
+// LS-tree built at Register and the LS-tree first built after the churn it
+// chi-squares the trials' first samples against the windowed records.
+// Seeds are fixed; a failure is a regression, not noise (see the statcheck
+// package doc for the false-positive budget).
 func TestStatWindowUniform(t *testing.T) {
 	w := newChurnWindow(t)
-	counts := make([][]int, len(churnMethods))
-	for i := range churnMethods {
+	cases := []struct {
+		name string
+		m    Method
+		lazy bool
+	}{
+		{MethodRSTree.String(), MethodRSTree, false},
+		{MethodLSTree.String(), MethodLSTree, false},
+		{MethodLSTree.String() + "-lazy", MethodLSTree, true},
+	}
+	counts := make([][]int, len(cases))
+	for i := range cases {
 		counts[i] = make([]int, len(w.slot))
 	}
 	var first [1]data.Entry
 	for _, seed := range churnSeeds(w) {
-		h := churnHandle(t, w.rows, seed)
-		for i, m := range churnMethods {
+		h, lazy := churnHandle(t, w.rows, seed, false), churnHandle(t, w.rows, seed, true)
+		for i, c := range cases {
+			h, m := h, c.m
+			if c.lazy {
+				h = lazy
+			}
 			res, err := h.resolve(w.q.Rect(), Options{Method: m, Last: churnLast})
 			if err != nil {
 				t.Fatal(err)
@@ -154,8 +169,8 @@ func TestStatWindowUniform(t *testing.T) {
 			counts[i][j]++
 		}
 	}
-	for i, m := range churnMethods {
-		statcheck.Uniform(t, "window-first-sample/"+m.String(), counts[i], statcheck.DefaultAlpha)
+	for i, c := range cases {
+		statcheck.Uniform(t, "window-first-sample/"+c.name, counts[i], statcheck.DefaultAlpha)
 	}
 }
 
@@ -167,7 +182,7 @@ func TestStatWindowCoverage(t *testing.T) {
 	w := newChurnWindow(t)
 	intervals := make([][]statcheck.Interval, len(churnMethods))
 	for _, seed := range churnSeeds(w)[:churnCIRuns] {
-		h := churnHandle(t, w.rows, seed)
+		h := churnHandle(t, w.rows, seed, false)
 		for i, m := range churnMethods {
 			snap, err := h.Estimate(context.Background(), w.q, Options{
 				Kind: estimator.Avg, Attr: "value", Method: m,

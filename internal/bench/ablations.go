@@ -464,13 +464,13 @@ type A6Point struct {
 	AvgCanonical float64
 }
 
-// A6 compares Hilbert packing, STR packing, and one-by-one Guttman
+// A6 compares Hilbert packing, STR packing, and one-by-one Hilbert
 // insertion on the same data, measuring range-report I/O and canonical-set
 // size over a batch of queries. Hilbert and STR produce comparably tight
 // trees, with STR's tiling usually a touch tighter on box queries — the
-// reason STR is now the default bulk-load packing (Hilbert stays
-// selectable via rtree.Config.Packing and remains how inserts are placed
-// in Hilbert mode); an insertion-built tree is markedly worse.
+// reason STR is the default bulk-load packing (Hilbert stays selectable
+// via rtree.Config.Packing and is how inserts are placed); an
+// insertion-built tree is markedly worse.
 func A6(cfg A6Config) ([]A6Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
@@ -497,13 +497,13 @@ func A6(cfg A6Config) ([]A6Point, error) {
 		var t *rtree.Tree
 		switch name {
 		case "hilbert":
-			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev, Hilbert: true, Bounds: bounds, Packing: rtree.PackHilbert})
+			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev, Packing: rtree.PackHilbert})
 			t.BulkLoad(entries)
 		case "str (default)":
 			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev})
 			t.BulkLoad(entries)
 		case "insert-built":
-			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev})
+			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev, Bounds: bounds})
 			for _, e := range entries {
 				t.Insert(e)
 			}

@@ -11,7 +11,6 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
-	"storm/internal/hilbert"
 	"storm/internal/iosim"
 	"storm/internal/pred"
 	"storm/internal/rstree"
@@ -29,17 +28,10 @@ import (
 // comparisons — not on the toolchain that built the process — so a
 // coordinator and a remote shard host partitioning the same dataset agree
 // on every shard's contents without shipping them.
-func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect, err error) {
+func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect) {
 	entries := ds.Entries()
-	bounds = ds.Bounds()
-	if bounds.IsEmpty() {
-		bounds = geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 1, 1})
-	}
-	curve := hilbert.MustNew(geo.Dims, 16)
-	quant, err := hilbert.NewQuantizer(curve, bounds.Min[:], bounds.Max[:])
-	if err != nil {
-		return nil, geo.Rect{}, fmt.Errorf("distr: %w", err)
-	}
+	bounds = rtree.HilbertBounds(geo.Rect{}, entries)
+	quant := rtree.NewQuantizer(bounds)
 	// Sorting (key, position) pairs by key alone moves 16 bytes per swap
 	// and reads no other memory; equal keys compare equal whatever their
 	// position, so the order is the one a sort over the entries would give.
@@ -66,7 +58,7 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 		}
 		parts[s] = part
 	}
-	return parts, bounds, nil
+	return parts, bounds
 }
 
 // buildShard materializes one shard from its partition: a local RS-tree

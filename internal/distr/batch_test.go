@@ -8,7 +8,6 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/gen"
 	"storm/internal/geo"
-	"storm/internal/sampling"
 	"storm/internal/sampling/samplingtest"
 )
 
@@ -46,7 +45,7 @@ func TestNextBatchFewerMessages(t *testing.T) {
 
 	s := singleC.Sampler(q)
 	for i := 0; i < 4000; i++ {
-		if _, ok := sampling.Next(s); !ok {
+		if _, ok := samplingtest.Next(s); !ok {
 			break
 		}
 	}

@@ -496,7 +496,7 @@ func (c *Cluster) Insert(e data.Entry) {
 		if err != nil {
 			continue
 		}
-		grow := b.Extend(geo.RectFromPoint(e.Pos)).Volume() - b.Volume()
+		grow := b.Enlargement(geo.RectFromPoint(e.Pos))
 		if grow < bestGrow {
 			best, bestGrow = i, grow
 		}

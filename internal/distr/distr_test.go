@@ -6,7 +6,7 @@ import (
 	"storm/internal/data"
 	"storm/internal/gen"
 	"storm/internal/geo"
-	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
@@ -69,7 +69,7 @@ func TestSamplerCompleteAndUnique(t *testing.T) {
 	s := c.Sampler(testQuery)
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -109,7 +109,7 @@ func TestSamplerUniformAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := c.Sampler(testQuery)
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no sample")
 		}
@@ -132,7 +132,7 @@ func TestEmptyQueryAcrossShards(t *testing.T) {
 	c, _ := buildCluster(t, 1000, 3)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := c.Sampler(empty)
-	if _, ok := sampling.Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Error("empty query should yield nothing")
 	}
 }
@@ -156,7 +156,7 @@ func TestDistributedInsertDelete(t *testing.T) {
 	s := c.Sampler(geo.NewRect(geo.Vec{39.9, 39.9, 49}, geo.Vec{40.1, 40.1, 51}))
 	found := 0
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -198,7 +198,7 @@ func TestMoreShardsThanRecords(t *testing.T) {
 	s := c.Sampler(all)
 	n := 0
 	for {
-		if _, ok := sampling.Next(s); !ok {
+		if _, ok := samplingtest.Next(s); !ok {
 			break
 		}
 		n++

@@ -20,7 +20,7 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/gen"
 	"storm/internal/geo"
-	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats/statcheck"
 	"storm/internal/wire"
 )
@@ -229,7 +229,7 @@ func TestStatFailoverFirstSampleUniform(t *testing.T) {
 		cfg := distrtest.FastConfig(4, int64(i), killReplica(1, 0, 0), 2)
 		cfg.MaxRetries = -1
 		c := distrtest.Build(t, ds, cfg)
-		e, ok := sampling.Next(c.Sampler(q))
+		e, ok := samplingtest.Next(c.Sampler(q))
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}
@@ -294,7 +294,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 		c := distrtest.Build(t, ds, cfg)
 
 		s := c.SamplerWindow(q, nil, win)
-		first, ok := sampling.Next(s)
+		first, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}

@@ -8,7 +8,7 @@ import (
 	"storm/internal/distr"
 	"storm/internal/distr/distrtest"
 	"storm/internal/obs"
-	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats/statcheck"
 )
 
@@ -296,7 +296,7 @@ func TestStatDegradedFirstSampleUniform(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		c := distrtest.Build(t, ds, distrtest.FastConfig(4, int64(i), plan))
 		s := c.Sampler(q)
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no sample")
 		}

@@ -54,7 +54,6 @@ type partMemo struct {
 	once   sync.Once
 	parts  [][]data.Entry
 	bounds geo.Rect
-	err    error
 }
 
 // Host serves shard requests for the datasets it holds.
@@ -241,10 +240,7 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	// that is already built may append to it.
 	h.dsMu.RLock()
 	defer h.dsMu.RUnlock()
-	part, bounds, err := h.part(ds, req.Of, req.Shard)
-	if err != nil {
-		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
-	}
+	part, bounds := h.part(ds, req.Of, req.Shard)
 	sh, err := buildShard(ds, part, int(req.Shard), bounds, int(req.Fanout), req.Seed)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
@@ -281,7 +277,7 @@ func rebuilt(b *shardBackend, req *wire.Build) wire.Msg {
 // for sibling shards wait for it and take their own part. Caller holds
 // dsMu for reading, which is what keeps the record count, and so the key,
 // fixed while the Build runs.
-func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect, error) {
+func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect) {
 	name, n := ds.Name(), ds.Len()
 	h.mu.Lock()
 	m := h.memos[name]
@@ -294,11 +290,8 @@ func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect,
 
 	m.once.Do(func() {
 		h.partitions.Add(1)
-		m.parts, m.bounds, m.err = partition(ds, int(of))
+		m.parts, m.bounds = partition(ds, int(of))
 	})
-	if m.err != nil {
-		return nil, geo.Rect{}, m.err
-	}
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -307,7 +300,7 @@ func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect,
 	if m.left--; m.left == 0 && h.memos[name] == m {
 		delete(h.memos, name)
 	}
-	return part, m.bounds, nil
+	return part, m.bounds
 }
 
 // handleInsert mirrors one inserted record into the owning shard's index

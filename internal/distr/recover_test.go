@@ -9,7 +9,7 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/geo"
 	"storm/internal/obs"
-	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats/statcheck"
 )
 
@@ -321,7 +321,7 @@ func TestStatPostRejoinFirstSampleUniform(t *testing.T) {
 			t.Fatalf("trial %d: shard never rejoined", i)
 		}
 		// Second query: first sample over the recovered full population.
-		e, ok := sampling.Next(c.Sampler(q))
+		e, ok := samplingtest.Next(c.Sampler(q))
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}

@@ -54,11 +54,12 @@ type metrics struct {
 	// query built it (that query held the dataset's read lock meanwhile).
 	lsBuilds *obs.Counter
 
-	batchSize *obs.Histogram
-	// Latency and CI-width distributions self-tune: their log-spaced
-	// bounds rescale upward instead of saturating a top bucket when a
-	// cold cache, a huge dataset, or a slow-converging estimate pushes
-	// observations past the initial range.
+	// Every distribution self-tunes: its log-spaced bounds rescale upward
+	// instead of saturating a top bucket when a cold cache, a huge
+	// dataset, or a slow-converging estimate pushes observations past the
+	// initial range. Batch sizes start at the engine's 16 → 1024 pull
+	// growth.
+	batchSize      *obs.TuningHistogram
 	ciRelWidth     *obs.TuningHistogram
 	queryLatencyMS *obs.TuningHistogram
 
@@ -107,7 +108,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		contractsMissed:   reg.Counter("storm.engine.contracts.missed"),
 		contractColdPlans: reg.Counter("storm.engine.contracts.cold_plans"),
 		lsBuilds:          reg.Counter("storm.engine.lstree.builds"),
-		batchSize:         reg.Histogram("storm.engine.batch.size", obs.BatchSizeBuckets),
+		batchSize:         reg.TuningHistogram("storm.engine.batch.size", 16, 8),
 		ciRelWidth:        reg.TuningHistogram("storm.engine.ci.relwidth", 1e-4, 16),
 		queryLatencyMS:    reg.TuningHistogram("storm.engine.query.latency_ms", 0.1, 16),
 	}

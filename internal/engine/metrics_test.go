@@ -40,7 +40,7 @@ func TestQueryMetricsPopulated(t *testing.T) {
 	if got := reg.Counter("storm.engine.samples.drawn").Value(); got < uint64(snap.Samples) {
 		t.Errorf("samples.drawn = %d, want >= %d", got, snap.Samples)
 	}
-	if bs := reg.Histogram("storm.engine.batch.size", obs.BatchSizeBuckets).Snapshot(); bs.Count == 0 {
+	if bs := reg.TuningHistogram("storm.engine.batch.size", 16, 8).Snapshot(); bs.Count == 0 {
 		t.Error("batch.size histogram is empty")
 	}
 	if lat := reg.TuningHistogram("storm.engine.query.latency_ms", 0.1, 16).Snapshot(); lat.Count != 1 {

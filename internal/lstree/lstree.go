@@ -4,8 +4,9 @@
 // The index maintains a geometric hierarchy of coin-flip samples
 // P_0 ⊇ P_1 ⊇ … ⊇ P_ℓ where P_0 = P and each P_{i+1} keeps every element
 // of P_i independently with probability ½, stopping once the top level is
-// small. An ordinary R-tree T_i is built over each level; the total size
-// is O(N) because level sizes form a geometric series.
+// small. A Hilbert R-tree T_i (package rtree, the tree under every index)
+// is built over each level, its keys quantized over the level's own MBR;
+// the total size is O(N) because level sizes form a geometric series.
 //
 // A query runs plain range reporting on T_ℓ first: because level membership
 // is independent of identity, the matching records at level i form a

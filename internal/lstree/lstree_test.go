@@ -6,7 +6,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
-	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
@@ -101,7 +101,7 @@ func TestSamplerWithoutReplacementComplete(t *testing.T) {
 	s := idx.Sampler(testQuery, stats.NewRNG(9))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -137,7 +137,7 @@ func TestSamplerUniformFirstSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := idx.Sampler(testQuery, stats.NewRNG(int64(1000+i)))
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no first sample")
 		}
@@ -177,7 +177,7 @@ func TestSamplerUniformPrefix(t *testing.T) {
 		}
 		s := idx.Sampler(testQuery, stats.NewRNG(int64(7000+i)))
 		for j := 0; j < k; j++ {
-			e, ok := sampling.Next(s)
+			e, ok := samplingtest.Next(s)
 			if !ok {
 				t.Fatal("exhausted early")
 			}
@@ -205,7 +205,7 @@ func TestSamplerEmptyRange(t *testing.T) {
 	}
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := idx.Sampler(empty, stats.NewRNG(1))
-	if _, ok := sampling.Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty range should yield nothing")
 	}
 }
@@ -219,7 +219,7 @@ func TestEmptyIndex(t *testing.T) {
 		t.Errorf("empty index should have 1 level, got %d", idx.Levels())
 	}
 	s := idx.Sampler(testQuery, stats.NewRNG(1))
-	if _, ok := sampling.Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty index should yield nothing")
 	}
 }
@@ -314,7 +314,7 @@ func TestLevelGrowth(t *testing.T) {
 	s := idx.Sampler(testQuery, stats.NewRNG(5))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -325,6 +325,68 @@ func TestLevelGrowth(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Fatalf("drained %d, want %d", len(got), len(want))
+	}
+}
+
+// TestLevelChurnKeepsStructure interleaves random inserts and deletes on a
+// built index until maybeGrow adds a level, then churns on. Every level
+// tree must pass rtree validation — MBRs, counts, balance, fanout, and the
+// Hilbert key caches and LHVs that inserts, splits and condensing deletes
+// maintain — each level must be a subset of the one below, and Len must be
+// level 0's size. Inserts land up to 10% outside the build MBR, so some
+// keys clamp to the quantizer's box.
+func TestLevelChurnKeepsStructure(t *testing.T) {
+	entries := genEntries(2000, 31)
+	idx, err := Build(entries, Config{Fanout: 8, TopLevelMax: 64, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := append([]data.Entry(nil), entries...)
+	rng := stats.NewRNG(41)
+	nextID := data.ID(len(entries))
+	step := func() {
+		if len(live) > 0 && rng.Bernoulli(0.3) {
+			j := rng.Intn(len(live))
+			if !idx.Delete(live[j]) {
+				t.Fatalf("delete of live entry %d failed", live[j].ID)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+			return
+		}
+		e := data.Entry{ID: nextID, Pos: geo.Vec{rng.Uniform(-10, 110), rng.Uniform(-10, 110), rng.Uniform(0, 100)}}
+		nextID++
+		idx.Insert(e)
+		live = append(live, e)
+	}
+	levels := idx.Levels()
+	for ops := 0; idx.Levels() == levels; ops++ {
+		if ops == 50_000 {
+			t.Fatalf("no level added after %d operations", ops)
+		}
+		step()
+	}
+	for i := 0; i < 2000; i++ {
+		step()
+	}
+
+	if idx.Len() != len(live) || idx.Len() != idx.Level(0).Len() {
+		t.Fatalf("Len = %d, level 0 holds %d, %d live", idx.Len(), idx.Level(0).Len(), len(live))
+	}
+	everything := geo.NewRect(geo.Vec{-1e9, -1e9, -1e9}, geo.Vec{1e9, 1e9, 1e9})
+	var below map[data.ID]bool
+	for i := 0; i < idx.Levels(); i++ {
+		if err := idx.Level(i).Validate(); err != nil {
+			t.Fatalf("level %d of %d: %v", i, idx.Levels(), err)
+		}
+		here := make(map[data.ID]bool)
+		for _, e := range idx.Level(i).ReportAll(everything) {
+			if below != nil && !below[e.ID] {
+				t.Fatalf("level %d entry %d missing from level %d", i, e.ID, i-1)
+			}
+			here[e.ID] = true
+		}
+		below = here
 	}
 }
 
@@ -380,7 +442,7 @@ func TestSampleAfterUpdates(t *testing.T) {
 	s := idx.Sampler(testQuery, stats.NewRNG(23))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -416,7 +478,7 @@ func TestSampleMeanUnbiased(t *testing.T) {
 	var sum float64
 	k := 400
 	for i := 0; i < k; i++ {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("exhausted early")
 		}

@@ -49,19 +49,12 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	if f.Value() != 0 {
 		t.Fatal("nil float should read 0")
 	}
-	var h *Histogram
-	h.Observe(1)
-	if s := h.Snapshot(); s.Count != 0 {
-		t.Fatal("nil histogram should snapshot empty")
-	}
 	var r *Registry
 	r.Publish("x", NewCounter())
 	r.Unpublish("x")
 	r.PublishFunc("f", func() any { return 1 })
 	r.Counter("c").Add(1) // nil registry hands out nil counter
 	r.Gauge("g").Set(1)
-	r.Float("f2").Set(1)
-	r.Histogram("h", nil).Observe(1)
 	if len(r.Snapshot()) != 0 {
 		t.Fatal("nil registry should snapshot empty")
 	}
@@ -70,57 +63,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 	if r.Get("c") != nil {
 		t.Fatal("nil registry Get should return nil")
-	}
-}
-
-// TestHistogramBucketBoundaries drives values exactly at, below, and
-// above each bound: upper bounds are inclusive ("le" convention) and the
-// overflow bucket catches everything past the last bound.
-func TestHistogramBucketBoundaries(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	cases := []struct {
-		v      float64
-		bucket int
-	}{
-		{-5, 0}, {0, 0}, {1, 0}, // at-or-below first bound
-		{1.0001, 1}, {10, 1}, // bound is inclusive
-		{10.0001, 2}, {100, 2},
-		{100.0001, 3}, {1e9, 3}, // overflow bucket
-	}
-	for _, c := range cases {
-		h.Observe(c.v)
-	}
-	snap := h.Snapshot()
-	want := make([]uint64, 4)
-	for _, c := range cases {
-		want[c.bucket]++
-	}
-	for i := range want {
-		if snap.Counts[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, snap.Counts[i], want[i])
-		}
-	}
-	if snap.Count != uint64(len(cases)) {
-		t.Errorf("count = %d, want %d", snap.Count, len(cases))
-	}
-	if len(snap.Bounds) != 3 || len(snap.Counts) != 4 {
-		t.Errorf("snapshot shape: %d bounds, %d counts", len(snap.Bounds), len(snap.Counts))
-	}
-}
-
-func TestHistogramEmptyBounds(t *testing.T) {
-	h := NewHistogram(nil)
-	h.Observe(5)
-	h.Observe(-5)
-	snap := h.Snapshot()
-	if snap.Count != 2 || snap.Counts[0] != 2 {
-		t.Fatalf("degenerate histogram: %+v", snap)
-	}
-	if snap.Sum != 0 {
-		t.Fatalf("sum = %v, want 0", snap.Sum)
-	}
-	if snap.Mean() != 0 {
-		t.Fatalf("mean = %v, want 0", snap.Mean())
 	}
 }
 
@@ -137,8 +79,9 @@ func TestConcurrentMutation(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c")
 	g := reg.Gauge("g")
-	f := reg.Float("f")
-	h := reg.Histogram("h", []float64{0.25, 0.5, 0.75})
+	f := NewFloat()
+	reg.Publish("f", f)
+	h := reg.TuningHistogram("h", 0.25, 4)
 
 	stop := make(chan struct{})
 	var rd sync.WaitGroup
@@ -218,8 +161,10 @@ func TestRegistryJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("queries").Add(7)
 	reg.Gauge("active").Set(-2)
-	reg.Float("rate").Set(1.5)
-	reg.Histogram("lat_ms", []float64{1, 10}).Observe(3)
+	rate := NewFloat()
+	rate.Set(1.5)
+	reg.Publish("rate", rate)
+	reg.TuningHistogram("lat_ms", 1, 4).Observe(3)
 	reg.PublishFunc("pool", func() any { return map[string]uint64{"hits": 9} })
 
 	rec := httptest.NewRecorder()
@@ -281,8 +226,8 @@ func BenchmarkCounterAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewHistogram(LatencyBucketsMS)
+func BenchmarkTuningHistogramObserve(b *testing.B) {
+	h := NewTuningHistogram(0.1, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i % 1000))

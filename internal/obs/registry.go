@@ -112,39 +112,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Float returns the float metric registered under name, creating one if
-// absent. Returns nil on a nil receiver.
-func (r *Registry) Float(name string) *Float {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.vars[name].(*Float); ok {
-		return f
-	}
-	f := NewFloat()
-	r.vars[name] = f
-	return f
-}
-
-// Histogram returns the histogram registered under name, creating one
-// over bounds if absent (an existing histogram keeps its original
-// bounds). Returns nil on a nil receiver.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.vars[name].(*Histogram); ok {
-		return h
-	}
-	h := NewHistogram(bounds)
-	r.vars[name] = h
-	return h
-}
-
 // TuningHistogram returns the self-tuning histogram registered under
 // name, creating one if absent with buckets doubling from lo (an
 // existing one keeps its state). Returns nil on a nil receiver.

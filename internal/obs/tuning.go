@@ -138,7 +138,7 @@ func (h *TuningHistogram) Rescales() uint64 {
 }
 
 // Snapshot copies the histogram's current state; empty on a nil
-// receiver. Bounds are copied (unlike Histogram's, they mutate).
+// receiver. Bounds are copied: a rescale mutates them.
 func (h *TuningHistogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}

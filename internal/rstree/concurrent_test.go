@@ -6,6 +6,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
@@ -31,7 +32,7 @@ func TestConcurrentSamplers(t *testing.T) {
 			s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(100+i)))
 			var got []data.Entry
 			for {
-				e, ok := sampling.Next(s)
+				e, ok := samplingtest.Next(s)
 				if !ok {
 					break
 				}
@@ -79,7 +80,7 @@ func TestConcurrentSamplersSameSeedIdentical(t *testing.T) {
 		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(seed))
 		out := make([]data.ID, 0, k)
 		for len(out) < k {
-			e, ok := sampling.Next(s)
+			e, ok := samplingtest.Next(s)
 			if !ok {
 				break
 			}

@@ -1,5 +1,6 @@
 // Package rstree implements STORM's second and primary sampling index, the
-// RS-tree: a single Hilbert R-tree augmented with per-node sample buffers.
+// RS-tree: a single Hilbert R-tree (package rtree, the tree under every
+// index) augmented with per-node sample buffers.
 //
 // Where the LS-tree maintains O(log N) separate trees, the RS-tree keeps
 // one tree and attaches to every node u a buffer S(u): a uniform
@@ -72,24 +73,11 @@ type Config struct {
 	BufferSize int
 	// Device charges page accesses; nil disables accounting.
 	Device iosim.Accountant
-	// Bounds is the coordinate space for Hilbert quantization. Empty
-	// bounds are computed from the build entries.
+	// Bounds is the coordinate space for Hilbert quantization; unset, the
+	// build entries' MBR (rtree.Config.Bounds).
 	Bounds geo.Rect
 	// Seed drives buffer generation randomness.
 	Seed int64
-	// LazyCutoff is the subtree size below which a query keeps a
-	// partially-intersecting subtree whole instead of descending into it
-	// (the paper's lazy exploration: "avoid exploring small subtrees in
-	// R_Q which are expensive yet relatively useless"). Samples drawn
-	// from such a subtree that land outside the query are rejected —
-	// acceptance/rejection trades a few wasted (cheap, buffered) draws
-	// for never materializing boundary leaves the query may not need.
-	// 0 means Fanout², i.e. boundary subtrees stay whole at the
-	// leaf-parent level.
-	LazyCutoff int
-	// Packing is the bulk-load sort order passed through to the
-	// underlying R-tree; the zero value is STR (see rtree.Packing).
-	Packing rtree.Packing
 }
 
 // Index is an RS-tree over a point set. Any number of Samplers may run
@@ -123,11 +111,8 @@ func Build(entries []data.Entry, cfg Config) (*Index, error) {
 // the one order — the engine's RS-tree and LS-tree level 0, a shard's
 // replicas. It skips Build's sort and is otherwise identical: the same
 // input order yields the same pages, buffers and device charges. sorted is
-// not retained. cfg.Packing must be the default (STR).
+// not retained.
 func BuildSorted(sorted []data.Entry, cfg Config) (*Index, error) {
-	if cfg.Packing != rtree.PackSTR {
-		return nil, fmt.Errorf("rstree: BuildSorted packs STR order only")
-	}
 	return build(sorted, cfg, (*rtree.Tree).Pack)
 }
 
@@ -143,28 +128,10 @@ func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry
 	if cfg.BufferSize < 2 {
 		return nil, fmt.Errorf("rstree: BufferSize must be at least 2")
 	}
-	if cfg.LazyCutoff == 0 {
-		cfg.LazyCutoff = cfg.Fanout * cfg.Fanout
-	}
 	if cfg.Device == nil {
 		cfg.Device = iosim.Discard
 	}
-	bounds := cfg.Bounds
-	if bounds.IsEmpty() || bounds == (geo.Rect{}) {
-		bounds = rtree.EntryBounds(entries)
-	}
-	if bounds.IsEmpty() || bounds == (geo.Rect{}) {
-		// Empty data set (or every point at the origin): use a unit box
-		// so the quantizer is valid; it clamps out-of-box coordinates.
-		bounds = geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 1, 1})
-	}
-	t, err := rtree.New(rtree.Config{
-		Fanout:  cfg.Fanout,
-		Device:  cfg.Device,
-		Hilbert: true,
-		Bounds:  bounds,
-		Packing: cfg.Packing,
-	})
+	t, err := rtree.New(rtree.Config{Fanout: cfg.Fanout, Device: cfg.Device, Bounds: cfg.Bounds})
 	if err != nil {
 		return nil, fmt.Errorf("rstree: %w", err)
 	}

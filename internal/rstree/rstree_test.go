@@ -9,6 +9,7 @@ import (
 	"storm/internal/iosim"
 	"storm/internal/rtree"
 	"storm/internal/sampling"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
@@ -63,7 +64,7 @@ func TestWithoutReplacementComplete(t *testing.T) {
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(9))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -93,7 +94,7 @@ func TestWithoutReplacementCompleteSmallBuffers(t *testing.T) {
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(11))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -126,7 +127,7 @@ func TestUniformFirstSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(1000+i)))
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no first sample")
 		}
@@ -166,7 +167,7 @@ func TestUniformPrefix(t *testing.T) {
 		}
 		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(5000+i)))
 		for j := 0; j < k; j++ {
-			e, ok := sampling.Next(s)
+			e, ok := samplingtest.Next(s)
 			if !ok {
 				t.Fatal("exhausted early")
 			}
@@ -198,7 +199,7 @@ func TestWithReplacement(t *testing.T) {
 	seen := make(map[data.ID]int)
 	n := 3 * len(want)
 	for i := 0; i < n; i++ {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("with-replacement stream ended")
 		}
@@ -231,7 +232,7 @@ func TestWithReplacementUniform(t *testing.T) {
 	const trials = 30000
 	s := idx.Sampler(testQuery, sampling.WithReplacement, stats.NewRNG(29))
 	for i := 0; i < trials; i++ {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("stream ended")
 		}
@@ -260,7 +261,7 @@ func TestEmptyRange(t *testing.T) {
 	for _, mode := range []sampling.Mode{sampling.WithoutReplacement, sampling.WithReplacement} {
 		s := idx.Sampler(empty, mode, stats.NewRNG(1))
 		s.MaxAttempts = 1000
-		if _, ok := sampling.Next(s); ok {
+		if _, ok := samplingtest.Next(s); ok {
 			t.Fatalf("mode %v: empty range should yield nothing", mode)
 		}
 	}
@@ -272,7 +273,7 @@ func TestEmptyIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(1))
-	if _, ok := sampling.Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty index should yield nothing")
 	}
 }
@@ -288,7 +289,7 @@ func TestInsertThenSample(t *testing.T) {
 	// regeneration is exercised by the post-insert query.
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(33))
 	for i := 0; i < 50; i++ {
-		sampling.Next(s)
+		samplingtest.Next(s)
 	}
 
 	for j := 0; j < 200; j++ {
@@ -303,7 +304,7 @@ func TestInsertThenSample(t *testing.T) {
 	s2 := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(37))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s2)
+		e, ok := samplingtest.Next(s2)
 		if !ok {
 			break
 		}
@@ -327,7 +328,7 @@ func TestDeleteThenSample(t *testing.T) {
 	// Warm buffers.
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(43))
 	for i := 0; i < 50; i++ {
-		sampling.Next(s)
+		samplingtest.Next(s)
 	}
 	// Delete a third of the matching records.
 	i := 0
@@ -343,7 +344,7 @@ func TestDeleteThenSample(t *testing.T) {
 	s2 := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(47))
 	got := make(map[data.ID]bool)
 	for {
-		e, ok := sampling.Next(s2)
+		e, ok := samplingtest.Next(s2)
 		if !ok {
 			break
 		}
@@ -378,7 +379,7 @@ func TestSampleMeanUnbiased(t *testing.T) {
 	var sum float64
 	k := 400
 	for i := 0; i < k; i++ {
-		e, ok := sampling.Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("exhausted early")
 		}
@@ -403,7 +404,7 @@ func TestBufferReuseAcrossDraws(t *testing.T) {
 	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(67))
 	k := 500
 	for i := 0; i < k; i++ {
-		if _, ok := sampling.Next(s); !ok {
+		if _, ok := samplingtest.Next(s); !ok {
 			t.Fatal("exhausted early")
 		}
 	}
@@ -420,7 +421,7 @@ func TestBufferRegensCountsOnlyQueryWork(t *testing.T) {
 	drain := func(x *Index, k int) {
 		s := x.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(71))
 		for i := 0; i < k; i++ {
-			sampling.Next(s)
+			samplingtest.Next(s)
 		}
 	}
 	stored := func(x *Index) (nodes uint64) {

@@ -184,9 +184,12 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 
 // initialize builds the query frontier: the maximal subtrees fully inside
 // the query, plus partially-intersecting subtrees that are either leaves
-// or small enough (count <= LazyCutoff) to keep whole — the lazy
-// exploration rule that avoids descending into boundary subtrees that may
-// contribute few samples. A part's subtree is only ever read in full if
+// or small enough (count <= Fanout², i.e. the leaf-parent level) to keep
+// whole — the paper's lazy exploration: "avoid exploring small subtrees in
+// R_Q which are expensive yet relatively useless". Samples drawn from such
+// a subtree that land outside the query are rejected, trading a few
+// wasted (cheap, buffered) draws for never materializing boundary leaves
+// the query may not need. A part's subtree is only ever read in full if
 // sampling pressure exhausts its stored buffer.
 func (s *Sampler) initialize() {
 	s.init = true
@@ -217,7 +220,8 @@ func (s *Sampler) frontier(n *rtree.Node) {
 		return
 	}
 	contained := s.query.ContainsRect(n.MBR())
-	if contained || n.IsLeaf() || n.Count() <= s.index.cfg.LazyCutoff {
+	fan := s.index.cfg.Fanout
+	if contained || n.IsLeaf() || n.Count() <= fan*fan {
 		s.addPart(n, contained, v == pred.All)
 		return
 	}

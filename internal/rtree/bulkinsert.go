@@ -7,7 +7,7 @@ import (
 )
 
 // InsertBatch adds a batch of entries in one pass — the streaming ingest
-// drain path. In Hilbert mode the batch is sorted by Hilbert value once,
+// drain path. The batch is sorted by Hilbert value once,
 // routed down the tree as contiguous runs (each internal node partitions
 // its run among its children with binary searches on the sorted keys),
 // and appended to each target leaf in a single splice; overflowing nodes
@@ -16,16 +16,11 @@ import (
 // search, and the per-record leaf shift, which is what lets the drain
 // keep up with producer-side append rates (see package ingest).
 //
-// The entries slice is reordered in place. Classic (non-Hilbert) trees
-// fall back to per-entry insertion in the order given.
+// The entries slice is reordered in place. A single entry costs several
+// times a per-entry Insert (key and sort allocations), so callers holding
+// one record call Insert.
 func (t *Tree) InsertBatch(entries []data.Entry) {
 	if len(entries) == 0 {
-		return
-	}
-	if t.quant == nil {
-		for _, e := range entries {
-			t.Insert(e)
-		}
 		return
 	}
 	t.version++
@@ -64,7 +59,6 @@ func (t *Tree) batchInsert(n *Node, es []data.Entry, ks []uint64) []*Node {
 		n.keys = append(n.keys, ks...)
 		if len(n.entries) <= t.cfg.Fanout {
 			n.recompute()
-			t.recomputeLHV(n)
 			t.chargeWrite(n)
 			return nil
 		}
@@ -126,11 +120,9 @@ func (t *Tree) splitLeafEven(n *Node) []*Node {
 	n.entries = es[:total/m+min1(total%m)]
 	n.keys = ks[:len(n.entries)]
 	n.recompute()
-	t.recomputeLHV(n)
 	t.chargeWrite(n)
 	for _, s := range siblings {
 		s.recompute()
-		t.recomputeLHV(s)
 		t.chargeWrite(s)
 	}
 	return siblings

@@ -4,22 +4,19 @@ import (
 	"testing"
 
 	"storm/internal/data"
+	"storm/internal/geo"
 )
 
 // TestInsertBatchMatchesBrute checks the batched insert path against
-// brute force in both modes, growing from a bulk-loaded base — the
-// streaming drain scenario: an STR-packed tree absorbing Hilbert-sorted
-// run merges.
+// brute force, growing from a bulk-loaded base — the streaming drain
+// scenario: an STR-packed tree absorbing Hilbert-sorted run merges. With
+// bounds covering every batch, and without: the base's own MBR, which
+// later batch entries may fall outside of (their keys clamp).
 func TestInsertBatchMatchesBrute(t *testing.T) {
 	all := genEntries(8000, 17)
 	base, batch := all[:5000], all[5000:]
-	for _, mode := range []bool{false, true} {
-		cfg := Config{Fanout: 16}
-		if mode {
-			cfg.Hilbert = true
-			cfg.Bounds = EntryBounds(all)
-		}
-		tree := MustNew(cfg)
+	for _, bounds := range []geo.Rect{EntryBounds(all), {}} {
+		tree := MustNew(Config{Fanout: 16, Bounds: bounds})
 		tree.BulkLoad(base)
 		// Several uneven slices so merges hit partially-filled leaves.
 		for lo := 0; lo < len(batch); lo += 700 {
@@ -30,20 +27,20 @@ func TestInsertBatchMatchesBrute(t *testing.T) {
 			chunk := append([]data.Entry(nil), batch[lo:hi]...)
 			tree.InsertBatch(chunk)
 			if err := tree.Validate(); err != nil {
-				t.Fatalf("hilbert=%v: invalid after batch [%d:%d]: %v", mode, lo, hi, err)
+				t.Fatalf("bounds %v: invalid after batch [%d:%d]: %v", bounds, lo, hi, err)
 			}
 		}
 		if tree.Len() != len(all) {
-			t.Fatalf("hilbert=%v: Len = %d, want %d", mode, tree.Len(), len(all))
+			t.Fatalf("bounds %v: Len = %d, want %d", bounds, tree.Len(), len(all))
 		}
 		for _, q := range testQueries() {
 			got := tree.ReportAll(q)
 			want := bruteRange(all, q)
 			if !sameIDs(got, want) {
-				t.Errorf("hilbert=%v range %v: got %d, want %d", mode, q, len(got), len(want))
+				t.Errorf("bounds %v range %v: got %d, want %d", bounds, q, len(got), len(want))
 			}
 			if c := tree.Count(q); c != len(want) {
-				t.Errorf("hilbert=%v Count(%v) = %d, want %d", mode, q, c, len(want))
+				t.Errorf("bounds %v Count(%v) = %d, want %d", bounds, q, c, len(want))
 			}
 		}
 	}
@@ -54,7 +51,7 @@ func TestInsertBatchMatchesBrute(t *testing.T) {
 // levels in one call, and the result must stay valid and complete.
 func TestInsertBatchGrowsEmptyTree(t *testing.T) {
 	entries := genEntries(20000, 23)
-	tree := MustNew(Config{Fanout: 8, Hilbert: true, Bounds: EntryBounds(entries)})
+	tree := MustNew(Config{Fanout: 8, Bounds: EntryBounds(entries)})
 	tree.InsertBatch(append([]data.Entry(nil), entries...))
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("invalid after giant batch: %v", err)
@@ -80,7 +77,7 @@ func TestInsertBatchGrowsEmptyTree(t *testing.T) {
 // key cache and LHVs must survive condensation and reinsertion.
 func TestInsertBatchThenDelete(t *testing.T) {
 	all := genEntries(4000, 31)
-	tree := MustNew(Config{Fanout: 16, Hilbert: true, Bounds: EntryBounds(all)})
+	tree := MustNew(Config{Fanout: 16, Bounds: EntryBounds(all)})
 	tree.BulkLoad(all[:2000])
 	tree.InsertBatch(append([]data.Entry(nil), all[2000:]...))
 	for i := 0; i < 1500; i++ {

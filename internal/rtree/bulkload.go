@@ -17,14 +17,15 @@ import (
 // default, see STROrder) or Hilbert order (the Hilbert R-tree construction
 // the paper's RS-tree is built on) — followed by Pack. Both orders produce
 // leaves filled to the fanout, giving the compact trees the paper assumes.
-// Hilbert-mode trees remain insertable after an STR load: inserts still
-// place by Hilbert value and leaf LHVs are exact maxima either way.
+// The tree remains insertable after an STR load: inserts still place by
+// Hilbert value and leaf LHVs are exact maxima either way.
 func (t *Tree) BulkLoad(entries []data.Entry) {
 	if t.cfg.Packing == PackHilbert {
 		sorted := make([]data.Entry, len(entries))
 		copy(sorted, entries)
+		t.quantizeFor(sorted)
 		t.sortHilbert(sorted)
-		t.Pack(sorted)
+		t.pack(sorted)
 		return
 	}
 	t.Pack(STROrder(t.cfg.Fanout, entries)[0])
@@ -38,8 +39,15 @@ func (t *Tree) BulkLoad(entries []data.Entry) {
 // is filled, leaf by leaf and then level by level — so trees packed one
 // after another charge a shared device exactly as if each had been bulk
 // loaded in turn, however their sorts were scheduled. Leaves copy their
-// entries: sorted is not retained and may back several trees.
+// entries: sorted is not retained and may back several trees. Without
+// Config.Bounds, the keys are quantized over the MBR of sorted.
 func (t *Tree) Pack(sorted []data.Entry) {
+	t.quantizeFor(sorted)
+	t.pack(sorted)
+}
+
+// pack is Pack with the quantizer already set.
+func (t *Tree) pack(sorted []data.Entry) {
 	t.version++
 	t.size = len(sorted)
 	if len(sorted) == 0 {
@@ -233,21 +241,14 @@ func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry) *Node {
 	n := &Node{page: page, leaf: true, mbr: geo.EmptyRect()}
 	n.entries = append(n.entries, entries...)
 	n.count = len(n.entries)
-	for _, e := range n.entries {
+	// Populate the key cache and take the max for the LHV — not the last
+	// key: only Hilbert-sorted input guarantees the last entry carries the
+	// largest value, and STR packing is the default.
+	n.keys = make([]uint64, len(n.entries))
+	for i, e := range n.entries {
 		n.mbr = n.mbr.ExtendPoint(e.Pos)
-	}
-	if t.quant != nil {
-		// Populate the key cache and take the max for the LHV — not the
-		// last key: only Hilbert-sorted input guarantees the last entry
-		// carries the largest value, and STR packing is the default.
-		n.keys = make([]uint64, len(n.entries))
-		for i, e := range n.entries {
-			v := t.hilbertValue(e.Pos)
-			n.keys[i] = v
-			if v > n.lhv {
-				n.lhv = v
-			}
-		}
+		n.keys[i] = t.hilbertValue(e.Pos)
+		n.lhv = max(n.lhv, n.keys[i])
 	}
 	return n
 }

@@ -48,11 +48,8 @@ func (t *Tree) delete(n *Node, e data.Entry, orphans *[]data.Entry) bool {
 		for i, cur := range n.entries {
 			if cur.ID == e.ID && cur.Pos == e.Pos {
 				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				if n.keys != nil {
-					n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				}
+				n.keys = append(n.keys[:i], n.keys[i+1:]...)
 				n.recompute()
-				t.recomputeLHV(n)
 				t.chargeWrite(n)
 				return true
 			}

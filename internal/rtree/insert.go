@@ -7,10 +7,10 @@ import (
 	"storm/internal/geo"
 )
 
-// Insert adds one entry to the tree. In Hilbert mode the entry is placed by
-// its Hilbert value, preserving the Hilbert ordering of the leaf level; in
-// classic mode the least-enlargement (Guttman) descent with quadratic
-// splits is used.
+// Insert adds one entry to the tree, placed by its Hilbert value: the
+// descent takes the first child whose LHV covers the key, the entry joins
+// its leaf in key order, and an overflowing node splits at its midpoint,
+// so the leaf level stays in curve order.
 func (t *Tree) Insert(e data.Entry) {
 	t.version++
 	h := t.hilbertValue(e.Pos)
@@ -33,21 +33,17 @@ func (t *Tree) insert(n *Node, e data.Entry, h uint64) *Node {
 	t.Charge(n)
 	n.version++
 	if n.leaf {
-		if t.quant != nil {
-			// Keep leaf entries sorted by Hilbert value, searching the
-			// cached keys rather than re-quantizing each probed entry.
-			idx := sort.Search(len(n.keys), func(i int) bool {
-				return n.keys[i] >= h
-			})
-			n.entries = append(n.entries, data.Entry{})
-			copy(n.entries[idx+1:], n.entries[idx:])
-			n.entries[idx] = e
-			n.keys = append(n.keys, 0)
-			copy(n.keys[idx+1:], n.keys[idx:])
-			n.keys[idx] = h
-		} else {
-			n.entries = append(n.entries, e)
-		}
+		// Keep leaf entries sorted by Hilbert value, searching the cached
+		// keys rather than re-quantizing each probed entry.
+		idx := sort.Search(len(n.keys), func(i int) bool {
+			return n.keys[i] >= h
+		})
+		n.entries = append(n.entries, data.Entry{})
+		copy(n.entries[idx+1:], n.entries[idx:])
+		n.entries[idx] = e
+		n.keys = append(n.keys, 0)
+		copy(n.keys[idx+1:], n.keys[idx:])
+		n.keys[idx] = h
 		n.count++
 		n.mbr = n.mbr.ExtendPoint(e.Pos)
 		if h > n.lhv {
@@ -60,7 +56,7 @@ func (t *Tree) insert(n *Node, e data.Entry, h uint64) *Node {
 		return nil
 	}
 
-	childIdx := t.chooseChild(n, e, h)
+	childIdx := chooseChild(n, h)
 	child := n.children[childIdx]
 	sibling := t.insert(child, e, h)
 	n.count++
@@ -82,77 +78,40 @@ func (t *Tree) insert(n *Node, e data.Entry, h uint64) *Node {
 	return nil
 }
 
-// chooseChild selects the child of n that should receive e.
-func (t *Tree) chooseChild(n *Node, e data.Entry, h uint64) int {
-	if t.quant != nil {
-		// Hilbert R-tree descent: the first child whose largest Hilbert
-		// value is >= h; fall through to the last child otherwise.
-		for i, c := range n.children {
-			if c.lhv >= h {
-				return i
-			}
-		}
-		return len(n.children) - 1
-	}
-	// Guttman: minimal volume enlargement, ties by smaller volume.
-	er := pointRect(e)
-	best := 0
-	bestEnl := n.children[0].mbr.Enlargement(er)
-	bestVol := n.children[0].mbr.Volume()
-	for i := 1; i < len(n.children); i++ {
-		c := n.children[i]
-		enl := c.mbr.Enlargement(er)
-		vol := c.mbr.Volume()
-		if enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-			best, bestEnl, bestVol = i, enl, vol
+// chooseChild selects the child of n that receives key h: the first child
+// whose largest Hilbert value is >= h, else the last child.
+func chooseChild(n *Node, h uint64) int {
+	for i, c := range n.children {
+		if c.lhv >= h {
+			return i
 		}
 	}
-	return best
+	return len(n.children) - 1
 }
 
-// pointRect returns the degenerate rectangle of an entry's position.
-func pointRect(e data.Entry) geo.Rect { return geo.RectFromPoint(e.Pos) }
-
-// emptyRect is a local alias kept next to its uses in recompute.
-func emptyRect() geo.Rect { return geo.EmptyRect() }
-
-// splitLeaf splits an overflowing leaf and returns the new right sibling.
+// splitLeaf splits an overflowing leaf at the midpoint of its Hilbert-sorted
+// entries (the key cache splits with them) and returns the new right
+// sibling.
 func (t *Tree) splitLeaf(n *Node) *Node {
-	var right *Node
-	if t.quant != nil {
-		// Entries are Hilbert-sorted: split at the midpoint to preserve
-		// the ordering invariant; the key cache splits with them.
-		mid := len(n.entries) / 2
-		right = t.newNode(true)
-		right.entries = append(right.entries, n.entries[mid:]...)
-		n.entries = n.entries[:mid]
-		right.keys = append(right.keys, n.keys[mid:]...)
-		n.keys = n.keys[:mid]
-	} else {
-		right = t.newNode(true)
-		t.quadraticSplitLeaf(n, right)
-	}
+	mid := len(n.entries) / 2
+	right := t.newNode(true)
+	right.entries = append(right.entries, n.entries[mid:]...)
+	n.entries = n.entries[:mid]
+	right.keys = append(right.keys, n.keys[mid:]...)
+	n.keys = n.keys[:mid]
 	n.recompute()
-	t.recomputeLHV(n)
 	right.recompute()
-	t.recomputeLHV(right)
 	t.chargeWrite(n)
 	t.chargeWrite(right)
 	return right
 }
 
-// splitInternal splits an overflowing internal node.
+// splitInternal splits an overflowing internal node at its midpoint.
 func (t *Tree) splitInternal(n *Node) *Node {
-	var right *Node
-	if t.quant != nil {
-		mid := len(n.children) / 2
-		right = t.newNode(false)
-		right.children = append(right.children, n.children[mid:]...)
-		n.children = n.children[:mid]
-	} else {
-		right = t.newNode(false)
-		t.quadraticSplitInternal(n, right)
-	}
+	mid := len(n.children) / 2
+	right := t.newNode(false)
+	right.children = append(right.children, n.children[mid:]...)
+	n.children = n.children[:mid]
 	n.recompute()
 	right.recompute()
 	t.chargeWrite(n)
@@ -160,139 +119,25 @@ func (t *Tree) splitInternal(n *Node) *Node {
 	return right
 }
 
-// quadraticSplitLeaf distributes n's entries between n and right using
-// Guttman's quadratic split on point seeds.
-func (t *Tree) quadraticSplitLeaf(n, right *Node) {
-	entries := n.entries
-	// Pick the two seeds that waste the most volume if grouped.
-	s1, s2 := 0, 1
-	worst := -1.0
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].Pos.Dist(entries[j].Pos)
-			if d > worst {
-				worst, s1, s2 = d, i, j
-			}
-		}
-	}
-	left := []data.Entry{entries[s1]}
-	rightE := []data.Entry{entries[s2]}
-	lm := pointRect(entries[s1])
-	rm := pointRect(entries[s2])
-	minEach := t.minFill
-	for i, e := range entries {
-		if i == s1 || i == s2 {
-			continue
-		}
-		remaining := len(entries) - i - 1
-		// Force assignment when a side needs everything left to reach
-		// minimum fill.
-		if len(left)+remaining+1 <= minEach {
-			left = append(left, e)
-			lm = lm.ExtendPoint(e.Pos)
-			continue
-		}
-		if len(rightE)+remaining+1 <= minEach {
-			rightE = append(rightE, e)
-			rm = rm.ExtendPoint(e.Pos)
-			continue
-		}
-		dl := lm.Enlargement(pointRect(e))
-		dr := rm.Enlargement(pointRect(e))
-		if dl < dr || (dl == dr && len(left) <= len(rightE)) {
-			left = append(left, e)
-			lm = lm.ExtendPoint(e.Pos)
-		} else {
-			rightE = append(rightE, e)
-			rm = rm.ExtendPoint(e.Pos)
-		}
-	}
-	n.entries = left
-	right.entries = rightE
-}
-
-// quadraticSplitInternal distributes n's children between n and right.
-func (t *Tree) quadraticSplitInternal(n, right *Node) {
-	children := n.children
-	s1, s2 := 0, 1
-	worst := -1.0
-	for i := 0; i < len(children); i++ {
-		for j := i + 1; j < len(children); j++ {
-			waste := children[i].mbr.Extend(children[j].mbr).Volume() -
-				children[i].mbr.Volume() - children[j].mbr.Volume()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	left := []*Node{children[s1]}
-	rightC := []*Node{children[s2]}
-	lm := children[s1].mbr
-	rm := children[s2].mbr
-	minEach := t.minFill
-	for i, c := range children {
-		if i == s1 || i == s2 {
-			continue
-		}
-		remaining := len(children) - i - 1
-		if len(left)+remaining+1 <= minEach {
-			left = append(left, c)
-			lm = lm.Extend(c.mbr)
-			continue
-		}
-		if len(rightC)+remaining+1 <= minEach {
-			rightC = append(rightC, c)
-			rm = rm.Extend(c.mbr)
-			continue
-		}
-		dl := lm.Enlargement(c.mbr)
-		dr := rm.Enlargement(c.mbr)
-		if dl < dr || (dl == dr && len(left) <= len(rightC)) {
-			left = append(left, c)
-			lm = lm.Extend(c.mbr)
-		} else {
-			rightC = append(rightC, c)
-			rm = rm.Extend(c.mbr)
-		}
-	}
-	n.children = left
-	right.children = rightC
-}
-
-// recompute rebuilds n's MBR, count, and (for internal nodes) LHV from its
-// direct contents.
+// recompute rebuilds n's MBR, count and LHV from its direct contents —
+// for a leaf, from its cached keys; the max, not the last key: after an
+// STR bulk load a leaf's keys are not Hilbert-sorted (see BulkLoad).
 func (n *Node) recompute() {
-	n.mbr = emptyRect()
+	n.mbr = geo.EmptyRect()
 	n.version++
+	n.lhv = 0
 	if n.leaf {
 		n.count = len(n.entries)
-		for _, e := range n.entries {
+		for i, e := range n.entries {
 			n.mbr = n.mbr.ExtendPoint(e.Pos)
+			n.lhv = max(n.lhv, n.keys[i])
 		}
 		return
 	}
 	n.count = 0
-	n.lhv = 0
 	for _, c := range n.children {
 		n.mbr = n.mbr.Extend(c.mbr)
 		n.count += c.count
-		if c.lhv > n.lhv {
-			n.lhv = c.lhv
-		}
-	}
-}
-
-// recomputeLHV refreshes a leaf's largest Hilbert value after a split or
-// delete, from the cached keys. Max, not last: after an STR bulk load the
-// leaf's keys are not Hilbert-sorted (see BulkLoad).
-func (t *Tree) recomputeLHV(n *Node) {
-	if t.quant == nil || !n.leaf {
-		return
-	}
-	n.lhv = 0
-	for _, h := range n.keys {
-		if h > n.lhv {
-			n.lhv = h
-		}
+		n.lhv = max(n.lhv, c.lhv)
 	}
 }

@@ -1,11 +1,18 @@
 // Package rtree implements the disk-aware R-tree substrate underneath
-// STORM's sampling indexes.
+// STORM's sampling indexes: one Hilbert R-tree (Kamel & Faloutsos, VLDB
+// 1994), the only kind of tree in the system.
 //
-// The tree supports STR and Hilbert bulk loading, dynamic inserts and
-// deletes, range reporting, exact range counting via per-node subtree
-// counts, and canonical-set computation. Every node is mapped to a page of
-// a simulated block device (package iosim), so traversals produce the
-// I/O counts that the paper's Figure 3(a) compares across sampling methods.
+// Every leaf entry carries its Hilbert value (cached beside the entry) and
+// every node the largest value below it (its LHV). Inserts descend to the
+// first child whose LHV covers the new key and split overflowing nodes at
+// the midpoint of their curve order; batches merge as Hilbert-sorted runs.
+// Bulk loads pack STR order (the default) or Hilbert order; either way the
+// keys and LHVs are exact, so a packed tree stays insertable. The tree also
+// supports deletes, range reporting, exact range counting via per-node
+// subtree counts, and canonical-set computation. Every node is mapped to a
+// page of a simulated block device (package iosim), so traversals produce
+// the I/O counts that the paper's Figure 3(a) compares across sampling
+// methods.
 //
 // Each node additionally stores the cardinality of its subtree. Subtree
 // counts are what make weighted random descent (Olken's RandomPath) and the
@@ -51,8 +58,7 @@ type Packing int
 const (
 	// PackSTR packs bulk loads in Sort-Tile-Recursive order (default).
 	PackSTR Packing = iota
-	// PackHilbert packs bulk loads in Hilbert-curve order. Requires
-	// Hilbert mode (the quantizer supplies the ordering).
+	// PackHilbert packs bulk loads in Hilbert-curve order.
 	PackHilbert
 )
 
@@ -62,14 +68,11 @@ type Config struct {
 	Fanout int
 	// Device charges page accesses; nil means no accounting.
 	Device iosim.Accountant
-	// Hilbert enables Hilbert ordering: inserts place entries by Hilbert
-	// value (and PackHilbert becomes available). Requires Bounds.
-	Hilbert bool
-	// Bounds is the coordinate space used to quantize Hilbert values.
-	// Required when Hilbert is true; ignored otherwise.
+	// Bounds is the coordinate space Hilbert values are quantized over;
+	// out-of-box coordinates clamp. When unset, a bulk load or pack
+	// quantizes over its entries' MBR, and a tree that has only seen
+	// inserts over the unit box (HilbertBounds is the rule).
 	Bounds geo.Rect
-	// HilbertOrder is the curve order (bits per dimension); 0 means 16.
-	HilbertOrder uint
 	// Packing selects the bulk-load sort order; the zero value is STR.
 	Packing Packing
 }
@@ -81,10 +84,37 @@ func (c Config) withDefaults() Config {
 	if c.Device == nil {
 		c.Device = iosim.Discard
 	}
-	if c.HilbertOrder == 0 {
-		c.HilbertOrder = 16
-	}
 	return c
+}
+
+// curve is the Hilbert curve of every key — tree placement and cluster
+// partitioning alike: order 16, i.e. 16 bits per dimension.
+var curve = hilbert.MustNew(geo.Dims, 16)
+
+// HilbertBounds is the one rule for the box Hilbert values are quantized
+// over: bounds when set, else the MBR of entries, else the unit box (no
+// entries, or every one at the origin). A box is unset when it is empty or
+// the zero Rect.
+func HilbertBounds(bounds geo.Rect, entries []data.Entry) geo.Rect {
+	unset := func(r geo.Rect) bool { return r.IsEmpty() || r == (geo.Rect{}) }
+	if unset(bounds) {
+		bounds = EntryBounds(entries)
+	}
+	if unset(bounds) {
+		bounds = geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 1, 1})
+	}
+	return bounds
+}
+
+// NewQuantizer returns the quantizer that maps positions in b (a box
+// HilbertBounds returned) onto the curve every tree keys its entries with.
+func NewQuantizer(b geo.Rect) *hilbert.Quantizer {
+	q, err := hilbert.NewQuantizer(curve, b.Min[:], b.Max[:])
+	if err != nil {
+		// Only an inverted box fails, and HilbertBounds never returns one.
+		panic(fmt.Sprintf("rtree: %v", err))
+	}
+	return q
 }
 
 // Node is an R-tree node. Leaves hold data entries; internal nodes hold
@@ -99,7 +129,7 @@ type Node struct {
 	children []*Node
 	entries  []data.Entry
 	// keys caches the Hilbert value of each leaf entry, index-parallel to
-	// entries (Hilbert mode only; nil in classic mode). The quantizer walk
+	// entries (nil for internal nodes). The quantizer walk
 	// costs hundreds of nanoseconds, and without the cache a single insert
 	// recomputes it O(log fanout) times inside the placement search — the
 	// streaming drain path is insert-rate-bound on exactly that.
@@ -132,12 +162,11 @@ func (n *Node) Children() []*Node { return n.children }
 // Entries returns the data entries of a leaf node (nil for internal nodes).
 func (n *Node) Entries() []data.Entry { return n.entries }
 
-// LHV returns the largest Hilbert value of any entry below n (0 in classic
-// mode).
+// LHV returns the largest Hilbert value of any entry below n.
 func (n *Node) LHV() uint64 { return n.lhv }
 
 // HilbertKeys returns a leaf's cached Hilbert values, index-parallel to
-// Entries (nil in classic mode and for internal nodes). Read-only.
+// Entries (nil for internal nodes). Read-only.
 func (n *Node) HilbertKeys() []uint64 { return n.keys }
 
 // Version returns a counter that changes whenever the subtree's contents
@@ -194,21 +223,7 @@ func New(cfg Config) (*Tree, error) {
 	if cfg.Packing != PackSTR && cfg.Packing != PackHilbert {
 		return nil, fmt.Errorf("rtree: unknown packing %d", cfg.Packing)
 	}
-	if cfg.Packing == PackHilbert && !cfg.Hilbert {
-		return nil, fmt.Errorf("rtree: PackHilbert requires Hilbert mode")
-	}
-	if cfg.Hilbert {
-		if cfg.Bounds.IsEmpty() || cfg.Bounds == (geo.Rect{}) {
-			return nil, fmt.Errorf("rtree: Hilbert mode requires non-empty Bounds")
-		}
-		curve := hilbert.MustNew(geo.Dims, cfg.HilbertOrder)
-		q, err := hilbert.NewQuantizer(curve,
-			cfg.Bounds.Min[:], cfg.Bounds.Max[:])
-		if err != nil {
-			return nil, fmt.Errorf("rtree: %w", err)
-		}
-		t.quant = q
-	}
+	t.quant = NewQuantizer(HilbertBounds(cfg.Bounds, nil))
 	t.root = t.newNode(true)
 	t.height = 1
 	return t, nil
@@ -257,12 +272,16 @@ func (t *Tree) Device() iosim.Accountant { return t.cfg.Device }
 // chargeWrite accounts a page write for n.
 func (t *Tree) chargeWrite(n *Node) { t.cfg.Device.Write(n.page) }
 
-// hilbertValue returns the Hilbert value of p, or 0 in non-Hilbert mode.
+// hilbertValue returns the Hilbert value of p.
 func (t *Tree) hilbertValue(p geo.Vec) uint64 {
-	if t.quant == nil {
-		return 0
-	}
 	return t.quant.Value3(p[0], p[1], p[2])
+}
+
+// quantizeFor sets the quantizer a bulk load or pack of entries keys its
+// leaves with: the configured bounds when set, else the entries' own MBR.
+// The load replaces every key in the tree, so none is left stale.
+func (t *Tree) quantizeFor(entries []data.Entry) {
+	t.quant = NewQuantizer(HilbertBounds(t.cfg.Bounds, entries))
 }
 
 // NodeCount returns the total number of nodes, walking the whole tree.

@@ -75,11 +75,12 @@ func testQueries() []geo.Rect {
 	}
 }
 
+// buildBoth bulk-loads the entries in both packing orders.
 func buildBoth(t *testing.T, entries []data.Entry) []*Tree {
 	t.Helper()
 	str := MustNew(Config{Fanout: 16})
 	str.BulkLoad(entries)
-	hil := MustNew(Config{Fanout: 16, Hilbert: true, Bounds: EntryBounds(entries)})
+	hil := MustNew(Config{Fanout: 16, Packing: PackHilbert})
 	hil.BulkLoad(entries)
 	return []*Tree{str, hil}
 }
@@ -188,20 +189,18 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
+// TestInsertMatchesBrute inserts one entry at a time into a tree with
+// bounds and into one without, whose unit box clamps nearly every key to
+// one corner: the degenerate keys must still give a valid, complete tree.
 func TestInsertMatchesBrute(t *testing.T) {
 	entries := genEntries(3000, 2)
-	for _, mode := range []bool{false, true} {
-		cfg := Config{Fanout: 8}
-		if mode {
-			cfg.Hilbert = true
-			cfg.Bounds = geo.NewRect(geo.Vec{-200, -200, 0}, geo.Vec{1200, 1200, 1000})
-		}
-		tree := MustNew(cfg)
+	for _, bounds := range []geo.Rect{geo.NewRect(geo.Vec{-200, -200, 0}, geo.Vec{1200, 1200, 1000}), {}} {
+		tree := MustNew(Config{Fanout: 8, Bounds: bounds})
 		for _, e := range entries {
 			tree.Insert(e)
 		}
 		if err := tree.Validate(); err != nil {
-			t.Fatalf("hilbert=%v: invalid after inserts: %v", mode, err)
+			t.Fatalf("bounds %v: invalid after inserts: %v", bounds, err)
 		}
 		if tree.Len() != len(entries) {
 			t.Fatalf("Len = %d", tree.Len())
@@ -210,8 +209,55 @@ func TestInsertMatchesBrute(t *testing.T) {
 			got := tree.ReportAll(q)
 			want := bruteRange(entries, q)
 			if !sameIDs(got, want) {
-				t.Errorf("hilbert=%v range %v: got %d, want %d", mode, q, len(got), len(want))
+				t.Errorf("bounds %v range %v: got %d, want %d", bounds, q, len(got), len(want))
 			}
+		}
+	}
+}
+
+// TestHilbertBounds pins the one bounds rule — set bounds, else the
+// entries' MBR, else the unit box — and that a pack without bounds keys
+// its leaves exactly as a pack over its own MBR does.
+func TestHilbertBounds(t *testing.T) {
+	entries := genEntries(2000, 12)
+	mbr := EntryBounds(entries)
+	set := geo.NewRect(geo.Vec{-1, -1, -1}, geo.Vec{2, 2, 2})
+	unit := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 1, 1})
+	origin := []data.Entry{{ID: 1}}
+	for _, c := range []struct {
+		bounds  geo.Rect
+		entries []data.Entry
+		want    geo.Rect
+	}{
+		{set, entries, set},
+		{geo.Rect{}, entries, mbr},
+		{geo.EmptyRect(), entries, mbr},
+		{geo.Rect{}, nil, unit},
+		{geo.Rect{}, origin, unit},
+	} {
+		if got := HilbertBounds(c.bounds, c.entries); got != c.want {
+			t.Errorf("HilbertBounds(%v, %d entries) = %v, want %v", c.bounds, len(c.entries), got, c.want)
+		}
+	}
+	sorted := STROrder(16, entries)[0]
+	derived, explicit := MustNew(Config{Fanout: 16}), MustNew(Config{Fanout: 16, Bounds: mbr})
+	derived.Pack(sorted)
+	explicit.Pack(sorted)
+	var keys func(n *Node) []uint64
+	keys = func(n *Node) []uint64 {
+		out := append([]uint64{n.LHV()}, n.HilbertKeys()...)
+		for _, c := range n.Children() {
+			out = append(out, keys(c)...)
+		}
+		return out
+	}
+	a, b := keys(derived.Root()), keys(explicit.Root())
+	if len(a) != len(b) {
+		t.Fatalf("key walks differ in length: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("key %d: derived %d, explicit %d", i, a[i], b[i])
 		}
 	}
 }
@@ -413,8 +459,8 @@ func TestFanoutValidation(t *testing.T) {
 	if _, err := New(Config{Fanout: 2}); err == nil {
 		t.Error("fanout 2 should be rejected")
 	}
-	if _, err := New(Config{Hilbert: true}); err == nil {
-		t.Error("hilbert without bounds should be rejected")
+	if _, err := New(Config{Packing: PackHilbert + 1}); err == nil {
+		t.Error("unknown packing should be rejected")
 	}
 }
 

@@ -1,6 +1,10 @@
 package rtree
 
-import "fmt"
+import (
+	"fmt"
+
+	"storm/internal/geo"
+)
 
 // Validate checks the structural invariants of the tree and returns the
 // first violation found, or nil. It is exercised by the test suite after
@@ -10,7 +14,8 @@ import "fmt"
 //   - every node's count equals the number of entries in its subtree,
 //   - leaves all sit at the same depth,
 //   - non-root nodes respect fanout bounds,
-//   - in Hilbert mode, each node's LHV is the max Hilbert value below it.
+//   - every leaf's key cache holds its entries' Hilbert values,
+//   - each node's LHV is the max Hilbert value below it.
 func (t *Tree) Validate() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")
@@ -33,15 +38,15 @@ func (t *Tree) validate(n *Node, isRoot bool) (depth, count int, err error) {
 		if !isRoot && len(n.entries) > t.cfg.Fanout {
 			return 0, 0, fmt.Errorf("rtree: leaf overflow: %d entries > fanout %d", len(n.entries), t.cfg.Fanout)
 		}
-		mbr := emptyRect()
+		mbr := geo.EmptyRect()
 		var lhv uint64
-		if t.quant != nil && len(n.keys) != len(n.entries) {
+		if len(n.keys) != len(n.entries) {
 			return 0, 0, fmt.Errorf("rtree: leaf key cache holds %d keys for %d entries", len(n.keys), len(n.entries))
 		}
 		for i, e := range n.entries {
 			mbr = mbr.ExtendPoint(e.Pos)
 			h := t.hilbertValue(e.Pos)
-			if t.quant != nil && n.keys[i] != h {
+			if n.keys[i] != h {
 				return 0, 0, fmt.Errorf("rtree: leaf key cache %d != Hilbert value %d for entry %d", n.keys[i], h, e.ID)
 			}
 			if h > lhv {
@@ -54,7 +59,7 @@ func (t *Tree) validate(n *Node, isRoot bool) (depth, count int, err error) {
 		if n.count != len(n.entries) {
 			return 0, 0, fmt.Errorf("rtree: leaf count %d != %d entries", n.count, len(n.entries))
 		}
-		if t.quant != nil && n.lhv != lhv {
+		if n.lhv != lhv {
 			return 0, 0, fmt.Errorf("rtree: leaf LHV %d != computed %d", n.lhv, lhv)
 		}
 		return 1, n.count, nil
@@ -66,7 +71,7 @@ func (t *Tree) validate(n *Node, isRoot bool) (depth, count int, err error) {
 	if !isRoot && len(n.children) < 2 {
 		return 0, 0, fmt.Errorf("rtree: internal node with %d children", len(n.children))
 	}
-	mbr := emptyRect()
+	mbr := geo.EmptyRect()
 	total := 0
 	childDepth := -1
 	var lhv uint64
@@ -92,7 +97,7 @@ func (t *Tree) validate(n *Node, isRoot bool) (depth, count int, err error) {
 	if n.count != total {
 		return 0, 0, fmt.Errorf("rtree: internal count %d != children sum %d", n.count, total)
 	}
-	if t.quant != nil && n.lhv != lhv {
+	if n.lhv != lhv {
 		return 0, 0, fmt.Errorf("rtree: internal LHV %d != children max %d", n.lhv, lhv)
 	}
 	return childDepth + 1, total, nil

@@ -32,8 +32,8 @@ import (
 const goldenSerialFile = "testdata/golden_serial_streams.txt"
 
 // goldenPulls are the pull patterns every case must reproduce its golden
-// line under: one sample at a time through sampling.Next, and a cyclic mix
-// of the sizes the engine's driver issues (it grows 16 → 1024) with
+// line under: one sample at a time through samplingtest.Next, and a cyclic
+// mix of the sizes the engine's driver issues (it grows 16 → 1024) with
 // one-sample pulls in between.
 var goldenPulls = [][]int{nil, {1, 7, 64, 1, 1024}}
 
@@ -48,14 +48,14 @@ type goldenCase struct {
 }
 
 // goldenDrain pulls s with the cyclic size pattern — nil means
-// sampling.Next — and renders the stream as "<samples> <sha256>".
+// samplingtest.Next — and renders the stream as "<samples> <sha256>".
 func goldenDrain(s sampling.Sampler, sizes []int, limit int) string {
 	var ids []data.ID
 	if sizes != nil {
 		ids = samplingtest.Drain(s, sizes, limit)
 	} else {
 		for limit < 0 || len(ids) < limit {
-			e, ok := sampling.Next(s)
+			e, ok := samplingtest.Next(s)
 			if !ok {
 				break
 			}

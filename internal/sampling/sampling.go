@@ -67,16 +67,6 @@ type Sampler interface {
 	Close() error
 }
 
-// Next draws one sample — the k = 1 pull — for callers that consume a
-// stream record by record; ok is false once the stream is exhausted. Each
-// call allocates its one-element destination, so a loop drawing many
-// samples should pull into a reused buffer with NextBatch instead.
-func Next(s Sampler) (e data.Entry, ok bool) {
-	var one [1]data.Entry
-	n := s.NextBatch(one[:], 1)
-	return one[0], n == 1
-}
-
 // QueryFirst is the paper's first strawman: compute P ∩ Q in full, then
 // stream a random permutation of the result. Its cost is O(r(N) + q) to
 // produce the first sample — the cost of a full range-reporting query —

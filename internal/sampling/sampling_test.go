@@ -8,6 +8,7 @@ import (
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/rtree"
+	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
 
@@ -47,7 +48,7 @@ func newFixture(t testing.TB, n int, seed int64) *fixture {
 func drainAll(s Sampler, limit int) []data.Entry {
 	var out []data.Entry
 	for len(out) < limit {
-		e, ok := Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			break
 		}
@@ -83,7 +84,7 @@ func checkUniformFirstSample(t *testing.T, f *fixture, mk func(seed int64) Sampl
 	const trials = 30000
 	for i := 0; i < trials; i++ {
 		s := mk(int64(1000 + i))
-		e, ok := Next(s)
+		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("sampler empty on first draw")
 		}
@@ -133,7 +134,7 @@ func TestQueryFirstEmptyRange(t *testing.T) {
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	for _, mode := range []Mode{WithoutReplacement, WithReplacement} {
 		s := NewQueryFirst(f.tree, empty, mode, stats.NewRNG(1))
-		if _, ok := Next(s); ok {
+		if _, ok := samplingtest.Next(s); ok {
 			t.Error("empty range should yield no samples")
 		}
 	}
@@ -157,7 +158,7 @@ func TestSampleFirstEmptyRangeTerminates(t *testing.T) {
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := NewSampleFirst(f.ds, empty, WithReplacement, stats.NewRNG(1), iosim.Discard, 64)
 	s.MaxAttempts = 10000
-	if _, ok := Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty range should exhaust via MaxAttempts")
 	}
 	if s.Attempts() != 10000 {
@@ -169,7 +170,7 @@ func TestSampleFirstEmptyDataset(t *testing.T) {
 	ds := data.NewDataset("empty")
 	q := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 1, 1})
 	s := NewSampleFirst(ds, q, WithReplacement, stats.NewRNG(1), iosim.Discard, 64)
-	if _, ok := Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty dataset should yield nothing")
 	}
 }
@@ -225,7 +226,7 @@ func TestRandomPathEmptyRange(t *testing.T) {
 	f := newFixture(t, 500, 10)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
 	s := NewRandomPath(f.tree, empty, WithoutReplacement, stats.NewRNG(1))
-	if _, ok := Next(s); ok {
+	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty range should yield nothing")
 	}
 }
@@ -252,7 +253,7 @@ func TestSamplerMeansAgree(t *testing.T) {
 		var sum float64
 		k := f.q / 2
 		for i := 0; i < k; i++ {
-			e, ok := Next(s)
+			e, ok := samplingtest.Next(s)
 			if !ok {
 				t.Fatalf("%s exhausted early", s.Name())
 			}
@@ -270,7 +271,7 @@ func TestSampleFirstChargesIO(t *testing.T) {
 	dev := iosim.NewDevice(0, iosim.DefaultCostModel())
 	s := NewSampleFirst(f.ds, f.query, WithReplacement, stats.NewRNG(5), dev, 64)
 	for i := 0; i < 100; i++ {
-		Next(s)
+		samplingtest.Next(s)
 	}
 	if dev.Stats().Logical == 0 {
 		t.Error("SampleFirst should charge page accesses")

@@ -1,6 +1,6 @@
-// Package samplingtest holds the chunking-invariance check every
-// sampling.Sampler implementation's tests share: a seeded stream must come
-// out the same however the pulls are sized.
+// Package samplingtest holds what every sampling.Sampler implementation's
+// tests share: the one-sample pull Next, and the chunking-invariance check
+// (a seeded stream must come out the same however the pulls are sized).
 package samplingtest
 
 import (
@@ -14,6 +14,14 @@ import (
 // sampling's in-package tests can import this package without a cycle.
 type Drawer interface {
 	NextBatch(dst []data.Entry, k int) int
+}
+
+// Next draws one sample — the k = 1 pull — for tests that consume a stream
+// record by record; ok is false once the stream is exhausted.
+func Next(s Drawer) (e data.Entry, ok bool) {
+	var one [1]data.Entry
+	n := s.NextBatch(one[:], 1)
+	return one[0], n == 1
 }
 
 // Drain pulls from s with the cyclic size pattern and returns the IDs in

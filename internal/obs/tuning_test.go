@@ -23,8 +23,8 @@ func TestTuningHistogramBasics(t *testing.T) {
 		h.Observe(v)
 	}
 	s = h.Snapshot()
-	if s.Count != 4 || s.Sum != 104.5 {
-		t.Fatalf("count/sum = %d/%v, want 4/104.5", s.Count, s.Sum)
+	if s.Count != 4 || s.Sum != 104.5 || s.Mean() != 104.5/4 {
+		t.Fatalf("count/sum/mean = %d/%v/%v, want 4/104.5/26.125", s.Count, s.Sum, s.Mean())
 	}
 	// 0.5 and 1 share bucket 0 (bound 1); 3 lands in bucket 2 (bound 4);
 	// 100 in bucket 7 (bound 128).
@@ -91,8 +91,8 @@ func TestTuningHistogramNil(t *testing.T) {
 	if h.Rescales() != 0 {
 		t.Fatal("nil Rescales must be 0")
 	}
-	if s := h.Snapshot(); s.Count != 0 || s.Bounds != nil {
-		t.Fatalf("nil Snapshot must be empty, got %+v", s)
+	if s := h.Snapshot(); s.Count != 0 || s.Bounds != nil || s.Mean() != 0 {
+		t.Fatalf("nil Snapshot must be empty with mean 0, got %+v", s)
 	}
 	if h.MetricValue() == nil {
 		t.Fatal("nil MetricValue must still return a snapshot value")

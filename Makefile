@@ -46,7 +46,9 @@ bench-batch:
 	$(GO) test -run NONE -bench 'BenchmarkBatchedSampling' -benchtime 500x -count 5 -benchmem .
 
 # Godoc discipline: every exported identifier in the observability-facing
-# packages must have a doc comment (stdlib-only checker, see cmd/docslint).
+# packages must have a doc comment; and the document caps: CHANGES.md
+# entries from 31 on are one paragraph of <= 150 words, DESIGN.md stays
+# within 72 KiB (stdlib-only checker, see cmd/docslint).
 docs-lint:
 	$(GO) run ./cmd/docslint
 
@@ -87,8 +89,10 @@ test-stats:
 # panic on arbitrary frames, decode∘encode identity), the dataset snapshot
 # decoder (no panic on arbitrary bytes, decode∘encode identity), the query
 # language's WHERE, contract and LAST-window grammars (no panic, canonical
-# fixpoints) — and over the Hilbert key of any three floats, which must be
-# the generic transform's (every shard boundary and page ID hangs off it).
+# fixpoints) — over the Hilbert key of any three floats, which must be
+# the generic transform's (every shard boundary and page ID hangs off it),
+# and over the MBR of any rectangle and point, which must be the
+# math.Min/math.Max one bit for bit (every node MBR hangs off it).
 # The checked-in corpora also run on plain `go test`.
 fuzz-smoke:
 	$(GO) test -run FuzzParseFaultPlan -fuzz FuzzParseFaultPlan -fuzztime 15s ./internal/distr/
@@ -98,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseContract -fuzz FuzzParseContract -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzParseWindow -fuzz FuzzParseWindow -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzValue3 -fuzz FuzzValue3 -fuzztime 15s ./internal/hilbert/
+	$(GO) test -run FuzzExtendPoint -fuzz FuzzExtendPoint -fuzztime 15s ./internal/geo/
 
 # Real-process cluster smoke: build stormd, spawn 4 -role=shard processes
 # plus a coordinator, query over HTTP, kill one shard host mid-stream and

@@ -409,13 +409,11 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 // BenchmarkRegister times engine.Register of the benchmark-of-record dataset
-// with both indexes (IndexOptions.LSTree; stormd registers without it and
-// leaves the LS-tree to the first query that asks for it, so a start pays
-// less than this). gen-ms is the generation of that dataset, which
-// a starting stormd pays first; sort-ms and pack-ms split one further build
-// into the same two halves Register runs — the pure STR sorts (level 0
-// shared by both indexes) and the packing against the device, RS-tree
-// buffers included.
+// as a starting stormd registers it: the RS-tree only, the LS-tree left to
+// the first query that asks for it. gen-ms is the generation of that
+// dataset, which stormd pays first; sort-ms and pack-ms split one further
+// build into the same two halves Register runs — the pure STR sort and the
+// packing against the device, sample buffers included.
 func BenchmarkRegister(b *testing.B) {
 	start := time.Now()
 	ds := gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1})
@@ -424,23 +422,17 @@ func BenchmarkRegister(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := engine.New(engine.Config{Seed: 1, NoMetrics: true})
-		if _, err := e.Register(ds, engine.IndexOptions{LSTree: true}); err != nil {
+		if _, err := e.Register(ds, engine.IndexOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 
 	start = time.Now()
-	sorted, err := lstree.Sort(ds.Entries(), lstree.Config{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+	sorted := rtree.STROrder(rtree.DefaultFanout, ds.Entries())[0]
 	sortMS := float64(time.Since(start).Microseconds()) / 1000
 	start = time.Now()
-	if _, err := rstree.BuildSorted(sorted.Level0(), rstree.Config{Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sorted.Pack(); err != nil {
+	if _, err := rstree.BuildSorted(sorted, rstree.Config{Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(genMS, "gen-ms")

@@ -10,8 +10,15 @@
 // internal/engine, internal/distr — including the fault-injection layer —
 // internal/wire, internal/server, internal/estimator, internal/bench,
 // internal/ingest).
+//
+// Run with no arguments from the repository root, it also holds the
+// documents to their caps: every CHANGES.md entry numbered firstCappedEntry
+// or later is one paragraph of at most maxEntryWords words (earlier entries
+// are grandfathered), and DESIGN.md stays within maxDesignBytes.
+//
 // Exit status is non-zero when any exported identifier lacks a doc
-// comment; each violation prints as file:line: name.
+// comment or a document exceeds its cap; each violation prints as
+// file:line: what.
 package main
 
 import (
@@ -22,6 +29,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -48,7 +57,8 @@ func main() {
 	}
 	flag.Parse()
 	dirs := flag.Args()
-	if len(dirs) == 0 {
+	repoRoot := len(dirs) == 0
+	if repoRoot {
 		dirs = defaultDirs
 	}
 
@@ -66,8 +76,92 @@ func main() {
 	}
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "docslint: %d exported identifier(s) missing doc comments\n", bad)
+	}
+	over := 0
+	if repoRoot {
+		violations, err := lintDocCaps(".")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "docslint: %v\n", err)
+			os.Exit(2)
+		}
+		for _, v := range violations {
+			fmt.Println(v)
+		}
+		if over = len(violations); over > 0 {
+			fmt.Fprintf(os.Stderr, "docslint: %d document cap(s) exceeded\n", over)
+		}
+	}
+	if bad+over > 0 {
 		os.Exit(1)
 	}
+}
+
+// The document caps. CHANGES.md entries are numbered ("PR <n>: ...", one
+// per line); those numbered below firstCappedEntry predate the cap.
+const (
+	firstCappedEntry = 31
+	maxEntryWords    = 150
+	maxDesignBytes   = 72 << 10
+)
+
+// lintDocCaps checks CHANGES.md and DESIGN.md in dir against their caps and
+// returns one "file:line: what" string per violation.
+func lintDocCaps(dir string) ([]string, error) {
+	changes, err := os.ReadFile(filepath.Join(dir, "CHANGES.md"))
+	if err != nil {
+		return nil, err
+	}
+	out := changesViolations(string(changes))
+	design, err := os.Stat(filepath.Join(dir, "DESIGN.md"))
+	if err != nil {
+		return nil, err
+	}
+	if design.Size() > maxDesignBytes {
+		out = append(out, fmt.Sprintf("DESIGN.md:1: %d bytes, cap %d", design.Size(), maxDesignBytes))
+	}
+	return out, nil
+}
+
+// entryStart matches the first line of a CHANGES.md entry.
+var entryStart = regexp.MustCompile(`^PR (\d{1,6})\b`)
+
+// changesViolations returns the CHANGES.md entries numbered
+// firstCappedEntry or later that run past one paragraph or maxEntryWords
+// words. An entry is its first line and every line up to the next entry;
+// a blank line followed by more of it starts a second paragraph.
+func changesViolations(text string) []string {
+	type entry struct{ line, num, words, paragraphs int }
+	var entries []entry
+	afterBlank := false
+	for i, line := range strings.Split(text, "\n") {
+		if strings.TrimSpace(line) == "" {
+			afterBlank = true
+			continue
+		}
+		if m := entryStart.FindStringSubmatch(line); m != nil {
+			num, _ := strconv.Atoi(m[1]) // at most six digits: cannot fail
+			entries = append(entries, entry{line: i + 1, num: num, paragraphs: 1})
+		} else if len(entries) > 0 && afterBlank {
+			entries[len(entries)-1].paragraphs++
+		}
+		if len(entries) > 0 {
+			entries[len(entries)-1].words += len(strings.Fields(line))
+		}
+		afterBlank = false
+	}
+	var out []string
+	for _, e := range entries {
+		if e.num < firstCappedEntry {
+			continue
+		}
+		if e.paragraphs > 1 {
+			out = append(out, fmt.Sprintf("CHANGES.md:%d: entry %d has %d paragraphs, cap 1", e.line, e.num, e.paragraphs))
+		}
+		if e.words > maxEntryWords {
+			out = append(out, fmt.Sprintf("CHANGES.md:%d: entry %d has %d words, cap %d", e.line, e.num, e.words, maxEntryWords))
+		}
+	}
+	return out
 }
 
 // lintDir parses every non-test Go file in dir and returns one

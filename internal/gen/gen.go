@@ -14,6 +14,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/rtree"
 	"storm/internal/stats"
 )
 
@@ -87,10 +88,23 @@ func OSM(cfg OSMConfig) *data.Dataset {
 		}
 		t := rng.Uniform(0, 86400*365) // timestamps across one year
 		pos[i] = geo.Vec{lon, lat, t}
-		alt[i] = altitudeAt(lon, lat) + rng.NormFloat64()*30
+		alt[i] = rng.NormFloat64() * 30
 	}
+	// The elevation model draws nothing, so it is added in a second pass over
+	// contiguous chunks on up to GOMAXPROCS goroutines: the same two operands
+	// per record, so the same bits as adding them inside the loop.
+	rtree.MapChunks(len(pos), altitudeGrain, func(lo, hi int) struct{} {
+		for i := lo; i < hi; i++ {
+			alt[i] = altitudeAt(pos[i][0], pos[i][1]) + alt[i]
+		}
+		return struct{}{}
+	})
 	return adopt("osm", pos, map[string][]float64{"altitude": alt}, nil)
 }
+
+// altitudeGrain is the fewest records worth a goroutine of their own in
+// OSM's elevation pass (about a millisecond of altitudeAt).
+const altitudeGrain = 1 << 14
 
 // adopt hands a generator's filled columns to data.FromColumns. Every
 // generator fills one value per column per row, so a length mismatch is a

@@ -173,15 +173,49 @@ func (r Rect) Extend(o Rect) Rect {
 	}
 	var out Rect
 	for i := 0; i < Dims; i++ {
-		out.Min[i] = math.Min(r.Min[i], o.Min[i])
-		out.Max[i] = math.Max(r.Max[i], o.Max[i])
+		out.Min[i] = lower(r.Min[i], o.Min[i])
+		out.Max[i] = upper(r.Max[i], o.Max[i])
 	}
 	return out
 }
 
-// ExtendPoint returns the smallest rectangle covering r and p.
+// ExtendPoint returns the smallest rectangle covering r and p: bit for bit
+// r.Extend(RectFromPoint(p)), without building the point's rectangle. Bulk
+// loads call it once per entry.
 func (r Rect) ExtendPoint(p Vec) Rect {
-	return r.Extend(RectFromPoint(p))
+	if r.IsEmpty() {
+		return RectFromPoint(p)
+	}
+	for i := 0; i < Dims; i++ {
+		r.Min[i] = lower(r.Min[i], p[i])
+		r.Max[i] = upper(r.Max[i], p[i])
+	}
+	return r
+}
+
+// lower is math.Min(x, y), with the ordered case — what nearly every call
+// sees — decided inline. Equal values (where math.Min picks -0 over +0) and
+// NaNs (where -Inf still wins) take math.Min itself.
+func lower(x, y float64) float64 {
+	if x < y {
+		return x
+	}
+	if y < x {
+		return y
+	}
+	return math.Min(x, y)
+}
+
+// upper is math.Max(x, y) the same way: ordered values inline, ties, ±0 and
+// NaNs (where +Inf still wins) through math.Max.
+func upper(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // Volume returns the d-dimensional volume of r, or zero if r is empty.

@@ -192,6 +192,71 @@ func TestContainsIntersectConsistency(t *testing.T) {
 	}
 }
 
+// extendOracle is Extend as defined before its ordered case was inlined:
+// math.Min and math.Max on every axis.
+func extendOracle(r, o Rect) Rect {
+	if r.IsEmpty() {
+		return o
+	}
+	if o.IsEmpty() {
+		return r
+	}
+	var out Rect
+	for i := 0; i < Dims; i++ {
+		out.Min[i] = math.Min(r.Min[i], o.Min[i])
+		out.Max[i] = math.Max(r.Max[i], o.Max[i])
+	}
+	return out
+}
+
+// sameBits reports whether a and b hold the same bit pattern on every
+// coordinate (so -0 differs from +0 and NaN equals itself).
+func sameBits(a, b Rect) bool {
+	for i := 0; i < Dims; i++ {
+		if math.Float64bits(a.Min[i]) != math.Float64bits(b.Min[i]) ||
+			math.Float64bits(a.Max[i]) != math.Float64bits(b.Max[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzExtendPoint checks ExtendPoint, and Extend, bit for bit against the
+// math.Min/math.Max definition for any rectangles a and b — empty,
+// inverted, NaN, ±0 and ±Inf coordinates included: a.ExtendPoint(p) must be
+// the old a.Extend(RectFromPoint(p)) for both corners p of b, and
+// a.Extend(b) the old a.Extend(b). Every MBR in every tree is built from
+// these two calls.
+func FuzzExtendPoint(f *testing.F) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	empty := EmptyRect()
+	for _, seed := range [][2]Rect{
+		{NewRect(Vec{0, 0, 0}, Vec{1, 1, 1}), NewRect(Vec{2, -1, 0.5}, Vec{3, 0, 0.5})},
+		{empty, NewRect(Vec{1, 2, 3}, Vec{1, 2, 3})},
+		{NewRect(Vec{1, 2, 3}, Vec{4, 5, 6}), empty},
+		{NewRect(Vec{0, negZero, 0}, Vec{0, 0, negZero}), NewRect(Vec{negZero, 0, negZero}, Vec{negZero, negZero, 0})},
+		{NewRect(Vec{-inf, 0, nan}, Vec{nan, inf, 1}), {Vec{nan, -inf, -inf}, Vec{inf, nan, nan}}},
+		{{Vec{-inf, nan, 0}, Vec{nan, inf, 0}}, {Vec{nan, nan, nan}, Vec{-inf, -inf, inf}}},
+		{{Vec{5, 0, 0}, Vec{1, 1, 1}}, NewRect(Vec{2, 2, 2}, Vec{3, 3, 3})},
+	} {
+		a, b := seed[0], seed[1]
+		f.Add(a.Min[0], a.Min[1], a.Min[2], a.Max[0], a.Max[1], a.Max[2],
+			b.Min[0], b.Min[1], b.Min[2], b.Max[0], b.Max[1], b.Max[2])
+	}
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, a4, a5, b0, b1, b2, b3, b4, b5 float64) {
+		a := Rect{Min: Vec{a0, a1, a2}, Max: Vec{a3, a4, a5}}
+		b := Rect{Min: Vec{b0, b1, b2}, Max: Vec{b3, b4, b5}}
+		for _, p := range []Vec{b.Min, b.Max} {
+			if got, want := a.ExtendPoint(p), extendOracle(a, RectFromPoint(p)); !sameBits(got, want) {
+				t.Fatalf("%v.ExtendPoint(%v) = %v, want %v", a, p, got, want)
+			}
+		}
+		if got, want := a.Extend(b), extendOracle(a, b); !sameBits(got, want) {
+			t.Fatalf("%v.Extend(%v) = %v, want %v", a, b, got, want)
+		}
+	})
+}
+
 // rectFromCorners builds a valid rect from two arbitrary corners.
 func rectFromCorners(a, b Vec) Rect {
 	var lo, hi Vec

@@ -320,7 +320,9 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 	rng.Reseed(x.bufferSeed(n))
 	box := distinctPositions(rng, count, s)
 	positions := *box
-	sort.Ints(positions)
+	if s < count { // s == count comes back as 0..count-1 already
+		sort.Ints(positions)
+	}
 	out := make([]data.Entry, 0, s)
 	x.collectPositions(n, positions, 0, &out, acct)
 	intPool.put(box)
@@ -332,7 +334,11 @@ func (x *Index) sampleSubtree(n *rtree.Node, s int, acct iosim.Accountant) []dat
 }
 
 // distinctPositions returns s distinct uniform values in [0, count) in a
-// pooled slice (return the box with intPool.put).
+// pooled slice (return the box with intPool.put). When s == count — every
+// leaf buffer — the values are all of [0, count), returned in order: the
+// partial Fisher–Yates still makes its count Intn draws, so the RNG is left
+// exactly where the shuffle that follows expects it, but the swaps, whose
+// order the caller would sort away, are skipped.
 func distinctPositions(rng *stats.RNG, count, s int) *[]int {
 	if s*2 >= count {
 		// Dense case: partial Fisher–Yates over the full range.
@@ -343,7 +349,9 @@ func distinctPositions(rng *stats.RNG, count, s int) *[]int {
 		}
 		for i := 0; i < s; i++ {
 			j := i + rng.Intn(count-i)
-			all[i], all[j] = all[j], all[i]
+			if s < count {
+				all[i], all[j] = all[j], all[i]
+			}
 		}
 		*box = all[:s]
 		return box

@@ -24,11 +24,7 @@ func (t *Tree) InsertBatch(entries []data.Entry) {
 		return
 	}
 	t.version++
-	keys := make([]uint64, len(entries))
-	for i, e := range entries {
-		keys[i] = t.hilbertValue(e.Pos)
-	}
-	sort.Sort(&hilbertSorter{entries: entries, keys: keys})
+	keys := t.sortHilbert(entries)
 
 	siblings := t.batchInsert(t.root, entries, keys)
 	if len(siblings) > 0 {
@@ -100,7 +96,7 @@ func (t *Tree) batchInsert(n *Node, es []data.Entry, ks []uint64) []*Node {
 // not the arrival order (minimum fill holds: with m = ceil(len/fanout)
 // chunks, every chunk has more than fanout/2 entries).
 func (t *Tree) splitLeafEven(n *Node) []*Node {
-	sort.Sort(&hilbertSorter{entries: n.entries, keys: n.keys})
+	sortByKey(n.entries, n.keys)
 	total := len(n.entries)
 	m := (total + t.cfg.Fanout - 1) / t.cfg.Fanout
 	es, ks := n.entries, n.keys

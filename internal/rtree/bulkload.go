@@ -3,7 +3,7 @@ package rtree
 import (
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"storm/internal/data"
@@ -64,25 +64,30 @@ func (t *Tree) pack(sorted []data.Entry) {
 	t.root = nodes[0]
 }
 
-// sortHilbert orders entries by Hilbert value of their position.
-func (t *Tree) sortHilbert(entries []data.Entry) {
+// sortHilbert orders entries by Hilbert value of their position and returns
+// the values in the same order.
+func (t *Tree) sortHilbert(entries []data.Entry) []uint64 {
 	keys := make([]uint64, len(entries))
 	for i, e := range entries {
 		keys[i] = t.hilbertValue(e.Pos)
 	}
-	sort.Sort(&hilbertSorter{entries: entries, keys: keys})
+	sortByKey(entries, keys)
+	return keys
 }
 
-type hilbertSorter struct {
-	entries []data.Entry
-	keys    []uint64
-}
-
-func (s *hilbertSorter) Len() int           { return len(s.entries) }
-func (s *hilbertSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *hilbertSorter) Swap(i, j int) {
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+// sortByKey reorders entries and their keys together into key order: the
+// permutation SortKeyed gives the (key, position) pairs, gathered.
+func sortByKey(entries []data.Entry, keys []uint64) {
+	order := make([]Keyed[uint64], len(keys))
+	for i, k := range keys {
+		order[i] = Keyed[uint64]{Key: k, Idx: i}
+	}
+	SortKeyed(order)
+	unsorted := slices.Clone(entries)
+	for i, o := range order {
+		entries[i] = unsorted[o.Idx]
+		keys[i] = o.Key
+	}
 }
 
 // STROrder returns a copy of each list arranged in Sort-Tile-Recursive

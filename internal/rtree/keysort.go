@@ -4,20 +4,29 @@
 
 // This file is a copy of Go 1.24's src/slices/zsortanyfunc.go (the pdqsort
 // family behind slices.SortFunc) plus the xorshift and nextPowerOfTwo helpers
-// from src/slices/sort.go, specialised to Keyed elements. The one edit is
-// that every `cmp(a, b) < 0` reads `a.Key < b.Key`; control flow, pivot
-// choice and the length-seeded xorshift are unchanged, so every comparison
-// outcome — and with it every permutation, the order of equal keys included
-// — is the one slices.SortFunc gives with a comparator that orders by Key
-// alone. The stable-sort half of that file is not needed and not copied.
+// from src/slices/sort.go, specialised to Keyed elements. It has two edits.
+// Every `cmp(a, b) < 0` reads `a.Key < b.Key`. And pdqsortKeyed sorts the
+// smaller side of a partition on a goroutine of its own once that side holds
+// forkGrain elements (forkKeyed). The two sides are disjoint, and the one
+// element a range reads outside itself, data[a-1], is a placed pivot or part
+// of a finished equal block, written before the fork and never moved after
+// it. Control flow, pivot choice, limit, wasBalanced and the length-seeded
+// xorshift are unchanged, so every comparison outcome — and with it every
+// permutation, the order of equal keys included — is the one
+// slices.SortFunc gives with a comparator that orders by Key alone, however
+// the forks are scheduled. The stable-sort half of that file is not needed
+// and not copied.
 //
-// This copy, not the toolchain's, defines STR and Hilbert partition order:
+// This copy, not the toolchain's, defines STR, Hilbert and partition order:
 // golden_bulkload.txt, golden_pack_derived.txt and the shard a tied record
 // lands in rest on it. Do not "update" it to a newer stdlib sort.
 
 package rtree
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Keyed is what the bulk-load sorts move: a sort key and the position of the
 // element it belongs to — half the bytes of a data.Entry; the elements
@@ -30,10 +39,34 @@ type Keyed[K float64 | uint64] struct {
 // SortKeyed sorts x by Key in ascending order. It is not stable: equal keys
 // (and, for float64, NaNs, which compare equal to everything) end in the
 // order pdqsort leaves them, which depends only on the comparison outcomes,
-// never on Idx or on scheduling.
+// never on Idx or on scheduling. Large inputs are sorted on several
+// goroutines; SortKeyed returns once all of them are done.
 func SortKeyed[K float64 | uint64](x []Keyed[K]) {
 	n := len(x)
-	pdqsortKeyed(x, 0, n, bits.Len(uint(n)))
+	var forks sync.WaitGroup
+	pdqsortKeyed(x, 0, n, bits.Len(uint(n)), &forks)
+	forks.Wait()
+}
+
+// forkGrain is the fewest elements the smaller side of a partition must hold
+// to be sorted on a goroutine of its own: a few hundred microseconds of
+// sorting, against about a microsecond to start the goroutine. Smaller sides
+// — every side of a run-sized sort — recurse inline.
+const forkGrain = 1 << 14
+
+// forkKeyed sorts data[a:b], the smaller side of a partition, on a new
+// goroutine counted in forks when it holds at least forkGrain elements, and
+// inline otherwise.
+func forkKeyed[K float64 | uint64](data []Keyed[K], a, b, limit int, forks *sync.WaitGroup) {
+	if b-a < forkGrain {
+		pdqsortKeyed(data, a, b, limit, forks)
+		return
+	}
+	forks.Add(1)
+	go func() {
+		defer forks.Done()
+		pdqsortKeyed(data, a, b, limit, forks)
+	}()
 }
 
 type sortedHint int // hint for pdqsort when choosing the pivot
@@ -110,7 +143,8 @@ func heapSortKeyed[K float64 | uint64](data []Keyed[K], a, b int) {
 // C++ implementation: https://github.com/orlp/pdqsort
 // Rust implementation: https://docs.rs/pdqsort/latest/pdqsort/
 // limit is the number of allowed bad (very unbalanced) pivots before falling back to heapsort.
-func pdqsortKeyed[K float64 | uint64](data []Keyed[K], a, b, limit int) {
+// Smaller sides go through forkKeyed, which counts the goroutines it starts in forks.
+func pdqsortKeyed[K float64 | uint64](data []Keyed[K], a, b, limit int, forks *sync.WaitGroup) {
 	const maxInsertion = 12
 
 	var (
@@ -170,11 +204,11 @@ func pdqsortKeyed[K float64 | uint64](data []Keyed[K], a, b, limit int) {
 		balanceThreshold := length / 8
 		if leftLen < rightLen {
 			wasBalanced = leftLen >= balanceThreshold
-			pdqsortKeyed(data, a, mid, limit)
+			forkKeyed(data, a, mid, limit, forks)
 			a = mid + 1
 		} else {
 			wasBalanced = rightLen >= balanceThreshold
-			pdqsortKeyed(data, mid+1, b, limit)
+			forkKeyed(data, mid+1, b, limit, forks)
 			b = mid
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -106,28 +108,75 @@ func adversaryKeys(n int) []float64 {
 	return fill(n, func(i int) float64 { return float64(val[i]) })
 }
 
-// checkSortKeyed sorts keys with SortKeyed and with slices.SortFunc over the
-// old comparator and demands the same permutation.
-func checkSortKeyed[K float64 | uint64](t *testing.T, pattern string, keys []K) {
-	t.Helper()
-	got := make([]Keyed[K], len(keys))
+// keyedOf pairs each key with its position.
+func keyedOf[K float64 | uint64](keys []K) []Keyed[K] {
+	out := make([]Keyed[K], len(keys))
 	for i, k := range keys {
-		got[i] = Keyed[K]{Key: k, Idx: i}
+		out[i] = Keyed[K]{Key: k, Idx: i}
 	}
-	want := slices.Clone(got)
-	slices.SortFunc(want, cmpKeyed[K])
-	SortKeyed(got)
+	return out
+}
+
+// checkSamePermutation fails unless got and want hold the elements in the
+// same order.
+func checkSamePermutation[K float64 | uint64](t *testing.T, what, pattern string, got, want []Keyed[K]) {
+	t.Helper()
 	for i := range got {
 		if got[i].Idx != want[i].Idx {
-			t.Fatalf("%T %s n=%d: position %d holds element %d, slices.SortFunc put %d there",
-				keys, pattern, len(keys), i, got[i].Idx, want[i].Idx)
+			t.Fatalf("%T %s n=%d %s: position %d holds element %d, the reference put %d there",
+				got[i].Key, pattern, len(got), what, i, got[i].Idx, want[i].Idx)
+		}
+	}
+}
+
+// checkSortKeyed sorts keys with slices.SortFunc over the old comparator and
+// with SortKeyed at each of procs (the current GOMAXPROCS when none are
+// given) and demands the same permutation every time.
+func checkSortKeyed[K float64 | uint64](t *testing.T, pattern string, keys []K, procs ...int) {
+	t.Helper()
+	want := keyedOf(keys)
+	slices.SortFunc(want, cmpKeyed[K])
+	if len(procs) == 0 {
+		procs = []int{runtime.GOMAXPROCS(0)}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		got := keyedOf(keys)
+		SortKeyed(got)
+		checkSamePermutation(t, fmt.Sprintf("GOMAXPROCS=%d", p), pattern, got, want)
+	}
+}
+
+// sortPatterns calls check on every keyPatterns shape at every size, as
+// float64 keys and — unless the shape is float-only — as uint64 keys.
+func sortPatterns(sizes []int, check func(pattern string, fkeys []float64, ukeys []uint64)) {
+	for _, p := range keyPatterns {
+		r := rand.New(rand.NewSource(1))
+		for _, n := range sizes {
+			keys := p.keys(r, n)
+			if p.floatOnly {
+				check(p.name, keys, nil)
+				continue
+			}
+			ukeys := make([]uint64, n)
+			for i, k := range keys {
+				ukeys[i] = uint64(k) // non-negative integers: exact
+				if p.name == "random" {
+					ukeys[i] = r.Uint64()
+				}
+			}
+			check(p.name, keys, ukeys)
 		}
 	}
 }
 
 // TestSortKeyedMatchesSortFunc pins SortKeyed to the permutation
 // slices.SortFunc gave the bulk-load sorts, ties and NaNs included, for
-// every size up to 2 000 and at 500 000, for both key types.
+// every size up to 2 000 and at 500 000, for both key types. The 500 000 key
+// sorts cross forkGrain many times over, so they run at GOMAXPROCS 1, 2 and
+// 8: the forked sides are scheduled inline-after-parent, on two Ps and
+// oversubscribed, and must give one permutation.
 //
 // SortKeyed, not the stdlib, now defines STR and partition order, and the
 // golden files rest on it. If a future Go changes its pdqsort and this test
@@ -139,24 +188,48 @@ func TestSortKeyedMatchesSortFunc(t *testing.T) {
 		sizes = append(sizes, n)
 	}
 	sizes = append(sizes, 500_000)
-	for _, p := range keyPatterns {
-		r := rand.New(rand.NewSource(1))
-		for _, n := range sizes {
-			keys := p.keys(r, n)
-			checkSortKeyed(t, p.name, keys)
-			if p.floatOnly {
-				continue
-			}
-			ukeys := make([]uint64, n)
-			for i, k := range keys {
-				ukeys[i] = uint64(k) // non-negative integers: exact
-				if p.name == "random" {
-					ukeys[i] = r.Uint64()
-				}
-			}
-			checkSortKeyed(t, p.name, ukeys)
+	sortPatterns(sizes, func(pattern string, fkeys []float64, ukeys []uint64) {
+		var procs []int
+		if len(fkeys) >= forkGrain {
+			procs = []int{1, 2, 8}
 		}
+		checkSortKeyed(t, pattern, fkeys, procs...)
+		if ukeys != nil {
+			checkSortKeyed(t, pattern, ukeys, procs...)
+		}
+	})
+}
+
+// hilbertSorter is the sort.Interface the Hilbert sorts of InsertBatch,
+// splitLeafEven and PackHilbert bulk loads passed to sort.Sort before they
+// used SortKeyed: keys with their entries (here, positions) in tow.
+type hilbertSorter []Keyed[uint64]
+
+func (s hilbertSorter) Len() int           { return len(s) }
+func (s hilbertSorter) Less(i, j int) bool { return s[i].Key < s[j].Key }
+func (s hilbertSorter) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// TestSortKeyedMatchesSortSort pins SortKeyed to the permutation sort.Sort
+// gave the Hilbert sorts, so trees grown by InsertBatch and PackHilbert
+// bulk loads keep their shape, ties included. Like the slices.SortFunc
+// comparison above, it is the stdlib half to drop if a future Go changes
+// sort.Sort.
+func TestSortKeyedMatchesSortSort(t *testing.T) {
+	sizes := make([]int, 0, 1004)
+	for n := 0; n <= 1000; n++ {
+		sizes = append(sizes, n)
 	}
+	sizes = append(sizes, 4096, 30_000, 100_000)
+	sortPatterns(sizes, func(pattern string, _ []float64, ukeys []uint64) {
+		if ukeys == nil {
+			return
+		}
+		want := keyedOf(ukeys)
+		sort.Sort(hilbertSorter(want))
+		got := keyedOf(ukeys)
+		SortKeyed(got)
+		checkSamePermutation(t, "vs sort.Sort", pattern, got, want)
+	})
 }
 
 // BenchmarkSortKeyed times the two sort shapes a bulk load runs: one

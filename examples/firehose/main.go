@@ -86,7 +86,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		wm, _ := in.Watermark()
+		wm, _ := h.Watermark()
 		fmt.Printf("  watermark %9.1fs  pending %6d  LAST 60s: AVG(speed) = %s\n",
 			wm, in.Pending(), snap.Estimate)
 		select {

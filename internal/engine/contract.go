@@ -525,9 +525,7 @@ func (h *Handle) ExecuteContract(ctx context.Context, q geo.Range, opts Options,
 	if opts.ReportEvery == 0 {
 		opts.ReportEvery = plan.ReportEvery
 	}
-	// The count goes to the driver and stays out of the result, which a
-	// caller may keep: it references the tree it was counted on.
-	opts.counted, plan.counted = plan.counted, regionCount{}
+	opts.counted = plan.counted
 	ch, err := h.EstimateOnline(ctx, q, opts)
 	if err != nil {
 		return ContractResult{}, err

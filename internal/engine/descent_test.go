@@ -93,17 +93,14 @@ func TestOneDescentPerRequest(t *testing.T) {
 	})
 }
 
-// TestStalePlanIsRecounted plans a contract, lets records into the region,
-// and only then executes with that plan: the plan's range count describes a
-// tree that no longer exists, so the execution must count again and answer
-// over the population it actually sampled. A drain keeps ingesting elsewhere
-// meanwhile, so under -race the carried count also meets concurrent writers.
+// TestStalePlanIsRecounted plans a contract, changes what the plan counted,
+// and only then executes with that plan: its range count no longer describes
+// the dataset the query runs on, so the execution must count again and
+// answer over the population it actually sampled.
 func TestStalePlanIsRecounted(t *testing.T) {
-	_, h := buildHandle(t, 5000, false)
 	ctx := context.Background()
 	opts := Options{Kind: estimator.Avg, Attr: "value"}
 	c := Contract{RelError: 0.02, Deadline: 5 * time.Second}
-
 	rows := func(n int, x, y float64) []data.Row {
 		out := make([]data.Row, n)
 		for i := range out {
@@ -111,41 +108,119 @@ func TestStalePlanIsRecounted(t *testing.T) {
 		}
 		return out
 	}
-
-	stop := make(chan struct{})
-	var drain sync.WaitGroup
-	drain.Add(1)
-	go func() {
-		defer drain.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				h.InsertBatch(rows(8, 90, 90)) // outside testRange
-			}
+	// execute runs a plan made on planned against h, which must answer over
+	// its own count of testRange.
+	execute := func(t *testing.T, planned, h *Handle, change func()) {
+		t.Helper()
+		cp, err := planned.ExplainContract(testRange, opts, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	defer func() {
-		close(stop)
-		drain.Wait()
-	}()
+		change()
+		want := h.Count(testRange)
+		if want == cp.counted.n {
+			t.Fatalf("fixture: the region still holds the planned %d records", want)
+		}
+		res, err := h.ExecuteContract(ctx, testRange, opts, cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Population != want {
+			t.Errorf("population %d from a plan that counted %d, want the current count %d", res.Population, cp.counted.n, want)
+		}
+	}
 
-	cp, err := h.ExplainContract(testRange, opts, c)
-	if err != nil {
-		t.Fatal(err)
+	// A drain keeps ingesting elsewhere meanwhile, so under -race the
+	// carried count also meets concurrent writers.
+	t.Run("insert", func(t *testing.T) {
+		_, h := buildHandle(t, 5000, false)
+		stop := make(chan struct{})
+		var drain sync.WaitGroup
+		drain.Add(1)
+		go func() {
+			defer drain.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.InsertBatch(rows(8, 90, 90)) // outside testRange
+				}
+			}
+		}()
+		defer func() {
+			close(stop)
+			drain.Wait()
+		}()
+		execute(t, h, h, func() { h.InsertBatch(rows(300, 40, 40)) })
+	})
+	t.Run("delete", func(t *testing.T) {
+		_, h := buildHandle(t, 5000, false)
+		execute(t, h, h, func() {
+			if n, err := h.DeleteRange(geo.Range{MinX: 30, MinY: 30, MaxX: 40, MaxY: 40, MinT: 0, MaxT: 100}); n == 0 || err != nil {
+				t.Fatalf("DeleteRange inside testRange removed %d (err %v)", n, err)
+			}
+		})
+	})
+	// Same version, same rectangle, another dataset: the handle keys the
+	// count, so the plan is not reused.
+	t.Run("other handle", func(t *testing.T) {
+		_, planned := buildHandle(t, 5000, false)
+		_, h := buildHandle(t, 3000, false)
+		execute(t, planned, h, func() {
+			if planned.version != h.version {
+				t.Fatalf("fixture: versions %d and %d differ", planned.version, h.version)
+			}
+		})
+	})
+}
+
+// TestVersionBumpsOncePerMutation pins the handle version's two writers:
+// every mutation that changes the indexed records moves it by exactly one,
+// and nothing else moves it.
+func TestVersionBumpsOncePerMutation(t *testing.T) {
+	_, h := buildHandle(t, 5000, false)
+	ctx := context.Background()
+	version := func() uint64 {
+		h.mu.RLock()
+		defer h.mu.RUnlock()
+		return h.version
 	}
-	const added = 300
-	h.InsertBatch(rows(added, 40, 40)) // inside testRange
-	want := h.Count(testRange)
-	if want < cp.counted.n+added {
-		t.Fatalf("fixture: region holds %d records after inserting %d beside the planned %d", want, added, cp.counted.n)
+	row := func(x float64) data.Row {
+		return data.Row{Pos: geo.Vec{x, x, 50}, Num: map[string]float64{"value": 1}}
 	}
-	res, err := h.ExecuteContract(ctx, testRange, opts, cp)
-	if err != nil {
-		t.Fatal(err)
+	box := geo.Range{MinX: 30, MinY: 30, MaxX: 35, MaxY: 35, MinT: 0, MaxT: 100}
+	empty := geo.Range{MinX: 200, MinY: 200, MaxX: 300, MaxY: 300, MinT: 0, MaxT: 100}
+	ids := h.InsertBatch([]data.Row{row(1)})
+	for _, step := range []struct {
+		name string
+		want uint64
+		op   func()
+	}{
+		{"Insert", 1, func() { h.Insert(row(2)) }},
+		{"InsertBatch of 5", 1, func() { h.InsertBatch([]data.Row{row(3), row(4), row(5), row(6), row(7)}) }},
+		{"Delete", 1, func() { h.Delete(ids[0]) }},
+		{"DeleteRange", 1, func() { h.DeleteRange(box) }},
+		{"empty InsertBatch", 0, func() { h.InsertBatch(nil) }},
+		{"Delete of an absent ID", 0, func() { h.Delete(data.ID(1 << 40)) }},
+		{"Delete of a deleted ID", 0, func() { h.Delete(ids[0]) }},
+		{"empty DeleteRange", 0, func() { h.DeleteRange(empty) }},
+		{"lazy LS-tree build", 0, func() {
+			h.Estimate(ctx, testRange, Options{Kind: estimator.Avg, Attr: "value", Method: MethodLSTree, MaxSamples: 50})
+		}},
+		{"queries", 0, func() {
+			h.Estimate(ctx, testRange, Options{Kind: estimator.Count})
+			h.Estimate(ctx, testRange, Options{Kind: estimator.Avg, Attr: "value", MaxSamples: 50})
+			h.ExplainWhere(testRange, nil, PushdownAuto)
+		}},
+	} {
+		before := version()
+		step.op()
+		if got := version() - before; got != step.want {
+			t.Errorf("%s moved the version by %d, want %d", step.name, got, step.want)
+		}
 	}
-	if res.Population != want {
-		t.Errorf("population %d from a plan counted before the insert, want the post-insert count %d", res.Population, want)
+	if !h.HasLSTree() {
+		t.Error("the LS-tree query did not build the LS-tree")
 	}
 }

@@ -18,8 +18,8 @@
 // the handle's read lock for its whole run, keeps all mutable state
 // (sampler cursors, RNG, estimator, I/O counter) to itself, and only reads
 // the shared indexes, which publish their lazy sample buffers
-// copy-on-write (see packages rstree and lstree). Insert, Delete and
-// DeleteRange take the write lock and therefore serialize against
+// copy-on-write (see packages rstree and lstree). Updates (Insert,
+// InsertBatch, Delete, DeleteRange) take the write lock and serialize against
 // in-flight queries; Go's RWMutex blocks new readers once a writer waits,
 // so a steady query stream cannot starve updates. Per-query randomness is
 // deterministic: a query's seed (explicit or drawn from the engine's
@@ -191,8 +191,8 @@ type IndexOptions struct {
 // Handle is a registered dataset with its indexes. Queries share the
 // handle's RWMutex as readers — the indexes publish shared state (RS-tree
 // sample buffers) copy-on-write, so any number of queries run in parallel
-// against one dataset — while updates (Insert, Delete, DeleteRange) take
-// the write side and therefore serialize against in-flight samplers. A
+// against one dataset — while updates (Insert, InsertBatch, Delete,
+// DeleteRange) take the write side and serialize against in-flight samplers. A
 // query holds the read lock for its whole run; Go's RWMutex blocks new
 // readers once a writer is waiting, so updates are not starved by a steady
 // query stream.
@@ -237,10 +237,13 @@ type Handle struct {
 	dsTTCI []ttciMilestone
 	// wm/wmSet hold the dataset's event-time watermark (float64 bits of
 	// the maximum t coordinate ever indexed); `LAST <dur>` windows anchor
-	// to it. Lock-free so the streaming ingest path can advance it without
-	// the handle lock (see window.go).
+	// to it. Written under the write lock, read lock-free (see window.go).
 	wm    atomic.Uint64
 	wmSet atomic.Bool
+	// version counts the mutations that changed the indexed records; only
+	// insertLocked and deleteLocked move it. Guarded by mu. A range count
+	// taken at one version describes the dataset until the next.
+	version uint64
 }
 
 // beginQuery is metrics.beginQuery plus the handle's per-dataset
@@ -373,9 +376,7 @@ func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64)
 	if err != nil {
 		return nil, fmt.Errorf("engine: building RS-tree for %q: %w", ds.Name(), err)
 	}
-	for _, en := range entries {
-		h.noteTime(en.Pos[2])
-	}
+	h.noteTime(entries)
 	// Bulk-load-time summary build: one tree walk computes every node's
 	// attribute digests so the first predicate query pays no lazy
 	// recomputation.
@@ -568,17 +569,57 @@ func (h *Handle) Count(q geo.Range) int {
 func (h *Handle) Insert(row data.Row) data.ID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	id := h.ds.Append(row)
-	h.noteTime(row.Pos[2])
-	e := data.Entry{ID: id, Pos: row.Pos}
-	h.rs.Insert(e)
-	if ls := h.ls.Load(); ls != nil {
-		ls.Insert(e)
+	return h.insertLocked([]data.Row{row})[0]
+}
+
+// InsertBatch appends a batch of rows and adds them to every index under
+// ONE write-lock acquisition — the streaming ingest drain path (package
+// ingest) and multi-row INSERT statements. The RS-tree ingests the batch as
+// Hilbert-sorted runs (rtree.Tree.InsertBatch): one descent per run instead
+// of one per record, whole-run leaf splices, and evenly-filled multi-way
+// splits, which is what lets the drain keep pace with producer append
+// rates. Returned IDs are in the rows' original order.
+func (h *Handle) InsertBatch(rows []data.Row) []data.ID {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.insertLocked(rows)
+}
+
+// insertLocked is the one insert path of the update manager: it appends
+// rows to the store and adds them to every index, advances the watermark
+// and moves the version once. Caller holds h.mu for writing.
+func (h *Handle) insertLocked(rows []data.Row) []data.ID {
+	if len(rows) == 0 {
+		return nil
 	}
-	if h.cluster != nil {
-		h.cluster.Insert(e)
+	ids := make([]data.ID, len(rows))
+	entries := make([]data.Entry, len(rows))
+	h.ds.Grow(len(rows))
+	for i, row := range rows {
+		ids[i] = h.ds.Append(row)
+		entries[i] = data.Entry{ID: ids[i], Pos: row.Pos}
 	}
-	return id
+	// A run merge costs several per-entry inserts in key and sort
+	// allocations, so one record takes the per-entry descent.
+	if len(entries) == 1 {
+		h.rs.Insert(entries[0])
+	} else {
+		h.rs.InsertBatch(entries) // reorders entries in place
+	}
+	// The secondary indexes keep their per-entry insert paths; the Hilbert
+	// order a batch now carries keeps those spatially clustered too.
+	ls := h.ls.Load()
+	for _, e := range entries {
+		if ls != nil {
+			ls.Insert(e)
+		}
+		if h.cluster != nil {
+			h.cluster.Insert(e)
+		}
+	}
+	h.noteTime(entries)
+	h.version++
+	return ids
 }
 
 // Delete removes a record from every index; its row remains in the
@@ -590,18 +631,33 @@ func (h *Handle) Delete(id data.ID) bool {
 	if int(id) >= h.ds.Len() {
 		return false
 	}
-	e := data.Entry{ID: id, Pos: h.ds.Pos(id)}
-	if !h.rs.Delete(e) {
-		return false
+	return h.deleteLocked([]data.Entry{{ID: id, Pos: h.ds.Pos(id)}}) == 1
+}
+
+// deleteLocked is the one delete path of the update manager: it removes
+// from every index the entries the RS-tree holds, skips the rest, and moves
+// the version once if anything went. Returns how many were removed. Caller
+// holds h.mu for writing.
+func (h *Handle) deleteLocked(entries []data.Entry) int {
+	ls := h.ls.Load()
+	n := 0
+	for _, e := range entries {
+		if !h.rs.Delete(e) {
+			continue
+		}
+		if ls != nil {
+			ls.Delete(e)
+		}
+		if h.cluster != nil {
+			h.cluster.Delete(e)
+		}
+		h.deleted[e.ID] = struct{}{}
+		n++
 	}
-	if ls := h.ls.Load(); ls != nil {
-		ls.Delete(e)
+	if n > 0 {
+		h.version++
 	}
-	if h.cluster != nil {
-		h.cluster.Delete(e)
-	}
-	h.deleted[id] = struct{}{}
-	return true
+	return n
 }
 
 // HasLSTree reports whether the handle's LS-tree has been built, during
@@ -626,19 +682,7 @@ func (h *Handle) DeleteRange(q geo.Range) (int, error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	matches := h.rs.Tree().ReportAll(q.Rect())
-	ls := h.ls.Load()
-	for _, e := range matches {
-		h.rs.Delete(e)
-		if ls != nil {
-			ls.Delete(e)
-		}
-		if h.cluster != nil {
-			h.cluster.Delete(e)
-		}
-		h.deleted[e.ID] = struct{}{}
-	}
-	return len(matches), nil
+	return h.deleteLocked(h.rs.Tree().ReportAll(q.Rect())), nil
 }
 
 // newSampler builds a sampler for the query using the resolved method (see

@@ -145,19 +145,20 @@ func (h *Handle) planWhere(where []pred.Term, strategy PushdownStrategy) (plan *
 }
 
 // regionCount is |P ∩ rect| as one canonical descent of the RS-tree counted
-// it, with the tree state it was counted at. A contract's planner hands its
-// count to the execution across a gap in which nobody holds the read lock;
-// current says whether an update got in between.
+// it, with the handle and the version it was counted at. A contract's
+// planner hands its count to the execution across a gap in which nobody
+// holds the read lock; current says whether an update got in between.
 type regionCount struct {
+	h       *Handle
+	version uint64
 	rect    geo.Rect
 	n       int
-	root    *rtree.Node
-	version uint64
 }
 
-// current reports whether c counts rect on t as t stands now.
-func (c regionCount) current(t *rtree.Tree, rect geo.Rect) bool {
-	return c.root != nil && c.root == t.Root() && c.version == t.Version() && c.rect == rect
+// current reports whether c counts rect on h as h stands now. Caller holds
+// h.mu (read side suffices).
+func (c regionCount) current(h *Handle, rect geo.Rect) bool {
+	return c.h == h && c.version == h.version && c.rect == rect
 }
 
 // resolution is what a request learns about its region before it draws or
@@ -210,10 +211,10 @@ func (h *Handle) resolve(q geo.Rect, opts Options) (*resolution, error) {
 }
 
 // matching returns |P ∩ rect|, descending for it at most once per request
-// and not at all when the planner's count still describes the tree.
+// and not at all when the planner's count still describes the dataset.
 func (r *resolution) matching() int {
-	if t := r.h.rs.Tree(); !r.counted.current(t, r.rect) {
-		r.counted = regionCount{rect: r.rect, n: t.Count(r.rect), root: t.Root(), version: t.Version()}
+	if h := r.h; !r.counted.current(h, r.rect) {
+		r.counted = regionCount{h: h, version: h.version, rect: r.rect, n: h.rs.Count(r.rect)}
 	}
 	return r.counted.n
 }

@@ -10,21 +10,20 @@ import (
 )
 
 // noteTime advances the dataset watermark — the maximum event time (the
-// t coordinate, in seconds) of any indexed record — to t if it is ahead.
-// Lock-free CAS max: callers hold the handle in any lock state.
-func (h *Handle) noteTime(t float64) {
-	if math.IsNaN(t) {
-		return
+// t coordinate, in seconds) of any indexed record — to the latest non-NaN
+// event time among entries, if that is ahead. The caller is the handle's
+// one writer (it holds h.mu for writing, or builds the handle), so one
+// compare and store per batch suffice; readers load the atomics lock-free.
+func (h *Handle) noteTime(entries []data.Entry) {
+	t := math.NaN()
+	for _, e := range entries {
+		if e.Pos[2] > t || math.IsNaN(t) {
+			t = e.Pos[2]
+		}
 	}
-	for {
-		cur := h.wm.Load()
-		if h.wmSet.Load() && math.Float64frombits(cur) >= t {
-			return
-		}
-		if h.wm.CompareAndSwap(cur, math.Float64bits(t)) {
-			h.wmSet.Store(true)
-			return
-		}
+	if !math.IsNaN(t) && (!h.wmSet.Load() || t > math.Float64frombits(h.wm.Load())) {
+		h.wm.Store(math.Float64bits(t))
+		h.wmSet.Store(true)
 	}
 }
 
@@ -76,43 +75,4 @@ func (h *Handle) window(last time.Duration) wire.Window {
 		return wire.Window{Set: true, Lo: 1, Hi: 0}
 	}
 	return wire.Window{Set: true, Lo: wm - last.Seconds(), Hi: wm}
-}
-
-// InsertBatch appends a batch of rows and adds them to every index under
-// ONE write-lock acquisition — the streaming ingest drain path (package
-// ingest). The RS-tree ingests the whole batch as Hilbert-sorted runs
-// (rtree.Tree.InsertBatch): one descent per run instead of one per
-// record, whole-run leaf splices, and evenly-filled multi-way splits,
-// which is what lets the drain keep pace with producer append rates.
-// Returned IDs are in the rows' original order.
-func (h *Handle) InsertBatch(rows []data.Row) []data.ID {
-	if len(rows) == 0 {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ids := make([]data.ID, len(rows))
-	entries := make([]data.Entry, len(rows))
-	h.ds.Grow(len(rows))
-	for i, row := range rows {
-		id := h.ds.Append(row)
-		ids[i] = id
-		entries[i] = data.Entry{ID: id, Pos: row.Pos}
-		h.noteTime(row.Pos[2])
-	}
-	h.rs.InsertBatch(entries) // reorders entries in place
-	if ls := h.ls.Load(); ls != nil || h.cluster != nil {
-		// The secondary indexes keep their per-entry insert paths; the
-		// Hilbert order the batch now carries keeps those spatially
-		// clustered too.
-		for _, e := range entries {
-			if ls != nil {
-				ls.Insert(e)
-			}
-			if h.cluster != nil {
-				h.cluster.Insert(e)
-			}
-		}
-	}
-	return ids
 }

@@ -31,11 +31,9 @@
 //
 // # Sliding-window state
 //
-// The ingestor tracks the stream's watermark (the maximum event time
-// seen). Queries over the live window (`LAST <dur>` with WHERE, contracts
-// and distributed execution) run through the engine, which narrows the
-// query range's time axis against the dataset watermark; see
-// engine.Options.
+// The ingestor keeps no window state. Queries over the live window
+// (`LAST <dur>`) run through the engine, which anchors the window at the
+// latest event time the drain has indexed; see engine.Options.
 //
 // Metrics land under storm.ingest.<dataset>.*: accepted, backpressure,
 // batches, drained, pending, window.lag_ms (how far queryability trails
@@ -45,7 +43,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -150,15 +147,11 @@ type Ingestor struct {
 	pending atomic.Int64
 	// accepted counts records accepted over the ingestor's lifetime.
 	accepted atomic.Uint64
-	// wm is the stream watermark: math.Float64bits of the maximum event
-	// time accepted so far; wmSet flips once the first record lands.
-	wm     atomic.Uint64
-	wmSet  atomic.Bool
-	met    ingestMetrics
-	wake   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	met      ingestMetrics
+	wake     chan struct{}
+	done     chan struct{}
+	wg       sync.WaitGroup
+	closed   atomic.Bool
 	// flushMu serializes drain passes (the background drainer and explicit
 	// Flush calls), keeping sink batches ordered. drainBuf is the drain's
 	// staging buffer, guarded by flushMu and reused across passes so a
@@ -235,14 +228,6 @@ func (in *Ingestor) AppendBatch(rows []data.Row) error {
 	in.pending.Add(int64(len(rows)))
 	in.accepted.Add(uint64(len(rows)))
 	in.met.accepted.Add(uint64(len(rows)))
-	// The latest non-NaN event time (all-NaN batches advance nothing).
-	maxT := math.NaN()
-	for i := range rows {
-		if t := rows[i].Pos[2]; t > maxT || math.IsNaN(maxT) {
-			maxT = t
-		}
-	}
-	in.noteTime(maxT)
 	if n >= in.cfg.FlushRecords {
 		// Wake the drainer early; non-blocking because one pending wake-up
 		// is enough.
@@ -252,32 +237,6 @@ func (in *Ingestor) AppendBatch(rows []data.Row) error {
 		}
 	}
 	return nil
-}
-
-// noteTime advances the watermark to t if it is ahead (CAS max).
-func (in *Ingestor) noteTime(t float64) {
-	if math.IsNaN(t) {
-		return
-	}
-	for {
-		cur := in.wm.Load()
-		if in.wmSet.Load() && math.Float64frombits(cur) >= t {
-			return
-		}
-		if in.wm.CompareAndSwap(cur, math.Float64bits(t)) {
-			in.wmSet.Store(true)
-			return
-		}
-	}
-}
-
-// Watermark returns the maximum event time accepted so far; ok is false
-// before the first record.
-func (in *Ingestor) Watermark() (t float64, ok bool) {
-	if !in.wmSet.Load() {
-		return 0, false
-	}
-	return math.Float64frombits(in.wm.Load()), true
 }
 
 // Pending returns how many accepted records are still waiting to drain.

@@ -77,9 +77,6 @@ func TestIngestAppendFlush(t *testing.T) {
 	if in.Pending() != n || in.Accepted() != n {
 		t.Fatalf("pending = %d, accepted = %d, want %d buffered", in.Pending(), in.Accepted(), n)
 	}
-	if wm, ok := in.Watermark(); !ok || wm != n-1 {
-		t.Fatalf("watermark = %v (ok=%v), want %v", wm, ok, n-1)
-	}
 	if _, rows := sink.counts(); rows != 0 {
 		t.Fatalf("sink saw %d rows before any flush", rows)
 	}
@@ -244,9 +241,6 @@ func TestIngestConcurrentProducers(t *testing.T) {
 		}
 	}
 	sink.mu.Unlock()
-	if wm, ok := in.Watermark(); !ok || wm != n-1 {
-		t.Fatalf("watermark = %v (ok=%v), want %v", wm, ok, float64(n-1))
-	}
 	snap := reg.Snapshot()
 	if got := snap["storm.ingest.conc.accepted"]; got != uint64(n) {
 		t.Fatalf("accepted counter = %v, want %d", got, n)
@@ -257,7 +251,7 @@ func TestIngestConcurrentProducers(t *testing.T) {
 }
 
 // TestIngestAppendBatch: the batched producer path accepts all-or-nothing,
-// drains every record exactly once, and advances the watermark.
+// and drains every record exactly once.
 func TestIngestAppendBatch(t *testing.T) {
 	sink := &memSink{}
 	in := New(sink, Config{
@@ -276,9 +270,6 @@ func TestIngestAppendBatch(t *testing.T) {
 	}
 	if got := in.Pending(); got != 300 {
 		t.Fatalf("pending = %d, want 300", got)
-	}
-	if wm, ok := in.Watermark(); !ok || wm != 299 {
-		t.Fatalf("watermark = %v/%v, want 299", wm, ok)
 	}
 	if got := in.Accepted(); got != 300 {
 		t.Fatalf("accepted = %d, want 300", got)

@@ -96,9 +96,13 @@ func Run(ctx context.Context, eng *engine.Engine, q *Query, w io.Writer) error {
 
 	switch q.Op {
 	case OpInsert:
-		for _, row := range q.Rows {
-			h.Insert(data.Row{Pos: geo.Vec{row[0], row[1], row[2]}})
+		// One batch: the statement lands under one write lock, so a
+		// concurrent query sees all of its rows or none.
+		rows := make([]data.Row, len(q.Rows))
+		for i, row := range q.Rows {
+			rows[i] = data.Row{Pos: geo.Vec{row[0], row[1], row[2]}}
 		}
+		h.InsertBatch(rows)
 		fmt.Fprintf(w, "inserted %d record(s) into %s\n", len(q.Rows), q.Dataset)
 		return nil
 

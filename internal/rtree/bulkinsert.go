@@ -23,7 +23,6 @@ func (t *Tree) InsertBatch(entries []data.Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	t.version++
 	keys := t.sortHilbert(entries)
 
 	siblings := t.batchInsert(t.root, entries, keys)

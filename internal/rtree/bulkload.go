@@ -48,7 +48,6 @@ func (t *Tree) Pack(sorted []data.Entry) {
 
 // pack is Pack with the quantizer already set.
 func (t *Tree) pack(sorted []data.Entry) {
-	t.version++
 	t.size = len(sorted)
 	if len(sorted) == 0 {
 		t.root = t.newNode(true)

@@ -12,7 +12,6 @@ func (t *Tree) Delete(e data.Entry) bool {
 	if !found {
 		return false
 	}
-	t.version++
 	t.size--
 
 	// Shrink the root while it has a single internal child.

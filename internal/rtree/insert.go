@@ -12,7 +12,6 @@ import (
 // its leaf in key order, and an overflowing node splits at its midpoint,
 // so the leaf level stays in curve order.
 func (t *Tree) Insert(e data.Entry) {
-	t.version++
 	h := t.hilbertValue(e.Pos)
 	sibling := t.insert(t.root, e, h)
 	if sibling != nil {

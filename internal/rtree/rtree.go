@@ -200,7 +200,6 @@ type Tree struct {
 	size     int
 	height   int // number of levels; 1 = root is a leaf
 	nextPage iosim.PageID
-	version  uint64
 	quant    *hilbert.Quantizer
 	minFill  int
 	// descents recycles the batchers Count and CountWhere charge through.
@@ -255,9 +254,6 @@ func (t *Tree) Root() *Node { return t.root }
 
 // Fanout returns the maximum entries per node.
 func (t *Tree) Fanout() int { return t.cfg.Fanout }
-
-// Version returns a counter incremented by every mutation.
-func (t *Tree) Version() uint64 { return t.version }
 
 // Bounds returns the MBR of all indexed entries.
 func (t *Tree) Bounds() geo.Rect { return t.root.mbr }

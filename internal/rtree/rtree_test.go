@@ -477,17 +477,3 @@ func TestDuplicatePositions(t *testing.T) {
 		}
 	}
 }
-
-func TestVersionBumpsOnMutation(t *testing.T) {
-	tree := MustNew(Config{Fanout: 8})
-	v0 := tree.Version()
-	tree.Insert(data.Entry{ID: 1, Pos: geo.Vec{1, 1, 1}})
-	if tree.Version() == v0 {
-		t.Error("Insert should bump version")
-	}
-	v1 := tree.Version()
-	tree.Delete(data.Entry{ID: 1, Pos: geo.Vec{1, 1, 1}})
-	if tree.Version() == v1 {
-		t.Error("Delete should bump version")
-	}
-}

@@ -42,29 +42,36 @@ func ndjson(n int, t0 float64) string {
 }
 
 // TestIngestEndpoint: NDJSON records posted to /ingest/{name} are accepted
-// into the buffer, drain into the indexes, and advance the watermark the
-// response reports.
+// into the buffer and drain into the indexes, and the response reports the
+// dataset watermark `LAST` windows anchor at — which only the drain moves.
 func TestIngestEndpoint(t *testing.T) {
-	ts, _ := newIngestServer(t, ingest.Config{FlushInterval: time.Millisecond})
-	resp, err := http.Post(ts.URL+"/ingest/uniform", "application/x-ndjson",
-		strings.NewReader(ndjson(700, 1000)))
+	ts, srv := newIngestServer(t, ingest.Config{FlushInterval: time.Millisecond})
+	h, err := srv.eng.Dataset("uniform")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		raw, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+	post := func(body string) IngestResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/ingest/uniform", "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			raw, _ := io.ReadAll(resp.Body)
+			t.Fatalf("status = %d: %s", resp.StatusCode, raw)
+		}
+		var out IngestResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if wm, _ := h.Watermark(); out.Watermark > wm {
+			t.Errorf("reported watermark %v is ahead of the dataset's %v", out.Watermark, wm)
+		}
+		return out
 	}
-	var out IngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Accepted != 700 {
+	if out := post(ndjson(700, 1000)); out.Accepted != 700 {
 		t.Errorf("accepted = %d, want 700", out.Accepted)
-	}
-	if out.Watermark != 1000+699 {
-		t.Errorf("watermark = %v, want %v", out.Watermark, 1000+699)
 	}
 	// The drained records are queryable: a LAST window anchored at the
 	// stream's watermark covers exactly the streamed records.
@@ -99,6 +106,16 @@ func TestIngestEndpoint(t *testing.T) {
 			t.Fatalf("windowed count never converged on the streamed records: %v", last)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	for h.Len() < 20000+700 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d records indexed, want all 700 streamed ones drained", h.Len()-20000)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A late record does not move the watermark the drain left at 1699.
+	if out := post(ndjson(1, 0)); out.Watermark != 1000+699 {
+		t.Errorf("watermark after the drain = %v, want %v", out.Watermark, 1000+699)
 	}
 }
 

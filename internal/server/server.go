@@ -351,8 +351,8 @@ type IngestResponse struct {
 	Accepted int `json:"accepted"`
 	// Pending is the ingestor's drain backlog after this request.
 	Pending int `json:"pending"`
-	// Watermark is the dataset's event-time watermark (maximum Pos[2] seen),
-	// the anchor `LAST <dur>` windows trail behind.
+	// Watermark is the dataset's event-time watermark (maximum Pos[2]
+	// indexed), the anchor `LAST <dur>` windows trail behind.
 	Watermark float64 `json:"watermark,omitempty"`
 	Error     string  `json:"error,omitempty"`
 }
@@ -377,7 +377,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	respond := func(status int, errMsg string) {
 		s.met.inserts.Add(uint64(accepted)) // buffered records count even on 429/400
 		out := IngestResponse{Accepted: accepted, Pending: in.Pending(), Error: errMsg}
-		if wm, ok := in.Watermark(); ok {
+		if wm, ok := h.Watermark(); ok {
 			out.Watermark = wm
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -91,8 +91,10 @@ test-stats:
 # language's WHERE, contract and LAST-window grammars (no panic, canonical
 # fixpoints) — over the Hilbert key of any three floats, which must be
 # the generic transform's (every shard boundary and page ID hangs off it),
-# and over the MBR of any rectangle and point, which must be the
-# math.Min/math.Max one bit for bit (every node MBR hangs off it).
+# over the MBR of any rectangle and point, which must be the
+# math.Min/math.Max one bit for bit (every node MBR hangs off it), and over
+# one leaf of any query box, positions, values and column length, whose
+# face-only counts must be in's and Compiled.Match's.
 # The checked-in corpora also run on plain `go test`.
 fuzz-smoke:
 	$(GO) test -run FuzzParseFaultPlan -fuzz FuzzParseFaultPlan -fuzztime 15s ./internal/distr/
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseWindow -fuzz FuzzParseWindow -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzValue3 -fuzz FuzzValue3 -fuzztime 15s ./internal/hilbert/
 	$(GO) test -run FuzzExtendPoint -fuzz FuzzExtendPoint -fuzztime 15s ./internal/geo/
+	$(GO) test -run FuzzCountLeaf -fuzz FuzzCountLeaf -fuzztime 15s ./internal/rtree/
 
 # Real-process cluster smoke: build stormd, spawn 4 -role=shard processes
 # plus a coordinator, query over HTTP, kill one shard host mid-stream and

@@ -132,10 +132,13 @@ func (r Rect) Contains(p Vec) bool {
 	return true
 }
 
-// ContainsRect reports whether o is entirely inside r.
+// ContainsRect reports whether o is provably entirely inside r. A NaN bound
+// on either side proves nothing, so it is false there: a node box is NaN
+// when an entry under it has a NaN coordinate, and such an entry may pass
+// r's other bounds while its siblings fail them.
 func (r Rect) ContainsRect(o Rect) bool {
 	for i := 0; i < Dims; i++ {
-		if o.Min[i] < r.Min[i] || o.Max[i] > r.Max[i] {
+		if !(r.Min[i] <= o.Min[i] && o.Max[i] <= r.Max[i]) {
 			return false
 		}
 	}

@@ -180,6 +180,34 @@ func TestExtendProperties(t *testing.T) {
 	}
 }
 
+// A NaN bound on either rectangle proves nothing, so ContainsRect is false
+// there: a node box is NaN on an axis when an entry under it has a NaN
+// coordinate, and that box must not pass for contained.
+func TestContainsRectNaN(t *testing.T) {
+	outer := Rect{Min: Vec{0, 0, 0}, Max: Vec{10, 10, 10}}
+	inner := Rect{Min: Vec{1, 1, 1}, Max: Vec{2, 2, 2}}
+	if !outer.ContainsRect(inner) {
+		t.Fatalf("%v does not contain %v", outer, inner)
+	}
+	for d := 0; d < Dims; d++ {
+		for _, c := range []struct {
+			bound string
+			set   func(r, o *Rect)
+		}{
+			{"inner Min", func(_, o *Rect) { o.Min[d] = math.NaN() }},
+			{"inner Max", func(_, o *Rect) { o.Max[d] = math.NaN() }},
+			{"outer Min", func(r, _ *Rect) { r.Min[d] = math.NaN() }},
+			{"outer Max", func(r, _ *Rect) { r.Max[d] = math.NaN() }},
+		} {
+			r, o := outer, inner
+			c.set(&r, &o)
+			if r.ContainsRect(o) {
+				t.Errorf("axis %d, NaN %s: %v contains %v", d, c.bound, r, o)
+			}
+		}
+	}
+}
+
 // Property: a rect contains a point iff intersecting its degenerate rect.
 func TestContainsIntersectConsistency(t *testing.T) {
 	f := func(a1, a2, p [3]float64) bool {

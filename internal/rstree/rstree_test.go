@@ -108,6 +108,44 @@ func TestWithoutReplacementCompleteSmallBuffers(t *testing.T) {
 	}
 }
 
+// TestWithoutReplacementNaNCoordinates drains a query over entries of which
+// some have a NaN coordinate, so the boxes above them are NaN and never
+// count as contained: the sampler must emit exactly the entries the query
+// contains (a NaN coordinate passes its bound, as in geo.Rect.Contains),
+// as many as Count finds.
+func TestWithoutReplacementNaNCoordinates(t *testing.T) {
+	entries := genEntries(4000, 12)
+	rng := stats.NewRNG(14)
+	for i := range entries {
+		if rng.Intn(50) == 0 {
+			entries[i].Pos[rng.Intn(geo.Dims)] = math.NaN()
+		}
+	}
+	idx, err := Build(entries, Config{Fanout: 16, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matching(entries, testQuery)
+	if got := idx.Count(testQuery); got != len(want) {
+		t.Fatalf("Count = %d, want %d", got, len(want))
+	}
+	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(16))
+	got := make(map[data.ID]bool)
+	for {
+		e, ok := samplingtest.Next(s)
+		if !ok {
+			break
+		}
+		if !want[e.ID] || got[e.ID] {
+			t.Fatalf("bad or duplicate sample %d", e.ID)
+		}
+		got[e.ID] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("drained %d samples, want %d", len(got), len(want))
+	}
+}
+
 // TestUniformFirstSample checks marginal uniformity: the RS-tree buffers of
 // internal canonical nodes hold a fixed random subset of their subtree, so
 // the uniformity guarantee is over buffer-generation randomness as well as

@@ -17,6 +17,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 
 	"storm/internal/data"
@@ -39,7 +40,16 @@ type AttrSource interface {
 type nodeAttrs struct {
 	version uint64
 	stats   []pred.AttrStats
+	// vals holds a leaf's values of each summarized attribute in entry
+	// order (nil for internal nodes), so a Maybe leaf tests its predicate
+	// over contiguous memory instead of gathering col[id] per entry. An
+	// unresolvable value is NaN, which no term contains — exactly
+	// pred.Compiled.Match's rule for an ID past the column.
+	vals [][]float64
 }
+
+// precomputeGrain is the fewest leaves one Precompute chunk scans.
+const precomputeGrain = 64
 
 // Summaries maintains per-node attribute digests for one tree. Digests
 // are computed lazily per node and cached against the node's version;
@@ -75,26 +85,70 @@ func (s *Summaries) AttrIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// Precompute walks the tree once, computing and caching every node's
-// digests — the bulk-load/pack-time rebuild, mirroring the RS-tree's
-// buffer precompute.
+// Precompute computes and caches every node's digests and leaf values —
+// the bulk-load/pack-time rebuild, mirroring the RS-tree's buffer
+// precompute. Each attribute's leaf values share one slab in leaf order;
+// leaves are scanned in MapChunks chunks, then internal nodes merge their
+// children's digests in child order.
 func (s *Summaries) Precompute() {
-	if s.tree.root != nil && len(s.attrs) > 0 {
-		s.Stats(s.tree.root)
+	if s.tree.root == nil || len(s.attrs) == 0 {
+		return
 	}
+	var leaves []*Node
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.leaf {
+			leaves = append(leaves, n)
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(s.tree.root)
+	starts := make([]int, len(leaves)+1)
+	for i, n := range leaves {
+		starts[i+1] = starts[i] + len(n.entries)
+	}
+	cols := s.columns()
+	slabs := make([][]float64, len(cols))
+	for a := range slabs {
+		slabs[a] = make([]float64, starts[len(leaves)])
+	}
+	k := len(cols)
+	MapChunks(len(leaves), precomputeGrain, func(lo, hi int) struct{} {
+		recs := make([]nodeAttrs, hi-lo)
+		stats := make([]pred.AttrStats, (hi-lo)*k)
+		vals := make([][]float64, (hi-lo)*k)
+		for i := lo; i < hi; i++ {
+			r, j := &recs[i-lo], (i-lo)*k
+			r.version = leaves[i].version
+			r.stats, r.vals = stats[j:j+k:j+k], vals[j:j+k:j+k]
+			for a, slab := range slabs {
+				r.vals[a] = slab[starts[i]:starts[i+1]:starts[i+1]]
+			}
+			scanLeaf(leaves[i], cols, r)
+			leaves[i].attrs.Store(r)
+		}
+		return struct{}{}
+	})
+	s.Stats(s.tree.root)
 }
 
 // Stats returns n's per-attribute digests (indexed per AttrIndex),
 // recomputing and re-caching them if the node's version moved since the
 // cached copy.
 func (s *Summaries) Stats(n *Node) []pred.AttrStats {
+	return s.cached(n).stats
+}
+
+// cached returns n's digest record, recomputing it when stale.
+func (s *Summaries) cached(n *Node) *nodeAttrs {
 	if c := n.attrs.Load(); c != nil && c.version == n.version {
-		return c.stats
+		return c
 	}
-	version := n.version
-	stats := s.compute(n)
-	n.attrs.Store(&nodeAttrs{version: version, stats: stats})
-	return stats
+	c := s.compute(n)
+	n.attrs.Store(c)
+	return c
 }
 
 // Root returns the whole tree's digests — the dataset-level envelope the
@@ -119,41 +173,62 @@ func (s *Summaries) RootStats(attr string) (pred.AttrStats, bool) {
 	return root[i], true
 }
 
-// compute builds n's digests from scratch: leaf entries are scanned
+// compute builds n's digest record from scratch: leaf entries are scanned
 // against the current columns, internal nodes merge their children's
 // (cached or recomputed) digests.
-func (s *Summaries) compute(n *Node) []pred.AttrStats {
-	stats := make([]pred.AttrStats, len(s.attrs))
-	for i := range stats {
-		stats[i] = pred.EmptyStats()
-	}
+func (s *Summaries) compute(n *Node) *nodeAttrs {
+	k := len(s.attrs)
+	r := &nodeAttrs{version: n.version, stats: make([]pred.AttrStats, k)}
 	if n.leaf {
-		cols := make([][]float64, len(s.attrs))
-		for i, name := range s.attrs {
-			if col, err := s.src.NumericColumn(name); err == nil {
-				cols[i] = col
-			}
+		m := len(n.entries)
+		slab := make([]float64, k*m)
+		r.vals = make([][]float64, k)
+		for a := range r.vals {
+			r.vals[a] = slab[a*m : (a+1)*m : (a+1)*m]
 		}
-		for _, e := range n.entries {
-			for i, col := range cols {
-				if col == nil || e.ID >= data.ID(len(col)) {
-					// Unresolvable value: mark like NaN so the digest
-					// can still prune by envelope but never claims All.
-					stats[i].HasNaN = true
-					continue
-				}
-				stats[i].Add(col[e.ID])
-			}
-		}
-		return stats
+		scanLeaf(n, s.columns(), r)
+		return r
+	}
+	for i := range r.stats {
+		r.stats[i] = pred.EmptyStats()
 	}
 	for _, c := range n.children {
 		cst := s.Stats(c)
-		for i := range stats {
-			stats[i].Merge(cst[i])
+		for i := range r.stats {
+			r.stats[i].Merge(cst[i])
 		}
 	}
-	return stats
+	return r
+}
+
+// columns resolves the current backing slice of every summarized
+// attribute, nil where the source no longer resolves it.
+func (s *Summaries) columns() [][]float64 {
+	cols := make([][]float64, len(s.attrs))
+	for i, name := range s.attrs {
+		if col, err := s.src.NumericColumn(name); err == nil {
+			cols[i] = col
+		}
+	}
+	return cols
+}
+
+// scanLeaf fills r's digests and leaf values from leaf n's entries
+// against cols. An unresolvable value (no column, or an ID past it) is
+// NaN: the digest can still prune by envelope but never claims All.
+func scanLeaf(n *Node, cols [][]float64, r *nodeAttrs) {
+	for a, col := range cols {
+		st, vals := pred.EmptyStats(), r.vals[a]
+		for i, e := range n.entries {
+			v := math.NaN()
+			if e.ID < data.ID(len(col)) {
+				v = col[e.ID]
+			}
+			vals[i] = v
+			st.Add(v)
+		}
+		r.stats[a] = st
+	}
 }
 
 // TreeFilter binds a compiled predicate to one tree's Summaries for
@@ -223,6 +298,65 @@ func (f *TreeFilter) Match(id data.ID) bool {
 	return f.c.Match(id)
 }
 
+// countLeaf counts the entries of a Maybe leaf n that lie inside q and
+// satisfy the predicate, testing only the faces of q that cut the leaf's
+// box. When every term's attribute is summarized it tests each term against
+// the leaf's values in entry order; otherwise it gathers through Match.
+// Both paths count the same records as long as the summaries and the
+// predicate resolve the same columns, as every caller's do.
+func (f *TreeFilter) countLeaf(n *Node, q *geo.Rect) int {
+	es := n.entries
+	fc := cutFaces(q, &n.mbr)
+	total := 0
+	r := f.leafAttrs(n)
+	if r == nil {
+		for i := range es {
+			if fc.in(&es[i].Pos) == 1 && f.Match(es[i].ID) {
+				total++
+			}
+		}
+		return total
+	}
+	// Values first, then position: the values are contiguous and the face
+	// test is branch-free. One term is every predicate of the benchmark of
+	// record, and CountWhere at a mean-altitude threshold over 500 k
+	// records takes about 40 % longer when it runs the general loop below.
+	terms := f.c.Terms()
+	if len(terms) == 1 {
+		t, vs := &terms[0], r.vals[f.idx[0]]
+		for i := range es {
+			if t.Contains(vs[i]) && fc.in(&es[i].Pos) == 1 {
+				total++
+			}
+		}
+		return total
+	}
+entries:
+	for i := range es {
+		for ti := range terms {
+			if !terms[ti].Contains(r.vals[f.idx[ti]][i]) {
+				continue entries
+			}
+		}
+		total += fc.in(&es[i].Pos)
+	}
+	return total
+}
+
+// leafAttrs returns leaf n's digest record, or nil when some term's
+// attribute has no digest (or there are no summaries).
+func (f *TreeFilter) leafAttrs(n *Node) *nodeAttrs {
+	if f.sums == nil {
+		return nil
+	}
+	for _, a := range f.idx {
+		if a < 0 {
+			return nil
+		}
+	}
+	return f.sums.cached(n)
+}
+
 // CountWhere returns the number of entries in q that satisfy f's
 // predicate, pruning subtrees whose digests rule the predicate out and
 // short-cutting contained subtrees whose digests prove every record
@@ -246,21 +380,13 @@ func (t *Tree) countWhere(acct *iosim.Batcher, n *Node, q geo.Rect, f *TreeFilte
 	if v == pred.All && q.ContainsRect(n.mbr) {
 		return n.count
 	}
-	total := 0
 	if n.leaf {
 		if v == pred.All {
-			for i := range n.entries {
-				total += in(&q, &n.entries[i].Pos)
-			}
-			return total
+			return countLeaf(n, &q)
 		}
-		for i := range n.entries {
-			if in(&q, &n.entries[i].Pos) == 1 && f.Match(n.entries[i].ID) {
-				total++
-			}
-		}
-		return total
+		return f.countLeaf(n, &q)
 	}
+	total := 0
 	for _, c := range n.children {
 		if c.mbr.Intersects(q) {
 			total += t.countWhere(acct, c, q, f)

@@ -79,13 +79,10 @@ func (t *Tree) count(acct *iosim.Batcher, n *Node, q geo.Rect) int {
 	if q.ContainsRect(n.mbr) {
 		return n.count
 	}
-	total := 0
 	if n.leaf {
-		for i := range n.entries {
-			total += in(&q, &n.entries[i].Pos)
-		}
-		return total
+		return countLeaf(n, &q)
 	}
+	total := 0
 	for _, c := range n.children {
 		if c.mbr.Intersects(q) {
 			total += t.count(acct, c, q)
@@ -94,15 +91,86 @@ func (t *Tree) count(acct *iosim.Batcher, n *Node, q geo.Rect) int {
 	return total
 }
 
-// in is q.Contains(p) as 1 or 0, computed without a data-dependent branch:
-// over a boundary leaf the short-circuit form mispredicts on about every
-// other entry. Each axis is !(p < min) & !(p > max), never p >= min &&
-// p <= max, so that a NaN coordinate or bound passes exactly as it passes
-// geo.Rect.Contains (every comparison with NaN is false).
-func in(q *geo.Rect, p *geo.Vec) int {
-	return b2i(!(p[0] < q.Min[0])) & b2i(!(p[0] > q.Max[0])) &
-		b2i(!(p[1] < q.Min[1])) & b2i(!(p[1] > q.Max[1])) &
-		b2i(!(p[2] < q.Min[2])) & b2i(!(p[2] > q.Max[2]))
+// face is one bound of a query as the test !(s*p[d] < w): s = 1,
+// w = q.Min[d] for a lower bound and s = -1, w = -q.Max[d] for an upper one
+// (negation is exact, so !(-p < -max) is !(p > max) for every p, NaN and -0
+// included).
+type face struct {
+	d    int
+	s, w float64
+}
+
+// in is 1 when p passes the face and 0 otherwise: a flag set, not a jump
+// (over a boundary leaf a short-circuit test mispredicts on about every
+// other entry). It is the one position test of the leaf kernels.
+func (c face) in(p *geo.Vec) int { return b2i(!(c.s*p[c.d] < c.w)) }
+
+// faces lists the faces of a query that cut one leaf's box.
+type faces struct {
+	n int
+	f [2 * geo.Dims]face
+}
+
+// cutFaces returns the bounds of q that cut box. A bound is left out only
+// when the box proves it redundant: q.Min[d] <= box.Min[d] (or box.Max[d]
+// <= q.Max[d]), so every entry under the box passes it. A NaN on either
+// side proves nothing and keeps the face (a NaN bound's test passes every
+// point, as in geo.Rect.Contains).
+func cutFaces(q, box *geo.Rect) faces {
+	var fs faces
+	for d := 0; d < geo.Dims; d++ {
+		if lo := q.Min[d]; !(lo <= box.Min[d]) {
+			fs.f[fs.n] = face{d, 1, lo}
+			fs.n++
+		}
+		if hi := q.Max[d]; !(box.Max[d] <= hi) {
+			fs.f[fs.n] = face{d, -1, -hi}
+			fs.n++
+		}
+	}
+	return fs
+}
+
+// in is 1 when p passes every face and 0 otherwise: q.Contains(p) for the
+// q the faces were cut from, for any p under their box.
+func (fs *faces) in(p *geo.Vec) int {
+	ok := 1
+	for k := 0; k < fs.n; k++ {
+		ok &= fs.f[k].in(p)
+	}
+	return ok
+}
+
+// countLeaf returns how many of leaf n's entries lie inside q — the one
+// leaf counting loop of Count, CountWhere and Canonical. It tests only the
+// faces of q that cut the leaf's box. A query whose time axis is
+// unbounded, the common case, cuts a boundary leaf on one or two, and
+// those get loops with the faces held in registers: over a 64-entry leaf
+// they run twice as fast as the loop over fs.
+func countLeaf(n *Node, q *geo.Rect) int {
+	es := n.entries
+	fs := cutFaces(q, &n.mbr)
+	total := 0
+	switch fs.n {
+	case 0:
+		return len(es)
+	case 1:
+		a := fs.f[0]
+		for i := range es {
+			total += a.in(&es[i].Pos)
+		}
+	case 2:
+		a, b := fs.f[0], fs.f[1]
+		for i := range es {
+			p := &es[i].Pos
+			total += a.in(p) & b.in(p)
+		}
+	default:
+		for i := range es {
+			total += fs.in(&es[i].Pos)
+		}
+	}
+	return total
 }
 
 // b2i compiles to a flag set, not a jump.
@@ -162,13 +230,7 @@ func (t *Tree) canonical(n *Node, q geo.Rect, parts *[]CanonicalPart) {
 		return
 	}
 	if n.leaf {
-		m := 0
-		for _, e := range n.entries {
-			if q.Contains(e.Pos) {
-				m++
-			}
-		}
-		if m > 0 {
+		if m := countLeaf(n, &q); m > 0 {
 			*parts = append(*parts, CanonicalPart{Node: n, Full: false, Matching: m})
 		}
 		return

@@ -107,10 +107,22 @@ func TestBulkLoadMatchesBrute(t *testing.T) {
 	}
 }
 
+// in is q.Contains(p) as 1 or 0 in the leaf kernel's branch-free form, the
+// reference the kernel's face test is held to. Each axis is !(p < min) &
+// !(p > max), never p >= min && p <= max, so that a NaN coordinate or bound
+// passes exactly as it passes geo.Rect.Contains (every comparison with NaN
+// is false).
+func in(q *geo.Rect, p *geo.Vec) int {
+	return b2i(!(p[0] < q.Min[0])) & b2i(!(p[0] > q.Max[0])) &
+		b2i(!(p[1] < q.Min[1])) & b2i(!(p[1] > q.Max[1])) &
+		b2i(!(p[2] < q.Min[2])) & b2i(!(p[2] > q.Max[2]))
+}
+
 // TestInMatchesRectContains pins the branch-free leaf test of Count and
-// CountWhere to geo.Rect.Contains: points on every face, edge and corner,
-// just outside each face, NaN coordinates (which Contains admits, as every
-// comparison with NaN is false) and ±Inf bounds.
+// CountWhere to geo.Rect.Contains: in, and the faces cut for a box around
+// the point, on points on every face, edge and corner, just outside each
+// face, NaN coordinates (which Contains admits, as every comparison with
+// NaN is false) and ±Inf bounds.
 func TestInMatchesRectContains(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	box := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 2, 3})
@@ -138,6 +150,14 @@ func TestInMatchesRectContains(t *testing.T) {
 			}
 			if got := in(&q, &p); got != want {
 				t.Errorf("in(%v, %v) = %d, Contains says %d", q, p, got, want)
+			}
+			// A box of p alone, and box grown to hold p: every face of q
+			// cuts the first, some are redundant for the second.
+			for _, under := range []geo.Rect{geo.RectFromPoint(p), box.ExtendPoint(p)} {
+				f := cutFaces(&q, &under)
+				if got := f.in(&p); got != want {
+					t.Errorf("cutFaces(%v, %v).in(%v) = %d, Contains says %d", q, under, p, got, want)
+				}
 			}
 		}
 	}

@@ -92,7 +92,9 @@ test-stats:
 # fixpoints) — over the Hilbert key of any three floats, which must be
 # the generic transform's (every shard boundary and page ID hangs off it),
 # over the MBR of any rectangle and point, which must be the
-# math.Min/math.Max one bit for bit (every node MBR hangs off it), and over
+# math.Min/math.Max one bit for bit (every node MBR hangs off it), over the
+# STR order of any list (NaN, ±Inf and ±0 included), whose radix path must
+# give the pinned SortKeyed order (every bulk-loaded page hangs off it), and over
 # one leaf of any query box, positions, values and column length, whose
 # face-only counts must be in's and Compiled.Match's.
 # The checked-in corpora also run on plain `go test`.
@@ -105,6 +107,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzParseWindow -fuzz FuzzParseWindow -fuzztime 15s ./internal/query/
 	$(GO) test -run FuzzValue3 -fuzz FuzzValue3 -fuzztime 15s ./internal/hilbert/
 	$(GO) test -run FuzzExtendPoint -fuzz FuzzExtendPoint -fuzztime 15s ./internal/geo/
+	$(GO) test -run FuzzSTROrder -fuzz FuzzSTROrder -fuzztime 15s ./internal/rtree/
 	$(GO) test -run FuzzCountLeaf -fuzz FuzzCountLeaf -fuzztime 15s ./internal/rtree/
 
 # Real-process cluster smoke: build stormd, spawn 4 -role=shard processes

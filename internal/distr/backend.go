@@ -27,7 +27,9 @@ import (
 // in-repo pdqsort whose permutation, tie order included, depends only on its
 // comparisons — not on the toolchain that built the process — so a
 // coordinator and a remote shard host partitioning the same dataset agree
-// on every shard's contents without shipping them.
+// on every shard's contents without shipping them. rtree.SortKeyedIndexed
+// reaches that order by radix sort when the keys are pairwise distinct (the
+// order is then the only one) and runs SortKeyed itself on a tie.
 func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect) {
 	entries := ds.Entries()
 	bounds = rtree.HilbertBounds(geo.Rect{}, entries)
@@ -39,7 +41,7 @@ func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.R
 	for i, e := range entries {
 		order[i] = rtree.Keyed[uint64]{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
 	}
-	rtree.SortKeyed(order)
+	rtree.SortKeyedIndexed(order)
 
 	parts = make([][]data.Entry, shards)
 	per := (len(entries) + shards - 1) / shards

@@ -223,3 +223,26 @@ func TestGoldenBulkLoadStructure(t *testing.T) {
 	}
 	structure.check(bulkloadGoldenFile)
 }
+
+// TestGoldenSetsSortPaths keeps TestGoldenBulkLoadStructure guarding both
+// paths of the bulk-load sorts: every sort of at least the radix cutoff that
+// a Register of osm50k runs (STR lists, partition) must keep its radix
+// order, and every one of ties20k must fall back to the pinned SortKeyed.
+func TestGoldenSetsSortPaths(t *testing.T) {
+	for _, set := range goldenSets {
+		for _, fanout := range []int{8, 64} {
+			radix0, pinned0 := rtree.SortPaths()
+			e := New(Config{Seed: 7, Fanout: fanout})
+			if _, err := e.Register(set.build(), IndexOptions{LSTree: true, Shards: 3, Replicas: 2}); err != nil {
+				t.Fatal(err)
+			}
+			radix, pinned := rtree.SortPaths()
+			radix, pinned = radix-radix0, pinned-pinned0
+			wantRadix := set.name == "osm50k"
+			if (radix > 0) != wantRadix || (pinned > 0) == wantRadix {
+				t.Errorf("%s/f%d: %d radix sorts, %d pinned; want the radix path only = %v",
+					set.name, fanout, radix, pinned, wantRadix)
+			}
+		}
+	}
+}

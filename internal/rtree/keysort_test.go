@@ -234,19 +234,30 @@ func TestSortKeyedMatchesSortSort(t *testing.T) {
 
 // BenchmarkSortKeyed times the two sort shapes a bulk load runs: one
 // dataset-sized x pass (500 k keys) and the run-sized t passes (1 280 keys,
-// a 20-leaf run at fanout 64).
+// a 20-leaf run at fanout 64), plus two shorter sorts, each on SortKeyed
+// (pdqsort) and on radixSort over the same keys' images. The sizes where
+// radix overtakes pdqsort set radixMin.
 func BenchmarkSortKeyed(b *testing.B) {
-	for _, n := range []int{500_000, 1280} {
+	for _, n := range []int{500_000, 1280, 1024, 512} {
 		r := rand.New(rand.NewSource(1))
 		src := make([]Keyed[float64], n)
+		images := make([]Keyed[uint64], n)
 		for i := range src {
 			src[i] = Keyed[float64]{Key: r.Float64(), Idx: i}
+			images[i] = Keyed[uint64]{Key: floatImage(src[i].Key), Idx: i}
 		}
 		x := make([]Keyed[float64], n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/pdqsort", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copy(x, src)
 				SortKeyed(x)
+			}
+		})
+		y, tmp := make([]Keyed[uint64], n), make([]Keyed[uint64], n)
+		b.Run(fmt.Sprintf("n=%d/radix", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(y, images)
+				radixSort(y, tmp)
 			}
 		})
 	}

@@ -93,8 +93,9 @@ test-stats:
 # the generic transform's (every shard boundary and page ID hangs off it),
 # over the MBR of any rectangle and point, which must be the
 # math.Min/math.Max one bit for bit (every node MBR hangs off it), over the
-# STR order of any list (NaN, ±Inf and ±0 included), whose radix path must
-# give the pinned SortKeyed order (every bulk-loaded page hangs off it), and over
+# STR order of any list (NaN, ±Inf and ±0 included), which must be the
+# reference's (coordinate, record ID) order on both sides of the radix
+# cutoff (every bulk-loaded page hangs off it), and over
 # one leaf of any query box, positions, values and column length, whose
 # face-only counts must be in's and Compiled.Match's.
 # The checked-in corpora also run on plain `go test`.

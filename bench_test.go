@@ -413,14 +413,11 @@ func BenchmarkIndexBuild(b *testing.B) {
 // the first query that asks for it. gen-ms is the generation of that
 // dataset, which stormd pays first; sort-ms and pack-ms split one further
 // build into the same two halves Register runs — the pure STR sort and the
-// packing against the device, sample buffers included. pinned-sorts/op
-// counts the sorts that found ties and fell back to the pinned SortKeyed
-// path; on this dataset it must read 0.
+// packing against the device, sample buffers included.
 func BenchmarkRegister(b *testing.B) {
 	start := time.Now()
 	ds := gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1})
 	genMS := float64(time.Since(start).Microseconds()) / 1000
-	_, pinned0 := rtree.SortPaths()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -430,8 +427,6 @@ func BenchmarkRegister(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	_, pinned := rtree.SortPaths()
-	b.ReportMetric(float64(pinned-pinned0)/float64(b.N), "pinned-sorts/op")
 
 	start = time.Now()
 	sorted := rtree.STROrder(rtree.DefaultFanout, ds.Entries())[0]
@@ -493,12 +488,10 @@ func BenchmarkInsertBatch(b *testing.B) {
 // one shard host (as cmd/stormd -role=shard runs it) answering the Build
 // requests for both shards of a two-way partition of its dataset copy, at
 // once, as BuildRemote issues them. partitions/op is the deterministic
-// half: a host partitions once per dataset, not once per Build, and
-// pinned-sorts/op must read 0 (as in BenchmarkRegister).
+// half: a host partitions once per dataset, not once per Build.
 func BenchmarkHostBuild(b *testing.B) {
 	ds := gen.OSM(gen.OSMConfig{N: 250_000, Seed: 1})
 	var partitions uint64
-	_, pinned0 := rtree.SortPaths()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -518,9 +511,7 @@ func BenchmarkHostBuild(b *testing.B) {
 		wg.Wait()
 		partitions += h.Partitions()
 	}
-	_, pinned := rtree.SortPaths()
 	b.ReportMetric(float64(partitions)/float64(b.N), "partitions/op")
-	b.ReportMetric(float64(pinned-pinned0)/float64(b.N), "pinned-sorts/op")
 }
 
 // ---- substrate micro-benchmarks ----

@@ -20,28 +20,23 @@ import (
 	"storm/internal/wire"
 )
 
-// partition splits the dataset into contiguous Hilbert ranges — one per
-// shard, spatially coherent so selective queries touch few shards. The
-// result is fully deterministic in the dataset contents and shard count:
-// the order is rtree.SortKeyed's over (Hilbert key, position) pairs, the
-// in-repo pdqsort whose permutation, tie order included, depends only on its
-// comparisons — not on the toolchain that built the process — so a
+// partition splits a dataset's entries into contiguous Hilbert ranges —
+// one per shard, spatially coherent so selective queries touch few shards.
+// The result is a pure function of the entries and shard count, whatever
+// their order and whatever toolchain built the process: the order is (Hilbert
+// key, record ID), total over distinct IDs (rtree.SortByKeyID), so a
 // coordinator and a remote shard host partitioning the same dataset agree
-// on every shard's contents without shipping them. rtree.SortKeyedIndexed
-// reaches that order by radix sort when the keys are pairwise distinct (the
-// order is then the only one) and runs SortKeyed itself on a tie.
-func partition(ds *data.Dataset, shards int) (parts [][]data.Entry, bounds geo.Rect) {
-	entries := ds.Entries()
+// on every shard's contents without shipping them.
+func partition(entries []data.Entry, shards int) (parts [][]data.Entry, bounds geo.Rect) {
 	bounds = rtree.HilbertBounds(geo.Rect{}, entries)
 	quant := rtree.NewQuantizer(bounds)
-	// Sorting (key, position) pairs by key alone moves 16 bytes per swap
-	// and reads no other memory; equal keys compare equal whatever their
-	// position, so the order is the one a sort over the entries would give.
-	order := make([]rtree.Keyed[uint64], len(entries))
+	// Sorting (key, position) pairs moves 16 bytes per swap; the entries
+	// are read only to break ties by ID, and gathered once afterwards.
+	order := make([]rtree.Keyed, len(entries))
 	for i, e := range entries {
-		order[i] = rtree.Keyed[uint64]{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
+		order[i] = rtree.Keyed{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
 	}
-	rtree.SortKeyedIndexed(order)
+	rtree.SortByKeyID(order, entries)
 
 	parts = make([][]data.Entry, shards)
 	per := (len(entries) + shards - 1) / shards

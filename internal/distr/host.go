@@ -290,7 +290,7 @@ func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect)
 
 	m.once.Do(func() {
 		h.partitions.Add(1)
-		m.parts, m.bounds = partition(ds, int(of))
+		m.parts, m.bounds = partition(ds.Entries(), int(of))
 	})
 
 	h.mu.Lock()

@@ -1,30 +1,35 @@
 package distr
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"storm/internal/data"
+	"storm/internal/data/datatest"
 	"storm/internal/geo"
 	"storm/internal/rtree"
 )
 
-// pinnedPartition is partition with the Hilbert sort on rtree.SortKeyed
-// itself: the order partition must reproduce, ties included.
-func pinnedPartition(ds *data.Dataset, shards int) [][]data.Entry {
-	entries := ds.Entries()
+// referencePartition is partition built from slices.SortFunc over the
+// entries themselves by (Hilbert key, ID): the shards partition must give,
+// ties included.
+func referencePartition(entries []data.Entry, shards int) [][]data.Entry {
 	quant := rtree.NewQuantizer(rtree.HilbertBounds(geo.Rect{}, entries))
-	order := make([]rtree.Keyed[uint64], len(entries))
-	for i, e := range entries {
-		order[i] = rtree.Keyed[uint64]{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
-	}
-	rtree.SortKeyed(order)
-	parts := make([][]data.Entry, shards)
-	per := (len(entries) + shards - 1) / shards
-	for s := range parts {
-		for _, k := range order[min(s*per, len(order)):min((s+1)*per, len(order))] {
-			parts[s] = append(parts[s], entries[k.Idx])
+	key := func(e data.Entry) uint64 { return quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]) }
+	sorted := slices.Clone(entries)
+	slices.SortFunc(sorted, func(a, b data.Entry) int {
+		if c := cmp.Compare(key(a), key(b)); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	parts := make([][]data.Entry, shards)
+	per := (len(sorted) + shards - 1) / shards
+	for s := range parts {
+		parts[s] = sorted[min(s*per, len(sorted)):min((s+1)*per, len(sorted))]
 	}
 	return parts
 }
@@ -48,33 +53,56 @@ func tiedDataset(n int) *data.Dataset {
 	return ds
 }
 
-// TestPartitionMatchesPinnedOrder checks that every shard gets the records,
-// in the order, that a partition on SortKeyed gives them: distinct Hilbert
-// keys on the radix path, tied keys (where the tie order decides which
-// shard a record lands in) on the pinned one.
-func TestPartitionMatchesPinnedOrder(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		ds    *data.Dataset
-		radix bool
-	}{
-		{"distinct keys", testDataset(5000), true},
-		{"tied keys", tiedDataset(5000), false},
+// signedZeros lists n entries whose coordinates are ±0 and ±1, so positions
+// repeat and −0 and +0 share every Hilbert key.
+func signedZeros(n int) []data.Entry {
+	r := rand.New(rand.NewSource(3))
+	vals := []float64{math.Copysign(0, -1), 0, -1, 1}
+	out := make([]data.Entry, n)
+	for i := range out {
+		out[i].ID = data.ID(i)
+		for d := range out[i].Pos {
+			out[i].Pos[d] = vals[r.Intn(len(vals))]
+		}
+	}
+	return out
+}
+
+// TestPartitionIgnoresInputOrder checks that every shard gets the records,
+// in the order, that the reference gives them, whatever order the entries
+// arrive in: on distinct keys, on tied ones (where the tie rule decides
+// which shard a record lands in) and on signed zeros, on both sides of the
+// radix cutoff.
+func TestPartitionIgnoresInputOrder(t *testing.T) {
+	for name, entries := range map[string][]data.Entry{
+		"distinct keys":   testDataset(5000).Entries(),
+		"tied keys":       tiedDataset(5000).Entries(),
+		"tieHeavy":        datatest.TieHeavy(20_000).Entries(),
+		"tied keys short": tiedDataset(700).Entries(),
+		"signed zeros":    signedZeros(3000),
 	} {
 		for _, shards := range []int{2, 3} {
-			radix0, pinned0 := rtree.SortPaths()
-			got, _ := partition(c.ds, shards)
-			radix, pinned := rtree.SortPaths()
-			if c.radix && (radix != radix0+1 || pinned != pinned0) || !c.radix && (radix != radix0 || pinned != pinned0+1) {
-				t.Errorf("%s, %d shards: radix sorts +%d, pinned +%d; want the radix path = %v",
-					c.name, shards, radix-radix0, pinned-pinned0, c.radix)
-			}
-			want := pinnedPartition(c.ds, shards)
-			for s := range want {
-				if !slices.Equal(got[s], want[s]) {
-					t.Errorf("%s: shard %d of %d differs from the SortKeyed partition", c.name, s, shards)
+			want := referencePartition(entries, shards)
+			for shuffle := int64(0); shuffle < 3; shuffle++ {
+				in := slices.Clone(entries)
+				rand.New(rand.NewSource(shuffle)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+				got, _ := partition(in, shards)
+				for s := range want {
+					if !slices.EqualFunc(got[s], want[s], sameEntry) {
+						t.Fatalf("%s, shuffle %d: shard %d of %d differs from the reference partition", name, shuffle, s, shards)
+					}
 				}
 			}
 		}
 	}
+}
+
+// sameEntry reports whether a and b are one entry, positions bit for bit.
+func sameEntry(a, b data.Entry) bool {
+	for d := range a.Pos {
+		if math.Float64bits(a.Pos[d]) != math.Float64bits(b.Pos[d]) {
+			return false
+		}
+	}
+	return a.ID == b.ID
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"storm/internal/data"
+	"storm/internal/data/datatest"
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/rtree"
@@ -77,30 +78,6 @@ func idDigest(es []data.Entry) string {
 	return fmt.Sprintf("%d %x", len(es), h.Sum(nil))
 }
 
-// tieHeavy generates a point set built to collide on every STR sort key:
-// integer grid coordinates, whole-second timestamps, and every fifth record
-// an exact duplicate of an earlier one. Equal keys are where a different
-// sort routine would first reorder entries.
-func tieHeavy(n int) *data.Dataset {
-	ds := data.NewDataset("ties")
-	ds.AddNumericColumn("value")
-	state := uint64(0x9E3779B97F4A7C15)
-	next := func(mod uint64) uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return (state >> 33) % mod
-	}
-	for i := 0; i < n; i++ {
-		var pos geo.Vec
-		if i%5 == 4 {
-			pos = ds.Pos(next(uint64(i)))
-		} else {
-			pos = geo.Vec{float64(next(40)), float64(next(40)), float64(next(100))}
-		}
-		ds.Append(data.Row{Pos: pos, Num: map[string]float64{"value": float64(next(1000))}})
-	}
-	return ds
-}
-
 // goldenSet is one dataset of the build-path golden cases with the query its
 // seeded sample streams run over.
 type goldenSet struct {
@@ -112,7 +89,7 @@ type goldenSet struct {
 var goldenSets = []goldenSet{
 	{"osm50k", func() *data.Dataset { return gen.OSM(gen.OSMConfig{N: 50_000, Seed: 1}) },
 		geo.Range{MinX: -100, MinY: 30, MaxX: -80, MaxY: 45, MinT: 0, MaxT: 86400 * 365}},
-	{"ties20k", func() *data.Dataset { return tieHeavy(20_000) },
+	{"ties20k", func() *data.Dataset { return datatest.TieHeavy(20_000) },
 		geo.Range{MinX: 5, MinY: 5, MaxX: 30, MaxY: 30, MinT: 0, MaxT: 100}},
 }
 
@@ -222,27 +199,4 @@ func TestGoldenBulkLoadStructure(t *testing.T) {
 		}
 	}
 	structure.check(bulkloadGoldenFile)
-}
-
-// TestGoldenSetsSortPaths keeps TestGoldenBulkLoadStructure guarding both
-// paths of the bulk-load sorts: every sort of at least the radix cutoff that
-// a Register of osm50k runs (STR lists, partition) must keep its radix
-// order, and every one of ties20k must fall back to the pinned SortKeyed.
-func TestGoldenSetsSortPaths(t *testing.T) {
-	for _, set := range goldenSets {
-		for _, fanout := range []int{8, 64} {
-			radix0, pinned0 := rtree.SortPaths()
-			e := New(Config{Seed: 7, Fanout: fanout})
-			if _, err := e.Register(set.build(), IndexOptions{LSTree: true, Shards: 3, Replicas: 2}); err != nil {
-				t.Fatal(err)
-			}
-			radix, pinned := rtree.SortPaths()
-			radix, pinned = radix-radix0, pinned-pinned0
-			wantRadix := set.name == "osm50k"
-			if (radix > 0) != wantRadix || (pinned > 0) == wantRadix {
-				t.Errorf("%s/f%d: %d radix sorts, %d pinned; want the radix path only = %v",
-					set.name, fanout, radix, pinned, wantRadix)
-			}
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"storm/internal/data"
 	"storm/internal/geo"
@@ -75,14 +74,14 @@ func (t *Tree) sortHilbert(entries []data.Entry) []uint64 {
 	return keys
 }
 
-// sortByKey reorders entries and their keys together into key order: the
-// permutation SortKeyed gives the (key, position) pairs, gathered.
+// sortByKey reorders entries and their keys together into (key, record ID)
+// order.
 func sortByKey(entries []data.Entry, keys []uint64) {
-	order := make([]Keyed[uint64], len(keys))
+	order := make([]Keyed, len(keys))
 	for i, k := range keys {
-		order[i] = Keyed[uint64]{Key: k, Idx: i}
+		order[i] = Keyed{Key: k, Idx: i}
 	}
-	SortKeyedIndexed(order)
+	SortByKeyID(order, entries)
 	unsorted := slices.Clone(entries)
 	for i, o := range order {
 		entries[i] = unsorted[o.Idx]
@@ -99,65 +98,27 @@ func sortByKey(entries []data.Entry, keys []uint64) {
 // — so the lists, and the independent slabs within each, are sorted
 // concurrently on up to GOMAXPROCS goroutines.
 //
-// The result is nevertheless a pure function of each list, and SortKeyed
-// defines it: every pass sorts (coordinate, position) pairs with the in-repo
-// pdqsort, whose permutation — including the order it leaves equal
-// coordinates in — depends only on the outcomes of its comparisons, never
-// on what is being moved, on scheduling or on the Go toolchain. Page
-// contents, and with them every seeded sample stream, rest on that. Lists of
-// radixMin entries or more are arranged by radix passes instead (see
-// strSort), and the result is kept only when it is the one STR order the
-// list has, and so SortKeyed's: no coordinate is NaN, no run of equal x
-// crosses a slab boundary, no run of equal y crosses a run boundary and no
-// two entries of a run share t. Any other list is sorted again the pinned
-// way.
+// The result is nevertheless a pure function of each list's entries, not
+// of their order: every pass orders by (coordinate, record ID), with
+// coordinates compared as their floatImage, so ties, ±0, ±Inf and NaN all
+// have one place. Page contents, and with them every seeded sample stream,
+// rest on that. The x and y passes only group entries into slabs and runs
+// (groupEntries); the t pass sorts each run (sortEntries).
 func STROrder(fanout int, lists ...[]data.Entry) [][]data.Entry {
 	return strOrder(fanout, radixMin, lists...)
 }
 
-// strOrder is STROrder with the radix path tried on every list, and within
-// it every pass, of at least radixFrom entries; math.MaxInt is the pinned
-// path alone.
+// strOrder is STROrder with every sort of at least radixFrom entries done
+// by radix; math.MaxInt sorts by slices.SortFunc alone.
 func strOrder(fanout, radixFrom int, lists ...[]data.Entry) [][]data.Entry {
 	if fanout < 1 {
 		fanout = DefaultFanout
 	}
 	sorts := make([]*strSort, len(lists))
+	total := 0
 	for i, src := range lists {
 		sorts[i] = newSTRSort(src, fanout, radixFrom)
-	}
-	runSTR(sorts)
-	var retry []*strSort
-	for _, s := range sorts {
-		if !s.radix {
-			continue
-		}
-		if s.tied.Load() {
-			pinnedSorts.Add(1)
-			s.pin()
-			retry = append(retry, s)
-		} else {
-			radixSorts.Add(1)
-		}
-	}
-	runSTR(retry)
-
-	out := make([][]data.Entry, len(lists))
-	for i, s := range sorts {
-		out[i] = s.out
-	}
-	return out
-}
-
-// runSTR runs the given sorts: each list's x pass, which then queues its
-// slabs, on up to GOMAXPROCS workers.
-func runSTR(sorts []*strSort) {
-	total := 0
-	for _, s := range sorts {
-		total += 1 + s.slabs()
-	}
-	if total == 0 {
-		return
+		total += 1 + sorts[i].slabs()
 	}
 	// Sized to the most sends there can be (one x pass per list, which
 	// then queues its slabs), so a worker never blocks handing out work.
@@ -166,9 +127,7 @@ func runSTR(sorts []*strSort) {
 	pending.Add(len(sorts))
 	for _, s := range sorts {
 		tasks <- func(w *strScratch) {
-			if !s.sortX(w) {
-				return
-			}
+			groupEntries(s.out, s.src, 0, s.slabSize, s.radixFrom, w)
 			pending.Add(s.slabs())
 			for lo := 0; lo < len(s.out); lo += s.slabSize {
 				tasks <- func(w *strScratch) { s.sortSlab(lo, w) }
@@ -191,29 +150,29 @@ func runSTR(sorts []*strSort) {
 	pending.Wait()
 	close(tasks)
 	exited.Wait()
+
+	out := make([][]data.Entry, len(lists))
+	for i, s := range sorts {
+		out[i] = s.out
+	}
+	return out
 }
 
 // strScratch is one STR worker's buffers, reused from task to task: the
-// entry copy every gather goes through and, on the radix path, the
-// coordinate images a bucket or run is sorted by with their scratch.
+// entry copy every gather goes through and the coordinate images a bucket
+// or run is sorted by with their scratch.
 type strScratch struct {
 	entries     []data.Entry
-	images, tmp []Keyed[uint64]
+	images, tmp []Keyed
 }
 
-// strSort is the STR sort of one list: sortX, then sortSlab for every slab
-// (each touches only its own range of out, so slabs run in parallel). On the
-// pinned path every pass sorts (coordinate, position) pairs with SortKeyed.
-// On the radix path the x and y passes only group entries (groupEntries)
-// and the t pass sorts runs (sortEntries); each checks that its result is
-// unique, and sets tied when it is not.
+// strSort is the STR sort of one list: the x pass groups out into slabs,
+// then sortSlab runs on every slab (each touches only its own range of
+// out, so slabs run in parallel).
 type strSort struct {
 	src, out          []data.Entry
 	slabSize, runSize int
 	radixFrom         int
-	radix             bool
-	keys              []Keyed[float64] // pinned path
-	tied              atomic.Bool      // radix path
 }
 
 func newSTRSort(src []data.Entry, fanout, radixFrom int) *strSort {
@@ -224,98 +183,33 @@ func newSTRSort(src []data.Entry, fanout, radixFrom int) *strSort {
 	if s < 1 {
 		s = 1
 	}
-	st := &strSort{
+	return &strSort{
 		src:       src,
 		out:       make([]data.Entry, len(src)),
 		slabSize:  s * s * fanout,
 		runSize:   s * fanout,
 		radixFrom: radixFrom,
-		radix:     len(src) >= radixFrom,
 	}
-	if !st.radix {
-		st.pin()
-	}
-	return st
-}
-
-// pin switches s to the pinned path.
-func (s *strSort) pin() {
-	s.radix = false
-	s.keys = make([]Keyed[float64], len(s.src))
 }
 
 func (s *strSort) slabs() int { return (len(s.out) + s.slabSize - 1) / s.slabSize }
 
-// sortX orders out by x (the radix path only groups it into slabs) and
-// reports whether the slabs are to be sorted. On the radix path the slabs'
-// entry sets are unique when no x is NaN and no run of equal x crosses a
-// slab boundary; otherwise it sets tied and they are not sorted.
-func (s *strSort) sortX(w *strScratch) bool {
-	if s.radix {
-		if !groupEntries(s.out, s.src, 0, s.slabSize, s.radixFrom, w) {
-			s.tied.Store(true)
-			return false
-		}
-		return true
-	}
-	for i, e := range s.src {
-		s.keys[i] = Keyed[float64]{Key: e.Pos[0], Idx: i}
-	}
-	SortKeyed(s.keys)
-	for i, k := range s.keys {
-		s.out[i] = s.src[k.Idx]
-	}
-	return true
-}
-
-// sortSlab orders the x-slab starting at lo by y and each of its runs by t.
+// sortSlab groups the x-slab starting at lo into runs by y and sorts each
+// run by t.
 func (s *strSort) sortSlab(lo int, w *strScratch) {
-	if s.radix {
-		s.radixSlab(lo, w)
-		return
-	}
-	hi := min(lo+s.slabSize, len(s.out))
-	slab, keys := s.out[lo:hi], s.keys[lo:hi]
-	for i, e := range slab {
-		keys[i] = Keyed[float64]{Key: e.Pos[1], Idx: i}
-	}
-	SortKeyed(keys)
-	for rlo := 0; rlo < len(keys); rlo += s.runSize {
-		run := keys[rlo:min(rlo+s.runSize, len(keys))]
-		for i, k := range run {
-			run[i].Key = slab[k.Idx].Pos[2]
-		}
-		SortKeyed(run)
-	}
-	gather(slab, keys, &w.entries)
-}
-
-// radixSlab is sortSlab on the radix path: it groups the slab into runs
-// and sorts each run by t. The runs' entry sets are unique when no y is NaN
-// and no run of equal y crosses a run boundary, and their orders when no t
-// is NaN and no two entries of a run share t; otherwise it sets tied. It
-// gives up early once any slab of the list has.
-func (s *strSort) radixSlab(lo int, w *strScratch) {
-	if s.tied.Load() {
-		return
-	}
 	slab := s.out[lo:min(lo+s.slabSize, len(s.out))]
 	// The copy is only read until groupEntries has scattered it, so the
 	// gathers within may reuse the buffer.
 	w.entries = append(w.entries[:0], slab...)
-	ok := groupEntries(slab, w.entries, 1, s.runSize, s.radixFrom, w)
-	for rlo := 0; ok && rlo < len(slab); rlo += s.runSize {
-		images, sorted := sortEntries(slab[rlo:min(rlo+s.runSize, len(slab))], 2, s.radixFrom, w)
-		ok = sorted && distinct(images)
-	}
-	if !ok {
-		s.tied.Store(true)
+	groupEntries(slab, w.entries, 1, s.runSize, s.radixFrom, w)
+	for rlo := 0; rlo < len(slab); rlo += s.runSize {
+		sortEntries(slab[rlo:min(rlo+s.runSize, len(slab))], 2, s.radixFrom, w)
 	}
 }
 
 // gather permutes dst into the order of keys, whose Idx index dst, through
 // the caller's scratch buffer.
-func gather[K float64 | uint64](dst []data.Entry, keys []Keyed[K], scratch *[]data.Entry) {
+func gather(dst []data.Entry, keys []Keyed, scratch *[]data.Entry) {
 	unsorted := append((*scratch)[:0], dst...)
 	*scratch = unsorted
 	for i, k := range keys {

@@ -1,19 +1,31 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"storm/internal/data"
 	"storm/internal/geo"
 )
 
+// byCoordID is the order every STR pass must give: by coordinate axis,
+// compared as its floatImage, then by record ID.
+func byCoordID(axis int) func(a, b data.Entry) int {
+	return func(a, b data.Entry) int {
+		if c := cmp.Compare(floatImage(a.Pos[axis]), floatImage(b.Pos[axis])); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	}
+}
+
 // referenceSTR is the in-place, one-list-at-a-time STR sort bulk loads used
-// before the sort/pack split (sort.Slice over the entries themselves), kept
-// as the oracle STROrder must reproduce exactly — ties included.
+// before the sort/pack split, each pass a full slices.SortFunc over the
+// entries by (coordinate, ID), kept as the oracle STROrder must reproduce
+// exactly, ties, signed zeros, infinities and NaNs included.
 func referenceSTR(entries []data.Entry, fanout int) {
 	n := len(entries)
 	leaves := (n + fanout - 1) / fanout
@@ -21,15 +33,14 @@ func referenceSTR(entries []data.Entry, fanout int) {
 	if s < 1 {
 		s = 1
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Pos[0] < entries[j].Pos[0] })
+	slices.SortFunc(entries, byCoordID(0))
 	slabSize := s * s * fanout
 	for lo := 0; lo < n; lo += slabSize {
 		slab := entries[lo:min(lo+slabSize, n)]
-		sort.Slice(slab, func(i, j int) bool { return slab[i].Pos[1] < slab[j].Pos[1] })
+		slices.SortFunc(slab, byCoordID(1))
 		runSize := s * fanout
 		for rlo := 0; rlo < len(slab); rlo += runSize {
-			run := slab[rlo:min(rlo+runSize, len(slab))]
-			sort.Slice(run, func(i, j int) bool { return run[i].Pos[2] < run[j].Pos[2] })
+			slices.SortFunc(slab[rlo:min(rlo+runSize, len(slab))], byCoordID(2))
 		}
 	}
 }

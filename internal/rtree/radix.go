@@ -1,81 +1,87 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sync/atomic"
+	"slices"
 
 	"storm/internal/data"
 )
 
-// The radix path of the bulk-load sorts. SortKeyed (keysort.go) defines
-// every bulk-load order; this file only reproduces it faster where that is
-// provable. A comparison sort leaves tied keys in an order of its own, but
-// when the order a sort must produce is the only order there is — no ties
-// anywhere it matters — every correct sort produces it, SortKeyed's
-// included. So the bulk loads sort in linear time by radix (LSD for whole
-// sorts, one MSD pass for the STR passes that only group), check
-// afterwards that the result is the unique order, and run SortKeyed
-// exactly as before whenever it is not.
+// The bulk-load sorts. Every order a bulk load uses — the three STR passes,
+// the Hilbert sorts of InsertBatch, leaf splits and PackHilbert loads, and
+// distr's partition — is the lexicographic order (key, record ID), where a
+// coordinate's key is its floatImage. Over entries with distinct IDs that
+// order is total, so any correct sort produces it, on any toolchain, and
+// which sort runs is a matter of speed alone: from radixMin keys up a stable
+// LSD radix sort on the key, then each run of equal keys ordered by ID;
+// below, slices.SortFunc with the same comparison (compareKeyed).
 
 // radixMin is the fewest keys the bulk-load sorts radix-sort; shorter sorts
-// stay on SortKeyed, which beats a radix sort's fixed histogram cost up to
-// about this size (BenchmarkSortKeyed). Leaf splits and ingest-sized
-// InsertBatch sorts are all shorter.
-const radixMin = 1024
+// go through slices.SortFunc, which matches a radix sort's fixed histogram
+// cost at about this size and loses above it (the sort benchmark in
+// radix_test.go: 2.7 µs each at 64 keys, 2.9 against 5.2 at 96, 22 against
+// 81 at 832, on one core of a 2-core x86-64 box).
+const radixMin = 64
 
-// radixSorts and pinnedSorts count the sorts of at least radixMin keys (an
-// STR list counts once) by the path they ended on.
-var radixSorts, pinnedSorts atomic.Uint64
+// Keyed is what the bulk-load sorts move: a sort key and the position of the
+// entry it belongs to — half the bytes of a data.Entry; the entries
+// themselves are gathered once per pass.
+type Keyed struct {
+	Key uint64
+	Idx int
+}
 
-// SortPaths returns how many bulk-load sorts of at least radixMin keys —
-// whole STR lists, Hilbert sorts and partitions — have ended on each path
-// since the process started: radix when their order was provably unique,
-// pinned when ties or NaNs sent them back to SortKeyed. It is a
-// deterministic function of the data sorted, so benchmarks and tests read
-// it to tell which path a dataset takes.
-func SortPaths() (radix, pinned uint64) { return radixSorts.Load(), pinnedSorts.Load() }
+// compareKeyed orders a and b, whose Idx index entries, by key, then by the
+// record ID of their entry, then by Idx — which decides only between two
+// copies of one record, so that even a list holding a record twice has a
+// single order.
+func compareKeyed(a, b Keyed, entries []data.Entry) int {
+	if a.Key != b.Key {
+		return cmp.Compare(a.Key, b.Key)
+	}
+	if c := cmp.Compare(entries[a.Idx].ID, entries[b.Idx].ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Idx, b.Idx)
+}
 
-// SortKeyedIndexed leaves x exactly as SortKeyed(x) would, for x whose
-// every Idx is its own position (x[i].Idx == i), as the Hilbert sorts build
-// it. From radixMin keys up it radix-sorts, and keeps the result when the
-// keys are pairwise distinct: then the sorted order is the only one, so it
-// is SortKeyed's. On a tie it puts every pair back where its Idx says it
-// started and runs SortKeyed.
-func SortKeyedIndexed(x []Keyed[uint64]) {
-	if len(x) < radixMin {
-		SortKeyed(x)
+// SortByKeyID sorts x, whose every Idx indexes entries, into (Key, record
+// ID) order.
+func SortByKeyID(x []Keyed, entries []data.Entry) {
+	sortKeys(x, entries, radixMin, nil)
+}
+
+// sortKeys is SortByKeyID with the radix sort taken from radixFrom keys up,
+// using tmp as its scratch when tmp is long enough.
+func sortKeys(x []Keyed, entries []data.Entry, radixFrom int, tmp []Keyed) {
+	byID := func(a, b Keyed) int { return compareKeyed(a, b, entries) }
+	if len(x) < radixFrom {
+		slices.SortFunc(x, byID)
 		return
 	}
-	tmp := make([]Keyed[uint64], len(x))
+	if len(tmp) < len(x) {
+		tmp = make([]Keyed, len(x))
+	}
 	radixSort(x, tmp)
-	if distinct(x) {
-		radixSorts.Add(1)
-		return
-	}
-	pinnedSorts.Add(1)
-	copy(tmp, x)
-	for _, k := range tmp {
-		x[k.Idx] = k
-	}
-	SortKeyed(x)
-}
-
-// distinct reports whether no two neighbours of the sorted x share a key.
-func distinct(x []Keyed[uint64]) bool {
 	for i := 1; i < len(x); i++ {
-		if x[i-1].Key == x[i].Key {
-			return false
+		if x[i].Key != x[i-1].Key {
+			continue
 		}
+		lo := i - 1
+		for i+1 < len(x) && x[i+1].Key == x[lo].Key {
+			i++
+		}
+		slices.SortFunc(x[lo:i+1], byID)
 	}
-	return true
 }
 
-// floatImage maps a non-NaN float64 onto a uint64 whose unsigned order is
-// the float's: −0 maps to +0, negatives have every bit flipped and the rest
-// get the sign bit set. For non-NaN a and b, a < b exactly when
-// floatImage(a) < floatImage(b), so SortKeyed's comparisons come out the
-// same on either key.
+// floatImage maps a float64 onto a uint64 whose unsigned order is the
+// float's: −0 maps to +0, negatives have every bit flipped and the rest get
+// the sign bit set. For non-NaN a and b, a < b exactly when floatImage(a) <
+// floatImage(b); a NaN lands beyond the infinity of its sign, placed by its
+// payload, so every float has a fixed place.
 func floatImage(f float64) uint64 {
 	b := math.Float64bits(f)
 	if b == 1<<63 { // −0
@@ -87,7 +93,7 @@ func floatImage(f float64) uint64 {
 // radixSort sorts x by Key, stably, with tmp (at least as long as x) as
 // scratch: one LSD pass per byte of the key, skipping the bytes every key
 // shares (the sign and high exponent bits of coordinates in one range).
-func radixSort(x, tmp []Keyed[uint64]) {
+func radixSort(x, tmp []Keyed) {
 	n := len(x)
 	if n < 2 {
 		return
@@ -131,32 +137,21 @@ func radixSort(x, tmp []Keyed[uint64]) {
 
 // groupEntries copies src into dst so that each consecutive group of size
 // entries (the last one may be short) holds the entries that group holds
-// when sorted by coordinate axis, and reports whether that grouping is
-// unique: whether no coordinate is NaN and no run of equal coordinates
-// crosses a group boundary. The order within a group is left open; the
-// STR x and y passes need only the members, as the next pass sorts each
-// group again. One MSD radix pass on the highest byte of the coordinates'
-// images that varies buckets the entries; only the buckets a group
-// boundary cuts are sorted (sortEntries) and checked, because entries in
+// in (coordinate axis, ID) order. The order within a group is left open;
+// the STR x and y passes need only the members, as the next pass sorts
+// each group again. One MSD radix pass on the highest byte of the
+// coordinates' images that varies buckets the entries; only the buckets a
+// group boundary cuts are sorted (sortEntries), because entries in
 // different buckets differ.
-func groupEntries(dst, src []data.Entry, axis, size, radixFrom int, w *strScratch) bool {
-	if len(src) == 0 {
-		return true
+func groupEntries(dst, src []data.Entry, axis, size, radixFrom int, w *strScratch) {
+	if len(src) <= size {
+		copy(dst, src)
+		return
 	}
 	first := floatImage(src[0].Pos[axis])
 	var diff uint64
 	for _, e := range src {
-		if e.Pos[axis] != e.Pos[axis] {
-			return false
-		}
 		diff |= floatImage(e.Pos[axis]) ^ first
-	}
-	if len(src) <= size {
-		copy(dst, src)
-		return true
-	}
-	if diff == 0 {
-		return false // one run of equal coordinates, cut by every boundary
 	}
 	shift := uint(max(bits.Len64(diff)-8, 0))
 	var ends [256]int
@@ -176,42 +171,24 @@ func groupEntries(dst, src []data.Entry, axis, size, radixFrom int, w *strScratc
 	lo := 0
 	for _, hi := range ends {
 		if cut := (lo/size + 1) * size; cut < hi {
-			images, _ := sortEntries(dst[lo:hi], axis, radixFrom, w)
-			for ; cut < hi; cut += size {
-				if images[cut-lo-1].Key == images[cut-lo].Key {
-					return false
-				}
-			}
+			sortEntries(dst[lo:hi], axis, radixFrom, w)
 		}
 		lo = hi
 	}
-	return true
 }
 
-// sortEntries sorts entries by coordinate axis through w's buffers — by
-// radixSort from radixFrom entries up, by SortKeyed on the images below;
-// either gives a sorted order, which is all a pass whose ties are checked
-// asks — and returns the sorted (image, position) pairs, which stay valid
-// until w's next use. It reports false, leaving entries as they were, if a
-// coordinate is NaN.
-func sortEntries(entries []data.Entry, axis, radixFrom int, w *strScratch) ([]Keyed[uint64], bool) {
+// sortEntries sorts entries into (coordinate axis, ID) order through w's
+// buffers.
+func sortEntries(entries []data.Entry, axis, radixFrom int, w *strScratch) {
 	n := len(entries)
 	if cap(w.images) < n {
-		w.images = make([]Keyed[uint64], n)
-		w.tmp = make([]Keyed[uint64], n)
+		w.images = make([]Keyed, n)
+		w.tmp = make([]Keyed, n)
 	}
 	images := w.images[:n]
 	for i, e := range entries {
-		if e.Pos[axis] != e.Pos[axis] {
-			return nil, false
-		}
-		images[i] = Keyed[uint64]{Key: floatImage(e.Pos[axis]), Idx: i}
+		images[i] = Keyed{Key: floatImage(e.Pos[axis]), Idx: i}
 	}
-	if n < radixFrom {
-		SortKeyed(images)
-	} else {
-		radixSort(images, w.tmp[:n])
-	}
+	sortKeys(images, entries, radixFrom, w.tmp[:n])
 	gather(entries, images, &w.entries)
-	return images, true
 }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,12 +10,14 @@ import (
 	"testing"
 
 	"storm/internal/data"
+	"storm/internal/data/datatest"
 	"storm/internal/geo"
 )
 
 // TestFloatImageOrder checks that floatImage orders every pair of a palette
 // of edge values (signed zeros, infinities, subnormals, the extremes) as <
-// and == order the floats themselves.
+// and == order the floats themselves, and puts each NaN beyond the infinity
+// of its sign.
 func TestFloatImageOrder(t *testing.T) {
 	vals := []float64{math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
 		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-300, 0.5, 1, 2, math.MaxFloat64, math.Inf(1)}
@@ -26,7 +29,14 @@ func TestFloatImageOrder(t *testing.T) {
 			}
 		}
 	}
+	nan := math.NaN()
+	if floatImage(nan) <= floatImage(math.Inf(1)) || floatImage(-nan) >= floatImage(math.Inf(-1)) {
+		t.Errorf("NaN images %#x and %#x do not lie beyond the infinities", floatImage(nan), floatImage(-nan))
+	}
 }
+
+// byKey orders Keyed values by key alone.
+func byKey(a, b Keyed) int { return cmp.Compare(a.Key, b.Key) }
 
 // TestRadixSortStable compares radixSort with a stable comparison sort on
 // keys with many ties and on keys that share all but their low bytes.
@@ -34,58 +44,58 @@ func TestRadixSortStable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 2, 3, 17, 255, 256, 257, 1000, 5000} {
 		for _, spread := range []uint64{1, 3, 1 << 12, math.MaxUint64} {
-			x := make([]Keyed[uint64], n)
+			x := make([]Keyed, n)
 			for i := range x {
 				k := r.Uint64()
 				if spread != math.MaxUint64 {
 					k = 0xABCD_0000_0000_0000 + k%spread
 				}
-				x[i] = Keyed[uint64]{Key: k, Idx: i}
+				x[i] = Keyed{Key: k, Idx: i}
 			}
 			want := slices.Clone(x)
-			slices.SortStableFunc(want, cmpKeyed[uint64])
-			radixSort(x, make([]Keyed[uint64], n))
-			checkSamePermutation(t, fmt.Sprintf("spread %d", spread), "radix vs stable", x, want)
+			slices.SortStableFunc(want, byKey)
+			radixSort(x, make([]Keyed, n))
+			if !slices.Equal(x, want) {
+				t.Fatalf("n=%d spread %d: radixSort differs from a stable sort", n, spread)
+			}
 		}
 	}
 }
 
-// TestSortKeyedIndexedMatchesSortKeyed gives SortKeyedIndexed every
-// keyPatterns shape around and well above radixMin and demands SortKeyed's
-// permutation; random 64-bit keys, distinct in practice, must take the radix
-// path and all-equal keys the pinned one.
-func TestSortKeyedIndexedMatchesSortKeyed(t *testing.T) {
-	sortPatterns([]int{0, 1, radixMin - 1, radixMin, radixMin + 1, 5000, 100_000}, func(pattern string, _ []float64, ukeys []uint64) {
-		if ukeys == nil {
-			return
-		}
-		want := keyedOf(ukeys)
-		SortKeyed(want)
-		radix0, pinned0 := SortPaths()
-		got := keyedOf(ukeys)
-		SortKeyedIndexed(got)
-		checkSamePermutation(t, "vs SortKeyed", pattern, got, want)
-		radix, pinned := SortPaths()
-		if len(ukeys) >= radixMin {
-			if pattern == "random" && (radix != radix0+1 || pinned != pinned0) {
-				t.Errorf("random n=%d: want the radix path", len(ukeys))
+// TestSortSizeSplit checks that both sides of the radixMin split give
+// the (key, ID, position) order, on keys with long tied runs and on lists
+// holding records twice: radix from the first key, radix never, and the
+// default split must agree with a comparison sort over that comparator.
+func TestSortSizeSplit(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 300, radixMin - 1, radixMin, 5000} {
+		for _, spread := range []uint64{1, 7, 1 << 40} {
+			entries := make([]data.Entry, n)
+			x := make([]Keyed, n)
+			for i := range x {
+				entries[i].ID = data.ID(r.Intn(n + 1)) // repeats: one record held twice
+				x[i] = Keyed{Key: r.Uint64() % spread, Idx: i}
 			}
-			if pattern == "all-equal" && (radix != radix0 || pinned != pinned0+1) {
-				t.Errorf("all-equal n=%d: want the pinned path", len(ukeys))
+			want := slices.Clone(x)
+			slices.SortFunc(want, func(a, b Keyed) int { return compareKeyed(a, b, entries) })
+			for _, from := range []int{1, radixMin, math.MaxInt} {
+				got := slices.Clone(x)
+				sortKeys(got, entries, from, nil)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d spread %d radix from %d: order differs from (key, ID, position)", n, spread, from)
+				}
 			}
 		}
-	})
+	}
 }
 
 // TestGroupEntries checks groupEntries against a full sort: every group
-// must hold the entries the sorted order puts in it, and the grouping must
-// count as unique exactly when no coordinate is NaN and no run of equal
-// coordinates in the sorted order crosses a group boundary. Coordinates
+// must hold the entries the (coordinate, ID) order puts in it. Coordinates
 // range from all equal through narrow bands (one MSD bucket) to the whole
-// float line, signed zeros and infinities included.
+// float line, signed zeros, infinities and NaNs included.
 func TestGroupEntries(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	specials := []float64{math.Inf(-1), math.Copysign(0, -1), 0, math.Inf(1)}
+	specials := []float64{math.Inf(-1), math.Copysign(0, -1), 0, math.Inf(1), math.NaN(), -math.NaN()}
 	values := map[string]func() float64{
 		"equal":    func() float64 { return 7 },
 		"two":      func() float64 { return float64(r.Intn(2)) },
@@ -93,37 +103,18 @@ func TestGroupEntries(t *testing.T) {
 		"band":     func() float64 { return 1e6 + r.Float64() },
 		"wide":     func() float64 { return r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20)) },
 		"specials": func() float64 { return specials[r.Intn(len(specials))] },
-		"nan": func() float64 {
-			if r.Intn(500) == 0 {
-				return math.NaN()
-			}
-			return r.Float64()
-		},
 	}
 	for name, value := range values {
 		for _, n := range []int{1, 5, 64, 300, 3000} {
 			for _, size := range []int{1, 7, 64, 1000} {
 				src := make([]data.Entry, n)
-				nan := false
-				for i := range src {
-					src[i] = data.Entry{ID: data.ID(i), Pos: geo.Vec{0, value(), 0}}
-					nan = nan || math.IsNaN(src[i].Pos[1])
+				for i, id := range r.Perm(n) {
+					src[i] = data.Entry{ID: data.ID(id), Pos: geo.Vec{0, value(), 0}}
 				}
 				sorted := slices.Clone(src)
-				slices.SortStableFunc(sorted, func(a, b data.Entry) int {
-					return cmpKeyed(Keyed[float64]{Key: a.Pos[1]}, Keyed[float64]{Key: b.Pos[1]})
-				})
-				unique := !nan
-				for cut := size; cut < n; cut += size {
-					unique = unique && sorted[cut-1].Pos[1] != sorted[cut].Pos[1]
-				}
+				slices.SortFunc(sorted, byCoordID(1))
 				dst := make([]data.Entry, n)
-				if got := groupEntries(dst, src, 1, size, 16, &strScratch{}); got != unique {
-					t.Fatalf("%s n=%d size=%d: unique = %v, want %v", name, n, size, got, unique)
-				}
-				if !unique {
-					continue
-				}
+				groupEntries(dst, src, 1, size, 16, &strScratch{})
 				for lo := 0; lo < n; lo += size {
 					got, want := ids(dst[lo:min(lo+size, n)]), ids(sorted[lo:min(lo+size, n)])
 					slices.Sort(got)
@@ -137,53 +128,6 @@ func TestGroupEntries(t *testing.T) {
 	}
 }
 
-// strGrid returns n entries whose STR order at fanout is known: the entry
-// with ID p belongs at position p. Slab k holds x in (2k−1)·1e6 plus a
-// scrambled offset (so slab 0 is negative, the rest positive), run j of a
-// slab y in j·1e4 plus a reversed offset, and every run t = 0, 1, 2, ...,
-// so t repeats across runs but never within one. The entries come back
-// shuffled, with the layout's slab and run sizes.
-func strGrid(n, fanout int, seed int64) (list []data.Entry, slabSize, runSize int) {
-	s := newSTRSort(make([]data.Entry, n), fanout, math.MaxInt)
-	slabSize, runSize = s.slabSize, s.runSize
-	list = make([]data.Entry, n)
-	for p := range list {
-		q := p % slabSize
-		j, r := q/runSize, q%runSize
-		list[p] = data.Entry{ID: data.ID(p), Pos: geo.Vec{
-			float64(2*(p/slabSize)-1)*1e6 + float64(q*7919%slabSize),
-			float64(j)*1e4 + float64(runSize-1-r),
-			float64(r),
-		}}
-	}
-	rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { list[i], list[j] = list[j], list[i] })
-	return list, slabSize, runSize
-}
-
-// byID returns a function that finds the entry with a given ID in list.
-func byID(list []data.Entry) func(id int) *data.Entry {
-	at := make(map[data.ID]int, len(list))
-	for i, e := range list {
-		at[e.ID] = i
-	}
-	return func(id int) *data.Entry { return &list[at[data.ID(id)]] }
-}
-
-// slabMin is the position (ID) of the entry with the smallest x in slab k
-// of an strGrid layout: the one whose scrambled offset is 0.
-func slabMin(k, slabSize int) int { return k * slabSize }
-
-// slabMax is the position of the entry with the largest x in slab k.
-func slabMax(k, slabSize, n int) int {
-	best, at := -1, 0
-	for q := 0; q < min(slabSize, n-k*slabSize); q++ {
-		if off := q * 7919 % slabSize; off > best {
-			best, at = off, k*slabSize+q
-		}
-	}
-	return at
-}
-
 // ids lists the entry IDs of a sorted list.
 func ids(list []data.Entry) []data.ID {
 	out := make([]data.ID, len(list))
@@ -193,145 +137,145 @@ func ids(list []data.Entry) []data.ID {
 	return out
 }
 
-// checkRadixMatchesPinned sorts list with the radix path forced on every
-// pass and at the default cutoff, at GOMAXPROCS 1 and 2, and fails unless
-// both give the pinned path's order, positions bit for bit. It returns
-// whether the forced run kept its radix order.
-func checkRadixMatchesPinned(t *testing.T, name string, fanout int, list []data.Entry) (radix bool) {
-	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	want := strOrder(fanout, math.MaxInt, list)[0]
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		for _, from := range []int{1, radixMin} {
-			r0, _ := SortPaths()
-			got := strOrder(fanout, from, list)[0]
-			r1, _ := SortPaths()
-			if from == 1 {
-				radix = r1 > r0
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID || !sameBits(got[i].Pos, want[i].Pos) {
-					t.Fatalf("%s (n=%d, fanout %d, GOMAXPROCS %d, radix from %d): position %d holds %d, the pinned path put %d there",
-						name, len(list), fanout, procs, from, i, got[i].ID, want[i].ID)
-				}
-			}
-		}
+// sameEntries reports whether two lists hold the same entries in the same
+// order, positions bit for bit (so NaNs compare and −0 differs from +0).
+func sameEntries(a, b []data.Entry) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return radix
-}
-
-// sameBits reports whether two positions are the same bit for bit.
-func sameBits(a, b geo.Vec) bool {
-	for d := range a {
-		if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
+	for i := range a {
+		if a[i].ID != b[i].ID {
 			return false
+		}
+		for d := range a[i].Pos {
+			if math.Float64bits(a[i].Pos[d]) != math.Float64bits(b[i].Pos[d]) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// TestSTROrderRadixMatchesPinned runs hand-built lists of 0 to 3 slabs,
-// each with one kind of tie or special value, through both STR paths and
-// asserts which path the radix attempt ended on: ties strictly inside a
-// slab (x), a run (y) or across runs (t), signed zeros within a slab and
-// infinities keep the radix order; ties exactly at a slab or run boundary,
-// shared t within a run, exact duplicates, signed zeros across a slab
-// boundary and NaNs send the list back to the pinned path. Every list must
-// come out in the pinned order either way.
-func TestSTROrderRadixMatchesPinned(t *testing.T) {
-	negZero, inf := math.Copysign(0, -1), math.Inf(1)
-	type mutation struct {
-		name   string
-		slabs  int  // fewest slabs the mutation needs
-		radix  bool // whether the radix order must stand
-		mutate func(at func(int) *data.Entry, slabSize, runSize, n int)
+// specialEntries draws every coordinate from NaN (both signs), ±0, ±Inf and
+// a few integers, so positions repeat exactly and every special value has
+// many copies; each entry has its own ID.
+func specialEntries(n int, seed int64) []data.Entry {
+	r := rand.New(rand.NewSource(seed))
+	palette := []float64{math.NaN(), -math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, 1, 2, -1}
+	out := make([]data.Entry, n)
+	for i := range out {
+		if i%6 == 5 {
+			out[i] = data.Entry{ID: data.ID(i), Pos: out[r.Intn(i)].Pos}
+			continue
+		}
+		out[i] = data.Entry{ID: data.ID(i)}
+		for d := range out[i].Pos {
+			out[i].Pos[d] = palette[r.Intn(len(palette))]
+		}
 	}
-	mutations := []mutation{
-		{"clean", 0, true, func(func(int) *data.Entry, int, int, int) {}},
-		{"x tie at slab boundary", 2, false, func(at func(int) *data.Entry, slab, _, n int) {
-			at(slabMin(1, slab)).Pos[0] = at(slabMax(0, slab, n)).Pos[0]
-		}},
-		{"x tie inside slab", 1, true, func(at func(int) *data.Entry, slab, _, n int) {
-			at(slabMax(0, slab, n)).Pos[0] = at(slabMin(0, slab)).Pos[0]
-		}},
-		{"y tie at run boundary", 1, false, func(at func(int) *data.Entry, _, run, _ int) {
-			at(2*run - 1).Pos[1] = at(0).Pos[1] // run 1's smallest y = run 0's largest
-		}},
-		{"y tie inside run", 1, true, func(at func(int) *data.Entry, _, run, _ int) {
-			at(run - 1).Pos[1] = at(0).Pos[1]
-		}},
-		{"t tie inside run", 1, false, func(at func(int) *data.Entry, _, run, _ int) {
-			at(run - 1).Pos[2] = at(0).Pos[2]
-		}},
-		{"exact duplicate", 1, false, func(at func(int) *data.Entry, _, run, _ int) {
-			at(run - 1).Pos = at(run - 2).Pos
-		}},
-		{"signed zeros across slab boundary", 2, false, func(at func(int) *data.Entry, slab, _, n int) {
-			at(slabMax(0, slab, n)).Pos[0] = negZero
-			at(slabMin(1, slab)).Pos[0] = 0
-		}},
-		{"signed zeros inside slab", 2, true, func(at func(int) *data.Entry, slab, _, n int) {
-			at(slabMin(1, slab)).Pos[0] = negZero
-			at(slabMin(1, slab) + 1).Pos[0] = 0 // offset 7919 mod slab: above the minimum
-			at(slabMin(1, slab) + 2).Pos[0] = negZero
-		}},
-		{"infinities", 1, true, func(at func(int) *data.Entry, slab, run, n int) {
-			at(slabMin(0, slab)).Pos[0] = -inf
-			at(slabMax((n-1)/slab, slab, n)).Pos[0] = inf
-			at(run - 1).Pos[1] = -inf // run 0's smallest y
-			at(0).Pos[2] = inf
-		}},
-		{"NaN t", 1, false, func(at func(int) *data.Entry, _, _, n int) { at(n - 1).Pos[2] = math.NaN() }},
-		{"NaN x", 1, false, func(at func(int) *data.Entry, _, _, n int) { at(n / 2).Pos[0] = math.NaN() }},
+	return out
+}
+
+// orderLists are the inputs of the order tests: tie-heavy and
+// special-valued lists on both sides of radixMin, and distinct positions.
+func orderLists() map[string][]data.Entry {
+	return map[string][]data.Entry{
+		"tiedEntries":       tiedEntries(20_000),
+		"tiedEntries short": tiedEntries(900),
+		"tieHeavy":          datatest.TieHeavy(20_000).Entries(),
+		"specials":          specialEntries(5_000, 1),
+		"specials short":    specialEntries(300, 2),
+		"distinct":          genEntries(3_000, 5),
 	}
-	for _, fanout := range []int{4, 64} {
-		// 0 slabs; 1 slab of 3 runs; 2 slabs of 2 runs; 3 slabs of 3 runs;
-		// 3 slabs, the last one short.
-		for _, leaves := range []int{0, 9, 8, 27, 25} {
-			n := leaves*fanout - min(leaves, 1)*3
-			for _, m := range mutations {
-				list, slab, run := strGrid(n, fanout, int64(leaves))
-				slabs := (n + slab - 1) / slab
-				if slabs < m.slabs || (m.slabs > 0 && n < 2*run) {
-					continue
-				}
-				m.mutate(byID(list), slab, run, n)
-				name := fmt.Sprintf("%s, %d slabs", m.name, slabs)
-				radix := checkRadixMatchesPinned(t, name, fanout, list)
-				if n > 0 && radix != m.radix {
-					t.Errorf("%s (n=%d, fanout %d): radix order kept = %v, want %v", name, n, fanout, radix, m.radix)
-				}
-				if m.name == "clean" {
-					got := STROrder(fanout, list)[0]
-					for i, e := range got {
-						if e.ID != data.ID(i) {
-							t.Fatalf("clean grid (n=%d, fanout %d): position %d holds %d", n, fanout, i, e.ID)
+}
+
+// hilbertPair is an entry with its Hilbert key, as the reference sorts them.
+type hilbertPair struct {
+	e   data.Entry
+	key uint64
+}
+
+// referenceHilbert returns entries and keys sorted together by (key, ID)
+// with slices.SortFunc: the order sortByKey and the partition must give.
+func referenceHilbert(entries []data.Entry, keys []uint64) ([]data.Entry, []uint64) {
+	pairs := make([]hilbertPair, len(entries))
+	for i := range pairs {
+		pairs[i] = hilbertPair{entries[i], keys[i]}
+	}
+	slices.SortFunc(pairs, func(a, b hilbertPair) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.e.ID, b.e.ID)
+	})
+	es, ks := make([]data.Entry, len(pairs)), make([]uint64, len(pairs))
+	for i, p := range pairs {
+		es[i], ks[i] = p.e, p.key
+	}
+	return es, ks
+}
+
+// TestBulkLoadOrdersIgnoreInputOrder checks that STROrder and sortByKey are
+// functions of the entries alone: any shuffle of a list — tie-heavy,
+// special-valued or plain, every entry with its own ID — gives the same
+// output, on either side of the radix cutoff and at GOMAXPROCS 1 and 2, and
+// that output is the reference's: referenceSTR, and a slices.SortFunc over
+// (key, ID) for the Hilbert sort, under fine keys (the quantizer's) and
+// coarse ones (a few distinct values, so ties run long).
+func TestBulkLoadOrdersIgnoreInputOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	quant := NewQuantizer(geo.NewRect(geo.Vec{-2, -2, -2}, geo.Vec{40, 40, 100}))
+	keyings := map[string]func(geo.Vec) uint64{
+		"fine":   func(p geo.Vec) uint64 { return quant.Value3(p[0], p[1], p[2]) },
+		"coarse": func(p geo.Vec) uint64 { return floatImage(p[0]) >> 61 },
+	}
+	for name, list := range orderLists() {
+		wantSTR := map[int][]data.Entry{}
+		for _, fanout := range []int{8, 64} {
+			wantSTR[fanout] = slices.Clone(list)
+			referenceSTR(wantSTR[fanout], fanout)
+		}
+		for shuffle := int64(0); shuffle < 3; shuffle++ {
+			in := slices.Clone(list)
+			rand.New(rand.NewSource(shuffle)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				for fanout, want := range wantSTR {
+					for _, from := range []int{1, radixMin, math.MaxInt} {
+						if got := strOrder(fanout, from, in)[0]; !sameEntries(got, want) {
+							t.Fatalf("%s, shuffle %d, GOMAXPROCS %d, fanout %d, radix from %d: STR order differs from the reference",
+								name, shuffle, procs, fanout, from)
 						}
 					}
 				}
 			}
-		}
-	}
-	// Generated lists, one of them tie-heavy, and several lists in one call.
-	lists := [][]data.Entry{genEntries(20_000, 1), tiedEntries(20_000), genEntries(1_500, 2), tiedEntries(1_100)}
-	for _, fanout := range []int{8, 64} {
-		for i, l := range lists {
-			checkRadixMatchesPinned(t, fmt.Sprintf("list %d", i), fanout, l)
-		}
-		got, want := STROrder(fanout, lists...), strOrder(fanout, math.MaxInt, lists...)
-		for i := range lists {
-			if !slices.Equal(ids(got[i]), ids(want[i])) {
-				t.Errorf("fanout %d: list %d of a concurrent call differs from the pinned order", fanout, i)
+			for kname, key := range keyings {
+				keys := keysOf(in, key)
+				wantEs, wantKs := referenceHilbert(list, keysOf(list, key))
+				gotEs := slices.Clone(in)
+				sortByKey(gotEs, keys)
+				if !sameEntries(gotEs, wantEs) || !slices.Equal(keys, wantKs) {
+					t.Fatalf("%s, shuffle %d, %s keys: Hilbert order differs from the reference", name, shuffle, kname)
+				}
 			}
 		}
 	}
 }
 
+// keysOf keys every entry of list.
+func keysOf(list []data.Entry, key func(geo.Vec) uint64) []uint64 {
+	keys := make([]uint64, len(list))
+	for i, e := range list {
+		keys[i] = key(e.Pos)
+	}
+	return keys
+}
+
 // FuzzSTROrder builds a list from any bytes — coordinates from a palette of
 // NaN, ±Inf, ±0 and small integers, or two bytes' worth of distinct-ish
-// values — and demands the pinned order from the radix path, forced on
-// every pass and at the default cutoff, at GOMAXPROCS 1 and 2.
+// values — and demands referenceSTR's order from STROrder, with the radix
+// sorts taken from the first key and at the default cutoff, at GOMAXPROCS
+// 1 and 2.
 func FuzzSTROrder(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 9, 1, 200, 0, 7, 2, 13, 0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14})
 	f.Add(uint8(0), []byte{0, 3, 0, 3, 0, 4, 0, 4, 0, 5, 0, 6, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 2})
@@ -341,6 +285,7 @@ func FuzzSTROrder(f *testing.F) {
 	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	palette := []float64{nan, -inf, inf, negZero, 0, 1, 2, -1}
 	f.Fuzz(func(t *testing.T, fan uint8, raw []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 		fanout := 1 + int(fan%8)
 		coord := func(b []byte) float64 {
 			if v := int(b[0])<<8 | int(b[1]); v >= 256 {
@@ -349,9 +294,49 @@ func FuzzSTROrder(f *testing.F) {
 			return palette[int(b[1])%len(palette)]
 		}
 		var list []data.Entry
-		for i := 0; i+6 <= len(raw) && len(list) < 2*radixMin; i += 6 {
+		for i := 0; i+6 <= len(raw) && len(list) < 2048; i += 6 {
 			list = append(list, data.Entry{ID: data.ID(len(list)), Pos: geo.Vec{coord(raw[i:]), coord(raw[i+2:]), coord(raw[i+4:])}})
 		}
-		checkRadixMatchesPinned(t, "fuzz", fanout, list)
+		want := slices.Clone(list)
+		referenceSTR(want, fanout)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, from := range []int{1, radixMin} {
+				if got := strOrder(fanout, from, list)[0]; !sameEntries(got, want) {
+					t.Fatalf("n=%d fanout %d GOMAXPROCS %d radix from %d: STR order differs from the reference",
+						len(list), fanout, procs, from)
+				}
+			}
+		}
 	})
+}
+
+// BenchmarkSortKeyed times the two ways a bulk-load sort can run — the
+// radix path and slices.SortFunc with compareKeyed — over the same keys:
+// run-sized t passes (832 keys: a 13-leaf run at fanout 64, as a 125
+// k-record shard has; 1 280: a 20-leaf run) and the shorter sorts down to a
+// leaf split's. The size where radix overtakes the comparison sort sets
+// radixMin.
+func BenchmarkSortKeyed(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 512, 832, 1024, 1280} {
+		r := rand.New(rand.NewSource(1))
+		entries := make([]data.Entry, n)
+		src := make([]Keyed, n)
+		for i := range src {
+			entries[i].ID = data.ID(i)
+			src[i] = Keyed{Key: floatImage(r.Float64()), Idx: i}
+		}
+		x, tmp := make([]Keyed, n), make([]Keyed, n)
+		for _, path := range []struct {
+			name string
+			from int
+		}{{"sortfunc", math.MaxInt}, {"radix", 1}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, path.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(x, src)
+					sortKeys(x, entries, path.from, tmp)
+				}
+			})
+		}
+	}
 }

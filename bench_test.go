@@ -516,17 +516,19 @@ func BenchmarkHostBuild(b *testing.B) {
 
 // ---- substrate micro-benchmarks ----
 
-// BenchmarkRTreeInsert times the per-entry Hilbert insert — what a shard
-// host pays for every mirrored record. The tree is given the points' box, so
+// BenchmarkRTreeInsert times a single-record InsertBatch — what a shard host
+// pays for every mirrored record. The tree is given the points' box, so
 // keys spread over the curve instead of clamping to one corner.
 func BenchmarkRTreeInsert(b *testing.B) {
 	rng := stats.NewRNG(1)
 	t := rtree.MustNew(rtree.Config{Fanout: 64, Bounds: geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1000, 1000, 1000})})
+	one := make([]data.Entry, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t.Insert(data.Entry{ID: data.ID(i), Pos: geo.Vec{
-			rng.Uniform(0, 1000), rng.Uniform(0, 1000), rng.Uniform(0, 1000)}})
+		one[0] = data.Entry{ID: data.ID(i), Pos: geo.Vec{
+			rng.Uniform(0, 1000), rng.Uniform(0, 1000), rng.Uniform(0, 1000)}}
+		t.InsertBatch(one)
 	}
 }
 

@@ -227,8 +227,8 @@ type A3Result struct {
 	FreshSampled bool
 }
 
-// A3 measures ad-hoc update throughput on both indexes and verifies the
-// paper's updates claim: "a correct set of online spatio-temporal samples
+// A3 measures ad-hoc update throughput on both indexes, one record per
+// insert or delete call, and verifies the paper's updates claim: "a correct set of online spatio-temporal samples
 // can always be returned with respect to the latest records".
 func A3(cfg A3Config) ([]A3Result, error) {
 	cfg = cfg.withDefaults()
@@ -251,14 +251,14 @@ func A3(cfg A3Config) ([]A3Result, error) {
 	}
 
 	var out []A3Result
-	run := func(name string, insert func(data.Entry), del func(data.Entry) bool, sample func() sampling.Sampler) {
+	run := func(name string, insert func([]data.Entry), del func(data.Entry) bool, sample func() sampling.Sampler) {
 		inserts := make([]data.Entry, cfg.Updates)
 		for i := range inserts {
 			inserts[i] = mkInsert(i)
 		}
 		start := time.Now()
-		for _, e := range inserts {
-			insert(e)
+		for i := range inserts {
+			insert(inserts[i : i+1])
 		}
 		insRate := float64(cfg.Updates) / time.Since(start).Seconds()
 
@@ -303,7 +303,7 @@ func A3(cfg A3Config) ([]A3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run("RS-tree", rsIdx.Insert, rsIdx.Delete, func() sampling.Sampler {
+	run("RS-tree", rsIdx.InsertBatch, rsIdx.Delete, func() sampling.Sampler {
 		return rsIdx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+9))
 	})
 
@@ -311,7 +311,7 @@ func A3(cfg A3Config) ([]A3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	run("LS-tree", lsIdx.Insert, lsIdx.Delete, func() sampling.Sampler {
+	run("LS-tree", lsIdx.InsertBatch, lsIdx.Delete, func() sampling.Sampler {
 		return lsIdx.Sampler(rect, stats.NewRNG(cfg.Seed+9))
 	})
 	return out, nil
@@ -468,9 +468,8 @@ type A6Point struct {
 // insertion on the same data, measuring range-report I/O and canonical-set
 // size over a batch of queries. Hilbert and STR produce comparably tight
 // trees, with STR's tiling usually a touch tighter on box queries — the
-// reason STR is the default bulk-load packing (Hilbert stays selectable
-// via rtree.Config.Packing and is how inserts are placed); an
-// insertion-built tree is markedly worse.
+// reason bulk loads pack in STR order (Hilbert order is how inserts are
+// placed); an insertion-built tree is markedly worse.
 func A6(cfg A6Config) ([]A6Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
@@ -497,15 +496,20 @@ func A6(cfg A6Config) ([]A6Point, error) {
 		var t *rtree.Tree
 		switch name {
 		case "hilbert":
-			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev, Packing: rtree.PackHilbert})
-			t.BulkLoad(entries)
+			order, _ := rtree.HilbertOrder(entries)
+			sorted := make([]data.Entry, len(order))
+			for i, k := range order {
+				sorted[i] = entries[k.Idx]
+			}
+			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev})
+			t.Pack(sorted)
 		case "str (default)":
 			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev})
 			t.BulkLoad(entries)
 		case "insert-built":
 			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev, Bounds: bounds})
-			for _, e := range entries {
-				t.Insert(e)
+			for i := range entries {
+				t.InsertBatch(entries[i : i+1])
 			}
 		}
 		return t, dev, nil

@@ -24,20 +24,11 @@ import (
 // one per shard, spatially coherent so selective queries touch few shards.
 // The result is a pure function of the entries and shard count, whatever
 // their order and whatever toolchain built the process: the order is (Hilbert
-// key, record ID), total over distinct IDs (rtree.SortByKeyID), so a
+// key, record ID), total over distinct IDs (rtree.HilbertOrder), so a
 // coordinator and a remote shard host partitioning the same dataset agree
 // on every shard's contents without shipping them.
 func partition(entries []data.Entry, shards int) (parts [][]data.Entry, bounds geo.Rect) {
-	bounds = rtree.HilbertBounds(geo.Rect{}, entries)
-	quant := rtree.NewQuantizer(bounds)
-	// Sorting (key, position) pairs moves 16 bytes per swap; the entries
-	// are read only to break ties by ID, and gathered once afterwards.
-	order := make([]rtree.Keyed, len(entries))
-	for i, e := range entries {
-		order[i] = rtree.Keyed{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
-	}
-	rtree.SortByKeyID(order, entries)
-
+	order, bounds := rtree.HilbertOrder(entries)
 	parts = make([][]data.Entry, shards)
 	per := (len(entries) + shards - 1) / shards
 	for s := 0; s < shards; s++ {
@@ -268,7 +259,7 @@ func (b *shardBackend) openStreams() int {
 func (b *shardBackend) insert(e data.Entry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.shard.index.Insert(e)
+	b.shard.index.InsertBatch([]data.Entry{e})
 	b.shard.count++
 	summaryAdd(b.ds, b.shard, e)
 }

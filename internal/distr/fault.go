@@ -376,7 +376,8 @@ func (p ShardFaultPlan) specs() []string {
 
 // parseFaultTarget resolves a segment target to shard IDs ('*' → ShardAll)
 // plus the replica index of a dotted '<shard>.<replica>' target (-1 for a
-// plain all-replica target). Ranges cannot be replica-scoped.
+// plain all-replica target). Ranges cannot be replica-scoped, and no shard
+// ID reaches maxShards.
 func parseFaultTarget(target string) (ids []int, replica int, err error) {
 	replica = -1
 	if shard, rep, dotted := strings.Cut(target, "."); dotted {
@@ -402,6 +403,9 @@ func parseFaultTarget(target string) (ids []int, replica int, err error) {
 		if errA != nil || errB != nil || a < 0 || b < a {
 			return nil, 0, fmt.Errorf("distr: fault plan target %q: want <lo>-<hi>", target)
 		}
+		if b >= maxShards {
+			return nil, 0, fmt.Errorf("distr: fault plan target %q: shard IDs must be below %d", target, maxShards)
+		}
 		ids = make([]int, 0, b-a+1)
 		for i := a; i <= b; i++ {
 			ids = append(ids, i)
@@ -411,6 +415,9 @@ func parseFaultTarget(target string) (ids []int, replica int, err error) {
 	id, errID := strconv.Atoi(target)
 	if errID != nil || id < 0 {
 		return nil, 0, fmt.Errorf("distr: fault plan target %q: want shard id, <lo>-<hi>, '*', or <shard>.<replica>", target)
+	}
+	if id >= maxShards {
+		return nil, 0, fmt.Errorf("distr: fault plan target %q: shard IDs must be below %d", target, maxShards)
 	}
 	return []int{id}, replica, nil
 }

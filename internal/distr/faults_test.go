@@ -1,6 +1,7 @@
 package distr_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -372,10 +373,20 @@ func TestParseFaultPlan(t *testing.T) {
 		"1:transient-p=1.5",
 		"5-2:latency=1ms",
 		"1:latency=xyz",
+		"65536:crash-after=0",
+		"0-888888815:crash-after=0",
 	} {
 		if _, err := distr.ParseFaultPlan(bad); err == nil {
 			t.Errorf("spec %q should fail to parse", bad)
 		}
+	}
+	// Shard IDs stop below the most shards a cluster can have; a range up to
+	// that bound still parses.
+	if _, err := distr.ParseFaultPlan("0-888888815:crash-after=0"); err == nil || !strings.Contains(err.Error(), "shard IDs must be below 65536") {
+		t.Errorf("oversized range: err = %v, want the shard-ID bound", err)
+	}
+	if plan, err := distr.ParseFaultPlan("65530-65535:crash-after=0"); err != nil || len(plan.Shards) != 6 {
+		t.Errorf("range at the bound: plan = %v, err = %v", plan, err)
 	}
 }
 

@@ -27,12 +27,13 @@ type hostKey struct {
 	shard uint32
 }
 
-// maxBuildShards bounds wire.Build.Of, which comes off the wire and sizes
-// the partition's per-shard tables before any record is looked at. The
-// record count is no bound — a coordinator cuts an empty dataset into as
-// many shards as it has hosts — so the limit is a constant, far above any
-// host pool and far below an allocation that hurts.
-const maxBuildShards = 1 << 16
+// maxShards bounds the shards of a cluster: wire.Build.Of, which comes off
+// the wire and sizes the partition's per-shard tables before any record is
+// looked at, and the shard IDs a fault plan may name, whose ranges expand ID
+// by ID. The record count is no bound — a coordinator cuts an empty dataset
+// into as many shards as it has hosts — so the limit is a constant, far
+// above any host pool and far below an allocation that hurts.
+const maxShards = 1 << 16
 
 // partMemo is one dataset's partition, computed by the first Build that
 // asks for it and handed out a part per shard. It is keyed by what the
@@ -232,7 +233,7 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	}
 	h.mu.Unlock()
 
-	if req.Of < 1 || req.Shard >= req.Of || req.Of > maxBuildShards {
+	if req.Of < 1 || req.Shard >= req.Of || req.Of > maxShards {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %d out of range", req.Shard, req.Of)}
 	}
 	// From here the Build reads the dataset copy — its length, positions

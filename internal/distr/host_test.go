@@ -144,7 +144,7 @@ func TestHostBuildRejectsOversizedOf(t *testing.T) {
 		refuse bool
 	}{
 		{"uniform", 4_000_000_000, true},
-		{"uniform", maxBuildShards + 1, true},
+		{"uniform", maxShards + 1, true},
 		{"uniform", 101, false},
 		{"empty", 2, false},
 	} {

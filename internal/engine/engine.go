@@ -599,23 +599,16 @@ func (h *Handle) insertLocked(rows []data.Row) []data.ID {
 		ids[i] = h.ds.Append(row)
 		entries[i] = data.Entry{ID: ids[i], Pos: row.Pos}
 	}
-	// A run merge costs several per-entry inserts in key and sort
-	// allocations, so one record takes the per-entry descent.
-	if len(entries) == 1 {
-		h.rs.Insert(entries[0])
-	} else {
-		h.rs.InsertBatch(entries) // reorders entries in place
-	}
-	// The secondary indexes keep their per-entry insert paths; the Hilbert
-	// order a batch now carries keeps those spatially clustered too.
-	ls := h.ls.Load()
-	for _, e := range entries {
-		if ls != nil {
-			ls.Insert(e)
-		}
-		if h.cluster != nil {
+	h.rs.InsertBatch(entries) // reorders entries in place
+	// The cluster mirrors record by record, in the RS-tree's Hilbert order;
+	// the LS-tree then takes the batch (and reorders it too).
+	if h.cluster != nil {
+		for _, e := range entries {
 			h.cluster.Insert(e)
 		}
+	}
+	if ls := h.ls.Load(); ls != nil {
+		ls.InsertBatch(entries)
 	}
 	h.noteTime(entries)
 	h.version++

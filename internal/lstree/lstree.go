@@ -26,7 +26,7 @@
 // The level trees are shared and read-only on the query path; everything a
 // query mutates (the per-level pending list, its permutation cursor, the
 // cross-level dedup set) lives in the Sampler, so any number of Samplers
-// may run concurrently against one Index. Insert and Delete mutate the
+// may run concurrently against one Index. InsertBatch and Delete mutate the
 // level trees and the index's structural RNG and must be serialized
 // against in-flight samplers by the caller (package engine uses a
 // per-dataset RWMutex). Each individual Sampler is single-goroutine.
@@ -67,16 +67,16 @@ type Config struct {
 }
 
 // Index is an LS-tree over a point set. Queries (Samplers, Count) may run
-// concurrently; Insert and Delete require exclusive access.
+// concurrently; InsertBatch and Delete require exclusive access.
 type Index struct {
 	cfg    Config
 	levels []*rtree.Tree // levels[0] indexes all of P
 	// sums holds one attribute-summary maintainer per level (parallel to
 	// levels) when Config.Attrs is set; nil otherwise. Built eagerly on
-	// the write path (Build/maybeGrow) so the query path never appends.
+	// the write path (Build/grow) so the query path never appends.
 	sums []*rtree.Summaries
 	// rng drives structural randomness (level coin flips); it is touched
-	// only by Build/Insert/maybeGrow, which run under the caller's write
+	// only by Build/InsertBatch/grow, which run under the caller's write
 	// lock, never by queries.
 	rng  *stats.RNG
 	size int
@@ -177,33 +177,57 @@ func (x *Index) Len() int { return x.size }
 // Count returns |P ∩ q| using the level-0 tree.
 func (x *Index) Count(q geo.Rect) int { return x.levels[0].Count(q) }
 
-// Insert adds a record. The record joins levels 0..L where L is drawn from
-// a Geometric(½) distribution, preserving the coin-flip invariant that each
-// level-i record appears at level i+1 with independent probability ½.
-// When sustained inserts push the top level past twice the construction
-// threshold, a new level is grown above it (each top-level record kept
-// with an independent ½ coin flip), so query cost stays logarithmic as the
-// data set grows.
-func (x *Index) Insert(e data.Entry) {
-	top := x.rng.Geometric(0.5)
-	if top > len(x.levels)-1 {
-		top = len(x.levels) - 1
+// InsertBatch adds records, one or many. Each record, in input order,
+// draws L from a Geometric(½) distribution and joins levels 0..L,
+// preserving the coin-flip invariant that each level-i record appears at
+// level i+1 with independent probability ½; each level takes its share in
+// one rtree.Tree.InsertBatch. When sustained inserts push the top level
+// past twice the construction threshold, new levels are grown above it
+// (each top-level record kept with an independent ½ coin flip), so query
+// cost stays logarithmic as the data set grows. The entries slice is
+// reordered in place.
+func (x *Index) InsertBatch(entries []data.Entry) {
+	tops := make([]int, len(entries))
+	for i := range tops {
+		tops[i] = min(x.rng.Geometric(0.5), len(x.levels)-1)
 	}
-	for i := 0; i <= top; i++ {
-		x.levels[i].Insert(e)
+	// Move the records that reach each level to the front, level by level,
+	// so that ends[i] records reach level i and they are a prefix. Levels
+	// then insert from the top down: a level's InsertBatch reorders only
+	// its own prefix, which is part of every prefix below.
+	ends := []int{len(entries)}
+	for lvl := 1; lvl < len(x.levels); lvl++ {
+		k := 0
+		for i := range ends[lvl-1] {
+			if tops[i] >= lvl {
+				entries[i], entries[k] = entries[k], entries[i]
+				tops[i], tops[k] = tops[k], tops[i]
+				k++
+			}
+		}
+		if k == 0 {
+			break
+		}
+		ends = append(ends, k)
 	}
-	x.size++
-	x.maybeGrow()
+	for lvl := len(ends) - 1; lvl >= 0; lvl-- {
+		x.levels[lvl].InsertBatch(entries[:ends[lvl]])
+	}
+	x.size += len(entries)
+	for x.levels[len(x.levels)-1].Len() > 2*x.cfg.TopLevelMax {
+		x.grow()
+	}
 }
 
-// maybeGrow adds a level when the current top has outgrown the threshold.
-// The new level samples the top level with independent coin flips, which
-// is exactly the distribution the level would have had at build time.
-func (x *Index) maybeGrow() {
+// grow adds a level above the current top, which has outgrown the
+// threshold. The new level samples the top level with independent coin
+// flips, which is exactly the distribution the level would have had at
+// build time. Its tree is built by one InsertBatch, keyed over the top
+// level's box: the even splits fill it as densely as a pack would, and
+// unlike Pack's greedy grouping they never leave an internal node with a
+// single child.
+func (x *Index) grow() {
 	topTree := x.levels[len(x.levels)-1]
-	if topTree.Len() <= 2*x.cfg.TopLevelMax {
-		return
-	}
 	universe := topTree.Bounds()
 	next := make([]data.Entry, 0, topTree.Len()/2+16)
 	topTree.Search(universe, func(e data.Entry) bool {
@@ -212,12 +236,12 @@ func (x *Index) maybeGrow() {
 		}
 		return true
 	})
-	t, err := rtree.New(rtree.Config{Fanout: x.cfg.Fanout, Device: x.cfg.Device})
+	t, err := rtree.New(rtree.Config{Fanout: x.cfg.Fanout, Device: x.cfg.Device, Bounds: universe})
 	if err != nil {
 		// Config was validated at Build; growth never changes it.
 		panic(fmt.Sprintf("lstree: growing level: %v", err))
 	}
-	t.BulkLoad(next)
+	t.InsertBatch(next)
 	x.levels = append(x.levels, t)
 	x.addSummaries(t)
 }

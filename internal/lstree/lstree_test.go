@@ -230,15 +230,15 @@ func TestInsertJoinsLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Insert records and verify they become sampleable.
+	// Insert records, one batch of 500, and verify they become sampleable.
 	added := make([]data.Entry, 500)
 	for i := range added {
 		added[i] = data.Entry{
 			ID:  data.ID(100000 + i),
 			Pos: geo.Vec{30, 30, 50}, // inside testQuery
 		}
-		idx.Insert(added[i])
 	}
+	idx.InsertBatch(added)
 	if idx.Len() != 4500 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
@@ -285,10 +285,10 @@ func TestLevelGrowth(t *testing.T) {
 	levelsBefore := idx.Levels()
 	rng := stats.NewRNG(77)
 	for i := 0; i < 8000; i++ {
-		idx.Insert(data.Entry{
+		idx.InsertBatch([]data.Entry{{
 			ID:  data.ID(10000 + i),
 			Pos: geo.Vec{rng.Uniform(0, 100), rng.Uniform(0, 100), rng.Uniform(0, 100)},
-		})
+		}})
 	}
 	if idx.Levels() <= levelsBefore {
 		t.Fatalf("levels did not grow: %d -> %d", levelsBefore, idx.Levels())
@@ -328,8 +328,9 @@ func TestLevelGrowth(t *testing.T) {
 	}
 }
 
-// TestLevelChurnKeepsStructure interleaves random inserts and deletes on a
-// built index until maybeGrow adds a level, then churns on. Every level
+// TestLevelChurnKeepsStructure interleaves random deletes and InsertBatch
+// calls, half of them a single record and half 2 to 40, on a built index
+// until grow adds a level, then churns on. Every level
 // tree must pass rtree validation — MBRs, counts, balance, fanout, and the
 // Hilbert key caches and LHVs that inserts, splits and condensing deletes
 // maintain — each level must be a subset of the one below, and Len must be
@@ -354,10 +355,16 @@ func TestLevelChurnKeepsStructure(t *testing.T) {
 			live = live[:len(live)-1]
 			return
 		}
-		e := data.Entry{ID: nextID, Pos: geo.Vec{rng.Uniform(-10, 110), rng.Uniform(-10, 110), rng.Uniform(0, 100)}}
-		nextID++
-		idx.Insert(e)
-		live = append(live, e)
+		batch := make([]data.Entry, 1)
+		if rng.Bernoulli(0.5) {
+			batch = make([]data.Entry, 2+rng.Intn(39))
+		}
+		for i := range batch {
+			batch[i] = data.Entry{ID: nextID, Pos: geo.Vec{rng.Uniform(-10, 110), rng.Uniform(-10, 110), rng.Uniform(0, 100)}}
+			nextID++
+		}
+		idx.InsertBatch(batch)
+		live = append(live, batch...)
 	}
 	levels := idx.Levels()
 	for ops := 0; idx.Levels() == levels; ops++ {
@@ -434,11 +441,12 @@ func TestSampleAfterUpdates(t *testing.T) {
 		}
 		i++
 	}
-	for j := 0; j < 50; j++ {
-		e := data.Entry{ID: data.ID(50000 + j), Pos: geo.Vec{40, 40, 50}}
-		idx.Insert(e)
-		want[e.ID] = true
+	added := make([]data.Entry, 50)
+	for j := range added {
+		added[j] = data.Entry{ID: data.ID(50000 + j), Pos: geo.Vec{40, 40, 50}}
+		want[added[j].ID] = true
 	}
+	idx.InsertBatch(added)
 	s := idx.Sampler(testQuery, stats.NewRNG(23))
 	got := make(map[data.ID]bool)
 	for {

@@ -47,9 +47,9 @@
 // query mutates — the frontier, Fenwick weights, per-part permutation
 // cursors, the consumed set, materialized part contents — lives in the
 // Sampler. Any number of Samplers may therefore run concurrently against
-// one Index. Mutations (Insert, Delete) must still be serialized against
-// in-flight samplers by the caller; package engine does this with a
-// per-dataset RWMutex.
+// one Index. Mutations (InsertBatch, Delete) must still be serialized
+// against in-flight samplers by the caller; package engine does this with
+// a per-dataset RWMutex.
 package rstree
 
 import (
@@ -83,7 +83,7 @@ type Config struct {
 // Index is an RS-tree over a point set. Any number of Samplers may run
 // against one Index concurrently: cached node buffers are immutable once
 // published and regenerated copy-on-write (see the package comment).
-// Insert and Delete must be externally serialized against in-flight
+// InsertBatch and Delete must be externally serialized against in-flight
 // samplers.
 type Index struct {
 	cfg  Config
@@ -214,14 +214,10 @@ func (x *Index) Len() int { return x.tree.Len() }
 // Count returns |P ∩ q| exactly.
 func (x *Index) Count(q geo.Rect) int { return x.tree.Count(q) }
 
-// Insert adds a record. Buffers along the insertion path are invalidated
-// by the node version bump and regenerated lazily by the next query.
-func (x *Index) Insert(e data.Entry) { x.tree.Insert(e) }
-
-// InsertBatch adds a batch of records in one pass — Hilbert-sorted run
-// merging instead of per-entry descents (see rtree.Tree.InsertBatch).
-// The entries slice is reordered in place. Stale sample buffers along the
-// touched paths invalidate by version, exactly as with Insert.
+// InsertBatch adds records, one or many, as Hilbert-sorted runs (see
+// rtree.Tree.InsertBatch). The entries slice is reordered in place. Buffers
+// along the touched paths are invalidated by the node version bump and
+// regenerated lazily by the next query.
 func (x *Index) InsertBatch(entries []data.Entry) { x.tree.InsertBatch(entries) }
 
 // Delete removes a record, returning true if it existed.

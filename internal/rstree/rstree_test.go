@@ -332,7 +332,7 @@ func TestInsertThenSample(t *testing.T) {
 
 	for j := 0; j < 200; j++ {
 		e := data.Entry{ID: data.ID(90000 + j), Pos: geo.Vec{40, 40, 50}}
-		idx.Insert(e)
+		idx.InsertBatch([]data.Entry{e})
 		want[e.ID] = true
 	}
 	if err := idx.Tree().Validate(); err != nil {
@@ -497,7 +497,7 @@ func TestBufferRegensCountsOnlyQueryWork(t *testing.T) {
 		}
 	}
 
-	built.Insert(data.Entry{ID: 90000, Pos: geo.Vec{40, 40, 50}})
+	built.InsertBatch([]data.Entry{{ID: 90000, Pos: geo.Vec{40, 40, 50}}})
 	drain(built, 300)
 	if built.BufferRegens() == 0 {
 		t.Error("BufferRegens stayed 0 after an insert and a query over the touched path")

@@ -98,7 +98,7 @@ func TestSummariesTightAndInvalidated(t *testing.T) {
 	if err := ds.SetNumeric("noise", id, 0); err != nil {
 		t.Fatal(err)
 	}
-	tr.Insert(ds.Entry(id))
+	tr.InsertBatch([]data.Entry{ds.Entry(id)})
 	i, _ := sums.AttrIndex("speed")
 	if got := sums.Stats(tr.Root())[i].Max; got != 12345 {
 		t.Fatalf("insert did not refresh root digest: max = %v, want 12345", got)

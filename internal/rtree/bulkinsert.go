@@ -1,29 +1,36 @@
 package rtree
 
 import (
+	"slices"
 	"sort"
 
 	"storm/internal/data"
+	"storm/internal/geo"
 )
 
-// InsertBatch adds a batch of entries in one pass — the streaming ingest
-// drain path. The batch is sorted by Hilbert value once,
-// routed down the tree as contiguous runs (each internal node partitions
-// its run among its children with binary searches on the sorted keys),
-// and appended to each target leaf in a single splice; overflowing nodes
-// split into as many evenly-filled siblings as needed. Against per-entry
-// Insert this removes the per-record descent, the per-record placement
-// search, and the per-record leaf shift, which is what lets the drain
-// keep up with producer-side append rates (see package ingest).
+// InsertBatch adds entries to the tree — the one way a record enters it,
+// whether a drain's batch, a shard host's mirrored record or Delete's
+// orphans. Each entry is placed by its Hilbert value, the Hilbert R-tree's
+// one rule: the first child whose LHV covers the key, else the last child.
+// The batch is sorted by (key, record ID) once and routed down the tree as
+// contiguous runs (each internal node partitions its run among its children
+// with binary searches on the sorted keys), each run is appended to its
+// leaf in one splice, and overflowing nodes split into as many
+// evenly-filled siblings as needed. A batch of one skips the sort and,
+// unless a node splits, allocates nothing.
 //
-// The entries slice is reordered in place. A single entry costs several
-// times a per-entry Insert (key and sort allocations), so callers holding
-// one record call Insert.
+// The entries slice is reordered in place.
 func (t *Tree) InsertBatch(entries []data.Entry) {
-	if len(entries) == 0 {
+	var keys []uint64
+	switch len(entries) {
+	case 0:
 		return
+	case 1:
+		one := [1]uint64{t.hilbertValue(entries[0].Pos)}
+		keys = one[:]
+	default:
+		keys = t.sortHilbert(entries)
 	}
-	keys := t.sortHilbert(entries)
 
 	siblings := t.batchInsert(t.root, entries, keys)
 	if len(siblings) > 0 {
@@ -44,48 +51,130 @@ func (t *Tree) InsertBatch(entries []data.Entry) {
 
 // batchInsert merges the Hilbert-sorted run (es, ks) into the subtree at
 // n and returns the sibling nodes created by overflow splits, in order,
-// at n's level. Counts, MBRs and LHVs along the path are rebuilt on the
-// way back up.
+// at n's level. A node that does not split takes the run into its count,
+// MBR and LHV directly; one that splits is rebuilt from its contents.
+// Either way its version moves, invalidating what was derived from it.
 func (t *Tree) batchInsert(n *Node, es []data.Entry, ks []uint64) []*Node {
 	t.Charge(n)
 	n.version++
 	if n.leaf {
 		n.entries = append(n.entries, es...)
 		n.keys = append(n.keys, ks...)
-		if len(n.entries) <= t.cfg.Fanout {
-			n.recompute()
-			t.chargeWrite(n)
-			return nil
+		if len(n.entries) > t.cfg.Fanout {
+			return t.splitLeafEven(n)
 		}
-		return t.splitLeafEven(n)
+		t.absorb(n, es, ks)
+		return nil
 	}
 
-	// Partition the run among the children exactly as per-entry
-	// chooseChild would: child i receives the keys <= its LHV that no
-	// earlier child claimed; whatever exceeds every LHV falls through to
-	// the last child. ks is sorted, so each share is a contiguous prefix
-	// of the remainder, found by binary search.
-	rebuilt := make([]*Node, 0, len(n.children))
-	lo := 0
-	for ci, c := range n.children {
+	// Partition the run among the children: child i receives the keys <=
+	// its LHV that no earlier child claimed; whatever exceeds every LHV
+	// falls through to the last child. ks is sorted, so each share is a
+	// contiguous prefix of the remainder, found by binary search, and the
+	// scan stops at the child that takes the last key. A child's split
+	// siblings go in right after it, and the scan skips them.
+	for ci, lo := 0, 0; lo < len(es); ci++ {
+		c := n.children[ci]
 		hi := len(es)
 		if ci < len(n.children)-1 {
 			lhv := c.lhv
 			hi = lo + sort.Search(len(ks)-lo, func(j int) bool { return ks[lo+j] > lhv })
 		}
-		rebuilt = append(rebuilt, c)
-		if hi > lo {
-			rebuilt = append(rebuilt, t.batchInsert(c, es[lo:hi], ks[lo:hi])...)
-			lo = hi
+		if hi == lo {
+			continue
+		}
+		siblings := t.batchInsert(c, es[lo:hi], ks[lo:hi])
+		n.children = slices.Insert(n.children, ci+1, siblings...)
+		ci += len(siblings)
+		lo = hi
+	}
+	if len(n.children) > t.cfg.Fanout {
+		return t.splitInternalEven(n)
+	}
+	t.absorb(n, es, ks)
+	return nil
+}
+
+// absorb adds the run (es, ks), now stored under n, to n's count, MBR and
+// LHV and charges n's write. Min, max and sum are exact, so the result is
+// what recompute would give.
+func (t *Tree) absorb(n *Node, es []data.Entry, ks []uint64) {
+	n.count += len(es)
+	for i, e := range es {
+		n.mbr = n.mbr.ExtendPoint(e.Pos)
+		n.lhv = max(n.lhv, ks[i])
+	}
+	t.chargeWrite(n)
+}
+
+// recompute rebuilds n's MBR, count and LHV from its direct contents —
+// for a leaf, from its cached keys; the max, not the last key: after an
+// STR bulk load a leaf's keys are not Hilbert-sorted (see BulkLoad).
+func (n *Node) recompute() {
+	n.mbr = geo.EmptyRect()
+	n.version++
+	n.lhv = 0
+	if n.leaf {
+		n.count = len(n.entries)
+		for i, e := range n.entries {
+			n.mbr = n.mbr.ExtendPoint(e.Pos)
+			n.lhv = max(n.lhv, n.keys[i])
+		}
+		return
+	}
+	n.count = 0
+	for _, c := range n.children {
+		n.mbr = n.mbr.Extend(c.mbr)
+		n.count += c.count
+		n.lhv = max(n.lhv, c.lhv)
+	}
+}
+
+// sortHilbert orders entries by Hilbert value of their position and returns
+// the values in the same order.
+func (t *Tree) sortHilbert(entries []data.Entry) []uint64 {
+	keys := make([]uint64, len(entries))
+	for i, e := range entries {
+		keys[i] = t.hilbertValue(e.Pos)
+	}
+	sortByKey(entries, keys)
+	return keys
+}
+
+// sortBuf is the most keys sortByKey sorts in stack buffers: a split leaf
+// holds a fanout's worth plus its run, and most drain batches fit too.
+const sortBuf = 256
+
+// sortByKey reorders entries and their keys together into (key, record ID)
+// order, in place. Up to sortBuf keys it allocates nothing.
+func sortByKey(entries []data.Entry, keys []uint64) {
+	var buf, tmp [sortBuf]Keyed
+	order := buf[:0]
+	if len(keys) > sortBuf {
+		order = make([]Keyed, 0, len(keys))
+	}
+	for i, k := range keys {
+		order = append(order, Keyed{Key: k, Idx: i})
+	}
+	sortKeys(order, entries, radixMin, tmp[:])
+	// Position j takes the entry at order[j].Idx: move each cycle of that
+	// permutation once, marking its positions done.
+	for i := range order {
+		if order[i].Idx < 0 {
+			continue
+		}
+		e := entries[i]
+		for j := i; ; {
+			src := order[j].Idx
+			keys[j], order[j].Idx = order[j].Key, -1
+			if src == i {
+				entries[j] = e
+				break
+			}
+			entries[j] = entries[src]
+			j = src
 		}
 	}
-	n.children = rebuilt
-	if len(n.children) <= t.cfg.Fanout {
-		n.recompute()
-		t.chargeWrite(n)
-		return nil
-	}
-	return t.splitInternalEven(n)
 }
 
 // splitLeafEven redistributes an overflowing leaf's entries into the
@@ -107,8 +196,10 @@ func (t *Tree) splitLeafEven(n *Node) []*Node {
 			hi++
 		}
 		dst := t.newNode(true)
-		dst.entries = append(dst.entries, es[lo:hi]...)
-		dst.keys = append(dst.keys, ks[lo:hi]...)
+		// Room for a full leaf and one more: the sibling takes inserts
+		// without regrowing until it next splits.
+		dst.entries = append(make([]data.Entry, 0, t.cfg.Fanout+1), es[lo:hi]...)
+		dst.keys = append(make([]uint64, 0, t.cfg.Fanout+1), ks[lo:hi]...)
 		siblings = append(siblings, dst)
 		lo = hi
 	}

@@ -5,6 +5,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/stats"
 )
 
 // TestInsertBatchMatchesBrute checks the batched insert path against
@@ -92,5 +93,30 @@ func TestInsertBatchThenDelete(t *testing.T) {
 		if got, want := tree.ReportAll(q), bruteRange(remaining, q); !sameIDs(got, want) {
 			t.Errorf("range %v: got %d, want %d", q, len(got), len(want))
 		}
+	}
+}
+
+// TestInsertBatchOfOneAllocs pins what a shard host pays per mirrored
+// record: a single-record InsertBatch into a warmed tree sorts nothing and
+// copies no child list, so it allocates only when a node splits — on
+// average well under once per call.
+func TestInsertBatchOfOneAllocs(t *testing.T) {
+	rng := stats.NewRNG(1)
+	tree := MustNew(Config{Fanout: 64, Bounds: geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1000, 1000, 1000})})
+	one := make([]data.Entry, 1)
+	id := 0
+	insert := func() {
+		one[0] = data.Entry{ID: data.ID(id), Pos: geo.Vec{rng.Uniform(0, 1000), rng.Uniform(0, 1000), rng.Uniform(0, 1000)}}
+		id++
+		tree.InsertBatch(one)
+	}
+	for range 50_000 {
+		insert()
+	}
+	if avg := testing.AllocsPerRun(2000, insert); avg >= 1 {
+		t.Errorf("single-record InsertBatch: %.2f allocs per call, want < 1", avg)
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

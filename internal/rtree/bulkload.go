@@ -3,7 +3,6 @@ package rtree
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
 	"storm/internal/data"
@@ -13,41 +12,27 @@ import (
 
 // BulkLoad builds the tree from scratch over the given entries, replacing
 // any existing contents. It is sort-then-pack: a pure sort of a copy of the
-// entries into the order Config.Packing names — Sort-Tile-Recursive (the
-// default, see STROrder) or Hilbert order (the Hilbert R-tree construction
-// the paper's RS-tree is built on) — followed by Pack. Both orders produce
-// leaves filled to the fanout, giving the compact trees the paper assumes.
-// The tree remains insertable after an STR load: inserts still place by
-// Hilbert value and leaf LHVs are exact maxima either way.
+// entries into Sort-Tile-Recursive order (STROrder) followed by Pack, which
+// fills leaves to the fanout, giving the compact trees the paper assumes.
+// The tree remains insertable: inserts place by Hilbert value and leaf LHVs
+// are exact maxima whatever order a pack was given.
 func (t *Tree) BulkLoad(entries []data.Entry) {
-	if t.cfg.Packing == PackHilbert {
-		sorted := make([]data.Entry, len(entries))
-		copy(sorted, entries)
-		t.quantizeFor(sorted)
-		t.sortHilbert(sorted)
-		t.pack(sorted)
-		return
-	}
 	t.Pack(STROrder(t.cfg.Fanout, entries)[0])
 }
 
 // Pack is the second half of a bulk load: it replaces the tree's contents
-// with the given entries, which must already be in the tree's packing order
-// (STROrder at the tree's fanout for the default packing). Everything that
-// has an order of its own happens here and nowhere else — page IDs are
-// assigned, node writes are charged to the device and the Hilbert key cache
-// is filled, leaf by leaf and then level by level — so trees packed one
-// after another charge a shared device exactly as if each had been bulk
-// loaded in turn, however their sorts were scheduled. Leaves copy their
+// with the given entries, already in leaf order: each run of fanout entries
+// becomes one leaf (STROrder at the tree's fanout, as BulkLoad gives, or a
+// Hilbert sort). Everything that has an order of its own happens here and
+// nowhere else — page IDs are assigned, node writes are charged to the
+// device and the Hilbert key cache is filled, leaf by leaf and then level by
+// level — so trees packed one after another charge a shared device exactly
+// as if each had been bulk loaded in turn, however their sorts were
+// scheduled. Leaves copy their
 // entries: sorted is not retained and may back several trees. Without
 // Config.Bounds, the keys are quantized over the MBR of sorted.
 func (t *Tree) Pack(sorted []data.Entry) {
 	t.quantizeFor(sorted)
-	t.pack(sorted)
-}
-
-// pack is Pack with the quantizer already set.
-func (t *Tree) pack(sorted []data.Entry) {
 	t.size = len(sorted)
 	if len(sorted) == 0 {
 		t.root = t.newNode(true)
@@ -61,32 +46,6 @@ func (t *Tree) pack(sorted []data.Entry) {
 		t.height++
 	}
 	t.root = nodes[0]
-}
-
-// sortHilbert orders entries by Hilbert value of their position and returns
-// the values in the same order.
-func (t *Tree) sortHilbert(entries []data.Entry) []uint64 {
-	keys := make([]uint64, len(entries))
-	for i, e := range entries {
-		keys[i] = t.hilbertValue(e.Pos)
-	}
-	sortByKey(entries, keys)
-	return keys
-}
-
-// sortByKey reorders entries and their keys together into (key, record ID)
-// order.
-func sortByKey(entries []data.Entry, keys []uint64) {
-	order := make([]Keyed, len(keys))
-	for i, k := range keys {
-		order[i] = Keyed{Key: k, Idx: i}
-	}
-	SortByKeyID(order, entries)
-	unsorted := slices.Clone(entries)
-	for i, o := range order {
-		entries[i] = unsorted[o.Idx]
-		keys[i] = o.Key
-	}
 }
 
 // STROrder returns a copy of each list arranged in Sort-Tile-Recursive
@@ -284,6 +243,22 @@ func (t *Tree) packInternal(children []*Node) []*Node {
 		nodes = append(nodes, n)
 	}
 	return nodes
+}
+
+// HilbertOrder returns the (Hilbert key, record ID) order of entries as
+// positions into them, keyed over the box HilbertBounds gives the entries
+// alone, and that box. Sorting (key, position) pairs moves 16 bytes per
+// swap; the entries are read only to break ties by ID, and the caller
+// gathers them once.
+func HilbertOrder(entries []data.Entry) ([]Keyed, geo.Rect) {
+	bounds := HilbertBounds(geo.Rect{}, entries)
+	quant := NewQuantizer(bounds)
+	order := make([]Keyed, len(entries))
+	for i, e := range entries {
+		order[i] = Keyed{Key: quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]), Idx: i}
+	}
+	SortByKeyID(order, entries)
+	return order, bounds
 }
 
 // boundsGrain is the fewest entries worth a goroutine of their own in

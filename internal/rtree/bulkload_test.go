@@ -102,7 +102,7 @@ func TestSTROrderMatchesReference(t *testing.T) {
 			if !a.Delete(e) {
 				t.Fatalf("fanout %d: delete %d failed", fanout, i)
 			}
-			a.Insert(data.Entry{ID: data.ID(1_000_000 + i), Pos: e.Pos})
+			a.InsertBatch([]data.Entry{{ID: data.ID(1_000_000 + i), Pos: e.Pos}})
 		}
 		if !slices.Equal(leafIDs(b), want) || !slices.Equal(sorted, kept) {
 			t.Errorf("fanout %d: updating one tree disturbed its sibling or the shared sorted slice", fanout)

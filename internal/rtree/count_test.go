@@ -172,7 +172,7 @@ func TestCountKernelsMatchReference(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			e := add()
 			for _, tr := range trees {
-				tr.Insert(e)
+				tr.InsertBatch([]data.Entry{e})
 			}
 			live = append(live, e)
 		}

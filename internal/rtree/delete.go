@@ -22,20 +22,10 @@ func (t *Tree) Delete(e data.Entry) bool {
 		t.height--
 	}
 
-	// Reinsert entries from dissolved nodes. They do not change the net
-	// size: delete() already removed them from counts.
-	for _, o := range orphans {
-		h := t.hilbertValue(o.Pos)
-		sibling := t.insert(t.root, o, h)
-		if sibling != nil {
-			newRoot := t.newNode(false)
-			newRoot.children = []*Node{t.root, sibling}
-			newRoot.recompute()
-			t.chargeWrite(newRoot)
-			t.root = newRoot
-			t.height++
-		}
-	}
+	// Reinsert entries from dissolved nodes as one batch. delete() already
+	// took them out of the counts, so they must not move the net size.
+	t.size -= len(orphans)
+	t.InsertBatch(orphans)
 	return true
 }
 

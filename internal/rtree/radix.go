@@ -10,8 +10,8 @@ import (
 )
 
 // The bulk-load sorts. Every order a bulk load uses — the three STR passes,
-// the Hilbert sorts of InsertBatch, leaf splits and PackHilbert loads, and
-// distr's partition — is the lexicographic order (key, record ID), where a
+// the Hilbert sorts of InsertBatch and its leaf splits, and distr's
+// partition — is the lexicographic order (key, record ID), where a
 // coordinate's key is its floatImage. Over entries with distinct IDs that
 // order is total, so any correct sort produces it, on any toolchain, and
 // which sort runs is a matter of speed alone: from radixMin keys up a stable

@@ -177,11 +177,14 @@ func specialEntries(n int, seed int64) []data.Entry {
 }
 
 // orderLists are the inputs of the order tests: tie-heavy and
-// special-valued lists on both sides of radixMin, and distinct positions.
+// special-valued lists on both sides of radixMin and of sortBuf, and
+// distinct positions.
 func orderLists() map[string][]data.Entry {
 	return map[string][]data.Entry{
 		"tiedEntries":       tiedEntries(20_000),
 		"tiedEntries short": tiedEntries(900),
+		"tiedEntries tiny":  tiedEntries(200),
+		"specials tiny":     specialEntries(50, 3),
 		"tieHeavy":          datatest.TieHeavy(20_000).Entries(),
 		"specials":          specialEntries(5_000, 1),
 		"specials short":    specialEntries(300, 2),

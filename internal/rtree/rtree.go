@@ -3,11 +3,11 @@
 // 1994), the only kind of tree in the system.
 //
 // Every leaf entry carries its Hilbert value (cached beside the entry) and
-// every node the largest value below it (its LHV). Inserts descend to the
-// first child whose LHV covers the new key and split overflowing nodes at
-// the midpoint of their curve order; batches merge as Hilbert-sorted runs.
-// Bulk loads pack STR order (the default) or Hilbert order; either way the
-// keys and LHVs are exact, so a packed tree stays insertable. The tree also
+// every node the largest value below it (its LHV). Inserts, one record or
+// many, go through InsertBatch: each key goes to the first child whose LHV
+// covers it, runs merge in Hilbert order, and overflowing nodes split into
+// evenly filled siblings. Bulk loads pack STR order; the keys and LHVs are
+// exact either way, so a packed tree stays insertable. The tree also
 // supports deletes, range reporting, exact range counting via per-node
 // subtree counts, and canonical-set computation. Every node is mapped to a
 // page of a simulated block device (package iosim), so traversals produce
@@ -26,7 +26,7 @@
 // Canonical) never mutate tree structure, and the per-node Aux attachment
 // is published through an atomic pointer so readers may regenerate and
 // re-publish derived per-node state (the RS-tree's sample buffers) while
-// other readers are traversing. Mutations (Insert, Delete, BulkLoad) must
+// other readers are traversing. Mutations (InsertBatch, Delete, BulkLoad, Pack) must
 // be externally serialized against all readers — package engine does this
 // with a per-dataset RWMutex.
 package rtree
@@ -47,21 +47,6 @@ import (
 // harness overrides it to explore other block sizes.
 const DefaultFanout = 64
 
-// Packing selects the bulk-load sort order. The zero value is STR, the
-// default: Sort-Tile-Recursive tiling yields leaves with lower perimeter
-// and overlap than a one-dimensional Hilbert sort on the box queries the
-// sampling workloads issue, so frontier scans touch fewer boundary nodes.
-// Hilbert packing stays selectable for trees whose curve locality matters
-// more than tiling quality.
-type Packing int
-
-const (
-	// PackSTR packs bulk loads in Sort-Tile-Recursive order (default).
-	PackSTR Packing = iota
-	// PackHilbert packs bulk loads in Hilbert-curve order.
-	PackHilbert
-)
-
 // Config controls tree shape and I/O accounting.
 type Config struct {
 	// Fanout is the maximum entries per node (>= 4).
@@ -73,8 +58,6 @@ type Config struct {
 	// quantizes over its entries' MBR, and a tree that has only seen
 	// inserts over the unit box (HilbertBounds is the rule).
 	Bounds geo.Rect
-	// Packing selects the bulk-load sort order; the zero value is STR.
-	Packing Packing
 }
 
 func (c Config) withDefaults() Config {
@@ -218,9 +201,6 @@ func New(cfg Config) (*Tree, error) {
 	}
 	if t.minFill < 1 {
 		t.minFill = 1
-	}
-	if cfg.Packing != PackSTR && cfg.Packing != PackHilbert {
-		return nil, fmt.Errorf("rtree: unknown packing %d", cfg.Packing)
 	}
 	t.quant = NewQuantizer(HilbertBounds(cfg.Bounds, nil))
 	t.root = t.newNode(true)

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -75,13 +77,17 @@ func testQueries() []geo.Rect {
 	}
 }
 
-// buildBoth bulk-loads the entries in both packing orders.
+// buildBoth packs the entries in both leaf orders: STR (BulkLoad) and
+// (Hilbert key, ID).
 func buildBoth(t *testing.T, entries []data.Entry) []*Tree {
 	t.Helper()
 	str := MustNew(Config{Fanout: 16})
 	str.BulkLoad(entries)
-	hil := MustNew(Config{Fanout: 16, Packing: PackHilbert})
-	hil.BulkLoad(entries)
+	hil := MustNew(Config{Fanout: 16})
+	sorted := slices.Clone(entries)
+	hil.quantizeFor(sorted)
+	hil.sortHilbert(sorted)
+	hil.Pack(sorted)
 	return []*Tree{str, hil}
 }
 
@@ -209,28 +215,58 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-// TestInsertMatchesBrute inserts one entry at a time into a tree with
-// bounds and into one without, whose unit box clamps nearly every key to
-// one corner: the degenerate keys must still give a valid, complete tree.
+// TestInsertMatchesBrute grows an empty tree by InsertBatch runs of 1, 2, 7
+// and 300 entries, deleting a tenth of the live entries after each round
+// (enough to dissolve nodes, whose orphans go back in as one batch), and
+// validates the tree after every step and checks it against brute force
+// after every round. With bounds and without: the unit box clamps nearly
+// every key to one corner, and the degenerate keys must still give a valid,
+// complete tree.
 func TestInsertMatchesBrute(t *testing.T) {
 	entries := genEntries(3000, 2)
 	for _, bounds := range []geo.Rect{geo.NewRect(geo.Vec{-200, -200, 0}, geo.Vec{1200, 1200, 1000}), {}} {
 		tree := MustNew(Config{Fanout: 8, Bounds: bounds})
-		for _, e := range entries {
-			tree.Insert(e)
-		}
-		if err := tree.Validate(); err != nil {
-			t.Fatalf("bounds %v: invalid after inserts: %v", bounds, err)
-		}
-		if tree.Len() != len(entries) {
-			t.Fatalf("Len = %d", tree.Len())
-		}
-		for _, q := range testQueries() {
-			got := tree.ReportAll(q)
-			want := bruteRange(entries, q)
-			if !sameIDs(got, want) {
-				t.Errorf("bounds %v range %v: got %d, want %d", bounds, q, len(got), len(want))
+		rng := stats.NewRNG(5)
+		var live []data.Entry
+		validate := func(step string) {
+			t.Helper()
+			if err := tree.Validate(); err != nil {
+				t.Fatalf("bounds %v: invalid after %s: %v", bounds, step, err)
 			}
+			if tree.Len() != len(live) {
+				t.Fatalf("bounds %v: Len = %d after %s, want %d", bounds, tree.Len(), step, len(live))
+			}
+		}
+		dissolved := 0
+		for next := 0; next < len(entries); {
+			for _, run := range []int{1, 2, 7, 300} {
+				hi := min(next+run, len(entries))
+				tree.InsertBatch(slices.Clone(entries[next:hi]))
+				live = append(live, entries[next:hi]...)
+				next = hi
+				validate(fmt.Sprintf("a run of %d", run))
+			}
+			for range len(live) / 10 {
+				j := rng.Intn(len(live))
+				nodes := tree.NodeCount()
+				if !tree.Delete(live[j]) {
+					t.Fatalf("bounds %v: entry %d not found", bounds, live[j].ID)
+				}
+				if tree.NodeCount() < nodes {
+					dissolved++
+				}
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				validate("a delete")
+			}
+			for _, q := range testQueries() {
+				if got, want := tree.ReportAll(q), bruteRange(live, q); !sameIDs(got, want) {
+					t.Fatalf("bounds %v range %v: got %d, want %d", bounds, q, len(got), len(want))
+				}
+			}
+		}
+		if dissolved == 0 {
+			t.Errorf("bounds %v: no delete dissolved a node", bounds)
 		}
 	}
 }
@@ -400,7 +436,9 @@ func TestCanonicalSize(t *testing.T) {
 	}
 }
 
-// Property: insert then delete leaves range results unchanged.
+// Property: inserting a run of 1, 2, 7 or 300 entries around an arbitrary
+// point and deleting them again, one by one in random order, keeps the tree
+// valid at every step and leaves range results unchanged.
 func TestInsertDeleteRoundTrip(t *testing.T) {
 	base := genEntries(800, 7)
 	tree := MustNew(Config{Fanout: 8})
@@ -408,7 +446,7 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 	q := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1000, 1000, 1000})
 	before := len(tree.ReportAll(q))
 
-	f := func(x, y, tt float64, idSalt uint16) bool {
+	f := func(x, y, tt float64, seed int64, run uint8) bool {
 		clamp := func(v float64) float64 {
 			if v != v || v < -1e6 {
 				return 0
@@ -418,19 +456,30 @@ func TestInsertDeleteRoundTrip(t *testing.T) {
 			}
 			return v
 		}
-		e := data.Entry{
-			ID:  data.ID(1_000_000 + uint64(idSalt)),
-			Pos: geo.Vec{clamp(x), clamp(y), clamp(tt)},
+		rng := stats.NewRNG(seed)
+		batch := make([]data.Entry, []int{1, 2, 7, 300}[run%4])
+		for i := range batch {
+			batch[i] = data.Entry{
+				ID: data.ID(1_000_000 + i),
+				Pos: geo.Vec{clamp(x + rng.NormFloat64()*50), clamp(y + rng.NormFloat64()*50),
+					clamp(tt + rng.NormFloat64()*50)},
+			}
 		}
-		tree.Insert(e)
-		if !tree.Delete(e) {
-			return false
-		}
+		tree.InsertBatch(slices.Clone(batch))
 		if err := tree.Validate(); err != nil {
-			t.Logf("validate: %v", err)
+			t.Logf("validate after a run of %d: %v", len(batch), err)
 			return false
 		}
-		return len(tree.ReportAll(q)) == before
+		for _, i := range rng.Perm(len(batch)) {
+			if !tree.Delete(batch[i]) {
+				return false
+			}
+			if err := tree.Validate(); err != nil {
+				t.Logf("validate after a delete: %v", err)
+				return false
+			}
+		}
+		return tree.Len() == len(base) && len(tree.ReportAll(q)) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -478,9 +527,6 @@ func TestIOAccounting(t *testing.T) {
 func TestFanoutValidation(t *testing.T) {
 	if _, err := New(Config{Fanout: 2}); err == nil {
 		t.Error("fanout 2 should be rejected")
-	}
-	if _, err := New(Config{Packing: PackHilbert + 1}); err == nil {
-		t.Error("unknown packing should be rejected")
 	}
 }
 

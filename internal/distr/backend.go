@@ -1,8 +1,8 @@
 // The shard-server side of the RPC boundary: shardBackend owns one
-// shard's index, summaries and open sample streams. A Host (host.go)
-// serves its backends to every coordinator — in-process shard hosts and
-// shard processes behind TCP alike — so shard behavior is identical
-// whichever transport carries the requests.
+// shard's index, its node attribute summaries and open sample streams. A
+// Host (host.go) serves its backends to every coordinator — in-process
+// shard hosts and shard processes behind TCP alike — so shard behavior is
+// identical whichever transport carries the requests.
 package distr
 
 import (
@@ -50,9 +50,8 @@ func partition(entries []data.Entry, shards int) (parts [][]data.Entry, bounds g
 }
 
 // buildShard materializes one shard from its partition: a local RS-tree
-// packed in STR order at fanout and seeded seed + id*7919, and the
-// per-attribute summaries behind lost-mass bounds (digested in partition
-// order: float sums are order-sensitive).
+// packed in STR order at fanout and seeded seed + id*7919, with its node
+// attribute summaries precomputed.
 func buildShard(ds *data.Dataset, part []data.Entry, id int, bounds geo.Rect, fanout int, seed int64) (*Shard, error) {
 	idx, err := rstree.BuildSorted(rtree.STROrder(fanout, part)[0], rstree.Config{
 		Fanout: fanout,
@@ -65,10 +64,7 @@ func buildShard(ds *data.Dataset, part []data.Entry, id int, bounds geo.Rect, fa
 	}
 	attrs := rtree.NewSummaries(idx.Tree(), ds)
 	attrs.Precompute()
-	return &Shard{
-		ID: id, index: idx, count: len(part),
-		summaries: buildSummaries(ds, part), attrs: attrs,
-	}, nil
+	return &Shard{ID: id, index: idx, attrs: attrs}, nil
 }
 
 // backendStream is one open sample stream on a shard. Each stream has a
@@ -122,8 +118,8 @@ type shardBackend struct {
 	// Build for the same shard under another count is refused (see
 	// Host.handleBuild).
 	of uint32
-	// mu guards the shard's index, count and summaries: stream fetches
-	// and counts hold the read side, insert/delete the write side.
+	// mu guards the shard's index and summaries: stream fetches and
+	// counts hold the read side, insert/delete the write side.
 	mu sync.RWMutex
 	// smu guards the stream table only (never held across index work).
 	smu     sync.Mutex
@@ -260,19 +256,12 @@ func (b *shardBackend) insert(e data.Entry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.shard.index.InsertBatch([]data.Entry{e})
-	b.shard.count++
-	summaryAdd(b.ds, b.shard, e)
 }
 
 func (b *shardBackend) delete(e data.Entry) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.shard.index.Delete(e) {
-		return false
-	}
-	b.shard.count--
-	summaryRemove(b.ds, b.shard, e)
-	return true
+	return b.shard.index.Delete(e)
 }
 
 func (b *shardBackend) bounds() geo.Rect {
@@ -281,18 +270,16 @@ func (b *shardBackend) bounds() geo.Rect {
 	return b.shard.index.Tree().Bounds()
 }
 
-func (b *shardBackend) length() int {
+// built answers a Build with the shard as it now stands: its record count
+// and the root digest of every summarized column, the value envelope the
+// coordinator keeps.
+func (b *shardBackend) built() *wire.BuildOK {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.shard.count
-}
-
-func (b *shardBackend) summary(attr string) (AttrSummary, bool) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	a, ok := b.shard.summaries[attr]
-	if !ok {
-		return AttrSummary{}, false
+	ok := &wire.BuildOK{Count: uint64(b.shard.Len())}
+	names := b.shard.attrs.Attrs()
+	for i, st := range b.shard.attrs.Root() {
+		ok.Attrs = append(ok.Attrs, wire.AttrDigest{Name: names[i], AttrStats: st})
 	}
-	return *a, true
+	return ok
 }

@@ -1,10 +1,9 @@
 // The coordinator↔shard RPC boundary. Everything the coordinator does to
 // a shard — count rounds, the batched sample protocol, update mirroring,
-// the metadata reads behind routing and lost-mass bounds — goes through
-// the ShardClient interface. Its one transport-facing implementation is
-// wireClient, the same for in-process shard hosts and for shard processes
-// behind TCP; the fault-injection decorator wraps it for the robustness
-// suites.
+// the bounds read behind insert routing — goes through the ShardClient
+// interface. Its one transport-facing implementation is wireClient, the
+// same for in-process shard hosts and for shard processes behind TCP; the
+// fault-injection decorator wraps it for the robustness suites.
 package distr
 
 import (
@@ -28,9 +27,8 @@ import (
 //     matching count), Fetch pulls a demand-sized batch, CloseStream
 //     releases it.
 //   - Insert/Delete mirror updates into the shard's index.
-//   - Bounds and Len serve insert routing and diagnostics; Summary serves
-//     the per-attribute digests behind degraded lost-mass bounds; Live is
-//     the liveness check that fences a down shard off.
+//   - Bounds serves insert routing; Live is the liveness check that
+//     fences a down shard off.
 //
 // Implementations: wireClient (remote.go, over an in-memory or TCP
 // wire.Transport) and faultClient (fault-injection decorator, fault.go).
@@ -56,18 +54,13 @@ type ShardClient interface {
 	Fetch(stream uint64, dst []data.Entry, n int, deadline time.Time) (int, error)
 	// CloseStream releases an open stream.
 	CloseStream(stream uint64) error
-	// Insert adds a record to the shard's index (the record's attributes
-	// are resolved from the coordinator's dataset).
-	Insert(e data.Entry) error
+	// Insert adds a record to the shard's index, with its attribute
+	// values as insertAttrs reads them from the coordinator's dataset.
+	Insert(e data.Entry, num []wire.NumAttr, str []wire.StrAttr) error
 	// Delete removes a record, reporting whether the shard held it.
 	Delete(e data.Entry) (bool, error)
 	// Bounds returns the shard tree's bounding box (insert routing).
 	Bounds() (geo.Rect, error)
-	// Len returns the shard's record count.
-	Len() (int, error)
-	// Summary returns the shard's digest of a numeric attribute; found is
-	// false when the shard has no summary for it.
-	Summary(attr string) (s AttrSummary, found bool, err error)
 	// Live reports whether the shard is currently down. Each call is one
 	// coordinator observation (it advances an injected crash's recovery
 	// clock, or rate-limits a real TCP probe), and rejoined is true

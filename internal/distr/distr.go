@@ -135,11 +135,6 @@ type NetStats struct {
 type Shard struct {
 	ID    int
 	index *rstree.Index
-	count int
-	// summaries digests each numeric attribute of the shard's records
-	// (count/sum/min/max) for coordinator-side lost-mass bounds; guarded
-	// by the owning backend's lock like the index (see summary.go).
-	summaries map[string]*AttrSummary
 	// attrs maintains per-node attribute digests over the shard's local
 	// RS-tree so predicate queries prune shard subtrees without any
 	// coordinator round trips; guarded like the index.
@@ -147,7 +142,7 @@ type Shard struct {
 }
 
 // Len returns the number of records on the shard.
-func (s *Shard) Len() int { return s.count }
+func (s *Shard) Len() int { return s.index.Len() }
 
 // Index returns the shard's local RS-tree (diagnostics and benchmarks).
 func (s *Shard) Index() *rstree.Index { return s.index }
@@ -157,10 +152,13 @@ func (s *Shard) Index() *rstree.Index { return s.index }
 // hosts in memory; BuildRemote (remote.go) wires them to shard processes
 // over TCP. All coordinator logic is transport-blind.
 type Cluster struct {
-	// mu guards the seed sequence.
+	// mu guards the seed sequence and the shard envelopes.
 	mu  sync.Mutex
 	cfg Config
 	ds  *data.Dataset
+	// env holds each shard's value envelope, indexed by shard (see
+	// summary.go).
+	env []envelope
 	// clients is the coordinator's primary (replica 0) view of the
 	// shards, in shard order, with the fault decorator applied when a
 	// plan is installed; query, update and metadata traffic starts there
@@ -481,11 +479,12 @@ func (c *Cluster) Close() error {
 
 // Insert routes a new record to the shard whose tree bounds grow least —
 // with contiguous Hilbert partitions, the shard owning its neighborhood —
-// and mirrors it into every replica of that shard's RS-tree (one
-// request/response message per copy). A replica that fails to apply the
-// mirror is charged a missed mirror, so a later failover onto it counts
-// as a stale read. The record must already exist in the shared dataset
-// (its ID addresses the attribute columns).
+// widens that shard's envelope with the record's values, and mirrors it
+// into every replica of the shard's RS-tree (one request/response message
+// per copy). A replica that fails to apply the mirror is charged a missed
+// mirror, so a later failover onto it counts as a stale read. The record
+// must already exist in the shared dataset (its ID addresses the
+// attribute columns).
 func (c *Cluster) Insert(e data.Entry) {
 	best, bestGrow := -1, math.Inf(1)
 	for i := range c.clients {
@@ -504,8 +503,10 @@ func (c *Cluster) Insert(e data.Entry) {
 	if best < 0 {
 		return // every shard down: nowhere to route the record
 	}
+	num, str := insertAttrs(c.ds, e.ID)
+	c.widenInserted(best, num)
 	for r, cl := range c.repl[best] {
-		if err := cl.Insert(e); err != nil {
+		if err := cl.Insert(e, num, str); err != nil {
 			c.mirrorMisses[best][r].Add(1)
 		}
 	}
@@ -1248,14 +1249,14 @@ type StreamStatus struct {
 	// LostLo and LostHi bound every lost record's value of the attribute
 	// Status was asked about (see LostMassBounds); LostBounded is false
 	// when the stream is healthy, no attribute was named, or the lost
-	// shards carry no sound summary for it.
+	// shards' envelopes give no sound bound for it.
 	LostLo, LostHi float64
 	LostBounded    bool
 }
 
 // Status reports the stream's current health. attr, when non-empty, names
 // the aggregated attribute whose lost-mass value bounds the status should
-// carry; the summaries behind them are only consulted while degraded.
+// carry; the envelopes behind them are only consulted while degraded.
 func (s *Sampler) Status(attr string) StreamStatus {
 	st := StreamStatus{
 		ShardsLost:     s.lostShards,

@@ -181,34 +181,12 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 		}
 		return &wire.DeleteOK{Found: b.delete(data.Entry{ID: req.ID, Pos: req.Pos})}
 
-	case *wire.Summary:
-		b := h.backend(req.Target)
-		if b == nil {
-			return errUnknownShard(req.Target)
-		}
-		s, found := b.summary(req.Attr)
-		return &wire.SummaryOK{
-			Found:     found,
-			Count:     uint64(s.Count),
-			Sum:       s.Sum,
-			Min:       s.Min,
-			Max:       s.Max,
-			NonFinite: uint64(s.NonFinite),
-		}
-
 	case *wire.Bounds:
 		b := h.backend(req.Target)
 		if b == nil {
 			return errUnknownShard(req.Target)
 		}
 		return &wire.BoundsOK{Rect: b.bounds()}
-
-	case *wire.Len:
-		b := h.backend(req.Target)
-		if b == nil {
-			return errUnknownShard(req.Target)
-		}
-		return &wire.LenOK{N: uint64(b.length())}
 
 	default:
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("unexpected request kind %v", m.WireKind())}
@@ -218,9 +196,15 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 // handleBuild materializes one shard of a local dataset. Rebuilding an
 // already-built shard is idempotent (the coordinator re-issues Build
 // after an unknown-shard error, e.g. when this process restarted); the
-// existing backend — including any post-build inserts — answers.
+// existing backend — including any post-build inserts — answers. Every
+// answer reads the dataset copy — a new shard's length, positions and
+// attribute columns, a built one's columns behind its envelope — while a
+// mirrored insert into a sibling shard may append to it, so the whole
+// Build holds dsMu for reading.
 func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	key := hostKey{ds: req.DS, shard: req.Shard}
+	h.dsMu.RLock()
+	defer h.dsMu.RUnlock()
 	h.mu.Lock()
 	ds, ok := h.datasets[req.DS]
 	if !ok {
@@ -236,11 +220,6 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	if req.Of < 1 || req.Shard >= req.Of || req.Of > maxShards {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %d out of range", req.Shard, req.Of)}
 	}
-	// From here the Build reads the dataset copy — its length, positions
-	// and attribute columns — while a mirrored insert into a sibling shard
-	// that is already built may append to it.
-	h.dsMu.RLock()
-	defer h.dsMu.RUnlock()
 	part, bounds := h.part(ds, req.Of, req.Shard)
 	sh, err := buildShard(ds, part, int(req.Shard), bounds, int(req.Fanout), req.Seed)
 	if err != nil {
@@ -256,7 +235,7 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	}
 	b := newShardBackend(sh, ds, req.Of)
 	h.backends[key] = b
-	return &wire.BuildOK{Count: uint64(b.length())}
+	return b.built()
 }
 
 // rebuilt answers a Build for a shard the host already serves. The same
@@ -269,7 +248,7 @@ func rebuilt(b *shardBackend, req *wire.Build) wire.Msg {
 	if b.of != req.Of {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %q is built as one of %d shards, not %d", req.Shard, req.DS, b.of, req.Of)}
 	}
-	return &wire.BuildOK{Count: uint64(b.length())}
+	return b.built()
 }
 
 // part returns one shard's part of the dataset's partition into of, and

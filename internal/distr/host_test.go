@@ -77,8 +77,8 @@ func TestHostPartitionsOncePerDataset(t *testing.T) {
 			want := sh.Index().Tree().ReportAll(everything)
 			b := h.backend(wire.Target{DS: ds.Name(), Shard: uint32(s)})
 			got := b.shard.Index().Tree().ReportAll(everything)
-			if len(want) != len(got) || len(got) != b.length() {
-				t.Fatalf("of=%d shard %d: host holds %d entries (length %d), loopback %d", of, s, len(got), b.length(), len(want))
+			if len(want) != len(got) || len(got) != b.shard.Len() {
+				t.Fatalf("of=%d shard %d: host holds %d entries (length %d), loopback %d", of, s, len(got), b.shard.Len(), len(want))
 			}
 			for i := range want {
 				if want[i] != got[i] {

@@ -1,7 +1,6 @@
 package distr_test
 
 import (
-	"math"
 	"testing"
 
 	"storm/internal/data"
@@ -9,6 +8,7 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/geo"
 	"storm/internal/obs"
+	"storm/internal/pred"
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats/statcheck"
 )
@@ -141,10 +141,11 @@ func TestRecoveredShardRestoresClusterState(t *testing.T) {
 	}
 }
 
-// TestShardSummariesExact pins the coordinator's per-shard digests: after
-// Build they are exact per shard (count, sum, min/max of the shard's
-// values), and Insert/Delete keep count and sum exact while min/max only
-// widen.
+// TestShardSummariesExact pins the coordinator's per-shard envelopes:
+// after Build they hold exactly the min and max of each shard's values,
+// Insert widens the envelope of the shard it routes to, and Delete leaves
+// every envelope as it was (a deletion would need a rescan to shrink one,
+// and a wider envelope is still a sound bound).
 func TestShardSummariesExact(t *testing.T) {
 	ds := distrtest.Dataset(4000)
 	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 5, nil))
@@ -153,86 +154,80 @@ func TestShardSummariesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	everything := geo.NewRect(geo.Vec{-1, -1, -1}, geo.Vec{101, 101, 101})
-	totalCount := 0
-	var totalSum float64
-	for i, sh := range c.Shards() {
-		sum, ok := c.ShardSummary(i, "value")
-		if !ok {
-			t.Fatalf("shard %d has no summary for value", i)
+	envelopes := func() []pred.AttrStats {
+		out := make([]pred.AttrStats, c.NumShards())
+		for i := range out {
+			env, ok := c.ShardSummary(i, "value")
+			if !ok {
+				t.Fatalf("shard %d has no envelope for value", i)
+			}
+			out[i] = env
 		}
-		wantCount := 0
-		wantSum := 0.0
-		wantMin, wantMax := math.Inf(1), math.Inf(-1)
-		for _, e := range sh.Index().Tree().ReportAll(everything) {
-			v := col[e.ID]
-			wantCount++
-			wantSum += v
-			wantMin = math.Min(wantMin, v)
-			wantMax = math.Max(wantMax, v)
-		}
-		if sum.Count != wantCount || math.Abs(sum.Sum-wantSum) > 1e-6 {
-			t.Errorf("shard %d summary count/sum = %d/%.3f, want %d/%.3f", i, sum.Count, sum.Sum, wantCount, wantSum)
-		}
-		if sum.Min != wantMin || sum.Max != wantMax {
-			t.Errorf("shard %d summary bounds = [%v, %v], want [%v, %v]", i, sum.Min, sum.Max, wantMin, wantMax)
-		}
-		if sum.NonFinite != 0 {
-			t.Errorf("shard %d reports %d non-finite values in a finite fixture", i, sum.NonFinite)
-		}
-		totalCount += sum.Count
-		totalSum += sum.Sum
+		return out
 	}
-	if totalCount != ds.Len() {
-		t.Fatalf("summaries cover %d records, want %d", totalCount, ds.Len())
+	built := envelopes()
+	for i, sh := range c.Shards() {
+		want := pred.EmptyStats()
+		for _, e := range sh.Index().Tree().ReportAll(everything) {
+			want.Add(col[e.ID])
+		}
+		if built[i] != want {
+			t.Errorf("shard %d envelope = %+v, want %+v", i, built[i], want)
+		}
 	}
 
 	// Insert a record with an out-of-range value: exactly one shard's
-	// summary gains it and the cluster-wide max widens to cover it.
+	// envelope widens to cover it.
 	id := ds.AppendFast(geo.Vec{50, 50, 50})
 	ds.SetNumeric("value", id, 1e6)
 	e := data.Entry{ID: id, Pos: geo.Vec{50, 50, 50}}
 	c.Insert(e)
-	gotCount, gotSum, gotMax := 0, 0.0, math.Inf(-1)
-	for i := range c.Shards() {
-		sum, _ := c.ShardSummary(i, "value")
-		gotCount += sum.Count
-		gotSum += sum.Sum
-		gotMax = math.Max(gotMax, sum.Max)
+	inserted := envelopes()
+	widened := 0
+	for i, env := range inserted {
+		switch {
+		case env == built[i]:
+		case env.Max == 1e6 && env.Min == built[i].Min && !env.HasNaN:
+			widened++
+		default:
+			t.Errorf("after insert: shard %d envelope %+v, was %+v", i, env, built[i])
+		}
 	}
-	if gotCount != totalCount+1 || math.Abs(gotSum-(totalSum+1e6)) > 1e-3 || gotMax != 1e6 {
-		t.Errorf("after insert: count=%d sum=%.3f max=%v, want %d/%.3f/1e6", gotCount, gotSum, gotMax, totalCount+1, totalSum+1e6)
+	if widened != 1 {
+		t.Errorf("after insert: %d envelopes widened to 1e6, want 1", widened)
 	}
 
-	// Delete it again: count and sum restore exactly; max stays widened
-	// (monotone-conservative, still a sound upper bound).
+	// Delete it again: every envelope stays as the insert left it.
 	if !c.Delete(e) {
 		t.Fatal("delete failed")
 	}
-	gotCount, gotSum, gotMax = 0, 0.0, math.Inf(-1)
-	for i := range c.Shards() {
-		sum, _ := c.ShardSummary(i, "value")
-		gotCount += sum.Count
-		gotSum += sum.Sum
-		gotMax = math.Max(gotMax, sum.Max)
-	}
-	if gotCount != totalCount || math.Abs(gotSum-totalSum) > 1e-3 {
-		t.Errorf("after delete: count=%d sum=%.3f, want %d/%.3f", gotCount, gotSum, totalCount, totalSum)
-	}
-	if gotMax != 1e6 {
-		t.Errorf("after delete: max = %v, want the widened 1e6 (min/max never shrink)", gotMax)
+	for i, env := range envelopes() {
+		if env != inserted[i] {
+			t.Errorf("after delete: shard %d envelope %+v, want the widened %+v", i, env, inserted[i])
+		}
 	}
 
 	if _, ok := c.ShardSummary(99, "value"); ok {
-		t.Error("out-of-range shard should have no summary")
+		t.Error("out-of-range shard should have no envelope")
 	}
 	if _, ok := c.ShardSummary(0, "no-such-attr"); ok {
-		t.Error("unknown attribute should have no summary")
+		t.Error("unknown attribute should have no envelope")
+	}
+}
+
+// TestBuildIsOneRoundTripPerCopy pins the build traffic: the envelope
+// rides on each copy's BuildOK, so a 4-shard cluster at R=2 has exchanged
+// exactly one request and one response per copy when Build returns.
+func TestBuildIsOneRoundTripPerCopy(t *testing.T) {
+	c := distrtest.Build(t, distrtest.Dataset(4000), distrtest.FastConfig(4, 5, nil, 2))
+	if got := c.Net().Messages; got != 16 {
+		t.Errorf("Build exchanged %d messages, want 16 (4 shards x 2 copies x Build/BuildOK)", got)
 	}
 }
 
 // TestSamplerLostMassBounds pins the query-side bound assembly: a degraded
 // query exposes [lo, hi] bounds on its lost population's values from the
-// coordinator summaries; healthy queries and unknown attributes do not.
+// coordinator envelopes; healthy queries and unknown attributes do not.
 func TestSamplerLostMassBounds(t *testing.T) {
 	ds := distrtest.Dataset(6000)
 	q := distrtest.Query()
@@ -266,9 +261,9 @@ func TestSamplerLostMassBounds(t *testing.T) {
 	if lostN != lostPop {
 		t.Errorf("bounds report %d lost records, degradation reports %d", lostN, lostPop)
 	}
-	sum, _ := c.ShardSummary(2, "value")
-	if lo != sum.Min || hi != sum.Max {
-		t.Errorf("bounds [%v, %v], want the lost shard's summary [%v, %v]", lo, hi, sum.Min, sum.Max)
+	env, _ := c.ShardSummary(2, "value")
+	if lo != env.Min || hi != env.Max {
+		t.Errorf("bounds [%v, %v], want the lost shard's envelope [%v, %v]", lo, hi, env.Min, env.Max)
 	}
 	if _, _, _, ok := s.LostMassBounds("no-such-attr"); ok {
 		t.Error("unknown attribute should have no bounds")

@@ -47,7 +47,7 @@ func buildRemote(t *testing.T, ds *data.Dataset, cfg distr.Config, addrs []strin
 // TestRemoteMatchesLoopback: same dataset, same seed, same config — the
 // sample stream over TCP is byte-identical to the in-process stream, the
 // remote cluster reports the bytes it moved, and both transports count
-// the same messages and samples moved, from the Build and priming RPCs on.
+// the same messages and samples moved, from the Build RPCs on.
 func TestRemoteMatchesLoopback(t *testing.T) {
 	const n = 4000
 	ds := distrtest.Dataset(n)
@@ -210,6 +210,103 @@ func TestRemoteFaultPlanResumesStream(t *testing.T) {
 	}
 }
 
+// splitCluster builds a 4-shard remote cluster over two fresh hosts, A and
+// B, whose placement splits the shards between them, and returns it with
+// both hosts' servers. The ring hashes the hosts' ephemeral addresses, so
+// a given pair can land every shard on one host; it retries with fresh
+// listeners until killing either host leaves survivors.
+func splitCluster(t *testing.T, n int, ds *data.Dataset, cfg distr.Config) (*distr.Cluster, [2]*wire.Server) {
+	t.Helper()
+	for attempt := 0; attempt < 20; attempt++ {
+		a := startHost(t, n, "127.0.0.1:0")
+		b := startHost(t, n, "127.0.0.1:0")
+		c := buildRemote(t, ds, cfg, []string{a.Addr(), b.Addr()})
+		onB := 0
+		for _, st := range c.ShardStatus() {
+			if st.Addr == b.Addr() {
+				onB++
+			}
+		}
+		if onB >= 1 && onB <= 3 {
+			return c, [2]*wire.Server{a, b}
+		}
+	}
+	t.Fatal("placement never split 4 shards across 2 hosts in 20 attempts")
+	return nil, [2]*wire.Server{}
+}
+
+// TestLostMassBoundsCoverIngestAfterHostKill: records ingested after Build
+// widen the coordinator's envelope of the shard they land on, so when the
+// host holding that shard dies mid-stream, the degraded query's lost-mass
+// bounds still cover their values. The fixture's values stay below 200;
+// the ingested ones are 1e6, spread over the query box. Insert routing
+// decides which shards take them; an in-process twin of the cluster, which
+// routes identically, names one, and the host holding it is killed. The
+// stream then runs until every shard on that host is written off.
+func TestLostMassBoundsCoverIngestAfterHostKill(t *testing.T) {
+	const n = 6000
+	ds, twinDS := distrtest.Dataset(n), distrtest.Dataset(n)
+	q := distrtest.Query()
+	cfg := distrtest.FastConfig(4, 5, nil)
+	c, srvs := splitCluster(t, n, ds, cfg)
+	twin := distrtest.Build(t, twinDS, cfg)
+
+	for i := 0; i < 13; i++ {
+		for j := 0; j < 13; j++ {
+			row := data.Row{
+				Pos: geo.Vec{21 + 3*float64(i), 21 + 3*float64(j), 25 + 50*float64((i+j)%2)},
+				Num: map[string]float64{"value": 1e6},
+			}
+			c.Insert(ds.Entry(ds.Append(row)))
+			twin.Insert(twinDS.Entry(twinDS.Append(row)))
+		}
+	}
+	everything := geo.NewRect(geo.Vec{-1, -1, -1}, geo.Vec{101, 101, 101})
+	took := -1
+	for s, sh := range twin.Shards() {
+		for _, e := range sh.Index().Tree().ReportAll(everything) {
+			if e.ID >= n {
+				took = s
+			}
+		}
+	}
+	if took < 0 {
+		t.Fatal("no shard of the twin took the ingested records")
+	}
+	victimAddr := c.ShardStatus()[took].Addr
+	victim, onVictim := srvs[0], 0
+	if srvs[1].Addr() == victimAddr {
+		victim = srvs[1]
+	}
+	for _, st := range c.ShardStatus() {
+		if st.Addr == victimAddr {
+			onVictim++
+		}
+	}
+
+	s := c.Sampler(q)
+	buf := make([]data.Entry, 48)
+	for i := 0; i < 3; i++ {
+		s.NextBatch(buf, len(buf))
+	}
+	victim.Close()
+	for i := 0; i < 500 && s.Status("").ShardsLost < onVictim; i++ {
+		if s.NextBatch(buf, len(buf)) < len(buf) {
+			break
+		}
+	}
+	if got := s.Status("").ShardsLost; got != onVictim {
+		t.Fatalf("killing the host of %d shards wrote off %d", onVictim, got)
+	}
+	lo, hi, lostN, ok := s.LostMassBounds("value")
+	if !ok {
+		t.Fatal("degraded query exposes no lost-mass bounds")
+	}
+	if hi < 1e6 {
+		t.Errorf("lost-mass bounds [%v, %v] over %d lost records miss the ingested 1e6 values", lo, hi, lostN)
+	}
+}
+
 // TestRemoteShardKillRestart is the real-outage version: one shard HOST
 // process dies mid-stream (its listener closes), the query degrades over
 // the survivors, the host comes back on the same address with empty
@@ -222,30 +319,8 @@ func TestRemoteShardKillRestart(t *testing.T) {
 	q := distrtest.Query()
 	cfg := distrtest.FastConfig(4, 5, nil)
 
-	// The ring hashes the hosts' ephemeral addresses, so a given pair can
-	// land every shard on one host; retry with fresh listeners until the
-	// placement splits and killing host B leaves survivors.
-	var (
-		c    *distr.Cluster
-		srvB *wire.Server
-	)
-	for attempt := 0; attempt < 20 && c == nil; attempt++ {
-		a := startHost(t, n, "127.0.0.1:0")
-		b := startHost(t, n, "127.0.0.1:0")
-		cand := buildRemote(t, ds, cfg, []string{a.Addr(), b.Addr()})
-		onB := 0
-		for _, st := range cand.ShardStatus() {
-			if st.Addr == b.Addr() {
-				onB++
-			}
-		}
-		if onB >= 1 && onB <= 3 {
-			c, srvB = cand, b
-		}
-	}
-	if c == nil {
-		t.Fatal("placement never split 4 shards across 2 hosts in 20 attempts")
-	}
+	c, srvs := splitCluster(t, n, ds, cfg)
+	srvB := srvs[1]
 	initial := c.Count(q)
 
 	s := c.Sampler(q)

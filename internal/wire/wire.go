@@ -1,8 +1,8 @@
 // Package wire defines the coordinator↔shard RPC protocol of the
 // distributed STORM deployment: a compact length-prefixed binary codec for
 // the shard round shapes (count rounds, the batched simulate→fetch sample
-// protocol, insert/delete mirroring, attribute summaries for lost-mass
-// bounds) plus the transports that carry it — TCP with per-request
+// protocol, insert/delete mirroring, the value envelope a Build returns
+// for lost-mass bounds) plus the transports that carry it — TCP with per-request
 // deadlines (tcp.go), and an in-memory transport for in-process shard
 // hosts that hands the same messages over without encoding them
 // (transport.go).
@@ -16,7 +16,7 @@
 //	...  payload, fixed little-endian fields in struct order
 //
 // Scalars are fixed-width little endian; float64 travels as its IEEE-754
-// bits, so positions and summary bounds round-trip bit-exactly. Strings
+// bits, so positions and envelope bounds round-trip bit-exactly. Strings
 // and slices are u32 length-prefixed. A frame never exceeds MaxFrame;
 // decoding is fully bounds-checked and returns an error — never panics —
 // on malformed input (FuzzWireCodec enforces this).
@@ -46,7 +46,8 @@ const (
 	KindPing
 	KindPong
 	// KindBuild asks a shard host to build one shard of a dataset;
-	// KindBuildOK acknowledges with the shard's record count.
+	// KindBuildOK acknowledges with the shard's record count and value
+	// envelope.
 	KindBuild
 	KindBuildOK
 	// KindCount is the coordinator's count round for one shard;
@@ -72,17 +73,18 @@ const (
 	// whether the shard held it.
 	KindDelete
 	KindDeleteOK
-	// KindSummary requests a shard's attribute digest (count/sum/min/max)
-	// for lost-mass bounds; KindSummaryOK carries it back.
-	KindSummary
-	KindSummaryOK
+	// Kinds 18 and 19 are retired (a per-attribute summary request and
+	// its answer): a number is never reused, and the decoder refuses it.
+	_
+	_
 	// KindBounds requests the bounding box of a shard's tree (insert
 	// routing); KindBoundsOK carries it back.
 	KindBounds
 	KindBoundsOK
-	// KindLen requests a shard's record count; KindLenOK answers it.
-	KindLen
-	KindLenOK
+	// Kinds 22 and 23 are retired (a record-count request and its
+	// answer); a new kind is appended after them.
+	_
+	_
 )
 
 // String implements fmt.Stringer.
@@ -96,9 +98,7 @@ func (k Kind) String() string {
 		KindClose: "close", KindCloseOK: "close-ok",
 		KindInsert: "insert", KindInsertOK: "insert-ok",
 		KindDelete: "delete", KindDeleteOK: "delete-ok",
-		KindSummary: "summary", KindSummaryOK: "summary-ok",
 		KindBounds: "bounds", KindBoundsOK: "bounds-ok",
-		KindLen: "len", KindLenOK: "len-ok",
 	}
 	if n, ok := names[k]; ok {
 		return n
@@ -195,7 +195,7 @@ func (t *Target) decode(d *decoder) { t.DS = d.str(); t.Shard = d.u32() }
 
 // Build asks a shard host to materialize one shard of a dataset it holds
 // locally: partition the dataset into Of contiguous Hilbert ranges and
-// build an RS-tree (plus summaries) over range Shard.
+// build an RS-tree (plus node attribute summaries) over range Shard.
 type Build struct {
 	// Target names the (dataset, shard) to build.
 	Target
@@ -223,16 +223,53 @@ func (m *Build) decode(d *decoder) {
 	m.Fanout = d.u32()
 }
 
-// BuildOK acknowledges a Build.
+// BuildOK acknowledges a Build with the shard as it now stands.
 type BuildOK struct {
 	// Count is the number of records on the built shard.
 	Count uint64
+	// Attrs is the shard's value envelope: one digest per numeric
+	// column, sorted by name so the encoding is canonical.
+	Attrs []AttrDigest
+}
+
+// AttrDigest is one numeric column's envelope over a shard's records.
+type AttrDigest struct {
+	// Name is the column name.
+	Name string
+	pred.AttrStats
 }
 
 // WireKind implements Msg.
-func (*BuildOK) WireKind() Kind      { return KindBuildOK }
-func (m *BuildOK) encode(e *encoder) { e.u64(m.Count) }
-func (m *BuildOK) decode(d *decoder) { m.Count = d.u64() }
+func (*BuildOK) WireKind() Kind { return KindBuildOK }
+func (m *BuildOK) encode(e *encoder) {
+	e.u64(m.Count)
+	e.u32(uint32(len(m.Attrs)))
+	for _, a := range m.Attrs {
+		e.str(a.Name)
+		e.f64(a.Min)
+		e.f64(a.Max)
+		e.b(a.HasNaN)
+	}
+}
+
+// decode reads the digest list; a digest's minimum encoded size is 21
+// bytes (name length prefix, two bounds, the NaN flag), bounding
+// allocation before the count is trusted. nil is returned for an empty
+// list so that decode∘encode is the identity.
+func (m *BuildOK) decode(d *decoder) {
+	m.Count = d.u64()
+	n := int(d.u32())
+	if n == 0 || !d.need(n*21) {
+		return
+	}
+	m.Attrs = make([]AttrDigest, n)
+	for i := range m.Attrs {
+		m.Attrs[i].Name = d.str()
+		m.Attrs[i].Min = d.f64()
+		m.Attrs[i].Max = d.f64()
+		m.Attrs[i].HasNaN = d.b()
+	}
+}
 
 // Window is a trailing event-time window resolved against the dataset
 // watermark at the coordinator — the wire form of a `LAST <dur>` clause.
@@ -562,51 +599,6 @@ func (*DeleteOK) WireKind() Kind      { return KindDeleteOK }
 func (m *DeleteOK) encode(e *encoder) { e.b(m.Found) }
 func (m *DeleteOK) decode(d *decoder) { m.Found = d.b() }
 
-// Summary requests a shard's digest of one numeric attribute — the
-// coordinator-side metadata behind degraded lost-mass bounds.
-type Summary struct {
-	// Target names the shard.
-	Target
-	// Attr is the numeric column name.
-	Attr string
-}
-
-// WireKind implements Msg.
-func (*Summary) WireKind() Kind      { return KindSummary }
-func (m *Summary) encode(e *encoder) { m.Target.encode(e); e.str(m.Attr) }
-func (m *Summary) decode(d *decoder) { m.Target.decode(d); m.Attr = d.str() }
-
-// SummaryOK answers a Summary.
-type SummaryOK struct {
-	// Found reports whether the shard has a digest for the attribute.
-	Found bool
-	// Count/Sum/Min/Max/NonFinite mirror distr.AttrSummary.
-	Count     uint64
-	Sum       float64
-	Min       float64
-	Max       float64
-	NonFinite uint64
-}
-
-// WireKind implements Msg.
-func (*SummaryOK) WireKind() Kind { return KindSummaryOK }
-func (m *SummaryOK) encode(e *encoder) {
-	e.b(m.Found)
-	e.u64(m.Count)
-	e.f64(m.Sum)
-	e.f64(m.Min)
-	e.f64(m.Max)
-	e.u64(m.NonFinite)
-}
-func (m *SummaryOK) decode(d *decoder) {
-	m.Found = d.b()
-	m.Count = d.u64()
-	m.Sum = d.f64()
-	m.Min = d.f64()
-	m.Max = d.f64()
-	m.NonFinite = d.u64()
-}
-
 // Bounds requests the bounding box of a shard's tree (insert routing).
 type Bounds struct {
 	// Target names the shard.
@@ -630,30 +622,8 @@ func (*BoundsOK) WireKind() Kind      { return KindBoundsOK }
 func (m *BoundsOK) encode(e *encoder) { e.rect(m.Rect) }
 func (m *BoundsOK) decode(d *decoder) { m.Rect = d.rect() }
 
-// Len requests a shard's live record count.
-type Len struct {
-	// Target names the shard.
-	Target
-}
-
-// WireKind implements Msg.
-func (*Len) WireKind() Kind      { return KindLen }
-func (m *Len) encode(e *encoder) { m.Target.encode(e) }
-func (m *Len) decode(d *decoder) { m.Target.decode(d) }
-
-// LenOK answers a Len request.
-type LenOK struct {
-	// N is the shard's record count.
-	N uint64
-}
-
-// WireKind implements Msg.
-func (*LenOK) WireKind() Kind      { return KindLenOK }
-func (m *LenOK) encode(e *encoder) { e.u64(m.N) }
-func (m *LenOK) decode(d *decoder) { m.N = d.u64() }
-
 // newMsg returns a zero message of the given kind, or nil for an unknown
-// kind byte.
+// or retired kind byte.
 func newMsg(k Kind) Msg {
 	switch k {
 	case KindError:
@@ -690,18 +660,10 @@ func newMsg(k Kind) Msg {
 		return &Delete{}
 	case KindDeleteOK:
 		return &DeleteOK{}
-	case KindSummary:
-		return &Summary{}
-	case KindSummaryOK:
-		return &SummaryOK{}
 	case KindBounds:
 		return &Bounds{}
 	case KindBoundsOK:
 		return &BoundsOK{}
-	case KindLen:
-		return &Len{}
-	case KindLenOK:
-		return &LenOK{}
 	default:
 		return nil
 	}

@@ -132,10 +132,6 @@ type (
 	ShardFaultPlan = distr.ShardFaultPlan
 	// FaultStats is a snapshot of fault-injection activity.
 	FaultStats = distr.FaultStats
-	// AttrSummary is a coordinator-side per-shard attribute summary
-	// (exact count/sum/min/max); it is what widens a degraded CI into
-	// the worst-case lost-mass bounds on the full population.
-	AttrSummary = distr.AttrSummary
 
 	// Range is a spatio-temporal query range.
 	Range = geo.Range

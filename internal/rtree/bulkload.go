@@ -221,14 +221,17 @@ func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry) *Node {
 	return n
 }
 
-// packInternal groups consecutive child nodes into parents.
+// packInternal groups consecutive child nodes into parents of fanout
+// children. Where that would leave the last parent a single child, the
+// parent before it hands its last child over, so every parent holds at
+// least two (the fanout is at least 4).
 func (t *Tree) packInternal(children []*Node) []*Node {
 	fan := t.cfg.Fanout
 	nodes := make([]*Node, 0, (len(children)+fan-1)/fan)
-	for lo := 0; lo < len(children); lo += fan {
-		hi := lo + fan
-		if hi > len(children) {
-			hi = len(children)
+	for lo, hi := 0, 0; lo < len(children); lo = hi {
+		hi = min(lo+fan, len(children))
+		if len(children)-hi == 1 {
+			hi--
 		}
 		n := t.newNode(false)
 		n.children = append(n.children, children[lo:hi]...)

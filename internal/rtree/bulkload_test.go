@@ -157,3 +157,24 @@ func TestMapChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestPackNoOneChildParents packs levels whose node count is 1 mod the
+// fanout — leaf counts 9 and 17, or 72 leaves under 9 parents, at fanout
+// 8; 65 and 129 leaves at fanout 64 — where grouping children greedily
+// would leave the last parent one child, which Validate rejects.
+func TestPackNoOneChildParents(t *testing.T) {
+	for _, tc := range []struct{ fanout, leaves int }{
+		{8, 9}, {8, 17}, {8, 72}, {8, 8*8*8 + 1}, {64, 65}, {64, 129},
+	} {
+		for _, n := range []int{tc.leaves * tc.fanout, tc.leaves*tc.fanout - tc.fanout + 1} {
+			tree := MustNew(Config{Fanout: tc.fanout})
+			tree.BulkLoad(genEntries(n, int64(n)))
+			if err := tree.Validate(); err != nil {
+				t.Errorf("fanout %d, %d entries: %v", tc.fanout, n, err)
+			}
+			if tree.Len() != n {
+				t.Errorf("fanout %d, %d entries: Len = %d", tc.fanout, n, tree.Len())
+			}
+		}
+	}
+}

@@ -11,8 +11,9 @@ import (
 // that means different things to different endpoints.
 //
 // The seed corpus in testdata/fuzz/FuzzWireCodec holds one encoded frame
-// per message kind plus malformed prefixes; `make fuzz-smoke` runs this
-// alongside FuzzParseFaultPlan.
+// per message kind, retired kinds included (the decoder refuses those),
+// plus malformed prefixes; `make fuzz-smoke` runs this alongside
+// FuzzParseFaultPlan.
 func FuzzWireCodec(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		f.Add(AppendFrame(nil, m))
@@ -23,6 +24,11 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1})
 	f.Add([]byte{1, 0, 0, 0, 0xee})
 	f.Add(AppendFrame(nil, &Ping{})[:4])
+	// Retired kinds: a summary request and answer, a length request and
+	// answer.
+	for _, k := range []byte{18, 19, 22, 23} {
+		f.Add([]byte{1, 0, 0, 0, k})
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, n, err := DecodeFrame(b)

@@ -445,13 +445,19 @@ func BenchmarkRegister(b *testing.B) {
 // benchmark-of-record dataset; all of it runs under the dataset's write lock.
 // ls=unbuilt is a dataset no LS-tree query has touched yet (what stormd
 // registers), ls=built one whose LS-tree exists, so every record also draws
-// its level coin flips and joins those levels. us/record is the cost per
-// record.
+// its level coin flips and joins those levels. cluster=2x2 also mirrors
+// every record into an in-process cluster of 2 shards at 2 replicas, and
+// reports the messages its transports counted per record (msgs/record).
+// us/record is the cost per record.
 func BenchmarkInsertBatch(b *testing.B) {
 	for _, sub := range []struct {
 		name string
-		ls   bool
-	}{{"ls=unbuilt", false}, {"ls=built", true}} {
+		opts engine.IndexOptions
+	}{
+		{"ls=unbuilt", engine.IndexOptions{}},
+		{"ls=built", engine.IndexOptions{LSTree: true}},
+		{"cluster=2x2", engine.IndexOptions{Shards: 2, Replicas: 2}},
+	} {
 		// The handle outlives the calibration run: a few hundred extra
 		// records do not change a 500 k dataset.
 		var h *engine.Handle
@@ -460,12 +466,17 @@ func BenchmarkInsertBatch(b *testing.B) {
 			if h == nil {
 				var err error
 				e := engine.New(engine.Config{Seed: 1, NoMetrics: true})
-				if h, err = e.Register(gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1}), engine.IndexOptions{LSTree: sub.ls}); err != nil {
+				if h, err = e.Register(gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1}), sub.opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 			ds := h.Data()
 			batch := make([]data.Row, 300)
+			c := h.Cluster()
+			var msgs0 uint64
+			if c != nil {
+				msgs0 = c.Net().Messages
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -479,7 +490,11 @@ func BenchmarkInsertBatch(b *testing.B) {
 				b.StartTimer()
 				h.InsertBatch(batch)
 			}
-			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(batch)), "us/record")
+			records := float64(b.N * len(batch))
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/records, "us/record")
+			if c != nil {
+				b.ReportMetric(float64(c.Net().Messages-msgs0)/records, "msgs/record")
+			}
 		})
 	}
 }

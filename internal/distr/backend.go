@@ -264,19 +264,13 @@ func (b *shardBackend) delete(e data.Entry) bool {
 	return b.shard.index.Delete(e)
 }
 
-func (b *shardBackend) bounds() geo.Rect {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.shard.index.Tree().Bounds()
-}
-
-// built answers a Build with the shard as it now stands: its record count
-// and the root digest of every summarized column, the value envelope the
+// built answers a Build with the shard as it now stands: its tree's root
+// box and the root digest of every summarized column, the envelope the
 // coordinator keeps.
 func (b *shardBackend) built() *wire.BuildOK {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	ok := &wire.BuildOK{Count: uint64(b.shard.Len())}
+	ok := &wire.BuildOK{Box: b.shard.index.Tree().Bounds()}
 	names := b.shard.attrs.Attrs()
 	for i, st := range b.shard.attrs.Root() {
 		ok.Attrs = append(ok.Attrs, wire.AttrDigest{Name: names[i], AttrStats: st})

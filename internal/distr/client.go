@@ -1,8 +1,9 @@
 // The coordinator↔shard RPC boundary. Everything the coordinator does to
 // a shard — count rounds, the batched sample protocol, update mirroring,
-// the bounds read behind insert routing — goes through the ShardClient
-// interface. Its one transport-facing implementation is wireClient, the
-// same for in-process shard hosts and for shard processes behind TCP; the
+// liveness — goes through the ShardClient interface; insert routing reads
+// the coordinator's own shard boxes (summary.go) and asks no shard. Its
+// one transport-facing implementation is wireClient, the same for
+// in-process shard hosts and for shard processes behind TCP; the
 // fault-injection decorator wraps it for the robustness suites.
 package distr
 
@@ -27,8 +28,7 @@ import (
 //     matching count), Fetch pulls a demand-sized batch, CloseStream
 //     releases it.
 //   - Insert/Delete mirror updates into the shard's index.
-//   - Bounds serves insert routing; Live is the liveness check that
-//     fences a down shard off.
+//   - Live is the liveness check that fences a down shard off.
 //
 // Implementations: wireClient (remote.go, over an in-memory or TCP
 // wire.Transport) and faultClient (fault-injection decorator, fault.go).
@@ -59,8 +59,6 @@ type ShardClient interface {
 	Insert(e data.Entry, num []wire.NumAttr, str []wire.StrAttr) error
 	// Delete removes a record, reporting whether the shard held it.
 	Delete(e data.Entry) (bool, error)
-	// Bounds returns the shard tree's bounding box (insert routing).
-	Bounds() (geo.Rect, error)
 	// Live reports whether the shard is currently down. Each call is one
 	// coordinator observation (it advances an injected crash's recovery
 	// clock, or rate-limits a real TCP probe), and rejoined is true

@@ -35,7 +35,6 @@ package distr
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -156,8 +155,8 @@ type Cluster struct {
 	mu  sync.Mutex
 	cfg Config
 	ds  *data.Dataset
-	// env holds each shard's value envelope, indexed by shard (see
-	// summary.go).
+	// env holds each shard's box and value envelope, indexed by shard
+	// (see summary.go).
 	env []envelope
 	// clients is the coordinator's primary (replica 0) view of the
 	// shards, in shard order, with the fault decorator applied when a
@@ -477,56 +476,33 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// Insert routes a new record to the shard whose tree bounds grow least —
-// with contiguous Hilbert partitions, the shard owning its neighborhood —
-// widens that shard's envelope with the record's values, and mirrors it
-// into every replica of the shard's RS-tree (one request/response message
-// per copy). A replica that fails to apply the mirror is charged a missed
-// mirror, so a later failover onto it counts as a stale read. The record
-// must already exist in the shared dataset (its ID addresses the
+// Insert routes a new record to the live shard whose coordinator-side box
+// grows least (see Cluster.route), widens that shard's envelope with the
+// record's position and values, and mirrors it into every replica of the
+// shard's RS-tree (one request/response message per copy) — no other
+// shard is asked. A replica that fails to apply the mirror is charged a
+// missed mirror, so a later failover onto it counts as a stale read. The
+// record must already exist in the shared dataset (its ID addresses the
 // attribute columns).
 func (c *Cluster) Insert(e data.Entry) {
-	best, bestGrow := -1, math.Inf(1)
+	// Liveness first, outside c.mu: a down remote shard's check may probe
+	// TCP.
+	live := make([]int, 0, len(c.clients))
 	for i := range c.clients {
-		if c.shardDown(i) {
-			continue
-		}
-		b, err := c.shardBounds(i)
-		if err != nil {
-			continue
-		}
-		grow := b.Enlargement(geo.RectFromPoint(e.Pos))
-		if grow < bestGrow {
-			best, bestGrow = i, grow
+		if !c.shardDown(i) {
+			live = append(live, i)
 		}
 	}
+	num, str := insertAttrs(c.ds, e.ID)
+	best := c.route(live, e.Pos, num)
 	if best < 0 {
 		return // every shard down: nowhere to route the record
 	}
-	num, str := insertAttrs(c.ds, e.ID)
-	c.widenInserted(best, num)
 	for r, cl := range c.repl[best] {
 		if err := cl.Insert(e, num, str); err != nil {
 			c.mirrorMisses[best][r].Add(1)
 		}
 	}
-}
-
-// shardBounds returns the shard's tree bounds from the first replica that
-// answers (replicas hold identical trees, so any copy's answer is the
-// shard's).
-func (c *Cluster) shardBounds(i int) (geo.Rect, error) {
-	var firstErr error
-	for _, cl := range c.repl[i] {
-		b, err := cl.Bounds()
-		if err == nil {
-			return b, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return geo.Rect{}, firstErr
 }
 
 // Delete removes a record from whichever shard holds it — mirrored to

@@ -8,6 +8,7 @@ import (
 	"storm/internal/geo"
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
+	"storm/internal/wire"
 )
 
 func buildCluster(t testing.TB, n, shards int) (*Cluster, *data.Dataset) {
@@ -152,6 +153,13 @@ func TestDistributedInsertDelete(t *testing.T) {
 	if got := c.Count(testQuery); got != before+50 {
 		t.Fatalf("count after inserts = %d, want %d", got, before+50)
 	}
+	// The coordinator routes by its own shard boxes, widened as it
+	// routes: each is exactly its primary copy's tree box.
+	for i, sh := range c.Shards() {
+		if box, tree := c.env[i].box, sh.Index().Tree().Bounds(); box != tree {
+			t.Errorf("shard %d: coordinator box %v, tree box %v", i, box, tree)
+		}
+	}
 	// Fresh records are sampleable.
 	s := c.Sampler(geo.NewRect(geo.Vec{39.9, 39.9, 49}, geo.Vec{40.1, 40.1, 51}))
 	found := 0
@@ -176,9 +184,129 @@ func TestDistributedInsertDelete(t *testing.T) {
 	if got := c.Count(testQuery); got != before+30 {
 		t.Errorf("count after deletes = %d, want %d", got, before+30)
 	}
+	// Deletes never shrink a coordinator box; it still covers the tree.
+	for i, sh := range c.Shards() {
+		if box, tree := c.env[i].box, sh.Index().Tree().Bounds(); !box.ContainsRect(tree) {
+			t.Errorf("shard %d: coordinator box %v after deletes misses tree box %v", i, box, tree)
+		}
+	}
 	if c.Delete(data.Entry{ID: 999999, Pos: geo.Vec{1, 1, 1}}) {
 		t.Error("deleting a missing record should fail")
 	}
+}
+
+// TestInsertAfterHostDeathIsNeverLostSilently: host B of a remote R=1
+// cluster of two shards, one per host, dies, and records then arrive
+// inside the box of B's shard. The coordinator routes from its own boxes,
+// so it may learn of the death only when a mirror fails: that record is
+// charged to every copy of its shard as a missed mirror, and the shard is
+// marked down. No record vanishes — each is held by a live shard or
+// charged — and once B is seen down, later records land on host A's
+// shard.
+func TestInsertAfterHostDeathIsNeverLostSilently(t *testing.T) {
+	const n = 6000
+	ds := testDataset(n)
+	c, b := splitRemote(t, n, ds, Config{Shards: 2, Seed: 5, RetryBackoff: -1})
+	onB := 0
+	if c.ShardStatus()[1].Addr == b.Addr() {
+		onB = 1
+	}
+	// A point only B's shard box holds routes there while it is believed
+	// live. The boxes are the built trees', which cover the Hilbert
+	// partition's parts.
+	parts, _ := partition(ds.Entries(), 2)
+	other := geo.EmptyRect()
+	for _, e := range parts[1-onB] {
+		other = other.ExtendPoint(e.Pos)
+	}
+	target := -1
+	for _, e := range parts[onB] {
+		if !other.Contains(e.Pos) {
+			target = int(e.ID)
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatalf("every record of shard %d lies in the other shard's box", onB)
+	}
+	b.Close()
+
+	misses := func() [2]uint64 {
+		return [2]uint64{c.mirrorMisses[0][0].Load(), c.mirrorMisses[1][0].Load()}
+	}
+	p := ds.Pos(data.ID(target))
+	var acked []data.Entry
+	charged, afterDown := 0, 0
+	for k := 0; k < 12; k++ {
+		pos := geo.Vec{p[0] + 1e-6*float64(k+1), p[1], p[2]}
+		e := ds.Entry(ds.Append(data.Row{Pos: pos, Num: map[string]float64{"value": 1}}))
+		seenDown := c.ShardStatus()[onB].Down
+		before := misses()
+		c.Insert(e)
+		after := misses()
+		switch {
+		case after == before:
+			acked = append(acked, e)
+			if seenDown {
+				afterDown++
+			}
+		case seenDown:
+			t.Fatalf("record %d charged %v -> %v after host B was seen down", k, before, after)
+		case after[1-onB] != before[1-onB] || after[onB] != before[onB]+1:
+			t.Fatalf("record %d charged %v -> %v, want one miss on B's shard %d", k, before, after, onB)
+		default:
+			charged++
+		}
+	}
+	t.Logf("%d records charged as missed mirrors, %d routed after host B was seen down", charged, afterDown)
+	if charged > 1 {
+		t.Errorf("%d records charged as missed mirrors, want at most 1", charged)
+	}
+	if !c.ShardStatus()[onB].Down || afterDown == 0 {
+		t.Fatalf("host B seen down = %v, records routed after = %d", c.ShardStatus()[onB].Down, afterDown)
+	}
+	for _, e := range acked {
+		if got := c.Count(geo.RectFromPoint(e.Pos)); got != 1 {
+			t.Errorf("record %d was not charged, but live shards hold %d copies of it", e.ID, got)
+		}
+	}
+}
+
+// splitRemote builds a remote cluster over two fresh hosts, A and B, whose
+// placement puts at least one shard on each, and returns it with host B's
+// server. The ring hashes the hosts' ephemeral addresses, so a given pair
+// can land every shard on one host; it retries with fresh listeners.
+func splitRemote(t *testing.T, n int, ds *data.Dataset, cfg Config) (*Cluster, *wire.Server) {
+	t.Helper()
+	serve := func() *wire.Server {
+		h := NewHost()
+		h.AddDataset(testDataset(n))
+		srv, err := wire.NewServer("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		return srv
+	}
+	for attempt := 0; attempt < 20; attempt++ {
+		a, b := serve(), serve()
+		c, err := BuildRemote(ds, cfg, []string{a.Addr(), b.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		onB := 0
+		for _, st := range c.ShardStatus() {
+			if st.Addr == b.Addr() {
+				onB++
+			}
+		}
+		if onB >= 1 && onB < cfg.Shards {
+			return c, b
+		}
+	}
+	t.Fatal("placement never split the shards across 2 hosts in 20 attempts")
+	return nil, nil
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -123,7 +123,7 @@ func errUnknownShard(t wire.Target) wire.Msg {
 func (h *Host) Handle(m wire.Msg) wire.Msg {
 	switch req := m.(type) {
 	case *wire.Ping:
-		return &wire.Pong{Shards: uint32(h.Shards())}
+		return &wire.Pong{}
 
 	case *wire.Build:
 		return h.handleBuild(req)
@@ -180,13 +180,6 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 			return errUnknownShard(req.Target)
 		}
 		return &wire.DeleteOK{Found: b.delete(data.Entry{ID: req.ID, Pos: req.Pos})}
-
-	case *wire.Bounds:
-		b := h.backend(req.Target)
-		if b == nil {
-			return errUnknownShard(req.Target)
-		}
-		return &wire.BoundsOK{Rect: b.bounds()}
 
 	default:
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("unexpected request kind %v", m.WireKind())}

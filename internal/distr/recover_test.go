@@ -215,13 +215,25 @@ func TestShardSummariesExact(t *testing.T) {
 	}
 }
 
-// TestBuildIsOneRoundTripPerCopy pins the build traffic: the envelope
-// rides on each copy's BuildOK, so a 4-shard cluster at R=2 has exchanged
-// exactly one request and one response per copy when Build returns.
+// TestBuildIsOneRoundTripPerCopy pins the build and insert traffic: the
+// envelope and box ride on each copy's BuildOK, so a 4-shard cluster at
+// R=2 has exchanged exactly one request and one response per copy when
+// Build returns; the coordinator then routes each insert from its own
+// boxes, so an insert costs one Insert/InsertOK per copy of the shard it
+// lands on and nothing else.
 func TestBuildIsOneRoundTripPerCopy(t *testing.T) {
-	c := distrtest.Build(t, distrtest.Dataset(4000), distrtest.FastConfig(4, 5, nil, 2))
+	ds := distrtest.Dataset(4000)
+	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 5, nil, 2))
 	if got := c.Net().Messages; got != 16 {
 		t.Errorf("Build exchanged %d messages, want 16 (4 shards x 2 copies x Build/BuildOK)", got)
+	}
+	for i := 0; i < 10; i++ {
+		before := c.Net().Messages
+		id := ds.Append(data.Row{Pos: geo.Vec{7 + 9*float64(i), 93 - 9*float64(i), 50}, Num: map[string]float64{"value": 1}})
+		c.Insert(ds.Entry(id))
+		if got := c.Net().Messages - before; got != 4 {
+			t.Fatalf("insert %d exchanged %d messages, want 4 (2 copies x Insert/InsertOK)", i, got)
+		}
 	}
 }
 

@@ -24,9 +24,9 @@ const (
 	// sibling Builds wait for that one partition) and indexes the shard,
 	// under its dataset lock, which dwarfs every other request.
 	remoteBuildTimeout = 2 * time.Minute
-	// remoteOpTimeout bounds metadata requests (count, open, bounds,
-	// updates) — cheap but index-sized, so they get more room than a
-	// sample fetch.
+	// remoteOpTimeout bounds every request but Build and Fetch (count,
+	// open, close, update mirrors, liveness pings) — cheap but
+	// index-sized, so they get more room than a sample fetch.
 	remoteOpTimeout = 2 * time.Second
 	// remoteProbeEvery rate-limits liveness pings against a down shard,
 	// so a degraded query's readmit polls don't flood the dead address
@@ -241,24 +241,11 @@ func (w *wireClient) Delete(e data.Entry) (bool, error) {
 	return ok.Found, nil
 }
 
-// Bounds implements ShardClient.
-func (w *wireClient) Bounds() (geo.Rect, error) {
-	resp, err := w.call(&wire.Bounds{Target: w.tgt}, remoteOpTimeout)
-	if err != nil {
-		return geo.Rect{}, err
-	}
-	ok, isOK := resp.(*wire.BoundsOK)
-	if !isOK {
-		return geo.Rect{}, fmt.Errorf("distr: unexpected %v response to bounds", resp.WireKind())
-	}
-	return ok.Rect, nil
-}
-
 // Addr implements ShardClient.
 func (w *wireClient) Addr() string { return w.addr }
 
-// buildCopy issues the shard copy's Build RPC and unions the digest its
-// BuildOK carries into the shard's envelope.
+// buildCopy issues the shard copy's Build RPC and unions the box and digest
+// its BuildOK carries into the shard's envelope.
 func (w *wireClient) buildCopy() error {
 	resp, err := w.roundTrip(&w.build, remoteBuildTimeout)
 	if err != nil {
@@ -354,7 +341,7 @@ func (c *Cluster) assemble(place [][]endpoint) (*Cluster, error) {
 		}
 		c.repl = append(c.repl, reps)
 		c.clients = append(c.clients, reps[0])
-		c.env = append(c.env, envelope{})
+		c.env = append(c.env, envelope{box: geo.EmptyRect(), attrs: map[string]pred.AttrStats{}})
 	}
 	c.mirrorMisses = newMirrorMisses(c.repl)
 

@@ -1,6 +1,6 @@
-// Per-shard value envelopes: the coordinator's digests that turn a
-// degraded confidence interval into a worst-case bound over the full
-// pre-crash population.
+// Per-shard envelopes: the coordinator's bounding boxes that route
+// inserts, and its value digests that turn a degraded confidence interval
+// into a worst-case bound over the full pre-crash population.
 //
 // When a shard crashes mid-query, the estimate keeps covering the
 // surviving population only (DESIGN.md §4.3's lost-mass caveat). But the
@@ -12,53 +12,75 @@
 // arithmetic).
 //
 // The coordinator is the envelope's only owner. Each copy's BuildOK
-// carries the built shard's root digest, which the cluster unions across
-// copies and rebuilds; Insert widens it with every routed record's values
-// before mirroring, whether or not the copies ack. Nothing shrinks it — a
-// deletion would need a rescan — so the bounds stay sound, possibly
-// loose, under any update mix, and are answered locally while the shard
-// is unreachable, exactly when they are needed.
+// carries the built shard tree's root box and digest, which the cluster
+// unions across copies and rebuilds; Insert routes by the boxes and
+// widens the chosen shard's box and digest with the record before
+// mirroring, whether or not the copies ack. Nothing shrinks an envelope —
+// a deletion would need a rescan — so routing never asks a shard, and the
+// value bounds stay sound, possibly loose, under any update mix, answered
+// locally while the shard is unreachable, exactly when they are needed.
 package distr
 
 import (
 	"math"
 
+	"storm/internal/geo"
 	"storm/internal/pred"
 	"storm/internal/wire"
 )
 
-// envelope is one shard's value envelope, keyed by the numeric columns its
-// copies' BuildOKs name. Columns added to the dataset after Build have no
-// entry: an envelope over the inserted values alone would miss the base
-// records.
-type envelope map[string]pred.AttrStats
+// envelope is one shard's coordinator-side metadata: the box covering
+// every position the shard has held, and the value envelope keyed by the
+// numeric columns its copies' BuildOKs name. Columns added to the dataset
+// after Build have no entry: an envelope over the inserted values alone
+// would miss the base records.
+type envelope struct {
+	box   geo.Rect
+	attrs map[string]pred.AttrStats
+}
 
-// widenBuilt unions a copy's BuildOK digest into shard's envelope.
+// widenBuilt unions a copy's BuildOK box and digest into shard's envelope.
 func (c *Cluster) widenBuilt(shard int, ok *wire.BuildOK) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	env := c.env[shard]
+	env := &c.env[shard]
+	env.box = env.box.Extend(ok.Box)
 	for _, a := range ok.Attrs {
-		st, seen := env[a.Name]
+		st, seen := env.attrs[a.Name]
 		if !seen {
 			st = pred.EmptyStats()
 		}
 		st.Merge(a.AttrStats)
-		env[a.Name] = st
+		env.attrs[a.Name] = st
 	}
 }
 
-// widenInserted folds a record routed to shard into its envelope.
-func (c *Cluster) widenInserted(shard int, num []wire.NumAttr) {
+// route picks the live shard whose box grows least to cover p — with
+// contiguous Hilbert partitions, the shard owning its neighborhood; the
+// first in shard order on ties — and widens its envelope with p and the
+// record's values num. It returns -1 when no live shard can take p (none
+// is live, or p has a NaN coordinate).
+func (c *Cluster) route(live []int, p geo.Vec, num []wire.NumAttr) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	env := c.env[shard]
-	for _, a := range num {
-		if st, ok := env[a.Name]; ok {
-			st.Add(a.Val)
-			env[a.Name] = st
+	best, bestGrow := -1, math.Inf(1)
+	for _, i := range live {
+		if grow := c.env[i].box.Enlargement(geo.RectFromPoint(p)); grow < bestGrow {
+			best, bestGrow = i, grow
 		}
 	}
+	if best < 0 {
+		return -1
+	}
+	env := &c.env[best]
+	env.box = env.box.ExtendPoint(p)
+	for _, a := range num {
+		if st, ok := env.attrs[a.Name]; ok {
+			st.Add(a.Val)
+			env.attrs[a.Name] = st
+		}
+	}
+	return best
 }
 
 // ShardSummary returns shard's value envelope for attr, or ok = false when
@@ -70,7 +92,7 @@ func (c *Cluster) ShardSummary(shard int, attr string) (st pred.AttrStats, ok bo
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok = c.env[shard][attr]
+	st, ok = c.env[shard].attrs[attr]
 	return st, ok
 }
 

@@ -24,9 +24,8 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1})
 	f.Add([]byte{1, 0, 0, 0, 0xee})
 	f.Add(AppendFrame(nil, &Ping{})[:4])
-	// Retired kinds: a summary request and answer, a length request and
-	// answer.
-	for _, k := range []byte{18, 19, 22, 23} {
+	// Retired kinds: summary, bounds and length requests and answers.
+	for _, k := range []byte{18, 19, 20, 21, 22, 23} {
 		f.Add([]byte{1, 0, 0, 0, k})
 	}
 

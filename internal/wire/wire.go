@@ -1,11 +1,11 @@
 // Package wire defines the coordinator↔shard RPC protocol of the
 // distributed STORM deployment: a compact length-prefixed binary codec for
 // the shard round shapes (count rounds, the batched simulate→fetch sample
-// protocol, insert/delete mirroring, the value envelope a Build returns
-// for lost-mass bounds) plus the transports that carry it — TCP with per-request
-// deadlines (tcp.go), and an in-memory transport for in-process shard
-// hosts that hands the same messages over without encoding them
-// (transport.go).
+// protocol, insert/delete mirroring, the bounding box and value envelope
+// a Build returns for insert routing and lost-mass bounds) plus the
+// transports that carry it — TCP with per-request deadlines (tcp.go), and
+// an in-memory transport for in-process shard hosts that hands the same
+// messages over without encoding them (transport.go).
 //
 // # Frame format
 //
@@ -46,7 +46,7 @@ const (
 	KindPing
 	KindPong
 	// KindBuild asks a shard host to build one shard of a dataset;
-	// KindBuildOK acknowledges with the shard's record count and value
+	// KindBuildOK acknowledges with the shard's bounding box and value
 	// envelope.
 	KindBuild
 	KindBuildOK
@@ -73,16 +73,13 @@ const (
 	// whether the shard held it.
 	KindDelete
 	KindDeleteOK
-	// Kinds 18 and 19 are retired (a per-attribute summary request and
-	// its answer): a number is never reused, and the decoder refuses it.
+	// Kinds 18–23 are retired (per-attribute summary, tree bounds and
+	// record-count requests and their answers): a number is never reused,
+	// the decoder refuses it, and a new kind is appended after them.
 	_
 	_
-	// KindBounds requests the bounding box of a shard's tree (insert
-	// routing); KindBoundsOK carries it back.
-	KindBounds
-	KindBoundsOK
-	// Kinds 22 and 23 are retired (a record-count request and its
-	// answer); a new kind is appended after them.
+	_
+	_
 	_
 	_
 )
@@ -98,7 +95,6 @@ func (k Kind) String() string {
 		KindClose: "close", KindCloseOK: "close-ok",
 		KindInsert: "insert", KindInsertOK: "insert-ok",
 		KindDelete: "delete", KindDeleteOK: "delete-ok",
-		KindBounds: "bounds", KindBoundsOK: "bounds-ok",
 	}
 	if n, ok := names[k]; ok {
 		return n
@@ -167,15 +163,12 @@ func (m *Ping) encode(e *encoder) {}
 func (m *Ping) decode(d *decoder) {}
 
 // Pong answers a Ping.
-type Pong struct {
-	// Shards is how many shard backends the host currently serves.
-	Shards uint32
-}
+type Pong struct{}
 
 // WireKind implements Msg.
 func (*Pong) WireKind() Kind      { return KindPong }
-func (m *Pong) encode(e *encoder) { e.u32(m.Shards) }
-func (m *Pong) decode(d *decoder) { m.Shards = d.u32() }
+func (m *Pong) encode(e *encoder) {}
+func (m *Pong) decode(d *decoder) {}
 
 // Target addresses one shard of one dataset on a host; it prefixes every
 // shard-scoped request. Replication (DESIGN.md §4.8) needs no replica
@@ -225,8 +218,9 @@ func (m *Build) decode(d *decoder) {
 
 // BuildOK acknowledges a Build with the shard as it now stands.
 type BuildOK struct {
-	// Count is the number of records on the built shard.
-	Count uint64
+	// Box is the shard tree's root bounding box (the ±Inf empty rectangle
+	// for an empty shard), which the coordinator routes inserts by.
+	Box geo.Rect
 	// Attrs is the shard's value envelope: one digest per numeric
 	// column, sorted by name so the encoding is canonical.
 	Attrs []AttrDigest
@@ -242,7 +236,7 @@ type AttrDigest struct {
 // WireKind implements Msg.
 func (*BuildOK) WireKind() Kind { return KindBuildOK }
 func (m *BuildOK) encode(e *encoder) {
-	e.u64(m.Count)
+	e.rect(m.Box)
 	e.u32(uint32(len(m.Attrs)))
 	for _, a := range m.Attrs {
 		e.str(a.Name)
@@ -257,7 +251,7 @@ func (m *BuildOK) encode(e *encoder) {
 // allocation before the count is trusted. nil is returned for an empty
 // list so that decode∘encode is the identity.
 func (m *BuildOK) decode(d *decoder) {
-	m.Count = d.u64()
+	m.Box = d.rect()
 	n := int(d.u32())
 	if n == 0 || !d.need(n*21) {
 		return
@@ -599,29 +593,6 @@ func (*DeleteOK) WireKind() Kind      { return KindDeleteOK }
 func (m *DeleteOK) encode(e *encoder) { e.b(m.Found) }
 func (m *DeleteOK) decode(d *decoder) { m.Found = d.b() }
 
-// Bounds requests the bounding box of a shard's tree (insert routing).
-type Bounds struct {
-	// Target names the shard.
-	Target
-}
-
-// WireKind implements Msg.
-func (*Bounds) WireKind() Kind      { return KindBounds }
-func (m *Bounds) encode(e *encoder) { m.Target.encode(e) }
-func (m *Bounds) decode(d *decoder) { m.Target.decode(d) }
-
-// BoundsOK answers a Bounds request. An empty tree encodes the ±Inf empty
-// rectangle, which round-trips exactly through the IEEE bits.
-type BoundsOK struct {
-	// Rect is the shard tree's minimum bounding rectangle.
-	Rect geo.Rect
-}
-
-// WireKind implements Msg.
-func (*BoundsOK) WireKind() Kind      { return KindBoundsOK }
-func (m *BoundsOK) encode(e *encoder) { e.rect(m.Rect) }
-func (m *BoundsOK) decode(d *decoder) { m.Rect = d.rect() }
-
 // newMsg returns a zero message of the given kind, or nil for an unknown
 // or retired kind byte.
 func newMsg(k Kind) Msg {
@@ -660,10 +631,6 @@ func newMsg(k Kind) Msg {
 		return &Delete{}
 	case KindDeleteOK:
 		return &DeleteOK{}
-	case KindBounds:
-		return &Bounds{}
-	case KindBoundsOK:
-		return &BoundsOK{}
 	default:
 		return nil
 	}

@@ -20,12 +20,12 @@ func sampleMsgs() []Msg {
 		&Error{Code: ErrCodeUnknownStream, Msg: "stream 7 not open"},
 		&Error{},
 		&Ping{},
-		&Pong{Shards: 4},
+		&Pong{},
 		&Build{Target: Target{DS: "osm", Shard: 3}, Of: 8, Seed: -42, Fanout: 16},
-		&BuildOK{Count: 125000, Attrs: []AttrDigest{
+		&BuildOK{Box: geo.Rect{Min: geo.Vec{-112.5, 40.25, 0}, Max: geo.Vec{-111, 41, 86400}}, Attrs: []AttrDigest{
 			{Name: "altitude", AttrStats: pred.AttrStats{Min: -12.5, Max: 4400}},
 			{Name: "speed", AttrStats: pred.AttrStats{Min: inf, Max: -inf, HasNaN: true}}}},
-		&BuildOK{},
+		&BuildOK{Box: geo.EmptyRect()},
 		&Count{Target: Target{DS: "tweets", Shard: 0}, Query: geo.Rect{Min: geo.Vec{20, 20, -inf}, Max: geo.Vec{60, 60, inf}}},
 		&CountOK{N: 9999},
 		&Open{Target: Target{DS: "osm", Shard: 1}, Stream: 77, Query: geo.Rect{Min: geo.Vec{0, 0, 0}, Max: geo.Vec{1, 1, 1}}, Seed: 12345, Exclude: []data.ID{1, 5, 9}},
@@ -42,8 +42,6 @@ func sampleMsgs() []Msg {
 		&InsertOK{},
 		&Delete{Target: Target{DS: "osm", Shard: 5}, ID: 17, Pos: geo.Vec{-1, -2, -3}},
 		&DeleteOK{Found: true},
-		&Bounds{Target: Target{DS: "osm", Shard: 0}},
-		&BoundsOK{Rect: geo.EmptyRect()},
 	}
 }
 
@@ -157,7 +155,7 @@ func (h *echoHandler) Handle(req Msg) Msg {
 		}
 		return &Entries{Entries: ents}
 	case *Ping:
-		return &Pong{Shards: 1}
+		return &Pong{}
 	default:
 		return &Error{Code: ErrCodeBadRequest, Msg: "unexpected"}
 	}
@@ -319,7 +317,7 @@ func TestMsgTypesCoverAllKinds(t *testing.T) {
 	for _, m := range sampleMsgs() {
 		covered[m.WireKind()] = true
 	}
-	retired := map[Kind]bool{18: true, 19: true, 22: true, 23: true}
+	retired := map[Kind]bool{18: true, 19: true, 20: true, 21: true, 22: true, 23: true}
 	for k := Kind(1); k != 0; k++ {
 		m := newMsg(k)
 		if retired[k] {
@@ -332,7 +330,7 @@ func TestMsgTypesCoverAllKinds(t *testing.T) {
 			continue
 		}
 		if m == nil {
-			if k <= KindBoundsOK {
+			if k <= KindDeleteOK {
 				t.Fatalf("newMsg(%d) = nil inside kind range", k)
 			}
 			continue

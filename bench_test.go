@@ -245,6 +245,87 @@ func BenchmarkBatchedSampling(b *testing.B) {
 	})
 }
 
+// BenchmarkExactFinish prices the engine's exact finish on a zoom-shaped
+// query (Chicago's inner city, ~1/40 of the 500 k fixture; its frontier is
+// boundary leaf-parent parts). Off the clock, each iteration opens the
+// stream and pulls it in the driver's growing batches to the first point it
+// is held. Then "draw" times what the stream paid from there without an
+// exact finish — drawing the rest one sample at a time, each folded into an
+// AVG — and "fold" times Rest plus the same fold. ns/drawn over ns/folded
+// is the cost ratio engine.exactFinishRatio rests on; once warm, fold
+// allocates nothing.
+func BenchmarkExactFinish(b *testing.B) {
+	batchedFix(b)
+	q := geo.Range{MinX: -87.95, MinY: 41.55, MaxX: -87.25, MaxY: 42.25, MinT: 0, MaxT: 86400 * 365}.Rect()
+	alt, err := fixDS.NumericColumn("altitude")
+	if err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]data.Entry, 1024)
+	rest := make([]data.Entry, 0, 1024)
+	// open returns the stream after the given number of driver pulls.
+	open := func(pulls int) *rstree.Sampler {
+		s := batchedRS.SamplerWhere(q, sampling.WithoutReplacement, stats.NewRNG(1), nil, iosim.NewCounter(batchedDev))
+		for i, size := 0, 16; i < pulls; i, size = i+1, min(2*size, len(buf)) {
+			s.NextBatch(buf, size)
+		}
+		return s
+	}
+	held := 1
+	for ; ; held++ {
+		s := open(held)
+		var ok bool
+		rest, ok = s.Rest(rest[:0], math.MaxInt)
+		s.Close()
+		if ok {
+			break
+		}
+	}
+	est := estimator.MustNew(estimator.Avg, 0.95, 1<<30, true)
+	fold := func(batch []data.Entry) {
+		for _, e := range batch {
+			est.Add(alt[e.ID])
+		}
+	}
+	run := func(name, unit string, finish func(s *rstree.Sampler) int) {
+		b.Run(name, func(b *testing.B) {
+			records := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := open(held)
+				b.StartTimer()
+				records += finish(s)
+				b.StopTimer()
+				s.Close()
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), unit)
+			b.ReportMetric(float64(records)/float64(b.N), "records/op")
+		})
+	}
+	run("draw", "ns/drawn", func(s *rstree.Sampler) int {
+		n := 0
+		for {
+			got := s.NextBatch(buf, len(buf))
+			fold(buf[:got])
+			n += got
+			if got < len(buf) {
+				return n
+			}
+		}
+	})
+	run("fold", "ns/folded", func(s *rstree.Sampler) int {
+		var ok bool
+		if rest, ok = s.Rest(rest[:0], math.MaxInt); !ok {
+			b.Fatal("the held stream refused its rest")
+		}
+		fold(rest)
+		return len(rest)
+	})
+}
+
 // ---- Figure 3(b): online accuracy ----
 
 func BenchmarkFig3b(b *testing.B) {

@@ -675,6 +675,10 @@ var _ sampling.Sampler = (*Sampler)(nil)
 // Name implements sampling.Sampler.
 func (s *Sampler) Name() string { return "distributed-rs-tree" }
 
+// Rest implements sampling.Sampler; the coordinator refuses: the rest of
+// its stream lives on the shards.
+func (s *Sampler) Rest(dst []data.Entry, _ int) ([]data.Entry, bool) { return dst, false }
+
 // SamplerStats implements sampling.Sampler. Draws is the samples delivered
 // to the consumer; the shards' own rejections and scans stay on the shards.
 func (s *Sampler) SamplerStats() sampling.SamplerStats {

@@ -269,16 +269,18 @@ type contractProfile struct {
 	cv map[string]float64
 }
 
-// observe folds one completed estimate into the profile.
-func (p *contractProfile) observe(attr string, confidence float64, e estimator.Estimate, elapsed time.Duration) {
-	if e.Samples < 2 {
+// observe folds one completed estimate into the profile. drawn is how many
+// of its samples the sampler drew: the rate is a drawing rate, which an
+// exact finish's folded rest would overstate.
+func (p *contractProfile) observe(attr string, confidence float64, e estimator.Estimate, drawn int, elapsed time.Duration) {
+	if drawn < 2 {
 		return
 	}
 	ms := float64(elapsed) / float64(time.Millisecond)
 	if ms <= 0 {
 		return
 	}
-	rate := float64(e.Samples) / ms
+	rate := float64(drawn) / ms
 	cv := 0.0
 	if !e.Exact && e.Value != 0 && !math.IsInf(e.HalfWidth, 0) {
 		if z := stats.ZScore(confidence); z > 0 {

@@ -28,6 +28,12 @@ type metrics struct {
 	// the full population — failover, not degradation.
 	queriesFailedOver *obs.Counter
 
+	// exactFinishes counts queries that ended by folding their sampler's
+	// held rest (an exact answer) instead of drawing on; exactRecords
+	// counts the records those finishes folded.
+	exactFinishes *obs.Counter
+	exactRecords  *obs.Counter
+
 	samplesDrawn      *obs.Counter
 	samplerRejects    *obs.Counter
 	samplerExplosions *obs.Counter
@@ -97,6 +103,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		queriesDegraded:   reg.Counter("storm.engine.queries.degraded"),
 		queriesRecovered:  reg.Counter("storm.engine.queries.recovered"),
 		queriesFailedOver: reg.Counter("storm.engine.queries.failed_over"),
+		exactFinishes:     reg.Counter("storm.engine.exact.finishes"),
+		exactRecords:      reg.Counter("storm.engine.exact.records"),
 		samplesDrawn:      reg.Counter("storm.engine.samples.drawn"),
 		samplerRejects:    reg.Counter("storm.engine.sampler.rejects"),
 		samplerExplosions: reg.Counter("storm.engine.sampler.explosions"),

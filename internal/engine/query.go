@@ -116,12 +116,20 @@ func (h *Handle) EstimateOnline(ctx context.Context, q geo.Range, opts Options) 
 	}
 	return stream(ctx, h, q, opts, func(send func(Snapshot) bool) consumer {
 		col, _ := h.ds.NumericColumn(opts.Attr)
-		_, clt := agg.(meanAgg)
+		mean, clt := agg.(meanAgg)
+		var need func(int) (int, bool)
+		if clt && opts.MaxSamples == 0 && opts.Mode == sampling.WithoutReplacement {
+			need = func(population int) (int, bool) {
+				mean.est.SetPopulation(population)
+				return mean.est.Need(opts.TargetRelError, opts.TargetHalfWidth)
+			}
+		}
 		return consumer{
 			attr:      opts.Attr,
 			exact:     opts.Kind == estimator.Count,
 			fold:      func(batch []data.Entry) { agg.fold(col, batch) },
 			converged: func() bool { return agg.converged(opts) },
+			need:      need,
 			report: func(r report) bool {
 				s := Snapshot{Estimate: agg.estimate(r, opts.Mode), Progress: r.Progress}
 				if r.stream.LostBounded {
@@ -131,7 +139,7 @@ func (h *Handle) EstimateOnline(ctx context.Context, q geo.Range, opts Options) 
 					// Feed the dataset's contract profile with this query's
 					// outcome; the contract planner's rate/CV predictions
 					// come from these EWMAs.
-					h.prof.observe(opts.Attr, opts.Confidence, s.Estimate, r.Elapsed)
+					h.prof.observe(opts.Attr, opts.Confidence, s.Estimate, r.drawn, r.Elapsed)
 				}
 				r.ci(s.RelativeErrorBound())
 				return send(s)

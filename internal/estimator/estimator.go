@@ -326,3 +326,46 @@ func (e *Estimator) Snapshot() Estimate {
 	out.HalfWidth = crit * se * scale
 	return out
 }
+
+// Need inverts the estimate's confidence interval at the current variance:
+// it returns how many more samples the interval needs before its half-width
+// reaches the target — relErr relative to the estimate or halfWidth
+// absolute, whichever is looser, as the engine's stopping rule reads them.
+// AVG, SUM and COUNT account for the finite-population correction of
+// without-replacement sampling; VARIANCE and STDDEV shrink as
+// 1/√(2(k−1)). The need is unbounded (math.MaxInt) when there is no target
+// or the interval cannot reach it (MIN, MAX, a zero estimate against a
+// relative target), and unknown (ok false) before two samples.
+func (e *Estimator) Need(relErr, halfWidth float64) (n int, ok bool) {
+	k := e.w.N()
+	if k < 2 {
+		return 0, false
+	}
+	snap := e.Snapshot()
+	if snap.Exact {
+		return 0, true
+	}
+	target := halfWidth
+	if relErr > 0 {
+		target = math.Max(target, relErr*math.Abs(snap.Value))
+	}
+	if !(target > 0) || math.IsInf(snap.HalfWidth, 0) {
+		return math.MaxInt, true
+	}
+	r := (snap.HalfWidth / target) * (snap.HalfWidth / target)
+	var total float64
+	switch e.kind {
+	case Variance, Stddev:
+		total = 1 + float64(k-1)*r
+	default:
+		total = float64(k) * r
+		if e.withoutRep && e.population > 1 {
+			n := float64(e.population)
+			total = n * total / (total + n - float64(k))
+		}
+	}
+	if !(total < math.MaxInt/2) {
+		return math.MaxInt, true
+	}
+	return max(0, int(math.Ceil(total))-k), true
+}

@@ -333,3 +333,83 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestNeedInvertsTheInterval: the need Need reports is what the interval
+// takes — half of it leaves the estimate short of the target, all of it
+// (the variance held by a repeating value pattern) reaches it.
+func TestNeedInvertsTheInterval(t *testing.T) {
+	x := func(i int) float64 { return 100 + float64((i*37)%50) }
+	for _, c := range []struct {
+		kind       Kind
+		population int
+		withoutRep bool
+		rel, hw    float64
+	}{
+		{Avg, 5000, true, 0.01, 0},
+		{Sum, 5000, true, 0.01, 0},
+		{Avg, 5000, false, 0.01, 0},
+		{Avg, 5000, true, 0, 1.5},
+		{Stddev, 5000, true, 0.05, 0},
+		{Variance, 5000, true, 0.1, 0},
+	} {
+		e := MustNew(c.kind, 0.95, c.population, c.withoutRep)
+		i := 0
+		for ; i < 100; i++ {
+			e.Add(x(i))
+		}
+		n, ok := e.Need(c.rel, c.hw)
+		if !ok || n <= 0 || n >= c.population {
+			t.Fatalf("%v rel %v hw %v: Need = %d, %v", c.kind, c.rel, c.hw, n, ok)
+		}
+		short := *e
+		for j := 0; j < n/2; j++ {
+			short.Add(x(i + j))
+		}
+		reached := func(s Estimate) bool {
+			return s.HalfWidth <= c.hw || s.RelativeErrorBound() <= c.rel
+		}
+		if s := short.Snapshot(); reached(s) {
+			t.Errorf("%v rel %v hw %v: half the need (%d) already reaches the target: ±%v", c.kind, c.rel, c.hw, n/2, s.HalfWidth)
+		}
+		for j := 0; j < n; j++ {
+			e.Add(x(i + j))
+		}
+		if s := e.Snapshot(); !reached(s) {
+			t.Errorf("%v rel %v hw %v: the need (%d) falls short: ±%v, rel %v", c.kind, c.rel, c.hw, n, s.HalfWidth, s.RelativeErrorBound())
+		}
+		if n, ok := e.Need(c.rel, c.hw); !ok || n > 5 {
+			t.Errorf("%v: Need after meeting it = %d, %v", c.kind, n, ok)
+		}
+	}
+}
+
+func TestNeedEdges(t *testing.T) {
+	e := MustNew(Avg, 0.95, 100, true)
+	e.Add(1)
+	if _, ok := e.Need(0.01, 0); ok {
+		t.Error("Need known after one sample")
+	}
+	e.Add(2)
+	if n, ok := e.Need(0, 0); !ok || n != math.MaxInt {
+		t.Errorf("Need without a target = %d, %v; want unbounded", n, ok)
+	}
+	m := MustNew(Min, 0.95, 100, true)
+	m.Add(1)
+	m.Add(2)
+	if n, _ := m.Need(0.01, 0); n != math.MaxInt {
+		t.Errorf("MIN Need = %d; want unbounded", n)
+	}
+	z := MustNew(Avg, 0.95, 100, true)
+	z.Add(-1)
+	z.Add(1)
+	if n, _ := z.Need(0.01, 0); n != math.MaxInt {
+		t.Errorf("Need of a zero estimate against a relative target = %d; want unbounded", n)
+	}
+	all := MustNew(Avg, 0.95, 3, true)
+	for _, v := range []float64{1, 2, 3} {
+		all.Add(v)
+	}
+	if n, ok := all.Need(0.01, 0); !ok || n != 0 {
+		t.Errorf("Need of an exhausted estimate = %d, %v; want 0", n, ok)
+	}
+}

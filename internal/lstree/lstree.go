@@ -364,6 +364,10 @@ func (s *Sampler) Name() string { return "LS-tree" }
 // release.
 func (s *Sampler) Close() error { return nil }
 
+// Rest implements sampling.Sampler; the LS-tree refuses: its levels are
+// sampled, not held.
+func (s *Sampler) Rest(dst []data.Entry, _ int) ([]data.Entry, bool) { return dst, false }
+
 // NextBatch implements sampling.Sampler. The range-report page charges of
 // any level scans the pull triggers are coalesced through a run-length
 // batcher (one device lock per flush).

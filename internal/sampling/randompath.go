@@ -87,6 +87,10 @@ func (s *RandomPath) Name() string { return "RandomPath" }
 // Close implements Sampler; RandomPath holds nothing to release.
 func (s *RandomPath) Close() error { return nil }
 
+// Rest implements Sampler; RandomPath walks the tree per draw and holds no
+// rest, so it refuses.
+func (s *RandomPath) Rest(dst []data.Entry, _ int) ([]data.Entry, bool) { return dst, false }
+
 // Walks returns the total number of root-to-leaf walks performed.
 func (s *RandomPath) Walks() uint64 { return s.walks }
 

@@ -190,6 +190,21 @@ func positions(add func(geo.Vec)) func([]data.Entry) {
 // folded record on a 2-core Xeon, a ratio of 8 to 12.
 const exactFinishRatio = 8
 
+// accepted filters batch in place down to the entries accept keeps; a nil
+// accept keeps them all.
+func accepted(accept func(data.ID) bool, batch []data.Entry) []data.Entry {
+	if accept == nil {
+		return batch
+	}
+	kept := batch[:0]
+	for _, e := range batch {
+		if accept(e.ID) {
+			kept = append(kept, e)
+		}
+	}
+	return kept
+}
+
 // run is the engine's one query driver: every online query shape is this
 // loop plus a consumer. Caller holds h.mu (the read side suffices) and has
 // applied opts.withDefaults.
@@ -320,15 +335,7 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 		}
 		n := sampler.NextBatch(buf, want)
 		qo.batch(sampler, n)
-		batch := buf[:n]
-		if c.accept != nil {
-			batch = batch[:0]
-			for _, e := range buf[:n] {
-				if c.accept(e.ID) {
-					batch = append(batch, e)
-				}
-			}
-		}
+		batch := accepted(c.accept, buf[:n])
 		for len(batch) > 0 {
 			run := opts.ReportEvery - r.samples%opts.ReportEvery
 			if opts.MaxSamples > 0 && run > opts.MaxSamples-r.samples {
@@ -361,26 +368,14 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 		}
 		if c.need != nil {
 			if need, ok := c.need(population); ok {
-				limit := math.MaxInt
-				if need < math.MaxInt/exactFinishRatio {
-					limit = need * exactFinishRatio
-				}
+				limit := min(need, math.MaxInt/exactFinishRatio) * exactFinishRatio
 				if rest, ok := sampler.Rest(buf[:0], limit); ok {
 					if cap(rest) > cap(buf) {
-						// The pool keeps the grown buffer for the next query.
-						*bufp = rest[:cap(rest)]
+						*bufp = rest[:cap(rest)] // the pool keeps the grown buffer
 					}
 					h.eng.met.exactFinishes.Inc()
 					h.eng.met.exactRecords.Add(uint64(len(rest)))
-					if c.accept != nil {
-						kept := rest[:0]
-						for _, e := range rest {
-							if c.accept(e.ID) {
-								kept = append(kept, e)
-							}
-						}
-						rest = kept
-					}
+					rest = accepted(c.accept, rest)
 					c.fold(rest)
 					r.samples += len(rest)
 					emit(true, name)

@@ -245,41 +245,49 @@ func BenchmarkBatchedSampling(b *testing.B) {
 	})
 }
 
-// BenchmarkExactFinish prices the engine's exact finish on a zoom-shaped
-// query (Chicago's inner city, ~1/40 of the 500 k fixture; its frontier is
-// boundary leaf-parent parts). Off the clock, each iteration opens the
-// stream and pulls it in the driver's growing batches to the first point it
-// is held. Then "draw" times what the stream paid from there without an
-// exact finish — drawing the rest one sample at a time, each folded into an
-// AVG — and "fold" times Rest plus the same fold. ns/drawn over ns/folded
-// is the cost ratio engine.exactFinishRatio rests on; once warm, fold
-// allocates nothing.
+// BenchmarkExactFinish prices the engine's exact finish on zoom-shaped
+// queries: the inner cities of gen.DefaultCities over the 500 k fixture,
+// whose frontiers are boundary leaf-parent parts, taken in turn so that
+// each iteration reads columns and pages the previous one did not. Off the
+// clock, each iteration opens its stream and pulls it in the driver's
+// growing batches to the first point it is held. Then "draw" times what the
+// stream paid from there without an exact finish — drawing the rest one
+// sample at a time, each folded into an AVG — and "fold" times Rest plus
+// the same fold. ns/drawn over ns/folded is the cost ratio
+// engine.exactFinishRatio rests on; once warm, fold allocates nothing.
 func BenchmarkExactFinish(b *testing.B) {
 	batchedFix(b)
-	q := geo.Range{MinX: -87.95, MinY: 41.55, MaxX: -87.25, MaxY: 42.25, MinT: 0, MaxT: 86400 * 365}.Rect()
 	alt, err := fixDS.NumericColumn("altitude")
 	if err != nil {
 		b.Fatal(err)
 	}
 	buf := make([]data.Entry, 1024)
 	rest := make([]data.Entry, 0, 1024)
-	// open returns the stream after the given number of driver pulls.
-	open := func(pulls int) *rstree.Sampler {
+	// open returns q's stream after the given number of driver pulls.
+	open := func(q geo.Rect, pulls int) *rstree.Sampler {
 		s := batchedRS.SamplerWhere(q, sampling.WithoutReplacement, stats.NewRNG(1), nil, iosim.NewCounter(batchedDev))
 		for i, size := 0, 16; i < pulls; i, size = i+1, min(2*size, len(buf)) {
 			s.NextBatch(buf, size)
 		}
 		return s
 	}
-	held := 1
-	for ; ; held++ {
-		s := open(held)
-		var ok bool
-		rest, ok = s.Rest(rest[:0], math.MaxInt)
-		s.Close()
-		if ok {
-			break
+	type zoom struct {
+		q    geo.Rect
+		held int // driver pulls to the first held point
+	}
+	var zooms []zoom
+	for _, c := range gen.DefaultCities() {
+		z := zoom{q: geo.SpatialRange(c.Lon-c.Spread, c.Lat-c.Spread, c.Lon+c.Spread, c.Lat+c.Spread).Rect()}
+		for z.held = 1; ; z.held++ {
+			s := open(z.q, z.held)
+			var ok bool
+			rest, ok = s.Rest(rest[:0], math.MaxInt)
+			s.Close()
+			if ok {
+				break
+			}
 		}
+		zooms = append(zooms, z)
 	}
 	est := estimator.MustNew(estimator.Avg, 0.95, 1<<30, true)
 	fold := func(batch []data.Entry) {
@@ -294,7 +302,8 @@ func BenchmarkExactFinish(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s := open(held)
+				z := zooms[i%len(zooms)]
+				s := open(z.q, z.held)
 				b.StartTimer()
 				records += finish(s)
 				b.StopTimer()

@@ -185,9 +185,12 @@ func positions(add func(geo.Vec)) func([]data.Entry) {
 // exactFinishRatio is how many held records an exact finish may fold per
 // sample it saves drawing: the driver folds the rest instead of drawing on
 // when the rest is at most this multiple of the target's remaining need.
-// It is the cost ratio BenchmarkExactFinish measures on its zoom-shaped
-// query, rounded down: ~140–190 ns per drawn sample against ~15–18 ns per
-// folded record on a 2-core Xeon, a ratio of 8 to 12.
+// It is the cost of drawing a sample over that of folding a held record.
+// BenchmarkExactFinish measures 147–204 ns per drawn sample against 23–38
+// ns per folded record on zoom-shaped queries (2-core Xeon), a ratio of
+// 4.3–8.9. A drawn sample also pays its share of report points and NDJSON
+// encoding, ~70 ns in the benchmark of record's traced zoom-stream run,
+// which a folded record does not; with it the ratio is about 8.
 const exactFinishRatio = 8
 
 // accepted filters batch in place down to the entries accept keeps; a nil

@@ -331,11 +331,11 @@ func (s *Sampler) Close() error {
 }
 
 // Rest implements sampling.Sampler. A without-replacement stream is held
-// once no live part samples its subtree: every part is materialized, whose
-// rest is its unvisited entries, or keeps its whole subtree in its stored
-// buffer, whose unvisited entries are filtered by the query and predicate
-// with one charge of its page. The rest's size is counted before anything
-// is charged or appended, so a refusal changes nothing.
+// once no live part samples its subtree. A materialized part's rest is its
+// unvisited entries; a part whose stored buffer holds its whole subtree
+// gives the unvisited entries that pass the query and predicate, for one
+// charge of its page. The rest is counted before anything is charged or
+// appended, so a refusal changes nothing.
 func (s *Sampler) Rest(dst []data.Entry, max int) ([]data.Entry, bool) {
 	if !s.init || s.closed || s.mode != sampling.WithoutReplacement || s.sampledParts > 0 {
 		return dst, false

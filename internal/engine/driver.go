@@ -376,9 +376,9 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 					if cap(rest) > cap(buf) {
 						*bufp = rest[:cap(rest)] // the pool keeps the grown buffer
 					}
+					rest = accepted(c.accept, rest)
 					h.eng.met.exactFinishes.Inc()
 					h.eng.met.exactRecords.Add(uint64(len(rest)))
-					rest = accepted(c.accept, rest)
 					c.fold(rest)
 					r.samples += len(rest)
 					emit(true, name)

@@ -97,7 +97,9 @@ test-stats:
 # reference's (coordinate, record ID) order on both sides of the radix
 # cutoff (every bulk-loaded page hangs off it), and over
 # one leaf of any query box, positions, values and column length, whose
-# face-only counts must be in's and Compiled.Match's.
+# face-only counts must be in's and Compiled.Match's, and over the exact
+# plan's descent of any region, predicate, NaN values and insert/delete
+# churn, whose records and moments must be a range report's.
 # The checked-in corpora also run on plain `go test`.
 fuzz-smoke:
 	$(GO) test -run FuzzParseFaultPlan -fuzz FuzzParseFaultPlan -fuzztime 15s ./internal/distr/
@@ -110,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzExtendPoint -fuzz FuzzExtendPoint -fuzztime 15s ./internal/geo/
 	$(GO) test -run FuzzSTROrder -fuzz FuzzSTROrder -fuzztime 15s ./internal/rtree/
 	$(GO) test -run FuzzCountLeaf -fuzz FuzzCountLeaf -fuzztime 15s ./internal/rtree/
+	$(GO) test -run FuzzExactMoments -fuzz FuzzExactMoments -fuzztime 15s ./internal/rtree/
 
 # Real-process cluster smoke: build stormd, spawn 4 -role=shard processes
 # plus a coordinator, query over HTTP, kill one shard host mid-stream and

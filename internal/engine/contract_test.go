@@ -48,14 +48,15 @@ func TestContractValidation(t *testing.T) {
 }
 
 // TestContractColdPlan checks the planner's fallback on a dataset with no
-// telemetry: the plan must come from the documented priors (unit CV, the
-// cold throughput prior), be flagged Cold, and size the sample budget as
-// k = ceil((z·cv/ε)²).
+// telemetry: the plan of a sampled contract must come from the documented
+// priors (unit CV, the cold throughput prior), be flagged Cold, and size
+// the sample budget as k = ceil((z·cv/ε)²).
 func TestContractColdPlan(t *testing.T) {
 	_, h := buildHandle(t, 20_000, false)
 	all := geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100}
 	c := Contract{RelError: 0.02, Confidence: 0.95, Deadline: time.Second}
-	plan, err := h.ExplainContract(all, Options{Kind: estimator.Avg, Attr: "value"}, c)
+	rstree := Options{Kind: estimator.Avg, Attr: "value", Method: MethodRSTree}
+	plan, err := h.ExplainContract(all, rstree, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +84,25 @@ func TestContractColdPlan(t *testing.T) {
 		t.Errorf("ReportEvery = %d outside batch bounds [%d, %d]", plan.ReportEvery, minPullBatch, maxPullBatch)
 	}
 
-	// A cold prediction that exceeds the qualifying population flips to an
-	// exact drain plan.
+	// A cold prediction that exceeds the qualifying population plans to
+	// drain it by sampling under an explicit method, and under Auto takes
+	// the exact plan, as does the looser contract above.
 	tight := Contract{RelError: 0.001, Confidence: 0.95}
-	exPlan, err := h.ExplainContract(all, Options{Kind: estimator.Avg, Attr: "value"}, tight)
+	drain, err := h.ExplainContract(all, rstree, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exPlan.Exact || exPlan.Samples != 20_000 {
-		t.Errorf("exhaustion plan = %+v, want exact over 20000", exPlan)
+	if drain.Exact || drain.Samples != 20_000 {
+		t.Errorf("drain plan = %+v, want 20000 samples", drain)
+	}
+	for _, c := range []Contract{c, tight} {
+		exPlan, err := h.ExplainContract(all, Options{Kind: estimator.Avg, Attr: "value"}, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exPlan.Exact || exPlan.Samples != 0 || exPlan.Qualifying != 20_000 {
+			t.Errorf("%v under Auto: plan %+v, want exact over 20000", c, exPlan)
+		}
 	}
 }
 
@@ -298,7 +309,7 @@ func TestStatContractCoverage(t *testing.T) {
 	var intervals []statcheck.Interval
 	for _, seed := range statcheck.Seeds(0xC0117AC7, 150) {
 		res, err := h.EstimateContract(context.Background(), all, Options{
-			Kind: estimator.Avg, Attr: "value", Seed: seed,
+			Kind: estimator.Avg, Attr: "value", Seed: seed, Method: MethodRSTree,
 		}, c)
 		if err != nil {
 			t.Fatal(err)

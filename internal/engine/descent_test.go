@@ -11,14 +11,17 @@ import (
 	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/pred"
+	"storm/internal/rtree"
 )
 
 // TestOneDescentPerRequest is the deterministic gate on a request's fixed
 // planning cost: the shared device's Logical counter may move, outside the
-// sampler's own attributed charges, by exactly one Count descent of the
-// region per request — plus one CountWhere descent when a compiled predicate
+// query's own attributed charges (its sampler's, or the exact plan's reads
+// under the covered subtrees), by exactly one Count descent of the region
+// per request — plus one CountWhere descent when a compiled predicate
 // sizes the population — however many layers (server pre-check, contract
-// planner, optimizer, population) want the count.
+// planner, optimizer, population) want the count. The exact plan's descent
+// is that Count (or CountWhere) descent.
 func TestOneDescentPerRequest(t *testing.T) {
 	e, h := buildHandleWithPool(t, 20000, false, 64)
 	ctx := context.Background()
@@ -64,8 +67,58 @@ func TestOneDescentPerRequest(t *testing.T) {
 			t.Errorf("ESTIMATE charged %d pages, want one Count descent + the sampler's own = %d + %d", got, count, snap.IO.Logical)
 		}
 	})
-	t.Run("predicate contract", func(t *testing.T) {
+	t.Run("exact ESTIMATE", func(t *testing.T) {
+		// A region wide enough to cover internal nodes. The covered
+		// subtrees' nodes below their roots, which the descent charged, are
+		// what the exact plan reads besides it.
+		wide := geo.Range{MinX: 5, MinY: 5, MaxX: 95, MaxY: 95, MinT: 0, MaxT: 100}
+		count := delta(func() { h.rs.Count(wide.Rect()) })
+		var below uint64
+		var size func(n *rtree.Node) uint64
+		size = func(n *rtree.Node) uint64 {
+			k := uint64(1)
+			for _, c := range n.Children() {
+				k += size(c)
+			}
+			return k
+		}
+		for _, p := range h.rs.Tree().Canonical(wide.Rect()) {
+			if p.Full {
+				below += size(p.Node) - 1
+			}
+		}
+		if below == 0 {
+			t.Fatal("fixture: the region covers no internal node")
+		}
+		var snap Snapshot
+		got := delta(func() { snap, err = h.Estimate(ctx, wide, Options{Kind: estimator.Avg, Attr: "value"}) })
+		if err != nil || snap.Method != "exact" {
+			t.Fatalf("ESTIMATE: %+v, %v; want the exact plan", snap, err)
+		}
+		if snap.IO.Logical != below || got != count+below {
+			t.Errorf("exact ESTIMATE charged %d pages, %d of them its own; want one Count descent + the covered subtrees = %d + %d",
+				got, snap.IO.Logical, count, below)
+		}
+	})
+	t.Run("exact predicate contract", func(t *testing.T) {
 		opts := Options{Kind: estimator.Avg, Attr: "value", Where: where}
+		c := Contract{RelError: 0.001, Deadline: 2 * time.Second}
+		var res ContractResult
+		got := delta(func() {
+			var cp ContractPlan
+			if cp, err = h.ExplainContract(testRange, opts, c); err == nil {
+				res, err = h.ExecuteContract(ctx, testRange, opts, cp)
+			}
+		})
+		if err != nil || res.Method != "exact" {
+			t.Fatalf("contract: %+v, %v; want the exact plan", res, err)
+		}
+		if want := countWhere + res.IO.Logical; got != want {
+			t.Errorf("exact contract charged %d pages, want one CountWhere descent + its own = %d + %d", got, countWhere, res.IO.Logical)
+		}
+	})
+	t.Run("predicate contract", func(t *testing.T) {
+		opts := Options{Kind: estimator.Avg, Attr: "value", Where: where, Method: MethodRSTree}
 		c := Contract{RelError: 0.05, Deadline: 2 * time.Second}
 		var res ContractResult
 		got := delta(func() {

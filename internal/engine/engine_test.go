@@ -69,9 +69,9 @@ func TestEstimateConvergesToExact(t *testing.T) {
 	if cnt == 0 {
 		t.Fatal("degenerate fixture")
 	}
-	// Run to exhaustion: the estimate must be exact.
+	// Run the stream to exhaustion: the estimate must be exact.
 	snap, err := h.Estimate(context.Background(), testRange, Options{
-		Kind: estimator.Avg, Attr: "value",
+		Kind: estimator.Avg, Attr: "value", Method: MethodRSTree,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestEstimateTargetRelError(t *testing.T) {
 	_, h := buildHandle(t, 50000, false)
 	want, cnt := trueMean(h, testRange, "value")
 	snap, err := h.Estimate(context.Background(), testRange, Options{
-		Kind: estimator.Avg, Attr: "value", TargetRelError: 0.01,
+		Kind: estimator.Avg, Attr: "value", TargetRelError: 0.01, Method: MethodRSTree,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestEstimateCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch, err := h.EstimateOnline(ctx, testRange, Options{
-		Kind: estimator.Avg, Attr: "value", ReportEvery: 50,
+		Kind: estimator.Avg, Attr: "value", ReportEvery: 50, Method: MethodRSTree,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -825,7 +825,7 @@ func TestSessionCancelsPreviousQuery(t *testing.T) {
 	_, h := buildHandle(t, 50000, false)
 	s := NewSession(h)
 	ch1, err := s.EstimateOnline(context.Background(), testRange, Options{
-		Kind: estimator.Avg, Attr: "value", ReportEvery: 10,
+		Kind: estimator.Avg, Attr: "value", ReportEvery: 10, Method: MethodRSTree,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,11 +28,10 @@ type metrics struct {
 	// the full population — failover, not degradation.
 	queriesFailedOver *obs.Counter
 
-	// exactFinishes counts queries that ended by folding their sampler's
-	// held rest (an exact answer) instead of drawing on; exactRecords
-	// counts the records those finishes folded.
-	exactFinishes *obs.Counter
-	exactRecords  *obs.Counter
+	// exactPlans counts estimates the exact plan answered without
+	// sampling; exactRecords counts the qualifying records they read.
+	exactPlans   *obs.Counter
+	exactRecords *obs.Counter
 
 	samplesDrawn      *obs.Counter
 	samplerRejects    *obs.Counter
@@ -103,7 +102,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		queriesDegraded:   reg.Counter("storm.engine.queries.degraded"),
 		queriesRecovered:  reg.Counter("storm.engine.queries.recovered"),
 		queriesFailedOver: reg.Counter("storm.engine.queries.failed_over"),
-		exactFinishes:     reg.Counter("storm.engine.exact.finishes"),
+		exactPlans:        reg.Counter("storm.engine.exact.plans"),
 		exactRecords:      reg.Counter("storm.engine.exact.records"),
 		samplesDrawn:      reg.Counter("storm.engine.samples.drawn"),
 		samplerRejects:    reg.Counter("storm.engine.sampler.rejects"),

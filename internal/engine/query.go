@@ -9,6 +9,7 @@ import (
 	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/pred"
+	"storm/internal/rtree"
 	"storm/internal/sampling"
 	"storm/internal/stats"
 )
@@ -64,10 +65,15 @@ type Options struct {
 	// serially or concurrently: per-node sample buffers are deterministic
 	// in the index state, never in other queries' history.
 	Seed int64
-	// counted is the range count the contract planner already took for
-	// this query (ExecuteContract sets it); the driver reuses it while it
-	// still describes the index.
+	// counted and summed are the range count and the exact plan's descent
+	// the contract planner already took for this query (ExecuteContract
+	// sets them); the driver reuses them while they still describe the
+	// index.
 	counted regionCount
+	summed  *exactSum
+	// exact lets resolve price the exact plan (see exactShape); only the
+	// single-aggregate estimate, its contract and its EXPLAIN set it.
+	exact bool
 }
 
 func (o Options) withDefaults() Options {
@@ -114,22 +120,20 @@ func (h *Handle) EstimateOnline(ctx context.Context, q geo.Range, opts Options) 
 	if err != nil {
 		return nil, err
 	}
+	opts.exact = exactShape(opts)
 	return stream(ctx, h, q, opts, func(send func(Snapshot) bool) consumer {
 		col, _ := h.ds.NumericColumn(opts.Attr)
 		mean, clt := agg.(meanAgg)
-		var need func(int) (int, bool)
-		if clt && opts.MaxSamples == 0 && opts.Mode == sampling.WithoutReplacement {
-			need = func(population int) (int, bool) {
-				mean.est.SetPopulation(population)
-				return mean.est.Need(opts.TargetRelError, opts.TargetHalfWidth)
-			}
+		var moments func(rtree.Moments)
+		if opts.exact {
+			moments = func(m rtree.Moments) { mean.est.AddMoments(m.Records, m.Values) }
 		}
 		return consumer{
 			attr:      opts.Attr,
 			exact:     opts.Kind == estimator.Count,
 			fold:      func(batch []data.Entry) { agg.fold(col, batch) },
 			converged: func() bool { return agg.converged(opts) },
-			need:      need,
+			moments:   moments,
 			report: func(r report) bool {
 				s := Snapshot{Estimate: agg.estimate(r, opts.Mode), Progress: r.Progress}
 				if r.stream.LostBounded {
@@ -138,8 +142,8 @@ func (h *Handle) EstimateOnline(ctx context.Context, q geo.Range, opts Options) 
 				if r.Done && clt {
 					// Feed the dataset's contract profile with this query's
 					// outcome; the contract planner's rate/CV predictions
-					// come from these EWMAs.
-					h.prof.observe(opts.Attr, opts.Confidence, s.Estimate, r.drawn, r.Elapsed)
+					// and the exact plan's pricing come from these EWMAs.
+					h.prof.observe(opts.Attr, mean.est.Moments(), r.drawn, r.Elapsed)
 				}
 				r.ci(s.RelativeErrorBound())
 				return send(s)

@@ -370,6 +370,19 @@ func TestExecuteEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "sampler:") || !strings.Contains(out, "selectivity") {
 		t.Errorf("explain output:\n%s", out)
 	}
+	// Without a target the exact plan answers; an explicit method, or a
+	// tight-enough sample need over the whole dataset, streams.
+	if !strings.Contains(out, "method:         exact (one pass over ") || !strings.Contains(out, "unbounded") {
+		t.Errorf("explain of an untargeted AVG does not report the exact plan:\n%s", out)
+	}
+	out = run(`EXPLAIN ESTIMATE AVG(value) FROM uniform WHERE REGION(20, 20, 60, 60) WITH ERROR 1% USING RSTREE`)
+	if strings.Contains(out, "method:") {
+		t.Errorf("explain of a USING RSTREE estimate reports the exact plan:\n%s", out)
+	}
+	out = run(`EXPLAIN ESTIMATE AVG(value) FROM uniform WITH ERROR 50%`)
+	if strings.Contains(out, "method:") {
+		t.Errorf("explain of a loose target over the whole dataset reports the exact plan:\n%s", out)
+	}
 }
 
 func TestParseAndExecuteHotspots(t *testing.T) {

@@ -70,10 +70,6 @@ type Sampler struct {
 	fen   *fenwick
 	seen  *sampling.IDSet
 	init  bool
-	// sampledParts counts the parts still drawing from a stored buffer
-	// that samples their subtree rather than holding all of it; at zero
-	// the whole rest of the stream is in memory (see Rest).
-	sampledParts int
 	// closed marks a sampler whose scratch went back to the pools.
 	closed bool
 
@@ -247,9 +243,6 @@ func (s *Sampler) addPart(n *rtree.Node, contained, predAll bool) {
 		return
 	}
 	p := &part{node: n, buf: s.index.bufferFor(n, s.batch), contained: contained, predAll: predAll}
-	if p.sampled() {
-		s.sampledParts++
-	}
 	s.fen.Append(n.Count())
 	s.parts = append(s.parts, p)
 }
@@ -299,10 +292,6 @@ func (s *Sampler) retirePart(p *part, slot int) {
 // rather than the node's stored sample.
 func (p *part) materialized() bool { return p.own != nil }
 
-// sampled reports whether p draws from a stored buffer that holds only a
-// sample of its subtree.
-func (p *part) sampled() bool { return !p.materialized() && len(p.buf) < p.node.Count() }
-
 // release returns the part's pooled scratch — the permutation of a stored
 // buffer, the contents of a materialized one — and leaves it empty.
 func (p *part) release() {
@@ -328,59 +317,6 @@ func (s *Sampler) Close() error {
 	}
 	s.parts = nil
 	return nil
-}
-
-// Rest implements sampling.Sampler. A without-replacement stream is held
-// once no live part samples its subtree. A materialized part's rest is its
-// unvisited entries; a part whose stored buffer holds its whole subtree
-// gives the unvisited entries that pass the query and predicate, for one
-// charge of its page. The rest is counted before anything is charged or
-// appended, so a refusal changes nothing.
-func (s *Sampler) Rest(dst []data.Entry, max int) ([]data.Entry, bool) {
-	if !s.init || s.closed || s.mode != sampling.WithoutReplacement || s.sampledParts > 0 {
-		return dst, false
-	}
-	if s.fen.Total() > max {
-		// The weights bound the rest from above; boundary buffers still
-		// hold out-of-query entries, so count it exactly.
-		n := 0
-		for _, p := range s.parts {
-			if p.materialized() {
-				n += len(p.buf) - p.cursor
-			} else {
-				s.visitRest(p, func(data.Entry) { n++ })
-			}
-			if n > max {
-				return dst, false
-			}
-		}
-	}
-	for _, p := range s.parts {
-		if p.materialized() {
-			dst = append(dst, p.buf[p.cursor:]...)
-		} else if p.cursor < len(p.buf) {
-			s.charge(p.node)
-			s.visitRest(p, func(e data.Entry) { dst = append(dst, e) })
-		}
-	}
-	s.batch.Flush()
-	s.Close()
-	return dst, true
-}
-
-// visitRest calls visit on each unvisited entry of p's whole stored buffer
-// that the query still wants.
-func (s *Sampler) visitRest(p *part, visit func(data.Entry)) {
-	for i := p.cursor; i < len(p.buf); i++ {
-		e := p.buf[i]
-		if p.order != nil {
-			e = p.buf[(*p.order)[i]]
-		}
-		if (p.contained || s.query.Contains(e.Pos)) &&
-			(p.predAll || s.filter.Match(e.ID)) && !s.seen.Contains(e.ID) {
-			visit(e)
-		}
-	}
 }
 
 // nextFromBuffer returns the next not-yet-consumed entry of p's buffer in
@@ -429,9 +365,6 @@ func (s *Sampler) nextFromBuffer(p *part) (data.Entry, bool) {
 // actually drained — never more than a full range report.
 func (s *Sampler) materialize(p *part, slot int) {
 	s.explosions++
-	if p.sampled() {
-		s.sampledParts--
-	}
 	p.release()
 	p.own = getEntries(p.node.Count())
 	s.collectMatching(p.node, p.contained, p.predAll, p.own)

@@ -75,23 +75,6 @@ func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 	return got
 }
 
-// Rest implements Sampler by filtering the inner sampler's rest. max caps
-// the inner rest, which the predicate only shrinks.
-func (s *Filtered) Rest(dst []data.Entry, max int) ([]data.Entry, bool) {
-	n := len(dst)
-	dst, ok := s.inner.Rest(dst, max)
-	if !ok {
-		return dst, false
-	}
-	kept := dst[:n]
-	for _, e := range dst[n:] {
-		if s.pred.Match(e.ID) {
-			kept = append(kept, e)
-		}
-	}
-	return kept, true
-}
-
 // SamplerStats implements Sampler, merging the inner sampler's counters with
 // the wrapper's rejections. Draws stay the inner sampler's — reject_ratio
 // then reads "rejections per inner draw", which is exactly the

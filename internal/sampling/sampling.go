@@ -55,14 +55,6 @@ const (
 // per-sample overheads (lock acquisitions, I/O charge bookkeeping, network
 // round trips), never the draw distribution.
 //
-// Rest is the stream's exact finish: when every record it has yet to emit
-// is already in memory and there are at most max of them, Rest appends
-// them to dst in any order, ends the stream (later pulls return nothing)
-// and returns true. Otherwise it changes nothing and returns dst, false.
-// Folding the rest costs one pass over held records instead of one draw
-// each, so a consumer that would otherwise drain the stream can finish
-// exactly for less; samplers that hold nothing refuse.
-//
 // SamplerStats reports the stream's cumulative instrumentation counters.
 // Close ends the stream and releases what it holds beyond the garbage
 // collector's reach — pooled scratch, server-side shard streams; samplers
@@ -70,7 +62,6 @@ const (
 // accountant it was built with, for its whole lifetime.
 type Sampler interface {
 	NextBatch(dst []data.Entry, k int) int
-	Rest(dst []data.Entry, max int) ([]data.Entry, bool)
 	Name() string
 	SamplerStats() SamplerStats
 	Close() error
@@ -154,17 +145,6 @@ func (s *QueryFirst) NextBatch(dst []data.Entry, k int) int {
 	return got
 }
 
-// Rest implements Sampler: once the range report has run, a
-// without-replacement stream's rest is the unvisited tail of it.
-func (s *QueryFirst) Rest(dst []data.Entry, max int) ([]data.Entry, bool) {
-	if !s.fetched || s.mode != WithoutReplacement || len(s.matched)-s.cursor > max {
-		return dst, false
-	}
-	dst = append(dst, s.matched[s.cursor:]...)
-	s.cursor = len(s.matched)
-	return dst, true
-}
-
 // SamplerStats implements Sampler: Scans records the up-front full range
 // report once it has run.
 func (s *QueryFirst) SamplerStats() SamplerStats {
@@ -242,10 +222,6 @@ func (s *SampleFirst) Name() string { return "SampleFirst" }
 
 // Close implements Sampler; SampleFirst holds nothing to release.
 func (s *SampleFirst) Close() error { return nil }
-
-// Rest implements Sampler; SampleFirst draws from the raw store and holds
-// no rest, so it refuses.
-func (s *SampleFirst) Rest(dst []data.Entry, _ int) ([]data.Entry, bool) { return dst, false }
 
 // Attempts returns the total number of records inspected so far.
 func (s *SampleFirst) Attempts() uint64 { return s.attempts }

@@ -69,7 +69,7 @@ func TestStalledStreamClientReleasesDataset(t *testing.T) {
 	l.conns <- server
 	// An unbounded stream (no SAMPLES, no error target: hundreds of
 	// snapshots), sent by a client that then never reads a byte.
-	body := `{"statement": "ESTIMATE AVG(value) FROM uniform"}`
+	body := `{"statement": "ESTIMATE AVG(value) FROM uniform USING RSTREE"}`
 	if _, err := fmt.Fprintf(client, "POST /query HTTP/1.1\r\nHost: pipe\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	truth := sum / float64(n)
 
 	snap, err := h.Estimate(context.Background(), q, Options{
-		Kind: Avg, Attr: "altitude", TargetRelError: 0.005,
+		Kind: Avg, Attr: "altitude", TargetRelError: 0.005, Method: MethodRSTree,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -249,47 +249,93 @@ func BenchmarkBatchedSampling(b *testing.B) {
 // regions: the inner cities of gen.DefaultCities over the 500 k fixture,
 // taken in turn so that each iteration reads columns and pages the
 // previous one did not. One iteration is the plan's whole pass for an AVG
-// of altitude — the descent that counts the region and folds its partial
-// leaves, then the covered subtrees' values. ns/record over
-// BenchmarkBatchedSampling's ns per drawn sample is the cost ratio
-// engine.exactFinishRatio rests on; pages/op is what the pass charges
-// (the descent's plus the covered subtrees'); steady state allocates
-// nothing.
+// of altitude. In the local case that is the descent that counts the
+// region and folds its partial leaves, then the covered subtrees' values;
+// ns/record over BenchmarkBatchedSampling's ns per drawn sample is the cost
+// ratio engine.exactFinishRatio rests on, pages/op is what the pass charges
+// (the descent's plus the covered subtrees'), and steady state allocates
+// nothing. In the cluster=2x2 case (two shards at R=2, in-process) it is
+// the coordinator's count round that asks for the moments: msgs/op reads 4
+// (one Count and one CountOK per shard), bytes/op is what the round's
+// frames would put on a wire, and ns/record is the denominator of
+// engine.shardExactRatio.
 func BenchmarkExactPlan(b *testing.B) {
 	batchedFix(b)
-	sums := rtree.NewSummaries(batchedRS.Tree(), fixDS)
-	sums.Precompute()
-	attr, ok := sums.AttrIndex("altitude")
-	if !ok {
-		b.Fatal("altitude is not summarized")
-	}
 	var zooms []geo.Rect
 	for _, c := range gen.DefaultCities() {
 		zooms = append(zooms, geo.SpatialRange(c.Lon-c.Spread, c.Lat-c.Spread, c.Lon+c.Spread, c.Lat+c.Spread).Rect())
 	}
-	ctr := iosim.NewCounter(batchedDev)
-	var covered []*rtree.Node
-	pass := func(q geo.Rect) int {
-		var m rtree.Moments
-		m, covered = sums.Moments(q, nil, attr, math.MaxInt, covered[:0])
-		w, _ := sums.CoveredValues(covered, attr, ctr, nil)
-		m.Values.Merge(w)
-		return m.Records
-	}
-	for _, q := range zooms { // warm the descent pool and the covered list
-		pass(q)
-	}
-	records := 0
-	before := batchedDev.Stats().Logical
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		records += pass(zooms[i%len(zooms)])
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
-	b.ReportMetric(float64(records)/float64(b.N), "records/op")
-	b.ReportMetric(float64(batchedDev.Stats().Logical-before)/float64(b.N), "pages/op")
+	b.Run("local", func(b *testing.B) {
+		sums := rtree.NewSummaries(batchedRS.Tree(), fixDS)
+		sums.Precompute()
+		attr, ok := sums.AttrIndex("altitude")
+		if !ok {
+			b.Fatal("altitude is not summarized")
+		}
+		ctr := iosim.NewCounter(batchedDev)
+		var covered []*rtree.Node
+		pass := func(q geo.Rect) int {
+			var m rtree.Moments
+			m, covered = sums.Moments(q, nil, attr, math.MaxInt, covered[:0])
+			w, _ := sums.CoveredValues(covered, attr, ctr, nil)
+			m.Values.Merge(w)
+			return m.Records
+		}
+		for _, q := range zooms { // warm the descent pool and the covered list
+			pass(q)
+		}
+		records := 0
+		before := batchedDev.Stats().Logical
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			records += pass(zooms[i%len(zooms)])
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		b.ReportMetric(float64(records)/float64(b.N), "records/op")
+		b.ReportMetric(float64(batchedDev.Stats().Logical-before)/float64(b.N), "pages/op")
+	})
+	b.Run("cluster=2x2", func(b *testing.B) {
+		c, err := distr.Build(fixDS, distr.Config{Shards: 2, Replicas: 2, Fanout: 64, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		round := func(q geo.Rect) int {
+			m, summed := c.Moments(q, nil, wire.Window{}, "altitude", math.MaxInt)
+			if !summed {
+				b.Fatal("the round did not sum")
+			}
+			return m.Records
+		}
+		// frames is what one round would send: nothing is encoded in-process.
+		frames := func(q geo.Rect) (bytes int) {
+			for shard := range c.NumShards() {
+				req := wire.Count{Target: wire.Target{DS: fixDS.Name(), Shard: uint32(shard)}, Query: q, Attr: "altitude", Limit: math.MaxInt}
+				bytes += len(wire.AppendFrame(nil, &req)) + len(wire.AppendFrame(nil, &wire.CountOK{Summed: true}))
+			}
+			return bytes
+		}
+		for _, q := range zooms { // warm the shards' summaries
+			round(q)
+		}
+		records, bytes := 0, 0
+		msgs := c.Net().Messages
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			records += round(zooms[i%len(zooms)])
+		}
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			bytes += frames(zooms[i%len(zooms)])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		b.ReportMetric(float64(records)/float64(b.N), "records/op")
+		b.ReportMetric(float64(c.Net().Messages-msgs)/float64(b.N), "msgs/op")
+		b.ReportMetric(float64(bytes)/float64(b.N), "bytes/op")
+	})
 }
 
 // ---- Figure 3(b): online accuracy ----

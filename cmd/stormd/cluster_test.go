@@ -210,8 +210,10 @@ func TestClusterSmoke(t *testing.T) {
 		}
 	}
 
-	// Healthy baseline: exhaustive exact AVG over the whole space.
-	const stmt = "ESTIMATE AVG(altitude) FROM osm WHERE REGION(-180,-90,180,90) WITH ERROR 0.0001%"
+	// Healthy baseline: exhaustive exact AVG over the whole space. The
+	// SAMPLES cap keeps it a stream a host can be killed under (uncapped,
+	// the count round would answer it exactly).
+	const stmt = "ESTIMATE AVG(altitude) FROM osm WHERE REGION(-180,-90,180,90) WITH ERROR 0.0001% SAMPLES 100000000"
 	healthy := estimate(t, coord.http, stmt, nil)
 	if !healthy.Exact || healthy.Degraded || healthy.Population == 0 {
 		t.Fatalf("healthy baseline: %+v", healthy)

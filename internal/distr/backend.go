@@ -7,6 +7,7 @@ package distr
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"storm/internal/data"
@@ -144,21 +145,37 @@ func (b *shardBackend) compileWhere(where []pred.Term) (*rtree.TreeFilter, error
 	return rtree.NewTreeFilter(c, b.shard.attrs), nil
 }
 
-// count narrows q's time axis to the window before counting — the single
-// funnel both transports share, so a windowed count sees the identical
-// population in-process and across TCP.
-func (b *shardBackend) count(q geo.Rect, where []pred.Term, win wire.Window) (int, error) {
-	q = win.Apply(q)
+// count answers a count round. It narrows the query's time axis to the
+// window first — the single funnel both transports share, so a windowed
+// count sees the identical population in-process and across TCP. A round
+// that names a summarized attribute gets the moments of its present values
+// too, read only while at most the request's limit of records qualify: the
+// exact plan's descent, then its covered subtrees, under one read lock.
+func (b *shardBackend) count(req *wire.Count) (*wire.CountOK, error) {
+	q := req.Window.Apply(req.Query)
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	f, err := b.compileWhere(where)
+	f, err := b.compileWhere(req.Where)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if f == nil {
-		return b.shard.index.Count(q), nil
+	attr, ok := b.shard.attrs.AttrIndex(req.Attr)
+	if !ok {
+		if f == nil {
+			return &wire.CountOK{N: uint64(b.shard.index.Count(q))}, nil
+		}
+		return &wire.CountOK{N: uint64(b.shard.index.Tree().CountWhere(q, f))}, nil
 	}
-	return b.shard.index.Tree().CountWhere(q, f), nil
+	limit := int(min(req.Limit, math.MaxInt))
+	m, covered := b.shard.attrs.Moments(q, f, attr, limit, nil)
+	resp := &wire.CountOK{N: uint64(m.Records)}
+	if m.Records <= limit {
+		rest, _ := b.shard.attrs.CoveredValues(covered, attr, nil, nil)
+		m.Values.Merge(rest)
+		resp.Summed = true
+		resp.Values = wire.Moments{N: uint64(m.Values.N()), Mean: m.Values.Mean(), M2: m.Values.M2()}
+	}
+	return resp, nil
 }
 
 // open creates sample stream id over q: count, then a sampler seeded

@@ -21,8 +21,8 @@ import (
 // ShardClient is the coordinator's view of one shard server. Every round
 // shape the cluster speaks is here:
 //
-//   - Count is the count round (|P_s ∩ q| for fan-out totals and sampler
-//     initialization).
+//   - Count is the count round (|P_s ∩ q| for fan-out totals), which can
+//     also return one attribute's moments over it (the exact plan).
 //   - Open/Fetch/CloseStream are the batched sample protocol: Open
 //     creates a per-query without-replacement stream (returning its
 //     matching count), Fetch pulls a demand-sized batch, CloseStream
@@ -34,11 +34,12 @@ import (
 // wire.Transport) and faultClient (fault-injection decorator, fault.go).
 // All methods must be safe for concurrent use.
 type ShardClient interface {
-	// Count returns the shard's matching count for q, restricted to
-	// records satisfying the predicate terms (nil = no predicate) and to
-	// the event-time window win (zero = none). The shard compiles, prunes
-	// and narrows locally.
-	Count(q geo.Rect, where []pred.Term, win wire.Window) (int, error)
+	// Count answers a count round: the shard's matching count for the
+	// request's rectangle, restricted to records satisfying its predicate
+	// terms and lying in its event-time window, and the moments of its
+	// attribute when it names one and the count fits its limit. The shard
+	// compiles, prunes and narrows locally; the client fills in the target.
+	Count(req wire.Count) (wire.CountOK, error)
 	// Open creates sample stream id over q, seeded with seed, never
 	// emitting the excluded IDs and emitting only records satisfying the
 	// predicate terms (nil = no predicate) and lying in the event-time

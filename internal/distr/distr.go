@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"storm/internal/data"
+	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/obs"
 	"storm/internal/pred"
@@ -560,9 +561,40 @@ func (c *Cluster) CountWhere(q geo.Rect, where []pred.Term) int {
 // shard narrows its own time axis before counting, so windowed counts see
 // the identical population in-process and over TCP.
 func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) int {
+	total := 0
+	for _, ok := range c.countRound(wire.Count{Query: q, Where: where, Window: win}) {
+		total += int(ok.N)
+	}
+	return total
+}
+
+// Moments is the count round of the exact plan: CountWindow's fan-out,
+// whose request also names attribute attr and a record limit, so each
+// shard with at most limit qualifying records answers with the moments of
+// attr's present values over them. m.Records is the total count, m.Values
+// the shards' moments merged by Chan–Golub–LeVeque, and summed reports
+// that every shard holding qualifying records summed them, so Values
+// covers all Records. Shards that do not answer are absent from both, as
+// from CountWindow's total.
+func (c *Cluster) Moments(q geo.Rect, where []pred.Term, win wire.Window, attr string, limit int) (m rtree.Moments, summed bool) {
+	summed = true
+	for _, ok := range c.countRound(wire.Count{Query: q, Where: where, Window: win, Attr: attr, Limit: uint64(limit)}) {
+		m.Records += int(ok.N)
+		if !ok.Summed && ok.N > 0 {
+			summed = false
+		}
+		m.Values.Merge(estimator.FromMoments(int(ok.Values.N), ok.Values.Mean, ok.Values.M2))
+	}
+	return m, summed
+}
+
+// countRound sends req to every shard that is not down, in parallel (one
+// request and one response message each), and returns one answer per
+// shard: the zero CountOK for a shard none of whose copies answered.
+func (c *Cluster) countRound(req wire.Count) []wire.CountOK {
 	start := time.Now()
 	defer observeMS(c.met.fanoutMS, start)
-	counts := make([]int, len(c.clients))
+	answers := make([]wire.CountOK, len(c.clients))
 	var wg sync.WaitGroup
 	for i := range c.clients {
 		if c.shardDown(i) {
@@ -575,19 +607,15 @@ func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) in
 			// speaks for the shard (the primary answers first in the
 			// healthy case, keeping the unreplicated path unchanged).
 			for _, cl := range c.repl[i] {
-				if n, err := cl.Count(q, where, win); err == nil {
-					counts[i] = n
+				if ok, err := cl.Count(req); err == nil {
+					answers[i] = ok
 					return
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total
+	return answers
 }
 
 // Sampler returns a without-replacement online sampler over the cluster.

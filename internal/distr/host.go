@@ -60,9 +60,9 @@ type partMemo struct {
 // Host serves shard requests for the datasets it holds.
 type Host struct {
 	// mu guards the maps; dsMu serializes dataset row appends (mirrored
-	// inserts) against the reads of the dataset copy in Builds and in the
-	// exclude-filtering of stream opens. Where both are held, dsMu is
-	// taken first.
+	// inserts) against the reads of the dataset copy in Builds, in count
+	// rounds and in the exclude-filtering of stream opens. Where both are
+	// held, dsMu is taken first.
 	mu       sync.Mutex
 	dsMu     sync.RWMutex
 	datasets map[string]*data.Dataset
@@ -133,11 +133,16 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 		if b == nil {
 			return errUnknownShard(req.Target)
 		}
-		n, err := b.count(req.Query, req.Where, req.Window)
+		// The predicate compiles against, and node summaries a recent
+		// insert invalidated are recomputed from, the dataset copy that a
+		// mirrored insert into a sibling shard may append to.
+		h.dsMu.RLock()
+		ok, err := b.count(req)
+		h.dsMu.RUnlock()
 		if err != nil {
 			return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("count predicate: %v", err)}
 		}
-		return &wire.CountOK{N: uint64(n)}
+		return ok
 
 	case *wire.Open:
 		b := h.backend(req.Target)

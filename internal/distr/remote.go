@@ -160,16 +160,17 @@ func (w *wireClient) call(m wire.Msg, timeout time.Duration) (wire.Msg, error) {
 // Count implements ShardClient. The window travels as a wire term — the
 // shard narrows locally, so no windowed record filtering happens on the
 // coordinator for remote shards.
-func (w *wireClient) Count(q geo.Rect, where []pred.Term, win wire.Window) (int, error) {
-	resp, err := w.call(&wire.Count{Target: w.tgt, Query: q, Where: where, Window: win}, remoteOpTimeout)
+func (w *wireClient) Count(req wire.Count) (wire.CountOK, error) {
+	req.Target = w.tgt
+	resp, err := w.call(&req, remoteOpTimeout)
 	if err != nil {
-		return 0, err
+		return wire.CountOK{}, err
 	}
 	ok, isOK := resp.(*wire.CountOK)
 	if !isOK {
-		return 0, fmt.Errorf("distr: unexpected %v response to count", resp.WireKind())
+		return wire.CountOK{}, fmt.Errorf("distr: unexpected %v response to count", resp.WireKind())
 	}
-	return int(ok.N), nil
+	return *ok, nil
 }
 
 // Open implements ShardClient.

@@ -9,13 +9,16 @@ package distr_test
 // re-running the trials over RPC.
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"storm/internal/data"
 	"storm/internal/distr"
 	"storm/internal/distr/distrtest"
+	"storm/internal/estimator"
 	"storm/internal/geo"
+	"storm/internal/pred"
 	"storm/internal/wire"
 )
 
@@ -400,5 +403,47 @@ func TestRemoteShardKillRestart(t *testing.T) {
 	}
 	if st := c.FaultStats(); st.ShardsDown != 0 {
 		t.Errorf("shards_down = %d after recovery, want 0", st.ShardsDown)
+	}
+}
+
+// TestCountRoundsBesideMirroredInserts: a shard host answers predicate
+// count rounds, plain and summing, on some shards while mirrored inserts
+// append to the dataset copy all its shards read (run with -race), and the
+// rounds then count and sum exactly what the coordinator holds.
+func TestCountRoundsBesideMirroredInserts(t *testing.T) {
+	const n = 4000
+	ds := distrtest.Dataset(n)
+	srv := startHost(t, n, "127.0.0.1:0")
+	c := buildRemote(t, ds, distrtest.FastConfig(4, 1, nil), []string{srv.Addr()})
+	q := distrtest.Query()
+	where := []pred.Term{{Attr: "value", Lo: 50, Hi: math.Inf(1)}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 300 {
+			row := data.Row{Pos: geo.Vec{float64(i % 100), float64(i * 7 % 100), 50}, Num: map[string]float64{"value": float64(i % 90)}}
+			c.Insert(ds.Entry(ds.Append(row)))
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		c.CountWhere(q, where)
+		c.Moments(q, where, wire.Window{}, "value", math.MaxInt)
+	}
+	col, _ := ds.NumericColumn("value")
+	var want estimator.Welford
+	for i := range ds.Len() {
+		if v := col[i]; q.Contains(ds.Pos(data.ID(i))) && v >= 50 {
+			want.Add(v)
+		}
+	}
+	m, summed := c.Moments(q, where, wire.Window{}, "value", math.MaxInt)
+	if !summed || m.Records != want.N() || m.Values.N() != want.N() || math.Abs(m.Values.Mean()-want.Mean()) > 1e-9*want.Mean() {
+		t.Errorf("round: summed %v, %d records, n %d, mean %v; want %d records of mean %v",
+			summed, m.Records, m.Values.N(), m.Values.Mean(), want.N(), want.Mean())
 	}
 }

@@ -30,6 +30,18 @@ func nextPullSize(size int) int {
 	return size
 }
 
+// needPull caps a targeted stream's next pull at the first report point at
+// or past need, the samples its target is predicted to need in all, and
+// floors it at minPullBatch: a stream that meets its target at a report
+// point then stops within one pull of it, not one doubled batch.
+func needPull(need, samples, every int) int {
+	if need-samples > maxPullBatch {
+		return maxPullBatch
+	}
+	end := (max(need, samples+1) + every - 1) / every * every
+	return max(end-samples, minPullBatch)
+}
+
 // entryBufPool recycles the per-query pull buffers (maxPullBatch entries,
 // ~32 KiB) across queries.
 var entryBufPool = sync.Pool{

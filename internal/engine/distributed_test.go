@@ -13,8 +13,12 @@ import (
 	"storm/internal/geo"
 	"storm/internal/obs"
 	"storm/internal/sampling"
-	"storm/internal/wire"
 )
+
+// exhaust caps a distributed stream above any population these tests
+// build: a SAMPLES cap keeps a statement a stream (the exact plan answers an
+// uncapped mean-family one from the count round) without stopping it early.
+const exhaust = 1 << 30
 
 func buildShardedHandle(t testing.TB, n, shards int, faults *distr.FaultPlan) (*Engine, *Handle) {
 	t.Helper()
@@ -39,7 +43,7 @@ func TestDistributedMethodRouting(t *testing.T) {
 	if plan.Method != MethodDistributed {
 		t.Errorf("optimizer chose %v, want distributed", plan.Method)
 	}
-	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value"})
+	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value", MaxSamples: exhaust})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +113,7 @@ func TestDistributedQueryDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthyPop := h.Cluster().Count(testRange.Rect())
-	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value"})
+	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value", MaxSamples: exhaust})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +198,7 @@ func TestDistributedQueryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthyPop := h.Cluster().Count(rect)
-	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value"})
+	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value", MaxSamples: exhaust})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,29 +257,13 @@ func TestDistributedQuantileDegrades(t *testing.T) {
 // TestRemoteClusterRegistration registers a dataset against real shard
 // hosts behind TCP sockets (IndexOptions.ShardAddrs) and checks the
 // engine's query path end to end: the optimizer routes to the cluster,
-// the exact exhaustive answer matches ground truth, and — because the
-// remote coordinator draws the same seed sequence as a simulated one —
-// the estimate is byte-identical to the in-process cluster's.
+// the exhausted stream and the exact plan both match ground truth, and —
+// because the remote coordinator draws the same seed sequence as a
+// simulated one, and its shards answer the count round alike — each is
+// byte-identical to the in-process cluster's.
 func TestRemoteClusterRegistration(t *testing.T) {
 	const n = 4000
-	ds := distrtest.Dataset(n)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		host := distr.NewHost()
-		host.AddDataset(distrtest.Dataset(n))
-		srv, err := wire.NewServer("127.0.0.1:0", host)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = srv.Addr()
-	}
-
-	e := New(Config{Seed: 42, Fanout: 32})
-	h, err := e.Register(ds, IndexOptions{Shards: 4, ShardAddrs: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, _ := remoteShardedHandle(t, n, 4)
 	if h.Cluster() == nil || !h.Cluster().Remote() {
 		t.Fatal("ShardAddrs registration should build a remote cluster")
 	}
@@ -287,31 +275,38 @@ func TestRemoteClusterRegistration(t *testing.T) {
 		t.Errorf("optimizer chose %v, want distributed", plan.Method)
 	}
 
-	snap, err := h.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value", Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Exact || snap.Degraded {
-		t.Fatalf("healthy exhaustive remote run: %+v", snap)
-	}
+	// Same engine config, simulated cluster, same query seed: identical
+	// sample stream, identical snapshot; and the same exact answer.
+	_, hSim := buildShardedHandle(t, n, 4, nil)
 	want, _ := trueMean(h, testRange, "value")
-	if math.Abs(snap.Value-want) > 1e-9 {
-		t.Errorf("remote exact AVG = %v, want %v", snap.Value, want)
+	for _, c := range []struct {
+		method string
+		opts   Options
+	}{
+		{"distributed-rs-tree", Options{Kind: estimator.Avg, Attr: "value", Seed: 99, MaxSamples: exhaust}},
+		{"exact", Options{Kind: estimator.Avg, Attr: "value", Seed: 99}},
+	} {
+		snap, err := h.Estimate(context.Background(), testRange, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Method != c.method || !snap.Exact || snap.Degraded {
+			t.Fatalf("healthy remote run via %q, want %q: %+v", snap.Method, c.method, snap)
+		}
+		if math.Abs(snap.Value-want) > 1e-9 {
+			t.Errorf("remote %s AVG = %v, want %v", c.method, snap.Value, want)
+		}
+		simSnap, err := hSim.Estimate(context.Background(), testRange, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simSnap.Method != snap.Method || simSnap.Value != snap.Value || simSnap.Samples != snap.Samples {
+			t.Errorf("remote %s snapshot (value %v, samples %d) diverges from simulated %s (value %v, samples %d)",
+				snap.Method, snap.Value, snap.Samples, simSnap.Method, simSnap.Value, simSnap.Samples)
+		}
 	}
 	if net := h.Cluster().Net(); net.BytesSent == 0 || net.BytesRecv == 0 {
 		t.Errorf("remote cluster NetStats = %+v, want measured traffic", net)
-	}
-
-	// Same engine config, simulated cluster, same query seed: identical
-	// sample stream, identical snapshot.
-	_, hSim := buildShardedHandle(t, n, 4, nil)
-	simSnap, err := hSim.Estimate(context.Background(), testRange, Options{Kind: estimator.Avg, Attr: "value", Seed: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simSnap.Value != snap.Value || simSnap.Samples != snap.Samples {
-		t.Errorf("remote snapshot (value %v, samples %d) diverges from simulated (value %v, samples %d)",
-			snap.Value, snap.Samples, simSnap.Value, simSnap.Samples)
 	}
 
 	// Updates mirror over the wire through the handle.
@@ -326,7 +321,7 @@ func TestRemoteClusterRegistration(t *testing.T) {
 	}
 
 	// Unregister tears the transports down.
-	if err := e.Unregister(ds.Name()); err != nil {
+	if err := h.eng.Unregister(h.Name()); err != nil {
 		t.Fatal(err)
 	}
 }

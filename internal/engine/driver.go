@@ -127,6 +127,10 @@ type consumer struct {
 	// converged, when non-nil, is asked after every non-final report
 	// whether the shape's accuracy target is met.
 	converged func() bool
+	// need, when non-nil, predicts how many samples in all the shape's
+	// accuracy target needs (math.MaxInt while unknown); the driver asks it
+	// after each report to size its next pull (see needPull).
+	need func() int
 	// accept, when non-nil, keeps only the drawn records it accepts;
 	// rejected ones count toward neither MaxSamples nor report points.
 	accept func(data.ID) bool
@@ -324,6 +328,9 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 			return
 		}
 		want := size
+		if c.need != nil && r.samples >= opts.ReportEvery {
+			want = min(want, needPull(c.need(), r.samples, opts.ReportEvery))
+		}
 		if c.accept == nil && opts.MaxSamples > 0 && want > opts.MaxSamples-r.samples {
 			// Without a filter every drawn sample is accepted, so clamping
 			// the pull avoids drawing past the cap.

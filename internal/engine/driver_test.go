@@ -172,3 +172,48 @@ func TestMultiAggregateReportsDegradation(t *testing.T) {
 		t.Errorf("storm.engine.queries.degraded = %d, want 1", got)
 	}
 }
+
+// TestTargetedStreamStopsNearItsLastDraw: a targeted stream sizes its pulls
+// from the estimator's predicted need, so when a report meets the target it
+// has drawn at most one report interval past it — whatever the target
+// kind, without dropping a doubled batch's tail.
+func TestTargetedStreamStopsNearItsLastDraw(t *testing.T) {
+	e, h := buildHandle(t, 50000, false)
+	drawn := e.Obs().Counter("storm.engine.samples.drawn")
+	for _, opts := range []Options{
+		{Kind: estimator.Avg, TargetRelError: 0.01},
+		{Kind: estimator.Sum, TargetRelError: 0.005},
+		{Kind: estimator.Stddev, TargetRelError: 0.03},
+		{Kind: estimator.Avg, TargetHalfWidth: 0.5},
+	} {
+		opts.Attr, opts.Method, opts.Seed = "value", MethodRSTree, 3
+		before := drawn.Value()
+		snap, err := h.Estimate(context.Background(), testRange, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := int(drawn.Value() - before)
+		if snap.Exact || snap.Samples < 4*minPullBatch || got < snap.Samples || got-snap.Samples > 64 {
+			t.Errorf("%v: drew %d, folded %d of %d; want a sampled stop within one report interval",
+				opts.Kind, got, snap.Samples, snap.Population)
+		}
+	}
+}
+
+// TestNeedPull: a pull ends at the first report point at or past the
+// predicted need, at least minPullBatch long and at most maxPullBatch.
+func TestNeedPull(t *testing.T) {
+	for _, c := range []struct{ need, samples, want int }{
+		{need: 100, samples: 64, want: 64},            // to 128
+		{need: 128, samples: 64, want: 64},            // exactly a report point
+		{need: 10, samples: 64, want: 64},             // met by the prediction: the next point
+		{need: 125, samples: 120, want: minPullBatch}, // 128 is 8 away
+		{need: 130, samples: 120, want: 72},           // past 128: to 192
+		{need: 5000, samples: 64, want: maxPullBatch}, // far off
+		{need: math.MaxInt, samples: 64, want: maxPullBatch},
+	} {
+		if got := needPull(c.need, c.samples, 64); got != c.want {
+			t.Errorf("needPull(%d, %d, 64) = %d, want %d", c.need, c.samples, got, c.want)
+		}
+	}
+}

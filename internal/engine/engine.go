@@ -59,7 +59,9 @@ const (
 	MethodSampleFirst
 	// MethodDistributed samples through the dataset's shard cluster
 	// coordinator (register with IndexOptions.Shards > 0). The stream is
-	// without-replacement only and degrades gracefully on shard loss.
+	// without-replacement only and degrades gracefully on shard loss. It
+	// names the copies that answer, not a sampler: the exact plan may
+	// answer a mean-family estimate from the shards' count round instead.
 	MethodDistributed
 )
 

@@ -85,6 +85,37 @@ func (a meanAgg) converged(opts Options) bool {
 		(opts.TargetRelError > 0 && snap.RelativeErrorBound() <= opts.TargetRelError)
 }
 
+// need predicts how many samples in all the estimate needs to meet opts'
+// target, from its last reported interval (math.MaxInt without a target or
+// an interval). The half-width narrows as √(1/k − 1/q), q the population
+// of a without-replacement stream (1/q = 0 with replacement), so k samples
+// at r times the target need k' with 1/k' − 1/q = (1/k − 1/q)/r².
+func (a meanAgg) need(opts Options) int {
+	snap := a.est.Snapshot()
+	var r float64
+	switch {
+	case snap.Exact:
+		return snap.Samples
+	case opts.TargetRelError > 0:
+		r = snap.RelativeErrorBound() / opts.TargetRelError
+	case opts.TargetHalfWidth > 0:
+		r = snap.HalfWidth / opts.TargetHalfWidth
+	}
+	k := float64(snap.Samples)
+	if !(r > 0 && r < math.Inf(1)) || k < 2 {
+		return math.MaxInt
+	}
+	var invQ float64
+	if opts.Mode == sampling.WithoutReplacement && snap.Population > 0 {
+		invQ = 1 / float64(snap.Population)
+	}
+	need := 1 / ((1/k-invQ)/(r*r) + invQ)
+	if !(need < math.MaxInt/2) {
+		return math.MaxInt
+	}
+	return int(math.Ceil(need))
+}
+
 // quantAgg serves MEDIAN/QUANTILE through the quantile estimator, which
 // keeps its sample and reports distribution-free order-statistic bounds;
 // the Estimate's HalfWidth is the wider side of those bounds.

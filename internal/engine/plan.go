@@ -167,8 +167,9 @@ func (c regionCount) current(h *Handle, rect geo.Rect) bool {
 
 // exactSum is the exact plan's descent of a region (rtree.Summaries.Moments)
 // for one attribute and its verdict: at counts the qualifying records, m
-// holds them with the moments of their values over the partial leaves,
-// covered lists the subtrees whose values the answer has yet to read, and
+// holds them with the moments of their values over the partial leaves (all
+// of them when a cluster's shards summed), covered lists the subtrees whose
+// values the answer has yet to read, and
 // exact says whether the plan, priced against a sample need of need, was
 // taken. It is carried from the contract planner to the execution like a
 // range count.
@@ -185,13 +186,25 @@ type exactSum struct {
 // it saves drawing: an eligible request is answered exactly when its
 // qualifying population is at most this multiple of its sample need. It is
 // the cost of a drawn sample over that of a record the exact pass reads.
-// BenchmarkExactPlan reads zoom-shaped regions at 16–25 ns per qualifying
+// BenchmarkExactPlan/local reads zoom-shaped regions at 16–25 ns per qualifying
 // record, and BenchmarkBatchedSampling's fresh without-replacement stream
 // draws its first 2000 samples at 1.1–1.4 µs each (2-core Xeon): 45–90,
 // the regime of the short streams loose targets run. A long stream's later
 // draws cost 150–200 ns, a ratio near 8, and a predicate's mask makes the
 // pass dearer; 32 sits between the two regimes.
 const exactFinishRatio = 32
+
+// shardExactRatio is exactFinishRatio for a dataset served by its shard
+// cluster: a delivered distributed sample's cost over that of a record the
+// shards read in the count round. BenchmarkExactPlan/cluster=2x2 reads the
+// zoom regions at 12–13 ns a record, round included. Over the same regions
+// and cluster a fresh coordinator stream (Open, Fetch rounds at the
+// driver's pull sizes, Close) delivered 354 samples, the need of a 0.5 %
+// target at CV 0.05, at 2.5 µs each in-process and 3.4 µs over loopback
+// TCP, and 2000 samples at 0.67 and 0.99 µs (2-core Xeon): 200–270 for
+// short streams, 53–78 for long ones. 100 is their geometric middle, so
+// neither regime pays more than about twice its cheaper plan.
+const shardExactRatio = 100
 
 // exactRecordCost prices the exact pass against a deadline: a request with
 // a time budget takes the plan only if its qualifying records, at this cost
@@ -201,18 +214,19 @@ const exactFinishRatio = 32
 const exactRecordCost = 100 * time.Nanosecond
 
 // exactShape reports whether the exact plan may answer a single-aggregate
-// estimate with opts: a mean-family aggregate under Method Auto, drawn
-// without replacement, without a SAMPLES cap, and with a relative error
-// target or no target at all. Every other shape, and any explicit method,
-// keeps its stream.
+// estimate with opts: a mean-family aggregate under Method Auto or
+// MethodDistributed (which names the copies that answer, not a sampler),
+// drawn without replacement, without a SAMPLES cap, and with a relative
+// error target or no target at all. Every other shape, and any other
+// method, keeps its stream.
 func exactShape(opts Options) bool {
 	switch opts.Kind {
 	case estimator.Avg, estimator.Sum, estimator.Variance, estimator.Stddev:
 	default:
 		return false
 	}
-	return opts.Method == Auto && opts.MaxSamples == 0 && opts.Mode == sampling.WithoutReplacement &&
-		(opts.TargetRelError > 0 || opts.TargetHalfWidth == 0)
+	return (opts.Method == Auto || opts.Method == MethodDistributed) && opts.MaxSamples == 0 &&
+		opts.Mode == sampling.WithoutReplacement && (opts.TargetRelError > 0 || opts.TargetHalfWidth == 0)
 }
 
 // sampleNeed is the sample need the exact plan is priced against: the
@@ -291,33 +305,53 @@ func (h *Handle) resolve(q geo.Rect, opts Options) (*resolution, error) {
 // qualifying population is at most exactFinishRatio times the sample need
 // and, with a time budget, its pass fits the budget at exactRecordCost per
 // record; the descent folds values only while that can still hold. A dataset
-// served by its shard cluster, and an attribute without node summaries,
-// keep sampling.
+// served by its shard cluster runs the descent on the shards instead, in the
+// count round (distr.Cluster.Moments), priced at shardExactRatio; the
+// distributed method names those shards, so without a cluster it keeps its
+// stream (and its error). An attribute without node summaries keeps
+// sampling.
 func (r *resolution) priceExact(opts Options) {
 	h := r.h
-	if h.cluster != nil || r.emptyPred {
+	if r.emptyPred || (h.cluster == nil && opts.Method == MethodDistributed) {
 		return
 	}
 	attr, ok := h.sums.AttrIndex(opts.Attr)
 	if !ok {
 		return
 	}
-	if s := r.summed; s == nil || s.attr != attr || !s.at.current(h, r.rect) {
-		var f *rtree.TreeFilter
+	if s := r.summed; s != nil && s.attr == attr && s.at.current(h, r.rect) {
+		return
+	}
+	need, ratio := h.sampleNeed(opts), exactFinishRatio
+	if h.cluster != nil {
+		ratio = shardExactRatio
+	}
+	limit := min(need, math.MaxInt/ratio) * ratio
+	if opts.TimeBudget > 0 {
+		limit = min(limit, int(opts.TimeBudget/exactRecordCost))
+	}
+	var (
+		m       rtree.Moments
+		covered []*rtree.Node
+		summed  = true
+		f       *rtree.TreeFilter
+	)
+	if h.cluster != nil {
+		var terms []pred.Term
+		if r.plan != nil {
+			terms = r.plan.terms
+		}
+		m, summed = h.cluster.Moments(r.query, terms, r.win, opts.Attr, limit)
+	} else {
 		if r.plan != nil && r.plan.compiled != nil {
 			f = r.plan.treeFilter(h.sums)
 		}
-		need := h.sampleNeed(opts)
-		limit := min(need, math.MaxInt/exactFinishRatio) * exactFinishRatio
-		if opts.TimeBudget > 0 {
-			limit = min(limit, int(opts.TimeBudget/exactRecordCost))
-		}
-		m, covered := h.sums.Moments(r.rect, f, attr, limit, nil)
-		r.summed = &exactSum{at: regionCount{h: h, version: h.version, rect: r.rect, n: m.Records},
-			attr: attr, m: m, covered: covered, need: need, exact: m.Records <= limit}
-		if f == nil {
-			r.counted = r.summed.at
-		}
+		m, covered = h.sums.Moments(r.rect, f, attr, limit, nil)
+	}
+	r.summed = &exactSum{at: regionCount{h: h, version: h.version, rect: r.rect, n: m.Records},
+		attr: attr, m: m, covered: covered, need: need, exact: summed && m.Records <= limit}
+	if f == nil && h.cluster == nil {
+		r.counted = r.summed.at
 	}
 }
 
@@ -350,13 +384,13 @@ func (r *resolution) population() int {
 	switch {
 	case r.emptyPred:
 		return 0
+	case r.summed != nil:
+		return r.summed.at.n
 	case r.method == MethodDistributed && h.cluster != nil:
 		if r.plan == nil {
 			return h.cluster.Count(r.query)
 		}
 		return h.cluster.CountWindow(r.query, r.plan.terms, r.plan.win)
-	case r.summed != nil:
-		return r.summed.at.n
 	case r.plan == nil || r.plan.compiled == nil:
 		return r.matching()
 	default:

@@ -128,12 +128,17 @@ func (h *Handle) EstimateOnline(ctx context.Context, q geo.Range, opts Options) 
 		if opts.exact {
 			moments = func(m rtree.Moments) { mean.est.AddMoments(m.Records, m.Values) }
 		}
+		var need func() int
+		if clt && (opts.TargetRelError > 0 || opts.TargetHalfWidth > 0) {
+			need = func() int { return mean.need(opts) }
+		}
 		return consumer{
 			attr:      opts.Attr,
 			exact:     opts.Kind == estimator.Count,
 			fold:      func(batch []data.Entry) { agg.fold(col, batch) },
 			converged: func() bool { return agg.converged(opts) },
 			moments:   moments,
+			need:      need,
 			report: func(r report) bool {
 				s := Snapshot{Estimate: agg.estimate(r, opts.Mode), Progress: r.Progress}
 				if r.stream.LostBounded {

@@ -195,25 +195,35 @@ func TestWindowedDistributed(t *testing.T) {
 	if want == 0 {
 		t.Fatal("degenerate fixture")
 	}
-	snap, err := h.Estimate(context.Background(), testRange, Options{
-		Kind: estimator.Avg, Attr: "value", Last: last, Method: MethodDistributed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Population != want {
-		t.Fatalf("distributed windowed population = %d, want %d", snap.Population, want)
-	}
-	if !snap.Windowed {
-		t.Fatal("distributed snapshot should be marked windowed")
-	}
 	narrowed := h.WindowRange(testRange, last)
 	localWant, _ := trueMean(h, narrowed, "value")
-	if !snap.Exact {
-		t.Fatalf("exhausted distributed query should be exact: %+v", snap)
-	}
-	if math.Abs(snap.Value-localWant) > 1e-9 {
-		t.Fatalf("distributed windowed AVG = %v, want %v", snap.Value, localWant)
+	// The exhausted stream, then the exact plan's count round: both narrow
+	// on the shards.
+	for _, c := range []struct {
+		method     string
+		maxSamples int
+	}{{"distributed-rs-tree", exhaust}, {"exact", 0}} {
+		snap, err := h.Estimate(context.Background(), testRange, Options{
+			Kind: estimator.Avg, Attr: "value", Last: last, Method: MethodDistributed, MaxSamples: c.maxSamples,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Method != c.method {
+			t.Fatalf("ran via %q, want %q", snap.Method, c.method)
+		}
+		if snap.Population != want {
+			t.Fatalf("%s windowed population = %d, want %d", c.method, snap.Population, want)
+		}
+		if !snap.Windowed {
+			t.Fatalf("%s snapshot should be marked windowed", c.method)
+		}
+		if !snap.Exact {
+			t.Fatalf("%s query should be exact: %+v", c.method, snap)
+		}
+		if math.Abs(snap.Value-localWant) > 1e-9 {
+			t.Fatalf("%s windowed AVG = %v, want %v", c.method, snap.Value, localWant)
+		}
 	}
 }
 

@@ -41,6 +41,9 @@ func (w *Welford) N() int { return w.n }
 // Mean returns the running mean (0 before any observation).
 func (w *Welford) Mean() float64 { return w.mean }
 
+// M2 returns the sum of squared deviations from the mean.
+func (w *Welford) M2() float64 { return w.m2 }
+
 // Variance returns the population variance of the observations.
 func (w *Welford) Variance() float64 {
 	if w.n == 0 {

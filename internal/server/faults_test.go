@@ -40,7 +40,7 @@ func newFaultyServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 // shards_lost, with the shrunken population.
 func TestStreamReportsDegradation(t *testing.T) {
 	ts, eng := newFaultyServer(t)
-	body := `{"statement": "ESTIMATE AVG(value) FROM uniform WHERE REGION(20,20,60,60)"}`
+	body := `{"statement": "ESTIMATE AVG(value) FROM uniform WHERE REGION(20,20,60,60) SAMPLES 1000000"}`
 	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestStreamReportsRecovery(t *testing.T) {
 	ts := httptest.NewServer(New(eng))
 	t.Cleanup(ts.Close)
 
-	body := `{"statement": "ESTIMATE AVG(value) FROM uniform WHERE REGION(20,20,60,60)"}`
+	body := `{"statement": "ESTIMATE AVG(value) FROM uniform WHERE REGION(20,20,60,60) SAMPLES 1000000"}`
 	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestStreamReportsFailover(t *testing.T) {
 	ts := httptest.NewServer(New(eng))
 	t.Cleanup(ts.Close)
 
-	body := `{"statement": "ESTIMATE AVG(value) FROM uniform WHERE REGION(20,20,60,60)"}`
+	body := `{"statement": "ESTIMATE AVG(value) FROM uniform WHERE REGION(20,20,60,60) SAMPLES 1000000"}`
 	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

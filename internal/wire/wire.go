@@ -1,6 +1,7 @@
 // Package wire defines the coordinator↔shard RPC protocol of the
 // distributed STORM deployment: a compact length-prefixed binary codec for
-// the shard round shapes (count rounds, the batched simulate→fetch sample
+// the shard round shapes (count rounds, which can also return one
+// attribute's moments, the batched simulate→fetch sample
 // protocol, insert/delete mirroring, the bounding box and value envelope
 // a Build returns for insert routing and lost-mass bounds) plus the
 // transports that carry it — TCP with per-request deadlines (tcp.go), and
@@ -51,7 +52,8 @@ const (
 	KindBuild
 	KindBuildOK
 	// KindCount is the coordinator's count round for one shard;
-	// KindCountOK answers with the shard's matching count.
+	// KindCountOK answers with the shard's matching count and, when asked
+	// and within the asked limit, the moments of one attribute over it.
 	KindCount
 	KindCountOK
 	// KindOpen opens a per-query without-replacement sample stream;
@@ -310,6 +312,12 @@ type Count struct {
 	// Window is the query's resolved `LAST` window (Set == false = none);
 	// the shard narrows the rectangle's time axis before counting.
 	Window Window
+	// Attr, when non-empty, asks for the moments of this numeric
+	// attribute's present values over the qualifying records, read only if
+	// at most Limit records qualify on the shard. A plain count leaves both
+	// unset and travels with one flag byte for them.
+	Attr  string
+	Limit uint64
 }
 
 // WireKind implements Msg.
@@ -319,24 +327,63 @@ func (m *Count) encode(e *encoder) {
 	e.rect(m.Query)
 	e.terms(m.Where)
 	e.window(m.Window)
+	e.b(m.Attr != "")
+	if m.Attr != "" {
+		e.str(m.Attr)
+		e.u64(m.Limit)
+	}
 }
 func (m *Count) decode(d *decoder) {
 	m.Target.decode(d)
 	m.Query = d.rect()
 	m.Where = d.terms()
 	m.Window = d.window()
+	if d.b() {
+		m.Attr = d.str()
+		m.Limit = d.u64()
+		if m.Attr == "" && d.err == nil {
+			// Would re-encode without the flag (the fuzz invariant).
+			d.err = fmt.Errorf("wire: count asks for the moments of no attribute")
+		}
+	}
+}
+
+// Moments are the count, mean and sum of squared deviations from the mean
+// (M2) of a set of values: what one shard contributes to a mean-family
+// answer the coordinator merges by Chan–Golub–LeVeque.
+type Moments struct {
+	N        uint64
+	Mean, M2 float64
 }
 
 // CountOK answers a Count.
 type CountOK struct {
 	// N is the shard's matching count |P_s ∩ q|.
 	N uint64
+	// Summed reports that Values holds the moments of the requested
+	// attribute's present values over all N records: the Count named an
+	// attribute the shard summarizes and N fit its limit.
+	Summed bool
+	Values Moments
 }
 
 // WireKind implements Msg.
-func (*CountOK) WireKind() Kind      { return KindCountOK }
-func (m *CountOK) encode(e *encoder) { e.u64(m.N) }
-func (m *CountOK) decode(d *decoder) { m.N = d.u64() }
+func (*CountOK) WireKind() Kind { return KindCountOK }
+func (m *CountOK) encode(e *encoder) {
+	e.u64(m.N)
+	e.b(m.Summed)
+	if m.Summed {
+		e.u64(m.Values.N)
+		e.f64(m.Values.Mean)
+		e.f64(m.Values.M2)
+	}
+}
+func (m *CountOK) decode(d *decoder) {
+	m.N = d.u64()
+	if m.Summed = d.b(); m.Summed {
+		m.Values = Moments{N: d.u64(), Mean: d.f64(), M2: d.f64()}
+	}
+}
 
 // Open opens a per-query without-replacement sample stream on a shard —
 // the shard half of the coordinator's initialization round.

@@ -3,6 +3,7 @@ package wire
 import (
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,11 @@ func sampleMsgs() []Msg {
 		&BuildOK{Box: geo.EmptyRect()},
 		&Count{Target: Target{DS: "tweets", Shard: 0}, Query: geo.Rect{Min: geo.Vec{20, 20, -inf}, Max: geo.Vec{60, 60, inf}}},
 		&CountOK{N: 9999},
+		&Count{Target: Target{DS: "osm", Shard: 2}, Query: geo.Rect{Min: geo.Vec{-88, 41.5, 0}, Max: geo.Vec{-87, 42.5, inf}},
+			Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: inf, LoOpen: true}}, Window: Window{Set: true, Lo: 10, Hi: 20},
+			Attr: "altitude", Limit: math.MaxUint64},
+		&CountOK{N: 35400, Summed: true, Values: Moments{N: 35398, Mean: 181.25, M2: math.NaN()}},
+		&CountOK{Summed: true},
 		&Open{Target: Target{DS: "osm", Shard: 1}, Stream: 77, Query: geo.Rect{Min: geo.Vec{0, 0, 0}, Max: geo.Vec{1, 1, 1}}, Seed: 12345, Exclude: []data.ID{1, 5, 9}},
 		&Open{Target: Target{DS: "osm", Shard: 1}, Stream: 78, Seed: 1},
 		&OpenOK{N: 4242},
@@ -69,6 +75,37 @@ func TestRoundTripAllMessages(t *testing.T) {
 		if !msgEqual(t, m, got) {
 			t.Fatalf("%v: round-trip mismatch:\n in: %#v\nout: %#v", m.WireKind(), m, got)
 		}
+	}
+}
+
+// TestPlainCountFrameSize: a count round that asks for no moments costs
+// one flag byte per frame over the format without them — 115 and 13 bytes
+// for this request and its answer.
+func TestPlainCountFrameSize(t *testing.T) {
+	inf := math.Inf(1)
+	req := &Count{Target: Target{DS: "osm", Shard: 1}, Query: geo.Rect{Min: geo.Vec{-88, 41.5, 0}, Max: geo.Vec{-87, 42.5, inf}},
+		Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: inf, LoOpen: true}}, Window: Window{Set: true, Lo: 10, Hi: 20}}
+	if n := len(AppendFrame(nil, req)); n > 115+1 {
+		t.Errorf("plain Count frame is %d bytes, want at most %d", n, 115+1)
+	}
+	if n := len(AppendFrame(nil, &CountOK{N: 5})); n > 13+1 {
+		t.Errorf("plain CountOK frame is %d bytes, want at most %d", n, 13+1)
+	}
+}
+
+// TestCountRefusesMomentsOfNoAttribute: a Count whose flag asks for the
+// moments of an empty attribute name would re-encode without the flag, so
+// the decoder refuses it.
+func TestCountRefusesMomentsOfNoAttribute(t *testing.T) {
+	f := AppendFrame(nil, &Count{Target: Target{DS: "d"}, Attr: "a", Limit: 7})
+	// The tail is flag, name length (u32), "a", limit (u64): zero the
+	// length and drop the name byte.
+	tail := len(f) - 8 - 1 - 4
+	bad := append(append([]byte(nil), f[:tail]...), 0, 0, 0, 0)
+	bad = append(bad, f[len(f)-8:]...)
+	bad[0]-- // one payload byte fewer
+	if _, _, err := DecodeFrame(bad); err == nil || !strings.Contains(err.Error(), "no attribute") {
+		t.Errorf("moments of no attribute: err %v", err)
 	}
 }
 

@@ -12,10 +12,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -30,27 +30,50 @@ import (
 // coordinator and hosts must agree on them exactly.
 var genFlags = []string{"-osm", "150000", "-tweets", "20000", "-stations", "100", "-seed", "1"}
 
-func freePort(t *testing.T) int {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port
-}
-
 // proc is one spawned stormd process.
 type proc struct {
 	cmd  *exec.Cmd
 	http string // HTTP base URL
+	wire string // shard RPC address; empty for a coordinator
 }
 
-func spawn(t *testing.T, bin string, args ...string) *proc {
+// startupLines forwards a child's stderr to the test's and hands its first
+// startup line — the one naming the addresses it bound — to ready.
+type startupLines struct {
+	buf   []byte
+	ready chan string
+}
+
+func (w *startupLines) Write(b []byte) (int, error) {
+	os.Stderr.Write(b)
+	w.buf = append(w.buf, b...)
+	for {
+		line, rest, ok := bytes.Cut(w.buf, []byte("\n"))
+		if !ok {
+			return len(b), nil
+		}
+		w.buf = rest
+		if bytes.HasPrefix(line, []byte("stormd: listening on ")) ||
+			bytes.HasPrefix(line, []byte("stormd: shard host serving RPC on ")) {
+			select {
+			case w.ready <- string(line):
+			default:
+			}
+		}
+	}
+}
+
+// spawn starts stormd and waits up to timeout for its startup line. The
+// address flags ask for port 0 (a restarted host's recorded wire address
+// aside), so each child binds its own ports and reports them: no port is
+// picked in the test and freed for another process to take before the
+// child binds it.
+func spawn(t *testing.T, bin string, timeout time.Duration, args ...string) *proc {
 	t.Helper()
+	out := &startupLines{ready: make(chan string, 1)}
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
+	cmd.Stderr = out
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting %s %v: %v", bin, args, err)
 	}
@@ -61,6 +84,18 @@ func spawn(t *testing.T, bin string, args ...string) *proc {
 			p.cmd.Wait()
 		}
 	})
+	var line string
+	select {
+	case line = <-out.ready:
+	case <-time.After(timeout):
+		t.Fatalf("%s %v printed no startup line within %v", bin, args, timeout)
+	}
+	if rest, ok := strings.CutPrefix(line, "stormd: shard host serving RPC on "); ok {
+		wire, web, _ := strings.Cut(rest, ", HTTP on ")
+		p.wire, p.http = wire, "http://"+web
+	} else {
+		p.http = "http://" + strings.TrimPrefix(line, "stormd: listening on ")
+	}
 	return p
 }
 
@@ -173,31 +208,31 @@ func TestClusterSmoke(t *testing.T) {
 
 	// Four shard hosts: wire RPC port + HTTP healthz port each.
 	const hosts = 4
-	wireAddrs := make([]string, hosts)
-	shardArgs := make([][]string, hosts)
-	shardProcs := make([]*proc, hosts)
-	for i := 0; i < hosts; i++ {
-		wireAddrs[i] = fmt.Sprintf("127.0.0.1:%d", freePort(t))
-		httpAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-		shardArgs[i] = append([]string{
-			"-role=shard", "-wire-addr", wireAddrs[i], "-addr", httpAddr,
-		}, genFlags...)
-		shardProcs[i] = spawn(t, bin, shardArgs[i]...)
-		shardProcs[i].http = "http://" + httpAddr
+	shard := func(wireAddr string) *proc {
+		p := spawn(t, bin, 60*time.Second, append([]string{
+			"-role=shard", "-wire-addr", wireAddr, "-addr", "127.0.0.1:0",
+		}, genFlags...)...)
+		waitHealthz(t, p.http, 10*time.Second)
+		return p
 	}
-	for _, p := range shardProcs {
-		waitHealthz(t, p.http, 60*time.Second)
+	wireAddrs := make([]string, hosts)
+	shardProcs := make([]*proc, hosts)
+	for i := range shardProcs {
+		shardProcs[i] = shard("127.0.0.1:0")
+		wireAddrs[i] = shardProcs[i].wire
 	}
 
-	// Coordinator: registration blocks on remote shard builds, so give
-	// the health check a generous deadline.
-	coordAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	coord := spawn(t, bin, append([]string{
-		"-role=coordinator", "-shards", strings.Join(wireAddrs, ","),
-		"-addr", coordAddr, "-no-pprof",
-	}, genFlags...)...)
-	coord.http = "http://" + coordAddr
-	waitHealthz(t, coord.http, 180*time.Second)
+	// Coordinator: registration blocks on remote shard builds, and it
+	// listens only after, so give its startup line a generous deadline.
+	coordinator := func(extra ...string) *proc {
+		p := spawn(t, bin, 180*time.Second, append(append([]string{
+			"-role=coordinator", "-shards", strings.Join(wireAddrs, ","),
+			"-addr", "127.0.0.1:0", "-no-pprof",
+		}, extra...), genFlags...)...)
+		waitHealthz(t, p.http, 10*time.Second)
+		return p
+	}
+	coord := coordinator()
 
 	// Placement sanity: every dataset runs remote with 4 healthy shards.
 	infos := getShards(t, coord.http)
@@ -257,13 +292,12 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatal("/shards reports no shards down after host kill")
 	}
 
-	// Restart the host on the same addresses (fresh empty process), wait
+	// Restart the host on its recorded wire address (a fresh empty
+	// process; the coordinator re-admits a shard where it placed it), wait
 	// for the coordinator's probes to re-admit its shards, and check the
 	// next query heals: the restarted host rebuilds its shards over the
 	// wire and the full population comes back.
-	restarted := spawn(t, bin, shardArgs[victimIdx]...)
-	restarted.http = shardProcs[victimIdx].http
-	waitHealthz(t, restarted.http, 60*time.Second)
+	restarted := shard(wireAddrs[victimIdx])
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		down = 0
@@ -301,13 +335,7 @@ func TestClusterSmoke(t *testing.T) {
 	procs := make([]*proc, hosts)
 	copy(procs, shardProcs)
 	procs[victimIdx] = restarted
-	coord2Addr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	coord2 := spawn(t, bin, append([]string{
-		"-role=coordinator", "-shards", strings.Join(wireAddrs, ","),
-		"-replicas", "2", "-addr", coord2Addr, "-no-pprof",
-	}, genFlags...)...)
-	coord2.http = "http://" + coord2Addr
-	waitHealthz(t, coord2.http, 180*time.Second)
+	coord2 := coordinator("-replicas", "2")
 
 	// Pick the host serving a copy of osm shard 0 (the primary's address)
 	// and kill it mid-stream.

@@ -26,6 +26,9 @@
 //	stormd -role=shard -wire-addr :9091 -addr :8091
 //	stormd -role=coordinator -shards localhost:9090,localhost:9091
 //
+// An address flag may name port 0: the process binds a free port and its
+// startup line on stderr prints the addresses it bound.
+//
 // Shard hosts regenerate the demo datasets from the same generator flags
 // (-seed, -osm, -tweets, -stations), so both sides hold identical rows
 // and only sample batches ever cross the wire. The coordinator's /shards
@@ -88,6 +91,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -196,10 +200,12 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
-	fmt.Fprintf(os.Stderr, "stormd: listening on %s\n", *addr)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "stormd: listening on %s\n", ln.Addr())
+	log.Fatal(http.Serve(ln, mux))
 }
 
 // parseShards interprets the -shards flag: empty means single node, an
@@ -251,8 +257,10 @@ func runShard(addr, wireAddr string, datasets []*data.Dataset) {
 		})
 	})
 
-	fmt.Fprintf(os.Stderr, "stormd: shard host serving RPC on %s, HTTP on %s\n", srv.Addr(), addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "stormd: shard host serving RPC on %s, HTTP on %s\n", srv.Addr(), ln.Addr())
+	log.Fatal(http.Serve(ln, mux))
 }

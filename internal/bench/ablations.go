@@ -79,7 +79,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 		}
 		devRS.DropCache()
 		devRS.ResetStats()
-		s := rsIdx.Sampler(q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
+		s := rsIdx.Sampler(q, stats.NewRNG(cfg.Seed))
 		drawOnline(s, cfg.K)
 		record("a1", "RS-tree", s, devRS)
 		st := devRS.Stats()
@@ -90,7 +90,7 @@ func A1(cfg A1Config) ([]A1Point, error) {
 		plain := mustPlainTree(entries, cfg.Fanout, devRP)
 		devRP.DropCache()
 		devRP.ResetStats()
-		rp := sampling.NewRandomPath(plain, q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
+		rp := sampling.NewRandomPath(plain, q, stats.NewRNG(cfg.Seed))
 		drawOnline(rp, cfg.K)
 		record("a1", "RandomPath", rp, devRP)
 		st = devRP.Stats()
@@ -175,7 +175,7 @@ func A2(cfg A2Config) ([]A2Point, error) {
 		}
 		dev.DropCache()
 		dev.ResetStats()
-		s := idx.Sampler(q, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed))
+		s := idx.Sampler(q, stats.NewRNG(cfg.Seed))
 		start := time.Now()
 		got := drawOnline(s, cfg.K)
 		elapsed := time.Since(start)
@@ -304,7 +304,7 @@ func A3(cfg A3Config) ([]A3Result, error) {
 		return nil, err
 	}
 	run("RS-tree", rsIdx.InsertBatch, rsIdx.Delete, func() sampling.Sampler {
-		return rsIdx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+9))
+		return rsIdx.Sampler(rect, stats.NewRNG(cfg.Seed+9))
 	})
 
 	lsIdx, err := lstree.Build(entries, lstree.Config{Fanout: cfg.Fanout, Seed: cfg.Seed})

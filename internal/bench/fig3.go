@@ -119,13 +119,13 @@ func Fig3a(cfg Fig3aConfig) ([]Fig3aPoint, error) {
 	}
 	methods := []method{
 		{"RandomPath", devPlain, func(seed int64) sampling.Sampler {
-			return sampling.NewRandomPath(plain, rect, sampling.WithoutReplacement, stats.NewRNG(seed))
+			return sampling.NewRandomPath(plain, rect, stats.NewRNG(seed))
 		}},
 		{"RS-tree", devRS, func(seed int64) sampling.Sampler {
-			return rsIdx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(seed))
+			return rsIdx.Sampler(rect, stats.NewRNG(seed))
 		}},
 		{"RangeReport", devPlain, func(seed int64) sampling.Sampler {
-			return sampling.NewQueryFirst(plain, rect, sampling.WithoutReplacement, stats.NewRNG(seed))
+			return sampling.NewQueryFirst(plain, rect, stats.NewRNG(seed))
 		}},
 		{"LS-tree", devLS, func(seed int64) sampling.Sampler {
 			return lsIdx.Sampler(rect, stats.NewRNG(seed))
@@ -134,7 +134,7 @@ func Fig3a(cfg Fig3aConfig) ([]Fig3aPoint, error) {
 	if cfg.IncludeSampleFirst {
 		devSF := newDevice(pool)
 		methods = append(methods, method{"SampleFirst", devSF, func(seed int64) sampling.Sampler {
-			return sampling.NewSampleFirst(ds, rect, sampling.WithoutReplacement, stats.NewRNG(seed), devSF, cfg.Fanout)
+			return sampling.NewSampleFirst(ds, rect, stats.NewRNG(seed), devSF, cfg.Fanout)
 		}})
 	}
 
@@ -248,7 +248,7 @@ func Fig3b(cfg Fig3bConfig) ([]Fig3bPoint, error) {
 	}
 	methods := []method{
 		{"RS-tree", func(seed int64) sampling.Sampler {
-			return rsIdx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(seed))
+			return rsIdx.Sampler(rect, stats.NewRNG(seed))
 		}},
 		{"LS-tree", func(seed int64) sampling.Sampler {
 			return lsIdx.Sampler(rect, stats.NewRNG(seed))

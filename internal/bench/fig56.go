@@ -9,7 +9,6 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/rstree"
-	"storm/internal/sampling"
 	"storm/internal/stats"
 )
 
@@ -93,7 +92,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := idx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+99))
+		s := idx.Sampler(rect, stats.NewRNG(cfg.Seed+99))
 		k := 0
 		ci := 0
 		one := make([]data.Entry, 1)
@@ -177,7 +176,7 @@ func Fig6a(cfg Fig6aConfig) ([]Fig6aPoint, string, error) {
 
 	q := withTime(usaRegion, 0, 30*86400)
 	rect := q.Rect()
-	s := idx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+7))
+	s := idx.Sampler(rect, stats.NewRNG(cfg.Seed+7))
 	tr := analytics.NewTrajectory()
 	var out []Fig6aPoint
 	accepted := 0
@@ -289,7 +288,7 @@ func Fig6b(cfg Fig6bConfig) (*Fig6bResult, error) {
 	ref := exact.Snapshot(cfg.TopK)
 
 	online := analytics.NewTermStats()
-	s := idx.Sampler(rect, sampling.WithoutReplacement, stats.NewRNG(cfg.Seed+13))
+	s := idx.Sampler(rect, stats.NewRNG(cfg.Seed+13))
 	res := &Fig6bResult{}
 	k := 0
 	ci := 0

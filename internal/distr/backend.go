@@ -16,7 +16,6 @@ import (
 	"storm/internal/pred"
 	"storm/internal/rstree"
 	"storm/internal/rtree"
-	"storm/internal/sampling"
 	"storm/internal/stats"
 	"storm/internal/wire"
 )
@@ -216,7 +215,7 @@ func (b *shardBackend) open(stream uint64, q geo.Rect, seed int64, exclude []dat
 	}
 	var sp *rstree.Sampler
 	if n > 0 {
-		sp = b.shard.index.SamplerWhere(q, sampling.WithoutReplacement, stats.NewRNG(seed), f, nil)
+		sp = b.shard.index.SamplerWhere(q, stats.NewRNG(seed), f, nil)
 	}
 	b.mu.RUnlock()
 	if n < 0 {

@@ -65,11 +65,12 @@ func TestDistributedMethodRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h2.newSampler(MethodDistributed, testRange.Rect(), sampling.WithoutReplacement, nil, nil); err == nil {
+	if _, _, err := h2.newSampler(MethodDistributed, testRange.Rect(), sampling.WithoutReplacement, 0, 1, nil); err == nil {
 		t.Error("distributed method without a cluster should fail")
 	}
-	// With-replacement is unsupported on the coordinator.
-	if _, _, err := h.newSampler(MethodDistributed, testRange.Rect(), sampling.WithReplacement, nil, nil); err == nil {
+	// With-replacement is unsupported on the coordinator: a lost shard
+	// would leave the adapter's population stale.
+	if _, _, err := h.newSampler(MethodDistributed, testRange.Rect(), sampling.WithReplacement, 100, 1, nil); err == nil {
 		t.Error("with-replacement distributed sampling should fail")
 	}
 }

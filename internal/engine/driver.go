@@ -13,7 +13,6 @@ import (
 	"storm/internal/iosim"
 	"storm/internal/rtree"
 	"storm/internal/sampling"
-	"storm/internal/stats"
 )
 
 // Progress is the part of a progress report the query driver owns. Every
@@ -299,7 +298,7 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 	if opts.TimeBudget > 0 {
 		deadline = start.Add(opts.TimeBudget)
 	}
-	sampler, ctr, err = h.newSampler(res.method, res.sampled(), opts.Mode, stats.NewRNG(seed), res.plan)
+	sampler, ctr, err = h.newSampler(res.method, res.sampled(), opts.Mode, population, seed, res.plan)
 	if err != nil {
 		emit(true, failedPrefix+err.Error())
 		return

@@ -294,13 +294,13 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 // the shard cluster — its own devices, usually other processes — is built
 // concurrently with all of that. What is order-sensitive stays in the order
 // it always had: the per-index seeds are drawn RS, LS (only when the LS-tree
-// is built here; a lazily built one takes lazyLSSeed), cluster before any
+// is built here; a lazily built one mixes the RS seed), cluster before any
 // work starts, and the trees are packed against the shared device serially,
 // RS-tree then LS-tree levels bottom-up, so page writes, buffer-pool state
 // and every seeded stream are those of a one-index-at-a-time build.
 func (e *Engine) build(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
 	rsSeed := e.nextSeed()
-	lsSeed := lazyLSSeed(rsSeed)
+	lsSeed := stats.MixSeed(rsSeed)
 	if opts.LSTree {
 		lsSeed = e.nextSeed()
 	}
@@ -446,17 +446,6 @@ func (h *Handle) lsTree() (*lstree.Index, error) {
 		}
 		return lstree.Sort(entries, h.lsConfig())
 	})
-}
-
-// lazyLSSeed derives the LS-tree seed of a dataset registered without
-// IndexOptions.LSTree from its RS-tree seed by one SplitMix64 step, so the
-// seed is fixed at Register without a draw from the engine's seed
-// sequence: every seed drawn after it is the one it always was.
-func lazyLSSeed(rsSeed int64) int64 {
-	z := uint64(rsSeed) + 0x9E3779B97F4A7C15
-	z = (z ^ z>>30) * 0xBF58476D1CE4E9B5
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return int64(z ^ z>>31)
 }
 
 // publishDataset registers a freshly published handle's per-dataset metrics.
@@ -681,16 +670,34 @@ func (h *Handle) DeleteRange(q geo.Range) (int, error) {
 }
 
 // newSampler builds a sampler for the query using the resolved method (see
-// resolve; Auto is not one). A non-nil plan applies
+// resolve; Auto is not one), seeded with seed. A non-nil plan applies
 // its WHERE predicate: pushdown plans use the predicate-aware sampler
 // variants (node-summary pruning with the acceptance correction that
 // keeps samples uniform over qualifying records), rejection plans wrap
-// the plain sampler in sampling.Filtered. When I/O simulation is enabled,
+// the plain sampler in sampling.Filtered. Every sampler draws without
+// replacement; in WithReplacement mode the outermost one is wrapped in
+// sampling.WithReplacementOf over population, the qualifying count the
+// stream holds (read only in that mode). When I/O simulation is enabled,
 // the sampler charges a fresh per-query iosim.Counter that forwards to the
 // shared device, so each concurrent query's I/O is attributed race-free;
 // the returned counter is nil otherwise. The caller closes the sampler and
 // holds h.mu (read side suffices).
-func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *stats.RNG, plan *wherePlan) (sampling.Sampler, *iosim.Counter, error) {
+func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, population int, seed int64, plan *wherePlan) (sampling.Sampler, *iosim.Counter, error) {
+	if method == MethodDistributed && mode == sampling.WithReplacement {
+		// A stream that loses a shard shrinks its population mid-stream,
+		// so the adapter's fixed population would over-weight the lost
+		// shard's emitted records.
+		return nil, nil, fmt.Errorf("engine: distributed sampling supports without-replacement only: a lost shard would leave its emitted records over-weighted")
+	}
+	s, ctr, err := h.newStream(method, q, stats.NewRNG(seed), plan)
+	if err != nil || mode != sampling.WithReplacement {
+		return s, ctr, err
+	}
+	return sampling.WithReplacementOf(s, population, stats.NewRNG(stats.MixSeed(seed))), ctr, nil
+}
+
+// newStream builds newSampler's without-replacement stream.
+func (h *Handle) newStream(method Method, q geo.Rect, rng *stats.RNG, plan *wherePlan) (sampling.Sampler, *iosim.Counter, error) {
 	// acct stays a nil interface without a device: the samplers then charge
 	// their tree's device, as they always do.
 	var acct iosim.Accountant
@@ -704,9 +711,6 @@ func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *
 		if h.cluster == nil {
 			return nil, nil, fmt.Errorf("engine: dataset %q has no shard cluster (register with IndexOptions.Shards)", h.name)
 		}
-		if mode == sampling.WithReplacement {
-			return nil, nil, fmt.Errorf("engine: distributed sampling supports without-replacement only")
-		}
 		if plan != nil {
 			// plan.win (the resolved LAST window) rides to the shards with
 			// the predicate terms; a window-only plan has nil terms.
@@ -715,13 +719,10 @@ func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *
 		return h.cluster.Sampler(q), ctr, nil
 	case MethodRSTree:
 		if plan.usePushdown() {
-			return h.rs.SamplerWhere(q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil
+			return h.rs.SamplerWhere(q, rng, plan.treeFilter(h.sums), acct), ctr, nil
 		}
-		return plan.reject(h.rs.SamplerWhere(q, mode, rng, nil, acct)), ctr, nil
+		return plan.reject(h.rs.SamplerWhere(q, rng, nil, acct)), ctr, nil
 	case MethodLSTree:
-		if mode == sampling.WithReplacement {
-			return nil, nil, fmt.Errorf("engine: LS-tree supports without-replacement sampling only")
-		}
 		ls, err := h.lsTree()
 		if err != nil {
 			return nil, nil, err
@@ -732,16 +733,16 @@ func (h *Handle) newSampler(method Method, q geo.Rect, mode sampling.Mode, rng *
 		return plan.reject(ls.SamplerWhere(q, rng, nil, acct)), ctr, nil
 	case MethodRandomPath:
 		if plan.usePushdown() {
-			return sampling.NewRandomPathWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil
+			return sampling.NewRandomPathWhere(h.rs.Tree(), q, rng, plan.treeFilter(h.sums), acct), ctr, nil
 		}
-		return plan.reject(sampling.NewRandomPathWhere(h.rs.Tree(), q, mode, rng, nil, acct)), ctr, nil
+		return plan.reject(sampling.NewRandomPathWhere(h.rs.Tree(), q, rng, nil, acct)), ctr, nil
 	case MethodQueryFirst:
 		if plan.usePushdown() {
-			return sampling.NewQueryFirstWhere(h.rs.Tree(), q, mode, rng, plan.treeFilter(h.sums), acct), ctr, nil
+			return sampling.NewQueryFirstWhere(h.rs.Tree(), q, rng, plan.treeFilter(h.sums), acct), ctr, nil
 		}
-		return plan.reject(sampling.NewQueryFirstWhere(h.rs.Tree(), q, mode, rng, nil, acct)), ctr, nil
+		return plan.reject(sampling.NewQueryFirstWhere(h.rs.Tree(), q, rng, nil, acct)), ctr, nil
 	case MethodSampleFirst:
-		sf := sampling.NewSampleFirst(h.ds, q, mode, rng, acct, h.rs.Tree().Fanout())
+		sf := sampling.NewSampleFirst(h.ds, q, rng, acct, h.rs.Tree().Fanout())
 		if plan != nil {
 			// SampleFirst is itself a rejection loop over the raw store;
 			// the predicate joins its accept test (with the degraded-scan

@@ -14,6 +14,7 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/sampling"
+	"storm/internal/stats/statcheck"
 )
 
 func buildHandle(t testing.TB, n int, lstree bool) (*Engine, *Handle) {
@@ -299,6 +300,47 @@ func TestSampleAPI(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
+}
+
+// TestSampleWithReplacementLSTreePairs: an LS-tree Handle.Sample in
+// with-replacement mode is the adapter over the LS-tree's stream, and its
+// first two draws are iid uniform — every ordered pair of the range's
+// records, a repeat included, equally likely. The LS-tree fixes its level
+// coins at build, so every trial registers afresh under its own seed.
+func TestSampleWithReplacementLSTreePairs(t *testing.T) {
+	space := geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100}
+	ds := gen.Uniform(20, 3, space)
+	q := geo.Range{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50, MinT: 0, MaxT: 100}
+	in := map[data.ID]int{}
+	for i := 0; i < ds.Len(); i++ {
+		if q.Rect().Contains(ds.Pos(data.ID(i))) {
+			in[data.ID(i)] = len(in)
+		}
+	}
+	n := len(in)
+	if n < 4 || n > 7 {
+		t.Fatalf("fixture holds %d matches, want 4–7", n)
+	}
+	const trials = 8000
+	obs := make([]int, n*n)
+	for trial := 0; trial < trials; trial++ {
+		e := New(Config{Seed: int64(trial) + 1, Fanout: 4, NoMetrics: true})
+		h, err := e.Register(ds, IndexOptions{LSTree: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.Sample(q, 2, MethodLSTree, sampling.WithReplacement, int64(trial)+1)
+		if err != nil || len(got) != 2 {
+			t.Fatalf("trial %d: %d samples, err %v", trial, len(got), err)
+		}
+		a, okA := in[got[0].ID]
+		b, okB := in[got[1].ID]
+		if !okA || !okB {
+			t.Fatalf("trial %d: a draw outside the range", trial)
+		}
+		obs[a*n+b]++
+	}
+	statcheck.Uniform(t, "ls-tree pairs", obs, statcheck.DefaultAlpha)
 }
 
 func TestInsertDeleteThroughHandle(t *testing.T) {

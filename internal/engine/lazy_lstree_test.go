@@ -11,6 +11,7 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/sampling"
+	"storm/internal/stats"
 )
 
 // TestLazyLSTreeMatchesEager: on an unmutated dataset, the LS-tree the first
@@ -27,8 +28,8 @@ func TestLazyLSTreeMatchesEager(t *testing.T) {
 			}
 			e := New(Config{Seed: 7, Fanout: 16})
 			rsSeed := e.nextSeed()
-			if want := lazyLSSeed(rsSeed); lazy.lsSeed != want {
-				t.Fatalf("lazy LS seed %d, want lazyLSSeed(rsSeed) = %d", lazy.lsSeed, want)
+			if want := stats.MixSeed(rsSeed); lazy.lsSeed != want {
+				t.Fatalf("lazy LS seed %d, want stats.MixSeed(rsSeed) = %d", lazy.lsSeed, want)
 			}
 			eager, err := e.buildLocal(ds, true, rsSeed, lazy.lsSeed)
 			if err != nil {

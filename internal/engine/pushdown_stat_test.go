@@ -9,7 +9,6 @@ import (
 	"storm/internal/geo"
 	"storm/internal/pred"
 	"storm/internal/sampling"
-	"storm/internal/stats"
 	"storm/internal/stats/statcheck"
 )
 
@@ -85,8 +84,9 @@ func TestStatPushdownUniform(t *testing.T) {
 		}
 		terms := []pred.Term{{Attr: "value", Lo: sel.lo, Hi: sel.hi}}
 
-		// Uniformity: with replacement, every qualifying record must be
-		// hit at the same rate, and nothing outside the set may appear.
+		// Uniformity: with replacement (the adapter over each sampler's
+		// stream), every qualifying record must be hit at the same rate,
+		// and nothing outside the set may appear.
 		for _, cfg := range samplerConfigs {
 			seed := seeds[seedAt]
 			seedAt++
@@ -98,7 +98,7 @@ func TestStatPushdownUniform(t *testing.T) {
 				if want := cfg.strategy == PushdownForce; plan.pushdown != want {
 					t.Fatalf("strategy %v resolved pushdown=%v", cfg.strategy, plan.pushdown)
 				}
-				s, _, err := h.newSampler(cfg.method, rect, sampling.WithReplacement, stats.NewRNG(seed), plan)
+				s, _, err := h.newSampler(cfg.method, rect, sampling.WithReplacement, len(qual), seed, plan)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,7 +11,6 @@ import (
 	"storm/internal/pred"
 	"storm/internal/rtree"
 	"storm/internal/sampling"
-	"storm/internal/stats"
 )
 
 // Options controls one online aggregation query.
@@ -247,7 +246,11 @@ func (h *Handle) Sample(q geo.Range, k int, method Method, mode sampling.Mode, s
 	if err != nil {
 		return nil, err
 	}
-	sampler, _, err := h.newSampler(res.method, res.sampled(), mode, stats.NewRNG(seed), res.plan)
+	var population int
+	if mode == sampling.WithReplacement {
+		population = res.population()
+	}
+	sampler, _, err := h.newSampler(res.method, res.sampled(), mode, population, seed, res.plan)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"storm/internal/data"
-	"storm/internal/sampling"
 	"storm/internal/stats"
 )
 
@@ -15,14 +14,14 @@ func TestCloseIdempotentAndSafeBeforeFirstDraw(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Never drew: nothing is initialized, nothing is held.
-	fresh := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(1))
+	fresh := idx.Sampler(testQuery, stats.NewRNG(1))
 	for i := 0; i < 2; i++ {
 		if err := fresh.Close(); err != nil {
 			t.Fatalf("Close #%d on a sampler that never drew: %v", i+1, err)
 		}
 	}
 	// Mid-stream, holding permutations and materialized parts.
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(1))
+	s := idx.Sampler(testQuery, stats.NewRNG(1))
 	buf := make([]data.Entry, 600)
 	if got := s.NextBatch(buf, len(buf)); got != len(buf) || s.SamplerStats().Explosions == 0 {
 		t.Fatalf("fixture: drew %d of %d with %d materializations, want a full pull that materialized", got, len(buf), s.SamplerStats().Explosions)
@@ -34,12 +33,6 @@ func TestCloseIdempotentAndSafeBeforeFirstDraw(t *testing.T) {
 	}
 	if got := s.NextBatch(buf, len(buf)); got != 0 {
 		t.Errorf("a closed sampler returned %d samples", got)
-	}
-	// With-replacement samplers hold no pooled scratch; Close is a no-op.
-	wr := idx.Sampler(testQuery, sampling.WithReplacement, stats.NewRNG(1))
-	wr.NextBatch(buf, 10)
-	if err := wr.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -55,7 +48,7 @@ func TestPooledScratchNeverAliased(t *testing.T) {
 	}
 	const k = 1000
 	draw := func(seed int64, closeAfter bool) ([]data.ID, uint64) {
-		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(seed))
+		s := idx.Sampler(testQuery, stats.NewRNG(seed))
 		if closeAfter {
 			// Twice: a second Close must find nothing left to hand back.
 			defer s.Close()

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"storm/internal/data"
-	"storm/internal/sampling"
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
@@ -29,7 +28,7 @@ func TestConcurrentSamplers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(100+i)))
+			s := idx.Sampler(testQuery, stats.NewRNG(int64(100+i)))
 			var got []data.Entry
 			for {
 				e, ok := samplingtest.Next(s)
@@ -77,7 +76,7 @@ func TestConcurrentSamplersSameSeedIdentical(t *testing.T) {
 	const dup = 6
 	const k = 400
 	draw := func(seed int64) []data.ID {
-		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(seed))
+		s := idx.Sampler(testQuery, stats.NewRNG(seed))
 		out := make([]data.ID, 0, k)
 		for len(out) < k {
 			e, ok := samplingtest.Next(s)

@@ -8,7 +8,6 @@ import (
 	"storm/internal/geo"
 	"storm/internal/iosim"
 	"storm/internal/rtree"
-	"storm/internal/sampling"
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 )
@@ -61,7 +60,7 @@ func TestWithoutReplacementComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := matching(entries, testQuery)
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(9))
+	s := idx.Sampler(testQuery, stats.NewRNG(9))
 	got := make(map[data.ID]bool)
 	for {
 		e, ok := samplingtest.Next(s)
@@ -91,7 +90,7 @@ func TestWithoutReplacementCompleteSmallBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := matching(entries, testQuery)
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(11))
+	s := idx.Sampler(testQuery, stats.NewRNG(11))
 	got := make(map[data.ID]bool)
 	for {
 		e, ok := samplingtest.Next(s)
@@ -129,7 +128,7 @@ func TestWithoutReplacementNaNCoordinates(t *testing.T) {
 	if got := idx.Count(testQuery); got != len(want) {
 		t.Fatalf("Count = %d, want %d", got, len(want))
 	}
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(16))
+	s := idx.Sampler(testQuery, stats.NewRNG(16))
 	got := make(map[data.ID]bool)
 	for {
 		e, ok := samplingtest.Next(s)
@@ -164,7 +163,7 @@ func TestUniformFirstSample(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(1000+i)))
+		s := idx.Sampler(testQuery, stats.NewRNG(int64(1000+i)))
 		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no first sample")
@@ -203,7 +202,7 @@ func TestUniformPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(int64(5000+i)))
+		s := idx.Sampler(testQuery, stats.NewRNG(int64(5000+i)))
 		for j := 0; j < k; j++ {
 			e, ok := samplingtest.Next(s)
 			if !ok {
@@ -226,69 +225,6 @@ func TestUniformPrefix(t *testing.T) {
 	}
 }
 
-func TestWithReplacement(t *testing.T) {
-	entries := genEntries(2000, 6)
-	idx, err := Build(entries, Config{Fanout: 16, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matching(entries, testQuery)
-	s := idx.Sampler(testQuery, sampling.WithReplacement, stats.NewRNG(21))
-	seen := make(map[data.ID]int)
-	n := 3 * len(want)
-	for i := 0; i < n; i++ {
-		e, ok := samplingtest.Next(s)
-		if !ok {
-			t.Fatal("with-replacement stream ended")
-		}
-		if !want[e.ID] {
-			t.Fatalf("sample %d outside query", e.ID)
-		}
-		seen[e.ID]++
-	}
-	// With 3q draws, duplicates are essentially certain.
-	dups := 0
-	for _, c := range seen {
-		if c > 1 {
-			dups++
-		}
-	}
-	if dups == 0 {
-		t.Error("with-replacement should produce duplicates")
-	}
-}
-
-func TestWithReplacementUniform(t *testing.T) {
-	entries := genEntries(300, 7)
-	idx, err := Build(entries, Config{Fanout: 8, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matching(entries, testQuery)
-	q := len(want)
-	counts := make(map[data.ID]int)
-	const trials = 30000
-	s := idx.Sampler(testQuery, sampling.WithReplacement, stats.NewRNG(29))
-	for i := 0; i < trials; i++ {
-		e, ok := samplingtest.Next(s)
-		if !ok {
-			t.Fatal("stream ended")
-		}
-		counts[e.ID]++
-	}
-	obs := make([]int, 0, q)
-	exp := make([]float64, 0, q)
-	for id := range want {
-		obs = append(obs, counts[id])
-		exp = append(exp, float64(trials)/float64(q))
-	}
-	stat := stats.ChiSquareStat(obs, exp)
-	crit := stats.ChiSquareQuantile(0.999, q-1)
-	if stat > crit {
-		t.Errorf("with-replacement chi-square %v > crit %v", stat, crit)
-	}
-}
-
 func TestEmptyRange(t *testing.T) {
 	entries := genEntries(1000, 8)
 	idx, err := Build(entries, Config{Seed: 1})
@@ -296,12 +232,8 @@ func TestEmptyRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
-	for _, mode := range []sampling.Mode{sampling.WithoutReplacement, sampling.WithReplacement} {
-		s := idx.Sampler(empty, mode, stats.NewRNG(1))
-		s.MaxAttempts = 1000
-		if _, ok := samplingtest.Next(s); ok {
-			t.Fatalf("mode %v: empty range should yield nothing", mode)
-		}
+	if _, ok := samplingtest.Next(idx.Sampler(empty, stats.NewRNG(1))); ok {
+		t.Fatal("empty range should yield nothing")
 	}
 }
 
@@ -310,7 +242,7 @@ func TestEmptyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(1))
+	s := idx.Sampler(testQuery, stats.NewRNG(1))
 	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty index should yield nothing")
 	}
@@ -325,7 +257,7 @@ func TestInsertThenSample(t *testing.T) {
 	want := matching(entries, testQuery)
 	// Warm the buffers with a partial query first, so stale-buffer
 	// regeneration is exercised by the post-insert query.
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(33))
+	s := idx.Sampler(testQuery, stats.NewRNG(33))
 	for i := 0; i < 50; i++ {
 		samplingtest.Next(s)
 	}
@@ -339,7 +271,7 @@ func TestInsertThenSample(t *testing.T) {
 		t.Fatalf("tree invalid after inserts: %v", err)
 	}
 
-	s2 := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(37))
+	s2 := idx.Sampler(testQuery, stats.NewRNG(37))
 	got := make(map[data.ID]bool)
 	for {
 		e, ok := samplingtest.Next(s2)
@@ -364,7 +296,7 @@ func TestDeleteThenSample(t *testing.T) {
 	}
 	want := matching(entries, testQuery)
 	// Warm buffers.
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(43))
+	s := idx.Sampler(testQuery, stats.NewRNG(43))
 	for i := 0; i < 50; i++ {
 		samplingtest.Next(s)
 	}
@@ -379,7 +311,7 @@ func TestDeleteThenSample(t *testing.T) {
 		}
 		i++
 	}
-	s2 := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(47))
+	s2 := idx.Sampler(testQuery, stats.NewRNG(47))
 	got := make(map[data.ID]bool)
 	for {
 		e, ok := samplingtest.Next(s2)
@@ -413,7 +345,7 @@ func TestSampleMeanUnbiased(t *testing.T) {
 		}
 	}
 	trueMean /= float64(len(want))
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(59))
+	s := idx.Sampler(testQuery, stats.NewRNG(59))
 	var sum float64
 	k := 400
 	for i := 0; i < k; i++ {
@@ -439,7 +371,7 @@ func TestBufferReuseAcrossDraws(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.ResetStats()
-	s := idx.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(67))
+	s := idx.Sampler(testQuery, stats.NewRNG(67))
 	k := 500
 	for i := 0; i < k; i++ {
 		if _, ok := samplingtest.Next(s); !ok {
@@ -457,7 +389,7 @@ func TestBufferReuseAcrossDraws(t *testing.T) {
 func TestBufferRegensCountsOnlyQueryWork(t *testing.T) {
 	entries := genEntries(6000, 13)
 	drain := func(x *Index, k int) {
-		s := x.Sampler(testQuery, sampling.WithoutReplacement, stats.NewRNG(71))
+		s := x.Sampler(testQuery, stats.NewRNG(71))
 		for i := 0; i < k; i++ {
 			samplingtest.Next(s)
 		}

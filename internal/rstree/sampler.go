@@ -42,9 +42,8 @@ type part struct {
 }
 
 // Sampler is the RS-tree's online sample stream for one query. It
-// implements sampling.Sampler. Without-replacement mode emits every record
-// of P ∩ Q exactly once in uniformly random prefix order; with-replacement
-// mode emits independent uniform samples via weighted random descent.
+// implements sampling.Sampler: it emits every record of P ∩ Q exactly once
+// in uniformly random prefix order.
 //
 // A Sampler owns all of its query's mutable state, so any number of
 // Samplers may run concurrently against the same Index; each individual
@@ -52,7 +51,6 @@ type part struct {
 type Sampler struct {
 	index *Index
 	query geo.Rect
-	mode  sampling.Mode
 	rng   *stats.RNG
 	// batch queues this query's page charges as runs for the accountant
 	// the sampler was built with; NextBatch flushes it, so a pull takes
@@ -65,23 +63,12 @@ type Sampler struct {
 	// the cross-part draw distribution exact over qualifying records.
 	filter *rtree.TreeFilter
 
-	// without-replacement state
 	parts []*part
 	fen   *fenwick
 	seen  *sampling.IDSet
 	init  bool
 	// closed marks a sampler whose scratch went back to the pools.
 	closed bool
-
-	// with-replacement state
-	wrNodes     []*rtree.Node
-	wrContained []bool
-	wrPredAll   []bool
-	wrWeights   []int
-	wrAlias     *stats.Alias
-	// MaxAttempts bounds with-replacement rejection retries (a query
-	// with q = 0 would otherwise never terminate).
-	MaxAttempts int
 
 	// instrumentation
 	explosions uint64
@@ -111,8 +98,8 @@ func (s *Sampler) SamplerStats() sampling.SamplerStats {
 // all query-progress state lives in the Sampler itself. rng drives only
 // this query's draws, so a fixed rng seed reproduces the same stream
 // regardless of what other queries run beside it.
-func (x *Index) Sampler(q geo.Rect, mode sampling.Mode, rng *stats.RNG) *Sampler {
-	return x.SamplerWhere(q, mode, rng, nil, nil)
+func (x *Index) Sampler(q geo.Rect, rng *stats.RNG) *Sampler {
+	return x.SamplerWhere(q, rng, nil, nil)
 }
 
 // SamplerWhere returns an online sampler for q restricted to records
@@ -124,19 +111,11 @@ func (x *Index) Sampler(q geo.Rect, mode sampling.Mode, rng *stats.RNG) *Sampler
 // attributes I/O to this query without racing other queries' attribution
 // — or to the tree's device when acct is nil. A nil filter and a nil acct
 // is exactly Sampler.
-func (x *Index) SamplerWhere(q geo.Rect, mode sampling.Mode, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *Sampler {
+func (x *Index) SamplerWhere(q geo.Rect, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *Sampler {
 	if acct == nil {
 		acct = x.tree.Device()
 	}
-	return &Sampler{
-		index:       x,
-		query:       q,
-		mode:        mode,
-		rng:         rng,
-		batch:       iosim.NewBatcher(acct),
-		filter:      f,
-		MaxAttempts: 1 << 22,
-	}
+	return &Sampler{index: x, query: q, rng: rng, batch: iosim.NewBatcher(acct), filter: f}
 }
 
 // charge accounts one logical access of n's page to this query.
@@ -166,13 +145,7 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 	}
 	got := 0
 	for got < k {
-		var e data.Entry
-		var ok bool
-		if s.mode == sampling.WithReplacement {
-			e, ok = s.nextWithReplacement()
-		} else {
-			e, ok = s.nextWithoutReplacement()
-		}
+		e, ok := s.next()
 		if !ok {
 			break
 		}
@@ -193,21 +166,9 @@ func (s *Sampler) NextBatch(dst []data.Entry, k int) int {
 // sampling pressure exhausts its stored buffer.
 func (s *Sampler) initialize() {
 	s.init = true
-	if s.mode == sampling.WithoutReplacement {
-		s.fen = newFenwick(64)
-		s.seen = sampling.NewIDSet(s.index.Len())
-	}
+	s.fen = newFenwick(64)
+	s.seen = sampling.NewIDSet(s.index.Len())
 	s.frontier(s.index.tree.Root())
-	if s.mode == sampling.WithReplacement && len(s.wrNodes) > 0 {
-		weights := make([]float64, len(s.wrWeights))
-		for i, w := range s.wrWeights {
-			weights[i] = float64(w)
-		}
-		alias, err := stats.NewAlias(weights)
-		if err == nil {
-			s.wrAlias = alias
-		}
-	}
 }
 
 func (s *Sampler) frontier(n *rtree.Node) {
@@ -235,25 +196,18 @@ func (s *Sampler) frontier(n *rtree.Node) {
 // failing) mass, which is burned off through consumed-and-rejected draws
 // (or dropped wholesale at materialization).
 func (s *Sampler) addPart(n *rtree.Node, contained, predAll bool) {
-	if s.mode == sampling.WithReplacement {
-		s.wrNodes = append(s.wrNodes, n)
-		s.wrContained = append(s.wrContained, contained)
-		s.wrPredAll = append(s.wrPredAll, predAll)
-		s.wrWeights = append(s.wrWeights, n.Count())
-		return
-	}
 	p := &part{node: n, buf: s.index.bufferFor(n, s.batch), contained: contained, predAll: predAll}
 	s.fen.Append(n.Count())
 	s.parts = append(s.parts, p)
 }
 
-// nextWithoutReplacement draws the next element of a uniform random
-// permutation of P ∩ Q. Each iteration picks a part with probability
-// proportional to its remaining unconsumed count, consumes the next
-// element of its buffer, and accepts it if it lies inside the query.
+// next draws the next element of a uniform random permutation of P ∩ Q.
+// Each iteration picks a part with probability proportional to its
+// remaining unconsumed count, consumes the next element of its buffer, and
+// accepts it if it lies inside the query.
 // Rejected draws still consume weight, which keeps the cross-part draw
 // distribution exact.
-func (s *Sampler) nextWithoutReplacement() (data.Entry, bool) {
+func (s *Sampler) next() (data.Entry, bool) {
 	for s.fen.Total() > 0 {
 		r := s.rng.Intn(s.fen.Total())
 		i := s.fen.Find(r)
@@ -415,44 +369,4 @@ func (s *Sampler) collectMatching(root *rtree.Node, contained, predAll bool, out
 		}
 	}
 	putNodeStack(box, stack)
-}
-
-// nextWithReplacement draws an independent uniform sample of P ∩ Q by
-// picking a frontier subtree with probability proportional to its size and
-// descending uniformly by subtree counts; draws landing outside the query
-// (boundary subtrees only) are rejected and retried.
-func (s *Sampler) nextWithReplacement() (data.Entry, bool) {
-	if s.wrAlias == nil {
-		return data.Entry{}, false
-	}
-	for tries := 0; tries < s.MaxAttempts; tries++ {
-		i := s.wrAlias.Draw(s.rng)
-		n := s.wrNodes[i]
-		pos := s.rng.Intn(n.Count())
-		e := s.entryAt(n, pos)
-		if (s.wrContained[i] || s.query.Contains(e.Pos)) &&
-			(s.wrPredAll[i] || s.filter.Match(e.ID)) {
-			s.draws++
-			return e, true
-		}
-		s.rejects++
-	}
-	return data.Entry{}, false
-}
-
-// entryAt returns the entry at the given position of n's canonical
-// enumeration (children in order, then leaf entries).
-func (s *Sampler) entryAt(n *rtree.Node, pos int) data.Entry {
-	s.charge(n)
-	for !n.IsLeaf() {
-		for _, c := range n.Children() {
-			if pos < c.Count() {
-				n = c
-				break
-			}
-			pos -= c.Count()
-		}
-		s.charge(n)
-	}
-	return n.Entries()[pos]
 }

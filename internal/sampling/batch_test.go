@@ -38,11 +38,9 @@ func TestQueryFirstBatchEquivalence(t *testing.T) {
 	entries := batchTestEntries(8000, 3)
 	tr := rtree.MustNew(rtree.Config{Fanout: 16})
 	tr.BulkLoad(entries)
-	for _, mode := range []Mode{WithoutReplacement, WithReplacement} {
-		checkBatchEquivalence(t, "QueryFirst", func(seed int64) Sampler {
-			return NewQueryFirst(tr, batchQuery, mode, stats.NewRNG(seed))
-		}, 2000)
-	}
+	checkBatchEquivalence(t, "QueryFirst", func(seed int64) Sampler {
+		return NewQueryFirst(tr, batchQuery, stats.NewRNG(seed))
+	}, 2000)
 }
 
 func TestSampleFirstBatchEquivalence(t *testing.T) {
@@ -52,22 +50,18 @@ func TestSampleFirstBatchEquivalence(t *testing.T) {
 		ds.AppendFast(e.Pos)
 	}
 	dev := iosim.NewDevice(64, iosim.DefaultCostModel())
-	for _, mode := range []Mode{WithoutReplacement, WithReplacement} {
-		checkBatchEquivalence(t, "SampleFirst", func(seed int64) Sampler {
-			return NewSampleFirst(ds, batchQuery, mode, stats.NewRNG(seed), dev, 64)
-		}, 1500)
-	}
+	checkBatchEquivalence(t, "SampleFirst", func(seed int64) Sampler {
+		return NewSampleFirst(ds, batchQuery, stats.NewRNG(seed), dev, 64)
+	}, 1500)
 }
 
 func TestRandomPathBatchEquivalence(t *testing.T) {
 	entries := batchTestEntries(8000, 7)
 	tr := rtree.MustNew(rtree.Config{Fanout: 16})
 	tr.BulkLoad(entries)
-	for _, mode := range []Mode{WithoutReplacement, WithReplacement} {
-		checkBatchEquivalence(t, "RandomPath", func(seed int64) Sampler {
-			return NewRandomPath(tr, batchQuery, mode, stats.NewRNG(seed))
-		}, 1500)
-	}
+	checkBatchEquivalence(t, "RandomPath", func(seed int64) Sampler {
+		return NewRandomPath(tr, batchQuery, stats.NewRNG(seed))
+	}, 1500)
 }
 
 // TestBatchedChargesMatchSerial verifies that coalescing a pull's page
@@ -83,7 +77,7 @@ func TestBatchedChargesMatchSerial(t *testing.T) {
 		tr.BulkLoad(entries)
 		dev.DropCache()
 		dev.ResetStats()
-		s := NewRandomPath(tr, batchQuery, WithoutReplacement, stats.NewRNG(13))
+		s := NewRandomPath(tr, batchQuery, stats.NewRNG(13))
 		buf := make([]data.Entry, pull)
 		for drawn := 0; drawn < 1000; {
 			k := pull

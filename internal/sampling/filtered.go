@@ -17,20 +17,16 @@ import (
 // (merged with the inner sampler's counters), feeding the engine's
 // reject_ratio. Close closes the inner sampler.
 type Filtered struct {
-	inner Sampler
-	pred  *pred.Compiled
-	// MaxAttempts bounds the inner draws one NextBatch call spends so a
-	// with-replacement inner stream (infinite by contract) cannot spin
-	// forever on a predicate with no qualifying records. Defaults to 2²².
-	MaxAttempts int
-	rejects     uint64
-	buf         []data.Entry // inner pulls land here before filtering
+	inner   Sampler
+	pred    *pred.Compiled
+	rejects uint64
+	buf     []data.Entry // inner pulls land here before filtering
 }
 
 // NewFiltered wraps inner so only records matching c are emitted. c must be
 // non-nil; use the inner sampler directly when there is no predicate.
 func NewFiltered(inner Sampler, c *pred.Compiled) *Filtered {
-	return &Filtered{inner: inner, pred: c, MaxAttempts: 1 << 22}
+	return &Filtered{inner: inner, pred: c}
 }
 
 // Name implements Sampler.
@@ -52,7 +48,7 @@ func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 	if cap(s.buf) < k {
 		s.buf = make([]data.Entry, k)
 	}
-	got, attempts := 0, 0
+	got := 0
 	for got < k {
 		want := k - got
 		n := s.inner.NextBatch(s.buf[:want], want)
@@ -66,10 +62,6 @@ func (s *Filtered) NextBatch(dst []data.Entry, k int) int {
 		}
 		if n < want {
 			break // inner stream exhausted
-		}
-		attempts += want
-		if s.MaxAttempts > 0 && attempts >= s.MaxAttempts {
-			break
 		}
 	}
 	return got

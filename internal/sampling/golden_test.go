@@ -27,7 +27,9 @@ import (
 // was recorded with each sampler's own Next method at the commit BEFORE
 // NextBatch became the whole Sampler contract and must never be
 // regenerated to make a refactor pass — a changed line means a seeded
-// stream changed. STORM_UPDATE_GOLDEN=1 rewrites it (for a deliberate,
+// stream changed. The */wr/* lines are the with-replacement adapter's over
+// each sampler, recorded when it replaced the samplers' own
+// with-replacement paths. STORM_UPDATE_GOLDEN=1 rewrites it (for a deliberate,
 // reviewed behaviour change only).
 const goldenSerialFile = "testdata/golden_serial_streams.txt"
 
@@ -97,6 +99,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	filter := func() *rtree.TreeFilter { return rtree.NewTreeFilter(where, sums) }
 
 	const wrLimit = 3000
+	all, qualifying := rs.Count(q), rs.Tree().CountWhere(q, filter())
 	var cases []goldenCase
 	// add registers the three predicate shapes of one sampler: none, the
 	// sampler's own pushdown, and the Filtered rejection wrapper.
@@ -107,39 +110,45 @@ func goldenCases(t *testing.T) []goldenCase {
 			goldenCase{name + "/reject", limit, func() sampling.Sampler { return sampling.NewFiltered(plain(), where) }},
 		)
 	}
-	modes := []struct {
-		name  string
-		mode  sampling.Mode
-		limit int
-	}{{"wor", sampling.WithoutReplacement, -1}, {"wr", sampling.WithReplacement, wrLimit}}
-	for _, m := range modes {
-		mode := m.mode
-		add("rs-tree/"+m.name, m.limit,
-			func() sampling.Sampler { return rs.Sampler(q, mode, stats.NewRNG(101)) },
-			func() sampling.Sampler { return rs.SamplerWhere(q, mode, stats.NewRNG(101), filter(), nil) })
-		add("queryfirst/"+m.name, m.limit,
-			func() sampling.Sampler { return sampling.NewQueryFirst(rs.Tree(), q, mode, stats.NewRNG(102)) },
-			func() sampling.Sampler {
-				return sampling.NewQueryFirstWhere(rs.Tree(), q, mode, stats.NewRNG(102), filter(), nil)
-			})
-		add("randompath/"+m.name, m.limit,
-			func() sampling.Sampler { return sampling.NewRandomPath(rs.Tree(), q, mode, stats.NewRNG(103)) },
-			func() sampling.Sampler {
-				return sampling.NewRandomPathWhere(rs.Tree(), q, mode, stats.NewRNG(103), filter(), nil)
-			})
-		// Draining a without-replacement SampleFirst runs it into its
-		// degraded filtered scan, so that path is pinned too.
-		add("samplefirst/"+m.name, m.limit,
-			func() sampling.Sampler { return sampling.NewSampleFirst(ds, q, mode, stats.NewRNG(104), nil, 64) },
-			func() sampling.Sampler {
-				sf := sampling.NewSampleFirst(ds, q, mode, stats.NewRNG(104), nil, 64)
-				sf.Pred = where
-				return sf
-			})
+	// wr registers the with-replacement adapter over each of add's
+	// without-replacement shapes: the plain one over all the range's
+	// records, the predicate ones over the qualifying records.
+	wr := func(wor []goldenCase) {
+		for i, c := range wor {
+			n := qualifying
+			if i%3 == 0 {
+				n = all
+			}
+			cases = append(cases, goldenCase{strings.Replace(c.name, "/wor/", "/wr/", 1), wrLimit, replaced(c.mk, n)})
+		}
 	}
+	add("rs-tree/wor", -1,
+		func() sampling.Sampler { return rs.Sampler(q, stats.NewRNG(101)) },
+		func() sampling.Sampler { return rs.SamplerWhere(q, stats.NewRNG(101), filter(), nil) })
+	add("queryfirst/wor", -1,
+		func() sampling.Sampler { return sampling.NewQueryFirst(rs.Tree(), q, stats.NewRNG(102)) },
+		func() sampling.Sampler {
+			return sampling.NewQueryFirstWhere(rs.Tree(), q, stats.NewRNG(102), filter(), nil)
+		})
+	add("randompath/wor", -1,
+		func() sampling.Sampler { return sampling.NewRandomPath(rs.Tree(), q, stats.NewRNG(103)) },
+		func() sampling.Sampler {
+			return sampling.NewRandomPathWhere(rs.Tree(), q, stats.NewRNG(103), filter(), nil)
+		})
+	// Draining SampleFirst runs it into its degraded filtered scan, so
+	// that path is pinned too.
+	add("samplefirst/wor", -1,
+		func() sampling.Sampler { return sampling.NewSampleFirst(ds, q, stats.NewRNG(104), nil, 64) },
+		func() sampling.Sampler {
+			sf := sampling.NewSampleFirst(ds, q, stats.NewRNG(104), nil, 64)
+			sf.Pred = where
+			return sf
+		})
+	wr(cases)
 	add("ls-tree/wor", -1,
 		func() sampling.Sampler { return ls.Sampler(q, stats.NewRNG(105)) },
 		func() sampling.Sampler { return ls.SamplerWhere(q, stats.NewRNG(105), where, nil) })
+	wr(cases[len(cases)-3:])
 
 	cluster := func(cfg distr.Config) *distr.Cluster {
 		c, err := distr.Build(ds, cfg)

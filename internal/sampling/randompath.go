@@ -37,14 +37,13 @@ import (
 type RandomPath struct {
 	tree   *rtree.Tree
 	query  geo.Rect
-	mode   Mode
 	rng    *stats.RNG
 	filter *rtree.TreeFilter
 	elig   []*rtree.Node  // per-node scratch: eligible children of the walk
 	batch  *iosim.Batcher // coalesces a pull's node charges; NextBatch flushes it
 	seen   *IDSet
-	// remaining is the exact number of matching records left to emit in
-	// without-replacement mode; -1 until first computed.
+	// remaining is the exact number of matching records left to emit; -1
+	// until first computed.
 	remaining int
 	// MaxWalks bounds the number of restart attempts per sample.
 	MaxWalks int
@@ -54,8 +53,8 @@ type RandomPath struct {
 
 // NewRandomPath returns a RandomPath sampler over the tree and range,
 // charging the tree's device.
-func NewRandomPath(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *RandomPath {
-	return NewRandomPathWhere(t, q, mode, rng, nil, nil)
+func NewRandomPath(t *rtree.Tree, q geo.Rect, rng *stats.RNG) *RandomPath {
+	return NewRandomPathWhere(t, q, rng, nil, nil)
 }
 
 // NewRandomPathWhere returns a RandomPath sampler that additionally prunes
@@ -64,21 +63,18 @@ func NewRandomPath(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *Random
 // rejected, so accepted samples are uniform over the qualifying records.
 // Node charges go to acct, or to the tree's device when acct is nil. A nil
 // filter and a nil acct is exactly NewRandomPath.
-func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *RandomPath {
+func NewRandomPathWhere(t *rtree.Tree, q geo.Rect, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *RandomPath {
 	if acct == nil {
 		acct = t.Device()
 	}
-	s := &RandomPath{
-		tree: t, query: q, mode: mode, rng: rng,
+	return &RandomPath{
+		tree: t, query: q, rng: rng,
 		filter:    f,
 		batch:     iosim.NewBatcher(acct),
+		seen:      NewIDSet(t.Len()),
 		remaining: -1,
 		MaxWalks:  1 << 22,
 	}
-	if mode == WithoutReplacement {
-		s.seen = NewIDSet(t.Len())
-	}
-	return s
 }
 
 // Name implements Sampler.
@@ -91,8 +87,7 @@ func (s *RandomPath) Close() error { return nil }
 func (s *RandomPath) Walks() uint64 { return s.walks }
 
 // SamplerStats implements Sampler: every walk that did not return a sample
-// (rejected descent, duplicate in without-replacement mode) counts as a
-// rejection.
+// (rejected descent, duplicate) counts as a rejection.
 func (s *RandomPath) SamplerStats() SamplerStats {
 	st := SamplerStats{Draws: s.draws, Rejects: s.walks - s.draws}
 	if s.filter != nil {
@@ -126,13 +121,11 @@ func (s *RandomPath) NextBatch(dst []data.Entry, k int) int {
 
 // next is the per-draw body: walks restart until one is accepted.
 func (s *RandomPath) next() (data.Entry, bool) {
-	if s.mode == WithoutReplacement {
-		if s.remaining < 0 {
-			s.remaining = s.tree.CountWhere(s.query, s.filter)
-		}
-		if s.remaining == 0 {
-			return data.Entry{}, false
-		}
+	if s.remaining < 0 {
+		s.remaining = s.tree.CountWhere(s.query, s.filter)
+	}
+	if s.remaining == 0 {
+		return data.Entry{}, false
 	}
 	for tries := 0; tries < s.MaxWalks; tries++ {
 		s.walks++
@@ -140,13 +133,11 @@ func (s *RandomPath) next() (data.Entry, bool) {
 		if !ok {
 			continue
 		}
-		if s.mode == WithoutReplacement {
-			if s.seen.Contains(e.ID) {
-				continue
-			}
-			s.seen.Add(e.ID)
-			s.remaining--
+		if s.seen.Contains(e.ID) {
+			continue
 		}
+		s.seen.Add(e.ID)
+		s.remaining--
 		s.draws++
 		return e, true
 	}

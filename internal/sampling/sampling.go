@@ -28,26 +28,14 @@ import (
 	"storm/internal/stats"
 )
 
-// Mode selects between sampling with and without replacement.
-type Mode int
-
-const (
-	// WithoutReplacement returns each matching record at most once; the
-	// stream is exhausted after |P ∩ Q| samples. Online aggregation over
-	// without-replacement samples converges to the exact answer.
-	WithoutReplacement Mode = iota
-	// WithReplacement returns independent uniform samples forever (as
-	// long as the range is non-empty).
-	WithReplacement
-)
-
 // Sampler is one query's stream of uniform random samples from its range.
 //
 // NextBatch fills dst[:n] with the next min(k, len(dst)) samples of the
-// stream and returns n; n < k means the stream is exhausted: a without-
-// replacement sampler over a range with q matching records is exhausted
-// after q samples; a with-replacement sampler is exhausted only when the
-// range is empty.
+// stream and returns n; n < k means the stream is exhausted. Every sampler
+// draws without replacement: over a range with q matching records it is
+// exhausted after q samples, each record emitted once. Mode names the one
+// adapter that turns such a stream into a with-replacement one, exhausted
+// only when the range is empty.
 //
 // The stream is chunking-invariant: for a fixed seed, the concatenation of
 // the NextBatch results is the same sequence however the pulls are sized —
@@ -75,7 +63,6 @@ type Sampler interface {
 type QueryFirst struct {
 	tree    *rtree.Tree
 	query   geo.Rect
-	mode    Mode
 	rng     *stats.RNG
 	acct    iosim.Accountant
 	filter  *rtree.TreeFilter
@@ -87,8 +74,8 @@ type QueryFirst struct {
 
 // NewQueryFirst returns a QueryFirst sampler over the given tree and range,
 // charging the tree's device.
-func NewQueryFirst(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *QueryFirst {
-	return NewQueryFirstWhere(t, q, mode, rng, nil, nil)
+func NewQueryFirst(t *rtree.Tree, q geo.Rect, rng *stats.RNG) *QueryFirst {
+	return NewQueryFirstWhere(t, q, rng, nil, nil)
 }
 
 // NewQueryFirstWhere returns a QueryFirst sampler whose up-front range
@@ -96,11 +83,11 @@ func NewQueryFirst(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG) *QueryF
 // skipped and only qualifying records enter the permutation. Page charges
 // go to acct (a per-query iosim.Counter, say), or to the tree's device when
 // acct is nil. A nil filter and a nil acct is exactly NewQueryFirst.
-func NewQueryFirstWhere(t *rtree.Tree, q geo.Rect, mode Mode, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *QueryFirst {
+func NewQueryFirstWhere(t *rtree.Tree, q geo.Rect, rng *stats.RNG, f *rtree.TreeFilter, acct iosim.Accountant) *QueryFirst {
 	if acct == nil {
 		acct = t.Device()
 	}
-	return &QueryFirst{tree: t, query: q, mode: mode, rng: rng, acct: acct, filter: f}
+	return &QueryFirst{tree: t, query: q, rng: rng, acct: acct, filter: f}
 }
 
 // Name implements Sampler.
@@ -122,24 +109,15 @@ func (s *QueryFirst) NextBatch(dst []data.Entry, k int) int {
 		s.matched = s.tree.ReportAllWhereTo(s.acct, s.query, s.filter)
 		s.fetched = true
 	}
+	// Incremental Fisher–Yates: each emitted prefix is a uniform
+	// without-replacement sample.
 	n := len(s.matched)
-	if n == 0 {
-		return 0
-	}
 	got := 0
-	if s.mode == WithReplacement {
-		for ; got < k; got++ {
-			dst[got] = s.matched[s.rng.Intn(n)]
-		}
-	} else {
-		// Incremental Fisher–Yates: each emitted prefix is a uniform
-		// without-replacement sample.
-		for ; got < k && s.cursor < n; got++ {
-			j := s.cursor + s.rng.Intn(n-s.cursor)
-			s.matched[s.cursor], s.matched[j] = s.matched[j], s.matched[s.cursor]
-			dst[got] = s.matched[s.cursor]
-			s.cursor++
-		}
+	for ; got < k && s.cursor < n; got++ {
+		j := s.cursor + s.rng.Intn(n-s.cursor)
+		s.matched[s.cursor], s.matched[j] = s.matched[j], s.matched[s.cursor]
+		dst[got] = s.matched[s.cursor]
+		s.cursor++
 	}
 	s.draws += uint64(got)
 	return got
@@ -166,7 +144,6 @@ func (s *QueryFirst) SamplerStats() SamplerStats {
 type SampleFirst struct {
 	ds    *data.Dataset
 	query geo.Rect
-	mode  Mode
 	rng   *stats.RNG
 	// batch coalesces the page charges of a pull; NextBatch flushes it.
 	batch *iosim.Batcher
@@ -203,18 +180,15 @@ type SampleFirst struct {
 // NewSampleFirst returns a SampleFirst sampler over the raw dataset. dev
 // charges a page access per inspected record (records are perPage to a
 // simulated page); nil or iosim.Discard skips accounting.
-func NewSampleFirst(ds *data.Dataset, q geo.Rect, mode Mode, rng *stats.RNG, dev iosim.Accountant, perPage int) *SampleFirst {
+func NewSampleFirst(ds *data.Dataset, q geo.Rect, rng *stats.RNG, dev iosim.Accountant, perPage int) *SampleFirst {
 	if perPage <= 0 {
 		perPage = 64
 	}
-	s := &SampleFirst{
-		ds: ds, query: q, mode: mode, rng: rng, batch: iosim.NewBatcher(dev), perPage: perPage,
+	return &SampleFirst{
+		ds: ds, query: q, rng: rng, batch: iosim.NewBatcher(dev), perPage: perPage,
 		MaxAttempts: 200 * ds.Len(),
+		seen:        NewIDSet(ds.Len()),
 	}
-	if mode == WithoutReplacement {
-		s.seen = NewIDSet(ds.Len())
-	}
-	return s
 }
 
 // Name implements Sampler.
@@ -287,12 +261,10 @@ func (s *SampleFirst) next() (data.Entry, bool) {
 		if s.Filter != nil && !s.Filter(id) {
 			continue
 		}
-		if s.mode == WithoutReplacement {
-			if s.seen.Contains(id) {
-				continue
-			}
-			s.seen.Add(id)
+		if s.seen.Contains(id) {
+			continue
 		}
+		s.seen.Add(id)
 		s.accepted++
 		s.draws++
 		return data.Entry{ID: id, Pos: pos}, true
@@ -302,12 +274,10 @@ func (s *SampleFirst) next() (data.Entry, bool) {
 
 // scanNext degrades to the filtered-scan fallback: when the rejection loop
 // exhausts its attempt budget (vanishingly selective query-and-predicate
-// combinations, or a without-replacement stream near exhaustion), one full
-// scan — every data page charged once — collects the still-unserved
-// matching records, and subsequent draws come from them. The incremental
-// Fisher–Yates over the remainder is an exact uniform continuation of the
-// without-replacement stream; with-replacement draws pick uniformly from
-// the matching set. This trades one O(N/B) scan for a stream that cannot
+// combinations, or a stream near exhaustion), one full scan — every data
+// page charged once — collects the still-unserved matching records, and
+// subsequent draws come from them. The incremental Fisher–Yates over the
+// remainder is an exact uniform continuation of the stream. This trades one O(N/B) scan for a stream that cannot
 // come back short while qualifying records remain.
 func (s *SampleFirst) scanNext() (data.Entry, bool) {
 	if !s.scanned {
@@ -329,20 +299,13 @@ func (s *SampleFirst) scanNext() (data.Entry, bool) {
 			if s.Filter != nil && !s.Filter(id) {
 				continue
 			}
-			if s.mode == WithoutReplacement && s.seen.Contains(id) {
+			if s.seen.Contains(id) {
 				continue
 			}
 			s.pending = append(s.pending, data.Entry{ID: id, Pos: pos})
 		}
 	}
 	m := len(s.pending)
-	if s.mode == WithReplacement {
-		if m == 0 {
-			return data.Entry{}, false
-		}
-		s.draws++
-		return s.pending[s.rng.Intn(m)], true
-	}
 	if s.cursor >= m {
 		return data.Entry{}, false
 	}

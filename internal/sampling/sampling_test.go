@@ -109,54 +109,43 @@ func checkUniformFirstSample(t *testing.T, f *fixture, mk func(seed int64) Sampl
 
 func TestQueryFirstWithoutReplacement(t *testing.T) {
 	f := newFixture(t, 2000, 1)
-	s := NewQueryFirst(f.tree, f.query, WithoutReplacement, stats.NewRNG(42))
+	s := NewQueryFirst(f.tree, f.query, stats.NewRNG(42))
 	checkWithoutReplacement(t, f, s)
 }
 
 func TestQueryFirstUniform(t *testing.T) {
 	f := newFixture(t, 300, 2)
 	checkUniformFirstSample(t, f, func(seed int64) Sampler {
-		return NewQueryFirst(f.tree, f.query, WithoutReplacement, stats.NewRNG(seed))
+		return NewQueryFirst(f.tree, f.query, stats.NewRNG(seed))
 	})
-}
-
-func TestQueryFirstWithReplacementNeverExhausts(t *testing.T) {
-	f := newFixture(t, 500, 3)
-	s := NewQueryFirst(f.tree, f.query, WithReplacement, stats.NewRNG(7))
-	got := drainAll(s, f.q*3)
-	if len(got) != f.q*3 {
-		t.Fatalf("with-replacement stream ended after %d", len(got))
-	}
 }
 
 func TestQueryFirstEmptyRange(t *testing.T) {
 	f := newFixture(t, 500, 4)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
-	for _, mode := range []Mode{WithoutReplacement, WithReplacement} {
-		s := NewQueryFirst(f.tree, empty, mode, stats.NewRNG(1))
-		if _, ok := samplingtest.Next(s); ok {
-			t.Error("empty range should yield no samples")
-		}
+	s := NewQueryFirst(f.tree, empty, stats.NewRNG(1))
+	if _, ok := samplingtest.Next(s); ok {
+		t.Error("empty range should yield no samples")
 	}
 }
 
 func TestSampleFirstWithoutReplacement(t *testing.T) {
 	f := newFixture(t, 2000, 5)
-	s := NewSampleFirst(f.ds, f.query, WithoutReplacement, stats.NewRNG(42), iosim.Discard, 64)
+	s := NewSampleFirst(f.ds, f.query, stats.NewRNG(42), iosim.Discard, 64)
 	checkWithoutReplacement(t, f, s)
 }
 
 func TestSampleFirstUniform(t *testing.T) {
 	f := newFixture(t, 300, 6)
 	checkUniformFirstSample(t, f, func(seed int64) Sampler {
-		return NewSampleFirst(f.ds, f.query, WithReplacement, stats.NewRNG(seed), iosim.Discard, 64)
+		return NewSampleFirst(f.ds, f.query, stats.NewRNG(seed), iosim.Discard, 64)
 	})
 }
 
 func TestSampleFirstEmptyRangeTerminates(t *testing.T) {
 	f := newFixture(t, 500, 7)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
-	s := NewSampleFirst(f.ds, empty, WithReplacement, stats.NewRNG(1), iosim.Discard, 64)
+	s := NewSampleFirst(f.ds, empty, stats.NewRNG(1), iosim.Discard, 64)
 	s.MaxAttempts = 10000
 	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty range should exhaust via MaxAttempts")
@@ -169,7 +158,7 @@ func TestSampleFirstEmptyRangeTerminates(t *testing.T) {
 func TestSampleFirstEmptyDataset(t *testing.T) {
 	ds := data.NewDataset("empty")
 	q := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{1, 1, 1})
-	s := NewSampleFirst(ds, q, WithReplacement, stats.NewRNG(1), iosim.Discard, 64)
+	s := NewSampleFirst(ds, q, stats.NewRNG(1), iosim.Discard, 64)
 	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty dataset should yield nothing")
 	}
@@ -177,14 +166,14 @@ func TestSampleFirstEmptyDataset(t *testing.T) {
 
 func TestRandomPathWithoutReplacement(t *testing.T) {
 	f := newFixture(t, 2000, 8)
-	s := NewRandomPath(f.tree, f.query, WithoutReplacement, stats.NewRNG(42))
+	s := NewRandomPath(f.tree, f.query, stats.NewRNG(42))
 	checkWithoutReplacement(t, f, s)
 }
 
 func TestRandomPathUniform(t *testing.T) {
 	f := newFixture(t, 300, 9)
 	checkUniformFirstSample(t, f, func(seed int64) Sampler {
-		return NewRandomPath(f.tree, f.query, WithReplacement, stats.NewRNG(seed))
+		return NewRandomPath(f.tree, f.query, stats.NewRNG(seed))
 	})
 }
 
@@ -218,14 +207,14 @@ func TestRandomPathUniformSkewed(t *testing.T) {
 		t.Fatalf("fixture degenerate: q=%d", f.q)
 	}
 	checkUniformFirstSample(t, f, func(seed int64) Sampler {
-		return NewRandomPath(f.tree, f.query, WithReplacement, stats.NewRNG(seed))
+		return NewRandomPath(f.tree, f.query, stats.NewRNG(seed))
 	})
 }
 
 func TestRandomPathEmptyRange(t *testing.T) {
 	f := newFixture(t, 500, 10)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
-	s := NewRandomPath(f.tree, empty, WithoutReplacement, stats.NewRNG(1))
+	s := NewRandomPath(f.tree, empty, stats.NewRNG(1))
 	if _, ok := samplingtest.Next(s); ok {
 		t.Fatal("empty range should yield nothing")
 	}
@@ -242,11 +231,11 @@ func TestSamplerMeansAgree(t *testing.T) {
 	trueMean /= float64(f.q)
 
 	mks := []func() Sampler{
-		func() Sampler { return NewQueryFirst(f.tree, f.query, WithoutReplacement, stats.NewRNG(1)) },
+		func() Sampler { return NewQueryFirst(f.tree, f.query, stats.NewRNG(1)) },
 		func() Sampler {
-			return NewSampleFirst(f.ds, f.query, WithoutReplacement, stats.NewRNG(2), iosim.Discard, 64)
+			return NewSampleFirst(f.ds, f.query, stats.NewRNG(2), iosim.Discard, 64)
 		},
-		func() Sampler { return NewRandomPath(f.tree, f.query, WithoutReplacement, stats.NewRNG(3)) },
+		func() Sampler { return NewRandomPath(f.tree, f.query, stats.NewRNG(3)) },
 	}
 	for _, mk := range mks {
 		s := mk()
@@ -269,7 +258,7 @@ func TestSamplerMeansAgree(t *testing.T) {
 func TestSampleFirstChargesIO(t *testing.T) {
 	f := newFixture(t, 2000, 12)
 	dev := iosim.NewDevice(0, iosim.DefaultCostModel())
-	s := NewSampleFirst(f.ds, f.query, WithReplacement, stats.NewRNG(5), dev, 64)
+	s := NewSampleFirst(f.ds, f.query, stats.NewRNG(5), dev, 64)
 	for i := 0; i < 100; i++ {
 		samplingtest.Next(s)
 	}

@@ -29,6 +29,17 @@ func NewRNG(seed int64) *RNG {
 	return g
 }
 
+// MixSeed derives a second stream's seed from a first's by one SplitMix64
+// step. Seeds a fixed offset apart give correlated streams here, and equal
+// seeds the same stream, so a stream whose draws must be independent of
+// another's is seeded with MixSeed of the other's seed.
+func MixSeed(seed int64) int64 {
+	z := uint64(seed) + 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E9B5
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return int64(z ^ z>>31)
+}
+
 // Reseed restarts g as NewRNG(seed) would, without allocating.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 

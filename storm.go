@@ -159,7 +159,9 @@ type (
 	// Clustering is an online k-means snapshot.
 	Clustering = analytics.Clustering
 
-	// Mode selects with/without-replacement sampling.
+	// Mode selects with/without-replacement sampling. Every method draws
+	// without replacement; WithReplacement serves its draws through one
+	// exact adapter over that stream (any method but MethodDistributed).
 	Mode = sampling.Mode
 
 	// Source is an external data source for the connector.

@@ -3,6 +3,7 @@ package storm_test
 import (
 	"context"
 	"fmt"
+	"regexp"
 
 	"storm"
 )
@@ -56,13 +57,17 @@ func ExampleExec() {
 	if err := storm.Exec(context.Background(), db, "COUNT FROM mesowest", &out); err != nil {
 		panic(err)
 	}
-	// Output: COUNT = 1000 (exact, 0 records)  t=0s sampler=range-count [final]
+	// Output: COUNT = 1000 (exact, 0 records) sampler=range-count [final]
 }
 
-// printer writes query output straight to the example's stdout.
+// printer writes query output straight to the example's stdout, less the
+// elapsed-time field ("  t=…"), which varies from run to run.
 type printer struct{}
 
+// elapsed matches Exec's elapsed-time field.
+var elapsed = regexp.MustCompile(`  t=\S+`)
+
 func (printer) Write(p []byte) (int, error) {
-	fmt.Print(string(p))
+	fmt.Print(elapsed.ReplaceAllString(string(p), ""))
 	return len(p), nil
 }

@@ -22,29 +22,26 @@ import (
 
 // partition splits a dataset's entries into contiguous Hilbert ranges —
 // one per shard, spatially coherent so selective queries touch few shards.
-// The result is a pure function of the entries and shard count, whatever
-// their order and whatever toolchain built the process: the order is (Hilbert
-// key, record ID), total over distinct IDs (rtree.HilbertOrder), so a
-// coordinator and a remote shard host partitioning the same dataset agree
-// on every shard's contents without shipping them.
+// Which records a shard gets is a pure function of the entries and shard
+// count, whatever their order and whatever toolchain built the process: the
+// ranges cut the (Hilbert key, record ID) order, total over distinct IDs, so
+// a coordinator and a remote shard host partitioning the same dataset agree
+// on every shard's contents without shipping them. Only the members are
+// fixed, not their order within a part: the cut is a selection
+// (rtree.GroupByKey), and buildShard's STR order ignores input order.
 func partition(entries []data.Entry, shards int) (parts [][]data.Entry, bounds geo.Rect) {
-	order, bounds := rtree.HilbertOrder(entries)
-	parts = make([][]data.Entry, shards)
+	bounds = rtree.HilbertBounds(geo.Rect{}, entries)
+	quant := rtree.NewQuantizer(bounds)
+	keys := make([]uint64, len(entries))
+	for i, e := range entries {
+		keys[i] = quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2])
+	}
 	per := (len(entries) + shards - 1) / shards
-	for s := 0; s < shards; s++ {
-		lo := s * per
-		hi := lo + per
-		if lo > len(entries) {
-			lo = len(entries)
-		}
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		part := make([]data.Entry, 0, hi-lo)
-		for _, k := range order[lo:hi] {
-			part = append(part, entries[k.Idx])
-		}
-		parts[s] = part
+	grouped := rtree.GroupByKey(entries, keys, per)
+	parts = make([][]data.Entry, shards)
+	for s := range parts {
+		lo, hi := min(s*per, len(grouped)), min((s+1)*per, len(grouped))
+		parts[s] = grouped[lo:hi:hi]
 	}
 	return parts, bounds
 }

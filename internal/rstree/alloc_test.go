@@ -14,9 +14,9 @@ import (
 
 // TestRegenerateAllocatesNoRNG regenerates a leaf buffer the way bufferFor
 // does for a stale one (generate at the node's current version) and counts
-// allocations: the buffer's entries, its header and the box SetAux
-// publishes it in, nothing else — the RNG comes from rngPool, reseeded, not
-// from a fresh 5 KB source (which made it six). The regenerated buffer must
+// allocations: the buffer's entries and its header, nothing else — the RNG
+// comes from rngPool, reseeded, not from a fresh 5 KB source (which made it
+// five), and SetAux stores the pointer without boxing it. The regenerated buffer must
 // be the one Build published: same seed, same draws.
 func TestRegenerateAllocatesNoRNG(t *testing.T) {
 	idx, err := Build(genEntries(5000, 1), Config{Fanout: 16, Seed: 3})
@@ -31,7 +31,7 @@ func TestRegenerateAllocatesNoRNG(t *testing.T) {
 	if got := idx.generate(leaf, iosim.Discard); !slices.Equal(got, built) {
 		t.Fatal("regenerated leaf buffer differs from the one Build published")
 	}
-	if n := testing.AllocsPerRun(100, func() { idx.generate(leaf, iosim.Discard) }); n > 3 {
-		t.Fatalf("regenerating a leaf buffer allocates %v times, want 3 (entries, header, aux box)", n)
+	if n := testing.AllocsPerRun(100, func() { idx.generate(leaf, iosim.Discard) }); n > 2 {
+		t.Fatalf("regenerating a leaf buffer allocates %v times, want 2 (entries, header)", n)
 	}
 }

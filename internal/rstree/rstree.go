@@ -8,11 +8,13 @@
 // (leaves buffer all of their entries). The paper's three ideas map onto
 // this implementation as follows:
 //
-//   - Sample buffering: S(u) is precomputed at build time and stored with
-//     the node (as its on-disk page layout would), tagged with the node's
-//     version so updates invalidate it and the next query regenerates it
-//     lazily. Its size is the tree fanout, so a buffer occupies about one
-//     disk page alongside its node.
+//   - Sample buffering: S(u) is stored with the node (as its on-disk page
+//     layout would), tagged with the node's version so updates invalidate
+//     it and the next query regenerates it lazily. Its size is the tree
+//     fanout, so a buffer occupies about one disk page alongside its node.
+//     The build writes every internal node's buffer; a leaf's buffer, a
+//     shuffled copy of the leaf itself, is only marked pending there and
+//     filled by the first read (see precomputeBuffers).
 //
 //   - Acceptance/rejection + weighted node selection: a query maintains a
 //     set of active "parts" (disjoint subtrees covering P ∩ Q) and draws
@@ -40,13 +42,13 @@
 // The index splits its state into a shared-immutable part and a
 // query-local part. The tree structure and the published per-node sample
 // buffers are shared and never mutated in place: a stale buffer (node
-// version moved past the buffer's) is regenerated off to the side and
-// published with an atomic swap, and its contents are a pure function of
-// (index seed, node page, node version), so racing regenerations produce
-// byte-identical buffers and either publication is correct. Everything a
-// query mutates — the frontier, Fenwick weights, per-part permutation
-// cursors, the consumed set, materialized part contents — lives in the
-// Sampler. Any number of Samplers may therefore run concurrently against
+// version moved past the buffer's) or a pending leaf is generated off to
+// the side and published with an atomic swap, and its contents are a pure
+// function of (index seed, node page, node version), so racing generations
+// produce byte-identical buffers and either publication is correct.
+// Everything a query mutates — the frontier, Fenwick weights, per-part
+// permutation cursors, the consumed set, materialized part contents — lives
+// in the Sampler. Any number of Samplers may therefore run concurrently against
 // one Index. Mutations (InsertBatch, Delete) must still be serialized
 // against in-flight samplers by the caller; package engine does this with
 // a per-dataset RWMutex.
@@ -97,9 +99,20 @@ type Index struct {
 
 // BufferRegens returns how many per-node sample buffers queries have had to
 // regenerate since the index was built — update invalidation pressure.
-// Buffers precomputed by the build itself do not count, so a freshly built
-// index reports 0.
+// Buffers the build wrote, and leaf buffers it left pending that a first
+// read fills, do not count, so a freshly built index reports 0.
 func (x *Index) BufferRegens() uint64 { return x.regens.Load() }
+
+// leafFills counts leaf buffers generated in this process: pending leaves
+// filled on first read and regenerated leaves alike. It is process-wide, not
+// per index, so a benchmark can read it across builds whose indexes it
+// cannot reach (a shard host's).
+var leafFills atomic.Uint64
+
+// LeafFills returns how many leaf sample buffers this process has generated,
+// by a first read or a regeneration. A build generates none, so the count
+// does not move across one.
+func LeafFills() uint64 { return leafFills.Load() }
 
 // Build constructs an RS-tree over the given entries.
 func Build(entries []data.Entry, cfg Config) (*Index, error) {
@@ -145,15 +158,20 @@ func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry
 // buffers are precomputed; smaller trees generate inline.
 const bufferGrain = 32
 
-// precomputeBuffers materializes every node's sample buffer at build time,
-// as the on-disk layout would: S(u) is written next to u once, so queries
-// only ever *read* buffers. A buffer is a pure function of (index seed, node
-// page, node version), so the nodes are generated in parallel chunks of the
-// pre-order walk; what has an order is the page reads a generation charges,
-// and a shared device still sees those node by node in pre-order: each
-// worker records the pages it read and the records are replayed in chunk
-// order. With nothing to share the order with — one chunk, or no accounting
-// — generation charges the tree's device directly and nothing is recorded.
+// precomputeBuffers writes the build's sample buffers, as the on-disk layout
+// would: S(u) is written next to each internal node u once. A leaf's buffer
+// holds every entry of the leaf, so writing it would copy the whole dataset
+// a second time, and a query reads one only when the root is a leaf (its
+// frontier stops at the leaf-parent level, see Sampler); the build charges the
+// leaf page the generation reads and publishes a pending marker at the
+// leaf's version, and the first read fills the buffer (stored). A buffer is
+// a pure function of (index seed, node page, node version), so the nodes are
+// handled in parallel chunks of the pre-order walk; what has an order is the
+// page reads, and a shared device still sees those node by node in
+// pre-order: each worker records the pages it read and the records are
+// replayed in chunk order. With nothing to share the order with — one
+// chunk, or no accounting — the tree's device is charged directly and
+// nothing is recorded.
 func (x *Index) precomputeBuffers() {
 	var nodes []*rtree.Node
 	var walk func(n *rtree.Node)
@@ -173,8 +191,20 @@ func (x *Index) precomputeBuffers() {
 		if hi-lo < len(nodes) && dev != iosim.Discard {
 			acct = &log
 		}
+		// Markers are immutable, so leaves of one version share one.
+		var pending *buffer
 		for _, n := range nodes[lo:hi] {
-			x.generate(n, acct)
+			if !n.IsLeaf() {
+				x.generate(n, acct)
+				continue
+			}
+			if n.Count() > 0 {
+				acct.Access(n.PageID()) // what generating the leaf buffer reads
+			}
+			if pending == nil || pending.version != n.Version() {
+				pending = &buffer{version: n.Version(), pending: true}
+			}
+			n.SetAux(pending)
 		}
 		return log
 	})
@@ -224,30 +254,38 @@ func (x *Index) InsertBatch(entries []data.Entry) { x.tree.InsertBatch(entries) 
 func (x *Index) Delete(e data.Entry) bool { return x.tree.Delete(e) }
 
 // buffer is the cached per-node sample attachment. Once published through
-// Node.SetAux it is immutable: regeneration builds a fresh buffer and swaps
+// Node.SetAux it is immutable: generation builds a fresh buffer and swaps
 // it in, so concurrent queries reading the old one are never disturbed.
 type buffer struct {
 	version uint64
 	entries []data.Entry // uniform without-replacement sample, random order
+	// pending marks a leaf buffer the build charged but did not generate:
+	// entries is nil until a read fills it (stored).
+	pending bool
 }
 
-// StoredBuffer returns the sample buffer currently stored with n, in stored
-// order, or nil when n has none or its buffer is stale. Unlike a query's
-// read it charges nothing and generates nothing.
+// StoredBuffer returns the sample buffer stored with n, in stored order, or
+// nil when n has none or its buffer is stale. Unlike a query's read it
+// charges nothing and regenerates nothing; a leaf the build left pending is
+// filled, as its first read would.
 func (x *Index) StoredBuffer(n *rtree.Node) []data.Entry {
-	if b := current(n); b != nil {
-		return b.entries
-	}
-	return nil
+	ent, _ := x.stored(n)
+	return ent
 }
 
-// current returns n's published buffer if it was built for n's current
-// version, else nil.
-func current(n *rtree.Node) *buffer {
-	if b, ok := n.Aux().(*buffer); ok && b.version == n.Version() {
-		return b
+// stored returns n's buffer for its current version, filling it first when
+// the build left it pending, or ok=false when n has none or it is stale.
+// The fill charges nothing (the build charged the page it reads) and is not
+// a regeneration.
+func (x *Index) stored(n *rtree.Node) (entries []data.Entry, ok bool) {
+	b, _ := n.Aux().(*buffer)
+	if b == nil || b.version != n.Version() {
+		return nil, false
 	}
-	return nil
+	if b.pending {
+		return x.generate(n, iosim.Discard), true
+	}
+	return b.entries, true
 }
 
 // bufferSeed derives the RNG seed for generating node n's buffer at its
@@ -276,8 +314,8 @@ func (x *Index) bufferSeed(n *rtree.Node) int64 {
 // buffer is built off to the side and swapped in atomically, never mutating
 // the previously published one.
 func (x *Index) bufferFor(n *rtree.Node, acct iosim.Accountant) []data.Entry {
-	if b := current(n); b != nil {
-		return b.entries
+	if ent, ok := x.stored(n); ok {
+		return ent
 	}
 	x.regens.Add(1)
 	return x.generate(n, acct)
@@ -291,6 +329,7 @@ func (x *Index) generate(n *rtree.Node, acct iosim.Accountant) []data.Entry {
 		// Leaf buffers hold every entry (in random order): the leaf is
 		// the explosion base case, so its buffer must be exhaustive.
 		s = n.Count()
+		leafFills.Add(1)
 	}
 	ent := x.sampleSubtree(n, s, acct)
 	n.SetAux(&buffer{version: n.Version(), entries: ent})

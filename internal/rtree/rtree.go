@@ -121,7 +121,7 @@ type Node struct {
 	// It is read and published atomically so concurrent queries can
 	// regenerate a stale buffer without racing each other: generation
 	// happens off to the side, then the finished value is swapped in.
-	aux atomic.Pointer[any]
+	aux atomic.Value
 	// attrs caches the subtree's per-attribute digests (see Summaries),
 	// keyed by version like the RS-tree buffers: any mutation along the
 	// node's path bumps version, invalidating the cache, and racing
@@ -158,20 +158,15 @@ func (n *Node) Version() uint64 { return n.version }
 
 // Aux returns the auxiliary attachment set by SetAux, or nil. It is safe
 // to call concurrently with SetAux.
-func (n *Node) Aux() any {
-	p := n.aux.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
-}
+func (n *Node) Aux() any { return n.aux.Load() }
 
 // SetAux attaches auxiliary per-node state (e.g. an RS-tree sample buffer).
 // The value is published atomically: concurrent readers observe either the
-// previous attachment or the new one, never a torn mix. Callers must treat
-// a published value as immutable — to change it, build a replacement and
-// SetAux it.
-func (n *Node) SetAux(v any) { n.aux.Store(&v) }
+// previous attachment or the new one, never a torn mix. Every attachment of
+// one node must be non-nil and of one concrete type (sync/atomic.Value's
+// rule), and published values are immutable — to change one, build a
+// replacement and SetAux it. Storing a pointer allocates nothing.
+func (n *Node) SetAux(v any) { n.aux.Store(v) }
 
 // PageID returns the simulated page this node occupies.
 func (n *Node) PageID() iosim.PageID { return iosim.PageID(n.page) }

@@ -520,14 +520,12 @@ func BenchmarkIndexBuild(b *testing.B) {
 // the first query that asks for it. gen-ms is the generation of that
 // dataset, which stormd pays first; sort-ms and pack-ms split one further
 // build into the same two halves Register runs — the pure STR sort and the
-// packing against the device with the internal nodes' sample buffers (leaf
-// buffers are filled on first read, not built). leaf-fills/op counts the
-// leaf buffers Register itself generated: 0.
+// packing against the device with the internal nodes' sample buffers (leaves
+// carry none).
 func BenchmarkRegister(b *testing.B) {
 	start := time.Now()
 	ds := gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1})
 	genMS := float64(time.Since(start).Microseconds()) / 1000
-	fills := rstree.LeafFills()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -537,7 +535,6 @@ func BenchmarkRegister(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(rstree.LeafFills()-fills)/float64(b.N), "leaf-fills/op")
 
 	start = time.Now()
 	sorted := rtree.STROrder(rtree.DefaultFanout, ds.Entries())[0]
@@ -613,13 +610,11 @@ func BenchmarkInsertBatch(b *testing.B) {
 // BenchmarkHostBuild times what a coordinator waits for at registration:
 // one shard host (as cmd/stormd -role=shard runs it) answering the Build
 // requests for both shards of a two-way partition of its dataset copy, at
-// once, as BuildRemote issues them. partitions/op and leaf-fills/op are the
-// deterministic half: a host partitions once per dataset, not once per
-// Build, and generates no leaf sample buffer (the first read fills it).
+// once, as BuildRemote issues them. partitions/op is the deterministic half:
+// a host partitions once per dataset, not once per Build.
 func BenchmarkHostBuild(b *testing.B) {
 	ds := gen.OSM(gen.OSMConfig{N: 250_000, Seed: 1})
 	var partitions uint64
-	fills := rstree.LeafFills()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -640,7 +635,6 @@ func BenchmarkHostBuild(b *testing.B) {
 		partitions += h.Partitions()
 	}
 	b.ReportMetric(float64(partitions)/float64(b.N), "partitions/op")
-	b.ReportMetric(float64(rstree.LeafFills()-fills)/float64(b.N), "leaf-fills/op")
 }
 
 // ---- substrate micro-benchmarks ----

@@ -345,8 +345,8 @@ type A5Point struct {
 	// Nodes is the total R-tree node count (all levels for the LS-tree).
 	Nodes int
 	// SizeRatio is total stored entries over N: 1.0 for a plain R-tree,
-	// ~2.0 for the LS-tree's geometric levels, and >1 for the RS-tree's
-	// sample buffers.
+	// ~2.0 for the LS-tree's geometric levels, and just above 1 for the
+	// RS-tree's internal-node sample buffers.
 	SizeRatio float64
 }
 
@@ -392,12 +392,10 @@ func A5(cfg A5Config) ([]A5Point, error) {
 			return nil, err
 		}
 		nodes := rs.Tree().NodeCount()
-		// Every node stores a buffer of at most Fanout entries; leaves
-		// buffer all of theirs, so stored entries ≈ N (leaf buffers) +
-		// internal buffers.
-		leaves := (n + cfg.Fanout - 1) / cfg.Fanout
-		internal := nodes - leaves
-		buffered := n + internal*cfg.Fanout
+		// Every internal node stores a buffer of at most Fanout entries;
+		// leaves store none.
+		internal := nodes - (n+cfg.Fanout-1)/cfg.Fanout
+		buffered := internal * cfg.Fanout
 		rsPoint := A5Point{
 			Index: "RS-tree", N: n,
 			BuildMS:   float64(time.Since(start).Microseconds()) / 1000,

@@ -11,12 +11,13 @@ import (
 )
 
 // part is one active element of a query's canonical decomposition: a
-// disjoint subtree from which samples are drawn. A part starts in buffered
-// state, serving draws from the node's stored sample S(u); if sampling
-// pressure exhausts the buffer, the part is *materialized*: its subtree is
-// range-reported once (sequential page reads), filtered against the query
-// and the already-consumed set, shuffled, and served from memory. Parts
-// are never split, so the canonical decomposition stays disjoint by
+// disjoint subtree from which samples are drawn. An internal part starts in
+// buffered state, serving draws from the node's stored sample S(u); if
+// sampling pressure exhausts the buffer, the part is *materialized*: its
+// subtree is range-reported once (sequential page reads), filtered against
+// the query and the already-consumed set, shuffled, and served from memory.
+// A leaf part, which only a root leaf can be, starts materialized. Parts are
+// never split, so the canonical decomposition stays disjoint by
 // construction.
 type part struct {
 	node *rtree.Node
@@ -194,11 +195,17 @@ func (s *Sampler) frontier(n *rtree.Node) {
 // addPart registers a subtree as an active part. Its weight is the full
 // subtree cardinality: boundary parts include out-of-query (or predicate-
 // failing) mass, which is burned off through consumed-and-rejected draws
-// (or dropped wholesale at materialization).
+// (or dropped wholesale at materialization). A leaf carries no buffer, so a
+// leaf part is materialized at once.
 func (s *Sampler) addPart(n *rtree.Node, contained, predAll bool) {
-	p := &part{node: n, buf: s.index.bufferFor(n, s.batch), contained: contained, predAll: predAll}
+	p := &part{node: n, contained: contained, predAll: predAll}
 	s.fen.Append(n.Count())
 	s.parts = append(s.parts, p)
+	if n.IsLeaf() {
+		s.materialize(p, len(s.parts)-1)
+		return
+	}
+	p.buf = s.index.bufferFor(n, s.batch)
 }
 
 // next draws the next element of a uniform random permutation of P ∩ Q.
@@ -215,7 +222,7 @@ func (s *Sampler) next() (data.Entry, bool) {
 		s.charge(p.node)
 		e, ok := s.nextFromBuffer(p)
 		if !ok {
-			if p.materialized() || (p.node.IsLeaf() && len(p.buf) == p.node.Count()) {
+			if p.materialized() {
 				// The exact remaining set is exhausted.
 				s.retirePart(p, i)
 				continue

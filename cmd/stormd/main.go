@@ -27,14 +27,20 @@
 //	stormd -role=coordinator -shards localhost:9090,localhost:9091
 //
 // An address flag may name port 0: the process binds a free port and its
-// startup line on stderr prints the addresses it bound.
+// startup line on stderr prints the addresses it bound. The next line
+// gives boot timings: the milliseconds spent generating the datasets and,
+// on a coordinator or single node, registering them.
 //
 // Shard hosts regenerate the demo datasets from the same generator flags
 // (-seed, -osm, -tweets, -stations), so both sides hold identical rows
-// and only sample batches ever cross the wire. The coordinator's /shards
-// endpoint reports per-shard placement and liveness; /healthz answers on
-// every role. An integer -shards value instead builds the simulated
-// in-process cluster:
+// and only sample batches ever cross the wire. A shard host binds both
+// ports and prints its startup line first, answers /healthz at once, and
+// serves its RPC port once its datasets exist: a coordinator started
+// alongside generates its own copy meanwhile, and its Builds wait in the
+// host's accept queue. The coordinator's /shards endpoint reports
+// per-shard placement and liveness; /healthz answers on every role, and on
+// a coordinator only once every dataset is registered. An integer -shards
+// value instead builds the simulated in-process cluster:
 //
 //	stormd -shards 8
 //
@@ -97,6 +103,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"storm/internal/data"
@@ -141,7 +148,7 @@ func main() {
 	}
 
 	if *role == "shard" {
-		runShard(*addr, *wireAddr, genDatasets())
+		runShard(*addr, *wireAddr, genDatasets)
 		return
 	}
 	if *role != "" && *role != "coordinator" {
@@ -172,12 +179,16 @@ func main() {
 	}
 
 	eng := engine.New(engine.Config{Seed: *seed, BufferPoolPages: *pool, NoMetrics: *noMetrics})
-	for _, ds := range genDatasets() {
+	start := time.Now()
+	datasets := genDatasets()
+	generated := time.Now()
+	for _, ds := range datasets {
 		opts := engine.IndexOptions{Shards: simShards, ShardAddrs: shardAddrs, Replicas: *replicas, Faults: faults}
 		if _, err := eng.Register(ds, opts); err != nil {
 			log.Fatalf("stormd: registering %s: %v", ds.Name(), err)
 		}
 	}
+	registered := time.Now()
 
 	// The API server (including /metrics) mounts at the root; the pprof
 	// handlers are wired explicitly onto a top-level mux rather than via
@@ -205,6 +216,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "stormd: listening on %s\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "stormd: boot: generate %d ms, register %d ms\n",
+		generated.Sub(start).Milliseconds(), registered.Sub(generated).Milliseconds())
 	log.Fatal(http.Serve(ln, mux))
 }
 
@@ -232,35 +245,56 @@ func parseShards(s string) (sim int, addrs []string, err error) {
 	return 0, addrs, nil
 }
 
-// runShard serves the demo datasets' shards over the wire protocol plus a
-// minimal HTTP surface (/healthz) for liveness probes. Which shards this
-// host materializes is decided lazily by the coordinators' Build requests.
-func runShard(addr, wireAddr string, datasets []*data.Dataset) {
-	host := distr.NewHost()
-	for _, ds := range datasets {
-		host.AddDataset(ds)
-	}
-	srv, err := wire.NewServer(wireAddr, host)
+// runShard binds the shard host's wire and HTTP ports and serves them
+// (serveShard). It prints its startup line as soon as both are bound, so
+// the line comes before the datasets exist.
+func runShard(addr, wireAddr string, generate func() []*data.Dataset) {
+	wireLn, err := net.Listen("tcp", wireAddr)
 	if err != nil {
 		log.Fatalf("stormd: shard RPC listen: %v", err)
 	}
-	defer srv.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "stormd: shard host serving RPC on %s, HTTP on %s\n", wireLn.Addr(), ln.Addr())
+	log.Fatal(serveShard(ln, wireLn, generate))
+}
 
+// serveShard runs a shard host on two bound listeners. /healthz on httpLn
+// answers from the start: it is liveness, and it reports how many datasets
+// are loaded and how many shards are built. The host then generates its
+// datasets, keys their records (distr.Host.AddDataset) and only after that
+// serves the wire protocol on wireLn, so a coordinator's Build that arrives
+// early waits in the accept queue until the data exists and is answered
+// then, never refused; generation overlaps the coordinator's own start.
+// Which shards the host materializes is decided lazily by the
+// coordinators' Build requests. serveShard returns when HTTP serving
+// fails.
+func serveShard(httpLn, wireLn net.Listener, generate func() []*data.Dataset) error {
+	host := distr.NewHost()
+	var loaded atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
 			"status":   "ok",
 			"role":     "shard",
-			"datasets": len(datasets),
+			"datasets": loaded.Load(),
 			"shards":   host.Shards(),
 		})
 	})
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "stormd: shard host serving RPC on %s, HTTP on %s\n", srv.Addr(), ln.Addr())
-	log.Fatal(http.Serve(ln, mux))
+	go func() {
+		start := time.Now()
+		datasets := generate()
+		generated := time.Now()
+		for _, ds := range datasets {
+			host.AddDataset(ds)
+		}
+		loaded.Store(int64(len(datasets)))
+		fmt.Fprintf(os.Stderr, "stormd: shard host boot: generate %d ms, key %d ms\n",
+			generated.Sub(start).Milliseconds(), time.Since(generated).Milliseconds())
+		wire.Serve(wireLn, host)
+	}()
+	return http.Serve(httpLn, mux)
 }

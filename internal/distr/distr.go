@@ -391,9 +391,10 @@ func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{cfg: cfg, ds: ds, hosts: make([]*Host, cfg.Replicas)}
 	eps := make([]endpoint, cfg.Replicas)
+	keys := keyRecords(ds)
 	for r := range c.hosts {
 		h := NewHost()
-		h.AddDataset(ds)
+		h.addKeyed(ds, keys)
 		t := wire.NewMemClient(h)
 		c.hosts[r], eps[r] = h, endpoint{addr: "loopback", t: t}
 		c.transports = append(c.transports, t)

@@ -214,7 +214,7 @@ func TestInsertAfterHostDeathIsNeverLostSilently(t *testing.T) {
 	// A point only B's shard box holds routes there while it is believed
 	// live. The boxes are the built trees', which cover the Hilbert
 	// partition's parts.
-	parts, _ := partition(ds.Entries(), 2)
+	parts := partition(ds, keyRecords(ds), 2)
 	other := geo.EmptyRect()
 	for _, e := range parts[1-onB] {
 		other = other.ExtendPoint(e.Pos)

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"storm/internal/data"
-	"storm/internal/geo"
 	"storm/internal/wire"
 )
 
@@ -52,9 +51,11 @@ type partMemo struct {
 	// left counts parts not yet handed out (guarded by Host.mu).
 	left int
 
-	once   sync.Once
-	parts  [][]data.Entry
-	bounds geo.Rect
+	once  sync.Once
+	parts [][]data.Entry
+	// keys are the records' keys the partition cut, which each part's
+	// shard leaves cache.
+	keys *recordKeys
 }
 
 // Host serves shard requests for the datasets it holds.
@@ -66,6 +67,9 @@ type Host struct {
 	mu       sync.Mutex
 	dsMu     sync.RWMutex
 	datasets map[string]*data.Dataset
+	// keys holds each dataset copy's record keys, computed when it is
+	// added (a partition of a copy grown since keys it afresh).
+	keys     map[string]*recordKeys
 	backends map[hostKey]*shardBackend
 	// memos holds at most one partition per dataset, and only until every
 	// part has been handed out: the entries then live on in the shards
@@ -80,6 +84,7 @@ type Host struct {
 func NewHost() *Host {
 	return &Host{
 		datasets: make(map[string]*data.Dataset),
+		keys:     make(map[string]*recordKeys),
 		backends: make(map[hostKey]*shardBackend),
 		memos:    make(map[string]*partMemo),
 	}
@@ -88,9 +93,17 @@ func NewHost() *Host {
 // AddDataset registers a local dataset copy under its name. Shard hosts
 // regenerate datasets from the same generator flags and seed as the
 // coordinator, so both sides hold identical rows without shipping them.
-func (h *Host) AddDataset(ds *data.Dataset) {
+// It also keys the copy's records (keyRecords), the half of a partition no
+// Build has to wait for: a shard host adds its datasets before it serves
+// Builds, and keys them while the coordinator is still starting.
+func (h *Host) AddDataset(ds *data.Dataset) { h.addKeyed(ds, keyRecords(ds)) }
+
+// addKeyed is AddDataset with the records already keyed, for hosts that
+// share one dataset copy (Build's in-process hosts).
+func (h *Host) addKeyed(ds *data.Dataset, k *recordKeys) {
 	h.mu.Lock()
 	h.datasets[ds.Name()] = ds
+	h.keys[ds.Name()] = k
 	h.mu.Unlock()
 }
 
@@ -218,8 +231,8 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	if req.Of < 1 || req.Shard >= req.Of || req.Of > maxShards {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %d out of range", req.Shard, req.Of)}
 	}
-	part, bounds := h.part(ds, req.Of, req.Shard)
-	sh, err := buildShard(ds, part, int(req.Shard), bounds, int(req.Fanout), req.Seed)
+	part, keys := h.part(ds, req.Of, req.Shard)
+	sh, err := buildShard(ds, part, keys, int(req.Shard), int(req.Fanout), req.Seed)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}
@@ -250,12 +263,13 @@ func rebuilt(b *shardBackend, req *wire.Build) wire.Msg {
 }
 
 // part returns one shard's part of the dataset's partition into of, and
-// the bounds the partition was keyed over. The first Build of a (dataset,
-// of, record count) computes the partition; concurrent and later Builds
-// for sibling shards wait for it and take their own part. Caller holds
-// dsMu for reading, which is what keeps the record count, and so the key,
-// fixed while the Build runs.
-func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect) {
+// the record keys the partition cut. The first Build of a (dataset, of,
+// record count) computes the partition, from the keys AddDataset computed,
+// or afresh if the copy has grown since; concurrent and later Builds for
+// sibling shards wait for it and take their own part. Caller holds dsMu
+// for reading, which is what keeps the record count, and so the key, fixed
+// while the Build runs.
+func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, *recordKeys) {
 	name, n := ds.Name(), ds.Len()
 	h.mu.Lock()
 	m := h.memos[name]
@@ -268,7 +282,14 @@ func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect)
 
 	m.once.Do(func() {
 		h.partitions.Add(1)
-		m.parts, m.bounds = partition(ds.Entries(), int(of))
+		h.mu.Lock()
+		k := h.keys[name]
+		h.mu.Unlock()
+		if k.n != n {
+			k = keyRecords(ds)
+		}
+		m.keys = k
+		m.parts = partition(ds, k, int(of))
 	})
 
 	h.mu.Lock()
@@ -278,7 +299,7 @@ func (h *Host) part(ds *data.Dataset, of, shard uint32) ([]data.Entry, geo.Rect)
 	if m.left--; m.left == 0 && h.memos[name] == m {
 		delete(h.memos, name)
 	}
-	return part, m.bounds
+	return part, m.keys
 }
 
 // handleInsert mirrors one inserted record into the owning shard's index

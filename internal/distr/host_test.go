@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"storm/internal/data"
+	"storm/internal/data/datatest"
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/wire"
@@ -127,6 +128,49 @@ func TestHostPartitionsOncePerDataset(t *testing.T) {
 	buildOn(t, h, "uniform", 4, 1, 2, 3)
 	if got := h.Partitions(); got != 2 {
 		t.Errorf("Builds either side of an insert made %d partitions, want 2", got)
+	}
+}
+
+// TestHostShardsKeyCacheValid builds every shard of a few datasets on a
+// host and validates each tree. The leaves' Hilbert key caches come from
+// the host's partition, not from the trees' own quantizers, so Validate's
+// recomputation is the check that the two agree: on spread keys, on tied
+// ones, on a dataset whose records all sit at the origin (keyed over the
+// unit box), on a copy that grew past the records AddDataset keyed (its
+// shards must hold every record), and at several fanouts and shard counts.
+func TestHostShardsKeyCacheValid(t *testing.T) {
+	origin := data.NewDataset("origin")
+	for range 300 {
+		origin.Append(data.Row{})
+	}
+	grown := testDataset(2000)
+	for _, ds := range []*data.Dataset{testDataset(6000), datatest.TieHeavy(5000), tiedDataset(3000), origin, grown} {
+		for _, c := range []struct{ of, fanout uint32 }{{1, 0}, {2, 16}, {5, 8}} {
+			h := NewHost()
+			h.AddDataset(ds)
+			if ds == grown {
+				// Rows appended after AddDataset, as mirrored inserts append
+				// them: the keys must be taken again, over the grown box.
+				for i := range 50 {
+					ds.Append(data.Row{Pos: geo.Vec{200 + float64(i), -5, 150 + float64(ds.Len())}})
+				}
+			}
+			held := 0
+			for s := uint32(0); s < c.of; s++ {
+				resp := h.Handle(&wire.Build{Target: wire.Target{DS: ds.Name(), Shard: s}, Of: c.of, Seed: 1, Fanout: c.fanout})
+				if _, ok := resp.(*wire.BuildOK); !ok {
+					t.Fatalf("%s: Build shard %d of %d: %#v", ds.Name(), s, c.of, resp)
+				}
+				tree := h.backend(wire.Target{DS: ds.Name(), Shard: s}).shard.index.Tree()
+				if err := tree.Validate(); err != nil {
+					t.Errorf("%s, shard %d of %d at fanout %d: %v", ds.Name(), s, c.of, c.fanout, err)
+				}
+				held += tree.Len()
+			}
+			if held != ds.Len() {
+				t.Errorf("%s: %d shards hold %d records of %d", ds.Name(), c.of, held, ds.Len())
+			}
+		}
 	}
 }
 

@@ -57,48 +57,54 @@ func tiedDataset(n int) *data.Dataset {
 	return ds
 }
 
-// signedZeros lists n entries whose coordinates are ±0 and ±1, so positions
-// repeat and −0 and +0 share every Hilbert key.
-func signedZeros(n int) []data.Entry {
+// signedZeros returns n records whose coordinates are ±0 and ±1, so
+// positions repeat and −0 and +0 share every Hilbert key.
+func signedZeros(n int) *data.Dataset {
 	r := rand.New(rand.NewSource(3))
 	vals := []float64{math.Copysign(0, -1), 0, -1, 1}
-	out := make([]data.Entry, n)
-	for i := range out {
-		out[i].ID = data.ID(i)
-		for d := range out[i].Pos {
-			out[i].Pos[d] = vals[r.Intn(len(vals))]
+	ds := data.NewDataset("zeros")
+	for range n {
+		var pos geo.Vec
+		for d := range pos {
+			pos[d] = vals[r.Intn(len(vals))]
 		}
+		ds.Append(data.Row{Pos: pos})
 	}
-	return out
+	return ds
 }
 
-// TestPartitionIgnoresInputOrder checks that every shard gets the records
-// that the reference gives it, whatever order the entries arrive in: on
-// distinct keys, on tied ones (where the tie rule decides which shard a
-// record lands in) and on signed zeros, on both sides of the radix cutoff,
-// for one to seven shards. Only membership is compared: the order within a
-// part is left open (TestBuildShardIgnoresPartOrder).
-func TestPartitionIgnoresInputOrder(t *testing.T) {
-	for name, entries := range map[string][]data.Entry{
-		"distinct keys":   testDataset(5000).Entries(),
-		"tied keys":       tiedDataset(5000).Entries(),
-		"tieHeavy":        datatest.TieHeavy(20_000).Entries(),
-		"tied keys short": tiedDataset(700).Entries(),
+// TestPartitionMatchesReference checks that every shard gets the records
+// that the reference gives it: on distinct keys, on tied ones (where the
+// tie rule decides which shard a record lands in) and on signed zeros, on
+// both sides of the radix cutoff, for one to seven shards. Only membership
+// is compared: the order within a part is left open
+// (TestBuildShardIgnoresPartOrder). The keys partition cuts, which shard
+// leaves cache, must be the reference's keys by record ID.
+func TestPartitionMatchesReference(t *testing.T) {
+	for name, ds := range map[string]*data.Dataset{
+		"distinct keys":   testDataset(5000),
+		"tied keys":       tiedDataset(5000),
+		"tieHeavy":        datatest.TieHeavy(20_000),
+		"tied keys short": tiedDataset(700),
 		"signed zeros":    signedZeros(3000),
 	} {
-		for shards := 1; shards <= 7; shards++ {
-			want := referencePartition(entries, shards)
-			for s := range want {
-				want[s] = byID(want[s])
+		entries := ds.Entries()
+		bounds := rtree.HilbertBounds(geo.Rect{}, entries)
+		quant := rtree.NewQuantizer(bounds)
+		k := keyRecords(ds)
+		if k.n != len(entries) || k.bounds != bounds {
+			t.Fatalf("%s: keyed %d records over %v, want %d over %v", name, k.n, k.bounds, len(entries), bounds)
+		}
+		for id, e := range entries {
+			if want := quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]); k.keys[id] != want {
+				t.Fatalf("%s: key of record %d = %d, want %d", name, id, k.keys[id], want)
 			}
-			for shuffle := int64(0); shuffle < 3; shuffle++ {
-				in := slices.Clone(entries)
-				rand.New(rand.NewSource(shuffle)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-				got, _ := partition(in, shards)
-				for s := range want {
-					if !slices.EqualFunc(byID(got[s]), want[s], sameEntry) {
-						t.Fatalf("%s, shuffle %d: shard %d of %d holds other records than the reference partition", name, shuffle, s, shards)
-					}
+		}
+		for shards := 1; shards <= 7; shards++ {
+			got := partition(ds, k, shards)
+			for s, want := range referencePartition(entries, shards) {
+				if !slices.EqualFunc(byID(got[s]), byID(want), sameEntry) {
+					t.Fatalf("%s: shard %d of %d holds other records than the reference partition", name, s, shards)
 				}
 			}
 		}
@@ -118,13 +124,13 @@ func byID(part []data.Entry) []data.Entry {
 // the order within a part open.
 func TestBuildShardIgnoresPartOrder(t *testing.T) {
 	ds := datatest.TieHeavy(20_000)
-	parts, bounds := partition(ds.Entries(), 3)
-	for id, part := range parts {
-		wantTree, wantBuf := shardDigests(t, ds, part, id, bounds)
+	keys := keyRecords(ds)
+	for id, part := range partition(ds, keys, 3) {
+		wantTree, wantBuf := shardDigests(t, ds, part, keys, id)
 		for shuffle := int64(0); shuffle < 2; shuffle++ {
 			in := slices.Clone(part)
 			rand.New(rand.NewSource(shuffle)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-			gotTree, gotBuf := shardDigests(t, ds, in, id, bounds)
+			gotTree, gotBuf := shardDigests(t, ds, in, keys, id)
 			if gotTree != wantTree {
 				t.Errorf("shard %d, shuffle %d: tree digest %s, want %s", id, shuffle, gotTree, wantTree)
 			}
@@ -138,9 +144,9 @@ func TestBuildShardIgnoresPartOrder(t *testing.T) {
 // shardDigests builds shard id from part and digests its tree in pre-order
 // — page IDs, boxes as float bits, subtree counts, leaf entry IDs — and its
 // sample buffers as entry IDs in stored order.
-func shardDigests(t *testing.T, ds *data.Dataset, part []data.Entry, id int, bounds geo.Rect) (tree, buffers string) {
+func shardDigests(t *testing.T, ds *data.Dataset, part []data.Entry, keys *recordKeys, id int) (tree, buffers string) {
 	t.Helper()
-	sh, err := buildShard(ds, part, id, bounds, 16, 1)
+	sh, err := buildShard(ds, part, keys, id, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

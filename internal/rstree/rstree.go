@@ -117,6 +117,14 @@ func BuildSorted(sorted []data.Entry, cfg Config) (*Index, error) {
 	return build(sorted, cfg, (*rtree.Tree).Pack)
 }
 
+// BuildSortedKeys is BuildSorted for a caller that has keyed the entries
+// already: keyOf[e.ID] is e's Hilbert key over cfg.Bounds, which must be
+// set (rtree.Tree.PackKeys). The leaves' key caches take those keys; the
+// index is BuildSorted's.
+func BuildSortedKeys(sorted []data.Entry, keyOf []uint64, cfg Config) (*Index, error) {
+	return build(sorted, cfg, func(t *rtree.Tree, sorted []data.Entry) { t.PackKeys(sorted, keyOf) })
+}
+
 // build is the shared body of Build and BuildSorted; load fills the fresh
 // tree from entries.
 func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry)) (*Index, error) {

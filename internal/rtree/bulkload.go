@@ -31,7 +31,15 @@ func (t *Tree) BulkLoad(entries []data.Entry) {
 // scheduled. Leaves copy their
 // entries: sorted is not retained and may back several trees. Without
 // Config.Bounds, the keys are quantized over the MBR of sorted.
-func (t *Tree) Pack(sorted []data.Entry) {
+func (t *Tree) Pack(sorted []data.Entry) { t.PackKeys(sorted, nil) }
+
+// PackKeys is Pack for a caller that has the entries' Hilbert keys already:
+// keyOf[e.ID] is the key of entry e under NewQuantizer(Config.Bounds), the
+// quantizer Pack keys with when the bounds are set (distr's partition keys
+// a dataset's records so). The leaves' key caches take the keys instead of
+// recomputing them, and everything else is Pack's. A nil keyOf is Pack;
+// keyOf is not retained.
+func (t *Tree) PackKeys(sorted []data.Entry, keyOf []uint64) {
 	t.quantizeFor(sorted)
 	t.size = len(sorted)
 	if len(sorted) == 0 {
@@ -39,7 +47,7 @@ func (t *Tree) Pack(sorted []data.Entry) {
 		t.height = 1
 		return
 	}
-	nodes := t.packLeaves(sorted)
+	nodes := t.packLeaves(sorted, keyOf)
 	t.height = 1
 	for len(nodes) > 1 {
 		nodes = t.packInternal(nodes)
@@ -186,13 +194,14 @@ const packGrain = 256
 // the leaves themselves — entry copy, MBR, Hilbert key cache, LHV — are
 // built in parallel chunks; only the write charges have an order, and they
 // are applied afterwards in page order, which is all the device ever saw.
-func (t *Tree) packLeaves(entries []data.Entry) []*Node {
+// keyOf is PackKeys'.
+func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64) []*Node {
 	fan := t.cfg.Fanout
 	nodes := make([]*Node, (len(entries)+fan-1)/fan)
 	base := t.nextPage + 1
 	MapChunks(len(nodes), packGrain, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
-			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:min((i+1)*fan, len(entries))])
+			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:min((i+1)*fan, len(entries))], keyOf)
 		}
 		return struct{}{}
 	})
@@ -204,8 +213,8 @@ func (t *Tree) packLeaves(entries []data.Entry) []*Node {
 }
 
 // buildLeaf returns an uncharged leaf on the given page holding a copy of
-// entries.
-func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry) *Node {
+// entries, its key cache read from keyOf (by record ID) when that is set.
+func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry, keyOf []uint64) *Node {
 	n := &Node{page: page, leaf: true, mbr: geo.EmptyRect()}
 	n.entries = append(n.entries, entries...)
 	n.count = len(n.entries)
@@ -215,7 +224,11 @@ func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry) *Node {
 	n.keys = make([]uint64, len(n.entries))
 	for i, e := range n.entries {
 		n.mbr = n.mbr.ExtendPoint(e.Pos)
-		n.keys[i] = t.hilbertValue(e.Pos)
+		if keyOf == nil {
+			n.keys[i] = t.hilbertValue(e.Pos)
+		} else {
+			n.keys[i] = keyOf[e.ID]
+		}
 		n.lhv = max(n.lhv, n.keys[i])
 	}
 	return n

@@ -195,18 +195,21 @@ func sortEntries(entries []data.Entry, axis, radixFrom int, w *strScratch) {
 	gather(entries, images, &w.entries)
 }
 
-// GroupByKey returns a copy of entries in which each consecutive group of
-// size entries (the last one may be short) holds the entries that group
-// holds in (key, record ID) order, keys[i] being the key of entries[i]. The
-// order within a group is left open: it is a selection, not a sort, for
+// GroupByKey lists the records of ds as entries so that each consecutive
+// group of size entries (the last one may be short) holds the records that
+// group holds in (key, record ID) order, keys[i] being the key of record i.
+// The order within a group is left open: it is a selection, not a sort, for
 // callers that cut an order into parts and need only each part's members
-// (distr's shard partition). As in groupEntries, one MSD radix pass on the
+// (distr's shard partition). The records are read from ds, so the list is
+// the only copy made of them. As in groupEntries, one MSD radix pass on the
 // highest byte of the keys that varies scatters the entries into buckets,
 // and only the buckets a group boundary cuts are sorted.
-func GroupByKey(entries []data.Entry, keys []uint64, size int) []data.Entry {
-	out := make([]data.Entry, len(entries))
-	if len(entries) <= size {
-		copy(out, entries)
+func GroupByKey(ds *data.Dataset, keys []uint64, size int) []data.Entry {
+	out := make([]data.Entry, len(keys))
+	if len(keys) <= size {
+		for i := range out {
+			out[i] = ds.Entry(data.ID(i))
+		}
 		return out
 	}
 	var diff uint64
@@ -233,13 +236,13 @@ func GroupByKey(entries []data.Entry, keys []uint64, size int) []data.Entry {
 	}
 	cut := make([]Keyed, cuts)
 	next := start
-	for i, e := range entries {
-		b := uint8(keys[i] >> shift)
+	for i, k := range keys {
+		b := uint8(k >> shift)
 		if c := cutAt[b]; c >= 0 {
-			cut[c] = Keyed{Key: keys[i], Idx: next[b] - start[b]}
+			cut[c] = Keyed{Key: k, Idx: next[b] - start[b]}
 			cutAt[b]++
 		}
-		out[next[b]] = e
+		out[next[b]] = ds.Entry(data.ID(i))
 		next[b]++ // ends with the bucket's end
 	}
 	var scratch []data.Entry

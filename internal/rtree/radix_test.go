@@ -144,12 +144,13 @@ func TestGroupByKey(t *testing.T) {
 	for name, key := range keyOf {
 		for _, n := range []int{1, 5, 64, 300, 3000} {
 			for _, size := range []int{1, 7, 64, 1000} {
-				entries := make([]data.Entry, n)
+				ds := data.NewDataset("keys")
 				keys := make([]uint64, n)
-				for i, id := range r.Perm(n) {
-					entries[i] = data.Entry{ID: data.ID(id)}
+				for i := range keys {
+					ds.Append(data.Row{Pos: geo.Vec{float64(i), 0, 0}})
 					keys[i] = key()
 				}
+				entries := ds.Entries()
 				order := make([]int, n)
 				for i := range order {
 					order[i] = i
@@ -164,7 +165,7 @@ func TestGroupByKey(t *testing.T) {
 				for i, k := range order {
 					sorted[i] = entries[k]
 				}
-				grouped := GroupByKey(entries, keys, size)
+				grouped := GroupByKey(ds, keys, size)
 				for lo := 0; lo < n; lo += size {
 					got, want := ids(grouped[lo:min(lo+size, n)]), ids(sorted[lo:min(lo+size, n)])
 					slices.Sort(got)

@@ -188,10 +188,20 @@ func NewServer(addr string, h Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return Serve(ln, h), nil
+}
+
+// Serve starts serving h on a listener that is already bound, and owns it
+// from then on (Close closes it). Between bind and Serve, clients can
+// connect and write requests: the kernel queues the connections, and each
+// request is answered, on its own connection, once Serve accepts it. A
+// shard host binds first and serves once its datasets exist, so a
+// coordinator's Build waits for the data instead of being refused.
+func Serve(ln net.Listener, h Handler) *Server {
 	s := &Server{h: h, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the server's bound address (useful with ":0").

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
@@ -253,6 +254,54 @@ func TestTCPTransport(t *testing.T) {
 	}
 	if sc.MsgsRecv != 11 || sc.MsgsSent != 11 {
 		t.Fatalf("server counts = %+v", sc)
+	}
+}
+
+// TestServeAnswersRequestsQueuedBeforeIt writes a request to a bound
+// listener nobody accepts on yet, then starts Serve on it: the request
+// must be answered on the connection it came in on, as a coordinator's
+// Build is by a shard host that binds before it generates its datasets.
+func TestServeAnswersRequestsQueuedBeforeIt(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewTCPClient(ln.Addr().String())
+	defer cl.Close()
+	type result struct {
+		resp Msg
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := cl.RoundTrip(&Fetch{N: 3}, 10*time.Second)
+		done <- result{resp, err}
+	}()
+	// The client counts a request once its Write has returned: from then
+	// on it sits in the queued connection.
+	for cl.Counts().MsgsSent == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("answered before Serve started: %#v, %v", r.resp, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	srv := Serve(ln, &echoHandler{})
+	defer srv.Close()
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := len(r.resp.(*Entries).Entries); got != 3 {
+		t.Fatalf("queued Fetch answered with %d entries, want 3", got)
+	}
+	if c := cl.Counts(); c.MsgsSent != 1 || c.MsgsRecv != 1 {
+		t.Fatalf("client counts = %+v, want one request answered on one connection", c)
+	}
+	if srv.Addr() != ln.Addr().String() {
+		t.Fatalf("Addr() = %s, want the listener's %s", srv.Addr(), ln.Addr())
 	}
 }
 

@@ -78,6 +78,11 @@ func (d *Dataset) Len() int { return len(d.pos) }
 // Pos returns the position of record id.
 func (d *Dataset) Pos(id ID) geo.Vec { return d.pos[id] }
 
+// Positions returns the position column, record id at index id. It is the
+// dataset's own slice, for bulk readers that must not copy it: read only,
+// and valid until the next append.
+func (d *Dataset) Positions() []geo.Vec { return d.pos }
+
 // Entry returns the index entry for record id.
 func (d *Dataset) Entry(id ID) Entry { return Entry{ID: id, Pos: d.pos[id]} }
 
@@ -94,11 +99,7 @@ func (d *Dataset) Entries() []Entry {
 // Bounds returns the MBR of all record positions, or an empty rect for an
 // empty dataset.
 func (d *Dataset) Bounds() geo.Rect {
-	r := geo.EmptyRect()
-	for _, p := range d.pos {
-		r = r.ExtendPoint(p)
-	}
-	return r
+	return geo.Bounds(d.pos, func(p *geo.Vec) *geo.Vec { return p })
 }
 
 // AddNumericColumn declares a numeric column. Existing rows get NaN.

@@ -11,16 +11,20 @@ import (
 
 // noteTime advances the dataset watermark — the maximum event time (the
 // t coordinate, in seconds) of any indexed record — to the latest non-NaN
-// event time among entries, if that is ahead. The caller is the handle's
-// one writer (it holds h.mu for writing, or builds the handle), so one
-// compare and store per batch suffice; readers load the atomics lock-free.
+// event time among entries, if that is ahead.
 func (h *Handle) noteTime(entries []data.Entry) {
 	t := math.NaN()
 	for _, e := range entries {
-		if e.Pos[2] > t || math.IsNaN(t) {
-			t = e.Pos[2]
-		}
+		t = geo.LatestT(t, e.Pos[2])
 	}
+	h.advanceWatermark(t)
+}
+
+// advanceWatermark moves the watermark to t when t is not NaN and ahead of
+// it. The caller is the handle's one writer (it holds h.mu for writing, or
+// builds the handle), so one compare and store per batch suffice; readers
+// load the atomics lock-free.
+func (h *Handle) advanceWatermark(t float64) {
 	if !math.IsNaN(t) && (!h.wmSet.Load() || t > math.Float64frombits(h.wm.Load())) {
 		h.wm.Store(math.Float64bits(t))
 		h.wmSet.Store(true)

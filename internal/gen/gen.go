@@ -11,10 +11,11 @@ package gen
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"storm/internal/data"
 	"storm/internal/geo"
-	"storm/internal/rtree"
 	"storm/internal/stats"
 )
 
@@ -76,34 +77,61 @@ func OSM(cfg OSMConfig) *data.Dataset {
 
 	pos := make([]geo.Vec, max(cfg.N, 0))
 	alt := make([]float64, len(pos))
-	for i := range pos {
-		var lon, lat float64
-		if rng.Bernoulli(cfg.ClusterFraction) {
-			c := cfg.Cities[cityAlias.Draw(rng)]
-			lon = c.Lon + rng.NormFloat64()*c.Spread
-			lat = c.Lat + rng.NormFloat64()*c.Spread
-		} else {
-			lon = rng.Uniform(USABounds.MinLon, USABounds.MaxLon)
-			lat = rng.Uniform(USABounds.MinLat, USABounds.MaxLat)
-		}
-		t := rng.Uniform(0, 86400*365) // timestamps across one year
-		pos[i] = geo.Vec{lon, lat, t}
-		alt[i] = rng.NormFloat64() * 30
-	}
-	// The elevation model draws nothing, so it is added in a second pass over
-	// contiguous chunks on up to GOMAXPROCS goroutines: the same two operands
-	// per record, so the same bits as adding them inside the loop.
-	rtree.MapChunks(len(pos), altitudeGrain, func(lo, hi int) struct{} {
-		for i := lo; i < hi; i++ {
+	// The elevation model draws nothing, so it runs beside the draws: each
+	// chunk the sequential draw loop finishes goes to up to GOMAXPROCS-1
+	// workers, and the loop's goroutine takes the chunks still queued when
+	// it is done. The same two operands meet per record, so the bits are
+	// those of adding them inside the loop. With one P, or one chunk,
+	// every chunk is elevated inline as soon as it is drawn.
+	elevate := func(lo int) {
+		for i := lo; i < min(lo+altitudeGrain, len(pos)); i++ {
 			alt[i] = altitudeAt(pos[i][0], pos[i][1]) + alt[i]
 		}
-		return struct{}{}
-	})
+	}
+	chunks := (len(pos) + altitudeGrain - 1) / altitudeGrain
+	drawn := make(chan int, chunks)
+	var wg sync.WaitGroup
+	workers := max(0, min(runtime.GOMAXPROCS(0), chunks)-1)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for lo := range drawn {
+				elevate(lo)
+			}
+		}()
+	}
+	for lo := 0; lo < len(pos); lo += altitudeGrain {
+		for i := lo; i < min(lo+altitudeGrain, len(pos)); i++ {
+			var lon, lat float64
+			if rng.Bernoulli(cfg.ClusterFraction) {
+				c := cfg.Cities[cityAlias.Draw(rng)]
+				lon = c.Lon + rng.NormFloat64()*c.Spread
+				lat = c.Lat + rng.NormFloat64()*c.Spread
+			} else {
+				lon = rng.Uniform(USABounds.MinLon, USABounds.MaxLon)
+				lat = rng.Uniform(USABounds.MinLat, USABounds.MaxLat)
+			}
+			t := rng.Uniform(0, 86400*365) // timestamps across one year
+			pos[i] = geo.Vec{lon, lat, t}
+			alt[i] = rng.NormFloat64() * 30
+		}
+		if workers == 0 {
+			elevate(lo)
+		} else {
+			drawn <- lo
+		}
+	}
+	close(drawn)
+	for lo := range drawn {
+		elevate(lo)
+	}
+	wg.Wait()
 	return adopt("osm", pos, map[string][]float64{"altitude": alt}, nil)
 }
 
-// altitudeGrain is the fewest records worth a goroutine of their own in
-// OSM's elevation pass (about a millisecond of altitudeAt).
+// altitudeGrain is how many records OSM's draw loop hands the elevation
+// model at a time (about a millisecond of altitudeAt).
 const altitudeGrain = 1 << 14
 
 // adopt hands a generator's filled columns to data.FromColumns. Every

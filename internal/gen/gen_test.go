@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -289,12 +290,22 @@ func datasetDigest(ds *data.Dataset) string {
 }
 
 // TestGeneratorsByteIdentical pins each generator's output for a fixed
-// config. Every golden stream, figure counter and benchmark truth value is
-// computed over these records, so how a generator allocates must never show
-// in what it returns. The digests were recorded before the generators
-// reserved their columns up front (uniform's before the generators filled
-// their columns directly for data.FromColumns).
+// config, at GOMAXPROCS 1 and 2. Every golden stream, figure counter and
+// benchmark truth value is computed over these records, so how a generator
+// allocates or schedules its work must never show in what it returns. The
+// digests were recorded before the generators reserved their columns up
+// front (uniform's before the generators filled their columns directly for
+// data.FromColumns; osm-200k's, whose records span 13 elevation chunks,
+// before OSM's draw loop handed its chunks to the elevation workers).
 func TestGeneratorsByteIdentical(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		checkGeneratorDigests(t, procs)
+	}
+}
+
+func checkGeneratorDigests(t *testing.T, procs int) {
 	tweets, _ := Tweets(TweetsConfig{N: 20_000, Seed: 3, Snowstorm: true})
 	for _, tc := range []struct {
 		name string
@@ -303,6 +314,8 @@ func TestGeneratorsByteIdentical(t *testing.T) {
 	}{
 		{"osm", OSM(OSMConfig{N: 50_000, Seed: 1}),
 			"6b228e72b173d21bedee411074cf85483c9629b4318105823823bfe64def9d8f"},
+		{"osm-200k", OSM(OSMConfig{N: 200_000, Seed: 1}),
+			"afe61e4524c4cc3d130cec2020f38cc6b02f99fd332d2deb3c72756698797cdc"},
 		{"tweets", tweets,
 			"7e6979adcff0be8d57e37a99f343c4382e0cd0085eb0938cc07ebf8bf5710a7f"},
 		{"stations", Stations(StationsConfig{Stations: 300, ReadingsPerStation: 48, Seed: 5, ColdSnap: true}),
@@ -311,7 +324,7 @@ func TestGeneratorsByteIdentical(t *testing.T) {
 			"4c8a83d5e562407a980a9e1ed977cd846f6ada2d85aefb115394dd847cf232e6"},
 	} {
 		if got := datasetDigest(tc.ds); got != tc.want {
-			t.Errorf("%s: digest %s, recorded %s", tc.name, got, tc.want)
+			t.Errorf("%s at GOMAXPROCS %d: digest %s, recorded %s", tc.name, procs, got, tc.want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package geo
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -293,4 +295,42 @@ func rectFromCorners(a, b Vec) Rect {
 		hi[i] = math.Max(a[i], b[i])
 	}
 	return NewRect(lo, hi)
+}
+
+// TestBoundsMatchesExtendPointFold holds the bounding kernel to the fold it
+// replaces, bit for bit, on runs drawn from ties, ±0, NaN and ±Inf (NaN
+// first and last, a lone NaN, -Inf after NaN): Bounds must equal the
+// ExtendPoint fold and the math.Min/math.Max definition, and, because trees
+// bound their records in whatever order a sort left them, the same run
+// reversed and rotated.
+func TestBoundsMatchesExtendPointFold(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	pool := []float64{0, negZero, 1, -1, 1, nan, inf, -inf, 1e308, -5e-324, 42}
+	rng := rand.New(rand.NewSource(1))
+	pos := func(p *Vec) *Vec { return p }
+	for run := 0; run < 5000; run++ {
+		pts := make([]Vec, rng.Intn(12))
+		for i := range pts {
+			for d := range pts[i] {
+				pts[i][d] = pool[rng.Intn(len(pool))]
+			}
+		}
+		fold, oracle := EmptyRect(), EmptyRect()
+		for _, p := range pts {
+			fold = fold.ExtendPoint(p)
+			oracle = extendOracle(oracle, RectFromPoint(p))
+		}
+		got := Bounds(pts, pos)
+		if !sameBits(got, fold) || !sameBits(got, oracle) {
+			t.Fatalf("Bounds(%v) = %v, ExtendPoint fold %v, oracle %v", pts, got, fold, oracle)
+		}
+		reversed := slices.Clone(pts)
+		slices.Reverse(reversed)
+		rotated := append(slices.Clone(pts[len(pts)/2:]), pts[:len(pts)/2]...)
+		for _, perm := range [][]Vec{reversed, rotated} {
+			if other := Bounds(perm, pos); !sameBits(other, got) {
+				t.Fatalf("Bounds(%v) = %v, in another order %v", pts, got, other)
+			}
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
+	"storm/internal/iosim"
 	"storm/internal/rtree"
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
@@ -148,9 +149,9 @@ func TestRootLeafFirstSampleUniform(t *testing.T) {
 
 // TestBuildChargesEagerGenerationReads: the pages a build charges are, in
 // order, the ones generating every internal node's buffer in pre-order
-// reads, however the precompute was split across workers.
+// reads.
 func TestBuildChargesEagerGenerationReads(t *testing.T) {
-	for _, n := range []int{40, 6000} { // one leaf, and a tree fanned across workers
+	for _, n := range []int{40, 6000} { // a root leaf, and a tree of three internal levels
 		log := &pageLog{}
 		x, err := Build(genEntries(n, 13), Config{Fanout: 16, BufferSize: 8, Device: log, Seed: 5})
 		if err != nil {
@@ -219,5 +220,58 @@ func TestBufferRegensCountsStaleNodes(t *testing.T) {
 	}
 	if stale < 2 {
 		t.Errorf("the delete and the insert staled %d internal buffers, want at least 2", stale)
+	}
+}
+
+// pageLog is an accountant that records the pages read, in order.
+type pageLog []iosim.PageID
+
+func (l *pageLog) Access(p iosim.PageID) bool { *l = append(*l, p); return true }
+func (l *pageLog) Write(iosim.PageID)         {}
+func (l *pageLog) Invalidate(iosim.PageID)    {}
+
+func (l *pageLog) AccessBatch(pages []iosim.PageID, counts []int) uint64 {
+	var n uint64
+	for i, p := range pages {
+		for j := 0; j < counts[i]; j++ {
+			l.Access(p)
+			n++
+		}
+	}
+	return n
+}
+
+// TestBuildOrderMatchesBuild: an index built over a dataset's own STR order
+// (BuildOrder) has Build's pages, leaves, keys and buffers, and charges the
+// device the same.
+func TestBuildOrderMatchesBuild(t *testing.T) {
+	entries := genEntries(6000, 17)
+	pos := make([]geo.Vec, len(entries))
+	for i, e := range entries {
+		pos[i] = e.Pos
+	}
+	ds, err := data.FromColumns("d", pos, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logA, logB pageLog
+	a, err := Build(ds.Entries(), Config{Fanout: 16, Device: &logA, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := BuildOrder(rtree.STROrderDataset(16, ds), Config{Fanout: 16, Device: &logB, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	na, nb := preorder(a), preorder(b)
+	if len(na) != len(nb) || !slices.Equal(logA, logB) {
+		t.Fatalf("BuildOrder: %d nodes and %d page reads, Build: %d and %d", len(nb), len(logB), len(na), len(logA))
+	}
+	for i := range na {
+		if na[i].PageID() != nb[i].PageID() || na[i].MBR() != nb[i].MBR() ||
+			!slices.Equal(na[i].Entries(), nb[i].Entries()) || !slices.Equal(na[i].HilbertKeys(), nb[i].HilbertKeys()) ||
+			!slices.Equal(a.StoredBuffer(na[i]), b.StoredBuffer(nb[i])) {
+			t.Fatalf("node %d (page %d) differs between Build and BuildOrder", i, na[i].PageID())
+		}
 	}
 }

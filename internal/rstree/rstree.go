@@ -125,8 +125,20 @@ func BuildSortedKeys(sorted []data.Entry, keyOf []uint64, cfg Config) (*Index, e
 	return build(sorted, cfg, func(t *rtree.Tree, sorted []data.Entry) { t.PackKeys(sorted, keyOf) })
 }
 
-// build is the shared body of Build and BuildSorted; load fills the fresh
-// tree from entries.
+// BuildOrder is BuildSorted over the order rtree.STROrderDataset returned
+// at cfg.Fanout, which it takes over: without cfg.Bounds the keys are
+// quantized over order.Bounds, the MBR the sort found, and the leaves hold
+// windows of order.Entries instead of copies (rtree.Tree.PackOwned). The
+// index is BuildSorted's over the same entries.
+func BuildOrder(order rtree.DatasetOrder, cfg Config) (*Index, error) {
+	if cfg.Bounds == (geo.Rect{}) || cfg.Bounds.IsEmpty() {
+		cfg.Bounds = order.Bounds
+	}
+	return build(order.Entries, cfg, (*rtree.Tree).PackOwned)
+}
+
+// build is the shared body of the builds; load fills the fresh tree from
+// entries.
 func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry)) (*Index, error) {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = rtree.DefaultFanout
@@ -150,70 +162,24 @@ func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry
 	return idx, nil
 }
 
-// bufferGrain is the fewest nodes worth a goroutine of their own when
-// buffers are precomputed; smaller trees generate inline.
-const bufferGrain = 32
-
 // precomputeBuffers writes the build's sample buffers, as the on-disk layout
-// would: S(u) is written next to each internal node u once. A buffer is a
-// pure function of (index seed, node page, node version), so the nodes are
-// handled in parallel chunks of the pre-order walk; what has an order is the
-// page reads, and a shared device still sees those node by node in
-// pre-order: each worker records the pages it read and the records are
-// replayed in chunk order. With nothing to share the order with — one
-// chunk, or no accounting — the tree's device is charged directly and
-// nothing is recorded.
+// would: S(u) is written next to each internal node u once, in pre-order,
+// each generation's page reads charged to the tree's device. A 500 k-record
+// fanout-64 tree has 126 internal nodes, about a millisecond of generation,
+// so nothing is gained by spreading them across Ps.
 func (x *Index) precomputeBuffers() {
-	var nodes []*rtree.Node
+	dev := x.tree.Device()
 	var walk func(n *rtree.Node)
 	walk = func(n *rtree.Node) {
 		if n.IsLeaf() {
 			return
 		}
-		nodes = append(nodes, n)
+		x.generate(n, dev)
 		for _, c := range n.Children() {
 			walk(c)
 		}
 	}
 	walk(x.tree.Root())
-
-	dev := x.tree.Device()
-	logs := rtree.MapChunks(len(nodes), bufferGrain, func(lo, hi int) pageLog {
-		var log pageLog
-		acct := dev
-		// A chunk short of the whole list has siblings running beside it.
-		if hi-lo < len(nodes) && dev != iosim.Discard {
-			acct = &log
-		}
-		for _, n := range nodes[lo:hi] {
-			x.generate(n, acct)
-		}
-		return log
-	})
-	for _, log := range logs {
-		for _, p := range log {
-			dev.Access(p)
-		}
-	}
-}
-
-// pageLog is the accountant one precompute worker generates against: it
-// records the pages read, in order, for replay to the shared device.
-type pageLog []iosim.PageID
-
-func (l *pageLog) Access(p iosim.PageID) bool { *l = append(*l, p); return true }
-func (l *pageLog) Write(iosim.PageID)         {}
-func (l *pageLog) Invalidate(iosim.PageID)    {}
-
-func (l *pageLog) AccessBatch(pages []iosim.PageID, counts []int) uint64 {
-	var n uint64
-	for i, p := range pages {
-		for j := 0; j < counts[i]; j++ {
-			*l = append(*l, p)
-			n++
-		}
-	}
-	return n
 }
 
 // Tree exposes the underlying Hilbert R-tree (for counting, reporting and

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"storm/internal/data"
 	"storm/internal/geo"
@@ -12,12 +13,12 @@ import (
 
 // BulkLoad builds the tree from scratch over the given entries, replacing
 // any existing contents. It is sort-then-pack: a pure sort of a copy of the
-// entries into Sort-Tile-Recursive order (STROrder) followed by Pack, which
-// fills leaves to the fanout, giving the compact trees the paper assumes.
-// The tree remains insertable: inserts place by Hilbert value and leaf LHVs
-// are exact maxima whatever order a pack was given.
+// entries into Sort-Tile-Recursive order (STROrder) followed by PackOwned,
+// which fills leaves to the fanout, giving the compact trees the paper
+// assumes. The tree remains insertable: inserts place by Hilbert value and
+// leaf LHVs are exact maxima whatever order a pack was given.
 func (t *Tree) BulkLoad(entries []data.Entry) {
-	t.Pack(STROrder(t.cfg.Fanout, entries)[0])
+	t.PackOwned(STROrder(t.cfg.Fanout, entries)[0])
 }
 
 // Pack is the second half of a bulk load: it replaces the tree's contents
@@ -31,7 +32,7 @@ func (t *Tree) BulkLoad(entries []data.Entry) {
 // scheduled. Leaves copy their
 // entries: sorted is not retained and may back several trees. Without
 // Config.Bounds, the keys are quantized over the MBR of sorted.
-func (t *Tree) Pack(sorted []data.Entry) { t.PackKeys(sorted, nil) }
+func (t *Tree) Pack(sorted []data.Entry) { t.pack(sorted, nil, false) }
 
 // PackKeys is Pack for a caller that has the entries' Hilbert keys already:
 // keyOf[e.ID] is the key of entry e under NewQuantizer(Config.Bounds), the
@@ -39,7 +40,16 @@ func (t *Tree) Pack(sorted []data.Entry) { t.PackKeys(sorted, nil) }
 // a dataset's records so). The leaves' key caches take the keys instead of
 // recomputing them, and everything else is Pack's. A nil keyOf is Pack;
 // keyOf is not retained.
-func (t *Tree) PackKeys(sorted []data.Entry, keyOf []uint64) {
+func (t *Tree) PackKeys(sorted []data.Entry, keyOf []uint64) { t.pack(sorted, keyOf, false) }
+
+// PackOwned is Pack for a caller that hands sorted over: each leaf holds
+// its own window of sorted, capacity capped at the window (a leaf that
+// grows moves out), instead of a copy. sorted must back no other tree, and
+// the caller must not touch it again.
+func (t *Tree) PackOwned(sorted []data.Entry) { t.pack(sorted, nil, true) }
+
+// pack is Pack, PackKeys and PackOwned.
+func (t *Tree) pack(sorted []data.Entry, keyOf []uint64, owned bool) {
 	t.quantizeFor(sorted)
 	t.size = len(sorted)
 	if len(sorted) == 0 {
@@ -47,7 +57,7 @@ func (t *Tree) PackKeys(sorted []data.Entry, keyOf []uint64) {
 		t.height = 1
 		return
 	}
-	nodes := t.packLeaves(sorted, keyOf)
+	nodes := t.packLeaves(sorted, keyOf, owned)
 	t.height = 1
 	for len(nodes) > 1 {
 		nodes = t.packInternal(nodes)
@@ -62,8 +72,9 @@ func (t *Tree) PackKeys(sorted []data.Entry, keyOf []uint64) {
 // entries then form spatially coherent leaves; a fanout below 1 (0 is
 // "unset" throughout, and New rejects the rest) tiles for DefaultFanout. It
 // is the pure first half of a bulk load — no tree, no device, no randomness
-// — so the lists, and the independent slabs within each, are sorted
-// concurrently on up to GOMAXPROCS goroutines.
+// — so its work is spread over up to GOMAXPROCS goroutines: each list's x
+// pass reads and scatters in chunks, and the x buckets left to sort, then
+// each list's slabs, are parallel tasks.
 //
 // The result is nevertheless a pure function of each list's entries, not
 // of their order: every pass orders by (coordinate, record ID), with
@@ -78,26 +89,72 @@ func STROrder(fanout int, lists ...[]data.Entry) [][]data.Entry {
 // strOrder is STROrder with every sort of at least radixFrom entries done
 // by radix; math.MaxInt sorts by slices.SortFunc alone.
 func strOrder(fanout, radixFrom int, lists ...[]data.Entry) [][]data.Entry {
+	srcs := make([]strSource, len(lists))
+	for i, l := range lists {
+		srcs[i] = strSource{entries: l}
+	}
+	out := make([][]data.Entry, len(lists))
+	for i, s := range sortSTR(fanout, radixFrom, srcs) {
+		out[i] = s.out
+	}
+	return out
+}
+
+// DatasetOrder is the STR order of a dataset's records, with what the sort
+// learned of them on its first read.
+type DatasetOrder struct {
+	// Entries lists every record, row i as record ID i, in STROrder.
+	Entries []data.Entry
+	// Bounds is the records' MBR: ds.Bounds(), bit for bit.
+	Bounds geo.Rect
+	// MaxT is the latest t coordinate that is not NaN (geo.LatestT over
+	// the rows in order), NaN when there is none.
+	MaxT float64
+}
+
+// STROrderDataset is STROrder over the records of ds, read in place from
+// its columns: the sorted list is the only copy made of them. The x pass's
+// first read of each record also bounds it and notes its time, so a caller
+// that packs the order over Bounds (Config.Bounds) and advances a watermark
+// to MaxT reads no record again for either.
+func STROrderDataset(fanout int, ds *data.Dataset) DatasetOrder {
+	s := sortSTR(fanout, radixMin, []strSource{datasetSource(ds)})[0]
+	return DatasetOrder{Entries: s.out, Bounds: s.scan.bounds, MaxT: s.scan.maxT}
+}
+
+// sortSTR sorts every source into STR order. The x passes run first, one
+// list after another, each reading its source in chunks across the Ps;
+// then a pool of up to GOMAXPROCS workers sorts the x buckets a slab
+// boundary cuts and, once a list's cut buckets are sorted, its slabs.
+func sortSTR(fanout, radixFrom int, srcs []strSource) []*strSort {
 	if fanout < 1 {
 		fanout = DefaultFanout
 	}
-	sorts := make([]*strSort, len(lists))
+	sorts := make([]*strSort, len(srcs))
 	total := 0
-	for i, src := range lists {
-		sorts[i] = newSTRSort(src, fanout, radixFrom)
-		total += 1 + sorts[i].slabs()
+	for i, src := range srcs {
+		s := newSTRSort(src.len(), fanout, radixFrom)
+		s.cuts, s.scan = groupEntries(s.out, src, 0, s.slabSize, xGrain)
+		sorts[i] = s
+		total += len(s.cuts) + s.slabs()
 	}
-	// Sized to the most sends there can be (one x pass per list, which
-	// then queues its slabs), so a worker never blocks handing out work.
+	// Sized to every task there is, so a worker never blocks queueing one.
 	tasks := make(chan func(w *strScratch), total)
 	var pending sync.WaitGroup
-	pending.Add(len(sorts))
+	pending.Add(total)
 	for _, s := range sorts {
-		tasks <- func(w *strScratch) {
-			groupEntries(s.out, s.src, 0, s.slabSize, s.radixFrom, w)
-			pending.Add(s.slabs())
-			for lo := 0; lo < len(s.out); lo += s.slabSize {
-				tasks <- func(w *strScratch) { s.sortSlab(lo, w) }
+		if len(s.cuts) == 0 {
+			s.queueSlabs(tasks)
+			continue
+		}
+		var left atomic.Int64
+		left.Store(int64(len(s.cuts)))
+		for _, c := range s.cuts {
+			tasks <- func(w *strScratch) {
+				sortEntries(s.out[c.lo:c.hi], 0, s.radixFrom, w)
+				if left.Add(-1) == 0 {
+					s.queueSlabs(tasks)
+				}
 			}
 		}
 	}
@@ -117,13 +174,11 @@ func strOrder(fanout, radixFrom int, lists ...[]data.Entry) [][]data.Entry {
 	pending.Wait()
 	close(tasks)
 	exited.Wait()
-
-	out := make([][]data.Entry, len(lists))
-	for i, s := range sorts {
-		out[i] = s.out
-	}
-	return out
+	return sorts
 }
+
+// xGrain is the fewest records worth a goroutine of their own in an x pass.
+const xGrain = 1 << 15
 
 // strScratch is one STR worker's buffers, reused from task to task: the
 // entry copy every gather goes through and the coordinate images a bucket
@@ -133,17 +188,55 @@ type strScratch struct {
 	images, tmp []Keyed
 }
 
-// strSort is the STR sort of one list: the x pass groups out into slabs,
-// then sortSlab runs on every slab (each touches only its own range of
-// out, so slabs run in parallel).
-type strSort struct {
-	src, out          []data.Entry
-	slabSize, runSize int
-	radixFrom         int
+// strSource is the list an STR sort reads: entries, or with entries nil
+// the positions of a dataset's rows, read in place, row i being record ID i.
+type strSource struct {
+	entries []data.Entry
+	pos     []geo.Vec
 }
 
-func newSTRSort(src []data.Entry, fanout, radixFrom int) *strSort {
-	leaves := (len(src) + fanout - 1) / fanout
+// datasetSource is the source over the rows of ds.
+func datasetSource(ds *data.Dataset) strSource { return strSource{pos: ds.Positions()} }
+
+func (s strSource) len() int {
+	if s.entries == nil {
+		return len(s.pos)
+	}
+	return len(s.entries)
+}
+
+// coord returns record i's coordinate on axis.
+func (s strSource) coord(i, axis int) float64 {
+	if s.entries == nil {
+		return s.pos[i][axis]
+	}
+	return s.entries[i].Pos[axis]
+}
+
+// put copies record i to dst, field by field: an entry built or returned
+// by value goes through stack copies that cost more than the rest of a
+// scatter.
+func (s strSource) put(dst *data.Entry, i int) {
+	if s.entries == nil {
+		dst.ID, dst.Pos = data.ID(i), s.pos[i]
+	} else {
+		*dst = s.entries[i]
+	}
+}
+
+// strSort is the STR sort of one list: the x pass groups its source into
+// out by slab, leaving cuts to sort, then sortSlab runs on every slab (each
+// touches only its own range of out, so slabs run in parallel).
+type strSort struct {
+	out               []data.Entry
+	slabSize, runSize int
+	radixFrom         int
+	cuts              []bucket
+	scan              recordScan
+}
+
+func newSTRSort(n, fanout, radixFrom int) *strSort {
+	leaves := (n + fanout - 1) / fanout
 	// Number of slabs along each of the first two axes; each x-slab holds
 	// about s*s leaves' worth of entries, each y-run within it s leaves'.
 	s := int(math.Ceil(math.Cbrt(float64(leaves))))
@@ -151,8 +244,7 @@ func newSTRSort(src []data.Entry, fanout, radixFrom int) *strSort {
 		s = 1
 	}
 	return &strSort{
-		src:       src,
-		out:       make([]data.Entry, len(src)),
+		out:       make([]data.Entry, n),
 		slabSize:  s * s * fanout,
 		runSize:   s * fanout,
 		radixFrom: radixFrom,
@@ -161,6 +253,13 @@ func newSTRSort(src []data.Entry, fanout, radixFrom int) *strSort {
 
 func (s *strSort) slabs() int { return (len(s.out) + s.slabSize - 1) / s.slabSize }
 
+// queueSlabs queues a task per slab.
+func (s *strSort) queueSlabs(tasks chan<- func(w *strScratch)) {
+	for lo := 0; lo < len(s.out); lo += s.slabSize {
+		tasks <- func(w *strScratch) { s.sortSlab(lo, w) }
+	}
+}
+
 // sortSlab groups the x-slab starting at lo into runs by y and sorts each
 // run by t.
 func (s *strSort) sortSlab(lo int, w *strScratch) {
@@ -168,7 +267,10 @@ func (s *strSort) sortSlab(lo int, w *strScratch) {
 	// The copy is only read until groupEntries has scattered it, so the
 	// gathers within may reuse the buffer.
 	w.entries = append(w.entries[:0], slab...)
-	groupEntries(slab, w.entries, 1, s.runSize, s.radixFrom, w)
+	cuts, _ := groupEntries(slab, strSource{entries: w.entries}, 1, s.runSize, math.MaxInt)
+	for _, c := range cuts {
+		sortEntries(slab[c.lo:c.hi], 1, s.radixFrom, w)
+	}
 	for rlo := 0; rlo < len(slab); rlo += s.runSize {
 		sortEntries(slab[rlo:min(rlo+s.runSize, len(slab))], 2, s.radixFrom, w)
 	}
@@ -191,17 +293,22 @@ const packGrain = 256
 
 // packLeaves groups consecutive sorted entries into full leaves. Leaf i is
 // entries[i*fan:(i+1)*fan] on the i-th page after the current counter, so
-// the leaves themselves — entry copy, MBR, Hilbert key cache, LHV — are
+// the leaves themselves — entries, MBR, Hilbert key cache, LHV — are
 // built in parallel chunks; only the write charges have an order, and they
 // are applied afterwards in page order, which is all the device ever saw.
-// keyOf is PackKeys'.
-func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64) []*Node {
+// keyOf is PackKeys', owned PackOwned's.
+func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64, owned bool) []*Node {
 	fan := t.cfg.Fanout
 	nodes := make([]*Node, (len(entries)+fan-1)/fan)
 	base := t.nextPage + 1
 	MapChunks(len(nodes), packGrain, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
-			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:min((i+1)*fan, len(entries))], keyOf)
+			end := min((i+1)*fan, len(entries))
+			leaf := entries[i*fan : end : end]
+			if !owned {
+				leaf = append([]data.Entry(nil), leaf...)
+			}
+			nodes[i] = t.buildLeaf(base+iosim.PageID(i), leaf, keyOf)
 		}
 		return struct{}{}
 	})
@@ -212,18 +319,16 @@ func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64) []*Node {
 	return nodes
 }
 
-// buildLeaf returns an uncharged leaf on the given page holding a copy of
-// entries, its key cache read from keyOf (by record ID) when that is set.
+// buildLeaf returns an uncharged leaf on the given page holding entries,
+// its key cache read from keyOf (by record ID) when that is set.
 func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry, keyOf []uint64) *Node {
-	n := &Node{page: page, leaf: true, mbr: geo.EmptyRect()}
-	n.entries = append(n.entries, entries...)
-	n.count = len(n.entries)
+	n := &Node{page: page, leaf: true, entries: entries, count: len(entries)}
+	n.mbr = geo.Bounds(entries, entryPos)
 	// Populate the key cache and take the max for the LHV — not the last
 	// key: only Hilbert-sorted input guarantees the last entry carries the
 	// largest value, and STR packing is the default.
-	n.keys = make([]uint64, len(n.entries))
-	for i, e := range n.entries {
-		n.mbr = n.mbr.ExtendPoint(e.Pos)
+	n.keys = make([]uint64, len(entries))
+	for i, e := range entries {
 		if keyOf == nil {
 			n.keys[i] = t.hilbertValue(e.Pos)
 		} else {
@@ -284,11 +389,7 @@ const boundsGrain = 1 << 15
 // EntryBounds returns the MBR covering all given entries.
 func EntryBounds(entries []data.Entry) geo.Rect {
 	parts := MapChunks(len(entries), boundsGrain, func(lo, hi int) geo.Rect {
-		r := geo.EmptyRect()
-		for _, e := range entries[lo:hi] {
-			r = r.ExtendPoint(e.Pos)
-		}
-		return r
+		return geo.Bounds(entries[lo:hi], entryPos)
 	})
 	r := geo.EmptyRect()
 	for _, part := range parts {
@@ -296,6 +397,9 @@ func EntryBounds(entries []data.Entry) geo.Rect {
 	}
 	return r
 }
+
+// entryPos is what geo.Bounds reads of an entry.
+func entryPos(e *data.Entry) *geo.Vec { return &e.Pos }
 
 // MapChunks cuts [0, n) into contiguous chunks — as many as there are Ps,
 // but none shorter than grain — calls fn(lo, hi) on each concurrently and

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -176,5 +177,148 @@ func TestPackNoOneChildParents(t *testing.T) {
 				t.Errorf("fanout %d, %d entries: Len = %d", tc.fanout, n, tree.Len())
 			}
 		}
+	}
+}
+
+// TestSTROrderDatasetMatchesReference sorts datasets straight from their
+// columns and checks the order against referenceSTR over ds.Entries(), the
+// bounds against ds.Bounds() and the ExtendPoint fold, and the latest time
+// against a plain scan, bit for bit, at GOMAXPROCS 1 and 2: spread, tied
+// and special-valued (±0, NaN of either sign, ±Inf) positions, at sizes 1, 63, 64 and
+// 20 000, and at 70 000, where two Ps read the x pass in two chunks. A tree
+// packed from the order over its bounds must be the tree BulkLoad builds
+// from the entries: the same leaves, keys and MBRs.
+func TestSTROrderDatasetMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	kinds := map[string]func(n int) []data.Entry{
+		"spread":   func(n int) []data.Entry { return genEntries(n, int64(n)) },
+		"tied":     tiedEntries,
+		"specials": func(n int) []data.Entry { return specialEntries(n, int64(n)) },
+		// A lone record keeps its NaN's sign bit in the bounds; two fold to
+		// math.Min's NaN.
+		"negative NaN": func(n int) []data.Entry {
+			out := make([]data.Entry, n)
+			for i := range out {
+				nan := -math.NaN()
+				out[i] = data.Entry{ID: data.ID(i), Pos: geo.Vec{nan, nan, nan}}
+			}
+			return out
+		},
+	}
+	for name, kind := range kinds {
+		for _, n := range []int{1, 63, 64, 20_000, 70_000} {
+			pos := make([]geo.Vec, n)
+			for i, e := range kind(n) {
+				pos[i] = e.Pos
+			}
+			ds, err := data.FromColumns(name, pos, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold, latest := geo.EmptyRect(), math.NaN()
+			for _, p := range pos {
+				fold = fold.ExtendPoint(p)
+				if !math.IsNaN(p[2]) && (math.IsNaN(latest) || p[2] > latest) {
+					latest = p[2]
+				}
+			}
+			for _, fanout := range []int{4, 8, 64} {
+				want := ds.Entries()
+				referenceSTR(want, fanout)
+				for _, procs := range []int{1, 2} {
+					runtime.GOMAXPROCS(procs)
+					got := STROrderDataset(fanout, ds)
+					at := fmt.Sprintf("%s n=%d fanout %d GOMAXPROCS %d", name, n, fanout, procs)
+					if !sameEntries(got.Entries, want) {
+						t.Fatalf("%s: order differs from the reference", at)
+					}
+					if !sameBounds(got.Bounds, ds.Bounds()) || !sameBounds(got.Bounds, fold) {
+						t.Fatalf("%s: bounds %v, ds.Bounds() %v, ExtendPoint fold %v", at, got.Bounds, ds.Bounds(), fold)
+					}
+					if math.Float64bits(got.MaxT) != math.Float64bits(latest) && !(math.IsNaN(got.MaxT) && math.IsNaN(latest)) {
+						t.Fatalf("%s: MaxT %v, want %v", at, got.MaxT, latest)
+					}
+				}
+				if n > 20_000 {
+					continue
+				}
+				packed := MustNew(Config{Fanout: fanout, Bounds: STROrderDataset(fanout, ds).Bounds})
+				packed.Pack(STROrderDataset(fanout, ds).Entries)
+				loaded := MustNew(Config{Fanout: fanout})
+				loaded.BulkLoad(ds.Entries())
+				if !sameTree(packed.Root(), loaded.Root()) {
+					t.Fatalf("%s n=%d fanout %d: tree packed over the dataset order differs from BulkLoad's", name, n, fanout)
+				}
+			}
+		}
+	}
+}
+
+// sameBounds compares two rectangles bit for bit.
+func sameBounds(a, b geo.Rect) bool {
+	for d := 0; d < geo.Dims; d++ {
+		if math.Float64bits(a.Min[d]) != math.Float64bits(b.Min[d]) || math.Float64bits(a.Max[d]) != math.Float64bits(b.Max[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTree compares two subtrees' shapes, MBRs, leaf entries and key
+// caches.
+func sameTree(a, b *Node) bool {
+	if a.leaf != b.leaf || len(a.children) != len(b.children) || !sameBounds(a.mbr, b.mbr) || a.lhv != b.lhv {
+		return false
+	}
+	if a.leaf {
+		return sameEntries(a.entries, b.entries) && slices.Equal(a.keys, b.keys)
+	}
+	for i := range a.children {
+		if !sameTree(a.children[i], b.children[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPackOwnedLeavesGrowApart packs a tree over a sorted list it takes
+// over, so neighbouring leaves are windows of one array, then deletes from
+// and inserts into every leaf: a leaf that grows must move out rather than
+// write over the next one's entries, so the tree must stay valid and hold
+// exactly the records it was given, less the deleted, plus the inserted.
+func TestPackOwnedLeavesGrowApart(t *testing.T) {
+	const fanout = 8
+	entries := genEntries(4000, 21)
+	tree := MustNew(Config{Fanout: fanout})
+	tree.PackOwned(STROrder(fanout, entries)[0])
+	want := map[data.ID]bool{}
+	for _, e := range entries {
+		want[e.ID] = true
+	}
+	for i, e := range entries {
+		switch i % 3 {
+		case 0:
+			if !tree.Delete(e) {
+				t.Fatalf("delete %d missed", e.ID)
+			}
+			delete(want, e.ID)
+		case 1:
+			id := data.ID(100_000 + i)
+			tree.InsertBatch([]data.Entry{{ID: id, Pos: e.Pos}})
+			want[id] = true
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := leafIDs(tree)
+	if len(got) != len(want) {
+		t.Fatalf("tree holds %d entries, want %d", len(got), len(want))
+	}
+	for _, id := range got {
+		if !want[id] {
+			t.Fatalf("tree holds %d, which it should not (or twice)", id)
+		}
+		delete(want, id)
 	}
 }

@@ -89,8 +89,10 @@ func TestSortSizeSplit(t *testing.T) {
 	}
 }
 
-// TestGroupEntries checks groupEntries against a full sort: every group
-// must hold the entries the (coordinate, ID) order puts in it. Coordinates
+// TestGroupEntries checks groupEntries against a full sort: once its cut
+// buckets are sorted, every group must hold the entries the (coordinate, ID)
+// order puts in it, and a scatter in chunks (grain 1, at up to GOMAXPROCS
+// chunks) must leave the serial one's order. Coordinates
 // range from all equal through narrow bands (one MSD bucket) to the whole
 // float line, signed zeros, infinities and NaNs included.
 func TestGroupEntries(t *testing.T) {
@@ -113,14 +115,25 @@ func TestGroupEntries(t *testing.T) {
 				}
 				sorted := slices.Clone(src)
 				slices.SortFunc(sorted, byCoordID(1))
-				dst := make([]data.Entry, n)
-				groupEntries(dst, src, 1, size, 16, &strScratch{})
-				for lo := 0; lo < n; lo += size {
-					got, want := ids(dst[lo:min(lo+size, n)]), ids(sorted[lo:min(lo+size, n)])
-					slices.Sort(got)
-					slices.Sort(want)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s n=%d size=%d: the group at %d holds other entries than the sorted order's", name, n, size, lo)
+				var first []data.Entry
+				for _, grain := range []int{1, math.MaxInt} {
+					dst := make([]data.Entry, n)
+					cuts, _ := groupEntries(dst, strSource{entries: src}, 1, size, grain)
+					if first == nil {
+						first = slices.Clone(dst)
+					} else if !sameEntries(dst, first) {
+						t.Fatalf("%s n=%d size=%d: chunked scatter differs from the serial one", name, n, size)
+					}
+					for _, c := range cuts {
+						sortEntries(dst[c.lo:c.hi], 1, 16, &strScratch{})
+					}
+					for lo := 0; lo < n; lo += size {
+						got, want := ids(dst[lo:min(lo+size, n)]), ids(sorted[lo:min(lo+size, n)])
+						slices.Sort(got)
+						slices.Sort(want)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s n=%d size=%d grain=%d: the group at %d holds other entries than the sorted order's", name, n, size, grain, lo)
+						}
 					}
 				}
 			}

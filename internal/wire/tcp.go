@@ -122,6 +122,26 @@ func (t *TCPClient) put(c *tcpConn) {
 // response, both under the same deadline. Any carrier error closes the
 // connection; the caller's retry path decides what to do next.
 func (t *TCPClient) RoundTrip(req Msg, timeout time.Duration) (Msg, error) {
+	c, err := t.write(req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return t.read(c)
+}
+
+// Send implements Transport: the request is written on a connection that
+// stays out of the pool until recv has read the response.
+func (t *TCPClient) Send(req Msg, timeout time.Duration) (func() (Msg, error), error) {
+	c, err := t.write(req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return func() (Msg, error) { return t.read(c) }, nil
+}
+
+// write frames req onto a connection of the pool's under the deadline and
+// returns the connection, which read hands back.
+func (t *TCPClient) write(req Msg, timeout time.Duration) (*tcpConn, error) {
 	c, err := t.get()
 	if err != nil {
 		return nil, err
@@ -137,6 +157,12 @@ func (t *TCPClient) RoundTrip(req Msg, timeout time.Duration) (Msg, error) {
 		return nil, fmt.Errorf("wire: write to %s: %w", t.addr, err)
 	}
 	t.sent(len(c.buf))
+	return c, nil
+}
+
+// read reads the response to the request write framed onto c and returns
+// c to the pool.
+func (t *TCPClient) read(c *tcpConn) (Msg, error) {
 	resp, size, err := readFrame(c.br)
 	if err != nil {
 		c.c.Close()

@@ -31,6 +31,12 @@ type Transport interface {
 	// when positive. Remote failures surface as *Error responses; carrier
 	// failures (dial, deadline, broken conn) as Go errors.
 	RoundTrip(req Msg, timeout time.Duration) (Msg, error)
+	// Send is RoundTrip's first half: it returns once req is written (an
+	// in-memory transport hands it to the handler on a goroutine of its
+	// own), with recv, which waits for the response. Call recv exactly
+	// once; timeout counts from Send. A caller sends several requests
+	// before it waits for any, or works between the two.
+	Send(req Msg, timeout time.Duration) (recv func() (Msg, error), err error)
 	// Counts returns the traffic moved through this transport since it was
 	// created or last Reset.
 	Counts() Counts
@@ -64,6 +70,18 @@ func (t *MemClient) RoundTrip(req Msg, _ time.Duration) (Msg, error) {
 	resp := t.h.Handle(req)
 	t.recv(0)
 	return resp, nil
+}
+
+// Send implements Transport.
+func (t *MemClient) Send(req Msg, _ time.Duration) (func() (Msg, error), error) {
+	t.sent(0)
+	done := make(chan Msg, 1)
+	go func() { done <- t.h.Handle(req) }()
+	return func() (Msg, error) {
+		resp := <-done
+		t.recv(0)
+		return resp, nil
+	}, nil
 }
 
 // Counts implements Transport.

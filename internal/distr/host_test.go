@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"storm/internal/data"
 	"storm/internal/data/datatest"
@@ -260,5 +261,88 @@ func TestHostBuildRacesInsert(t *testing.T) {
 	wg.Wait()
 	if got := h.Shards(); got != 2 {
 		t.Errorf("host serves %d shards, want 2", got)
+	}
+}
+
+// recordingTransport is an in-memory transport to a shard host that counts
+// the Build requests written through it and the answers read back.
+type recordingTransport struct {
+	*wire.MemClient
+	mu              sync.Mutex
+	built, answered int
+}
+
+func (r *recordingTransport) Send(req wire.Msg, timeout time.Duration) (func() (wire.Msg, error), error) {
+	if _, ok := req.(*wire.Build); ok {
+		r.mu.Lock()
+		r.built++
+		r.mu.Unlock()
+	}
+	recv, err := r.MemClient.Send(req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return func() (wire.Msg, error) {
+		r.mu.Lock()
+		r.answered++
+		r.mu.Unlock()
+		return recv()
+	}, nil
+}
+
+func (r *recordingTransport) counts() (built, answered int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.built, r.answered
+}
+
+// TestAssembleWritesEveryBuildFirst: assemble, the last step of
+// StartRemote and Build, returns once every shard copy's Build is written
+// and before any answer is read; its wait reads every answer and returns a
+// cluster that holds every record.
+func TestAssembleWritesEveryBuildFirst(t *testing.T) {
+	const n = 3000
+	ds := testDataset(n)
+	cfg := Config{Shards: 4, Replicas: 2, Fanout: 16, Seed: 3}
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	c := &Cluster{cfg: cfg, ds: ds}
+	hosts := make([]*recordingTransport, 3)
+	for i := range hosts {
+		h := NewHost()
+		h.AddDataset(testDataset(n))
+		hosts[i] = &recordingTransport{MemClient: wire.NewMemClient(h)}
+		c.transports = append(c.transports, hosts[i])
+	}
+	place := make([][]endpoint, cfg.Shards)
+	for s := range place {
+		for r := range cfg.Replicas {
+			place[s] = append(place[s], endpoint{addr: "host", t: hosts[(s+r)%len(hosts)]})
+		}
+	}
+	wait := c.assemble(place)
+	built := 0
+	for i, h := range hosts {
+		b, a := h.counts()
+		if a != 0 {
+			t.Errorf("host %d: %d answers read before wait", i, a)
+		}
+		built += b
+	}
+	if built != cfg.Shards*cfg.Replicas {
+		t.Fatalf("%d Builds written when assemble returned, want %d", built, cfg.Shards*cfg.Replicas)
+	}
+	if _, err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, h := range hosts {
+		if b, a := h.counts(); a != b {
+			t.Errorf("host %d: %d answers read for %d Builds", i, a, b)
+		}
+	}
+	if got := c.Count(geo.NewRect(geo.Vec{-1e9, -1e9, -1e9}, geo.Vec{1e9, 1e9, 1e9})); got != n {
+		t.Errorf("cluster counts %d records, want %d", got, n)
 	}
 }

@@ -116,9 +116,9 @@ func (n *Node) recompute() {
 	n.lhv = 0
 	if n.leaf {
 		n.count = len(n.entries)
-		for i, e := range n.entries {
-			n.mbr = n.mbr.ExtendPoint(e.Pos)
-			n.lhv = max(n.lhv, n.keys[i])
+		n.mbr = geo.Bounds(n.entries, entryPos)
+		for _, k := range n.keys {
+			n.lhv = max(n.lhv, k)
 		}
 		return
 	}

@@ -540,7 +540,7 @@ func BenchmarkRegister(b *testing.B) {
 	order := rtree.STROrderDataset(rtree.DefaultFanout, ds)
 	sortMS := float64(time.Since(start).Microseconds()) / 1000
 	start = time.Now()
-	if _, err := rstree.BuildOrder(order, rstree.Config{Seed: 1}); err != nil {
+	if _, err := rstree.BuildSorted(order.Entries, nil, rstree.Config{Bounds: order.Bounds, Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(genMS, "gen-ms")

@@ -69,11 +69,11 @@ func partition(ds *data.Dataset, k *recordKeys, shards int) [][]data.Entry {
 }
 
 // buildShard materializes one shard from its part of a partition over k:
-// a local RS-tree packed in STR order at fanout, quantized over k's bounds
-// with its leaves caching k's keys, and seeded seed + id*7919, with its
-// node attribute summaries precomputed.
+// a local RS-tree packed in STR order at fanout, its leaves windows of
+// that order, quantized over k's bounds with its leaves caching k's keys,
+// and seeded seed + id*7919, with its node attribute summaries precomputed.
 func buildShard(ds *data.Dataset, part []data.Entry, k *recordKeys, id int, fanout int, seed int64) (*Shard, error) {
-	idx, err := rstree.BuildSortedKeys(rtree.STROrder(fanout, part)[0], k.keys, rstree.Config{
+	idx, err := rstree.BuildSorted(rtree.STROrder(fanout, part)[0], k.keys, rstree.Config{
 		Fanout: fanout,
 		Device: iosim.Discard,
 		Bounds: k.bounds,

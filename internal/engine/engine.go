@@ -205,7 +205,7 @@ type Handle struct {
 	name string
 	ds   *data.Dataset
 	rs   *rstree.Index
-	// ls is the dataset's LS-tree, nil until buildLS publishes it: during
+	// ls is the dataset's LS-tree, nil until lsTree publishes it: during
 	// Register when IndexOptions.LSTree asks for it, else on the first
 	// MethodLSTree query (under that query's read lock, hence atomic).
 	// Updates maintain it under the write lock once it exists.
@@ -291,15 +291,14 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 }
 
 // build constructs a dataset's handle and indexes without touching the
-// engine's registry. One STR sort of the dataset serves both the RS-tree
-// and LS-tree level 0, the LS-tree's upper levels are sorted beside it, and
-// the shard cluster — its own devices, usually other processes — is built
-// concurrently with all of that. What is order-sensitive stays in the order
-// it always had: the per-index seeds are drawn RS, LS (only when the LS-tree
-// is built here; a lazily built one mixes the RS seed), cluster before any
-// work starts, and the trees are packed against the shared device serially,
-// RS-tree then LS-tree levels bottom-up, so page writes, buffer-pool state
-// and every seeded stream are those of a one-index-at-a-time build.
+// engine's registry. The shard cluster — its own devices, usually other
+// processes — is built concurrently with the local indexes. What is
+// order-sensitive stays in the order it always had: the per-index seeds are
+// drawn RS, LS (only when the LS-tree is built here; a lazily built one
+// mixes the RS seed), cluster before any work starts, and the trees are
+// packed against the shared device serially, RS-tree then LS-tree levels
+// bottom-up, so page writes, buffer-pool state and every seeded stream are
+// those of a one-index-at-a-time build.
 func (e *Engine) build(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
 	rsSeed := e.nextSeed()
 	lsSeed := stats.MixSeed(rsSeed)
@@ -361,30 +360,22 @@ func (e *Engine) startCluster(ds *data.Dataset, opts IndexOptions) (join func() 
 }
 
 // buildLocal builds the handle's in-process indexes: the RS-tree, its
-// attribute summaries, and the LS-tree when asked for. The LS-tree's level
-// 0 sort then doubles as the RS-tree's. Without it, the RS-tree is sorted
-// straight from the dataset's columns, that sort's first read bounds the
-// records for the pack's keys and finds their latest time, and the leaves
-// keep the sorted list's memory.
+// attribute summaries, and the LS-tree when asked for. The RS-tree is
+// sorted straight from the dataset's columns; that sort's first read bounds
+// the records for the pack's keys and finds their latest time, and the
+// leaves keep the sorted list's memory. The LS-tree is the one its first
+// query would build (lsTree).
 func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64) (*Handle, error) {
 	h := &Handle{name: ds.Name(), ds: ds, eng: e, deleted: make(map[data.ID]struct{}), lsSeed: lsSeed}
-	rsCfg := rstree.Config{Fanout: e.cfg.Fanout, Device: e.accountant(), Seed: rsSeed}
-	var (
-		lsSorted *lstree.Sorted
-		err      error
-	)
-	if withLS {
-		entries := ds.Entries()
-		if lsSorted, err = lstree.Sort(entries, h.lsConfig()); err != nil {
-			return nil, fmt.Errorf("engine: building LS-tree for %q: %w", ds.Name(), err)
-		}
-		h.noteTime(entries)
-		h.rs, err = rstree.BuildSorted(lsSorted.Level0(), rsCfg)
-	} else {
-		order := rtree.STROrderDataset(e.cfg.Fanout, ds)
-		h.advanceWatermark(order.MaxT)
-		h.rs, err = rstree.BuildOrder(order, rsCfg)
-	}
+	order := rtree.STROrderDataset(e.cfg.Fanout, ds)
+	h.advanceWatermark(order.MaxT)
+	var err error
+	h.rs, err = rstree.BuildSorted(order.Entries, nil, rstree.Config{
+		Fanout: e.cfg.Fanout,
+		Device: e.accountant(),
+		Bounds: order.Bounds,
+		Seed:   rsSeed,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: building RS-tree for %q: %w", ds.Name(), err)
 	}
@@ -394,7 +385,7 @@ func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64)
 	h.sums = rtree.NewSummaries(h.rs.Tree(), ds)
 	h.sums.Precompute()
 	if withLS {
-		if _, err := h.buildLS(func() (*lstree.Sorted, error) { return lsSorted, nil }); err != nil {
+		if _, err := h.lsTree(); err != nil {
 			return nil, err
 		}
 	}
@@ -410,39 +401,16 @@ func (e *Engine) accountant() iosim.Accountant {
 	return iosim.Discard
 }
 
-// lsConfig is the handle's LS-tree configuration.
-func (h *Handle) lsConfig() lstree.Config {
-	return lstree.Config{Fanout: h.eng.cfg.Fanout, Device: h.eng.accountant(), Seed: h.lsSeed, Attrs: h.ds}
-}
-
-// buildLS packs the handle's LS-tree from the levels sorted returns and
-// publishes it, exactly once per handle: Register calls it when
-// IndexOptions.LSTree asks, otherwise lsTree does on first use. Every later
-// call returns the first call's outcome.
-func (h *Handle) buildLS(sorted func() (*lstree.Sorted, error)) (*lstree.Index, error) {
-	h.lsOnce.Do(func() {
-		s, err := sorted()
-		var ls *lstree.Index
-		if err == nil {
-			ls, err = s.Pack()
-		}
-		if err != nil {
-			h.lsErr = fmt.Errorf("engine: building LS-tree for %q: %w", h.name, err)
-			return
-		}
-		h.ls.Store(ls)
-		h.eng.met.lsBuilds.Inc()
-	})
-	return h.ls.Load(), h.lsErr
-}
-
-// lsTree returns the handle's LS-tree, building it on first use over the
-// live records — the dataset's rows in ID order minus the deleted ones,
-// exactly the RS-tree's population. The caller holds h.mu (read side
-// suffices: writers, the only other users of the population, are
-// excluded, and concurrent first readers wait inside buildLS).
+// lsTree returns the handle's LS-tree, building it exactly once per handle
+// over the live records — the dataset's rows in ID order minus the deleted
+// ones, exactly the RS-tree's population: Register calls it when
+// IndexOptions.LSTree asks, otherwise the first MethodLSTree query does.
+// Every later call returns the first call's outcome. The caller holds h.mu
+// (read side suffices: writers, the only other users of the population,
+// are excluded, and concurrent first readers wait on lsOnce) or is
+// building the handle.
 func (h *Handle) lsTree() (*lstree.Index, error) {
-	return h.buildLS(func() (*lstree.Sorted, error) {
+	h.lsOnce.Do(func() {
 		entries := h.ds.Entries()
 		if len(h.deleted) > 0 {
 			live := entries[:0]
@@ -453,8 +421,15 @@ func (h *Handle) lsTree() (*lstree.Index, error) {
 			}
 			entries = live
 		}
-		return lstree.Sort(entries, h.lsConfig())
+		ls, err := lstree.Build(entries, lstree.Config{Fanout: h.eng.cfg.Fanout, Device: h.eng.accountant(), Seed: h.lsSeed, Attrs: h.ds})
+		if err != nil {
+			h.lsErr = fmt.Errorf("engine: building LS-tree for %q: %w", h.name, err)
+			return
+		}
+		h.ls.Store(ls)
+		h.eng.met.lsBuilds.Inc()
 	})
+	return h.ls.Load(), h.lsErr
 }
 
 // publishDataset registers a freshly published handle's per-dataset metrics.

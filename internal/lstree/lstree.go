@@ -82,31 +82,14 @@ type Index struct {
 	size int
 }
 
-// Build constructs an LS-tree over the given entries.
+// Build constructs an LS-tree over the given entries, which it does not
+// retain. Level 0 is the input itself, so its STR sort — the longest —
+// starts at once and the coin flips are drawn beside it; they read the
+// unsorted lists, on one goroutine, so the structural RNG advances exactly
+// as it would if each level were built before the next was drawn. The
+// level trees are then packed bottom-up, each taking its sorted list over,
+// so a shared device sees level 0's page writes, then level 1's, and so on.
 func Build(entries []data.Entry, cfg Config) (*Index, error) {
-	s, err := Sort(entries, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Pack()
-}
-
-// Sorted is the first, pure half of a Build: the level coin flips are drawn
-// and every level is copied into STR order, but no tree exists and no page
-// has been written. Pack finishes the build.
-type Sorted struct {
-	cfg    Config
-	rng    *stats.RNG
-	levels [][]data.Entry // levels[i] is P_i in STR order; nil once packed
-}
-
-// Sort draws the level hierarchy over entries and sorts every level for
-// packing, all levels concurrently (rtree.STROrder). Level 0 is the input
-// itself, so its sort — the longest — starts at once and the coin flips are
-// drawn beside it; they read the lists in the order given, never the sorted
-// copies, and on one goroutine, so the structural RNG advances exactly as it
-// would if each level were built before the next was drawn.
-func Sort(entries []data.Entry, cfg Config) (*Sorted, error) {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = rtree.DefaultFanout
 	}
@@ -119,14 +102,14 @@ func Sort(entries []data.Entry, cfg Config) (*Sorted, error) {
 	if cfg.TopLevelMax < 1 {
 		return nil, fmt.Errorf("lstree: TopLevelMax must be positive")
 	}
-	s := &Sorted{cfg: cfg, rng: stats.NewRNG(cfg.Seed)}
+	idx := &Index{cfg: cfg, rng: stats.NewRNG(cfg.Seed), size: len(entries)}
 	level0 := make(chan []data.Entry, 1)
 	go func() { level0 <- rtree.STROrder(cfg.Fanout, entries)[0] }()
 	var upper [][]data.Entry
 	for level := entries; len(level) > cfg.TopLevelMax; {
 		next := make([]data.Entry, 0, len(level)/2+16)
 		for _, e := range level {
-			if s.rng.Bernoulli(0.5) {
+			if idx.rng.Bernoulli(0.5) {
 				next = append(next, e)
 			}
 		}
@@ -136,28 +119,12 @@ func Sort(entries []data.Entry, cfg Config) (*Sorted, error) {
 	// Sorted before level 0 is waited for, not inside the append below:
 	// operands evaluate left to right and the receive would block first.
 	sortedUpper := rtree.STROrder(cfg.Fanout, upper...)
-	s.levels = append([][]data.Entry{<-level0}, sortedUpper...)
-	return s, nil
-}
-
-// Level0 returns the whole point set in STR order at the configured fanout
-// — what level 0 will be packed from. The engine packs its RS-tree from the
-// same slice so the dataset is sorted once; it is valid until Pack.
-func (s *Sorted) Level0() []data.Entry { return s.levels[0] }
-
-// Pack builds the level trees bottom-up, one after another, so a shared
-// device sees level 0's page writes, then level 1's, and so on — the order
-// a level-at-a-time build charges them in. Each level's sorted copy is
-// released as soon as its tree holds the entries.
-func (s *Sorted) Pack() (*Index, error) {
-	idx := &Index{cfg: s.cfg, rng: s.rng, size: len(s.levels[0])}
-	for i, level := range s.levels {
-		t, err := rtree.New(rtree.Config{Fanout: s.cfg.Fanout, Device: s.cfg.Device})
+	for _, level := range append([][]data.Entry{<-level0}, sortedUpper...) {
+		t, err := rtree.New(rtree.Config{Fanout: cfg.Fanout, Device: cfg.Device})
 		if err != nil {
 			return nil, fmt.Errorf("lstree: %w", err)
 		}
-		t.Pack(level)
-		s.levels[i] = nil
+		t.Pack(level, nil)
 		idx.levels = append(idx.levels, t)
 		idx.addSummaries(t)
 	}

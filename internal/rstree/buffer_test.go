@@ -52,7 +52,7 @@ func TestLeavesCarryNoBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], cfg)
+	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +241,11 @@ func (l *pageLog) AccessBatch(pages []iosim.PageID, counts []int) uint64 {
 	return n
 }
 
-// TestBuildOrderMatchesBuild: an index built over a dataset's own STR order
-// (BuildOrder) has Build's pages, leaves, keys and buffers, and charges the
-// device the same.
-func TestBuildOrderMatchesBuild(t *testing.T) {
+// TestBuildSortedDatasetOrderMatchesBuild: an index built over a dataset's
+// own STR order (BuildSorted over rtree.STROrderDataset, keyed over the
+// order's Bounds, as the engine builds it) has Build's pages, leaves, keys
+// and buffers, and charges the device the same.
+func TestBuildSortedDatasetOrderMatchesBuild(t *testing.T) {
 	entries := genEntries(6000, 17)
 	pos := make([]geo.Vec, len(entries))
 	for i, e := range entries {
@@ -259,19 +260,20 @@ func TestBuildOrderMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildOrder(rtree.STROrderDataset(16, ds), Config{Fanout: 16, Device: &logB, Seed: 5})
+	order := rtree.STROrderDataset(16, ds)
+	b, err := BuildSorted(order.Entries, nil, Config{Fanout: 16, Device: &logB, Bounds: order.Bounds, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	na, nb := preorder(a), preorder(b)
 	if len(na) != len(nb) || !slices.Equal(logA, logB) {
-		t.Fatalf("BuildOrder: %d nodes and %d page reads, Build: %d and %d", len(nb), len(logB), len(na), len(logA))
+		t.Fatalf("BuildSorted: %d nodes and %d page reads, Build: %d and %d", len(nb), len(logB), len(na), len(logA))
 	}
 	for i := range na {
 		if na[i].PageID() != nb[i].PageID() || na[i].MBR() != nb[i].MBR() ||
 			!slices.Equal(na[i].Entries(), nb[i].Entries()) || !slices.Equal(na[i].HilbertKeys(), nb[i].HilbertKeys()) ||
 			!slices.Equal(a.StoredBuffer(na[i]), b.StoredBuffer(nb[i])) {
-			t.Fatalf("node %d (page %d) differs between Build and BuildOrder", i, na[i].PageID())
+			t.Fatalf("node %d (page %d) differs between Build and BuildSorted", i, na[i].PageID())
 		}
 	}
 }

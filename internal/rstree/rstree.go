@@ -102,44 +102,19 @@ type Index struct {
 // Buffers the build wrote do not count, so a freshly built index reports 0.
 func (x *Index) BufferRegens() uint64 { return x.regens.Load() }
 
-// Build constructs an RS-tree over the given entries.
+// Build constructs an RS-tree over the given entries: BuildSorted over
+// their STR order (rtree.STROrder). entries is not retained.
 func Build(entries []data.Entry, cfg Config) (*Index, error) {
-	return build(entries, cfg, (*rtree.Tree).BulkLoad)
+	return BuildSorted(rtree.STROrder(cfg.Fanout, entries)[0], nil, cfg)
 }
 
-// BuildSorted is Build over entries already in STR order at cfg.Fanout
-// (rtree.STROrder), for callers that sort once and pack several trees from
-// the one order — the engine's RS-tree and LS-tree level 0, a shard's
-// replicas. It skips Build's sort and is otherwise identical: the same
-// input order yields the same pages, buffers and device charges. sorted is
-// not retained.
-func BuildSorted(sorted []data.Entry, cfg Config) (*Index, error) {
-	return build(sorted, cfg, (*rtree.Tree).Pack)
-}
-
-// BuildSortedKeys is BuildSorted for a caller that has keyed the entries
-// already: keyOf[e.ID] is e's Hilbert key over cfg.Bounds, which must be
-// set (rtree.Tree.PackKeys). The leaves' key caches take those keys; the
-// index is BuildSorted's.
-func BuildSortedKeys(sorted []data.Entry, keyOf []uint64, cfg Config) (*Index, error) {
-	return build(sorted, cfg, func(t *rtree.Tree, sorted []data.Entry) { t.PackKeys(sorted, keyOf) })
-}
-
-// BuildOrder is BuildSorted over the order rtree.STROrderDataset returned
-// at cfg.Fanout, which it takes over: without cfg.Bounds the keys are
-// quantized over order.Bounds, the MBR the sort found, and the leaves hold
-// windows of order.Entries instead of copies (rtree.Tree.PackOwned). The
-// index is BuildSorted's over the same entries.
-func BuildOrder(order rtree.DatasetOrder, cfg Config) (*Index, error) {
-	if cfg.Bounds == (geo.Rect{}) || cfg.Bounds.IsEmpty() {
-		cfg.Bounds = order.Bounds
-	}
-	return build(order.Entries, cfg, (*rtree.Tree).PackOwned)
-}
-
-// build is the shared body of the builds; load fills the fresh tree from
-// entries.
-func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry)) (*Index, error) {
+// BuildSorted is Build over entries already in STR order at cfg.Fanout, for
+// callers that sort otherwise — the engine from the dataset's columns
+// (rtree.STROrderDataset, its Bounds as cfg.Bounds), a shard host from its
+// partition. It takes sorted over, and keyOf, when set, gives the leaves'
+// keys over cfg.Bounds, which must then be set (rtree.Tree.Pack). The same
+// input order yields the same pages, buffers and device charges.
+func BuildSorted(sorted []data.Entry, keyOf []uint64, cfg Config) (*Index, error) {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = rtree.DefaultFanout
 	}
@@ -156,7 +131,7 @@ func build(entries []data.Entry, cfg Config, load func(*rtree.Tree, []data.Entry
 	if err != nil {
 		return nil, fmt.Errorf("rstree: %w", err)
 	}
-	load(t, entries)
+	t.Pack(sorted, keyOf)
 	idx := &Index{cfg: cfg, tree: t}
 	idx.precomputeBuffers()
 	return idx, nil

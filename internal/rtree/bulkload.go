@@ -13,12 +13,12 @@ import (
 
 // BulkLoad builds the tree from scratch over the given entries, replacing
 // any existing contents. It is sort-then-pack: a pure sort of a copy of the
-// entries into Sort-Tile-Recursive order (STROrder) followed by PackOwned,
+// entries into Sort-Tile-Recursive order (STROrder) followed by Pack,
 // which fills leaves to the fanout, giving the compact trees the paper
 // assumes. The tree remains insertable: inserts place by Hilbert value and
 // leaf LHVs are exact maxima whatever order a pack was given.
 func (t *Tree) BulkLoad(entries []data.Entry) {
-	t.PackOwned(STROrder(t.cfg.Fanout, entries)[0])
+	t.Pack(STROrder(t.cfg.Fanout, entries)[0], nil)
 }
 
 // Pack is the second half of a bulk load: it replaces the tree's contents
@@ -29,27 +29,14 @@ func (t *Tree) BulkLoad(entries []data.Entry) {
 // device and the Hilbert key cache is filled, leaf by leaf and then level by
 // level — so trees packed one after another charge a shared device exactly
 // as if each had been bulk loaded in turn, however their sorts were
-// scheduled. Leaves copy their
-// entries: sorted is not retained and may back several trees. Without
-// Config.Bounds, the keys are quantized over the MBR of sorted.
-func (t *Tree) Pack(sorted []data.Entry) { t.pack(sorted, nil, false) }
-
-// PackKeys is Pack for a caller that has the entries' Hilbert keys already:
-// keyOf[e.ID] is the key of entry e under NewQuantizer(Config.Bounds), the
-// quantizer Pack keys with when the bounds are set (distr's partition keys
-// a dataset's records so). The leaves' key caches take the keys instead of
-// recomputing them, and everything else is Pack's. A nil keyOf is Pack;
-// keyOf is not retained.
-func (t *Tree) PackKeys(sorted []data.Entry, keyOf []uint64) { t.pack(sorted, keyOf, false) }
-
-// PackOwned is Pack for a caller that hands sorted over: each leaf holds
-// its own window of sorted, capacity capped at the window (a leaf that
-// grows moves out), instead of a copy. sorted must back no other tree, and
-// the caller must not touch it again.
-func (t *Tree) PackOwned(sorted []data.Entry) { t.pack(sorted, nil, true) }
-
-// pack is Pack, PackKeys and PackOwned.
-func (t *Tree) pack(sorted []data.Entry, keyOf []uint64, owned bool) {
+// scheduled. Pack takes sorted over: each leaf holds its own window of it,
+// capacity capped at the window (a leaf that grows moves out), so sorted
+// must back no other tree and the caller must not touch it again. Without
+// Config.Bounds, the keys are quantized over the MBR of sorted. A non-nil
+// keyOf gives the keys instead: keyOf[e.ID] is e's key under
+// NewQuantizer(Config.Bounds), which must then be set (distr's partition
+// keys a dataset's records so); keyOf is not retained.
+func (t *Tree) Pack(sorted []data.Entry, keyOf []uint64) {
 	t.quantizeFor(sorted)
 	t.size = len(sorted)
 	if len(sorted) == 0 {
@@ -57,7 +44,7 @@ func (t *Tree) pack(sorted []data.Entry, keyOf []uint64, owned bool) {
 		t.height = 1
 		return
 	}
-	nodes := t.packLeaves(sorted, keyOf, owned)
+	nodes := t.packLeaves(sorted, keyOf)
 	t.height = 1
 	for len(nodes) > 1 {
 		nodes = t.packInternal(nodes)
@@ -296,19 +283,15 @@ const packGrain = 256
 // the leaves themselves — entries, MBR, Hilbert key cache, LHV — are
 // built in parallel chunks; only the write charges have an order, and they
 // are applied afterwards in page order, which is all the device ever saw.
-// keyOf is PackKeys', owned PackOwned's.
-func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64, owned bool) []*Node {
+// Each leaf is its capped window of entries; keyOf is Pack's.
+func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64) []*Node {
 	fan := t.cfg.Fanout
 	nodes := make([]*Node, (len(entries)+fan-1)/fan)
 	base := t.nextPage + 1
 	MapChunks(len(nodes), packGrain, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			end := min((i+1)*fan, len(entries))
-			leaf := entries[i*fan : end : end]
-			if !owned {
-				leaf = append([]data.Entry(nil), leaf...)
-			}
-			nodes[i] = t.buildLeaf(base+iosim.PageID(i), leaf, keyOf)
+			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:end:end], keyOf)
 		}
 		return struct{}{}
 	})

@@ -67,7 +67,7 @@ func tiedEntries(n int) []data.Entry {
 
 // TestSTROrderMatchesReference sorts several lists in one concurrent call
 // and checks each against the serial oracle, that inputs are left alone, and
-// that trees packed from one result share nothing.
+// that trees packed from copies of one result share nothing.
 func TestSTROrderMatchesReference(t *testing.T) {
 	lists := [][]data.Entry{
 		genEntries(20_000, 1), tiedEntries(20_000), genEntries(1_000, 2),
@@ -90,41 +90,38 @@ func TestSTROrderMatchesReference(t *testing.T) {
 			}
 		}
 
-		// Two trees packed from one sorted slice own their leaves: updates
-		// to one reach neither the other nor the slice (the engine packs its
-		// RS-tree and LS-tree level 0 from a single sort).
+		// Two trees packed from one sorted order, each taking its own
+		// copy over: updates to one reach neither the other nor the
+		// other's list.
 		sorted := got[1]
 		kept := slices.Clone(sorted)
 		a, b := MustNew(Config{Fanout: fanout}), MustNew(Config{Fanout: fanout})
-		a.Pack(sorted)
-		b.Pack(sorted)
-		want := leafIDs(b)
+		a.Pack(sorted, nil)
+		b.Pack(slices.Clone(sorted), nil)
 		for i, e := range lists[1][:500] {
 			if !a.Delete(e) {
 				t.Fatalf("fanout %d: delete %d failed", fanout, i)
 			}
 			a.InsertBatch([]data.Entry{{ID: data.ID(1_000_000 + i), Pos: e.Pos}})
 		}
-		if !slices.Equal(leafIDs(b), want) || !slices.Equal(sorted, kept) {
-			t.Errorf("fanout %d: updating one tree disturbed its sibling or the shared sorted slice", fanout)
+		if !slices.Equal(leafEntries(b), kept) {
+			t.Errorf("fanout %d: updating one tree disturbed its sibling", fanout)
 		}
 	}
 }
 
-// leafIDs lists a tree's entry IDs in leaf order.
-func leafIDs(t *Tree) []uint64 {
-	var ids []uint64
+// leafEntries lists the tree's entries leaf by leaf, in tree order.
+func leafEntries(t *Tree) []data.Entry {
+	var out []data.Entry
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		for _, e := range n.entries {
-			ids = append(ids, e.ID)
-		}
+		out = append(out, n.entries...)
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(t.root)
-	return ids
+	return out
 }
 
 // TestMapChunks checks the chunking contract: the chunks tile [0, n) in
@@ -243,7 +240,7 @@ func TestSTROrderDatasetMatchesReference(t *testing.T) {
 					continue
 				}
 				packed := MustNew(Config{Fanout: fanout, Bounds: STROrderDataset(fanout, ds).Bounds})
-				packed.Pack(STROrderDataset(fanout, ds).Entries)
+				packed.Pack(STROrderDataset(fanout, ds).Entries, nil)
 				loaded := MustNew(Config{Fanout: fanout})
 				loaded.BulkLoad(ds.Entries())
 				if !sameTree(packed.Root(), loaded.Root()) {
@@ -279,46 +276,4 @@ func sameTree(a, b *Node) bool {
 		}
 	}
 	return true
-}
-
-// TestPackOwnedLeavesGrowApart packs a tree over a sorted list it takes
-// over, so neighbouring leaves are windows of one array, then deletes from
-// and inserts into every leaf: a leaf that grows must move out rather than
-// write over the next one's entries, so the tree must stay valid and hold
-// exactly the records it was given, less the deleted, plus the inserted.
-func TestPackOwnedLeavesGrowApart(t *testing.T) {
-	const fanout = 8
-	entries := genEntries(4000, 21)
-	tree := MustNew(Config{Fanout: fanout})
-	tree.PackOwned(STROrder(fanout, entries)[0])
-	want := map[data.ID]bool{}
-	for _, e := range entries {
-		want[e.ID] = true
-	}
-	for i, e := range entries {
-		switch i % 3 {
-		case 0:
-			if !tree.Delete(e) {
-				t.Fatalf("delete %d missed", e.ID)
-			}
-			delete(want, e.ID)
-		case 1:
-			id := data.ID(100_000 + i)
-			tree.InsertBatch([]data.Entry{{ID: id, Pos: e.Pos}})
-			want[id] = true
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	got := leafIDs(tree)
-	if len(got) != len(want) {
-		t.Fatalf("tree holds %d entries, want %d", len(got), len(want))
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Fatalf("tree holds %d, which it should not (or twice)", id)
-		}
-		delete(want, id)
-	}
 }

@@ -210,7 +210,7 @@ func a10WireIdentity(cfg A10Config, ds *data.Dataset, q geo.Rect) (bool, error) 
 	defer remote.Close()
 
 	drain := func(c *distr.Cluster) []data.ID {
-		s := c.SamplerWhere(q, terms)
+		s := c.SamplerWhere(q, stats.NewRNG(cfg.Seed), terms)
 		defer s.Close()
 		buf := make([]data.Entry, 256)
 		ids := make([]data.ID, 0, cfg.WireK)

@@ -6,6 +6,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/distr"
+	"storm/internal/stats"
 	"storm/internal/wire"
 )
 
@@ -102,7 +103,7 @@ func A9(cfg A9Config) ([]A9Point, error) {
 
 	run := func(name string, c *distr.Cluster) (A9Point, []data.ID) {
 		c.ResetNet()
-		s := c.Sampler(q)
+		s := c.Sampler(q, stats.NewRNG(cfg.Seed))
 		defer s.Close()
 		buf := make([]data.Entry, cfg.Batch)
 		ids := make([]data.ID, 0, cfg.K)

@@ -607,7 +607,7 @@ func A4(cfg A4Config) ([]A4Point, error) {
 				return nil, err
 			}
 			c.ResetNet()
-			s := c.Sampler(q)
+			s := c.Sampler(q, stats.NewRNG(cfg.Seed))
 			start := time.Now()
 			for drawn := 0; drawn < cfg.K; {
 				want := min(pull, cfg.K-drawn)

@@ -9,6 +9,7 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/sampling/samplingtest"
+	"storm/internal/stats"
 )
 
 // TestNextBatchMatchesNext checks the coordinator's protocol emits the
@@ -19,7 +20,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	q := distrtest.Query()
 	for _, shards := range []int{1, 3, 8} {
 		samplingtest.ChunkingInvariant(t, "distributed", func() samplingtest.Drawer {
-			return distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5}).Sampler(q)
+			return distrtest.Build(t, ds, distr.Config{Shards: shards, Seed: 5}).Sampler(q, stats.NewRNG(1))
 		}, -1, []int{17}, []int{500}, []int{2, 99, 5})
 	}
 }
@@ -30,7 +31,7 @@ func TestNextBatchInterleavedWithNext(t *testing.T) {
 	ds := gen.Uniform(5000, 7, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100})
 	q := distrtest.Query()
 	samplingtest.ChunkingInvariant(t, "interleaved", func() samplingtest.Drawer {
-		return distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9}).Sampler(q)
+		return distrtest.Build(t, ds, distr.Config{Shards: 4, Seed: 9}).Sampler(q, stats.NewRNG(1))
 	}, -1, []int{1, 64})
 }
 
@@ -43,7 +44,7 @@ func TestNextBatchFewerMessages(t *testing.T) {
 	singleC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1})
 	batchC := distrtest.Build(t, ds, distr.Config{Shards: 8, Seed: 1})
 
-	s := singleC.Sampler(q)
+	s := singleC.Sampler(q, stats.NewRNG(1))
 	for i := 0; i < 4000; i++ {
 		if _, ok := samplingtest.Next(s); !ok {
 			break
@@ -51,7 +52,7 @@ func TestNextBatchFewerMessages(t *testing.T) {
 	}
 	singleMsgs := singleC.Net().Messages
 
-	b := batchC.Sampler(q)
+	b := batchC.Sampler(q, stats.NewRNG(1))
 	buf := make([]data.Entry, 4000)
 	b.NextBatch(buf, 4000)
 	batchMsgs := batchC.Net().Messages

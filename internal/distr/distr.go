@@ -187,7 +187,6 @@ type Cluster struct {
 	samplesMoved atomic.Uint64
 	// streamSeq allocates cluster-unique sample stream IDs.
 	streamSeq atomic.Uint64
-	rngSeq    int64
 	met       clusterMetrics
 	// faults holds the per-replica fault injectors, indexed
 	// [shard][replica] (nil without a plan); ftot is the always-on fault
@@ -458,13 +457,6 @@ func (c *Cluster) ResetNet() {
 	c.samplesMoved.Store(0)
 }
 
-func (c *Cluster) nextSeed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rngSeq++
-	return c.cfg.Seed*101 + c.rngSeq
-}
-
 // Close releases the cluster's transports and withdraws it from its obs
 // registry, whose storm.distr.* counters keep its final totals.
 func (c *Cluster) Close() error {
@@ -631,11 +623,17 @@ type Sampler struct {
 	// predicate it rides on every Open, so shards narrow their own time
 	// axis and the stream draws from the windowed population everywhere.
 	win wire.Window
+	// rng is the query's: it draws the shards' open seeds, then every
+	// sample's shard, so the query's seed fixes the whole stream.
 	rng *stats.RNG
 	// per-shard state: the sample stream ID each shard serves this query
 	// under, whether that stream was opened, and the remaining matching
 	// count driving the draw distribution.
-	streams   []uint64
+	streams []uint64
+	// seeds[i] is the seed shard i's stream was last opened with; a reopen
+	// (resume) steps it by stats.MixSeed rather than drawing from rng, so
+	// where a fault lands in a round cannot shift the shard draws.
+	seeds     []int64
 	open      []bool
 	remaining []int
 	buffers   [][]data.Entry
@@ -676,9 +674,11 @@ type Sampler struct {
 	deadlineHit bool
 }
 
-// Sampler returns an online sampler for q across all shards.
-func (c *Cluster) Sampler(q geo.Rect) *Sampler {
-	return c.SamplerWhere(q, nil)
+// Sampler returns an online sampler for q across all shards, drawing from
+// rng: two samplers over the same cluster state and equally seeded RNGs
+// deliver the same stream.
+func (c *Cluster) Sampler(q geo.Rect, rng *stats.RNG) *Sampler {
+	return c.SamplerWhere(q, rng, nil)
 }
 
 // SamplerWhere returns an online sampler for q restricted to records
@@ -686,8 +686,8 @@ func (c *Cluster) Sampler(q geo.Rect) *Sampler {
 // stream open, so shards prune with their local summaries and rejected
 // records never cross the wire; the merged stream is exactly uniform over
 // the cluster's qualifying records. Nil terms are exactly Sampler.
-func (c *Cluster) SamplerWhere(q geo.Rect, where []pred.Term) *Sampler {
-	return c.SamplerWindow(q, where, wire.Window{})
+func (c *Cluster) SamplerWhere(q geo.Rect, rng *stats.RNG, where []pred.Term) *Sampler {
+	return c.SamplerWindow(q, rng, where, wire.Window{})
 }
 
 // SamplerWindow is SamplerWhere further restricted to the resolved
@@ -695,8 +695,8 @@ func (c *Cluster) SamplerWhere(q geo.Rect, where []pred.Term) *Sampler {
 // each shard narrows its own time axis, and the merged stream is exactly
 // uniform over the cluster's windowed qualifying records — byte-identical
 // across the in-memory and TCP transports.
-func (c *Cluster) SamplerWindow(q geo.Rect, where []pred.Term, win wire.Window) *Sampler {
-	return &Sampler{cluster: c, query: q, where: where, win: win, rng: stats.NewRNG(c.nextSeed())}
+func (c *Cluster) SamplerWindow(q geo.Rect, rng *stats.RNG, where []pred.Term, win wire.Window) *Sampler {
+	return &Sampler{cluster: c, query: q, where: where, win: win, rng: rng}
 }
 
 var _ sampling.Sampler = (*Sampler)(nil)
@@ -735,9 +735,9 @@ func (s *Sampler) expired() bool {
 }
 
 // initialize runs the coordinator's count round, opening a sample stream
-// on every shard in parallel. Seeds are drawn serially up front so the
-// stream is deterministic in the cluster's seed sequence regardless of
-// shard timing.
+// on every shard in parallel. The shards' seeds are the query RNG's first
+// draws, taken serially up front, so the stream is deterministic in the
+// query's seed regardless of shard timing.
 func (s *Sampler) initialize() {
 	start := time.Now()
 	s.init = true
@@ -751,9 +751,9 @@ func (s *Sampler) initialize() {
 	s.heads = make([]int, n)
 	s.repl = make([]int, n)
 	s.emitted = make([][]data.ID, n)
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = cl.nextSeed()
+	s.seeds = make([]int64, n)
+	for i := range s.seeds {
+		s.seeds[i] = s.rng.Int63()
 	}
 	for i := range s.streams {
 		s.streams[i] = cl.streamSeq.Add(1)
@@ -774,7 +774,7 @@ func (s *Sampler) initialize() {
 			// refuses the open is skipped like a pre-crashed shard; only a
 			// shard none of whose copies answered is absent from the query.
 			for r, rc := range cl.repl[i] {
-				got, err := rc.Open(s.streams[i], s.query, seeds[i], nil, s.where, s.win)
+				got, err := rc.Open(s.streams[i], s.query, s.seeds[i], nil, s.where, s.win)
 				if err != nil {
 					continue
 				}
@@ -1110,10 +1110,12 @@ func (s *Sampler) resume(shard, r int) (got int, ok bool) {
 	if s.emitted != nil {
 		exclude = s.emitted[shard]
 	}
-	got, err := cl.repl[shard][r].Open(stream, s.query, cl.nextSeed(), exclude, s.where, s.win)
+	seed := stats.MixSeed(s.seeds[shard])
+	got, err := cl.repl[shard][r].Open(stream, s.query, seed, exclude, s.where, s.win)
 	if err != nil {
 		return 0, false
 	}
+	s.seeds[shard] = seed
 	s.buffers[shard] = s.buffers[shard][:0]
 	s.heads[shard] = 0
 	s.total += got - s.remaining[shard]

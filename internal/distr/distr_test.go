@@ -67,7 +67,7 @@ func TestSamplerCompleteAndUnique(t *testing.T) {
 			want[uint64(i)] = true
 		}
 	}
-	s := c.Sampler(testQuery)
+	s := c.Sampler(testQuery, stats.NewRNG(1))
 	got := make(map[data.ID]bool)
 	for {
 		e, ok := samplingtest.Next(s)
@@ -109,7 +109,7 @@ func TestSamplerUniformAcrossShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := c.Sampler(testQuery)
+		s := c.Sampler(testQuery, stats.NewRNG(int64(i)))
 		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no sample")
@@ -132,7 +132,7 @@ func TestSamplerUniformAcrossShards(t *testing.T) {
 func TestEmptyQueryAcrossShards(t *testing.T) {
 	c, _ := buildCluster(t, 1000, 3)
 	empty := geo.NewRect(geo.Vec{-10, -10, -10}, geo.Vec{-5, -5, -5})
-	s := c.Sampler(empty)
+	s := c.Sampler(empty, stats.NewRNG(1))
 	if _, ok := samplingtest.Next(s); ok {
 		t.Error("empty query should yield nothing")
 	}
@@ -161,7 +161,7 @@ func TestDistributedInsertDelete(t *testing.T) {
 		}
 	}
 	// Fresh records are sampleable.
-	s := c.Sampler(geo.NewRect(geo.Vec{39.9, 39.9, 49}, geo.Vec{40.1, 40.1, 51}))
+	s := c.Sampler(geo.NewRect(geo.Vec{39.9, 39.9, 49}, geo.Vec{40.1, 40.1, 51}), stats.NewRNG(1))
 	found := 0
 	for {
 		e, ok := samplingtest.Next(s)
@@ -323,7 +323,7 @@ func TestMoreShardsThanRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := geo.NewRect(geo.Vec{0, 0, 0}, geo.Vec{100, 100, 100})
-	s := c.Sampler(all)
+	s := c.Sampler(all, stats.NewRNG(1))
 	n := 0
 	for {
 		if _, ok := samplingtest.Next(s); !ok {

@@ -21,6 +21,7 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/sampling/samplingtest"
+	"storm/internal/stats"
 	"storm/internal/stats/statcheck"
 	"storm/internal/wire"
 )
@@ -47,7 +48,7 @@ func TestFailoverFullDrainIntact(t *testing.T) {
 	c := distrtest.Build(t, ds, cfg)
 	full := c.Count(q)
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	seen := make(map[data.ID]bool)
 	for _, e := range distrtest.DrainBatched(s, []int{48}) {
 		if seen[e.ID] {
@@ -86,8 +87,8 @@ func TestFailoverMatchesSingleCopyStream(t *testing.T) {
 	sizes := []int{1, 7, 32, 3}
 	single := distrtest.Build(t, ds, distrtest.FastConfig(4, 9, nil))
 	double := distrtest.Build(t, ds, distrtest.FastConfig(4, 9, nil, 2))
-	want := distrtest.DrainBatched(single.Sampler(q), sizes)
-	got := distrtest.DrainBatched(double.Sampler(q), sizes)
+	want := distrtest.DrainBatched(single.Sampler(q, stats.NewRNG(1)), sizes)
+	got := distrtest.DrainBatched(double.Sampler(q, stats.NewRNG(1)), sizes)
 	distrtest.SameEntries(t, want, got, "R=1 vs R=2 healthy stream")
 }
 
@@ -106,7 +107,7 @@ func TestFailoverPlainPlanStillDegrades(t *testing.T) {
 	cfg.MaxRetries = -1
 	c := distrtest.Build(t, ds, cfg)
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	buf := make([]data.Entry, 64)
 	for i := 0; i < 50 && s.Status("").ShardsLost == 0; i++ {
 		if s.NextBatch(buf, len(buf)) == 0 {
@@ -138,7 +139,7 @@ func TestFailoverShardStatusReplicaLiveness(t *testing.T) {
 
 	// Trigger the crash: shard 1's serving copy dies on its first fetch
 	// and the stream fails over.
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	distrtest.DrainBatched(s, []int{64})
 	if s.Status("").Failovers == 0 {
 		t.Fatal("replica kill never triggered a failover")
@@ -190,8 +191,8 @@ func TestFailoverByteIdenticalTCP(t *testing.T) {
 	local := distrtest.Build(t, ds, cfg)
 	remote := distrtest.BuildTCP(t, ds, cfg, 4)
 
-	ls := local.Sampler(q)
-	rs := remote.Sampler(q)
+	ls := local.Sampler(q, stats.NewRNG(1))
+	rs := remote.Sampler(q, stats.NewRNG(1))
 	want := distrtest.DrainBatched(ls, sizes)
 	got := distrtest.DrainBatched(rs, sizes)
 	distrtest.SameEntries(t, want, got, "loopback vs TCP failover stream")
@@ -229,7 +230,7 @@ func TestStatFailoverFirstSampleUniform(t *testing.T) {
 		cfg := distrtest.FastConfig(4, int64(i), killReplica(1, 0, 0), 2)
 		cfg.MaxRetries = -1
 		c := distrtest.Build(t, ds, cfg)
-		e, ok := samplingtest.Next(c.Sampler(q))
+		e, ok := samplingtest.Next(c.Sampler(q, stats.NewRNG(int64(i))))
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}
@@ -293,7 +294,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 		cfg.MaxRetries = -1
 		c := distrtest.Build(t, ds, cfg)
 
-		s := c.SamplerWindow(q, nil, win)
+		s := c.SamplerWindow(q, stats.NewRNG(int64(i)), nil, win)
 		first, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
@@ -339,7 +340,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 		// A fresh query whose window covers the arrivals sees the churn:
 		// the base wider-window population plus the mirrored inserts,
 		// served across the failed-over placement.
-		fresh := c.SamplerWindow(q, nil, wider)
+		fresh := c.SamplerWindow(q, stats.NewRNG(stats.MixSeed(int64(i))), nil, wider)
 		if got := len(distrtest.DrainBatched(fresh, []int{32})); got != widerN+arrivals {
 			t.Fatalf("trial %d: post-churn drain = %d, want %d", i, got, widerN+arrivals)
 		}
@@ -367,7 +368,7 @@ func TestFailoverThreeReplicasSurvivesDoubleKill(t *testing.T) {
 	c := distrtest.Build(t, ds, cfg)
 	full := c.Count(q)
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	got := len(distrtest.DrainBatched(s, []int{48}))
 	if got != full {
 		t.Errorf("drained %d, want the full population %d", got, full)

@@ -10,6 +10,7 @@ import (
 	"storm/internal/distr/distrtest"
 	"storm/internal/obs"
 	"storm/internal/sampling/samplingtest"
+	"storm/internal/stats"
 	"storm/internal/stats/statcheck"
 )
 
@@ -31,13 +32,13 @@ func TestNilAndEmptyPlansAreByteIdentical(t *testing.T) {
 		3: {Crash: true, CrashAfterFetches: 1, RecoverAfter: 1},
 	}}
 
-	base := distrtest.DrainBatched(build(nil).Sampler(q), []int{64})
-	empty := distrtest.DrainBatched(build(&distr.FaultPlan{}).Sampler(q), []int{64})
+	base := distrtest.DrainBatched(build(nil).Sampler(q, stats.NewRNG(1)), []int{64})
+	empty := distrtest.DrainBatched(build(&distr.FaultPlan{}).Sampler(q, stats.NewRNG(1)), []int{64})
 	transient := distrtest.DrainBatched(build(&distr.FaultPlan{
 		Shards: map[int]distr.ShardFaultPlan{distr.ShardAll: {TransientEvery: 3}},
-	}).Sampler(q), []int{64})
+	}).Sampler(q, stats.NewRNG(1)), []int{64})
 	recCluster := build(recovering)
-	recovered := distrtest.DrainBatched(recCluster.Sampler(q), []int{64})
+	recovered := distrtest.DrainBatched(recCluster.Sampler(q, stats.NewRNG(1)), []int{64})
 	distrtest.SameEntries(t, base, empty, "empty plan")
 	distrtest.SameEntries(t, base, transient, "recovered transient plan")
 	distrtest.SameEntries(t, base, recovered, "crash recovered within retry budget")
@@ -51,7 +52,7 @@ func TestNilAndEmptyPlansAreByteIdentical(t *testing.T) {
 	rec := build(recovering)
 	wide := func(c *distr.Cluster) []data.Entry {
 		buf := make([]data.Entry, 300)
-		return buf[:c.Sampler(q).NextBatch(buf, len(buf))]
+		return buf[:c.Sampler(q, stats.NewRNG(1)).NextBatch(buf, len(buf))]
 	}
 	distrtest.SameEntries(t, wide(build(nil)), wide(rec), "300-sample pull, crash recovered within retry budget")
 	if st := rec.FaultStats(); st.ShardsDown != 0 || st.Crashes != st.Readmits {
@@ -74,7 +75,7 @@ func TestCrashMidQueryDegradesGracefully(t *testing.T) {
 	cfg := distrtest.FastConfig(8, 5, plan)
 	cfg.Obs = reg
 	c := distrtest.Build(t, ds, cfg)
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	initial := c.Count(q)
 
 	seen := make(map[data.ID]bool)
@@ -134,7 +135,7 @@ func TestTransientFaultsRetryAndRecover(t *testing.T) {
 	q := distrtest.Query()
 	plan := &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{distr.ShardAll: {TransientEvery: 4}}}
 	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 3, plan))
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	got := distrtest.DrainBatched(s, []int{128})
 	if len(got) != c.Count(q) {
 		t.Fatalf("drained %d of %d", len(got), c.Count(q))
@@ -161,7 +162,7 @@ func TestRetryExhaustionDropsShard(t *testing.T) {
 	cfg := distrtest.FastConfig(4, 3, plan)
 	cfg.MaxRetries = 2
 	c := distrtest.Build(t, ds, cfg)
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	emitted := len(distrtest.DrainBatched(s, []int{64}))
 	st := c.FaultStats()
 	if st.Exhausted == 0 {
@@ -191,8 +192,8 @@ func TestLatencyFaults(t *testing.T) {
 	slow := &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{distr.ShardAll: {LatencyEvery: 2, Latency: 50 * time.Microsecond}}}
 	a := distrtest.Build(t, ds, distrtest.FastConfig(3, 9, slow))
 	b := distrtest.Build(t, ds, distrtest.FastConfig(3, 9, nil))
-	distrtest.SameEntries(t, distrtest.DrainBatched(b.Sampler(q), []int{64}),
-		distrtest.DrainBatched(a.Sampler(q), []int{64}), "latency plan")
+	distrtest.SameEntries(t, distrtest.DrainBatched(b.Sampler(q, stats.NewRNG(1)), []int{64}),
+		distrtest.DrainBatched(a.Sampler(q, stats.NewRNG(1)), []int{64}), "latency plan")
 	if st := a.FaultStats(); st.Latency == 0 || st.Timeouts != 0 {
 		t.Errorf("expected pure latency injections, got %+v", st)
 	}
@@ -203,7 +204,7 @@ func TestLatencyFaults(t *testing.T) {
 	cfg := distrtest.FastConfig(3, 9, deadline)
 	cfg.FetchTimeout = time.Millisecond
 	d := distrtest.Build(t, ds, cfg)
-	got := len(distrtest.DrainBatched(d.Sampler(q), []int{64}))
+	got := len(distrtest.DrainBatched(d.Sampler(q, stats.NewRNG(1)), []int{64}))
 	if got != d.Count(q) {
 		t.Fatalf("drained %d of %d", got, d.Count(q))
 	}
@@ -221,7 +222,7 @@ func TestCrashedShardExcludedAfterwards(t *testing.T) {
 	plan := &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{0: {Crash: true, CrashAfterFetches: 0}}}
 	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 5, plan))
 	before := c.Count(q)
-	first := c.Sampler(q)
+	first := c.Sampler(q, stats.NewRNG(1))
 	distrtest.DrainBatched(first, []int{64}) // triggers the crash mid-query
 	if first.Status("").ShardsLost == 0 {
 		t.Fatal("first query should be degraded")
@@ -232,7 +233,7 @@ func TestCrashedShardExcludedAfterwards(t *testing.T) {
 	if after != before-lostPop {
 		t.Errorf("post-crash count = %d, want %d - %d", after, before, lostPop)
 	}
-	second := c.Sampler(q)
+	second := c.Sampler(q, stats.NewRNG(1))
 	emitted := len(distrtest.DrainBatched(second, []int{64}))
 	if second.Status("").ShardsLost > 0 {
 		t.Error("a query started after the crash is not degraded")
@@ -250,7 +251,7 @@ func TestNetChargesOnlyContactedShards(t *testing.T) {
 	q := distrtest.Query()
 	plan := &distr.FaultPlan{Shards: map[int]distr.ShardFaultPlan{0: {Crash: true, CrashAfterFetches: 0}}}
 	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 5, plan))
-	distrtest.DrainBatched(c.Sampler(q), []int{64}) // triggers the crash
+	distrtest.DrainBatched(c.Sampler(q, stats.NewRNG(1)), []int{64}) // triggers the crash
 	if c.FaultStats().ShardsDown != 1 {
 		t.Fatalf("fixture: %d shards down, want 1", c.FaultStats().ShardsDown)
 	}
@@ -261,7 +262,7 @@ func TestNetChargesOnlyContactedShards(t *testing.T) {
 	}
 	c.ResetNet()
 	var one [1]data.Entry
-	if c.Sampler(q).NextBatch(one[:], 1) != 1 {
+	if c.Sampler(q, stats.NewRNG(1)).NextBatch(one[:], 1) != 1 {
 		t.Fatal("no sample from the surviving shards")
 	}
 	if got := c.Net().Messages; got != 8 {
@@ -296,7 +297,7 @@ func TestStatDegradedFirstSampleUniform(t *testing.T) {
 	const trials = 6000
 	for i := 0; i < trials; i++ {
 		c := distrtest.Build(t, ds, distrtest.FastConfig(4, int64(i), plan))
-		s := c.Sampler(q)
+		s := c.Sampler(q, stats.NewRNG(int64(i)))
 		e, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatal("no sample")
@@ -324,7 +325,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 			Shards: map[int]distr.ShardFaultPlan{distr.ShardAll: {TransientProb: 0.2, LatencyProb: 0.1, Latency: 10 * time.Microsecond}},
 		}
 		c := distrtest.Build(t, ds, distrtest.FastConfig(4, 9, plan))
-		distrtest.DrainBatched(c.Sampler(q), []int{64})
+		distrtest.DrainBatched(c.Sampler(q, stats.NewRNG(1)), []int{64})
 		return c.FaultStats()
 	}
 	a, b := mk(), mk()
@@ -443,7 +444,7 @@ func TestSharedRegistryAggregatesFaultTotals(t *testing.T) {
 	distrtest.Build(t, distrtest.Dataset(2000), healthyCfg)
 
 	// Drive the faulty cluster past both crash thresholds.
-	s := faulty.Sampler(q)
+	s := faulty.Sampler(q, stats.NewRNG(1))
 	buf := make([]data.Entry, 96)
 	for s.NextBatch(buf, len(buf)) == len(buf) {
 	}

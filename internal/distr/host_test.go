@@ -10,6 +10,7 @@ import (
 	"storm/internal/data/datatest"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/stats"
 	"storm/internal/wire"
 )
 
@@ -99,10 +100,10 @@ func TestHostPartitionsOncePerDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, got := make([]data.Entry, 512), make([]data.Entry, 512)
-		if k := local.Sampler(testQuery).NextBatch(want, len(want)); k != len(want) {
+		if k := local.Sampler(testQuery, stats.NewRNG(1)).NextBatch(want, len(want)); k != len(want) {
 			t.Fatalf("of=%d: loopback stream ends after %d samples", of, k)
 		}
-		if k := remote.Sampler(testQuery).NextBatch(got, len(got)); k != len(got) {
+		if k := remote.Sampler(testQuery, stats.NewRNG(1)).NextBatch(got, len(got)); k != len(got) {
 			t.Fatalf("of=%d: host stream ends after %d samples", of, k)
 		}
 		for i := range want {

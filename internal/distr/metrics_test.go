@@ -7,6 +7,7 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/obs"
+	"storm/internal/stats"
 )
 
 // TestClusterMetrics pins the distr observability wiring: fan-out rounds
@@ -21,7 +22,7 @@ func TestClusterMetrics(t *testing.T) {
 	}
 
 	c.Count(testQuery)
-	s := c.Sampler(testQuery)
+	s := c.Sampler(testQuery, stats.NewRNG(1))
 	buf := make([]data.Entry, 256)
 	if got := s.NextBatch(buf, 256); got == 0 {
 		t.Fatal("cluster sampler returned no samples")
@@ -54,7 +55,7 @@ func TestClusterMetrics(t *testing.T) {
 // without breaking any query path.
 func TestClusterNoRegistry(t *testing.T) {
 	c, _ := buildCluster(t, 2_000, 2)
-	s := c.Sampler(testQuery)
+	s := c.Sampler(testQuery, stats.NewRNG(1))
 	buf := make([]data.Entry, 64)
 	if got := s.NextBatch(buf, 64); got == 0 {
 		t.Fatal("sampler with metrics off returned no samples")

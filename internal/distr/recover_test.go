@@ -10,6 +10,7 @@ import (
 	"storm/internal/obs"
 	"storm/internal/pred"
 	"storm/internal/sampling/samplingtest"
+	"storm/internal/stats"
 	"storm/internal/stats/statcheck"
 )
 
@@ -26,7 +27,7 @@ func TestRecoveredShardResumesStream(t *testing.T) {
 	}}
 	c := distrtest.Build(t, ds, distrtest.FastConfig(4, 5, plan))
 	initial := c.Count(q)
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 
 	sawDegraded := false
 	seen := make(map[data.ID]bool)
@@ -94,7 +95,7 @@ func TestRecoveredShardRestoresClusterState(t *testing.T) {
 	full := c.Count(q)
 
 	// Trigger the crash: the shard dies on its first fetch.
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	buf := make([]data.Entry, 64)
 	for i := 0; i < 50 && s.Status("").ShardsLost == 0; i++ {
 		if s.NextBatch(buf, len(buf)) == 0 {
@@ -135,7 +136,7 @@ func TestRecoveredShardRestoresClusterState(t *testing.T) {
 	}
 
 	// One-shot cycle: a fresh query over the recovered cluster is healthy.
-	fresh := c.Sampler(q)
+	fresh := c.Sampler(q, stats.NewRNG(1))
 	if got, lost := len(distrtest.DrainBatched(fresh, []int{64})), fresh.Status("").ShardsLost; got != full || lost > 0 {
 		t.Errorf("post-recovery query drained %d (shards lost=%d), want healthy %d", got, lost, full)
 	}
@@ -250,12 +251,12 @@ func TestSamplerLostMassBounds(t *testing.T) {
 	cfg.MaxRetries = -1
 	c := distrtest.Build(t, ds, cfg)
 
-	healthy := c.Sampler(q)
+	healthy := c.Sampler(q, stats.NewRNG(1))
 	if _, _, _, ok := healthy.LostMassBounds("value"); ok {
 		t.Error("healthy query should expose no lost-mass bounds")
 	}
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	buf := make([]data.Entry, 64)
 	for i := 0; i < 50 && s.Status("").ShardsLost == 0; i++ {
 		if s.NextBatch(buf, len(buf)) == 0 {
@@ -310,7 +311,7 @@ func TestStatPostRejoinFirstSampleUniform(t *testing.T) {
 		cfg.MaxRetries = -1
 		c := distrtest.Build(t, ds, cfg)
 		// First query: trigger the crash (shard 1 dies on its first fetch).
-		first := c.Sampler(q)
+		first := c.Sampler(q, stats.NewRNG(stats.MixSeed(int64(i))))
 		first.NextBatch(make([]data.Entry, 64), 64)
 		if st := first.Status(""); st.ShardsLost == 0 && st.Readmits == 0 {
 			t.Fatalf("trial %d: crash never triggered", i)
@@ -328,7 +329,7 @@ func TestStatPostRejoinFirstSampleUniform(t *testing.T) {
 			t.Fatalf("trial %d: shard never rejoined", i)
 		}
 		// Second query: first sample over the recovered full population.
-		e, ok := samplingtest.Next(c.Sampler(q))
+		e, ok := samplingtest.Next(c.Sampler(q, stats.NewRNG(int64(i))))
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
 		}

@@ -19,6 +19,7 @@ import (
 	"storm/internal/estimator"
 	"storm/internal/geo"
 	"storm/internal/pred"
+	"storm/internal/stats"
 	"storm/internal/wire"
 )
 
@@ -68,8 +69,8 @@ func TestRemoteMatchesLoopback(t *testing.T) {
 	}
 
 	sizes := []int{17, 64, 1, 33}
-	want := distrtest.DrainBatched(local.Sampler(q), sizes)
-	got := distrtest.DrainBatched(remote.Sampler(q), sizes)
+	want := distrtest.DrainBatched(local.Sampler(q, stats.NewRNG(1)), sizes)
+	got := distrtest.DrainBatched(remote.Sampler(q, stats.NewRNG(1)), sizes)
 	distrtest.SameEntries(t, want, got, "loopback vs TCP")
 
 	net := remote.Net()
@@ -119,8 +120,8 @@ func TestRemoteWindowMatchesLoopback(t *testing.T) {
 	}
 
 	sizes := []int{17, 64, 1, 33}
-	want := distrtest.DrainBatched(local.SamplerWindow(q, nil, win), sizes)
-	got := distrtest.DrainBatched(remote.SamplerWindow(q, nil, win), sizes)
+	want := distrtest.DrainBatched(local.SamplerWindow(q, stats.NewRNG(1), nil, win), sizes)
+	got := distrtest.DrainBatched(remote.SamplerWindow(q, stats.NewRNG(1), nil, win), sizes)
 	distrtest.SameEntries(t, want, got, "windowed loopback vs TCP")
 	for _, e := range want {
 		if e.Pos[2] < win.Lo || e.Pos[2] > win.Hi {
@@ -180,7 +181,7 @@ func TestRemoteFaultPlanResumesStream(t *testing.T) {
 	})
 	initial := c.Count(q)
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	seen := make(map[data.ID]bool)
 	buf := make([]data.Entry, 48)
 	emitted := 0
@@ -287,7 +288,7 @@ func TestLostMassBoundsCoverIngestAfterHostKill(t *testing.T) {
 		}
 	}
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	buf := make([]data.Entry, 48)
 	for i := 0; i < 3; i++ {
 		s.NextBatch(buf, len(buf))
@@ -326,7 +327,7 @@ func TestRemoteShardKillRestart(t *testing.T) {
 	srvB := srvs[1]
 	initial := c.Count(q)
 
-	s := c.Sampler(q)
+	s := c.Sampler(q, stats.NewRNG(1))
 	seen := make(map[data.ID]bool)
 	buf := make([]data.Entry, 48)
 	emitted := 0

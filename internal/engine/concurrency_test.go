@@ -124,11 +124,17 @@ func buildHandleWithPool(t testing.TB, n int, lstree bool, pages int) (*Engine, 
 // test: a query's explicit seed must fully determine its sample stream, no
 // matter what else runs at the same time. The serial reference stream is
 // compared against copies raced against each other and against queries
-// with different seeds (which perturb the lazy buffer cache).
+// with different seeds (which perturb the lazy buffer cache, and on a
+// cluster open streams of their own on every shard).
 func TestSameSeedSameStreamSerialVsConcurrent(t *testing.T) {
-	for _, method := range []Method{MethodRSTree, MethodLSTree} {
+	for _, method := range []Method{MethodRSTree, MethodLSTree, MethodDistributed} {
 		t.Run(method.String(), func(t *testing.T) {
-			_, h := buildHandle(t, 10000, true)
+			var h *Handle
+			if method == MethodDistributed {
+				_, h = buildShardedHandle(t, 10000, 4, nil)
+			} else {
+				_, h = buildHandle(t, 10000, true)
+			}
 			const seed = 12345
 			const k = 500
 			ref, err := h.Sample(testRange, k, method, sampling.WithoutReplacement, seed)

@@ -698,9 +698,9 @@ func (h *Handle) newStream(method Method, q geo.Rect, rng *stats.RNG, plan *wher
 		if plan != nil {
 			// plan.win (the resolved LAST window) rides to the shards with
 			// the predicate terms; a window-only plan has nil terms.
-			return h.cluster.SamplerWindow(q, plan.terms, plan.win), ctr, nil
+			return h.cluster.SamplerWindow(q, rng, plan.terms, plan.win), ctr, nil
 		}
-		return h.cluster.Sampler(q), ctr, nil
+		return h.cluster.Sampler(q, rng), ctr, nil
 	case MethodRSTree:
 		if plan.usePushdown() {
 			return h.rs.SamplerWhere(q, rng, plan.treeFilter(h.sums), acct), ctr, nil

@@ -6,7 +6,6 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/rtree"
-	"storm/internal/stats"
 )
 
 // Scratch pools for the sampler hot paths. Per-part permutation slices,
@@ -60,10 +59,6 @@ func putEntries(b *[]data.Entry) {
 }
 
 var nodePool slicePool[*rtree.Node]
-
-// rngPool holds the RNGs buffer generation reseeds per node (bufferSeed), so
-// a build or a post-ingest regeneration allocates no 5 KB source per buffer.
-var rngPool = sync.Pool{New: func() any { return stats.NewRNG(0) }}
 
 // getNodeStack returns a box holding an empty node stack with spare capacity.
 func getNodeStack() *[]*rtree.Node {

@@ -249,16 +249,15 @@ func (x *Index) generate(n *rtree.Node, acct iosim.Accountant) []data.Entry {
 // distinct positions in the subtree's canonical enumeration (children in
 // order, then leaf entries in order) and descending only into children that
 // own a drawn position, so generation costs O(s · height) node visits. The
-// randomness comes from a pooled RNG reseeded by (node, version), so the
-// result is deterministic for a given tree state.
+// randomness comes from an RNG seeded by (node, version), so the result is
+// deterministic for a given tree state.
 func (x *Index) sampleSubtree(n *rtree.Node, acct iosim.Accountant) []data.Entry {
 	count := n.Count()
 	if count == 0 {
 		return nil
 	}
 	s := min(x.cfg.BufferSize, count)
-	rng := rngPool.Get().(*stats.RNG)
-	rng.Reseed(x.bufferSeed(n))
+	rng := stats.NewRNG(x.bufferSeed(n))
 	box := distinctPositions(rng, count, s)
 	positions := *box
 	slices.Sort(positions)
@@ -268,7 +267,6 @@ func (x *Index) sampleSubtree(n *rtree.Node, acct iosim.Accountant) []data.Entry
 	// The positions were sorted for the descent; shuffle the collected
 	// entries so the buffer order is uniform.
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	rngPool.Put(rng)
 	return out
 }
 

@@ -43,13 +43,14 @@ import (
 const DefaultAlpha = 1e-3
 
 // Seeds derives n distinct deterministic seeds from base — the fixed seed
-// sets the statistical suites run under. Distinctness matters: replicate
-// runs must be independent draws, and reusing a seed silently halves the
+// sets the statistical suites run under. Distinctness is all that matters:
+// stats.NewRNG keys its generator through SplitMix64, so distinct seeds give
+// independent runs at any spacing, and reusing a seed silently halves the
 // effective sample size of a coverage or uniformity check.
 func Seeds(base int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = base + int64(i)*1_000_003 // spaced so derived per-run RNGs don't collide
+		out[i] = base + int64(i)*1_000_003
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package statcheck
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -211,6 +212,43 @@ func TestMessagesNameTheCheck(t *testing.T) {
 		// rec.msg stores the format string; the name is its first verb.
 		if !strings.HasPrefix(rec.msg, "%s") {
 			t.Errorf("failure message should lead with the check name, got format %q", rec.msg)
+		}
+	}
+}
+
+// TestSeedsCalibrated checks the harness itself: one Intn(k) per seeded
+// trial over Seeds must look like independent uniform draws, or every
+// suite's alpha is fiction. Over replicates, the goodness-of-fit
+// chi-square of the trials' draws must have its nominal law: mean k−1, and
+// the share of replicates past the 90th percentile near 10%.
+func TestSeedsCalibrated(t *testing.T) {
+	const reps, trials, tail = 200, 4000, 0.1
+	for _, k := range []int{4, 16, 64} {
+		crit := stats.ChiSquareQuantile(1-tail, k-1)
+		chi := make([]float64, reps)
+		exceed := 0
+		for r := range chi {
+			counts := make([]int, k)
+			for _, seed := range Seeds(int64(r), trials) {
+				counts[stats.NewRNG(seed).Intn(k)]++
+			}
+			expected := make([]float64, k)
+			for i := range expected {
+				expected[i] = float64(trials) / float64(k)
+			}
+			chi[r] = stats.ChiSquareStat(counts, expected)
+			if chi[r] > crit {
+				exceed++
+			}
+		}
+		name := fmt.Sprintf("chi-square of Intn(%d) over Seeds", k)
+		MeanWithin(t, name, float64(k-1), chi, 0, DefaultAlpha)
+		want, sd := reps*tail, math.Sqrt(reps*tail*(1-tail))
+		if z := stats.NormalQuantile(1 - DefaultAlpha/2); math.Abs(float64(exceed)-want) > z*sd {
+			t.Errorf("%s: %d of %d replicates past the %.0f%% quantile %.2f, want %.0f ± %.1f",
+				name, exceed, reps, 100*(1-tail), crit, want, z*sd)
+		} else {
+			t.Logf("%s: %d of %d replicates past the %.0f%% quantile", name, exceed, reps, 100*(1-tail))
 		}
 	}
 }

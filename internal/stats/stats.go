@@ -6,33 +6,34 @@ package stats
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 )
 
-// RNG is the random source used across STORM. It wraps math/rand so every
-// sampler and generator can be seeded deterministically, which keeps the
-// statistical tests and benchmark figures reproducible. Its stream for a
-// seed is rand.New(rand.NewSource(seed))'s, draw for draw; only the seeding
-// is cheaper (see source). An RNG is used through its pointer and never
-// copied: r draws from src in place.
+// RNG is the random source used across STORM: math/rand/v2's PCG, keyed by
+// a seed so every sampler and generator is deterministic, which keeps the
+// statistical tests and benchmark figures reproducible. Both PCG state
+// words come from SplitMix64 steps of the seed (MixSeed), so distinct seeds
+// give independent streams whatever their spacing. An RNG is used through
+// its pointer and never copied: r draws from pcg in place.
 type RNG struct {
-	src source
-	r   *rand.Rand
+	pcg rand.PCG
+	r   rand.Rand
 }
 
 // NewRNG returns an RNG seeded with the given seed.
 func NewRNG(seed int64) *RNG {
 	g := &RNG{}
-	g.src.Seed(seed)
-	g.r = rand.New(&g.src)
+	g.Reseed(seed)
+	g.r = *rand.New(&g.pcg)
 	return g
 }
 
-// MixSeed derives a second stream's seed from a first's by one SplitMix64
-// step. Seeds a fixed offset apart give correlated streams here, and equal
-// seeds the same stream, so a stream whose draws must be independent of
-// another's is seeded with MixSeed of the other's seed.
+// MixSeed is one SplitMix64 step: a bijection of int64 that scatters
+// neighbouring seeds across the whole range. NewRNG keys PCG with it, so
+// seeds a fixed offset apart no longer correlate; a second stream that must
+// be independent of a first, but follow from the same seed, is seeded with
+// MixSeed of the first's seed (equal seeds give the same stream).
 func MixSeed(seed int64) int64 {
 	z := uint64(seed) + 0x9E3779B97F4A7C15
 	z = (z ^ z>>30) * 0xBF58476D1CE4E9B5
@@ -41,16 +42,19 @@ func MixSeed(seed int64) int64 {
 }
 
 // Reseed restarts g as NewRNG(seed) would, without allocating.
-func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+func (g *RNG) Reseed(seed int64) {
+	hi := MixSeed(seed)
+	g.pcg.Seed(uint64(hi), uint64(MixSeed(hi)))
+}
 
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.r.IntN(n) }
 
 // Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
+func (g *RNG) Int63() int64 { return g.r.Int64() }
 
 // NormFloat64 returns a standard normal variate.
 func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }

@@ -145,6 +145,52 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGOffsetSeedsIndependent draws the first Intn(q) of NewRNG(s) and of
+// NewRNG(s+d) over consecutive base seeds s: the pair must be uniform over
+// its q² cells, so streams whose seeds sit a fixed offset apart (as the
+// engine's, the cluster's and statcheck's seed sequences do) are
+// independent. The 90 000 offset is one a lagged-Fibonacci source tied.
+func TestRNGOffsetSeedsIndependent(t *testing.T) {
+	const bases, alpha = 20_000, 1e-3
+	for _, q := range []int{4, 16} {
+		for _, d := range []int64{1, 64, 90_000, 1_000_003} {
+			counts := make([]int, q*q)
+			for s := int64(1); s <= bases; s++ {
+				counts[NewRNG(s).Intn(q)*q+NewRNG(s+d).Intn(q)]++
+			}
+			expected := make([]float64, q*q)
+			for i := range expected {
+				expected[i] = float64(bases) / float64(q*q)
+			}
+			stat, crit := ChiSquareStat(counts, expected), ChiSquareQuantile(1-alpha, q*q-1)
+			if stat > crit {
+				t.Errorf("Intn(%d) of seeds s and s+%d: joint chi-square %.1f > %.1f (df %d)", q, d, stat, crit, q*q-1)
+			}
+		}
+	}
+}
+
+// rngSink keeps the benchmarked RNGs on the heap, as they are in use.
+var rngSink *RNG
+
+// BenchmarkNewRNG times one seeded RNG — the cost paid per RS-tree node
+// buffer, per query and per shard stream open — and Reseed of a live one.
+func BenchmarkNewRNG(b *testing.B) {
+	b.Run("NewRNG", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rngSink = NewRNG(int64(i))
+		}
+	})
+	b.Run("Reseed", func(b *testing.B) {
+		g := NewRNG(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.Reseed(int64(i))
+		}
+	})
+}
+
 func TestUniformRange(t *testing.T) {
 	g := NewRNG(3)
 	for i := 0; i < 1000; i++ {

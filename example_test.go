@@ -27,7 +27,7 @@ func ExampleHandle_Estimate() {
 	}
 	fmt.Printf("%s after %d samples (population %d)\n",
 		snap.Kind, snap.Samples, snap.Population)
-	// Output: AVG after 400 samples (population 3848)
+	// Output: AVG after 400 samples (population 3754)
 }
 
 // ExampleHandle_Count shows exact range counting via canonical subtree

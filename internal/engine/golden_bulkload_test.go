@@ -23,8 +23,10 @@ import (
 // entry IDs in stored order. Page IDs seed the RS-tree's per-node sample
 // buffers and leaf order is what every sampler enumerates, so an unchanged
 // file means every seeded stream over these trees is unchanged too. It was
-// recorded at the commit BEFORE bulk loading was split into sort and pack
-// and must never be regenerated to make a build-path change pass.
+// recorded at the commit BEFORE bulk loading was split into sort and pack,
+// re-recorded once when stats.RNG moved onto PCG (the generated records and
+// every seeded draw changed), and must never be regenerated to make a
+// build-path change pass.
 // STORM_UPDATE_GOLDEN=1 rewrites it (deliberate, reviewed changes only).
 const bulkloadGoldenFile = "testdata/golden_bulkload.txt"
 

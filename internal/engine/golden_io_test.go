@@ -17,7 +17,8 @@ import (
 // final snapshot's per-query IO, then the shared device's counters after
 // the last case. The seeded-stream golden files pin which samples a query
 // draws, not which pages it charges or where the charges land; this file
-// pins that. It must never be regenerated to make a refactor pass.
+// pins that. It was re-recorded once when stats.RNG moved onto PCG (every
+// seeded draw changed) and must never be regenerated to make a refactor pass.
 // STORM_UPDATE_GOLDEN=1 rewrites it (deliberate, reviewed changes only).
 const ioGoldenFile = "testdata/golden_io.txt"
 

@@ -15,8 +15,9 @@ import (
 // and Hilbert key cache in pre-order, and one "<case>/<tree>-buffers" line
 // per RS-tree over every node's sample buffer as entry IDs in stored order.
 // It was recorded at the commit BEFORE packing and buffer precompute were
-// fanned across goroutines and must never be regenerated to make a
-// build-path change pass. STORM_UPDATE_GOLDEN=1 rewrites it (deliberate,
+// fanned across goroutines, re-recorded once when stats.RNG moved onto PCG
+// (the generated records and every seeded draw changed), and must never be
+// regenerated to make a build-path change pass. STORM_UPDATE_GOLDEN=1 rewrites it (deliberate,
 // reviewed changes only).
 const packDerivedGoldenFile = "testdata/golden_pack_derived.txt"
 

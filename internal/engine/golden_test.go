@@ -22,8 +22,9 @@ import (
 // goldenFile pins the seeded snapshot sequence of every query shape: one
 // line per case, "<name> <snapshots> <sha256 of the rendered sequence>".
 // It was recorded at the commit BEFORE the engine's four sampling loops
-// were collapsed into the single driver and must never be regenerated to
-// make a refactor pass — a changed line means a seeded stream changed.
+// were collapsed into the single driver, re-recorded once when stats.RNG
+// moved onto PCG (every seeded draw changed), and must never be regenerated
+// to make a refactor pass — a changed line means a seeded stream changed.
 // STORM_UPDATE_GOLDEN=1 rewrites it (for a deliberate, reviewed behaviour
 // change only).
 const goldenFile = "testdata/golden_streams.txt"

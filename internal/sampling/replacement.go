@@ -43,8 +43,8 @@ type replacing struct {
 // and independent of the draws before it.
 //
 // rng draws the repeat choices only. Seed it with stats.MixSeed of inner's
-// seed: inner's own RNG, or one seeded equally or a fixed offset apart,
-// would tie the choices to inner's draws. q = 0 delivers nothing; a stream
+// seed: inner's own RNG, or one seeded equally, would tie the choices to
+// inner's draws. q = 0 delivers nothing; a stream
 // whose inner runs dry before q records ends there. Close closes inner.
 func WithReplacementOf(inner Sampler, q int, rng *stats.RNG) Sampler {
 	return &replacing{inner: inner, q: q, rng: rng}

@@ -518,16 +518,11 @@ func BenchmarkIndexBuild(b *testing.B) {
 // BenchmarkRegister times engine.Register of the benchmark-of-record dataset
 // as a starting stormd registers it: the RS-tree only, the LS-tree left to
 // the first query that asks for it. gen-ms is the generation of that
-// dataset, which stormd pays first; sort-ms and pack-ms split one further
-// build per op, off the timer, into the same two halves Register runs — the
-// pure STR sort, straight from the dataset's columns, and the packing that
-// takes the sorted list over, with the internal nodes' sample buffers
-// (leaves carry none) — and report their means per op.
+// dataset, which stormd pays first.
 func BenchmarkRegister(b *testing.B) {
 	start := time.Now()
 	ds := gen.OSM(gen.OSMConfig{N: 500_000, Seed: 1})
 	genMS := float64(time.Since(start).Microseconds()) / 1000
-	var sortD, packD time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -535,21 +530,8 @@ func BenchmarkRegister(b *testing.B) {
 		if _, err := e.Register(ds, engine.IndexOptions{}); err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		start = time.Now()
-		order := rtree.STROrderDataset(rtree.DefaultFanout, ds)
-		sortD += time.Since(start)
-		start = time.Now()
-		if _, err := rstree.BuildSorted(order.Entries, nil, rstree.Config{Bounds: order.Bounds, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-		packD += time.Since(start)
-		b.StartTimer()
 	}
-	perOpMS := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 / float64(b.N) }
 	b.ReportMetric(genMS, "gen-ms")
-	b.ReportMetric(perOpMS(sortD), "sort-ms")
-	b.ReportMetric(perOpMS(packD), "pack-ms")
 }
 
 // BenchmarkInsertBatch times the ingest drain's write path,
@@ -612,10 +594,10 @@ func BenchmarkInsertBatch(b *testing.B) {
 }
 
 // BenchmarkHostBuild times what a coordinator waits for at registration:
-// one shard host (as cmd/stormd -role=shard runs it) answering the Build
-// requests for both shards of a two-way partition of its dataset copy, at
-// once, as BuildRemote issues them. partitions/op is the deterministic half:
-// a host partitions once per dataset, not once per Build.
+// one shard host (as cmd/stormd -role=shard runs it) adding its dataset copy
+// and answering the Build requests for both shards of a two-way cut of it,
+// at once, as BuildRemote issues them. partitions/op is the deterministic
+// half: a host orders a dataset once, when it is added, not once per Build.
 func BenchmarkHostBuild(b *testing.B) {
 	ds := gen.OSM(gen.OSMConfig{N: 250_000, Seed: 1})
 	var partitions uint64

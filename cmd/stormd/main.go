@@ -264,7 +264,7 @@ func runShard(addr, wireAddr string, generate func() []*data.Dataset) {
 // serveShard runs a shard host on two bound listeners. /healthz on httpLn
 // answers from the start: it is liveness, and it reports how many datasets
 // are loaded and how many shards are built. The host then generates its
-// datasets, keys their records (distr.Host.AddDataset) and only after that
+// datasets, orders them (distr.Host.AddDataset) and only after that
 // serves the wire protocol on wireLn, so a coordinator's Build that arrives
 // early waits in the accept queue until the data exists and is answered
 // then, never refused; generation overlaps the coordinator's own start.
@@ -292,7 +292,7 @@ func serveShard(httpLn, wireLn net.Listener, generate func() []*data.Dataset) er
 			host.AddDataset(ds)
 		}
 		loaded.Store(int64(len(datasets)))
-		fmt.Fprintf(os.Stderr, "stormd: shard host boot: generate %d ms, key %d ms\n",
+		fmt.Fprintf(os.Stderr, "stormd: shard host boot: generate %d ms, order %d ms\n",
 			generated.Sub(start).Milliseconds(), time.Since(generated).Milliseconds())
 		wire.Serve(wireLn, host)
 	}()

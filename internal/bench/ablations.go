@@ -500,7 +500,7 @@ func A6(cfg A6Config) ([]A6Point, error) {
 				sorted[i] = entries[k.Idx]
 			}
 			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev})
-			t.Pack(sorted, nil)
+			t.Pack(sorted)
 		case "str (default)":
 			t = rtree.MustNew(rtree.Config{Fanout: cfg.Fanout, Device: dev})
 			t.BulkLoad(entries)

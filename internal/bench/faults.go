@@ -48,10 +48,11 @@ func faultRun(ds *data.Dataset, q geo.Range, shards, replicas, k int, seed int64
 }
 
 // hottestShards ranks the cluster's shards by how many records matching q
-// they hold, most first. With Hilbert partitioning a selective query
-// concentrates on few shards, so killing spatially irrelevant ones would
-// measure nothing; the partition depends only on the dataset and the shard
-// count, so the healthy run's ranking holds for every run beside it.
+// they hold, most first. With shards cut from one STR order a selective
+// query concentrates on few shards, so killing spatially irrelevant ones
+// would measure nothing; the cut depends only on the dataset, the fanout
+// and the shard count, so the healthy run's ranking holds for every run
+// beside it.
 func hottestShards(c *distr.Cluster, q geo.Range) []int {
 	rect := q.Rect()
 	matching := make([]int, c.NumShards())

@@ -20,63 +20,17 @@ import (
 	"storm/internal/wire"
 )
 
-// recordKeys is a dataset copy's Hilbert keys: the box they are quantized
-// over and the key of each of its first n records, indexed by record ID.
-// Positions are append-only, so the keys hold for the copy as long as its
-// record count is n.
-type recordKeys struct {
-	n      int
-	bounds geo.Rect
-	keys   []uint64
-}
-
-// keyRecords keys every record of ds over the box HilbertBounds gives its
-// records. It is the half of a partition that does not depend on the shard
-// count, so a host keys a dataset when it is added, before any Build names
-// a count, and the leaves of the shards built from the partition cache the
-// same keys (buildShard): a host keys each record once.
-func keyRecords(ds *data.Dataset) *recordKeys {
-	k := &recordKeys{n: ds.Len(), bounds: rtree.HilbertBounds(ds.Bounds(), nil)}
-	quant := rtree.NewQuantizer(k.bounds)
-	k.keys = make([]uint64, k.n)
-	for i := range k.keys {
-		p := ds.Pos(data.ID(i))
-		k.keys[i] = quant.Value3(p[0], p[1], p[2])
-	}
-	return k
-}
-
-// partition splits a dataset's records, keyed by keyRecords, into
-// contiguous Hilbert ranges — one per shard, spatially coherent so
-// selective queries touch few shards. Which records a shard gets is a pure
-// function of the records and shard count, whatever toolchain built the
-// process: the ranges cut the (Hilbert key, record ID) order, total over
-// distinct IDs, so a coordinator and a remote shard host partitioning the
-// same dataset agree on every shard's contents without shipping them. Only
-// the members are fixed, not their order within a part: the cut is a
-// selection (rtree.GroupByKey), and buildShard's STR order ignores input
-// order. The records are read from ds, and the parts are the one copy made
-// of them.
-func partition(ds *data.Dataset, k *recordKeys, shards int) [][]data.Entry {
-	per := (k.n + shards - 1) / shards
-	grouped := rtree.GroupByKey(ds, k.keys, per)
-	parts := make([][]data.Entry, shards)
-	for s := range parts {
-		lo, hi := min(s*per, len(grouped)), min((s+1)*per, len(grouped))
-		parts[s] = grouped[lo:hi:hi]
-	}
-	return parts
-}
-
-// buildShard materializes one shard from its part of a partition over k:
-// a local RS-tree packed in STR order at fanout, its leaves windows of
-// that order, quantized over k's bounds with its leaves caching k's keys,
-// and seeded seed + id*7919, with its node attribute summaries precomputed.
-func buildShard(ds *data.Dataset, part []data.Entry, k *recordKeys, id int, fanout int, seed int64) (*Shard, error) {
-	idx, err := rstree.BuildSorted(rtree.STROrder(fanout, part)[0], k.keys, rstree.Config{
+// buildShard materializes one shard from its window of the dataset's STR
+// order at fanout (orderMemo.window): a local RS-tree packed from the
+// window as it is, its leaves the coordinator's leaves over the same order,
+// quantized over bounds (the dataset's, so every shard keys as the
+// coordinator does), seeded seed + id*7919, with its node attribute
+// summaries precomputed. The tree takes the window over.
+func buildShard(ds *data.Dataset, window []data.Entry, bounds geo.Rect, id int, fanout int, seed int64) (*Shard, error) {
+	idx, err := rstree.BuildSorted(window, rstree.Config{
 		Fanout: fanout,
 		Device: iosim.Discard,
-		Bounds: k.bounds,
+		Bounds: bounds,
 		Seed:   seed + int64(id)*7919,
 	})
 	if err != nil {
@@ -134,10 +88,11 @@ func (st *backendStream) fetch(dst []data.Entry, n int) int {
 type shardBackend struct {
 	shard *Shard
 	ds    *data.Dataset
-	// of is the shard count of the partition the shard was cut from; a
-	// Build for the same shard under another count is refused (see
-	// Host.handleBuild).
-	of uint32
+	// of and fanout are the shard count and fanout of the cut the shard's
+	// leaves were taken from; a Build for the same shard under another of
+	// either is refused (see rebuilt).
+	of     uint32
+	fanout int
 	// mu guards the shard's index and summaries: stream fetches and
 	// counts hold the read side, insert/delete the write side.
 	mu sync.RWMutex
@@ -146,8 +101,8 @@ type shardBackend struct {
 	streams map[uint64]*backendStream
 }
 
-func newShardBackend(sh *Shard, ds *data.Dataset, of uint32) *shardBackend {
-	return &shardBackend{shard: sh, ds: ds, of: of, streams: make(map[uint64]*backendStream)}
+func newShardBackend(sh *Shard, ds *data.Dataset, of uint32, fanout int) *shardBackend {
+	return &shardBackend{shard: sh, ds: ds, of: of, fanout: fanout, streams: make(map[uint64]*backendStream)}
 }
 
 // compileWhere compiles the coordinator's predicate terms against the

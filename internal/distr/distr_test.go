@@ -6,6 +6,7 @@ import (
 	"storm/internal/data"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/rtree"
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 	"storm/internal/wire"
@@ -35,9 +36,10 @@ func TestBuildPartitionsEverything(t *testing.T) {
 	if total != ds.Len() {
 		t.Fatalf("shard records sum to %d, want %d", total, ds.Len())
 	}
-	// Balanced within one slot.
+	// Balanced within one leaf: a shard is a run of whole leaves.
+	f := rtree.DefaultFanout
 	for _, s := range c.Shards() {
-		if s.Len() < ds.Len()/4-1 || s.Len() > ds.Len()/4+ds.Len()%4+1 {
+		if s.Len() < ds.Len()/4-f || s.Len() > ds.Len()/4+f {
 			t.Errorf("shard %d holds %d records (imbalanced)", s.ID, s.Len())
 		}
 	}
@@ -212,17 +214,13 @@ func TestInsertAfterHostDeathIsNeverLostSilently(t *testing.T) {
 		onB = 1
 	}
 	// A point only B's shard box holds routes there while it is believed
-	// live. The boxes are the built trees', which cover the Hilbert
-	// partition's parts.
-	parts := partition(ds, keyRecords(ds), 2)
-	other := geo.EmptyRect()
-	for _, e := range parts[1-onB] {
-		other = other.ExtendPoint(e.Pos)
-	}
+	// live. The boxes are the coordinator's, the built trees' root boxes: a
+	// record in B's box and outside A's is on B's shard.
+	boxB, other := c.env[onB].box, c.env[1-onB].box
 	target := -1
-	for _, e := range parts[onB] {
-		if !other.Contains(e.Pos) {
-			target = int(e.ID)
+	for id := range n {
+		if p := ds.Pos(data.ID(id)); boxB.Contains(p) && !other.Contains(p) {
+			target = id
 			break
 		}
 	}

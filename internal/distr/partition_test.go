@@ -1,7 +1,6 @@
 package distr
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -15,28 +14,8 @@ import (
 	"storm/internal/data/datatest"
 	"storm/internal/geo"
 	"storm/internal/rtree"
+	"storm/internal/wire"
 )
-
-// referencePartition is partition built from slices.SortFunc over the
-// entries themselves by (Hilbert key, ID): the shards partition must give,
-// ties included.
-func referencePartition(entries []data.Entry, shards int) [][]data.Entry {
-	quant := rtree.NewQuantizer(rtree.HilbertBounds(geo.Rect{}, entries))
-	key := func(e data.Entry) uint64 { return quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]) }
-	sorted := slices.Clone(entries)
-	slices.SortFunc(sorted, func(a, b data.Entry) int {
-		if c := cmp.Compare(key(a), key(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	parts := make([][]data.Entry, shards)
-	per := (len(sorted) + shards - 1) / shards
-	for s := range parts {
-		parts[s] = sorted[min(s*per, len(sorted)):min((s+1)*per, len(sorted))]
-	}
-	return parts
-}
 
 // tiedDataset puts n records on a coarse grid, every third one an exact
 // duplicate of an earlier record, so Hilbert keys collide throughout.
@@ -73,13 +52,44 @@ func signedZeros(n int) *data.Dataset {
 	return ds
 }
 
-// TestPartitionMatchesReference checks that every shard gets the records
-// that the reference gives it: on distinct keys, on tied ones (where the
-// tie rule decides which shard a record lands in) and on signed zeros, on
-// both sides of the radix cutoff, for one to seven shards. Only membership
-// is compared: the order within a part is left open
-// (TestBuildShardIgnoresPartOrder). The keys partition cuts, which shard
-// leaves cache, must be the reference's keys by record ID.
+// leafEntries lists the entries of t's leaves, leaf after leaf in tree
+// order: the order they were packed in.
+func leafEntries(t *rtree.Tree) []data.Entry {
+	var out []data.Entry
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		out = append(out, n.Entries()...)
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(t.Root())
+	return out
+}
+
+// buildAll sends the Builds for every shard of ds into of at fanout to h,
+// one after another, and returns the built shards in shard order.
+func buildAll(t *testing.T, h *Host, ds string, of, fanout uint32) []*Shard {
+	t.Helper()
+	shards := make([]*Shard, of)
+	for s := range of {
+		resp := h.Handle(&wire.Build{Target: wire.Target{DS: ds, Shard: s}, Of: of, Fanout: fanout, Seed: 1})
+		if _, ok := resp.(*wire.BuildOK); !ok {
+			t.Fatalf("Build shard %d of %d at fanout %d: %#v", s, of, fanout, resp)
+		}
+		shards[s] = h.backend(wire.Target{DS: ds, Shard: s}).shard
+	}
+	return shards
+}
+
+// TestPartitionMatchesReference builds every shard of a dataset on a host
+// and checks the cut against the reference: with L leaves of the dataset's
+// STR order (rtree.STROrder over its entries), leaf i goes to shard
+// ⌈(i+1)·S/L⌉ − 1, so the shards' leaves, in shard order, are that order
+// entry for entry. Every record is then on exactly one shard, and every
+// shard is within one leaf of N/S. On distinct keys, on tied ones and on
+// signed zeros, on both sides of the radix cutoff, at the default fanout
+// and at 8, for one to seven shards.
 func TestPartitionMatchesReference(t *testing.T) {
 	for name, ds := range map[string]*data.Dataset{
 		"distinct keys":   testDataset(5000),
@@ -88,49 +98,61 @@ func TestPartitionMatchesReference(t *testing.T) {
 		"tied keys short": tiedDataset(700),
 		"signed zeros":    signedZeros(3000),
 	} {
-		entries := ds.Entries()
-		bounds := rtree.HilbertBounds(geo.Rect{}, entries)
-		quant := rtree.NewQuantizer(bounds)
-		k := keyRecords(ds)
-		if k.n != len(entries) || k.bounds != bounds {
-			t.Fatalf("%s: keyed %d records over %v, want %d over %v", name, k.n, k.bounds, len(entries), bounds)
-		}
-		for id, e := range entries {
-			if want := quant.Value3(e.Pos[0], e.Pos[1], e.Pos[2]); k.keys[id] != want {
-				t.Fatalf("%s: key of record %d = %d, want %d", name, id, k.keys[id], want)
-			}
-		}
-		for shards := 1; shards <= 7; shards++ {
-			got := partition(ds, k, shards)
-			for s, want := range referencePartition(entries, shards) {
-				if !slices.EqualFunc(byID(got[s]), byID(want), sameEntry) {
-					t.Fatalf("%s: shard %d of %d holds other records than the reference partition", name, s, shards)
+		for _, fanout := range []uint32{0, 8} {
+			f := shardFanout(int(fanout))
+			ref := rtree.STROrder(f, ds.Entries())[0]
+			leaves := (len(ref) + f - 1) / f
+			for of := uint32(1); of <= 7; of++ {
+				want := make([][]data.Entry, of)
+				for i := range leaves {
+					s := ((i+1)*int(of)+leaves-1)/leaves - 1
+					want[s] = append(want[s], ref[i*f:min((i+1)*f, len(ref))]...)
+				}
+				h := NewHost()
+				h.AddDataset(ds)
+				held := make([]int, ds.Len())
+				for s, sh := range buildAll(t, h, ds.Name(), of, fanout) {
+					got := leafEntries(sh.index.Tree())
+					if !slices.EqualFunc(got, want[s], sameEntry) {
+						t.Fatalf("%s, fanout %d: shard %d of %d holds other leaves than the reference cut", name, f, s, of)
+					}
+					if d := len(got) - len(ref)/int(of); d < -f || d > f {
+						t.Errorf("%s, fanout %d: shard %d of %d holds %d records, more than a leaf from %d", name, f, s, of, len(got), len(ref)/int(of))
+					}
+					for _, e := range got {
+						held[e.ID]++
+					}
+				}
+				if i := slices.IndexFunc(held, func(k int) bool { return k != 1 }); i >= 0 {
+					t.Fatalf("%s, fanout %d: record %d is on %d of %d shards", name, f, i, held[i], of)
 				}
 			}
 		}
 	}
 }
 
-// byID returns a copy of part in record ID order.
-func byID(part []data.Entry) []data.Entry {
-	out := slices.Clone(part)
-	slices.SortFunc(out, func(a, b data.Entry) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
-
-// TestBuildShardIgnoresPartOrder builds each shard of a tie-heavy partition
-// from its part as partition returns it and from shuffles of it: tree and
-// sample buffers must digest the same, which is what lets partition leave
-// the order within a part open.
+// TestBuildShardIgnoresPartOrder builds each shard of a tie-heavy dataset
+// on a host, and again from its window of the STR order of shuffles of the
+// dataset's entries: tree and sample buffers must digest the same. A shard
+// is a function of the dataset's records, not of the order a sort reads
+// them in, which is what lets a shard host cut its own copy.
 func TestBuildShardIgnoresPartOrder(t *testing.T) {
 	ds := datatest.TieHeavy(20_000)
-	keys := keyRecords(ds)
-	for id, part := range partition(ds, keys, 3) {
-		wantTree, wantBuf := shardDigests(t, ds, part, keys, id)
+	const of, fanout = 3, 16
+	h := NewHost()
+	h.AddDataset(ds)
+	for id, sh := range buildAll(t, h, ds.Name(), of, fanout) {
+		wantTree, wantBuf := shardDigests(sh)
 		for shuffle := int64(0); shuffle < 2; shuffle++ {
-			in := slices.Clone(part)
+			in := ds.Entries()
 			rand.New(rand.NewSource(shuffle)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-			gotTree, gotBuf := shardDigests(t, ds, in, keys, id)
+			m := newOrderMemo(ds, fanout)
+			m.order = rtree.DatasetOrder{Entries: rtree.STROrder(fanout, in)[0], Bounds: ds.Bounds()}
+			again, err := buildShard(ds, m.window(of, uint32(id)), m.order.Bounds, id, fanout, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotTree, gotBuf := shardDigests(again)
 			if gotTree != wantTree {
 				t.Errorf("shard %d, shuffle %d: tree digest %s, want %s", id, shuffle, gotTree, wantTree)
 			}
@@ -141,15 +163,10 @@ func TestBuildShardIgnoresPartOrder(t *testing.T) {
 	}
 }
 
-// shardDigests builds shard id from part and digests its tree in pre-order
-// — page IDs, boxes as float bits, subtree counts, leaf entry IDs — and its
-// sample buffers as entry IDs in stored order.
-func shardDigests(t *testing.T, ds *data.Dataset, part []data.Entry, keys *recordKeys, id int) (tree, buffers string) {
-	t.Helper()
-	sh, err := buildShard(ds, part, keys, id, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+// shardDigests digests sh's tree in pre-order — page IDs, boxes as float
+// bits, subtree counts, leaf entry IDs — and its sample buffers as entry
+// IDs in stored order.
+func shardDigests(sh *Shard) (tree, buffers string) {
 	th, bh := sha256.New(), sha256.New()
 	put := func(h hash.Hash, v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
 	var walk func(n *rtree.Node)

@@ -19,10 +19,10 @@ import (
 )
 
 const (
-	// remoteBuildTimeout bounds a Build RPC: the shard host partitions
-	// its dataset copy (once per dataset, shard count and record count —
-	// sibling Builds wait for that one partition) and indexes the shard,
-	// under its dataset lock, which dwarfs every other request.
+	// remoteBuildTimeout bounds a Build RPC: the shard host orders its
+	// dataset copy (once per dataset, fanout and record count — sibling
+	// Builds wait for that one order) and indexes the shard, under its
+	// dataset lock, which dwarfs every other request.
 	remoteBuildTimeout = 2 * time.Minute
 	// remoteOpTimeout bounds every request but Build and Fetch (count,
 	// open, close, update mirrors, liveness pings) — cheap but
@@ -285,9 +285,9 @@ type endpoint struct {
 // processes. Each shard is placed on cfg.Replicas distinct hosts by
 // consistent hashing over addrs (ring successors; a pool smaller than
 // the factor yields fewer copies), built on each of them via a Build RPC
-// (the host partitions its own dataset copy — partitioning is
-// deterministic, so coordinator and hosts agree on every shard's
-// contents without shipping them), and reached through one shared TCP
+// (the host cuts its own dataset copy — the cut is deterministic, so
+// coordinator and hosts agree on every shard's contents without shipping
+// them), and reached through one shared TCP
 // transport per host. Every replica of a shard answers to the same wire
 // Target — replica identity is purely a coordinator-side routing choice,
 // so the wire protocol is unchanged by replication. cfg.Shards defaults

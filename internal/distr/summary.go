@@ -56,7 +56,7 @@ func (c *Cluster) widenBuilt(shard int, ok *wire.BuildOK) {
 }
 
 // route picks the live shard whose box grows least to cover p — with
-// contiguous Hilbert partitions, the shard owning its neighborhood; the
+// contiguous STR leaf runs, the shard owning its neighborhood; the
 // first in shard order on ties — and widens its envelope with p and the
 // record's values num. It returns -1 when no live shard can take p (none
 // is live, or p has a NaN coordinate).

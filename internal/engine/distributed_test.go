@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"storm/internal/data"
@@ -13,6 +15,7 @@ import (
 	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/obs"
+	"storm/internal/rtree"
 	"storm/internal/sampling"
 	"storm/internal/wire"
 )
@@ -397,4 +400,63 @@ func TestRemoteBuildsWrittenBeforeLocalBuild(t *testing.T) {
 	if got := h.Cluster().Count(all); got != n {
 		t.Errorf("cluster counts %d records, want %d", got, n)
 	}
+}
+
+// TestShardLeavesAreCoordinatorLeaves: a shard is a run of leaves of the
+// dataset's one STR order, so host 0's shard leaves, taken in shard order,
+// are the coordinator RS-tree's leaves, leaf for leaf — the same entry IDs
+// and the same Hilbert key caches, keyed over the dataset's box. Over one
+// to eight shards, leaf counts that the shard count divides and that it
+// does not, fewer records than shards hold leaves, and fewer records than
+// shards.
+func TestShardLeavesAreCoordinatorLeaves(t *testing.T) {
+	for _, c := range []struct{ n, fanout, shards int }{
+		{5000, 16, 1}, {5000, 16, 2}, {5000, 16, 3}, {5000, 16, 8}, // 313 leaves
+		{4096, 16, 2}, {4096, 16, 3}, {4096, 16, 8}, // 256 leaves
+		{20_000, 0, 3}, // the default fanout
+		{100, 16, 8},   // fewer records than shards hold leaves
+		{3, 0, 8},      // fewer records than shards
+	} {
+		name := fmt.Sprintf("n=%d f=%d S=%d", c.n, c.fanout, c.shards)
+		e := New(Config{Seed: 3, Fanout: c.fanout})
+		h, err := e.Register(distrtest.Dataset(c.n), IndexOptions{Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := treeLeaves(h.rs.Tree())
+		var got []*rtree.Node
+		for _, sh := range h.Cluster().Shards() {
+			if sh.Len() > 0 {
+				got = append(got, treeLeaves(sh.Index().Tree())...)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: shards hold %d leaves, the coordinator %d", name, len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if !slices.EqualFunc(g.Entries(), w.Entries(), func(a, b data.Entry) bool { return a.ID == b.ID }) {
+				t.Fatalf("%s: leaf %d holds other entries on the shards than on the coordinator", name, i)
+			}
+			if !slices.Equal(g.HilbertKeys(), w.HilbertKeys()) {
+				t.Fatalf("%s: leaf %d caches keys %v on the shards, %v on the coordinator", name, i, g.HilbertKeys(), w.HilbertKeys())
+			}
+		}
+	}
+}
+
+// treeLeaves lists t's leaves in tree order: the order they were packed in.
+func treeLeaves(t *rtree.Tree) []*rtree.Node {
+	var out []*rtree.Node
+	var walk func(n *rtree.Node)
+	walk = func(n *rtree.Node) {
+		if n.IsLeaf() {
+			out = append(out, n)
+		}
+		for _, c := range n.Children() {
+			walk(c)
+		}
+	}
+	walk(t.Root())
+	return out
 }

@@ -370,7 +370,7 @@ func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64)
 	order := rtree.STROrderDataset(e.cfg.Fanout, ds)
 	h.advanceWatermark(order.MaxT)
 	var err error
-	h.rs, err = rstree.BuildSorted(order.Entries, nil, rstree.Config{
+	h.rs, err = rstree.BuildSorted(order.Entries, rstree.Config{
 		Fanout: e.cfg.Fanout,
 		Device: e.accountant(),
 		Bounds: order.Bounds,

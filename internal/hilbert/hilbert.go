@@ -195,7 +195,7 @@ func NewQuantizer(curve *Curve, lo, hi []float64) (*Quantizer, error) {
 }
 
 // Value3 is Value specialized for three dimensions — the per-record hot
-// path of partitioning, leaf packing and streaming inserts. It performs no
+// path of leaf packing and streaming inserts. It performs no
 // allocation and, past the clamp, no data-dependent branch: the three cell
 // numbers are bit-interleaved (three shift-and-mask spreads) and the
 // interleaved word is walked two curve levels per table lookup (see

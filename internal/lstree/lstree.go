@@ -124,7 +124,7 @@ func Build(entries []data.Entry, cfg Config) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lstree: %w", err)
 		}
-		t.Pack(level, nil)
+		t.Pack(level)
 		idx.levels = append(idx.levels, t)
 		idx.addSummaries(t)
 	}

@@ -52,7 +52,7 @@ func TestLeavesCarryNoBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], nil, cfg)
+	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestBuildSortedDatasetOrderMatchesBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	order := rtree.STROrderDataset(16, ds)
-	b, err := BuildSorted(order.Entries, nil, Config{Fanout: 16, Device: &logB, Bounds: order.Bounds, Seed: 5})
+	b, err := BuildSorted(order.Entries, Config{Fanout: 16, Device: &logB, Bounds: order.Bounds, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

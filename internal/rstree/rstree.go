@@ -105,16 +105,15 @@ func (x *Index) BufferRegens() uint64 { return x.regens.Load() }
 // Build constructs an RS-tree over the given entries: BuildSorted over
 // their STR order (rtree.STROrder). entries is not retained.
 func Build(entries []data.Entry, cfg Config) (*Index, error) {
-	return BuildSorted(rtree.STROrder(cfg.Fanout, entries)[0], nil, cfg)
+	return BuildSorted(rtree.STROrder(cfg.Fanout, entries)[0], cfg)
 }
 
 // BuildSorted is Build over entries already in STR order at cfg.Fanout, for
 // callers that sort otherwise — the engine from the dataset's columns
-// (rtree.STROrderDataset, its Bounds as cfg.Bounds), a shard host from its
-// partition. It takes sorted over, and keyOf, when set, gives the leaves'
-// keys over cfg.Bounds, which must then be set (rtree.Tree.Pack). The same
-// input order yields the same pages, buffers and device charges.
-func BuildSorted(sorted []data.Entry, keyOf []uint64, cfg Config) (*Index, error) {
+// (rtree.STROrderDataset, its Bounds as cfg.Bounds), a shard host a window
+// of that order. It takes sorted over (rtree.Tree.Pack). The same input
+// order yields the same pages, buffers and device charges.
+func BuildSorted(sorted []data.Entry, cfg Config) (*Index, error) {
 	if cfg.Fanout == 0 {
 		cfg.Fanout = rtree.DefaultFanout
 	}
@@ -131,7 +130,7 @@ func BuildSorted(sorted []data.Entry, keyOf []uint64, cfg Config) (*Index, error
 	if err != nil {
 		return nil, fmt.Errorf("rstree: %w", err)
 	}
-	t.Pack(sorted, keyOf)
+	t.Pack(sorted)
 	idx := &Index{cfg: cfg, tree: t}
 	idx.precomputeBuffers()
 	return idx, nil

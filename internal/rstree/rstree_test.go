@@ -413,7 +413,7 @@ func TestBufferRegensCountsOnlyQueryWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], nil, Config{Fanout: 16, Seed: 5})
+	sorted, err := BuildSorted(rtree.STROrder(16, entries)[0], Config{Fanout: 16, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

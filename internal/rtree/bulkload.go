@@ -18,7 +18,7 @@ import (
 // assumes. The tree remains insertable: inserts place by Hilbert value and
 // leaf LHVs are exact maxima whatever order a pack was given.
 func (t *Tree) BulkLoad(entries []data.Entry) {
-	t.Pack(STROrder(t.cfg.Fanout, entries)[0], nil)
+	t.Pack(STROrder(t.cfg.Fanout, entries)[0])
 }
 
 // Pack is the second half of a bulk load: it replaces the tree's contents
@@ -32,11 +32,8 @@ func (t *Tree) BulkLoad(entries []data.Entry) {
 // scheduled. Pack takes sorted over: each leaf holds its own window of it,
 // capacity capped at the window (a leaf that grows moves out), so sorted
 // must back no other tree and the caller must not touch it again. Without
-// Config.Bounds, the keys are quantized over the MBR of sorted. A non-nil
-// keyOf gives the keys instead: keyOf[e.ID] is e's key under
-// NewQuantizer(Config.Bounds), which must then be set (distr's partition
-// keys a dataset's records so); keyOf is not retained.
-func (t *Tree) Pack(sorted []data.Entry, keyOf []uint64) {
+// Config.Bounds, the keys are quantized over the MBR of sorted.
+func (t *Tree) Pack(sorted []data.Entry) {
 	t.quantizeFor(sorted)
 	t.size = len(sorted)
 	if len(sorted) == 0 {
@@ -44,7 +41,7 @@ func (t *Tree) Pack(sorted []data.Entry, keyOf []uint64) {
 		t.height = 1
 		return
 	}
-	nodes := t.packLeaves(sorted, keyOf)
+	nodes := t.packLeaves(sorted)
 	t.height = 1
 	for len(nodes) > 1 {
 		nodes = t.packInternal(nodes)
@@ -283,15 +280,15 @@ const packGrain = 256
 // the leaves themselves — entries, MBR, Hilbert key cache, LHV — are
 // built in parallel chunks; only the write charges have an order, and they
 // are applied afterwards in page order, which is all the device ever saw.
-// Each leaf is its capped window of entries; keyOf is Pack's.
-func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64) []*Node {
+// Each leaf is its capped window of entries.
+func (t *Tree) packLeaves(entries []data.Entry) []*Node {
 	fan := t.cfg.Fanout
 	nodes := make([]*Node, (len(entries)+fan-1)/fan)
 	base := t.nextPage + 1
 	MapChunks(len(nodes), packGrain, func(lo, hi int) struct{} {
 		for i := lo; i < hi; i++ {
 			end := min((i+1)*fan, len(entries))
-			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:end:end], keyOf)
+			nodes[i] = t.buildLeaf(base+iosim.PageID(i), entries[i*fan:end:end])
 		}
 		return struct{}{}
 	})
@@ -302,9 +299,8 @@ func (t *Tree) packLeaves(entries []data.Entry, keyOf []uint64) []*Node {
 	return nodes
 }
 
-// buildLeaf returns an uncharged leaf on the given page holding entries,
-// its key cache read from keyOf (by record ID) when that is set.
-func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry, keyOf []uint64) *Node {
+// buildLeaf returns an uncharged leaf on the given page holding entries.
+func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry) *Node {
 	n := &Node{page: page, leaf: true, entries: entries, count: len(entries)}
 	n.mbr = geo.Bounds(entries, entryPos)
 	// Populate the key cache and take the max for the LHV — not the last
@@ -312,11 +308,7 @@ func (t *Tree) buildLeaf(page iosim.PageID, entries []data.Entry, keyOf []uint64
 	// largest value, and STR packing is the default.
 	n.keys = make([]uint64, len(entries))
 	for i, e := range entries {
-		if keyOf == nil {
-			n.keys[i] = t.hilbertValue(e.Pos)
-		} else {
-			n.keys[i] = keyOf[e.ID]
-		}
+		n.keys[i] = t.hilbertValue(e.Pos)
 		n.lhv = max(n.lhv, n.keys[i])
 	}
 	return n

@@ -96,8 +96,8 @@ func TestSTROrderMatchesReference(t *testing.T) {
 		sorted := got[1]
 		kept := slices.Clone(sorted)
 		a, b := MustNew(Config{Fanout: fanout}), MustNew(Config{Fanout: fanout})
-		a.Pack(sorted, nil)
-		b.Pack(slices.Clone(sorted), nil)
+		a.Pack(sorted)
+		b.Pack(slices.Clone(sorted))
 		for i, e := range lists[1][:500] {
 			if !a.Delete(e) {
 				t.Fatalf("fanout %d: delete %d failed", fanout, i)
@@ -240,7 +240,7 @@ func TestSTROrderDatasetMatchesReference(t *testing.T) {
 					continue
 				}
 				packed := MustNew(Config{Fanout: fanout, Bounds: STROrderDataset(fanout, ds).Bounds})
-				packed.Pack(STROrderDataset(fanout, ds).Entries, nil)
+				packed.Pack(STROrderDataset(fanout, ds).Entries)
 				loaded := MustNew(Config{Fanout: fanout})
 				loaded.BulkLoad(ds.Entries())
 				if !sameTree(packed.Root(), loaded.Root()) {

@@ -50,7 +50,7 @@ func TestPackedLeavesGrowApart(t *testing.T) {
 	}
 	trees = append(trees, named{"rstree.Build", rs.Tree()})
 	order := rtree.STROrderDataset(fanout, ds)
-	rsOrder, err := rstree.BuildSorted(order.Entries, nil, rstree.Config{Fanout: fanout, Bounds: order.Bounds})
+	rsOrder, err := rstree.BuildSorted(order.Entries, rstree.Config{Fanout: fanout, Bounds: order.Bounds})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,16 +10,14 @@ import (
 	"storm/internal/geo"
 )
 
-// The bulk-load sorts. Every order a bulk load uses — the three STR passes,
-// the Hilbert sorts of InsertBatch and its leaf splits, and the Hilbert
-// ranges distr's partition cuts (by selection, GroupByKey: only the buckets
-// a cut falls in are sorted) — is the lexicographic order (key, record ID),
-// where a coordinate's key is its floatImage. Over entries with distinct
-// IDs that order is total, so any correct sort produces it, on any
-// toolchain, and which sort runs is a matter of speed alone: from radixMin
-// keys up a stable LSD radix sort on the key, then each run of equal keys
-// ordered by ID; below, slices.SortFunc with the same comparison
-// (compareKeyed).
+// The bulk-load sorts. Every order a bulk load uses — the three STR passes
+// and the Hilbert sorts of InsertBatch and its leaf splits — is the
+// lexicographic order (key, record ID), where a coordinate's key is its
+// floatImage. Over entries with distinct IDs that order is total, so any
+// correct sort produces it, on any toolchain, and which sort runs is a
+// matter of speed alone: from radixMin keys up a stable LSD radix sort on
+// the key, then each run of equal keys ordered by ID; below,
+// slices.SortFunc with the same comparison (compareKeyed).
 
 // radixMin is the fewest keys the bulk-load sorts radix-sort; shorter sorts
 // go through slices.SortFunc, which matches a radix sort's fixed histogram
@@ -276,68 +274,4 @@ func sortEntries(entries []data.Entry, axis, radixFrom int, w *strScratch) {
 	}
 	sortKeys(images, entries, radixFrom, w.tmp[:n])
 	gather(entries, images, &w.entries)
-}
-
-// GroupByKey lists the records of ds as entries so that each consecutive
-// group of size entries (the last one may be short) holds the records that
-// group holds in (key, record ID) order, keys[i] being the key of record i.
-// The order within a group is left open: it is a selection, not a sort, for
-// callers that cut an order into parts and need only each part's members
-// (distr's shard partition). The records are read from ds, so the list is
-// the only copy made of them. As in groupEntries, one MSD radix pass on the
-// highest byte of the keys that varies scatters the entries into buckets,
-// and only the buckets a group boundary cuts are sorted.
-func GroupByKey(ds *data.Dataset, keys []uint64, size int) []data.Entry {
-	out := make([]data.Entry, len(keys))
-	if len(keys) <= size {
-		for i := range out {
-			out[i] = ds.Entry(data.ID(i))
-		}
-		return out
-	}
-	var diff uint64
-	for _, k := range keys {
-		diff |= k ^ keys[0]
-	}
-	shift := uint(max(bits.Len64(diff)-8, 0))
-	var count [256]int
-	for _, k := range keys {
-		count[uint8(k>>shift)]++
-	}
-	// A cut bucket's keys are scattered too, into its span of cut, so it
-	// can be sorted without recomputing them; cutAt is that span's next
-	// slot, -1 for a bucket no group boundary cuts.
-	var start, cutAt [256]int
-	lo, cuts := 0, 0
-	for b, m := range count {
-		start[b], cutAt[b] = lo, -1
-		if (lo/size+1)*size < lo+m {
-			cutAt[b] = cuts
-			cuts += m
-		}
-		lo += m
-	}
-	cut := make([]Keyed, cuts)
-	next := start
-	for i, k := range keys {
-		b := uint8(k >> shift)
-		if c := cutAt[b]; c >= 0 {
-			cut[c] = Keyed{Key: k, Idx: next[b] - start[b]}
-			cutAt[b]++
-		}
-		out[next[b]] = ds.Entry(data.ID(i))
-		next[b]++ // ends with the bucket's end
-	}
-	var scratch []data.Entry
-	c := 0
-	for b, end := range next {
-		if cutAt[b] < 0 {
-			continue
-		}
-		bucket, keyed := out[start[b]:end], cut[c:cutAt[b]]
-		SortByKeyID(keyed, bucket)
-		gather(bucket, keyed, &scratch)
-		c = cutAt[b]
-	}
-	return out
 }

@@ -141,57 +141,6 @@ func TestGroupEntries(t *testing.T) {
 	}
 }
 
-// TestGroupByKey checks GroupByKey the way TestGroupEntries checks
-// groupEntries: every group holds the members the (key, ID) order gives it,
-// on keys that tie throughout, that vary only in their low or their high
-// bits, and that spread over all 64.
-func TestGroupByKey(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	keyOf := map[string]func() uint64{
-		"equal": func() uint64 { return 7 },
-		"two":   func() uint64 { return uint64(r.Intn(2)) },
-		"low":   func() uint64 { return 1<<40 | uint64(r.Intn(300)) },
-		"high":  func() uint64 { return uint64(r.Intn(5)) << 61 },
-		"wide":  func() uint64 { return r.Uint64() },
-	}
-	for name, key := range keyOf {
-		for _, n := range []int{1, 5, 64, 300, 3000} {
-			for _, size := range []int{1, 7, 64, 1000} {
-				ds := data.NewDataset("keys")
-				keys := make([]uint64, n)
-				for i := range keys {
-					ds.Append(data.Row{Pos: geo.Vec{float64(i), 0, 0}})
-					keys[i] = key()
-				}
-				entries := ds.Entries()
-				order := make([]int, n)
-				for i := range order {
-					order[i] = i
-				}
-				slices.SortFunc(order, func(a, b int) int {
-					if c := cmp.Compare(keys[a], keys[b]); c != 0 {
-						return c
-					}
-					return cmp.Compare(entries[a].ID, entries[b].ID)
-				})
-				sorted := make([]data.Entry, n)
-				for i, k := range order {
-					sorted[i] = entries[k]
-				}
-				grouped := GroupByKey(ds, keys, size)
-				for lo := 0; lo < n; lo += size {
-					got, want := ids(grouped[lo:min(lo+size, n)]), ids(sorted[lo:min(lo+size, n)])
-					slices.Sort(got)
-					slices.Sort(want)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s n=%d size=%d: the group at %d holds other entries than the sorted order's", name, n, size, lo)
-					}
-				}
-			}
-		}
-	}
-}
-
 // ids lists the entry IDs of a sorted list.
 func ids(list []data.Entry) []data.ID {
 	out := make([]data.ID, len(list))

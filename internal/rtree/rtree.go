@@ -70,8 +70,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// curve is the Hilbert curve of every key — tree placement and cluster
-// partitioning alike: order 16, i.e. 16 bits per dimension.
+// curve is the Hilbert curve of every key: order 16, i.e. 16 bits per
+// dimension.
 var curve = hilbert.MustNew(geo.Dims, 16)
 
 // HilbertBounds is the one rule for the box Hilbert values are quantized

@@ -87,7 +87,7 @@ func buildBoth(t *testing.T, entries []data.Entry) []*Tree {
 	sorted := slices.Clone(entries)
 	hil.quantizeFor(sorted)
 	hil.sortHilbert(sorted)
-	hil.Pack(sorted, nil)
+	hil.Pack(sorted)
 	return []*Tree{str, hil}
 }
 
@@ -297,8 +297,8 @@ func TestHilbertBounds(t *testing.T) {
 	}
 	sorted := STROrder(16, entries)[0]
 	derived, explicit := MustNew(Config{Fanout: 16}), MustNew(Config{Fanout: 16, Bounds: mbr})
-	derived.Pack(sorted, nil)
-	explicit.Pack(slices.Clone(sorted), nil)
+	derived.Pack(sorted)
+	explicit.Pack(slices.Clone(sorted))
 	var keys func(n *Node) []uint64
 	keys = func(n *Node) []uint64 {
 		out := append([]uint64{n.LHV()}, n.HilbertKeys()...)

@@ -189,8 +189,9 @@ func (t *Target) encode(e *encoder) { e.str(t.DS); e.u32(t.Shard) }
 func (t *Target) decode(d *decoder) { t.DS = d.str(); t.Shard = d.u32() }
 
 // Build asks a shard host to materialize one shard of a dataset it holds
-// locally: partition the dataset into Of contiguous Hilbert ranges and
-// build an RS-tree (plus node attribute summaries) over range Shard.
+// locally: cut the dataset's STR order at Fanout into Of contiguous runs of
+// leaves and build an RS-tree (plus node attribute summaries) over run
+// Shard.
 type Build struct {
 	// Target names the (dataset, shard) to build.
 	Target

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -278,8 +279,18 @@ func TestExactClusterShardDownBeforeQuery(t *testing.T) {
 	}
 	compare("in-process", mem, healthy(mem))
 
+	// Shards are runs of one STR order, so the query's records sit on a
+	// few of them; the in-process cluster of the same shape says which.
+	_, ref := buildShardedHandle(t, 8000, 4, nil)
+	var matching []int
+	for s, sh := range ref.Cluster().Shards() {
+		if sh.Index().Tree().Count(testRange.Rect()) > 0 {
+			matching = append(matching, s)
+		}
+	}
 	// The ring hashes the hosts' ephemeral addresses: build until both
-	// hosts hold shards, then kill the one holding shard 0.
+	// hosts hold shards and the other host holds some of the query's
+	// records, then kill the one holding shard 0.
 	for attempt := 0; ; attempt++ {
 		tcp, srvs := remoteShardedHandle(t, 8000, 4)
 		status := tcp.Cluster().ShardStatus()
@@ -289,9 +300,10 @@ func TestExactClusterShardDownBeforeQuery(t *testing.T) {
 				onFirst++
 			}
 		}
-		if onFirst == 0 || onFirst == len(status) {
+		survives := slices.ContainsFunc(matching, func(s int) bool { return status[s].Addr != status[0].Addr })
+		if onFirst == 0 || onFirst == len(status) || !survives {
 			if attempt == 20 {
-				t.Fatal("placement never split 4 shards across 2 hosts")
+				t.Fatal("placement never split 4 shards across 2 hosts with query records on both")
 			}
 			continue
 		}

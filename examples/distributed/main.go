@@ -1,6 +1,6 @@
 // Distributed: STORM on a cluster of commodity machines, its shard hosts
-// run in this process. The dataset is Hilbert-partitioned across shards,
-// each with a local RS-tree; a coordinator draws uniform samples across
+// run in this process. The dataset is cut across shards in contiguous STR
+// leaf runs, each with a local RS-tree; a coordinator draws uniform samples across
 // shards weighted by per-shard matching counts and the engine folds that
 // one stream into the estimate — the deployment the paper describes over
 // a DFS.

@@ -596,31 +596,40 @@ func BenchmarkInsertBatch(b *testing.B) {
 // BenchmarkHostBuild times what a coordinator waits for at registration:
 // one shard host (as cmd/stormd -role=shard runs it) adding its dataset copy
 // and answering the Build requests for both shards of a two-way cut of it,
-// at once, as BuildRemote issues them. partitions/op is the deterministic
-// half: a host orders a dataset once, when it is added, not once per Build.
+// at once, as distr.Start issues them. The Builds name each shard's run of
+// the coordinator's STR order, sorted once before the timer starts: a host
+// packs the records it is sent and sorts nothing.
 func BenchmarkHostBuild(b *testing.B) {
 	ds := gen.OSM(gen.OSMConfig{N: 250_000, Seed: 1})
-	var partitions uint64
+	order := rtree.STROrderDataset(0, ds)
+	f, n := rtree.DefaultFanout, len(order.Entries)
+	leaves := (n + f - 1) / f
+	builds := make([]*wire.Build, 2)
+	for shard := range builds {
+		run := order.Entries[f*(shard*leaves/2) : min(n, f*((shard+1)*leaves/2))]
+		ids := make([]data.ID, len(run))
+		for i, e := range run {
+			ids[i] = e.ID
+		}
+		builds[shard] = &wire.Build{Target: wire.Target{DS: ds.Name(), Shard: uint32(shard)}, Of: 2, Seed: 1, Bounds: order.Bounds, IDs: ids}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := distr.NewHost()
 		h.AddDataset(ds)
 		var wg sync.WaitGroup
-		for shard := uint32(0); shard < 2; shard++ {
+		for _, build := range builds {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				resp := h.Handle(&wire.Build{Target: wire.Target{DS: ds.Name(), Shard: shard}, Of: 2, Seed: 1})
-				if _, ok := resp.(*wire.BuildOK); !ok {
-					b.Errorf("Build shard %d: %#v", shard, resp)
+				if resp := h.Handle(build); resp.WireKind() != wire.KindBuildOK {
+					b.Errorf("Build shard %d: %#v", build.Shard, resp)
 				}
 			}()
 		}
 		wg.Wait()
-		partitions += h.Partitions()
 	}
-	b.ReportMetric(float64(partitions)/float64(b.N), "partitions/op")
 }
 
 // ---- substrate micro-benchmarks ----

@@ -264,13 +264,12 @@ func runShard(addr, wireAddr string, generate func() []*data.Dataset) {
 // serveShard runs a shard host on two bound listeners. /healthz on httpLn
 // answers from the start: it is liveness, and it reports how many datasets
 // are loaded and how many shards are built. The host then generates its
-// datasets, orders them (distr.Host.AddDataset) and only after that
-// serves the wire protocol on wireLn, so a coordinator's Build that arrives
-// early waits in the accept queue until the data exists and is answered
-// then, never refused; generation overlaps the coordinator's own start.
-// Which shards the host materializes is decided lazily by the
-// coordinators' Build requests. serveShard returns when HTTP serving
-// fails.
+// datasets and only after that serves the wire protocol on wireLn, so a
+// coordinator's Build that arrives early waits in the accept queue until
+// the data exists and is answered then, never refused; generation overlaps
+// the coordinator's own start. Which shards the host materializes, and
+// which records each holds, the coordinators' Build requests name.
+// serveShard returns when HTTP serving fails.
 func serveShard(httpLn, wireLn net.Listener, generate func() []*data.Dataset) error {
 	host := distr.NewHost()
 	var loaded atomic.Int64
@@ -287,13 +286,11 @@ func serveShard(httpLn, wireLn net.Listener, generate func() []*data.Dataset) er
 	go func() {
 		start := time.Now()
 		datasets := generate()
-		generated := time.Now()
 		for _, ds := range datasets {
 			host.AddDataset(ds)
 		}
 		loaded.Store(int64(len(datasets)))
-		fmt.Fprintf(os.Stderr, "stormd: shard host boot: generate %d ms, order %d ms\n",
-			generated.Sub(start).Milliseconds(), time.Since(generated).Milliseconds())
+		fmt.Fprintf(os.Stderr, "stormd: shard host boot: generate %d ms\n", time.Since(start).Milliseconds())
 		wire.Serve(wireLn, host)
 	}()
 	return http.Serve(httpLn, mux)

@@ -10,6 +10,7 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/gen"
+	"storm/internal/rtree"
 	"storm/internal/wire"
 )
 
@@ -58,11 +59,19 @@ func loadedDatasets(t *testing.T, url string) int {
 // generation is held back: /healthz must answer while it waits, and Builds
 // written to its wire port meanwhile must be answered once the data exists,
 // with the BuildOK (box and attribute digests) a second host gives Builds
-// sent after its generation finished.
+// sent after its generation finished. Each Build names its shard's half of
+// the leaves of the coordinator's STR order, as a coordinator sends it.
 func TestShardQueuesBuildWhileGenerating(t *testing.T) {
 	datasets := func() []*data.Dataset { return []*data.Dataset{gen.OSM(gen.OSMConfig{N: 20_000, Seed: 3})} }
+	order := rtree.STROrderDataset(16, datasets()[0])
 	build := func(shard uint32) *wire.Build {
-		return &wire.Build{Target: wire.Target{DS: "osm", Shard: shard}, Of: 2, Seed: 1, Fanout: 16}
+		leaves := (len(order.Entries) + 15) / 16
+		run := order.Entries[16*(int(shard)*leaves/2) : min(len(order.Entries), 16*((int(shard)+1)*leaves/2))]
+		ids := make([]data.ID, len(run))
+		for i, e := range run {
+			ids[i] = e.ID
+		}
+		return &wire.Build{Target: wire.Target{DS: "osm", Shard: shard}, Of: 2, Seed: 1, Fanout: 16, Bounds: order.Bounds, IDs: ids}
 	}
 
 	release := make(chan struct{})

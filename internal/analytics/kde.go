@@ -102,9 +102,6 @@ func NewKDE(region geo.Rect, nx, ny int, kernel Kernel, bandwidth, confidence fl
 	}, nil
 }
 
-// GridSize returns the grid dimensions.
-func (k *KDE) GridSize() (nx, ny int) { return k.nx, k.ny }
-
 // CellCenter returns the spatial center of grid cell (i, j).
 func (k *KDE) CellCenter(i, j int) (x, y float64) {
 	dx := (k.region.Max[0] - k.region.Min[0]) / float64(k.nx)

@@ -293,24 +293,34 @@ func TestA4Shape(t *testing.T) {
 	}
 }
 
+// TestA7Shape: every run crashes exactly the shards it reports killed, and
+// a kill count past the shards holding matches kills only those.
 func TestA7Shape(t *testing.T) {
-	pts, err := A7(A7Config{N: 100_000, K: 2000, Shards: 8, Kill: []int{0, 2}, CrashAfter: 1, Seed: 1})
+	pts, err := A7(A7Config{N: 100_000, K: 2000, Shards: 8, Kill: []int{0, 2, 4}, CrashAfter: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
+	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
+	for _, p := range pts {
+		if p.Crashes != uint64(p.Killed) {
+			t.Errorf("killed=%d run crashed %d shards", p.Killed, p.Crashes)
+		}
+	}
 	healthy, degraded := pts[0], pts[1]
-	if healthy.Crashes != 0 || healthy.Population != healthy.HealthyPop {
+	if healthy.Killed != 0 || healthy.Population != healthy.HealthyPop {
 		t.Errorf("kill=0 run should be healthy: %+v", healthy)
 	}
-	if degraded.Crashes != 2 {
-		t.Errorf("kill=2 crashes = %d, want 2", degraded.Crashes)
+	if degraded.Killed != 2 {
+		t.Errorf("kill=2 run killed %d shards, want 2", degraded.Killed)
 	}
 	if degraded.Population >= degraded.HealthyPop {
 		t.Errorf("kill=2 effective population %d not shrunk from %d",
 			degraded.Population, degraded.HealthyPop)
+	}
+	if p := pts[2]; p.Killed < degraded.Killed || p.Killed > 4 {
+		t.Errorf("kill=4 run killed %d shards, want between %d and 4", p.Killed, degraded.Killed)
 	}
 	// Degrading must not wreck the estimate: both runs target the same
 	// spatial mean, so the points stay within a few CI widths.

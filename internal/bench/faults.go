@@ -47,19 +47,21 @@ func faultRun(ds *data.Dataset, q geo.Range, shards, replicas, k int, seed int64
 	return res, err
 }
 
-// hottestShards ranks the cluster's shards by how many records matching q
-// they hold, most first. With shards cut from one STR order a selective
-// query concentrates on few shards, so killing spatially irrelevant ones
-// would measure nothing; the cut depends only on the dataset, the fanout
-// and the shard count, so the healthy run's ranking holds for every run
-// beside it.
+// hottestShards ranks the cluster's shards that hold records matching q
+// by how many they hold, most first; shards holding none are left out. With
+// shards cut from one STR order a selective query concentrates on few
+// shards, so killing spatially irrelevant ones would measure nothing (the
+// query never fetches from them, so a crash-after-n fault never fires);
+// the cut depends only on the dataset, the fanout and the shard count, so
+// the healthy run's ranking holds for every run beside it.
 func hottestShards(c *distr.Cluster, q geo.Range) []int {
 	rect := q.Rect()
+	var order []int
 	matching := make([]int, c.NumShards())
-	order := make([]int, c.NumShards())
 	for i, sh := range c.Shards() {
-		order[i] = i
-		matching[i] = sh.Index().Count(rect)
+		if matching[i] = sh.Index().Count(rect); matching[i] > 0 {
+			order = append(order, i)
+		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return matching[order[a]] > matching[order[b]] })
 	return order
@@ -115,6 +117,9 @@ func (c A7Config) withDefaults() A7Config {
 
 // A7Point is one kill-count measurement.
 type A7Point struct {
+	// Killed is how many shards the run crashed: the kill count asked for,
+	// capped at the shards holding matches (less one when every shard
+	// holds some, so one survives).
 	Killed int
 	// Population is the estimator's effective N after degradation (the
 	// surviving matching count); HealthyPop is the pre-crash count.
@@ -134,10 +139,11 @@ type A7Point struct {
 }
 
 // A7 measures graceful degradation: an AVG query over an 8-shard cluster
-// while k shards crash mid-query. The coordinator re-weights onto the
-// survivors and the driver shrinks the effective population, so the query
-// completes with an honest (wider) CI instead of stalling; the CI-width and
-// latency columns quantify the cost of each lost shard.
+// while the k shards holding the most matches crash mid-query. The
+// coordinator re-weights onto the survivors and the driver shrinks the
+// effective population, so the query completes with an honest (wider) CI
+// instead of stalling; the CI-width and latency columns quantify the cost
+// of each lost shard.
 func A7(cfg A7Config) ([]A7Point, error) {
 	cfg = cfg.withDefaults()
 	ds := osmData(cfg.N, cfg.Seed)
@@ -152,9 +158,7 @@ func A7(cfg A7Config) ([]A7Point, error) {
 
 	var out []A7Point
 	for _, kill := range cfg.Kill {
-		if kill >= cfg.Shards {
-			kill = cfg.Shards - 1 // always leave at least one survivor
-		}
+		kill = min(kill, len(hot), cfg.Shards-1) // always leave a survivor
 		res := healthy
 		if kill > 0 {
 			plan := crashPlan(cfg.Seed, cfg.CrashAfter, 0, hot[:kill]...)

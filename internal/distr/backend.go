@@ -21,8 +21,8 @@ import (
 )
 
 // buildShard materializes one shard from its window of the dataset's STR
-// order at fanout (orderMemo.window): a local RS-tree packed from the
-// window as it is, its leaves the coordinator's leaves over the same order,
+// order at fanout (leafRun): a local RS-tree packed from the window as it
+// is, its leaves the coordinator's leaves over the same order,
 // quantized over bounds (the dataset's, so every shard keys as the
 // coordinator does), seeded seed + id*7919, with its node attribute
 // summaries precomputed. The tree takes the window over.

@@ -11,14 +11,17 @@
 // yields a uniform without-replacement stream over P ∩ Q.
 //
 // The coordinator reaches shards only through the ShardClient interface
-// (client.go), and every shard copy is served by a Host (host.go). An
-// in-process cluster (Build) runs its shard hosts in the coordinator's
-// process and hands them requests through an in-memory transport; a remote
-// cluster (BuildRemote) speaks the wire protocol over TCP to shard-host
-// processes. Both are assembled by the same code, and both report the
-// messages their transports counted (one per request and one per
-// response), so benchmarks can compare message counts and per-shard
-// balance across them; TCP adds the bytes it moved.
+// (client.go), and every shard copy is served by a Host (host.go). The
+// coordinator sorts the dataset once and each copy's Build names its
+// shard's run of leaves by record ID; a host packs those records from its
+// own copy of the dataset and sorts nothing. An in-process cluster runs
+// its shard hosts in the coordinator's process and hands them requests
+// through an in-memory transport; a remote cluster speaks the wire
+// protocol over TCP to shard-host processes. Both are started by the same
+// code (Start), and both report the messages their transports counted
+// (one per request and one per response), so benchmarks can compare
+// message counts and per-shard balance across them; TCP adds the bytes it
+// moved.
 //
 // # Concurrency
 //
@@ -378,36 +381,13 @@ func observeMS(h *obs.TuningHistogram, start time.Time) {
 
 // Build runs the cluster's shard hosts in this process: cfg.Replicas
 // Hosts, each holding ds itself and reached through an in-memory
-// transport, with copy r of every shard on host r. Each host cuts ds into
-// contiguous STR leaf runs and builds a local RS-tree per shard exactly as
-// a shard-host process does, and the coordinator reaches them through the
-// same client, fault decorator and assembly as BuildRemote's. ds is
-// ordered once; each further host gets a copy of that order, since shard
-// leaves are windows of it that deletes edit in place. Leaf runs keep
-// shards spatially coherent, so selective queries touch few shards — one
-// packed R-tree cut across machines, the layout the paper describes.
+// transport, with copy r of every shard on host r. It sorts ds once and
+// builds every shard copy from that order exactly as a cluster of shard
+// processes is built (Start). Leaf runs keep shards spatially coherent, so
+// selective queries touch few shards — one packed R-tree cut across
+// machines, the layout the paper describes.
 func Build(ds *data.Dataset, cfg Config) (*Cluster, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	c := &Cluster{cfg: cfg, ds: ds, hosts: make([]*Host, cfg.Replicas)}
-	eps := make([]endpoint, cfg.Replicas)
-	order := newOrderMemo(ds, cfg.Fanout)
-	for r := range c.hosts {
-		h := NewHost()
-		if r > 0 {
-			order = order.clone()
-		}
-		h.add(order)
-		t := wire.NewMemClient(h)
-		c.hosts[r], eps[r] = h, endpoint{addr: "loopback", t: t}
-		c.transports = append(c.transports, t)
-	}
-	place := make([][]endpoint, cfg.Shards)
-	for s := range place {
-		place[s] = eps
-	}
-	return c.assemble(place)()
+	return Start(ds, rtree.STROrderDataset(cfg.Fanout, ds), cfg, nil)()
 }
 
 // newMirrorMisses sizes the per-replica missed-mirror counters to the

@@ -1,6 +1,7 @@
 package distr
 
 import (
+	"math"
 	"testing"
 
 	"storm/internal/data"
@@ -331,5 +332,51 @@ func TestMoreShardsThanRecords(t *testing.T) {
 	}
 	if n != 3 {
 		t.Errorf("drained %d of 3", n)
+	}
+}
+
+// TestMomentsVerdictIgnoresSplit: a shard sums a count round's moments only
+// while its own count is at most the limit, and the exact plan takes the
+// answer only when the total is (Records <= limit), which every shard's
+// count then is too. So a region held by one shard and the same region
+// split over two get one verdict at every limit, and equal moments when
+// exact.
+func TestMomentsVerdictIgnoresSplit(t *testing.T) {
+	ds := testDataset(6000)
+	one, err := Build(ds, Config{Shards: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	two, err := Build(ds, Config{Shards: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	held := make([]int, 2)
+	for s, sh := range two.Shards() {
+		held[s] = sh.Index().Count(testQuery)
+	}
+	if held[0] == 0 || held[1] == 0 {
+		t.Fatalf("the query must be split over both shards: they hold %v", held)
+	}
+	total := held[0] + held[1]
+	for _, limit := range []int{min(held[0], held[1]), max(held[0], held[1]), total - 1, total, total + 1, math.MaxInt} {
+		m1, summed1 := one.Moments(testQuery, nil, wire.Window{}, "value", limit)
+		m2, summed2 := two.Moments(testQuery, nil, wire.Window{}, "value", limit)
+		exact1, exact2 := summed1 && m1.Records <= limit, summed2 && m2.Records <= limit
+		if m1.Records != total || m2.Records != total {
+			t.Fatalf("limit %d: one shard counts %d, two count %d, want %d", limit, m1.Records, m2.Records, total)
+		}
+		if exact1 != exact2 || exact1 != (total <= limit) {
+			t.Errorf("limit %d of %d records: exact on one shard %v, split over two %v", limit, total, exact1, exact2)
+		}
+		if !exact1 {
+			continue
+		}
+		v1, v2 := m1.Values, m2.Values
+		if v1.N() != v2.N() || math.Abs(v1.Mean()-v2.Mean()) > 1e-12*math.Abs(v1.Mean()) || math.Abs(v1.M2()-v2.M2()) > 1e-9*v1.M2() {
+			t.Errorf("limit %d: one shard sums n %d, mean %v, M2 %v; two shards n %d, mean %v, M2 %v", limit, v1.N(), v1.Mean(), v1.M2(), v2.N(), v2.Mean(), v2.M2())
+		}
 	}
 }

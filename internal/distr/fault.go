@@ -157,7 +157,7 @@ type FaultPlan struct {
 	// Replicas scripts exactly one replica of a shard (Shard may be
 	// ShardAll to hit replica Replica of every shard). A replica entry is
 	// more specific than a plain shard entry and wins where both match;
-	// see PlanForReplica for the full precedence.
+	// see newFaultStates for the full precedence.
 	Replicas map[ReplicaTarget]ShardFaultPlan
 }
 
@@ -179,39 +179,13 @@ const DefaultFaultLatency = time.Millisecond
 
 // PlanFor resolves the effective plain script for one shard: an explicit
 // per-shard entry wins over a ShardAll wildcard. Replica-scoped scripts
-// are not consulted — they resolve through PlanForReplica, which layers
-// them over this plain resolution.
+// are not consulted — newFaultStates layers them over this plain
+// resolution.
 func (p *FaultPlan) PlanFor(shard int) ShardFaultPlan {
 	if p == nil {
 		return ShardFaultPlan{}
 	}
 	if sp, ok := p.Shards[shard]; ok {
-		return sp
-	}
-	return p.Shards[ShardAll]
-}
-
-// PlanForReplica resolves the effective script for one replica of one
-// shard. Precedence is most-specific-first:
-//
-//	Replicas[{shard, r}]  >  Shards[shard]  >  Replicas[{ShardAll, r}]  >  Shards[ShardAll]
-//
-// so '2.1:crash-after=3' overrides a plain '2:' script for shard 2's
-// replica 1 only, a plain '2:' script overrides a '*.1' wildcard for
-// shard 2, and a plain '*' script is the fallback for everything. This is
-// the single place replica precedence is decided, shared by the runtime
-// injectors (newFaultStates) and tests asserting on parsed plans.
-func (p *FaultPlan) PlanForReplica(shard, r int) ShardFaultPlan {
-	if p == nil {
-		return ShardFaultPlan{}
-	}
-	if sp, ok := p.Replicas[ReplicaTarget{Shard: shard, Replica: r}]; ok {
-		return sp
-	}
-	if sp, ok := p.Shards[shard]; ok {
-		return sp
-	}
-	if sp, ok := p.Replicas[ReplicaTarget{Shard: ShardAll, Replica: r}]; ok {
 		return sp
 	}
 	return p.Shards[ShardAll]
@@ -240,7 +214,7 @@ func (p *FaultPlan) PlanForReplica(shard, r int) ShardFaultPlan {
 // copy of shard 2, which at Replicas >= 2 makes the coordinator fail over
 // to a surviving replica instead of degrading. A plain target applies to
 // all replicas of the shard; '2.0' and '2' stay distinct scripts (see
-// PlanForReplica for precedence). Replica targets do not combine with
+// newFaultStates for precedence). Replica targets do not combine with
 // <lo>-<hi> ranges.
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	spec = strings.TrimSpace(spec)
@@ -524,6 +498,15 @@ type faultState struct {
 // own fetch/attempt clocks, while a ReplicaTarget script touches exactly
 // one copy. Replica 0 keeps the pre-replication RNG stream so single-copy
 // clusters replay bit-for-bit.
+//
+// This is the one place replica precedence is decided, most-specific
+// first:
+//
+//	Replicas[{shard, r}]  >  Shards[shard]  >  Replicas[{ShardAll, r}]  >  Shards[ShardAll]
+//
+// so '2.1:crash-after=3' overrides a plain '2:' script for shard 2's
+// replica 1 only, a plain '2:' script overrides a '*.1' wildcard for
+// shard 2, and a plain '*' script is the fallback for everything.
 func newFaultStates(plan *FaultPlan, shards, replicas int) [][]*faultState {
 	if plan == nil {
 		return nil
@@ -536,7 +519,13 @@ func newFaultStates(plan *FaultPlan, shards, replicas int) [][]*faultState {
 	for i := range states {
 		states[i] = make([]*faultState, replicas)
 		for r := 0; r < replicas; r++ {
-			sp := plan.PlanForReplica(i, r)
+			sp, ok := plan.Replicas[ReplicaTarget{Shard: i, Replica: r}]
+			if _, plain := plan.Shards[i]; !ok && !plain {
+				sp, ok = plan.Replicas[ReplicaTarget{Shard: ShardAll, Replica: r}]
+			}
+			if !ok {
+				sp = plan.PlanFor(i)
+			}
 			seed := plan.Seed*31 + int64(i)*1009 + 7 + int64(r)*500009
 			states[i][r] = &faultState{plan: sp, rng: stats.NewRNG(seed)}
 			if sp.enabled() {

@@ -2,22 +2,18 @@
 // behind: it owns the shard backends of one stormd -role=shard process (a
 // wire.Server serves it over TCP) or of one in-process shard host of a
 // Build cluster (a wire.MemClient hands it requests in memory). It
-// implements wire.Handler. Shard state is built on demand — the
-// coordinator's Build request names a (dataset, shard, of) triple, and the
-// host cuts its local copy of the dataset (the cut is deterministic), so
-// only sample batches ever cross the wire, never shard contents. A shard is
-// a contiguous run of leaves in the copy's STR order (orderMemo.window):
-// the host orders a copy once per (copy, fanout, record count), when it is
-// added for the default fanout, however many of its shards it is asked to
-// build, and a Build reads the dataset copy under dsMu.
+// implements wire.Handler. Shard state is built on demand: the
+// coordinator's Build request names a (dataset, shard, of) triple and the
+// shard's records, as IDs into the host's copy of the dataset in the
+// coordinator's leaf order. The host packs them as they come and sorts
+// nothing, so only record IDs and sample batches ever cross the wire,
+// never shard contents. A Build reads the dataset copy under dsMu.
 package distr
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"storm/internal/data"
 	"storm/internal/rtree"
@@ -30,36 +26,11 @@ type hostKey struct {
 }
 
 // maxShards bounds the shards of a cluster: wire.Build.Of, which comes off
-// the wire and sizes the order memo's per-shard table before any record is
-// looked at, and the shard IDs a fault plan may name, whose ranges expand ID
+// the wire, and the shard IDs a fault plan may name, whose ranges expand ID
 // by ID. The record count is no bound — a coordinator cuts an empty dataset
 // into as many shards as it has hosts — so the limit is a constant, far
 // above any host pool and far below an allocation that hurts.
 const maxShards = 1 << 16
-
-// orderMemo is one dataset copy's STR order at one fanout, which the
-// shards a host builds of the copy take their windows of. It is keyed by
-// what the order depends on and a host can see change: the dataset copy,
-// the fanout and the copy's record count when it was computed (the first
-// half of a content epoch; mirrored inserts only ever append).
-type orderMemo struct {
-	ds     *data.Dataset
-	fanout int
-	n      int
-	// of is the shard count the memo's windows are handed out for (0 until
-	// the first Build claims one) and claimed marks the shards whose window
-	// is handed out (both guarded by Host.mu). Leaves are windows of the
-	// order that deletes edit in place, so no window goes to two trees: a
-	// Build for a claimed shard — two coordinators rebuilding it at once —
-	// or for another count starts a memo of its own.
-	of      uint32
-	claimed []bool
-	// left counts windows not yet handed out (guarded by Host.mu).
-	left int
-
-	once  sync.Once
-	order rtree.DatasetOrder
-}
 
 // shardFanout is the fanout a Build asks for: below 1 is the default, as
 // everywhere.
@@ -68,35 +39,6 @@ func shardFanout(fanout int) int {
 		return rtree.DefaultFanout
 	}
 	return fanout
-}
-
-// newOrderMemo returns an unsorted memo for ds at fanout.
-func newOrderMemo(ds *data.Dataset, fanout int) *orderMemo {
-	return &orderMemo{ds: ds, fanout: shardFanout(fanout), n: ds.Len()}
-}
-
-// clone returns a sorted memo over a copy of m's entries, for a second host
-// that shares m's dataset copy (Build's replica hosts): its shards' leaves
-// must not be windows of the array m's shards edit.
-func (m *orderMemo) clone() *orderMemo {
-	c := newOrderMemo(m.ds, m.fanout)
-	c.once.Do(func() {
-		c.order = m.order
-		c.order.Entries = slices.Clone(m.order.Entries)
-	})
-	return c
-}
-
-// window returns shard's run of leaves of the order cut into of shards: at
-// fanout f with L leaves, shard s holds leaves [s·L/of, (s+1)·L/of), so
-// every shard is within one leaf of the others' size and holds exactly the
-// leaves the coordinator's own tree packs from the same order.
-func (m *orderMemo) window(of, shard uint32) []data.Entry {
-	f, es := m.fanout, m.order.Entries
-	leaves := (len(es) + f - 1) / f
-	lo := f * (int(shard) * leaves / int(of))
-	hi := min(len(es), f*((int(shard)+1)*leaves/int(of)))
-	return es[lo:hi:hi]
 }
 
 // Host serves shard requests for the datasets it holds.
@@ -109,13 +51,6 @@ type Host struct {
 	dsMu     sync.RWMutex
 	datasets map[string]*data.Dataset
 	backends map[hostKey]*shardBackend
-	// memos holds at most one order per dataset, and only until every
-	// window has been handed out: the entries then live on in the shards
-	// built from them, not in a second copy here. (A host asked for only
-	// some of a dataset's shards, or none, keeps the order until a Build
-	// with another key replaces the memo.)
-	memos      map[string]*orderMemo
-	partitions atomic.Uint64
 }
 
 // NewHost returns an empty host; add datasets before serving.
@@ -123,34 +58,16 @@ func NewHost() *Host {
 	return &Host{
 		datasets: make(map[string]*data.Dataset),
 		backends: make(map[hostKey]*shardBackend),
-		memos:    make(map[string]*orderMemo),
 	}
 }
 
 // AddDataset registers a local dataset copy under its name. Shard hosts
 // regenerate datasets from the same generator flags and seed as the
 // coordinator, so both sides hold identical rows without shipping them.
-// It also orders the copy at the default fanout, which every stock Build
-// asks for: a shard host adds its datasets before it serves Builds, and
-// sorts them while the coordinator is still starting.
-func (h *Host) AddDataset(ds *data.Dataset) { h.add(newOrderMemo(ds, 0)) }
-
-// add registers m's dataset copy with m as the memo its first Builds cut,
-// sorting it first unless it is sorted.
-func (h *Host) add(m *orderMemo) {
-	h.sort(m)
+func (h *Host) AddDataset(ds *data.Dataset) {
 	h.mu.Lock()
-	h.datasets[m.ds.Name()] = m.ds
-	h.memos[m.ds.Name()] = m
+	h.datasets[ds.Name()] = ds
 	h.mu.Unlock()
-}
-
-// sort computes m's order, once: the host's one way to order a dataset.
-func (h *Host) sort(m *orderMemo) {
-	m.once.Do(func() {
-		h.partitions.Add(1)
-		m.order = rtree.STROrderDataset(m.fanout, m.ds)
-	})
 }
 
 // Shards returns how many shard backends the host currently serves.
@@ -159,11 +76,6 @@ func (h *Host) Shards() int {
 	defer h.mu.Unlock()
 	return len(h.backends)
 }
-
-// Partitions returns how many times the host has ordered a dataset: one
-// per (dataset, fanout, record count) it holds or was asked to build
-// shards of, not one per Build.
-func (h *Host) Partitions() uint64 { return h.partitions.Load() }
 
 // backend resolves a shard-scoped request's target.
 func (h *Host) backend(t wire.Target) *shardBackend {
@@ -250,14 +162,14 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 	}
 }
 
-// handleBuild materializes one shard of a local dataset. Rebuilding an
-// already-built shard is idempotent (the coordinator re-issues Build
-// after an unknown-shard error, e.g. when this process restarted); the
-// existing backend — including any post-build inserts — answers. Every
-// answer reads the dataset copy — a new shard's length, positions and
-// attribute columns, a built one's columns behind its envelope — while a
-// mirrored insert into a sibling shard may append to it, so the whole
-// Build holds dsMu for reading.
+// handleBuild materializes one shard of a local dataset from the records
+// the Build names. Rebuilding an already-built shard is idempotent (the
+// coordinator re-issues Build after an unknown-shard error, e.g. when this
+// process restarted); the existing backend — including any post-build
+// inserts — answers. Every answer reads the dataset copy — a new shard's
+// positions and attribute columns, a built one's columns behind its
+// envelope — while a mirrored insert into a sibling shard may append to
+// it, so the whole Build holds dsMu for reading.
 func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	key := hostKey{ds: req.DS, shard: req.Shard}
 	h.dsMu.RLock()
@@ -277,8 +189,12 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 	if req.Of < 1 || req.Shard >= req.Of || req.Of > maxShards {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %d out of range", req.Shard, req.Of)}
 	}
-	m := h.claim(ds, int(req.Fanout), req.Of, req.Shard)
-	sh, err := buildShard(ds, m.window(req.Of, req.Shard), m.order.Bounds, int(req.Shard), m.fanout, req.Seed)
+	window, err := entriesOf(ds, req.IDs)
+	if err != nil {
+		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %q: %v", req.Shard, req.DS, err)}
+	}
+	fanout := shardFanout(int(req.Fanout))
+	sh, err := buildShard(ds, window, req.Bounds, int(req.Shard), fanout, req.Seed)
 	if err != nil {
 		return &wire.Error{Code: wire.ErrCodeGeneric, Msg: err.Error()}
 	}
@@ -290,9 +206,29 @@ func (h *Host) handleBuild(req *wire.Build) wire.Msg {
 		// the established backend so streams opened on it stay valid.
 		return rebuilt(b, req)
 	}
-	b := newShardBackend(sh, ds, req.Of, m.fanout)
+	b := newShardBackend(sh, ds, req.Of, fanout)
 	h.backends[key] = b
 	return b.built()
+}
+
+// entriesOf returns the entries of ds that ids name, in the order given.
+// An ID past ds's length, or one named twice, is refused: the coordinator
+// holds another copy of the dataset, or the request is corrupt.
+func entriesOf(ds *data.Dataset, ids []data.ID) ([]data.Entry, error) {
+	n := data.ID(ds.Len())
+	seen := make([]uint64, (n+63)/64)
+	out := make([]data.Entry, len(ids))
+	for i, id := range ids {
+		if id >= n {
+			return nil, fmt.Errorf("record %d is past the host's %d records", id, n)
+		}
+		if seen[id/64]&(1<<(id%64)) != 0 {
+			return nil, fmt.Errorf("record %d is named twice", id)
+		}
+		seen[id/64] |= 1 << (id % 64)
+		out[i] = ds.Entry(id)
+	}
+	return out, nil
 }
 
 // rebuilt answers a Build for a shard the host already serves. The same
@@ -309,33 +245,6 @@ func rebuilt(b *shardBackend, req *wire.Build) wire.Msg {
 		return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("shard %d of %q is built at fanout %d, not %d", req.Shard, req.DS, b.fanout, f)}
 	}
 	return b.built()
-}
-
-// claim returns the memo whose order shard's window of of is cut from,
-// sorted. The first Build of a (dataset, fanout, record count) takes the
-// order AddDataset computed, or orders the copy afresh at another fanout or
-// once it has grown; concurrent and later Builds for sibling shards wait
-// for that one order and take their own windows. Caller holds dsMu for
-// reading, which is what keeps the record count, and so the key, fixed
-// while the Build runs.
-func (h *Host) claim(ds *data.Dataset, fanout int, of, shard uint32) *orderMemo {
-	name, n, f := ds.Name(), ds.Len(), shardFanout(fanout)
-	h.mu.Lock()
-	m := h.memos[name]
-	if m == nil || m.ds != ds || m.fanout != f || m.n != n || (m.of != 0 && (m.of != of || m.claimed[shard])) {
-		m = newOrderMemo(ds, f)
-		h.memos[name] = m
-	}
-	if m.of == 0 {
-		m.of, m.claimed, m.left = of, make([]bool, of), int(of)
-	}
-	m.claimed[shard] = true
-	if m.left--; m.left == 0 && h.memos[name] == m {
-		delete(h.memos, name)
-	}
-	h.mu.Unlock()
-	h.sort(m)
-	return m
 }
 
 // handleInsert mirrors one inserted record into the owning shard's index

@@ -14,7 +14,6 @@ import (
 	"storm/internal/data/datatest"
 	"storm/internal/geo"
 	"storm/internal/rtree"
-	"storm/internal/wire"
 )
 
 // tiedDataset puts n records on a coarse grid, every third one an exact
@@ -69,15 +68,14 @@ func leafEntries(t *rtree.Tree) []data.Entry {
 
 // buildAll sends the Builds for every shard of ds into of at fanout to h,
 // one after another, and returns the built shards in shard order.
-func buildAll(t *testing.T, h *Host, ds string, of, fanout uint32) []*Shard {
+func buildAll(t *testing.T, h *Host, ds *data.Dataset, of, fanout uint32) []*Shard {
 	t.Helper()
 	shards := make([]*Shard, of)
-	for s := range of {
-		resp := h.Handle(&wire.Build{Target: wire.Target{DS: ds, Shard: s}, Of: of, Fanout: fanout, Seed: 1})
-		if _, ok := resp.(*wire.BuildOK); !ok {
+	for s, b := range cut(ds, of, fanout, 1) {
+		if resp := h.Handle(b); !isBuildOK(resp) {
 			t.Fatalf("Build shard %d of %d at fanout %d: %#v", s, of, fanout, resp)
 		}
-		shards[s] = h.backend(wire.Target{DS: ds, Shard: s}).shard
+		shards[s] = h.backend(b.Target).shard
 	}
 	return shards
 }
@@ -111,7 +109,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 				h := NewHost()
 				h.AddDataset(ds)
 				held := make([]int, ds.Len())
-				for s, sh := range buildAll(t, h, ds.Name(), of, fanout) {
+				for s, sh := range buildAll(t, h, ds, of, fanout) {
 					got := leafEntries(sh.index.Tree())
 					if !slices.EqualFunc(got, want[s], sameEntry) {
 						t.Fatalf("%s, fanout %d: shard %d of %d holds other leaves than the reference cut", name, f, s, of)
@@ -135,20 +133,19 @@ func TestPartitionMatchesReference(t *testing.T) {
 // on a host, and again from its window of the STR order of shuffles of the
 // dataset's entries: tree and sample buffers must digest the same. A shard
 // is a function of the dataset's records, not of the order a sort reads
-// them in, which is what lets a shard host cut its own copy.
+// them in, which is what lets any coordinator's sort name a host's shards.
 func TestBuildShardIgnoresPartOrder(t *testing.T) {
 	ds := datatest.TieHeavy(20_000)
 	const of, fanout = 3, 16
 	h := NewHost()
 	h.AddDataset(ds)
-	for id, sh := range buildAll(t, h, ds.Name(), of, fanout) {
+	for id, sh := range buildAll(t, h, ds, of, fanout) {
 		wantTree, wantBuf := shardDigests(sh)
 		for shuffle := int64(0); shuffle < 2; shuffle++ {
 			in := ds.Entries()
 			rand.New(rand.NewSource(shuffle)).Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
-			m := newOrderMemo(ds, fanout)
-			m.order = rtree.DatasetOrder{Entries: rtree.STROrder(fanout, in)[0], Bounds: ds.Bounds()}
-			again, err := buildShard(ds, m.window(of, uint32(id)), m.order.Bounds, id, fanout, 1)
+			run := leafRun(rtree.STROrder(fanout, in)[0], fanout, of, id)
+			again, err := buildShard(ds, run, ds.Bounds(), id, fanout, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

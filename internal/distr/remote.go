@@ -1,28 +1,29 @@
 // The transport side of the ShardClient boundary: wireClient speaks the
-// wire protocol to a shard host, and assemble builds every Cluster —
-// Build's in-process shard hosts reached in memory, BuildRemote's shard
-// processes reached over TCP — from the same clients, fault decorators
-// and Build RPCs. Only the transport differs: TCP adds frames, deadlines
-// and bytes, and both count the messages they carry.
+// wire protocol to a shard host, and Start builds every Cluster —
+// in-process shard hosts reached in memory, shard processes reached over
+// TCP — from the same cut of the coordinator's STR order, clients, fault
+// decorators and Build RPCs. Only the transport differs: TCP adds frames,
+// deadlines and bytes, and both count the messages they carry.
 package distr
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"storm/internal/data"
 	"storm/internal/geo"
 	"storm/internal/pred"
+	"storm/internal/rtree"
 	"storm/internal/wire"
 )
 
 const (
-	// remoteBuildTimeout bounds a Build RPC: the shard host orders its
-	// dataset copy (once per dataset, fanout and record count — sibling
-	// Builds wait for that one order) and indexes the shard, under its
-	// dataset lock, which dwarfs every other request.
+	// remoteBuildTimeout bounds a Build RPC: the shard host packs and
+	// indexes the shard, under its dataset lock, which dwarfs every other
+	// request.
 	remoteBuildTimeout = 2 * time.Minute
 	// remoteOpTimeout bounds every request but Build and Fetch (count,
 	// open, close, update mirrors, liveness pings) — cheap but
@@ -45,8 +46,12 @@ type wireClient struct {
 	tgt  wire.Target
 	// build is the shard's original Build request, kept so an
 	// unknown-shard error (the host restarted and lost the shard) can be
-	// answered by rebuilding it in place.
+	// answered by rebuilding it in place; its IDs are shared by the
+	// shard's copies.
 	build wire.Build
+	// box is geo.Bounds over the coordinator's run of the shard: the box
+	// the host's first BuildOK must carry.
+	box geo.Rect
 
 	mu        sync.Mutex
 	down      bool
@@ -247,7 +252,8 @@ func (w *wireClient) Addr() string { return w.addr }
 
 // sendBuild writes the shard copy's Build RPC and returns the function
 // that awaits its BuildOK and unions the box and digest it carries into the
-// shard's envelope.
+// shard's envelope. A box other than the coordinator's means the host
+// regenerated another dataset under the same name, and is refused.
 func (w *wireClient) sendBuild() (await func() error) {
 	fail := func() error {
 		w.markDown()
@@ -270,9 +276,29 @@ func (w *wireClient) sendBuild() (await func() error) {
 		if !isOK {
 			return fmt.Errorf("distr: unexpected %v response to build", resp.WireKind())
 		}
+		if !sameBox(ok.Box, w.box) {
+			return fmt.Errorf("distr: shard host %s holds another copy of dataset %q: shard %d spans %v there, %v here", w.addr, w.tgt.DS, w.tgt.Shard, ok.Box, w.box)
+		}
 		w.c.widenBuilt(int(w.tgt.Shard), ok)
 		return nil
 	}
+}
+
+// sameBox reports whether a and b are one box, bit for bit.
+func sameBox(a, b geo.Rect) bool {
+	for d := range a.Min {
+		if math.Float64bits(a.Min[d]) != math.Float64bits(b.Min[d]) || math.Float64bits(a.Max[d]) != math.Float64bits(b.Max[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// leafRun returns shard s's run of es, an STR order at fanout f cut into
+// of shards: with L leaves, leaves [s·L/of, (s+1)·L/of).
+func leafRun(es []data.Entry, f, of, s int) []data.Entry {
+	leaves := (len(es) + f - 1) / f
+	return es[f*(s*leaves/of) : min(len(es), f*((s+1)*leaves/of))]
 }
 
 // endpoint is one shard host as the coordinator reaches it.
@@ -282,81 +308,100 @@ type endpoint struct {
 }
 
 // BuildRemote assembles a cluster whose shards live in remote shard-host
-// processes. Each shard is placed on cfg.Replicas distinct hosts by
-// consistent hashing over addrs (ring successors; a pool smaller than
-// the factor yields fewer copies), built on each of them via a Build RPC
-// (the host cuts its own dataset copy — the cut is deterministic, so
-// coordinator and hosts agree on every shard's contents without shipping
-// them), and reached through one shared TCP
-// transport per host. Every replica of a shard answers to the same wire
-// Target — replica identity is purely a coordinator-side routing choice,
-// so the wire protocol is unchanged by replication. cfg.Shards defaults
-// to len(addrs). Past placement, the cluster is assembled exactly as
-// Build's, fault decorators included, so the robustness suites run
-// unchanged against real processes.
+// processes reached over TCP (Start with addrs). It sorts ds once; each
+// host packs its shards from its own copy of the dataset, regenerated
+// from the same flags, by the record IDs the coordinator's Builds name.
 func BuildRemote(ds *data.Dataset, cfg Config, addrs []string) (*Cluster, error) {
-	return StartRemote(ds, cfg, addrs)()
+	if len(addrs) == 0 {
+		return nil, fmt.Errorf("distr: remote cluster needs at least one shard host")
+	}
+	return Start(ds, rtree.STROrderDataset(cfg.Fanout, ds), cfg, addrs)()
 }
 
-// StartRemote is BuildRemote in two halves: it returns once every shard
-// copy's Build request is written, and wait collects the answers and
+// Start builds a cluster over ds in two halves: it returns once every
+// shard copy's Build request is written, and wait collects the answers and
 // returns the cluster. The hosts build while the caller works between the
-// two — a coordinator builds its own indexes.
-func StartRemote(ds *data.Dataset, cfg Config, addrs []string) (wait func() (*Cluster, error)) {
-	fail := func(err error) func() (*Cluster, error) {
-		return func() (*Cluster, error) { return nil, err }
-	}
-	if len(addrs) == 0 {
-		return fail(fmt.Errorf("distr: remote cluster needs at least one shard host"))
-	}
+// two — a coordinator packs its own tree.
+//
+// order is ds's STR order at cfg.Fanout (rtree.STROrderDataset). With L
+// leaves of it, shard s of S is leaves [s·L/S, (s+1)·L/S), so every shard
+// is within one leaf of the others' size and holds exactly the leaves the
+// coordinator's own tree packs from the same order. Each copy's Build
+// names that run's record IDs and the order's bounds; order is read only
+// before Start returns, so the caller may pack it into its own tree then.
+//
+// Without addrs, Start runs cfg.Replicas in-process Hosts, each holding ds
+// itself behind a wire.MemClient, with copy r of every shard on host r.
+// With addrs, each shard is placed on cfg.Replicas distinct shard-host
+// processes by consistent hashing over addrs (ring successors; a pool
+// smaller than the factor yields fewer copies), each reached through one
+// shared TCP transport, and cfg.Shards defaults to len(addrs). Every
+// replica of a shard answers to the same wire Target — replica identity is
+// purely a coordinator-side routing choice. Past placement both clusters
+// are assembled alike, fault decorators included, so the robustness suites
+// run unchanged against real processes.
+func Start(ds *data.Dataset, order rtree.DatasetOrder, cfg Config, addrs []string) (wait func() (*Cluster, error)) {
 	if cfg.Shards == 0 {
 		cfg.Shards = len(addrs)
 	}
 	if err := cfg.normalize(); err != nil {
-		return fail(err)
+		return func() (*Cluster, error) { return nil, err }
 	}
 	c := &Cluster{cfg: cfg, ds: ds}
-	ring := newRing(addrs)
-	dialed := make(map[string]wire.Transport, len(addrs))
 	place := make([][]endpoint, cfg.Shards)
-	for s := range place {
-		for _, addr := range ring.lookupN(shardPlacementKey(ds.Name(), s), cfg.Replicas) {
-			t, ok := dialed[addr]
-			if !ok {
-				t = wire.NewTCPClient(addr)
-				dialed[addr] = t
-				c.transports = append(c.transports, t)
+	if len(addrs) == 0 {
+		c.hosts = make([]*Host, cfg.Replicas)
+		eps := make([]endpoint, cfg.Replicas)
+		for r := range c.hosts {
+			h := NewHost()
+			h.AddDataset(ds)
+			t := wire.NewMemClient(h)
+			c.hosts[r], eps[r] = h, endpoint{addr: "loopback", t: t}
+			c.transports = append(c.transports, t)
+		}
+		for s := range place {
+			place[s] = eps
+		}
+	} else {
+		ring := newRing(addrs)
+		dialed := make(map[string]wire.Transport, len(addrs))
+		for s := range place {
+			for _, addr := range ring.lookupN(shardPlacementKey(ds.Name(), s), cfg.Replicas) {
+				t, ok := dialed[addr]
+				if !ok {
+					t = wire.NewTCPClient(addr)
+					dialed[addr] = t
+					c.transports = append(c.transports, t)
+				}
+				place[s] = append(place[s], endpoint{addr: addr, t: t})
 			}
-			place[s] = append(place[s], endpoint{addr: addr, t: t})
 		}
 	}
-	return c.assemble(place)
+	return c.assemble(place, order)
 }
 
 // assemble finishes a cluster whose transports are set: copy r of shard s
 // is reached through a wireClient over place[s][r], wrapped in its fault
 // injector when a plan is installed, and every copy is built with a Build
-// RPC whose answer seeds the shard's envelope. It returns once every Build
-// is written, with the function that awaits the answers and returns the
-// cluster, or closes it on error.
-func (c *Cluster) assemble(place [][]endpoint) (wait func() (*Cluster, error)) {
+// RPC for shard s's run of order (see Start) whose answer seeds the
+// shard's envelope. It returns once every Build is written, with the
+// function that awaits the answers and returns the cluster, or closes it
+// on error.
+func (c *Cluster) assemble(place [][]endpoint, order rtree.DatasetOrder) (wait func() (*Cluster, error)) {
 	c.faults = newFaultStates(c.cfg.Faults, c.cfg.Shards, c.cfg.Replicas)
 	var builders []*wireClient
 	for s, eps := range place {
+		run := leafRun(order.Entries, shardFanout(c.cfg.Fanout), len(place), s)
+		ids := make([]data.ID, len(run))
+		for i := range run {
+			ids[i] = run[i].ID
+		}
+		tgt := wire.Target{DS: c.ds.Name(), Shard: uint32(s)}
+		build := wire.Build{Target: tgt, Of: uint32(c.cfg.Shards), Seed: c.cfg.Seed, Fanout: uint32(c.cfg.Fanout), Bounds: order.Bounds, IDs: ids}
+		box := geo.Bounds(run, func(e *data.Entry) *geo.Vec { return &e.Pos })
 		reps := make([]ShardClient, 0, len(eps))
 		for r, ep := range eps {
-			w := &wireClient{
-				c:    c,
-				t:    ep.t,
-				addr: ep.addr,
-				tgt:  wire.Target{DS: c.ds.Name(), Shard: uint32(s)},
-			}
-			w.build = wire.Build{
-				Target: w.tgt,
-				Of:     uint32(c.cfg.Shards),
-				Seed:   c.cfg.Seed,
-				Fanout: uint32(c.cfg.Fanout),
-			}
+			w := &wireClient{c: c, t: ep.t, addr: ep.addr, tgt: tgt, build: build, box: box}
 			builders = append(builders, w)
 			var cl ShardClient = w
 			if c.faults != nil {

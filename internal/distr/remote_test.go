@@ -10,6 +10,7 @@ package distr_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"storm/internal/distr"
 	"storm/internal/distr/distrtest"
 	"storm/internal/estimator"
+	"storm/internal/gen"
 	"storm/internal/geo"
 	"storm/internal/pred"
 	"storm/internal/stats"
@@ -36,6 +38,39 @@ func startHost(t *testing.T, n int, addr string) *wire.Server {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// TestBuildRefusesDivergentCopy: a shard host whose copy of the dataset
+// was generated from another seed, or with fewer records, holds other
+// records under the coordinator's IDs. The other seed's shard boxes differ
+// from geo.Bounds over the coordinator's leaf runs, and the short copy
+// refuses IDs past its length, so the boot fails with an error that names
+// the host and the dataset instead of serving other records.
+func TestBuildRefusesDivergentCopy(t *testing.T) {
+	const n = 4000
+	for name, held := range map[string]*data.Dataset{
+		"other seed":    gen.Uniform(n, 12, geo.Range{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100, MinT: 0, MaxT: 100}),
+		"fewer records": distrtest.Dataset(n - 100),
+	} {
+		h := distr.NewHost()
+		h.AddDataset(held)
+		bad, err := wire.NewServer("127.0.0.1:0", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := startHost(t, n, "127.0.0.1:0")
+		// Two copies of every shard on two hosts: each host builds them all.
+		c, err := distr.BuildRemote(distrtest.Dataset(n), distrtest.FastConfig(4, 1, nil, 2), []string{good.Addr(), bad.Addr()})
+		bad.Close()
+		if err == nil {
+			c.Close()
+			t.Errorf("%s: the coordinator accepted a host holding another copy of the dataset", name)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, bad.Addr()) || !strings.Contains(msg, `"uniform"`) {
+			t.Errorf("%s: error %q should name the host %s and the dataset", name, msg, bad.Addr())
+		}
+	}
 }
 
 func buildRemote(t *testing.T, ds *data.Dataset, cfg distr.Config, addrs []string) *distr.Cluster {
@@ -217,25 +252,29 @@ func TestRemoteFaultPlanResumesStream(t *testing.T) {
 // splitCluster builds a 4-shard remote cluster over two fresh hosts, A and
 // B, whose placement splits the shards between them, and returns it with
 // both hosts' servers. The ring hashes the hosts' ephemeral addresses, so
-// a given pair can land every shard on one host; it retries with fresh
-// listeners until killing either host leaves survivors.
+// a given pair can land every shard on one host, or only shards that hold
+// no record of distrtest.Query() on B (a shard is a run of STR leaves, and
+// the query sits on few of them); it retries with fresh listeners until
+// killing either host leaves survivors and killing B loses query records.
 func splitCluster(t *testing.T, n int, ds *data.Dataset, cfg distr.Config) (*distr.Cluster, [2]*wire.Server) {
 	t.Helper()
+	twin := distrtest.Build(t, distrtest.Dataset(n), cfg)
 	for attempt := 0; attempt < 20; attempt++ {
 		a := startHost(t, n, "127.0.0.1:0")
 		b := startHost(t, n, "127.0.0.1:0")
 		c := buildRemote(t, ds, cfg, []string{a.Addr(), b.Addr()})
-		onB := 0
-		for _, st := range c.ShardStatus() {
+		onB, queriedOnB := 0, 0
+		for s, st := range c.ShardStatus() {
 			if st.Addr == b.Addr() {
 				onB++
+				queriedOnB += twin.Shards()[s].Index().Count(distrtest.Query())
 			}
 		}
-		if onB >= 1 && onB <= 3 {
+		if onB >= 1 && onB <= 3 && queriedOnB > 0 {
 			return c, [2]*wire.Server{a, b}
 		}
 	}
-	t.Fatal("placement never split 4 shards across 2 hosts in 20 attempts")
+	t.Fatal("placement never split 4 shards across 2 hosts, query records on B, in 20 attempts")
 	return nil, [2]*wire.Server{}
 }
 
@@ -246,7 +285,8 @@ func splitCluster(t *testing.T, n int, ds *data.Dataset, cfg distr.Config) (*dis
 // the ingested ones are 1e6, spread over the query box. Insert routing
 // decides which shards take them; an in-process twin of the cluster, which
 // routes identically, names one, and the host holding it is killed. The
-// stream then runs until every shard on that host is written off.
+// stream then runs until every shard on that host that holds query
+// records is written off.
 func TestLostMassBoundsCoverIngestAfterHostKill(t *testing.T) {
 	const n = 6000
 	ds, twinDS := distrtest.Dataset(n), distrtest.Dataset(n)
@@ -282,8 +322,10 @@ func TestLostMassBoundsCoverIngestAfterHostKill(t *testing.T) {
 	if srvs[1].Addr() == victimAddr {
 		victim = srvs[1]
 	}
-	for _, st := range c.ShardStatus() {
-		if st.Addr == victimAddr {
+	// Only shards holding query records serve the stream, so only they
+	// can be written off; took is one of them.
+	for s, st := range c.ShardStatus() {
+		if st.Addr == victimAddr && twin.Shards()[s].Index().Count(q) > 0 {
 			onVictim++
 		}
 	}

@@ -354,13 +354,16 @@ func TestShardedUpdatesReachCluster(t *testing.T) {
 	}
 }
 
-// TestRemoteBuildsWrittenBeforeLocalBuild: Register starts a remote
-// cluster on Register's goroutine, inside Engine.build, before build goes on to
-// sort and pack the local indexes, and distr.StartRemote returns only once
-// every copy's Build is written (TestAssembleWritesEveryBuildFirst), so the
-// hosts build while the coordinator does; the answers are read before
-// Register returns, and the cluster then holds every record.
-func TestRemoteBuildsWrittenBeforeLocalBuild(t *testing.T) {
+// TestRemoteBuildsWrittenBeforeLocalPack: Register sorts the dataset once
+// and starts its cluster on Register's goroutine, inside Engine.build,
+// from that order, before build goes on to pack the local indexes from it;
+// distr.Start returns only once every copy's Build is written
+// (TestAssembleWritesEveryBuildFirst), so the hosts build while the
+// coordinator packs. The answers are read before Register returns, and the
+// cluster then holds every record. The local tree's leaves are windows of
+// the very order the cluster was cut from, so a boot sorts once, for
+// remote and in-process hosts alike.
+func TestRemoteBuildsWrittenBeforeLocalPack(t *testing.T) {
 	const n = 20_000
 	var addrs []string
 	for range 2 {
@@ -373,32 +376,41 @@ func TestRemoteBuildsWrittenBeforeLocalBuild(t *testing.T) {
 		t.Cleanup(func() { srv.Close() })
 		addrs = append(addrs, srv.Addr())
 	}
-	e := New(Config{Seed: 42, Fanout: 32})
-	var inBuild, waited bool
-	e.startRemote = func(ds *data.Dataset, cfg distr.Config, addrs []string) func() (*distr.Cluster, error) {
-		wait := distr.StartRemote(ds, cfg, addrs)
-		pcs := make([]uintptr, 64)
-		frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
-		for more := true; more && !inBuild; {
-			var f runtime.Frame
-			f, more = frames.Next()
-			inBuild = f.Function == "storm/internal/engine.(*Engine).build"
+	for _, hosts := range [][]string{addrs, nil} {
+		e := New(Config{Seed: 42, Fanout: 32})
+		var (
+			inBuild, waited bool
+			first           *data.Entry
+		)
+		e.startShards = func(ds *data.Dataset, order rtree.DatasetOrder, cfg distr.Config, addrs []string) func() (*distr.Cluster, error) {
+			wait := distr.Start(ds, order, cfg, addrs)
+			first = &order.Entries[0]
+			pcs := make([]uintptr, 64)
+			frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+			for more := true; more && !inBuild; {
+				var f runtime.Frame
+				f, more = frames.Next()
+				inBuild = f.Function == "storm/internal/engine.(*Engine).build"
+			}
+			return func() (*distr.Cluster, error) {
+				waited = true
+				return wait()
+			}
 		}
-		return func() (*distr.Cluster, error) {
-			waited = true
-			return wait()
+		h, err := e.Register(distrtest.Dataset(n), IndexOptions{ShardAddrs: hosts, Shards: 4, Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	h, err := e.Register(distrtest.Dataset(n), IndexOptions{ShardAddrs: addrs, Shards: 4, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inBuild || !waited {
-		t.Errorf("remote cluster started inside Engine.build: %v; its answers awaited: %v", inBuild, waited)
-	}
-	all := geo.NewRect(geo.Vec{-1e9, -1e9, -1e9}, geo.Vec{1e9, 1e9, 1e9})
-	if got := h.Cluster().Count(all); got != n {
-		t.Errorf("cluster counts %d records, want %d", got, n)
+		if !inBuild || !waited {
+			t.Errorf("hosts %v: cluster started inside Engine.build: %v; its answers awaited: %v", hosts, inBuild, waited)
+		}
+		if leaf := treeLeaves(h.rs.Tree())[0].Entries(); &leaf[0] != first {
+			t.Errorf("hosts %v: the local tree packs another sort than the one the cluster was cut from", hosts)
+		}
+		all := geo.NewRect(geo.Vec{-1e9, -1e9, -1e9}, geo.Vec{1e9, 1e9, 1e9})
+		if got := h.Cluster().Count(all); got != n {
+			t.Errorf("hosts %v: cluster counts %d records, want %d", hosts, got, n)
+		}
 	}
 }
 

@@ -120,13 +120,13 @@ type Engine struct {
 	seedSeq     int64
 	obs         *obs.Registry
 	met         *metrics
-	// startRemote is distr.StartRemote; tests watch it through this.
-	startRemote func(ds *data.Dataset, cfg distr.Config, addrs []string) func() (*distr.Cluster, error)
+	// startShards is distr.Start; tests watch it through this.
+	startShards func(ds *data.Dataset, order rtree.DatasetOrder, cfg distr.Config, addrs []string) func() (*distr.Cluster, error)
 }
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, datasets: make(map[string]*Handle), registering: make(map[string]struct{}), startRemote: distr.StartRemote}
+	e := &Engine{cfg: cfg, datasets: make(map[string]*Handle), registering: make(map[string]struct{}), startShards: distr.Start}
 	if cfg.BufferPoolPages > 0 {
 		e.device = iosim.NewDevice(cfg.BufferPoolPages, iosim.DefaultCostModel())
 	}
@@ -291,8 +291,9 @@ func (e *Engine) Register(ds *data.Dataset, opts IndexOptions) (*Handle, error) 
 }
 
 // build constructs a dataset's handle and indexes without touching the
-// engine's registry. The shard cluster — its own devices, usually other
-// processes — is built concurrently with the local indexes. What is
+// engine's registry. It sorts the dataset once: the shard cluster — its
+// own devices, usually other processes — is cut from that order and built
+// concurrently with the local pack of it. What is
 // order-sensitive stays in the order it always had: the per-index seeds are
 // drawn RS, LS (only when the LS-tree is built here; a lazily built one
 // mixes the RS seed), cluster before any work starts, and the trees are
@@ -305,9 +306,10 @@ func (e *Engine) build(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
 	if opts.LSTree {
 		lsSeed = e.nextSeed()
 	}
-	joinCluster := e.startCluster(ds, opts)
+	order := rtree.STROrderDataset(e.cfg.Fanout, ds)
+	joinCluster := e.startCluster(ds, order, opts)
 
-	h, err := e.buildLocal(ds, opts.LSTree, rsSeed, lsSeed)
+	h, err := e.buildLocal(ds, order, opts.LSTree, rsSeed, lsSeed)
 	cluster, clusterErr := joinCluster()
 	if err == nil && clusterErr != nil {
 		err = fmt.Errorf("engine: building cluster for %q: %w", ds.Name(), clusterErr)
@@ -322,52 +324,35 @@ func (e *Engine) build(ds *data.Dataset, opts IndexOptions) (*Handle, error) {
 	return h, nil
 }
 
-// startCluster begins building the dataset's shard cluster, if opts asks
-// for one, and returns the function that waits for it. A remote cluster's
-// Builds are written before it returns, so the hosts build while the local
-// indexes do; sent from a goroutine, they would wait on a one-P
-// coordinator until the local build yielded. An in-process cluster builds
-// on a goroutine of its own. Every path through build calls the returned
-// function, so nothing started here outlives Register.
-func (e *Engine) startCluster(ds *data.Dataset, opts IndexOptions) (join func() (*distr.Cluster, error)) {
+// startCluster begins building the dataset's shard cluster from order, if
+// opts asks for one, and returns the function that waits for it. Every
+// copy's Build is written before it returns, so the shard hosts — remote
+// processes or in-process Hosts — build while the local tree packs; sent
+// from a goroutine, they would wait on a one-P coordinator until the local
+// build yielded. Every path through build calls the returned function, so
+// nothing started here outlives Register.
+func (e *Engine) startCluster(ds *data.Dataset, order rtree.DatasetOrder, opts IndexOptions) (join func() (*distr.Cluster, error)) {
 	if opts.Shards == 0 && len(opts.ShardAddrs) == 0 {
 		return func() (*distr.Cluster, error) { return nil, nil }
 	}
-	cfg := distr.Config{
+	return e.startShards(ds, order, distr.Config{
 		Shards:   opts.Shards,
 		Replicas: opts.Replicas,
 		Fanout:   e.cfg.Fanout,
 		Seed:     e.nextSeed(),
 		Obs:      e.obs,
 		Faults:   opts.Faults,
-	}
-	if len(opts.ShardAddrs) > 0 {
-		return e.startRemote(ds, cfg, opts.ShardAddrs)
-	}
-	var (
-		cluster *distr.Cluster
-		err     error
-		done    = make(chan struct{})
-	)
-	go func() {
-		defer close(done)
-		cluster, err = distr.Build(ds, cfg)
-	}()
-	return func() (*distr.Cluster, error) {
-		<-done
-		return cluster, err
-	}
+	}, opts.ShardAddrs)
 }
 
-// buildLocal builds the handle's in-process indexes: the RS-tree, its
-// attribute summaries, and the LS-tree when asked for. The RS-tree is
-// sorted straight from the dataset's columns; that sort's first read bounds
-// the records for the pack's keys and finds their latest time, and the
-// leaves keep the sorted list's memory. The LS-tree is the one its first
-// query would build (lsTree).
-func (e *Engine) buildLocal(ds *data.Dataset, withLS bool, rsSeed, lsSeed int64) (*Handle, error) {
+// buildLocal builds the handle's in-process indexes from order, the
+// dataset's STR order: the RS-tree, its attribute summaries, and the
+// LS-tree when asked for. The sort's first read bounded the records for
+// the pack's keys and found their latest time, and the leaves keep the
+// sorted list's memory. The LS-tree is the one its first query would
+// build (lsTree).
+func (e *Engine) buildLocal(ds *data.Dataset, order rtree.DatasetOrder, withLS bool, rsSeed, lsSeed int64) (*Handle, error) {
 	h := &Handle{name: ds.Name(), ds: ds, eng: e, deleted: make(map[data.ID]struct{}), lsSeed: lsSeed}
-	order := rtree.STROrderDataset(e.cfg.Fanout, ds)
 	h.advanceWatermark(order.MaxT)
 	var err error
 	h.rs, err = rstree.BuildSorted(order.Entries, rstree.Config{

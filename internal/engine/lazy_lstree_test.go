@@ -10,6 +10,7 @@ import (
 	"storm/internal/estimator"
 	"storm/internal/gen"
 	"storm/internal/geo"
+	"storm/internal/rtree"
 	"storm/internal/sampling"
 	"storm/internal/stats"
 )
@@ -31,7 +32,7 @@ func TestLazyLSTreeMatchesEager(t *testing.T) {
 			if want := stats.MixSeed(rsSeed); lazy.lsSeed != want {
 				t.Fatalf("lazy LS seed %d, want stats.MixSeed(rsSeed) = %d", lazy.lsSeed, want)
 			}
-			eager, err := e.buildLocal(ds, true, rsSeed, lazy.lsSeed)
+			eager, err := e.buildLocal(ds, rtree.STROrderDataset(16, ds), true, rsSeed, lazy.lsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -248,7 +248,9 @@ func (h *Handle) sampleNeed(opts Options) int {
 // answers: the rectangle it really covers, the WHERE plan, the sampling
 // method and — once something asks — the range count and the qualifying
 // population. The driver, EXPLAIN and the contract planner all get it from
-// resolve, so one request walks the region's canonical descent once.
+// resolve, so one request walks the region's Count descent once, plus one
+// CountWhere descent when a compiled predicate sizes the population
+// (TestOneDescentPerRequest).
 type resolution struct {
 	h *Handle
 	// query is the rectangle as given; rect has its time axis narrowed to

@@ -110,8 +110,8 @@ func Build(entries []data.Entry, cfg Config) (*Index, error) {
 
 // BuildSorted is Build over entries already in STR order at cfg.Fanout, for
 // callers that sort otherwise — the engine from the dataset's columns
-// (rtree.STROrderDataset, its Bounds as cfg.Bounds), a shard host a window
-// of that order. It takes sorted over (rtree.Tree.Pack). The same input
+// (rtree.STROrderDataset, its Bounds as cfg.Bounds), a shard host the
+// window of that order a coordinator's Build names. It takes sorted over (rtree.Tree.Pack). The same input
 // order yields the same pages, buffers and device charges.
 func BuildSorted(sorted []data.Entry, cfg Config) (*Index, error) {
 	if cfg.Fanout == 0 {

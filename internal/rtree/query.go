@@ -15,16 +15,6 @@ func (t *Tree) Search(q geo.Rect, fn func(data.Entry) bool) {
 	t.search(t.cfg.Device, t.root, q, nil, fn)
 }
 
-// SearchTo is Search with page accesses charged to acct instead of the
-// tree's shared device — per-query I/O attribution for samplers that range-
-// report (pass an iosim.Counter forwarding to the shared device).
-func (t *Tree) SearchTo(acct iosim.Accountant, q geo.Rect, fn func(data.Entry) bool) {
-	if acct == nil {
-		acct = t.cfg.Device
-	}
-	t.search(acct, t.root, q, nil, fn)
-}
-
 // search reports the entries under n inside q that pass f's predicate (a
 // nil f passes all), pruning the subtrees f's digests rule out.
 func (t *Tree) search(acct iosim.Accountant, n *Node, q geo.Rect, f *TreeFilter, fn func(data.Entry) bool) bool {

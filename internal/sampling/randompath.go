@@ -83,9 +83,6 @@ func (s *RandomPath) Name() string { return "RandomPath" }
 // Close implements Sampler; RandomPath holds nothing to release.
 func (s *RandomPath) Close() error { return nil }
 
-// Walks returns the total number of root-to-leaf walks performed.
-func (s *RandomPath) Walks() uint64 { return s.walks }
-
 // SamplerStats implements Sampler: every walk that did not return a sample
 // (rejected descent, duplicate) counts as a rejection.
 func (s *RandomPath) SamplerStats() SamplerStats {

@@ -317,7 +317,7 @@ func BenchmarkExactPlan(b *testing.B) {
 		}
 		defer c.Close()
 		round := func(q geo.Rect) int {
-			m, summed := c.Moments(q, nil, wire.Window{}, "altitude", math.MaxInt)
+			m, summed := c.Moments(q, nil, "altitude", math.MaxInt)
 			if !summed {
 				b.Fatal("the round did not sum")
 			}

@@ -119,14 +119,13 @@ func (b *shardBackend) compileWhere(where []pred.Term) (*rtree.TreeFilter, error
 	return rtree.NewTreeFilter(c, b.shard.attrs), nil
 }
 
-// count answers a count round. It narrows the query's time axis to the
-// window first — the single funnel both transports share, so a windowed
-// count sees the identical population in-process and across TCP. A round
-// that names a summarized attribute gets the moments of its present values
-// too, read only while at most the request's limit of records qualify: the
-// exact plan's descent, then its covered subtrees, under one read lock.
+// count answers a count round over the request's rectangle, which arrives
+// already narrowed to any `LAST` window. A round that names a summarized
+// attribute gets the moments of its present values too, read only while
+// at most the request's limit of records qualify: the exact plan's
+// descent, then its covered subtrees, under one read lock.
 func (b *shardBackend) count(req *wire.Count) (*wire.CountOK, error) {
-	q := req.Window.Apply(req.Query)
+	q := req.Query
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	f, err := b.compileWhere(req.Where)
@@ -158,11 +157,9 @@ func (b *shardBackend) count(req *wire.Count) (*wire.CountOK, error) {
 // the predicate, when one rode along) are subtracted from the returned
 // count; an excluded record deleted since it was emitted would make that
 // subtraction overshoot by one, which only ends the stream early — the
-// coordinator's defensive repair absorbs it.
-// The window narrows q's time axis up front, exactly as count does, so a
-// windowed stream draws from the same records on every transport.
-func (b *shardBackend) open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term, win wire.Window) (int, error) {
-	q = win.Apply(q)
+// coordinator's defensive repair absorbs it. Like count's, q arrives
+// already narrowed to any `LAST` window.
+func (b *shardBackend) open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term) (int, error) {
 	b.mu.RLock()
 	f, err := b.compileWhere(where)
 	if err != nil {

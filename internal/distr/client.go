@@ -36,16 +36,15 @@ import (
 type ShardClient interface {
 	// Count answers a count round: the shard's matching count for the
 	// request's rectangle, restricted to records satisfying its predicate
-	// terms and lying in its event-time window, and the moments of its
-	// attribute when it names one and the count fits its limit. The shard
-	// compiles, prunes and narrows locally; the client fills in the target.
+	// terms, and the moments of its attribute when it names one and the
+	// count fits its limit. The shard compiles and prunes locally; the
+	// client fills in the target.
 	Count(req wire.Count) (wire.CountOK, error)
 	// Open creates sample stream id over q, seeded with seed, never
 	// emitting the excluded IDs and emitting only records satisfying the
-	// predicate terms (nil = no predicate) and lying in the event-time
-	// window win (zero = none); it returns the stream's matching count. A
-	// zero count opens nothing.
-	Open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term, win wire.Window) (int, error)
+	// predicate terms (nil = no predicate); it returns the stream's
+	// matching count. A zero count opens nothing.
+	Open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term) (int, error)
 	// Fetch pulls up to n samples from an open stream into dst[:n]. A
 	// non-zero deadline is an absolute wall-clock bound the attempt must
 	// respect: the TCP transport caps its request timeout at the time

@@ -531,32 +531,24 @@ func (c *Cluster) Count(q geo.Rect) int {
 // each shard counts with its local summaries pruning the descent — the
 // records the predicate rejects never cross the wire.
 func (c *Cluster) CountWhere(q geo.Rect, where []pred.Term) int {
-	return c.CountWindow(q, where, wire.Window{})
-}
-
-// CountWindow is CountWhere further restricted to records in the resolved
-// event-time window (zero = none). The window ships as a wire term and each
-// shard narrows its own time axis before counting, so windowed counts see
-// the identical population in-process and over TCP.
-func (c *Cluster) CountWindow(q geo.Rect, where []pred.Term, win wire.Window) int {
 	total := 0
-	for _, ok := range c.countRound(wire.Count{Query: q, Where: where, Window: win}) {
+	for _, ok := range c.countRound(wire.Count{Query: q, Where: where}) {
 		total += int(ok.N)
 	}
 	return total
 }
 
-// Moments is the count round of the exact plan: CountWindow's fan-out,
+// Moments is the count round of the exact plan: CountWhere's fan-out,
 // whose request also names attribute attr and a record limit, so each
 // shard with at most limit qualifying records answers with the moments of
 // attr's present values over them. m.Records is the total count, m.Values
 // the shards' moments merged by Chan–Golub–LeVeque, and summed reports
 // that every shard holding qualifying records summed them, so Values
 // covers all Records. Shards that do not answer are absent from both, as
-// from CountWindow's total.
-func (c *Cluster) Moments(q geo.Rect, where []pred.Term, win wire.Window, attr string, limit int) (m rtree.Moments, summed bool) {
+// from CountWhere's total.
+func (c *Cluster) Moments(q geo.Rect, where []pred.Term, attr string, limit int) (m rtree.Moments, summed bool) {
 	summed = true
-	for _, ok := range c.countRound(wire.Count{Query: q, Where: where, Window: win, Attr: attr, Limit: uint64(limit)}) {
+	for _, ok := range c.countRound(wire.Count{Query: q, Where: where, Attr: attr, Limit: uint64(limit)}) {
 		m.Records += int(ok.N)
 		if !ok.Summed && ok.N > 0 {
 			summed = false
@@ -604,10 +596,6 @@ type Sampler struct {
 	// on every Open — including fault-recovery reopens — so shards prune
 	// and filter locally.
 	where []pred.Term
-	// win is the query's resolved event-time window (zero = none); like the
-	// predicate it rides on every Open, so shards narrow their own time
-	// axis and the stream draws from the windowed population everywhere.
-	win wire.Window
 	// rng is the query's: it draws the shards' open seeds, then every
 	// sample's shard, so the query's seed fixes the whole stream.
 	rng *stats.RNG
@@ -672,16 +660,7 @@ func (c *Cluster) Sampler(q geo.Rect, rng *stats.RNG) *Sampler {
 // records never cross the wire; the merged stream is exactly uniform over
 // the cluster's qualifying records. Nil terms are exactly Sampler.
 func (c *Cluster) SamplerWhere(q geo.Rect, rng *stats.RNG, where []pred.Term) *Sampler {
-	return c.SamplerWindow(q, rng, where, wire.Window{})
-}
-
-// SamplerWindow is SamplerWhere further restricted to the resolved
-// event-time window (zero = none): the window rides on every stream open,
-// each shard narrows its own time axis, and the merged stream is exactly
-// uniform over the cluster's windowed qualifying records — byte-identical
-// across the in-memory and TCP transports.
-func (c *Cluster) SamplerWindow(q geo.Rect, rng *stats.RNG, where []pred.Term, win wire.Window) *Sampler {
-	return &Sampler{cluster: c, query: q, where: where, win: win, rng: rng}
+	return &Sampler{cluster: c, query: q, where: where, rng: rng}
 }
 
 var _ sampling.Sampler = (*Sampler)(nil)
@@ -759,7 +738,7 @@ func (s *Sampler) initialize() {
 			// refuses the open is skipped like a pre-crashed shard; only a
 			// shard none of whose copies answered is absent from the query.
 			for r, rc := range cl.repl[i] {
-				got, err := rc.Open(s.streams[i], s.query, s.seeds[i], nil, s.where, s.win)
+				got, err := rc.Open(s.streams[i], s.query, s.seeds[i], nil, s.where)
 				if err != nil {
 					continue
 				}
@@ -1096,7 +1075,7 @@ func (s *Sampler) resume(shard, r int) (got int, ok bool) {
 		exclude = s.emitted[shard]
 	}
 	seed := stats.MixSeed(s.seeds[shard])
-	got, err := cl.repl[shard][r].Open(stream, s.query, seed, exclude, s.where, s.win)
+	got, err := cl.repl[shard][r].Open(stream, s.query, seed, exclude, s.where)
 	if err != nil {
 		return 0, false
 	}

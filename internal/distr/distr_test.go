@@ -362,8 +362,8 @@ func TestMomentsVerdictIgnoresSplit(t *testing.T) {
 	}
 	total := held[0] + held[1]
 	for _, limit := range []int{min(held[0], held[1]), max(held[0], held[1]), total - 1, total, total + 1, math.MaxInt} {
-		m1, summed1 := one.Moments(testQuery, nil, wire.Window{}, "value", limit)
-		m2, summed2 := two.Moments(testQuery, nil, wire.Window{}, "value", limit)
+		m1, summed1 := one.Moments(testQuery, nil, "value", limit)
+		m2, summed2 := two.Moments(testQuery, nil, "value", limit)
 		exact1, exact2 := summed1 && m1.Records <= limit, summed2 && m2.Records <= limit
 		if m1.Records != total || m2.Records != total {
 			t.Fatalf("limit %d: one shard counts %d, two count %d, want %d", limit, m1.Records, m2.Records, total)

@@ -23,7 +23,6 @@ import (
 	"storm/internal/sampling/samplingtest"
 	"storm/internal/stats"
 	"storm/internal/stats/statcheck"
-	"storm/internal/wire"
 )
 
 // killReplica returns a plan crashing one copy of one shard after the
@@ -260,21 +259,20 @@ func TestStatFailoverFirstSampleUniform(t *testing.T) {
 // visibility question the engine never poses: inserts serialize against
 // running queries under the handle's write lock.)
 func TestStatFailoverWindowedChurnUniform(t *testing.T) {
-	q := distrtest.Query()
-	win := wire.Window{Set: true, Lo: 65, Hi: 90}
-	wider := wire.Window{Set: true, Lo: 65, Hi: 100}
+	// The query rectangle narrowed to the resolved windows [65, 90] and
+	// [65, 100], as the coordinator sends them.
+	win, wider := distrtest.Query(), distrtest.Query()
+	win.Min[2], win.Max[2] = 65, 90
+	wider.Min[2] = 65
 	base := distrtest.Dataset(800)
 	all := make(map[data.ID]bool)
 	widerN := 0
 	for i := 0; i < base.Len(); i++ {
 		p := base.Pos(uint64(i))
-		if !q.Contains(p) {
-			continue
-		}
-		if p[2] >= win.Lo && p[2] <= win.Hi {
+		if win.Contains(p) {
 			all[uint64(i)] = true
 		}
-		if p[2] >= wider.Lo && p[2] <= wider.Hi {
+		if wider.Contains(p) {
 			widerN++
 		}
 	}
@@ -294,7 +292,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 		cfg.MaxRetries = -1
 		c := distrtest.Build(t, ds, cfg)
 
-		s := c.SamplerWindow(q, stats.NewRNG(int64(i)), nil, win)
+		s := c.Sampler(win, stats.NewRNG(int64(i)))
 		first, ok := samplingtest.Next(s)
 		if !ok {
 			t.Fatalf("trial %d: no sample", i)
@@ -312,7 +310,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 			id := ds.AppendFast(pos)
 			ds.SetNumeric("value", id, 1.0)
 			c.Insert(data.Entry{ID: id, Pos: pos})
-			if pos[2] > win.Hi {
+			if pos[2] > win.Max[2] {
 				arrivals++
 			}
 		}
@@ -340,7 +338,7 @@ func TestStatFailoverWindowedChurnUniform(t *testing.T) {
 		// A fresh query whose window covers the arrivals sees the churn:
 		// the base wider-window population plus the mirrored inserts,
 		// served across the failed-over placement.
-		fresh := c.SamplerWindow(q, stats.NewRNG(stats.MixSeed(int64(i))), nil, wider)
+		fresh := c.Sampler(wider, stats.NewRNG(stats.MixSeed(int64(i))))
 		if got := len(distrtest.DrainBatched(fresh, []int{32})); got != widerN+arrivals {
 			t.Fatalf("trial %d: post-churn drain = %d, want %d", i, got, widerN+arrivals)
 		}

@@ -121,7 +121,7 @@ func (h *Host) Handle(m wire.Msg) wire.Msg {
 			return errUnknownShard(req.Target)
 		}
 		h.dsMu.RLock()
-		n, err := b.open(req.Stream, req.Query, req.Seed, req.Exclude, req.Where, req.Window)
+		n, err := b.open(req.Stream, req.Query, req.Seed, req.Exclude, req.Where)
 		h.dsMu.RUnlock()
 		if err != nil {
 			return &wire.Error{Code: wire.ErrCodeBadRequest, Msg: fmt.Sprintf("open predicate: %v", err)}

@@ -162,9 +162,7 @@ func (w *wireClient) call(m wire.Msg, timeout time.Duration) (wire.Msg, error) {
 	}
 }
 
-// Count implements ShardClient. The window travels as a wire term — the
-// shard narrows locally, so no windowed record filtering happens on the
-// coordinator for remote shards.
+// Count implements ShardClient.
 func (w *wireClient) Count(req wire.Count) (wire.CountOK, error) {
 	req.Target = w.tgt
 	resp, err := w.call(&req, remoteOpTimeout)
@@ -179,8 +177,8 @@ func (w *wireClient) Count(req wire.Count) (wire.CountOK, error) {
 }
 
 // Open implements ShardClient.
-func (w *wireClient) Open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term, win wire.Window) (int, error) {
-	resp, err := w.call(&wire.Open{Target: w.tgt, Stream: stream, Query: q, Seed: seed, Exclude: exclude, Where: where, Window: win}, remoteOpTimeout)
+func (w *wireClient) Open(stream uint64, q geo.Rect, seed int64, exclude []data.ID, where []pred.Term) (int, error) {
+	resp, err := w.call(&wire.Open{Target: w.tgt, Stream: stream, Query: q, Seed: seed, Exclude: exclude, Where: where}, remoteOpTimeout)
 	if err != nil {
 		return 0, err
 	}

@@ -124,19 +124,19 @@ func TestRemoteMatchesLoopback(t *testing.T) {
 	}
 }
 
-// TestRemoteWindowMatchesLoopback: a `LAST`-windowed query ships the
-// window term over the wire and each shard narrows its own time axis —
-// the same funnel the loopback transport uses — so the windowed count and
-// the windowed sample stream are byte-identical across transports, and
-// both equal the stream over the pre-narrowed rectangle.
+// TestRemoteWindowMatchesLoopback: a `LAST`-windowed query reaches the
+// shards as its rectangle with the time axis narrowed by the coordinator,
+// so the windowed count and the windowed sample stream are byte-identical
+// across transports.
 func TestRemoteWindowMatchesLoopback(t *testing.T) {
 	const n = 4000
 	ds := distrtest.Dataset(n)
 	q := distrtest.Query()
 	cfg := distrtest.FastConfig(4, 7, nil)
-	// The fixture spans t in [0, 100]; this window keeps roughly the last
-	// third of the queried records.
-	win := wire.Window{Set: true, Lo: 65, Hi: 100}
+	// The fixture spans t in [0, 100]; the window [65, 100] keeps roughly
+	// the last third of the queried records.
+	win := q
+	win.Min[2] = 65
 
 	local := distrtest.Build(t, ds, cfg)
 	remote := buildRemote(t, ds, cfg, []string{
@@ -144,23 +144,22 @@ func TestRemoteWindowMatchesLoopback(t *testing.T) {
 		startHost(t, n, "127.0.0.1:0").Addr(),
 	})
 
-	lc := local.CountWindow(q, nil, win)
-	rc := remote.CountWindow(q, nil, win)
-	narrowed := local.Count(win.Apply(q))
-	if lc != rc || lc != narrowed {
-		t.Fatalf("windowed counts: loopback %d, TCP %d, narrowed-rect %d", lc, rc, narrowed)
+	lc := local.Count(win)
+	rc := remote.Count(win)
+	if lc != rc {
+		t.Fatalf("windowed counts: loopback %d, TCP %d", lc, rc)
 	}
 	if full := local.Count(q); lc <= 0 || lc >= full {
 		t.Fatalf("window should cut the population: %d of %d", lc, full)
 	}
 
 	sizes := []int{17, 64, 1, 33}
-	want := distrtest.DrainBatched(local.SamplerWindow(q, stats.NewRNG(1), nil, win), sizes)
-	got := distrtest.DrainBatched(remote.SamplerWindow(q, stats.NewRNG(1), nil, win), sizes)
+	want := distrtest.DrainBatched(local.Sampler(win, stats.NewRNG(1)), sizes)
+	got := distrtest.DrainBatched(remote.Sampler(win, stats.NewRNG(1)), sizes)
 	distrtest.SameEntries(t, want, got, "windowed loopback vs TCP")
 	for _, e := range want {
-		if e.Pos[2] < win.Lo || e.Pos[2] > win.Hi {
-			t.Fatalf("sample %d at t=%v escapes window [%v, %v]", e.ID, e.Pos[2], win.Lo, win.Hi)
+		if !win.Contains(e.Pos) {
+			t.Fatalf("sample %d at t=%v escapes window %v", e.ID, e.Pos[2], win)
 		}
 	}
 	if len(want) != lc {
@@ -475,7 +474,7 @@ func TestCountRoundsBesideMirroredInserts(t *testing.T) {
 		default:
 		}
 		c.CountWhere(q, where)
-		c.Moments(q, where, wire.Window{}, "value", math.MaxInt)
+		c.Moments(q, where, "value", math.MaxInt)
 	}
 	col, _ := ds.NumericColumn("value")
 	var want estimator.Welford
@@ -484,7 +483,7 @@ func TestCountRoundsBesideMirroredInserts(t *testing.T) {
 			want.Add(v)
 		}
 	}
-	m, summed := c.Moments(q, where, wire.Window{}, "value", math.MaxInt)
+	m, summed := c.Moments(q, where, "value", math.MaxInt)
 	if !summed || m.Records != want.N() || m.Values.N() != want.N() || math.Abs(m.Values.Mean()-want.Mean()) > 1e-9*want.Mean() {
 		t.Errorf("round: summed %v, %d records, n %d, mean %v; want %d records of mean %v",
 			summed, m.Records, m.Values.N(), m.Values.Mean(), want.N(), want.Mean())

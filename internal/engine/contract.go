@@ -365,7 +365,7 @@ func (h *Handle) planContract(q geo.Rect, opts Options, c Contract) (ContractPla
 	case res.summed != nil:
 		// The exact plan's descent counted the qualifying records.
 		qual = res.summed.at.n
-	case res.plan != nil && res.plan.compiled != nil:
+	case res.plan != nil:
 		// PR 7 selectivity estimate: predicted qualifying fraction of the
 		// range matches, from the dataset-level attribute envelope. The
 		// execution path computes the exact count; the planner only needs

@@ -260,7 +260,7 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 		emit(true, failedPrefix+err.Error())
 		return
 	}
-	r.Windowed, r.WindowLo, r.WindowHi = res.win.Set, res.win.Lo, res.win.Hi
+	r.Windowed, r.WindowLo, r.WindowHi = res.win.set, res.win.lo, res.win.hi
 	population = res.population()
 	// COUNT is exact via canonical range counting (predicates included:
 	// the qualifying population is counted through the pruned traversal):
@@ -298,7 +298,7 @@ func (h *Handle) run(ctx context.Context, q geo.Rect, opts Options, c consumer) 
 	if opts.TimeBudget > 0 {
 		deadline = start.Add(opts.TimeBudget)
 	}
-	sampler, ctr, err = h.newSampler(res.method, res.sampled(), opts.Mode, population, seed, res.plan)
+	sampler, ctr, err = h.newSampler(res.method, res.rect, opts.Mode, population, seed, res.plan)
 	if err != nil {
 		emit(true, failedPrefix+err.Error())
 		return

@@ -681,9 +681,7 @@ func (h *Handle) newStream(method Method, q geo.Rect, rng *stats.RNG, plan *wher
 			return nil, nil, fmt.Errorf("engine: dataset %q has no shard cluster (register with IndexOptions.Shards)", h.name)
 		}
 		if plan != nil {
-			// plan.win (the resolved LAST window) rides to the shards with
-			// the predicate terms; a window-only plan has nil terms.
-			return h.cluster.SamplerWindow(q, rng, plan.terms, plan.win), ctr, nil
+			return h.cluster.SamplerWhere(q, rng, plan.terms), ctr, nil
 		}
 		return h.cluster.Sampler(q, rng), ctr, nil
 	case MethodRSTree:

@@ -44,9 +44,9 @@ func remoteShardedHandle(t *testing.T, n, shards int) (*Handle, []*wire.Server) 
 	return h, srvs
 }
 
-// localMoments is the coordinator's own exact pass over q narrowed to win:
-// its Moments descent, then the covered subtrees.
-func localMoments(h *Handle, q geo.Rect, where []pred.Term, win wire.Window, attr int) rtree.Moments {
+// localMoments is the coordinator's own exact pass over q: its Moments
+// descent, then the covered subtrees.
+func localMoments(h *Handle, q geo.Rect, where []pred.Term, attr int) rtree.Moments {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var f *rtree.TreeFilter
@@ -57,7 +57,7 @@ func localMoments(h *Handle, q geo.Rect, where []pred.Term, win wire.Window, att
 		}
 		f = rtree.NewTreeFilter(c, h.sums)
 	}
-	m, covered := h.sums.Moments(win.Apply(q), f, attr, math.MaxInt, nil)
+	m, covered := h.sums.Moments(q, f, attr, math.MaxInt, nil)
 	rest, _ := h.sums.CoveredValues(covered, attr, nil, nil)
 	m.Values.Merge(rest)
 	return m
@@ -101,17 +101,17 @@ func TestClusterMomentsEqualLocal(t *testing.T) {
 		attr, _ := h.sums.AttrIndex("value")
 		for trial := range 24 {
 			x, y := rng.Float64()*80, rng.Float64()*80
-			q := geo.Range{MinX: x, MinY: y, MaxX: x + 5 + rng.Float64()*40, MaxY: y + 5 + rng.Float64()*40, MinT: 0, MaxT: 100}.Rect()
+			r := geo.Range{MinX: x, MinY: y, MaxX: x + 5 + rng.Float64()*40, MaxY: y + 5 + rng.Float64()*40, MinT: 0, MaxT: 100}
 			var where []pred.Term
 			if trial%2 == 1 {
 				where = above
 			}
-			var win wire.Window
 			if trial%3 == 2 {
-				win = h.window(time.Duration(10+rng.Intn(40)) * time.Second)
+				r = h.WindowRange(r, time.Duration(10+rng.Intn(40))*time.Second)
 			}
-			want := localMoments(h, q, where, win, attr)
-			got, summed := h.cluster.Moments(q, pred.Normalize(where).Terms, win, "value", math.MaxInt)
+			q := r.Rect()
+			want := localMoments(h, q, where, attr)
+			got, summed := h.cluster.Moments(q, pred.Normalize(where).Terms, "value", math.MaxInt)
 			if !summed || got.Records != want.Records || got.Values.N() != want.Values.N() ||
 				!relClose(got.Values.Mean(), want.Values.Mean(), 1e-9) || !relClose(got.Values.M2(), want.Values.M2(), 1e-9) {
 				t.Fatalf("%s trial %d: shards (summed %v) records %d n %d mean %v M2 %v; coordinator %d n %d mean %v M2 %v",
@@ -119,7 +119,7 @@ func TestClusterMomentsEqualLocal(t *testing.T) {
 					want.Records, want.Values.N(), want.Values.Mean(), want.Values.M2())
 			}
 			if want.Records > 0 {
-				capped, summed := h.cluster.Moments(q, pred.Normalize(where).Terms, win, "value", 0)
+				capped, summed := h.cluster.Moments(q, pred.Normalize(where).Terms, "value", 0)
 				if summed || capped.Records != want.Records || capped.Values.N() != 0 {
 					t.Fatalf("%s trial %d: limit 0 gave summed %v, records %d, n %d; want unsummed over %d",
 						tc.name, trial, summed, capped.Records, capped.Values.N(), want.Records)

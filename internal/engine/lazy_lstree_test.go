@@ -99,9 +99,9 @@ func TestLazyLSTreeAfterChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ls := h.ls.Load(); ls.Len() != h.Len() || ls.Count(testRange.Rect()) != h.Count(testRange) {
+		if ls := h.ls.Load(); ls.Len() != h.Len() || ls.Level(0).Count(testRange.Rect()) != h.Count(testRange) {
 			t.Errorf("%s: LS-tree holds %d records (%d in testRange), RS-tree %d (%d)",
-				when, ls.Len(), ls.Count(testRange.Rect()), h.Len(), h.Count(testRange))
+				when, ls.Len(), ls.Level(0).Count(testRange.Rect()), h.Len(), h.Count(testRange))
 		}
 		if len(es) != live {
 			t.Errorf("%s: exhaustive LS-tree stream drew %d records, RS-tree Count %d", when, len(es), live)

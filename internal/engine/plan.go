@@ -11,7 +11,6 @@ import (
 	"storm/internal/rtree"
 	"storm/internal/sampling"
 	"storm/internal/stats"
-	"storm/internal/wire"
 )
 
 // PushdownStrategy overrides the planner's pushdown-vs-rejection choice
@@ -70,23 +69,15 @@ type wherePlan struct {
 	est float64
 	// pushdown selects node-summary pruning over the rejection baseline.
 	pushdown bool
-	// win is the query's resolved `LAST` window for the DISTRIBUTED method
-	// only (zero otherwise): it rides to the shards as a wire term so they
-	// narrow their own time axes. Local methods narrow the query rectangle
-	// up front instead and never read it. A LAST query with no WHERE still
-	// carries a plan — one with nil terms and a nil compiled matcher —
-	// which is why reject and treeFilter below tolerate nil compiled.
-	win wire.Window
 }
 
 // usePushdown reports whether the plan wants node pruning (nil-safe).
 func (p *wherePlan) usePushdown() bool { return p != nil && p.pushdown }
 
 // reject wraps s in the rejection baseline when the plan carries a
-// predicate, and returns s unchanged when there is none (nil plan, or a
-// window-only plan with no compiled matcher).
+// predicate, and returns s unchanged when there is none (nil plan).
 func (p *wherePlan) reject(s sampling.Sampler) sampling.Sampler {
-	if p == nil || p.compiled == nil {
+	if p == nil {
 		return s
 	}
 	return sampling.NewFiltered(s, p.compiled)
@@ -253,11 +244,11 @@ func (h *Handle) sampleNeed(opts Options) int {
 // (TestOneDescentPerRequest).
 type resolution struct {
 	h *Handle
-	// query is the rectangle as given; rect has its time axis narrowed to
-	// the LAST window, which is what the local indexes count and sample.
-	query, rect geo.Rect
+	// rect is the rectangle as given with its time axis narrowed to the
+	// LAST window: what every index counts and samples, the shards' too.
+	rect geo.Rect
 	// win is the resolved LAST window (unset without one).
-	win wire.Window
+	win window
 	// plan is the WHERE plan, nil without an effective predicate; emptyPred
 	// reports that the root digests prove nothing can qualify.
 	plan      *wherePlan
@@ -282,22 +273,14 @@ func (h *Handle) resolve(q geo.Rect, opts Options) (*resolution, error) {
 		return nil, err
 	}
 	win := h.window(opts.Last)
-	r := &resolution{h: h, query: q, rect: win.Apply(q), win: win,
+	q.Min[2], q.Max[2] = win.clamp(q.Min[2], q.Max[2])
+	r := &resolution{h: h, rect: q, win: win,
 		plan: plan, emptyPred: emptyPred, method: opts.Method, counted: opts.counted, summed: opts.summed}
 	if opts.exact {
 		r.priceExact(opts)
 	}
 	if r.method == Auto && (r.summed == nil || !r.summed.exact) {
 		r.method = h.choose(r.matching)
-	}
-	if win.Set && r.method == MethodDistributed {
-		// The shards narrow their own time axes — identically in-process
-		// and over TCP — so the window ships as a wire term beside the
-		// predicate and the rectangle goes out as given.
-		if r.plan == nil {
-			r.plan = &wherePlan{}
-		}
-		r.plan.win = win
 	}
 	return r, nil
 }
@@ -343,9 +326,9 @@ func (r *resolution) priceExact(opts Options) {
 		if r.plan != nil {
 			terms = r.plan.terms
 		}
-		m, summed = h.cluster.Moments(r.query, terms, r.win, opts.Attr, limit)
+		m, summed = h.cluster.Moments(r.rect, terms, opts.Attr, limit)
 	} else {
-		if r.plan != nil && r.plan.compiled != nil {
+		if r.plan != nil {
 			f = r.plan.treeFilter(h.sums)
 		}
 		m, covered = h.sums.Moments(r.rect, f, attr, limit, nil)
@@ -366,15 +349,6 @@ func (r *resolution) matching() int {
 	return r.counted.n
 }
 
-// sampled returns the rectangle the method's sampler takes: the narrowed
-// one, except for the distributed method (see resolve).
-func (r *resolution) sampled() geo.Rect {
-	if r.method == MethodDistributed {
-		return r.query
-	}
-	return r.rect
-}
-
 // population returns the exact qualifying population |P ∩ q ∩ σ| for the
 // resolved method — the N the estimator scales SUM/COUNT by, applies the
 // finite-population correction against, and declares exactness at. For
@@ -390,10 +364,10 @@ func (r *resolution) population() int {
 		return r.summed.at.n
 	case r.method == MethodDistributed && h.cluster != nil:
 		if r.plan == nil {
-			return h.cluster.Count(r.query)
+			return h.cluster.Count(r.rect)
 		}
-		return h.cluster.CountWindow(r.query, r.plan.terms, r.plan.win)
-	case r.plan == nil || r.plan.compiled == nil:
+		return h.cluster.CountWhere(r.rect, r.plan.terms)
+	case r.plan == nil:
 		return r.matching()
 	default:
 		return h.rs.Tree().CountWhere(r.rect, r.plan.treeFilter(h.sums))

@@ -250,7 +250,7 @@ func (h *Handle) Sample(q geo.Range, k int, method Method, mode sampling.Mode, s
 	if mode == sampling.WithReplacement {
 		population = res.population()
 	}
-	sampler, _, err := h.newSampler(res.method, res.sampled(), mode, population, seed, res.plan)
+	sampler, _, err := h.newSampler(res.method, res.rect, mode, population, seed, res.plan)
 	if err != nil {
 		return nil, err
 	}

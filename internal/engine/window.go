@@ -6,7 +6,6 @@ import (
 
 	"storm/internal/data"
 	"storm/internal/geo"
-	"storm/internal/wire"
 )
 
 // noteTime advances the dataset watermark — the maximum event time (the
@@ -45,38 +44,47 @@ func (h *Handle) Watermark() (t float64, ok bool) {
 
 // WindowRange narrows r's time axis to the trailing window of duration d
 // ending at the dataset watermark — the range a `LAST <dur>` query
-// actually covers. d <= 0 returns r unchanged. On a dataset with no
-// watermark (never held a record) the returned range is time-empty
-// (MinT > MaxT), which every index counts and samples as zero.
+// actually covers, and the rectangle resolve hands every index. d <= 0
+// returns r unchanged. On a dataset with no watermark (never held a
+// record) the returned range is time-empty (MinT > MaxT), which every
+// index counts and samples as zero.
 func (h *Handle) WindowRange(r geo.Range, d time.Duration) geo.Range {
-	if d <= 0 {
-		return r
-	}
-	wm, ok := h.Watermark()
-	if !ok {
-		r.MinT, r.MaxT = 1, 0
-		return r
-	}
-	if lo := wm - d.Seconds(); r.MinT < lo {
-		r.MinT = lo
-	}
-	if r.MaxT > wm {
-		r.MaxT = wm
-	}
+	r.MinT, r.MaxT = h.window(d).clamp(r.MinT, r.MaxT)
 	return r
 }
 
-// window resolves Options.Last against the watermark into a wire window
-// term. Zero-valued (Set == false) when the query has no LAST clause; a
-// window over an empty dataset comes back inverted (Lo > Hi) so that
-// intersecting with it yields an empty rect.
-func (h *Handle) window(last time.Duration) wire.Window {
+// window is a `LAST <dur>` clause resolved against the watermark: the
+// closed event-time interval [lo, hi] the query keeps. set is false
+// without a clause; a clause over a dataset that has never held a record
+// resolves inverted (lo > hi), so clamping to it yields an empty interval.
+type window struct {
+	set    bool
+	lo, hi float64
+}
+
+// window resolves Options.Last against the watermark.
+func (h *Handle) window(last time.Duration) window {
 	if last <= 0 {
-		return wire.Window{}
+		return window{}
 	}
 	wm, ok := h.Watermark()
 	if !ok {
-		return wire.Window{Set: true, Lo: 1, Hi: 0}
+		return window{set: true, lo: 1, hi: 0}
 	}
-	return wire.Window{Set: true, Lo: wm - last.Seconds(), Hi: wm}
+	return window{set: true, lo: wm - last.Seconds(), hi: wm}
+}
+
+// clamp narrows the time interval [lo, hi] to the window; an unset window
+// returns it unchanged, and one disjoint from it comes back inverted.
+func (w window) clamp(lo, hi float64) (float64, float64) {
+	if !w.set {
+		return lo, hi
+	}
+	if lo < w.lo {
+		lo = w.lo
+	}
+	if hi > w.hi {
+		hi = w.hi
+	}
+	return lo, hi
 }

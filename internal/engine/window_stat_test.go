@@ -154,7 +154,7 @@ func TestStatWindowUniform(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := h.newSampler(res.method, res.sampled(), sampling.WithoutReplacement, 0, seed, res.plan)
+			s, _, err := h.newSampler(res.method, res.rect, sampling.WithoutReplacement, 0, seed, res.plan)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -114,6 +115,59 @@ func TestWindowRangeNarrowing(t *testing.T) {
 	}
 }
 
+// TestResolveNarrowsAsWindowRange: the query path and WindowRange narrow
+// by one function. Over random ranges and LAST durations — windows inside
+// the TIME clause, straddling it and sliding past it, no window at all, and
+// a dataset never written to — resolve's rectangle is WindowRange's bit
+// for bit wherever the narrowed range is valid, and otherwise both are
+// empty.
+func TestResolveNarrowsAsWindowRange(t *testing.T) {
+	_, h := buildHandle(t, 2000, false)
+	empty, err := New(Config{Seed: 9}).Register(data.NewDataset("empty"), IndexOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	// valid counts narrowed ranges; emptied counts empty ones per dataset:
+	// windows that slid past the TIME clause, then the unwritten dataset's.
+	valid, emptied := 0, [2]int{}
+	for di, hd := range []*Handle{h, empty} {
+		for range 400 {
+			x, y, lo := rng.Float64()*90, rng.Float64()*90, rng.Float64()*130-20
+			q := geo.Range{MinX: x, MinY: y, MaxX: x + rng.Float64()*10, MaxY: y + rng.Float64()*10, MinT: lo, MaxT: lo + rng.Float64()*60}
+			var d time.Duration
+			if rng.Intn(8) != 0 {
+				d = time.Duration(1 + rng.Int63n(int64(120*time.Second)))
+			}
+			want := hd.WindowRange(q, d)
+			hd.mu.RLock()
+			res, err := hd.resolve(q.Rect(), Options{Last: d})
+			hd.mu.RUnlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, wr := res.rect, want.Rect()
+			if !want.Valid() {
+				if !got.IsEmpty() || !wr.IsEmpty() {
+					t.Fatalf("q %+v LAST %v: resolve %v, WindowRange %v; want both empty", q, d, got, wr)
+				}
+				emptied[di]++
+				continue
+			}
+			valid++
+			for i := range geo.Dims {
+				if math.Float64bits(got.Min[i]) != math.Float64bits(wr.Min[i]) || math.Float64bits(got.Max[i]) != math.Float64bits(wr.Max[i]) {
+					t.Fatalf("q %+v LAST %v: resolve %v, WindowRange %v", q, d, got, wr)
+				}
+			}
+		}
+	}
+	if valid < 100 || emptied[0] < 20 || emptied[1] < 100 {
+		t.Fatalf("degenerate draw: %d valid windows, %d slid past the TIME clause, %d on the unwritten dataset",
+			valid, emptied[0], emptied[1])
+	}
+}
+
 func TestWindowedCountExact(t *testing.T) {
 	_, h := buildHandle(t, 20000, false)
 	const last = 30 * time.Second
@@ -197,8 +251,8 @@ func TestWindowedDistributed(t *testing.T) {
 	}
 	narrowed := h.WindowRange(testRange, last)
 	localWant, _ := trueMean(h, narrowed, "value")
-	// The exhausted stream, then the exact plan's count round: both narrow
-	// on the shards.
+	// The exhausted stream, then the exact plan's count round: both send
+	// the shards the narrowed rectangle.
 	for _, c := range []struct {
 		method     string
 		maxSamples int

@@ -141,9 +141,6 @@ func (x *Index) Level(i int) *rtree.Tree { return x.levels[i] }
 // Len returns the number of indexed records (level-0 size).
 func (x *Index) Len() int { return x.size }
 
-// Count returns |P ∩ q| using the level-0 tree.
-func (x *Index) Count(q geo.Rect) int { return x.levels[0].Count(q) }
-
 // InsertBatch adds records, one or many. Each record, in input order,
 // draws L from a Geometric(½) distribution and joins levels 0..L,
 // preserving the coin-flip invariant that each level-i record appears at
@@ -223,20 +220,6 @@ func (x *Index) addSummaries(t *rtree.Tree) {
 	s := rtree.NewSummaries(t, x.cfg.Attrs)
 	s.Precompute()
 	x.sums = append(x.sums, s)
-}
-
-// CountWhere returns the number of level-0 records in q satisfying c,
-// pruning by level-0 digests when summaries are enabled. A nil predicate
-// is exactly Count.
-func (x *Index) CountWhere(q geo.Rect, c *pred.Compiled) int {
-	if c == nil {
-		return x.Count(q)
-	}
-	var sums *rtree.Summaries
-	if x.sums != nil {
-		sums = x.sums[0]
-	}
-	return x.levels[0].CountWhere(q, rtree.NewTreeFilter(c, sums))
 }
 
 // Delete removes a record from every level that contains it. It returns

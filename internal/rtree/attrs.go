@@ -13,7 +13,7 @@
 // traversals the three-valued verdict of package pred: None prunes the
 // subtree (no record under it can satisfy the predicate), All skips
 // per-record checks, Maybe tests records individually. CountWhere and
-// ReportAllWhereTo are the pruned counterparts of Count and ReportAllTo.
+// ReportAllWhereTo are the pruned counterparts of Count and ReportAll.
 package rtree
 
 import (
@@ -400,7 +400,7 @@ func (t *Tree) CountWhere(q geo.Rect, f *TreeFilter) int {
 
 // ReportAllWhereTo returns all entries inside q satisfying f's predicate,
 // charging acct (the tree's device when nil), pruning None subtrees during
-// the descent. A nil filter is exactly ReportAllTo.
+// the descent. A nil filter reports every entry inside q.
 func (t *Tree) ReportAllWhereTo(acct iosim.Accountant, q geo.Rect, f *TreeFilter) []data.Entry {
 	if acct == nil {
 		acct = t.cfg.Device

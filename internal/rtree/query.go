@@ -42,12 +42,7 @@ func (t *Tree) search(acct iosim.Accountant, n *Node, q geo.Rect, f *TreeFilter,
 // ReportAll returns all entries inside q. This is the QueryFirst baseline's
 // first phase and costs O(r(N) + q) node/entry touches.
 func (t *Tree) ReportAll(q geo.Rect) []data.Entry {
-	return t.ReportAllTo(t.cfg.Device, q)
-}
-
-// ReportAllTo is ReportAll with page accesses charged to acct.
-func (t *Tree) ReportAllTo(acct iosim.Accountant, q geo.Rect) []data.Entry {
-	return t.ReportAllWhereTo(acct, q, nil)
+	return t.ReportAllWhereTo(t.cfg.Device, q, nil)
 }
 
 // Count returns |P ∩ q| exactly. Subtrees fully inside q contribute their

@@ -1,6 +1,10 @@
 package wire
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +17,8 @@ import (
 // The seed corpus in testdata/fuzz/FuzzWireCodec holds one encoded frame
 // per message kind, retired kinds included (the decoder refuses those),
 // plus malformed prefixes; `make fuzz-smoke` runs this alongside
-// FuzzParseFaultPlan.
+// FuzzParseFaultPlan. TestCorpusSeedsDecode keeps the live kinds' seeds in
+// the current layout.
 func FuzzWireCodec(f *testing.F) {
 	for _, m := range sampleMsgs() {
 		f.Add(AppendFrame(nil, m))
@@ -47,4 +52,40 @@ func FuzzWireCodec(f *testing.F) {
 			t.Fatalf("re-decode failed: n=%d err=%v", n2, err)
 		}
 	})
+}
+
+// TestCorpusSeedsDecode: every live kind has a corpus seed named after it
+// (the kind's name without its dash: "countok" for count-ok), and that seed
+// is one whole frame of the kind in the current layout, so the corpus seeds
+// the decoder's accepting path and not only its error path. A frame layout
+// change must re-encode these seeds; malformed seeds carry other names.
+func TestCorpusSeedsDecode(t *testing.T) {
+	for k := KindError; k <= KindDeleteOK; k++ {
+		if newMsg(k) == nil {
+			continue
+		}
+		name := strings.ReplaceAll(k.String(), "-", "")
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzWireCodec", name))
+		if err != nil {
+			t.Errorf("kind %v has no corpus seed: %v", k, err)
+			continue
+		}
+		lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		if !ok || !strings.HasSuffix(lit, ")") {
+			t.Errorf("seed %s is not one []byte corpus value", name)
+			continue
+		}
+		b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if err != nil {
+			t.Errorf("seed %s: %v", name, err)
+			continue
+		}
+		m, n, err := DecodeFrame([]byte(b))
+		switch {
+		case err != nil:
+			t.Errorf("seed %s does not decode: %v", name, err)
+		case n != len(b) || m.WireKind() != k:
+			t.Errorf("seed %s decodes as %v over %d of %d bytes, want one %v frame", name, m.WireKind(), n, len(b), k)
+		}
+	}
 }

@@ -280,51 +280,19 @@ func (m *BuildOK) decode(d *decoder) {
 	}
 }
 
-// Window is a trailing event-time window resolved against the dataset
-// watermark at the coordinator — the wire form of a `LAST <dur>` clause.
-// Shards intersect the query rectangle's time axis with [Lo, Hi] locally,
-// so the same records qualify whether the shard is in-process or across
-// TCP. Set == false means the query carries no window; an inverted window
-// (Lo > Hi) is valid and matches nothing (the coordinator resolved the
-// clause against a dataset that has never held a record).
-type Window struct {
-	// Set reports whether the query has a window at all.
-	Set bool
-	// Lo and Hi bound the live event times, inclusive, in the time axis's
-	// native unit (seconds).
-	Lo, Hi float64
-}
-
-// Apply narrows r's time axis to the window, returning r unchanged when
-// the window is unset. Narrowing an already-disjoint rect yields an empty
-// rect (Min > Max on the time axis), which every index treats as zero.
-func (wn Window) Apply(r geo.Rect) geo.Rect {
-	if !wn.Set {
-		return r
-	}
-	if r.Min[2] < wn.Lo {
-		r.Min[2] = wn.Lo
-	}
-	if r.Max[2] > wn.Hi {
-		r.Max[2] = wn.Hi
-	}
-	return r
-}
-
 // Count is the coordinator's count-round request for one shard.
 type Count struct {
 	// Target names the shard.
 	Target
-	// Query is the query rectangle.
+	// Query is the query rectangle, its time axis already narrowed to any
+	// `LAST` window: the coordinator resolves the window against its
+	// watermark, so every shard counts the one rectangle.
 	Query geo.Rect
 	// Where is the query's attribute predicate in normal form (empty =
 	// none). Shards compile it against their local dataset and prune with
 	// their local summaries, so the predicate travels instead of the
 	// rejected records.
 	Where []pred.Term
-	// Window is the query's resolved `LAST` window (Set == false = none);
-	// the shard narrows the rectangle's time axis before counting.
-	Window Window
 	// Attr, when non-empty, asks for the moments of this numeric
 	// attribute's present values over the qualifying records, read only if
 	// at most Limit records qualify on the shard. A plain count leaves both
@@ -339,7 +307,6 @@ func (m *Count) encode(e *encoder) {
 	m.Target.encode(e)
 	e.rect(m.Query)
 	e.terms(m.Where)
-	e.window(m.Window)
 	e.b(m.Attr != "")
 	if m.Attr != "" {
 		e.str(m.Attr)
@@ -350,7 +317,6 @@ func (m *Count) decode(d *decoder) {
 	m.Target.decode(d)
 	m.Query = d.rect()
 	m.Where = d.terms()
-	m.Window = d.window()
 	if d.b() {
 		m.Attr = d.str()
 		m.Limit = d.u64()
@@ -405,7 +371,9 @@ type Open struct {
 	Target
 	// Stream is the coordinator-assigned stream id (unique per cluster).
 	Stream uint64
-	// Query is the query rectangle.
+	// Query is the query rectangle, narrowed to any `LAST` window as
+	// Count's is, so a windowed stream draws from the same records on
+	// every transport.
 	Query geo.Rect
 	// Seed drives the shard-local sampler RNG, exactly as the in-process
 	// cluster seeds it.
@@ -418,11 +386,6 @@ type Open struct {
 	// none); the shard prunes and filters locally so only qualifying
 	// samples cross the wire.
 	Where []pred.Term
-	// Window is the query's resolved `LAST` window (Set == false = none);
-	// the shard narrows the rectangle's time axis before sampling, so a
-	// windowed stream draws from the identical population on every
-	// transport.
-	Window Window
 }
 
 // WireKind implements Msg.
@@ -434,7 +397,6 @@ func (m *Open) encode(e *encoder) {
 	e.i64(m.Seed)
 	e.ids(m.Exclude)
 	e.terms(m.Where)
-	e.window(m.Window)
 }
 func (m *Open) decode(d *decoder) {
 	m.Target.decode(d)
@@ -443,7 +405,6 @@ func (m *Open) decode(d *decoder) {
 	m.Seed = d.i64()
 	m.Exclude = d.ids()
 	m.Where = d.terms()
-	m.Window = d.window()
 }
 
 // OpenOK answers an Open.
@@ -725,10 +686,6 @@ func (e *encoder) ids(ids []data.ID) {
 	}
 }
 
-// window encodes a Window: set flag, then both bounds. Fixed-width so the
-// fields travel even when unset, keeping decode∘encode the identity.
-func (e *encoder) window(wn Window) { e.b(wn.Set); e.f64(wn.Lo); e.f64(wn.Hi) }
-
 // terms encodes a predicate term list: count, then per term the attribute
 // name, both bounds and both openness flags.
 func (e *encoder) terms(ts []pred.Term) {
@@ -840,15 +797,6 @@ func (d *decoder) ids() []data.ID {
 	}
 	d.off += 8 * n
 	return ids
-}
-
-// window decodes a Window (see encoder.window).
-func (d *decoder) window() Window {
-	var wn Window
-	wn.Set = d.b()
-	wn.Lo = d.f64()
-	wn.Hi = d.f64()
-	return wn
 }
 
 // terms decodes a predicate term list. A term's minimum encoded size is 22

@@ -34,8 +34,7 @@ func sampleMsgs() []Msg {
 		&Count{Target: Target{DS: "tweets", Shard: 0}, Query: geo.Rect{Min: geo.Vec{20, 20, -inf}, Max: geo.Vec{60, 60, inf}}},
 		&CountOK{N: 9999},
 		&Count{Target: Target{DS: "osm", Shard: 2}, Query: geo.Rect{Min: geo.Vec{-88, 41.5, 0}, Max: geo.Vec{-87, 42.5, inf}},
-			Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: inf, LoOpen: true}}, Window: Window{Set: true, Lo: 10, Hi: 20},
-			Attr: "altitude", Limit: math.MaxUint64},
+			Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: inf, LoOpen: true}}, Attr: "altitude", Limit: math.MaxUint64},
 		&CountOK{N: 35400, Summed: true, Values: Moments{N: 35398, Mean: 181.25, M2: math.NaN()}},
 		&CountOK{Summed: true},
 		&Open{Target: Target{DS: "osm", Shard: 1}, Stream: 77, Query: geo.Rect{Min: geo.Vec{0, 0, 0}, Max: geo.Vec{1, 1, 1}}, Seed: 12345, Exclude: []data.ID{1, 5, 9}},
@@ -84,17 +83,24 @@ func TestRoundTripAllMessages(t *testing.T) {
 }
 
 // TestPlainCountFrameSize: a count round that asks for no moments costs
-// one flag byte per frame over the format without them — 115 and 13 bytes
-// for this request and its answer.
+// one flag byte per frame over the format without them — 98 and 13 bytes
+// for this request and its answer. A `LAST` window travels inside the
+// query rectangle and adds no bytes; a plain stream open (no exclude list,
+// no predicate) is 88 bytes.
 func TestPlainCountFrameSize(t *testing.T) {
 	inf := math.Inf(1)
-	req := &Count{Target: Target{DS: "osm", Shard: 1}, Query: geo.Rect{Min: geo.Vec{-88, 41.5, 0}, Max: geo.Vec{-87, 42.5, inf}},
-		Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: inf, LoOpen: true}}, Window: Window{Set: true, Lo: 10, Hi: 20}}
-	if n := len(AppendFrame(nil, req)); n > 115+1 {
-		t.Errorf("plain Count frame is %d bytes, want at most %d", n, 115+1)
+	q := geo.Rect{Min: geo.Vec{-88, 41.5, 0}, Max: geo.Vec{-87, 42.5, inf}}
+	req := &Count{Target: Target{DS: "osm", Shard: 1}, Query: q,
+		Where: []pred.Term{{Attr: "altitude", Lo: 100, Hi: inf, LoOpen: true}}}
+	if n := len(AppendFrame(nil, req)); n > 98+1 {
+		t.Errorf("plain Count frame is %d bytes, want at most %d", n, 98+1)
 	}
 	if n := len(AppendFrame(nil, &CountOK{N: 5})); n > 13+1 {
 		t.Errorf("plain CountOK frame is %d bytes, want at most %d", n, 13+1)
+	}
+	open := &Open{Target: Target{DS: "osm", Shard: 1}, Stream: 77, Query: q, Seed: 12345}
+	if n := len(AppendFrame(nil, open)); n > 88 {
+		t.Errorf("plain Open frame is %d bytes, want at most %d", n, 88)
 	}
 }
 
@@ -144,9 +150,8 @@ func TestDecodeFrameRejectsMalformed(t *testing.T) {
 		"huge exclude count": func() []byte {
 			f := AppendFrame(nil, &Open{Target: Target{DS: "d"}})
 			// Overwrite the exclude-count u32 with an absurd value. It sits
-			// 25 bytes from the end: before the terms count (4 bytes) and
-			// the window (1 + 8 + 8 bytes).
-			i := len(f) - 25
+			// 8 bytes from the end: before the terms count (4 bytes).
+			i := len(f) - 8
 			f[i], f[i+1], f[i+2], f[i+3] = 0xff, 0xff, 0xff, 0x7f
 			return f
 		}(),
